@@ -26,7 +26,6 @@ from .linalg import (
     classify,
     regular_rep,
     share_eigenvector,
-    spectrum_decomposition_holds,
 )
 from .report import ERRATUM, FAIL, PASS, PROBE_ONLY, Report
 from .ring import QuadRat, QuarticElem, field_quantity_N
@@ -61,10 +60,11 @@ def _parse_config(path: str) -> dict:
                 val = val.strip()
                 if key not in DEFAULTS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                if key == "eps":
-                    values[key] = Fraction(val)
-                else:
-                    values[key] = int(val)
+                try:
+                    values[key] = Fraction(val) if key == "eps" else int(val)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise UsageError(
+                        f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return values

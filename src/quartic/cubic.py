@@ -1,7 +1,7 @@
 """Exact arithmetic in Q(2^(1/3)), used only by the 6x6 regular representation.
 
-Kept deliberately small: ring operations, equality, a sign oracle, and
-the text format 'c0 c1 c2' for 2x2 matrix input.
+Kept deliberately small: ring operations, equality, a sign through the
+shared dyadic helper, and the text format 'c0 c1 c2' for 2x2 matrix input.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .intervals import DEFAULT_BITS, cbrt2_bounds, cbrt4_bounds
+from .intervals import cubic_bounds, dyadic_sign
 
 
 class CubicElem:
@@ -82,31 +82,9 @@ class CubicElem:
         return all(c.denominator == 1 for c in self.coeffs())
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        bits = DEFAULT_BITS
         den = lcm(self.c0.denominator, self.c1.denominator, self.c2.denominator)
-        n0 = int(self.c0 * den)
-        n1 = int(self.c1 * den)
-        n2 = int(self.c2 * den)
-        while True:
-            a_lo, a_hi = cbrt2_bounds(bits)
-            b_lo, b_hi = cbrt4_bounds(bits)
-            scale = 1 << bits
-            lo = n0 * scale
-            hi = lo
-            for c, plo, phi in ((n1, a_lo, a_hi), (n2, b_lo, b_hi)):
-                if c >= 0:
-                    lo += c * plo
-                    hi += c * phi
-                else:
-                    lo += c * phi
-                    hi += c * plo
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
+        n0, n1, n2 = (int(c * den) for c in self.coeffs())
+        return dyadic_sign(n0, (n1, n2), cubic_bounds)
 
 
 CUBIC_ZERO = CubicElem(0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InternalMismatch
 from .intervals import DEFAULT_BITS, Interval
-from .ring import ONE, ZERO, QuarticElem, Sign, _coerce
+from .ring import ZERO, QuarticElem, Sign, _coerce
 
 
 class QuadExt:
@@ -139,7 +139,3 @@ def _as_ext(x, d) -> QuadExt:
     if isinstance(x, QuadExt):
         return x
     return QuadExt(_as_quartic(x), ZERO, d)
-
-
-def sqrt_of(d) -> QuadExt:
-    return QuadExt(ZERO, ONE, d)

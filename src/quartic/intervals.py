@@ -77,6 +77,50 @@ def cbrt4_bounds(bits: int) -> tuple[int, int]:
     return _CBRT4_CACHE[bits]
 
 
+def quartic_bounds(bits: int):
+    """Enclosures of beta, beta^2 = sqrt2 and beta^3 at scale 2^bits."""
+    return beta_bounds(bits), sqrt2_bounds(bits), beta3_bounds(bits)
+
+
+def cubic_bounds(bits: int):
+    """Enclosures of 2^(1/3) and 2^(2/3) at scale 2^bits."""
+    return cbrt2_bounds(bits), cbrt4_bounds(bits)
+
+
+def dyadic_bounds(c0: int, cs, bounds_at, bits: int) -> tuple[int, int]:
+    """Integer bounds for (c0 + sum cs[i] * r_i) * 2^bits, where
+    bounds_at(bits) gives each irrational r_i as (lo, hi) numerators at
+    scale 2^bits."""
+    lo = hi = c0 << bits
+    for c, (plo, phi) in zip(cs, bounds_at(bits)):
+        if c >= 0:
+            lo += c * plo
+            hi += c * phi
+        else:
+            lo += c * phi
+            hi += c * plo
+    return lo, hi
+
+
+def dyadic_sign(c0: int, cs, bounds_at) -> int:
+    """Exact sign of c0 + sum cs[i] * r_i for integers c0, cs[i].
+
+    1 and the r_i must be linearly independent over Q, so only the zero
+    vector has sign 0 and refinement, from DEFAULT_BITS by doubling, ends
+    for every other vector.
+    """
+    if not any(cs):
+        return (c0 > 0) - (c0 < 0)
+    bits = DEFAULT_BITS
+    while True:
+        lo, hi = dyadic_bounds(c0, cs, bounds_at, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
 class Interval:
     """Closed interval [lo, hi] with Fraction endpoints."""
 
@@ -149,9 +193,6 @@ class Interval:
         """Certified strict order: every point of self below every point of other."""
         return self.hi < other.lo
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def sqrt(self, bits: int = DEFAULT_BITS) -> "Interval":
         if self.lo < 0:
             raise ValueError("sqrt of an interval reaching below zero")
@@ -182,16 +223,8 @@ def from_dyadic_pair(lo: int, hi: int, bits: int) -> Interval:
     return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
-def beta_interval(bits: int = DEFAULT_BITS) -> Interval:
-    return from_dyadic_pair(*beta_bounds(bits), bits)
-
-
 def sqrt2_interval(bits: int = DEFAULT_BITS) -> Interval:
     return from_dyadic_pair(*sqrt2_bounds(bits), bits)
-
-
-def beta3_interval(bits: int = DEFAULT_BITS) -> Interval:
-    return from_dyadic_pair(*beta3_bounds(bits), bits)
 
 
 def format_endpoint(x: Fraction, places: int = 12, round_up: bool = False) -> str:

@@ -25,7 +25,7 @@ from .linalg import (
 )
 from .probe import ReducedWord, discreteness_margin, enumerate_words
 from .projective import ProjPoint, proj_dist
-from .ring import ONE, QuarticElem, Sign
+from .ring import ONE, QuarticElem, Sign, mul4, quad_sign, sign4
 
 
 @dataclass(frozen=True)
@@ -265,17 +265,6 @@ def check_limit_conditions(candidate: LimitCandidate,
 # bounded search
 
 
-def _mul4i(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0 + 2 * (a1 * b3 + a2 * b2 + a3 * b1),
-        a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
-        a0 * b2 + a1 * b1 + a2 * b0 + 2 * a3 * b3,
-        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-    )
-
-
 _B1 = 1.189207115002721
 _B2 = 1.4142135623730951
 _B3 = 1.6817928305074290
@@ -293,33 +282,6 @@ def _interval_upper(iv: Interval) -> Fraction:
     return iv.hi
 
 
-def _sign4i(t) -> int:
-    """Exact sign of t0 + t1 b + t2 b^2 + t3 b^3 for integer coefficients."""
-    if t == (0, 0, 0, 0):
-        return 0
-    from .intervals import beta3_bounds, beta_bounds, sqrt2_bounds
-    bits = 64
-    while True:
-        b1 = beta_bounds(bits)
-        b2 = sqrt2_bounds(bits)
-        b3 = beta3_bounds(bits)
-        scale = 1 << bits
-        lo = t[0] * scale
-        hi = lo
-        for c, (plo, phi) in ((t[1], b1), (t[2], b2), (t[3], b3)):
-            if c >= 0:
-                lo += c * plo
-                hi += c * phi
-            else:
-                lo += c * phi
-                hi += c * plo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
-
-
 _Q_FORM = ((-1, 0, 0, 0), (-3, 0, -2, 0), (-1, 0, 0, 0))
 
 
@@ -331,10 +293,10 @@ def _resultant_nonzero_vs_q(e11, e12, e21, e22) -> bool:
     """Resultant of the fixed-slope forms of the candidate and of Q."""
     f2, f1, f0 = e21, _tuple_sub(e22, e11), tuple(-x for x in e12)
     g2, g1, g0 = _Q_FORM
-    m = _tuple_sub(_mul4i(f2, g0), _mul4i(g2, f0))
-    res = _tuple_sub(_mul4i(m, m),
-                     _mul4i(_tuple_sub(_mul4i(f2, g1), _mul4i(g2, f1)),
-                            _tuple_sub(_mul4i(f1, g0), _mul4i(g1, f0))))
+    m = _tuple_sub(mul4(f2, g0), mul4(g2, f0))
+    res = _tuple_sub(mul4(m, m),
+                     mul4(_tuple_sub(mul4(f2, g1), mul4(g2, f1)),
+                          _tuple_sub(mul4(f1, g0), mul4(g1, f0))))
     return res != (0, 0, 0, 0)
 
 
@@ -343,36 +305,22 @@ def _structural_pass(e11, e12, e21, e22) -> bool:
     tr = (e11[0] + e22[0], e11[1] + e22[1], e11[2] + e22[2], e11[3] + e22[3])
     # second view elliptic: (sigma2 trace)^2 < 4
     s2 = (tr[0], -tr[1], tr[2], -tr[3])
-    sq = _mul4i(s2, s2)
-    if _sign4i((sq[0] - 4, sq[1], sq[2], sq[3])) != -1:
+    sq = mul4(s2, s2)
+    if sign4((sq[0] - 4, sq[1], sq[2], sq[3])) != -1:
         return False
     # identity view hyperbolic: trace^2 > 4
-    sq0 = _mul4i(tr, tr)
-    if _sign4i((sq0[0] - 4, sq0[1], sq0[2], sq0[3])) != 1:
+    sq0 = mul4(tr, tr)
+    if sign4((sq0[0] - 4, sq0[1], sq0[2], sq0[3])) != 1:
         return False
     # third complex view hyperbolic: non-real trace is loxodromic, a real
     # trace t0 - t2 sqrt2 needs modulus above 2
     if tr[1] == 0 and tr[3] == 0:
         u, v = tr[0], -tr[2]
-        if _sign_quad_int(u * u + 2 * v * v - 4, 2 * u * v) != 1:
+        if quad_sign(u * u + 2 * v * v - 4, 2 * u * v) != 1:
             return False
     if e12 == (0, 0, 0, 0) and e21 == (0, 0, 0, 0) and e11 == e22:
         return False
     return _resultant_nonzero_vs_q(e11, e12, e21, e22)
-
-
-def _sign_quad_int(u: int, v: int) -> int:
-    """Exact sign of u + v sqrt2 for integers."""
-    su = (u > 0) - (u < 0)
-    sv = (v > 0) - (v < 0)
-    if sv == 0:
-        return su
-    if su == 0 or su == sv:
-        return sv if su == 0 else su
-    t = u * u - 2 * v * v
-    if t == 0:
-        return 0
-    return su if t > 0 else sv
 
 
 def _float_rank(coeffs, tu, tv) -> float:
@@ -407,7 +355,7 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
     products: dict[tuple, list[tuple[int, int]]] = {}
     for i, a in enumerate(entries):
         for j, c in enumerate(entries):
-            key = _mul4i(a, c)
+            key = mul4(a, c)
             products.setdefault(key, []).append((i, j))
 
     tu = [float(iv.midpoint()) for row in targets.u for iv in row]
@@ -417,7 +365,7 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
     worst = float("inf")
     for e12 in entries:
         for e21 in entries:
-            m = _mul4i(e12, e21)
+            m = mul4(e12, e21)
             key = (1 + m[0], m[1], m[2], m[3])
             hits = products.get(key)
             if not hits:

@@ -177,9 +177,6 @@ class RingMat2:
     def embed(self, k: int) -> "EmbeddedMat2":
         return EmbeddedMat2(tuple(galois(e, k) for e in self.entries()), k)
 
-    def conjugate_by(self, w: "RingMat2") -> "RingMat2":
-        return w * self * w.inv()
-
     def commutator(self, other: "RingMat2") -> "RingMat2":
         return self * other * self.inv() * other.inv()
 
@@ -237,21 +234,6 @@ class EmbeddedMat2:
         return (e[0].re.is_one() and e[0].im_scale.is_zero()
                 and e[1].is_zero() and e[2].is_zero()
                 and e[3].re.is_one() and e[3].im_scale.is_zero())
-
-    def entry_intervals(self, bits: int = DEFAULT_BITS):
-        return [e.intervals(bits) for e in self.entries]
-
-
-def mat_mul(a: RingMat2, b: RingMat2) -> RingMat2:
-    return a * b
-
-
-def mat_inv(a: RingMat2) -> RingMat2:
-    return a.inv()
-
-
-def mat_pow(a: RingMat2, n: int) -> RingMat2:
-    return a ** n
 
 
 def classify(a: RingMat2, k: int) -> MatClass:
@@ -651,15 +633,6 @@ def nonneg_interval(x: QuarticElem, bits: int = DEFAULT_BITS,
 
 def sqrt_of_square_interval(x: QuarticElem, bits: int = DEFAULT_BITS) -> Interval:
     return nonneg_interval(x, bits).sqrt(bits)
-
-
-def dist_interval(a: RingMat2, b: RingMat2, k: int,
-                  bits: int = DEFAULT_BITS) -> Interval:
-    return sqrt_of_square_interval(entry_dist_sq(a, b, k), bits)
-
-
-def norm_from_identity_sq(a: RingMat2, k: int) -> QuarticElem:
-    return entry_dist_sq(a, RingMat2.identity(), k)
 
 
 def min_entry_dist_sq(a: RingMat2, b: RingMat2, k: int) -> QuarticElem:

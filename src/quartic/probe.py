@@ -11,7 +11,7 @@ the report.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import paper_generators
@@ -19,7 +19,7 @@ from .errors import DepthTooLarge
 from .intervals import DEFAULT_BITS, Interval, interval_json
 from .linalg import RingMat2, entry_dist_sq, sqrt_of_square_interval
 from .projective import PingPongCertificate, certify_exponent
-from .ring import QuarticElem, Sign, field_quantity_N
+from .ring import QuarticElem, Sign, field_quantity_N, mul4
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
 _INVERSE = (1, 0, 3, 2)
@@ -331,17 +331,6 @@ def _trace_tuple(x: QuarticElem):
     return tuple(int(c) for c in x.coeffs())
 
 
-def _mul4(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0 + 2 * (a1 * b3 + a2 * b2 + a3 * b1),
-        a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
-        a0 * b2 + a1 * b1 + a2 * b0 + 2 * a3 * b3,
-        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-    )
-
-
 def torsion_probe(a: RingMat2, k: int, n_max: int) -> TorsionResult:
     """First n <= n_max with a^n = +-I, exactly, else a non-torsion verdict.
 
@@ -375,7 +364,7 @@ def torsion_probe(a: RingMat2, k: int, n_max: int) -> TorsionResult:
             res = _confirm_torsion(a, n, n_max)
             if res is not None:
                 return res
-        nxt = tuple(t1_c - p for t1_c, p in zip(_mul4(t1, cur), prev))
+        nxt = tuple(t1_c - p for t1_c, p in zip(mul4(t1, cur), prev))
         prev, cur = cur, nxt
     return TorsionResult(False, n_max)
 

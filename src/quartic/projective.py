@@ -23,7 +23,6 @@ from .errors import (
     HypothesisViolated,
     InternalMismatch,
     NotHyperbolicLike,
-    ScalarMatrix,
     SearchOverflow,
     SingularMatrix,
     UndecidedComparison,
@@ -785,23 +784,32 @@ def _region_membership_ok(cond: MappingCondition, balls: dict[str, Ball],
     return s_lo != s_hi and Sign.ZERO not in (s_lo, s_hi)
 
 
-_SOURCE_BALL = {
-    "A_pos": "A_rep", "A_neg": "A_att", "B_pos": "B_rep", "B_neg": "B_att",
-    "A_att_step": "A_att", "A_rep_step": "A_rep",
-    "B_att_step": "B_att", "B_rep_step": "B_rep",
+# Every ping-pong condition, by name: generator, exponent sign, source ball,
+# target ball and region kind.  A "complement" condition maps the
+# complement of its source ball with exponent +-N; an "interval" (step)
+# condition maps the source ball into itself with exponent +-1.
+_CONDITIONS = {
+    "A_pos": ("A", 1, "A_rep", "A_att", "complement"),
+    "A_neg": ("A", -1, "A_att", "A_rep", "complement"),
+    "B_pos": ("B", 1, "B_rep", "B_att", "complement"),
+    "B_neg": ("B", -1, "B_att", "B_rep", "complement"),
+    "A_att_step": ("A", 1, "A_att", "A_att", "interval"),
+    "A_rep_step": ("A", -1, "A_rep", "A_rep", "interval"),
+    "B_att_step": ("B", 1, "B_att", "B_att", "interval"),
+    "B_rep_step": ("B", -1, "B_rep", "B_rep", "interval"),
 }
 
-_TARGET_BALL = {
-    "A_pos": "A_att", "A_neg": "A_rep", "B_pos": "B_att", "B_neg": "B_rep",
-    "A_att_step": "A_att", "A_rep_step": "A_rep",
-    "B_att_step": "B_att", "B_rep_step": "B_rep",
-}
+
+def _condition_spec(name: str, n: int) -> tuple[str, int, str, str, str]:
+    """(generator, signed exponent, source, target, region kind) of a name."""
+    gen, sgn, source, target, kind = _CONDITIONS[name]
+    return gen, sgn * (n if kind == "complement" else 1), source, target, kind
 
 
 def _condition_matrix(cert_a: RingMat2, cert_b: RingMat2,
-                      cond: MappingCondition) -> RingMat2:
-    g = cert_a if cond.generator == "A" else cert_b
-    return g ** cond.exponent
+                      generator: str, exponent: int) -> RingMat2:
+    g = cert_a if generator == "A" else cert_b
+    return g ** exponent
 
 
 def _build_certificate(a: RingMat2, b: RingMat2, n: int,
@@ -827,21 +835,12 @@ def _build_certificate(a: RingMat2, b: RingMat2, n: int,
         return None
 
     conditions = []
-    spec = [
-        ("A_pos", "A", n), ("A_neg", "A", -n),
-        ("B_pos", "B", n), ("B_neg", "B", -n),
-        ("A_att_step", "A", 1), ("A_rep_step", "A", -1),
-        ("B_att_step", "B", 1), ("B_rep_step", "B", -1),
-    ]
-    for name, gen, expo in spec:
-        source = _SOURCE_BALL[name]
-        target = _TARGET_BALL[name]
-        if name.endswith("_step"):
+    for name in _CONDITIONS:
+        gen, expo, source, target, kind = _condition_spec(name, n)
+        if kind == "interval":
             region = _outer_interval(balls[source])
-            kind = "interval"
         else:
             region = _inner_interval(balls[source])
-            kind = "complement"
         if region is None:
             return None
         outer = Fraction(1)
@@ -853,7 +852,7 @@ def _build_certificate(a: RingMat2, b: RingMat2, n: int,
                                 target=target)
         if not _region_membership_ok(cond, balls, source):
             return None
-        m = _condition_matrix(a, b, cond)
+        m = _condition_matrix(a, b, gen, expo)
         good, _reason = _certify_condition(m, cond, balls)
         if not good:
             return None
@@ -880,20 +879,33 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
         problems.append("balls are not certified pairwise disjoint")
     if not _point_outside_all(cert.basepoint, cert.balls):
         problems.append("basepoint is not outside every ball")
-    names = {c.name for c in cert.conditions}
-    if names != set(_SOURCE_BALL):
-        problems.append(f"conditions missing: {sorted(set(_SOURCE_BALL) - names)}")
+    missing_balls = sorted(set(expected) - set(cert.balls))
+    if missing_balls:
+        problems.append(f"balls missing: {missing_balls}")
+        return False, problems
+    names = [c.name for c in cert.conditions]
+    missing = sorted(set(_CONDITIONS) - set(names))
+    if missing:
+        problems.append(f"conditions missing: {missing}")
+    for name in sorted(set(names)):
+        if names.count(name) > 1:
+            problems.append(f"{name}: listed {names.count(name)} times")
     for cond in cert.conditions:
-        if abs(cond.exponent) not in (1, cert.exponent):
-            problems.append(f"{cond.name}: exponent {cond.exponent} unexpected")
+        if cond.name not in _CONDITIONS:
+            problems.append(f"unknown condition {cond.name}")
             continue
-        if not _region_membership_ok(cond, cert.balls, _SOURCE_BALL[cond.name]):
+        gen, expo, source, target, kind = _condition_spec(cond.name, cert.exponent)
+        wrong = [f"{key} {got}, expected {want}" for key, got, want in (
+            ("generator", cond.generator, gen), ("exponent", cond.exponent, expo),
+            ("region kind", cond.region_kind, kind), ("target", cond.target, target),
+        ) if got != want]
+        if wrong:
+            problems.append(f"{cond.name}: {'; '.join(wrong)}")
+            continue
+        if not _region_membership_ok(cond, cert.balls, source):
             problems.append(f"{cond.name}: region/ball relation fails")
             continue
-        if cond.target != _TARGET_BALL[cond.name]:
-            problems.append(f"{cond.name}: wrong target ball")
-            continue
-        m = _condition_matrix(a, b, cond)
+        m = _condition_matrix(a, b, gen, expo)
         if not _recheck_condition(m, cond, cert.balls):
             problems.append(f"{cond.name}: cell verification fails")
     return (not problems), problems

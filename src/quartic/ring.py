@@ -1,27 +1,33 @@
 """Exact arithmetic in Q(beta), beta = 2^(1/4), and in its subfield Q(sqrt2).
 
-Elements are stored on the basis {1, beta, beta^2, beta^3} with Fraction
-coefficients; products reduce by beta^4 = 2.  The four Galois embeddings
-send beta to beta * i^k.  Sign determination is exact: zero is decided
-symbolically (the basis is linearly independent over Q), every nonzero
-element is separated from zero by adaptive dyadic refinement.
+An element of Q(beta) is four Python ints over one positive common
+denominator, on the basis {1, beta, beta^2, beta^3}; an element of Q(sqrt2)
+is two ints over one denominator.  Both are kept reduced (the numerators
+and the denominator share no factor), so equal values have equal storage,
+and integral values carry denominator 1 and skip every gcd.  Products
+reduce by beta^4 = 2 (``mul4`` on raw int 4-tuples).  The four Galois
+embeddings send beta to beta * i^k.  Sign determination is exact: zero is
+decided symbolically (the basis is linearly independent over Q), Q(sqrt2)
+signs algebraically (``quad_sign``), and every other nonzero element is
+separated from zero by the one dyadic refinement in
+``intervals.dyadic_sign`` (``sign4`` on raw int 4-tuples).
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InternalMismatch, NonIntegralInput, UnsignedElement
 from .intervals import (
     DEFAULT_BITS,
     Interval,
-    beta3_bounds,
-    beta_bounds,
+    dyadic_bounds,
+    dyadic_sign,
     from_dyadic_pair,
+    quartic_bounds,
     sqrt2_bounds,
-    sqrt2_interval,
 )
 
 
@@ -29,6 +35,10 @@ class Sign(enum.IntEnum):
     NEGATIVE = -1
     ZERO = 0
     POSITIVE = 1
+
+
+# indexed by an int sign: _SIGN[-1] is the last entry
+_SIGN = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)
 
 
 class Signedness(enum.Enum):
@@ -47,14 +57,86 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
+def _over(xs) -> tuple[tuple[int, ...], int]:
+    """Public-constructor coercion: int numerators over their least common
+    denominator, which leaves the vector reduced."""
+    if all(type(x) is int for x in xs):
+        return tuple(xs), 1
+    fs = [_frac(x) for x in xs]
+    d = lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (d // f.denominator) for f in fs), d
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def mul4(a, b):
+    """Product of int (or rational) 4-tuples on the basis 1, beta, .., beta^3."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    # beta^4 = 2 folds degrees 4..6 back down
+    return (
+        a0 * b0 + 2 * (a1 * b3 + a2 * b2 + a3 * b1),
+        a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+        a0 * b2 + a1 * b1 + a2 * b0 + 2 * a3 * b3,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+    )
+
+
+def quad_sign(u: int, v: int) -> int:
+    """Exact sign of u + v*sqrt2 for integers u, v."""
+    su = (u > 0) - (u < 0)
+    sv = (v > 0) - (v < 0)
+    if su == sv or not sv:
+        return su
+    if not su:
+        return sv
+    # opposite rational and sqrt2 parts: compare u^2 with 2 v^2 (never equal)
+    return su if u * u > 2 * v * v else sv
+
+
+def sign4(t) -> int:
+    """Exact sign of t0 + t1 b + t2 b^2 + t3 b^3 for integer coefficients."""
+    t0, t1, t2, t3 = t
+    if not (t1 or t3):
+        return quad_sign(t0, t2)
+    return dyadic_sign(t0, (t1, t2, t3), quartic_bounds)
+
+
+_new = object.__new__
+
+
+def _quadrat(u: int, v: int, d: int) -> "QuadRat":
+    """(u + v*sqrt2) / d for ints, d > 0, reduced by gcd unless d is 1."""
+    if d != 1:
+        g = gcd(u, v, d)
+        if g != 1:
+            u //= g
+            v //= g
+            d //= g
+    x = _new(QuadRat)
+    x._u = u
+    x._v = v
+    x._d = d
+    return x
+
+
 class QuadRat:
     """u + v*sqrt(2) with rational u, v.  Sign is decided algebraically."""
 
-    __slots__ = ("u", "v")
+    __slots__ = ("_u", "_v", "_d")
 
     def __init__(self, u, v=0):
-        self.u = _frac(u)
-        self.v = _frac(v)
+        (self._u, self._v), self._d = _over((u, v))
+
+    @property
+    def u(self) -> Fraction:
+        return _fraction(self._u, self._d)
+
+    @property
+    def v(self) -> Fraction:
+        return _fraction(self._v, self._d)
 
     def __repr__(self) -> str:
         return f"QuadRat({self.u}, {self.v})"
@@ -67,78 +149,75 @@ class QuadRat:
             other = QuadRat(other)
         if not isinstance(other, QuadRat):
             return NotImplemented
-        return self.u == other.u and self.v == other.v
+        return self._u == other._u and self._v == other._v and self._d == other._d
 
     def __hash__(self):
+        if self._d == 1:
+            return hash((self._u, self._v))
         return hash((self.u, self.v))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QuadRat(other)
-        return QuadRat(self.u + other.u, self.v + other.v)
+        elif not isinstance(other, QuadRat):
+            return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _quadrat(self._u + other._u, self._v + other._v, d)
+        return _quadrat(self._u * e + other._u * d, self._v * e + other._v * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadRat(other)
-        return QuadRat(self.u - other.u, self.v - other.v)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QuadRat(-self.u, -self.v)
+        return _quadrat(-self._u, -self._v, self._d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadRat(self.u * other, self.v * other)
+            n = other.numerator
+            return _quadrat(self._u * n, self._v * n, self._d * other.denominator)
         if not isinstance(other, QuadRat):
             return NotImplemented
-        return QuadRat(self.u * other.u + 2 * self.v * other.v,
-                       self.u * other.v + self.v * other.u)
+        u, v, w, z = self._u, self._v, other._u, other._v
+        return _quadrat(u * w + 2 * v * z, u * z + v * w, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadRat":
         """Galois conjugate u - v*sqrt(2)."""
-        return QuadRat(self.u, -self.v)
+        return _quadrat(self._u, -self._v, self._d)
 
     def norm(self) -> Fraction:
         """u^2 - 2 v^2, the field norm down to Q."""
-        return self.u * self.u - 2 * self.v * self.v
+        return Fraction(self._u * self._u - 2 * self._v * self._v,
+                        self._d * self._d)
 
     def inv(self) -> "QuadRat":
-        n = self.norm()
+        # 1 / ((u + v sqrt2) / d) = d (u - v sqrt2) / (u^2 - 2 v^2)
+        n = self._u * self._u - 2 * self._v * self._v
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return QuadRat(self.u / n, -self.v / n)
+        s = -1 if n < 0 else 1
+        return _quadrat(s * self._d * self._u, -s * self._d * self._v, s * n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadRat(self.u / other, self.v / other)
+            return self * (Fraction(1) / Fraction(other))
         return self * other.inv()
 
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return self._u == 0 and self._v == 0
 
     def is_integral(self) -> bool:
-        return self.u.denominator == 1 and self.v.denominator == 1
+        return self._d == 1
 
     def sign(self) -> Sign:
-        su = (self.u > 0) - (self.u < 0)
-        sv = (self.v > 0) - (self.v < 0)
-        if sv == 0:
-            return Sign(su)
-        if su == 0:
-            return Sign(sv)
-        if su == sv:
-            return Sign(su)
-        # opposite rational and sqrt2 parts: compare u^2 with 2 v^2
-        t = self.u * self.u - 2 * self.v * self.v
-        if t == 0:
-            return Sign.ZERO  # impossible for u, v rational unless both zero
-        return Sign(su if t > 0 else sv)
+        return _SIGN[quad_sign(self._u, self._v)]
 
     def __lt__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -159,24 +238,43 @@ class QuadRat:
         return base + Interval(self.u)
 
     def as_quartic(self) -> "QuarticElem":
-        return QuarticElem(self.u, 0, self.v, 0)
+        return _elem((self._u, 0, self._v, 0), self._d)
 
 
 ZERO_Q = QuadRat(0)
-ONE_Q = QuadRat(1)
 SQRT2 = QuadRat(0, 1)
 
 
-class QuarticElem:
-    """q0 + q1*beta + q2*beta^2 + q3*beta^3 with rational coefficients."""
+def _elem(c: tuple, d: int) -> "QuarticElem":
+    """Element from an int vector over d > 0, reduced by gcd unless d is 1."""
+    if d != 1:
+        c0, c1, c2, c3 = c
+        g = gcd(c0, c1, c2, c3, d)
+        if g != 1:
+            c = (c0 // g, c1 // g, c2 // g, c3 // g)
+            d //= g
+    x = _new(QuarticElem)
+    x._c = c
+    x._d = d
+    return x
 
-    __slots__ = ("q0", "q1", "q2", "q3")
+
+class QuarticElem:
+    """q0 + q1*beta + q2*beta^2 + q3*beta^3 with rational coefficients.
+
+    Stored as the reduced int vector ``_c`` over the denominator ``_d > 0``;
+    ``q0``..``q3`` and ``coeffs()`` give the coefficients as Fractions.
+    """
+
+    __slots__ = ("_c", "_d")
 
     def __init__(self, q0=0, q1=0, q2=0, q3=0):
-        self.q0 = _frac(q0)
-        self.q1 = _frac(q1)
-        self.q2 = _frac(q2)
-        self.q3 = _frac(q3)
+        self._c, self._d = _over((q0, q1, q2, q3))
+
+    q0 = property(lambda self: _fraction(self._c[0], self._d))
+    q1 = property(lambda self: _fraction(self._c[1], self._d))
+    q2 = property(lambda self: _fraction(self._c[2], self._d))
+    q3 = property(lambda self: _fraction(self._c[3], self._d))
 
     @classmethod
     def from_int(cls, n) -> "QuarticElem":
@@ -192,9 +290,11 @@ class QuarticElem:
         return cls(*(Fraction(p) for p in parts))
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.q0, self.q1, self.q2, self.q3)
+        return tuple(map(_fraction, self._c, (self._d,) * 4))
 
     def to_text(self) -> str:
+        if self._d == 1:
+            return " ".join(map(str, self._c))
         return " ".join(str(c) for c in self.coeffs())
 
     def __repr__(self) -> str:
@@ -213,52 +313,59 @@ class QuarticElem:
         return "".join(parts) or "0"
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs() == other.coeffs()
+        if type(other) is not QuarticElem:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._c == other._c and self._d == other._d
 
     def __hash__(self):
+        # equal to the hash of the Fraction 4-tuple coeffs()
+        if self._d == 1:
+            return hash(self._c)
         return hash(self.coeffs())
 
+    def _plus(self, other, s: int):
+        """self + s * other for s = 1 or -1."""
+        if type(other) is not QuarticElem:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a0, a1, a2, a3 = self._c
+        b0, b1, b2, b3 = other._c
+        d, e = self._d, other._d
+        if d != e:
+            a0, a1, a2, a3 = a0 * e, a1 * e, a2 * e, a3 * e
+            s *= d
+            d *= e
+        return _elem((a0 + s * b0, a1 + s * b1, a2 + s * b2, a3 + s * b3), d)
+
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuarticElem(self.q0 + other.q0, self.q1 + other.q1,
-                           self.q2 + other.q2, self.q3 + other.q3)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuarticElem(self.q0 - other.q0, self.q1 - other.q1,
-                           self.q2 - other.q2, self.q3 - other.q3)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QuarticElem(-self.q0, -self.q1, -self.q2, -self.q3)
+        c0, c1, c2, c3 = self._c
+        return _elem((-c0, -c1, -c2, -c3), self._d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuarticElem(self.q0 * other, self.q1 * other,
-                               self.q2 * other, self.q3 * other)
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a0, a1, a2, a3 = self.coeffs()
-        b0, b1, b2, b3 = other.coeffs()
-        # beta^4 = 2 folds degrees 4..6 back down
-        return QuarticElem(
-            a0 * b0 + 2 * (a1 * b3 + a2 * b2 + a3 * b1),
-            a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a1 * b1 + a2 * b0 + 2 * a3 * b3,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-        )
+        if type(other) is not QuarticElem:
+            if isinstance(other, (int, Fraction)):
+                n = other.numerator
+                c0, c1, c2, c3 = self._c
+                return _elem((c0 * n, c1 * n, c2 * n, c3 * n),
+                             self._d * other.denominator)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _elem(mul4(self._c, other._c), self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -275,40 +382,42 @@ class QuarticElem:
         return result
 
     def is_zero(self) -> bool:
-        return self.coeffs() == (0, 0, 0, 0)
+        return self._c == (0, 0, 0, 0)
 
     def is_one(self) -> bool:
-        return self.coeffs() == (1, 0, 0, 0)
+        return self._c == (1, 0, 0, 0) and self._d == 1
 
     def is_rational(self) -> bool:
-        return self.q1 == 0 and self.q2 == 0 and self.q3 == 0
+        _, c1, c2, c3 = self._c
+        return not (c1 or c2 or c3)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs())
+        return self._d == 1
 
     def in_even_subring(self) -> bool:
         """True when the element lies in Q(sqrt2), i.e. no beta or beta^3 part."""
-        return self.q1 == 0 and self.q3 == 0
+        _, c1, _, c3 = self._c
+        return not (c1 or c3)
 
     def even_part(self) -> "QuarticElem":
-        return QuarticElem(self.q0, 0, self.q2, 0)
+        c0, _, c2, _ = self._c
+        return _elem((c0, 0, c2, 0), self._d)
 
     def odd_part(self) -> "QuarticElem":
-        return QuarticElem(0, self.q1, 0, self.q3)
+        _, c1, _, c3 = self._c
+        return _elem((0, c1, 0, c3), self._d)
 
     def even_quadrat(self) -> QuadRat:
         """The element as u + v*sqrt2; requires the odd part to vanish."""
         if not self.in_even_subring():
             raise InternalMismatch(f"{self!r} is not in Q(sqrt2)")
-        return QuadRat(self.q0, self.q2)
-
-    def split_quadrat(self) -> tuple[QuadRat, QuadRat]:
-        """(E, O) with self = E + beta*O and E, O in Q(sqrt2)."""
-        return QuadRat(self.q0, self.q2), QuadRat(self.q1, self.q3)
+        c0, _, c2, _ = self._c
+        return _quadrat(c0, c2, self._d)
 
     def conj_even(self) -> "QuarticElem":
         """beta -> -beta, the automorphism fixing Q(sqrt2)."""
-        return QuarticElem(self.q0, -self.q1, self.q2, -self.q3)
+        c0, c1, c2, c3 = self._c
+        return _elem((c0, -c1, c2, -c3), self._d)
 
     def inv(self) -> "QuarticElem":
         """Field inverse via the tower Q(beta) / Q(sqrt2) / Q."""
@@ -316,9 +425,7 @@ class QuarticElem:
             raise ZeroDivisionError("inverse of zero in Q(beta)")
         y = self.conj_even()
         z = (self * y).even_quadrat()      # relative norm, lives in Q(sqrt2)
-        n = z.norm()                       # rational and nonzero for nonzero self
-        zc = z.conj().as_quartic()
-        return (y * zc) * (Fraction(1) / n)
+        return y * z.inv().as_quartic()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -327,49 +434,14 @@ class QuarticElem:
         return self * other.inv()
 
     def interval(self, bits: int = DEFAULT_BITS) -> Interval:
-        lo, hi = self._scaled_bounds(bits)
-        den = lcm(self.q0.denominator, self.q1.denominator,
-                  self.q2.denominator, self.q3.denominator)
-        s = den << bits
+        c0, c1, c2, c3 = self._c
+        lo, hi = dyadic_bounds(c0, (c1, c2, c3), quartic_bounds, bits)
+        s = self._d << bits
         return Interval(Fraction(lo, s), Fraction(hi, s))
-
-    def _scaled_bounds(self, bits: int) -> tuple[int, int]:
-        """Integer bounds for value * lcm(dens) * 2^bits."""
-        den = lcm(self.q0.denominator, self.q1.denominator,
-                  self.q2.denominator, self.q3.denominator)
-        c0 = int(self.q0 * den)
-        c1 = int(self.q1 * den)
-        c2 = int(self.q2 * den)
-        c3 = int(self.q3 * den)
-        b1 = beta_bounds(bits)
-        b2 = sqrt2_bounds(bits)
-        b3 = beta3_bounds(bits)
-        scale = 1 << bits
-        lo = c0 * scale
-        hi = lo
-        for c, (plo, phi) in ((c1, b1), (c2, b2), (c3, b3)):
-            if c >= 0:
-                lo += c * plo
-                hi += c * phi
-            else:
-                lo += c * phi
-                hi += c * plo
-        return lo, hi
 
     def sign(self) -> Sign:
         """Exact sign.  Zero is symbolic; nonzero refines until separated."""
-        if self.is_zero():
-            return Sign.ZERO
-        if self.q1 == 0 and self.q3 == 0:
-            return QuadRat(self.q0, self.q2).sign()
-        bits = DEFAULT_BITS
-        while True:
-            lo, hi = self._scaled_bounds(bits)
-            if lo > 0:
-                return Sign.POSITIVE
-            if hi < 0:
-                return Sign.NEGATIVE
-            bits *= 2
+        return _SIGN[sign4(self._c)]
 
     def abs(self) -> "QuarticElem":
         return -self if self.sign() == Sign.NEGATIVE else self
@@ -396,8 +468,6 @@ def _coerce(x) -> QuarticElem | None:
 ZERO = QuarticElem(0)
 ONE = QuarticElem(1)
 BETA = QuarticElem(0, 1)
-BETA2 = QuarticElem(0, 0, 1)
-BETA3 = QuarticElem(0, 0, 0, 1)
 
 
 class EmbeddedComplex:
@@ -457,21 +527,14 @@ class EmbeddedComplex:
 
     def abs2(self) -> QuarticElem:
         """Squared modulus re^2 + sqrt2 * im_scale^2, a real quartic element."""
-        return self.re * self.re + (SQRT2 * self.im_scale * self.im_scale).as_quartic()
+        s = self.im_scale
+        u, v = s._u, s._v
+        # sqrt2 (u + v sqrt2)^2 = 4uv + (u^2 + 2v^2) sqrt2, over d^2
+        return self.re * self.re + _elem((4 * u * v, 0, u * u + 2 * v * v, 0),
+                                         s._d * s._d)
 
     def abs2_quadrat(self) -> QuadRat:
         return self.abs2().even_quadrat()
-
-    def re_quadrat(self) -> QuadRat:
-        return self.re.even_quadrat()
-
-    def abs_interval(self, bits: int = DEFAULT_BITS) -> Interval:
-        return self.abs2().interval(bits).sqrt(bits)
-
-    def intervals(self, bits: int = DEFAULT_BITS) -> tuple[Interval, Interval]:
-        """(re, im) enclosures; im includes the beta factor."""
-        im = self.im_scale.interval(bits) * from_dyadic_pair(*beta_bounds(bits), bits)
-        return self.re.interval(bits), im
 
 
 def galois(x: QuarticElem, k: int) -> EmbeddedComplex:
@@ -482,18 +545,15 @@ def galois(x: QuarticElem, k: int) -> EmbeddedComplex:
         return EmbeddedComplex(x, ZERO_Q)
     if k == 2:
         return EmbeddedComplex(x.conj_even(), ZERO_Q)
-    e, o = x.split_quadrat()
-    if k == 1:
-        return EmbeddedComplex(e.conj().as_quartic(), o.conj())
-    return EmbeddedComplex(e.conj().as_quartic(), -o.conj())
+    # beta -> +-i beta: (q0 - q2 sqrt2) +- i beta (q1 - q3 sqrt2)
+    c0, c1, c2, c3 = x._c
+    d = x._d
+    im = _quadrat(c1, -c3, d) if k == 1 else _quadrat(-c1, c3, d)
+    return EmbeddedComplex(_elem((c0, 0, -c2, 0), d), im)
 
 
 def sign_of(x: QuarticElem) -> Sign:
     return x.sign()
-
-
-def compare(x: QuarticElem, y: QuarticElem) -> Sign:
-    return (x - y).sign()
 
 
 def signedness(x: QuarticElem) -> Signedness:
@@ -639,22 +699,3 @@ def delta_submultiplicative_witness(x: QuarticElem, y: QuarticElem):
             "delta_x_delta_y": rhs.to_text(),
         }
     return None
-
-
-def product_split_diagnostic(x: QuarticElem, y: QuarticElem) -> dict:
-    """Raw quantities for the product split xy = z + u with z = x*gamma(y).
-
-    Diagnostic only: reports ||u|| against 8 ||x|| |delta(y)| without
-    asserting the bound.
-    """
-    z = x * gamma(y)
-    u = x * delta(y)
-    bound = 8 * coeff_norm(x) * delta(y).abs().interval().hi
-    return {
-        "z": z.to_text(),
-        "u": u.to_text(),
-        "u_norm": coeff_norm(u),
-        "bound_upper": bound,
-        "within_bound": coeff_norm(u) <= bound,
-    }
-

@@ -126,3 +126,11 @@ def test_bad_config_exit_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown = 3\n")
     assert main(["margin", "--config", str(cfg)]) == 2
+
+
+def test_bad_config_value_exit_two(tmp_path, capsys):
+    for line in ("L = abc", "eps = 1/0"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        assert main(["margin", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: bad value" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """The small cubic-ring layer behind the rank-6 representation."""
 
 from decimal import Decimal, getcontext
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from quartic.cubic import CubicElem, CubicMat2
+from quartic.intervals import DEFAULT_BITS, cubic_bounds, dyadic_bounds, dyadic_sign
 
 
 def cbrt2_decimal(places: int = 50) -> Decimal:
@@ -31,6 +34,26 @@ def test_cubic_sign_against_decimal():
         assert abs(val) > Decimal("1e-30")
         assert x.sign() == (1 if val > 0 else -1)
     assert CubicElem(0, 0, 0).sign() == 0
+
+
+def test_cubic_sign_uses_shared_helper_past_default_bits():
+    """Powers of the unit 2^(1/3) - 1 (about 0.26) shrink until 64 bits no
+    longer decide them; the shared dyadic helper must then refine."""
+    a = cbrt2_decimal(120)
+    unit = CubicElem(-1, 1, 0)
+    x = CubicElem(1)
+    escalated = 0
+    for n in range(1, 41):
+        x = x * unit
+        for y in (x, x * Fraction(-3, 7)):
+            den = lcm(*(c.denominator for c in y.coeffs()))
+            n0, n1, n2 = (int(c * den) for c in y.coeffs())
+            val = Decimal(n0) + Decimal(n1) * a + Decimal(n2) * a * a
+            assert y.sign() == dyadic_sign(n0, (n1, n2), cubic_bounds)
+            assert y.sign() == (1 if val > 0 else -1)
+            lo, hi = dyadic_bounds(n0, (n1, n2), cubic_bounds, DEFAULT_BITS)
+            escalated += lo <= 0 <= hi
+    assert escalated > 0
 
 
 def test_cubic_parse_roundtrip():

@@ -149,12 +149,53 @@ def test_certificate_tamper_detected(certificate):
     assert not ok and problems
 
 
+def test_certificate_missing_ball_detected(certificate):
+    blob = json.loads(certificate.to_json_text())
+    blob["balls"].pop()
+    ok, problems = verify_certificate(PingPongCertificate.from_json(blob))
+    assert not ok and any("balls missing" in p for p in problems)
+
+
 def test_certificate_wrong_center_detected(certificate):
     blob = json.loads(certificate.to_json_text())
     blob["balls"][0]["center"]["v1"]["a"] = "17 0 0 0"
     tampered = PingPongCertificate.from_json(blob)
     ok, problems = verify_certificate(tampered)
     assert not ok
+
+
+def _mutated(certificate, mutate):
+    blob = json.loads(certificate.to_json_text())
+    mutate(blob["checked_conditions"])
+    return PingPongCertificate.from_json(blob)
+
+
+def _set_field(name, key, value):
+    def mutate(conds):
+        next(c for c in conds if c["name"] == name)[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_field("A_att_step", "exponent", 3),
+    _set_field("A_pos", "exponent", 1),
+    _set_field("B_neg", "exponent", 3),
+    _set_field("A_pos", "generator", "B"),
+    _set_field("B_rep_step", "generator", "A"),
+    _set_field("A_pos", "region_kind", "interval"),
+    _set_field("A_att_step", "region_kind", "complement"),
+    _set_field("A_pos", "target", "A_rep"),
+    _set_field("B_att_step", "target", "A_att"),
+    lambda conds: conds.append(dict(conds[0])),
+    lambda conds: conds.pop(),
+    lambda conds: conds.pop(0),
+], ids=["step_exponent", "pos_exponent", "neg_exponent", "generator",
+        "step_generator", "region_kind", "step_region_kind", "target",
+        "step_target", "duplicate", "dropped_last", "dropped_first"])
+def test_certificate_single_field_mutation_rejected(certificate, mutate):
+    assert certificate.exponent == 3
+    ok, problems = verify_certificate(_mutated(certificate, mutate))
+    assert not ok and problems
 
 
 def test_pingpong_same_matrix_rejected():
