@@ -3,8 +3,8 @@
 Subcommands: verify-paper, classify, repr, margin, certify, search,
 conjugate, probe-inequality.  Every command emits a Report, as text or as
 deterministic JSON (--json).  Exit codes: 0 all checks pass (errata are
-reported but do not fail), 1 any check fails, 2 bad usage, bad config or
-unparseable input.
+reported but do not fail), 1 any check fails, 2 bad usage, bad config,
+unparseable input or an out-of-range setting.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import construction, limits, probe, projective, report
+from . import construction, limits, probe, projective
 from .cubic import CubicElem, CubicMat2
 from .errors import QuarticError
 from .intervals import interval_json
@@ -35,8 +35,6 @@ DEFAULTS = {
     "L": 8,
     "bound": 2,
     "threads": 1,
-    "bits": 64,
-    "eps": Fraction(1, 100),
 }
 
 
@@ -61,8 +59,8 @@ def _parse_config(path: str) -> dict:
                 if key not in DEFAULTS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = Fraction(val) if key == "eps" else int(val)
-                except (ValueError, ZeroDivisionError) as exc:
+                    values[key] = int(val)
+                except ValueError as exc:
                     raise UsageError(
                         f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     except OSError as exc:
@@ -480,15 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "Q(2^(1/4))")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, settings=False, threads=False):
         sp.add_argument("--json", action="store_true",
                         help="emit a deterministic JSON report")
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--config", type=str, default=None)
+        if settings:
+            sp.add_argument("--config", type=str, default=None)
+        if threads:
+            sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("verify-paper",
                         help="re-derive the built-in reference values")
-    common(sp)
+    common(sp, settings=True, threads=True)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--L", type=int, default=None)
     sp.add_argument("--override", action="append", default=None,
@@ -506,17 +506,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", type=int, default=None, choices=(2, 3, 4))
 
     sp = sub.add_parser("margin", help="discreteness margin scan")
-    common(sp)
+    common(sp, settings=True, threads=True)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--L", type=int, default=None)
 
     sp = sub.add_parser("certify", help="ping-pong freeness certificate")
-    common(sp)
+    common(sp, settings=True)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--L", type=int, default=None)
 
     sp = sub.add_parser("search", help="bounded limit-candidate search")
-    common(sp)
+    common(sp, settings=True)
     sp.add_argument("--bound", type=int, default=None)
     sp.add_argument("--count", type=int, default=None)
 
@@ -539,8 +539,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    path = getattr(args, "config", None)
     try:
-        config = _parse_config(args.config) if args.config else {}
+        config = _parse_config(path) if path else {}
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -550,7 +551,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuarticError as exc:
+    except (QuarticError, ValueError) as exc:
+        # ValueError is how the library rejects an out-of-range setting
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -60,10 +60,6 @@ class GammaGenerators:
         m = self.f_base()
         return m, m.embed(1)
 
-    def g_pair(self):
-        m = self.g_base()
-        return m, m.embed(1)
-
 
 def make_generators(n: int | None = None) -> GammaGenerators:
     """Product-group generators at the given exponent; when n is omitted the

@@ -14,16 +14,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .construction import paper_generators
-from .errors import NonIntegralInput, NotUnimodular
+from .errors import NonIntegralInput, NotUnimodular, QuarticError
 from .intervals import DEFAULT_BITS, Interval, interval_json
 from .linalg import (
     EmbeddedMat2,
     MatClass,
     RingMat2,
     classify,
+    eigen2,
+    entry_dist_sq,
     share_eigenvector,
 )
-from .probe import ReducedWord, discreteness_margin, enumerate_words
+from .probe import ReducedWord, discreteness_margin, walk_words
 from .projective import ProjPoint, proj_dist
 from .ring import ONE, QuarticElem, Sign, mul4, quad_sign, sign4
 
@@ -213,19 +215,9 @@ def check_limit_conditions(candidate: LimitCandidate,
 
     # probe-only relation scan for the freeness condition on <view1, Q>
     r1 = candidate.view1()
-    hits = []
-    gens = [r1, r1.inv(), q, q.inv()]
-    inverse = (1, 0, 3, 2)
-    stack = [((c,), gens[c]) for c in range(4)]
-    while stack:
-        codes, mat = stack.pop()
-        if mat.is_identity():
-            hits.append(str(ReducedWord(codes)))
-        if len(codes) < vi_depth:
-            for c in range(4):
-                if inverse[codes[-1]] == c:
-                    continue
-                stack.append((codes + (c,), mat * gens[c]))
+    hits = [str(ReducedWord(codes)) for codes, mat
+            in walk_words([r1, r1.inv(), q, q.inv()], vi_depth)
+            if mat.is_identity()]
     cond_vi = {
         "probe_only": True,
         "relation_scan_depth": vi_depth,
@@ -276,10 +268,6 @@ def _approx(t) -> float:
 
 def _approx2(t) -> float:
     return t[0] - t[1] * _B1 + t[2] * _B2 - t[3] * _B3
-
-
-def _interval_upper(iv: Interval) -> Fraction:
-    return iv.hi
 
 
 _Q_FORM = ((-1, 0, 0, 0), (-3, 0, -2, 0), (-1, 0, 0, 0))
@@ -410,11 +398,10 @@ def _residual_rank(cand: LimitCandidate, targets: LimitTargets,
     for i, row in enumerate(_entry_grid(cand.matrix)):
         for j, e in enumerate(row):
             p, qq, r, s = e.coeffs()
-            total += _interval_upper(
-                abs(QuarticElem(p, 0, -r, 0).interval(bits) - targets.u[i][j]))
-            total += _interval_upper(abs(QuarticElem(0, qq, 0, -s).interval(bits)))
-            total += _interval_upper(
-                abs(e.conj_even().interval(bits) - targets.v[i][j]))
+            total += abs(QuarticElem(p, 0, -r, 0).interval(bits)
+                         - targets.u[i][j]).hi
+            total += abs(QuarticElem(0, qq, 0, -s).interval(bits)).hi
+            total += abs(e.conj_even().interval(bits) - targets.v[i][j]).hi
     return total
 
 
@@ -462,8 +449,6 @@ def margin_uniformity_probe(candidates, n: int, depth: int, eps,
 
 def _near_identity_rows(pair, n: int, depth: int, eps: Fraction,
                         bits: int) -> list[dict]:
-    from .linalg import entry_dist_sq
-    from .linalg import eigen2 as _eigen2
     p, cnd = pair
     pn = p ** n
     cn = cnd ** n
@@ -471,20 +456,15 @@ def _near_identity_rows(pair, n: int, depth: int, eps: Fraction,
     ident = RingMat2.identity()
     eps_sq = QuarticElem(eps * eps)
     out = []
-    for word in enumerate_words(depth):
-        if len(word) == 0:
-            continue
-        mat = RingMat2.identity()
-        for c in word.codes:
-            mat = mat * gens[c]
+    for codes, mat in walk_words(gens, depth):
         d2 = entry_dist_sq(mat, ident, 2)
         d3 = entry_dist_sq(mat, ident, 3)
         dprod = d3 if (d3 - d2).sign() == Sign.POSITIVE else d2
         if (dprod - eps_sq).sign() != Sign.NEGATIVE:
             continue
-        entry = {"word": str(word)}
+        entry = {"word": str(ReducedWord(codes))}
         try:
-            eig = _eigen2(mat, 0)
+            eig = eigen2(mat, 0)
             if eig.vec_dominant is not None:
                 pt_col = ProjPoint((mat.e11, mat.e21))
                 pt_row = ProjPoint((mat.e21, mat.e22))
@@ -497,7 +477,8 @@ def _near_identity_rows(pair, n: int, depth: int, eps: Fraction,
                         proj_dist(pt_row, target, bits))
             else:
                 entry["eigen"] = "not hyperbolic in the identity view"
-        except Exception as exc:
+        except QuarticError as exc:
             entry["eigen"] = f"unavailable: {type(exc).__name__}"
-        out.append(entry)
-    return out
+        out.append((codes, entry))
+    out.sort(key=lambda item: (len(item[0]), item[0]))
+    return [entry for _, entry in out]

@@ -633,14 +633,3 @@ def nonneg_interval(x: QuarticElem, bits: int = DEFAULT_BITS,
 
 def sqrt_of_square_interval(x: QuarticElem, bits: int = DEFAULT_BITS) -> Interval:
     return nonneg_interval(x, bits).sqrt(bits)
-
-
-def min_entry_dist_sq(a: RingMat2, b: RingMat2, k: int) -> QuarticElem:
-    """Exact squared min-distance min_ij |sigma_k(a_ij - b_ij)|^2."""
-    best = None
-    for x, y in zip(a.entries(), b.entries()):
-        e = galois(x - y, k)
-        v = e.re * e.re if e.is_real() else e.abs2()
-        if best is None or (v - best).sign() == Sign.NEGATIVE:
-            best = v
-    return best

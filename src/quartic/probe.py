@@ -122,6 +122,22 @@ def evaluate_word(word: ReducedWord, n: int, pair=None) -> RingMat2:
     return out
 
 
+def walk_words(gens, depth: int, roots=range(4)):
+    """Every nonempty reduced word of length <= depth whose first letter is
+    in roots, as (codes, matrix) in lexicographic preorder (tuple order).
+    Each matrix is its prefix's product times one generator."""
+    if depth < 1:
+        return
+    stack = [((c,), gens[c]) for c in sorted(roots, reverse=True)]
+    while stack:
+        codes, mat = stack.pop()
+        yield codes, mat
+        if len(codes) < depth:
+            for c in range(3, -1, -1):
+                if _INVERSE[codes[-1]] != c:
+                    stack.append((codes + (c,), mat * gens[c]))
+
+
 @dataclass
 class MarginReport:
     n: int
@@ -159,9 +175,7 @@ def _scan_subtree(gens: list[RingMat2], first: int, depth: int,
     best: QuarticElem | None = None
     ties: list[tuple[int, ...]] = []
     per_len: dict[int, QuarticElem] = {}
-    stack = [((first,), gens[first])]
-    while stack:
-        codes, mat = stack.pop()
+    for codes, mat in walk_words(gens, depth, (first,)):
         d_sq = entry_dist_sq(mat, ident, views[0])
         d1_sq = entry_dist_sq(mat, ident, views[1])
         if (d1_sq - d_sq).sign() == Sign.POSITIVE:
@@ -180,20 +194,7 @@ def _scan_subtree(gens: list[RingMat2], first: int, depth: int,
                 ties = [codes]
             elif s == Sign.ZERO:
                 ties.append(codes)
-        if length < depth:
-            for c in range(3, -1, -1):
-                if _INVERSE[codes[-1]] == c:
-                    continue
-                stack.append((codes + (c,), mat * gens[c]))
     return best, ties, per_len
-
-
-def _scan_subtree_task(args):
-    gen_texts, first, depth, views = args
-    gens = [RingMat2.parse(t) for t in gen_texts]
-    best, ties, per_len = _scan_subtree(gens, first, depth, views)
-    return (best.to_text(), [list(t) for t in ties],
-            {k: v.to_text() for k, v in per_len.items()})
 
 
 def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
@@ -208,20 +209,12 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
         raise DepthTooLarge(f"L = {depth} beyond cap {depth_cap}")
     gens = _generator_powers(n, pair)
 
-    results = []
+    tasks = ([gens] * 4, range(4), [depth] * 4, [views] * 4)
     if threads > 1:
-        gen_texts = [g.to_text() for g in gens]
-        tasks = [(gen_texts, first, depth, views) for first in range(4)]
         with ProcessPoolExecutor(max_workers=min(threads, 4)) as pool:
-            for best_text, tie_lists, per_len_text in pool.map(_scan_subtree_task, tasks):
-                results.append((
-                    QuarticElem.parse(best_text),
-                    [tuple(t) for t in tie_lists],
-                    {k: QuarticElem.parse(v) for k, v in per_len_text.items()},
-                ))
+            results = list(pool.map(_scan_subtree, *tasks))
     else:
-        for first in range(4):
-            results.append(_scan_subtree(gens, first, depth, views))
+        results = list(map(_scan_subtree, *tasks))
 
     best = None
     ties: list[tuple[int, ...]] = []
@@ -282,8 +275,8 @@ def freeness_certificate(n: int, pair=None,
     """Ping-pong certificate at the given exponent for the sigma2 views,
     cross-checked by exhaustive exact evaluation: no nonempty reduced word
     up to the cross-check depth may evaluate to plus or minus identity."""
-    if n < 1:
-        raise ValueError("exponent must be a positive integer")
+    if n < 1 or crosscheck_depth < 1:
+        raise ValueError("need a positive exponent and cross-check depth")
     if pair is None:
         pair = paper_generators()
     p, q = pair
@@ -293,17 +286,10 @@ def freeness_certificate(n: int, pair=None,
     gens = _generator_powers(n, pair)
     hits: list[str] = []
     count = 0
-    stack = [((c,), gens[c]) for c in range(3, -1, -1)]
-    while stack:
-        codes, mat = stack.pop()
+    for codes, mat in walk_words(gens, crosscheck_depth):
         count += 1
         if mat.is_plus_minus_identity():
             hits.append(str(ReducedWord(codes)))
-        if len(codes) < crosscheck_depth:
-            for c in range(3, -1, -1):
-                if _INVERSE[codes[-1]] == c:
-                    continue
-                stack.append((codes + (c,), mat * gens[c]))
     return FreenessCertificate(n, cert, crosscheck_depth, count, hits)
 
 
@@ -318,13 +304,6 @@ class TorsionResult:
     order: int | None = None              # least n with A^n = I
     order_mod_center: int | None = None   # least n with A^n = +-I
     sign_at_first_hit: int | None = None
-
-    def describe(self) -> str:
-        if not self.torsion:
-            return f"no power up to {self.n_max} equals +-identity"
-        return (f"A^{self.order_mod_center} = "
-                f"{'+' if self.sign_at_first_hit > 0 else '-'}I, "
-                f"absolute order {self.order}")
 
 
 def _trace_tuple(x: QuarticElem):
@@ -430,18 +409,7 @@ def dual_smallness_scan(n: int, depth: int, eps,
     ident = RingMat2.identity()
     eps_sq = QuarticElem(eps * eps)
     rows: list[DualSmallnessRow] = []
-    stack = [((c,), gens[c]) for c in range(3, -1, -1)]
-    order: list[tuple[tuple[int, ...], RingMat2]] = []
-    while stack:
-        codes, mat = stack.pop()
-        order.append((codes, mat))
-        if len(codes) < depth:
-            for c in range(3, -1, -1):
-                if _INVERSE[codes[-1]] == c:
-                    continue
-                stack.append((codes + (c,), mat * gens[c]))
-    order.sort(key=lambda item: (len(item[0]), item[0]))
-    for codes, mat in order:
+    for codes, mat in walk_words(gens, depth):
         d0_sq = entry_dist_sq(mat, ident, 0)
         if (d0_sq - eps_sq).sign() != Sign.NEGATIVE:
             continue
@@ -463,4 +431,5 @@ def dual_smallness_scan(n: int, depth: int, eps,
             entry_norms=norms,
             escape_bound_ok=bound_ok,
         ))
+    rows.sort(key=lambda row: (len(row.word), row.word.codes))
     return DualSmallnessTable(n, depth, eps, rows)

@@ -34,6 +34,7 @@ from .linalg import (
     MatClass,
     RegularRep,
     RingMat2,
+    _eigvec_pair,
     block_eig,
     classify,
     compare_u,
@@ -305,15 +306,6 @@ class HyperbolicLikeData:
     block_k: int
 
 
-def _left_eigvec(view: RingMat2, lam: QuadExt) -> tuple[QuadExt, QuadExt]:
-    d = lam.d
-    b = QuadExt.of_base(view.e21, d)
-    top = lam - QuadExt.of_base(view.e11, d)
-    if not (b.is_zero() and top.is_zero()):
-        return (b, top)
-    return (lam - QuadExt.of_base(view.e22, d), QuadExt.of_base(view.e12, d))
-
-
 def hyperbolic_like(m) -> HyperbolicLikeData | None:
     """Full north-south data when both m and its inverse are dominant."""
     if isinstance(m, RingMat2) and m.det().is_zero():
@@ -343,8 +335,10 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     lam_dom, lam_rec = eig.lam_dominant, eig.lam_recessive
     att8 = ProjPoint(_lift_vec(att2, k))
     rep8 = ProjPoint(_lift_vec(rep2, k))
-    cov_plus = _lift_covec(_left_eigvec(view, lam_dom), k)
-    cov_minus = _lift_covec(_left_eigvec(view, lam_rec), k)
+    # a left eigenvector of the view is an eigenvector of its transpose
+    view_t = RingMat2(view.e11, view.e21, view.e12, view.e22)
+    cov_plus = _lift_covec(_eigvec_pair(view_t, lam_dom), k)
+    cov_minus = _lift_covec(_eigvec_pair(view_t, lam_rec), k)
     return HyperbolicLikeData(
         dim=2 * m.kappa,
         lam_max=ana.record,

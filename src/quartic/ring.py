@@ -277,10 +277,6 @@ class QuarticElem:
     q3 = property(lambda self: _fraction(self._c[3], self._d))
 
     @classmethod
-    def from_int(cls, n) -> "QuarticElem":
-        return cls(n, 0, 0, 0)
-
-    @classmethod
     def parse(cls, text: str) -> "QuarticElem":
         """Parse the wire format: four space-separated rationals 'q0 q1 q2 q3'."""
         parts = text.split()

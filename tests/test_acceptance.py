@@ -16,7 +16,6 @@ import pytest
 
 from quartic.construction import (
     chebyshev,
-    check_conditions,
     conjugation_record,
     make_signed_sigma2_matrix,
     paper_generators,
@@ -33,7 +32,6 @@ from quartic.linalg import (
     share_eigenvector,
 )
 from quartic.probe import (
-    ReducedWord,
     discreteness_margin,
     dual_smallness_scan,
     freeness_certificate,

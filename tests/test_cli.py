@@ -123,13 +123,28 @@ def test_config_file_precedence(tmp_path, capsys):
 
 
 def test_bad_config_exit_two(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("unknown = 3\n")
-    assert main(["margin", "--config", str(cfg)]) == 2
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("unknown = 3\n")
+    negative = tmp_path / "negative.cfg"
+    negative.write_text("L = -1\n")
+    for argv in (["margin", "--config", str(unknown)],
+                 ["margin", "--config", str(negative)],
+                 ["margin", "--L", "0"],
+                 ["margin", "--N", "0", "--L", "2"],
+                 ["certify", "--N", "3", "--L", "0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        # one error line, no traceback
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_option_on_wrong_command_exit_two(capsys):
+    assert main(["classify", Q_TEXT, "--threads", "2"]) == 2
+    assert main(["conjugate", Q_TEXT, "--config", "x.cfg"]) == 2
 
 
 def test_bad_config_value_exit_two(tmp_path, capsys):
-    for line in ("L = abc", "eps = 1/0"):
+    for line in ("L = abc", "bound = 1/0"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# comment\n{line}\n")
         assert main(["margin", "--config", str(cfg)]) == 2

@@ -77,6 +77,14 @@ def test_checker_vi_is_probe_only():
     assert rep.cond_vi_probe["relation_scan_depth"] == 3
 
 
+def test_checker_vi_lists_relations_in_walk_order():
+    rot = RingMat2(QuarticElem(0), QuarticElem(1), QuarticElem(-1),
+                   QuarticElem(0))
+    rep = check_limit_conditions(LimitCandidate(rot), vi_depth=4)
+    assert rep.cond_vi_probe["relations_found"] == [
+        "f f f f", "f^-1 f^-1 f^-1 f^-1"]
+
+
 def test_checker_tolerance_schedule():
     rep = check_limit_conditions(LimitCandidate(Q), vi_depth=1, seq_index=3)
     assert any("tolerance" in note for note in rep.notes)

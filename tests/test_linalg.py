@@ -20,7 +20,6 @@ from quartic.linalg import (
     eigen2,
     embedded_charpoly_product,
     entry_dist_sq,
-    min_entry_dist_sq,
     regular_rep,
     share_eigenvector,
     spectrum_decomposition_holds,
@@ -265,9 +264,3 @@ def test_entry_dist_is_exact_square():
     d = entry_dist_sq(Q, RingMat2.identity(), 0)
     # entries of Q - I: 2 + 2 b^2, 1, -1, -1; the largest square wins
     assert d == (QuarticElem(2, 0, 2, 0)) ** 2
-
-
-def test_min_entry_dist():
-    # the smallest distance from the identity over Q's entries is 1
-    d = min_entry_dist_sq(Q, RingMat2.identity(), 0)
-    assert d == QuarticElem(1)

@@ -15,6 +15,7 @@ from quartic.probe import (
     evaluate_word,
     freeness_certificate,
     torsion_probe,
+    walk_words,
     word_count,
 )
 from quartic.ring import QuarticElem, Sign
@@ -68,6 +69,27 @@ def test_evaluate_word_homomorphism(rng):
         v = words[rng.randrange(len(words))]
         assert (evaluate_word(u.concat(v), 2)
                 == evaluate_word(u, 2) * evaluate_word(v, 2))
+
+
+def test_walk_words_is_lexicographic_and_matches_enumeration():
+    gens = [P, P.inv(), Q, Q.inv()]
+    for depth in range(5):
+        walked = list(walk_words(gens, depth))
+        codes = [c for c, _ in walked]
+        assert codes == sorted(w.codes for w in enumerate_words(depth)
+                               if w.codes)
+        for c, mat in walked:
+            assert mat == evaluate_word(ReducedWord(c), 1)
+
+
+def test_walk_words_roots_partition_the_walk():
+    gens = [P, P.inv(), Q, Q.inv()]
+    full = [c for c, _ in walk_words(gens, 3)]
+    parts = [c for first in range(4)
+             for c, _ in walk_words(gens, 3, (first,))]
+    assert parts == full
+    for first in range(4):
+        assert all(c[0] == first for c, _ in walk_words(gens, 3, (first,)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +151,8 @@ def test_margin_json_schema_fields():
 def test_freeness_certificate_rejects_zero():
     with pytest.raises(ValueError):
         freeness_certificate(0)
+    with pytest.raises(ValueError):
+        freeness_certificate(3, crosscheck_depth=0)
 
 
 def test_freeness_certificate_smoke():

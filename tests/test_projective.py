@@ -8,6 +8,7 @@ import pytest
 from quartic.construction import paper_generators
 from quartic.errors import HypothesisViolated, NotHyperbolicLike
 from quartic.linalg import RingMat2, regular_rep
+from quartic.probe import walk_words
 from quartic.projective import (
     PingPongCertificate,
     ProjPoint,
@@ -213,19 +214,10 @@ def test_no_short_relations(certificate):
     n = certificate.exponent
     a = A2 ** n
     b = B2 ** n
-    gens = [a, a.inv(), b, b.inv()]
-    inverse = (1, 0, 3, 2)
-    stack = [((c,), gens[c]) for c in range(4)]
     count = 0
-    while stack:
-        codes, mat = stack.pop()
+    for codes, mat in walk_words([a, a.inv(), b, b.inv()], 10):
         count += 1
         assert not mat.is_identity(), codes
-        if len(codes) < 10:
-            for c in range(4):
-                if inverse[codes[-1]] == c:
-                    continue
-                stack.append((codes + (c,), mat * gens[c]))
     assert count == sum(4 * 3 ** (k - 1) for k in range(1, 11))
 
 
