@@ -429,7 +429,7 @@ def cmd_certify(args, config: dict) -> Report:
 def cmd_search(args, config: dict) -> Report:
     rep = Report("search")
     bound = _setting(args, config, "bound")
-    count = args.count or 25
+    count = 25 if args.count is None else args.count
     cands = limits.search_limit_candidates(bound, count=count)
     rep.inputs = {"bound": bound, "count": count}
     rep.add("candidates", PASS,

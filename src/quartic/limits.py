@@ -10,8 +10,10 @@ integral matrices of determinant one by hashing entry products.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .construction import paper_generators
 from .errors import NonIntegralInput, NotUnimodular, QuarticError
@@ -27,7 +29,7 @@ from .linalg import (
 )
 from .probe import ReducedWord, discreteness_margin, walk_words
 from .projective import ProjPoint, proj_dist
-from .ring import ONE, QuarticElem, Sign, mul4, quad_sign, sign4
+from .ring import ONE, QuarticElem, Sign, mul4
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,26 @@ def _entry_grid(m: RingMat2):
     return [[m.e11, m.e12], [m.e21, m.e22]]
 
 
+def _entry_residuals(e: QuarticElem, u: Interval, v: Interval,
+                     bits: int) -> tuple[Interval, Interval, Interval]:
+    """Residual enclosures of one entry p + q b + r b^2 + s b^3 against its
+    targets: the even part p - r b^2 against u, the odd part q b - s b^3
+    against zero, and the second view against v."""
+    p, q, r, s = e.coeffs()
+    return (abs(QuarticElem(p, 0, -r, 0).interval(bits) - u),
+            abs(QuarticElem(0, q, 0, -s).interval(bits)),
+            abs(e.conj_even().interval(bits) - v))
+
+
+# condition iv: (report key, embedding, accepted classes); the second view
+# is the most selective test, so it runs first
+_CONDITION_IV = (
+    ("view1_elliptic", 2, (MatClass.ELLIPTIC,)),
+    ("view2_hyperbolic", 3, (MatClass.HYPERBOLIC, MatClass.LOXODROMIC)),
+    ("view3_hyperbolic", 0, (MatClass.HYPERBOLIC,)),
+)
+
+
 def check_limit_conditions(candidate: LimitCandidate,
                            targets: LimitTargets | None = None,
                            q: RingMat2 | None = None,
@@ -178,33 +200,13 @@ def check_limit_conditions(candidate: LimitCandidate,
     if m.det() != ONE:
         raise NotUnimodular("candidate must have determinant one")
 
-    res_i = []
-    res_ii = []
-    res_iii = []
-    odd_zero = True
-    for i, row in enumerate(_entry_grid(m)):
-        r_i = []
-        r_ii = []
-        r_iii = []
-        for j, e in enumerate(row):
-            p, qq, r, s = e.coeffs()
-            even_conj = QuarticElem(p, 0, -r, 0)
-            odd = QuarticElem(0, qq, 0, -s)
-            if not odd.is_zero():
-                odd_zero = False
-            r_i.append(abs(even_conj.interval(bits) - targets.u[i][j]))
-            r_ii.append(abs(odd.interval(bits)))
-            r_iii.append(abs(e.conj_even().interval(bits) - targets.v[i][j]))
-        res_i.append(r_i)
-        res_ii.append(r_ii)
-        res_iii.append(r_iii)
-
-    cond_iv = {
-        "view1_elliptic": classify(m, 2) == MatClass.ELLIPTIC,
-        "view2_hyperbolic": classify(m, 3) in (MatClass.HYPERBOLIC,
-                                               MatClass.LOXODROMIC),
-        "view3_hyperbolic": classify(m, 0) == MatClass.HYPERBOLIC,
-    }
+    cells = [[_entry_residuals(e, targets.u[i][j], targets.v[i][j], bits)
+              for j, e in enumerate(row)]
+             for i, row in enumerate(_entry_grid(m))]
+    res_i, res_ii, res_iii = ([[cell[n] for cell in row] for row in cells]
+                              for n in range(3))
+    odd_zero = all(e.in_even_subring() for e in m.entries())
+    cond_iv = {name: classify(m, k) in ok for name, k, ok in _CONDITION_IV}
 
     u_trace = targets.u[0][0] + targets.u[1][1]
     v_trace = targets.v[0][0] + targets.v[1][1]
@@ -257,152 +259,71 @@ def check_limit_conditions(candidate: LimitCandidate,
 # bounded search
 
 
-_B1 = 1.189207115002721
-_B2 = 1.4142135623730951
-_B3 = 1.6817928305074290
-
-
-def _approx(t) -> float:
-    return t[0] + t[1] * _B1 + t[2] * _B2 + t[3] * _B3
-
-
-def _approx2(t) -> float:
-    return t[0] - t[1] * _B1 + t[2] * _B2 - t[3] * _B3
-
-
-_Q_FORM = ((-1, 0, 0, 0), (-3, 0, -2, 0), (-1, 0, 0, 0))
-
-
-def _tuple_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
-
-def _resultant_nonzero_vs_q(e11, e12, e21, e22) -> bool:
-    """Resultant of the fixed-slope forms of the candidate and of Q."""
-    f2, f1, f0 = e21, _tuple_sub(e22, e11), tuple(-x for x in e12)
-    g2, g1, g0 = _Q_FORM
-    m = _tuple_sub(mul4(f2, g0), mul4(g2, f0))
-    res = _tuple_sub(mul4(m, m),
-                     mul4(_tuple_sub(mul4(f2, g1), mul4(g2, f1)),
-                          _tuple_sub(mul4(f1, g0), mul4(g1, f0))))
-    return res != (0, 0, 0, 0)
-
-
-def _structural_pass(e11, e12, e21, e22) -> bool:
-    """Exact per-candidate filters on raw integer coefficient tuples."""
-    tr = (e11[0] + e22[0], e11[1] + e22[1], e11[2] + e22[2], e11[3] + e22[3])
-    # second view elliptic: (sigma2 trace)^2 < 4
-    s2 = (tr[0], -tr[1], tr[2], -tr[3])
-    sq = mul4(s2, s2)
-    if sign4((sq[0] - 4, sq[1], sq[2], sq[3])) != -1:
-        return False
-    # identity view hyperbolic: trace^2 > 4
-    sq0 = mul4(tr, tr)
-    if sign4((sq0[0] - 4, sq0[1], sq0[2], sq0[3])) != 1:
-        return False
-    # third complex view hyperbolic: non-real trace is loxodromic, a real
-    # trace t0 - t2 sqrt2 needs modulus above 2
-    if tr[1] == 0 and tr[3] == 0:
-        u, v = tr[0], -tr[2]
-        if quad_sign(u * u + 2 * v * v - 4, 2 * u * v) != 1:
-            return False
-    if e12 == (0, 0, 0, 0) and e21 == (0, 0, 0, 0) and e11 == e22:
-        return False
-    return _resultant_nonzero_vs_q(e11, e12, e21, e22)
-
-
-def _float_rank(coeffs, tu, tv) -> float:
-    """Cheap residual estimate used only to shortlist before exact ranking."""
-    total = 0.0
-    for idx in range(4):
-        p, q, r, s = coeffs[4 * idx: 4 * idx + 4]
-        even = p - r * _B2
-        odd = q * _B1 - s * _B3
-        second = _approx2((p, q, r, s))
-        total += abs(even - tu[idx]) + abs(odd) + abs(second - tv[idx])
-    return total
-
-
 def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
                             count: int = 25,
                             bits: int = DEFAULT_BITS) -> list[LimitCandidate]:
-    """Exhaustive scan over integral matrices with per-entry coefficient
-    bound, determinant one, passing the structural conditions exactly;
-    deterministic order, ranked by target residuals.
+    """The count best integral matrices with per-entry coefficient bound and
+    determinant one that pass conditions iv and viii against the paper Q,
+    ranked exactly by the summed residual upper bounds of
+    ``check_limit_conditions``, ties broken by the coefficients.
 
     The det = 1 constraint is resolved by indexing all diagonal products:
     x11 x22 = 1 + x12 x21 becomes a hash join instead of a quartic scan.
-    Filters run on raw coefficient tuples; ring elements are built only
-    for the shortlisted candidates, whose final ranking is exact.
+    The rank is a sum of per-entry terms, so each position gets a table of
+    entry ranks as ints over one common denominator and a det-1 hit costs
+    four lookups; only hits that beat the count-th best found so far reach
+    the exact structural checks.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if count < 1:
+        raise ValueError("count must be positive")
     targets = targets or default_targets(bits)
+    _, q = paper_generators()
     rng = range(-bound, bound + 1)
-    entries = [t for t in itertools.product(rng, repeat=4)]
+    entries = list(itertools.product(rng, repeat=4))
+    elems = [QuarticElem(*t) for t in entries]
+    ranks = [[sum(iv.hi for iv in _entry_residuals(
+                  x, targets.u[i][j], targets.v[i][j], bits)) for x in elems]
+             for i in (0, 1) for j in (0, 1)]
+    den = lcm(*(r.denominator for table in ranks for r in table))
+    k11, k12, k21, k22 = ([r.numerator * (den // r.denominator) for r in table]
+                          for table in ranks)
     products: dict[tuple, list[tuple[int, int]]] = {}
     for i, a in enumerate(entries):
         for j, c in enumerate(entries):
-            key = mul4(a, c)
-            products.setdefault(key, []).append((i, j))
+            products.setdefault(mul4(a, c), []).append((i, j))
 
-    tu = [float(iv.midpoint()) for row in targets.u for iv in row]
-    tv = [float(iv.midpoint()) for row in targets.v for iv in row]
-    shortlist: list[tuple[float, tuple]] = []
-    pool = max(4 * count, 200)
-    worst = float("inf")
-    for e12 in entries:
-        for e21 in entries:
-            m = mul4(e12, e21)
-            key = (1 + m[0], m[1], m[2], m[3])
-            hits = products.get(key)
-            if not hits:
+    # best holds the count smallest (key, coeffs, matrix) so far, sorted; a
+    # key above cutoff cannot enter it, and no key exceeds the first cutoff
+    best: list[tuple[int, tuple, RingMat2]] = []
+    cutoff = max(k11) + max(k12) + max(k21) + max(k22)
+    low = min(k11) + min(k22)
+    for i12, e12 in enumerate(entries):
+        for i21, e21 in enumerate(entries):
+            off = k12[i12] + k21[i21]
+            if off + low > cutoff:
                 continue
-            for i11, i22 in hits:
-                e11 = entries[i11]
-                e22 = entries[i22]
-                tr = (e11[0] + e22[0], e11[1] + e22[1],
-                      e11[2] + e22[2], e11[3] + e22[3])
-                # float prefilters with a safety margin, then exact checks
-                if abs(_approx2(tr)) > 2.02:
+            m = mul4(e12, e21)
+            for i11, i22 in products.get((1 + m[0], m[1], m[2], m[3]), ()):
+                key = off + k11[i11] + k22[i22]
+                if key > cutoff:
                     continue
-                if abs(_approx(tr)) < 1.98:
+                coeffs = entries[i11] + e12 + e21 + entries[i22]
+                if len(best) == count and (key, coeffs) > best[-1][:2]:
                     continue
-                coeffs = e11 + e12 + e21 + e22
-                frank = _float_rank(coeffs, tu, tv)
-                if len(shortlist) >= pool and frank > worst + 1e-6:
+                mat = RingMat2(elems[i11], elems[i12], elems[i21], elems[i22])
+                # scalar +-I (trace +-2) fails condition iv, so it never
+                # reaches share_eigenvector, which rejects scalars
+                if not all(classify(mat, k) in ok for _, k, ok in _CONDITION_IV):
                     continue
-                if not _structural_pass(e11, e12, e21, e22):
+                if share_eigenvector(mat, q, 0):
                     continue
-                shortlist.append((frank, coeffs))
-                if len(shortlist) >= 4 * pool:
-                    shortlist.sort()
-                    shortlist = shortlist[:pool]
-                    worst = shortlist[-1][0]
-    shortlist.sort()
-    shortlist = shortlist[:pool]
-
-    ranked: list[tuple[Fraction, tuple, LimitCandidate]] = []
-    for _, coeffs in shortlist:
-        mat = RingMat2(QuarticElem(*coeffs[0:4]), QuarticElem(*coeffs[4:8]),
-                       QuarticElem(*coeffs[8:12]), QuarticElem(*coeffs[12:16]))
-        cand = LimitCandidate(mat)
-        ranked.append((_residual_rank(cand, targets, bits), coeffs, cand))
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    return [cand for _, _, cand in ranked[:count]]
-
-
-def _residual_rank(cand: LimitCandidate, targets: LimitTargets,
-                   bits: int) -> Fraction:
-    total = Fraction(0)
-    for i, row in enumerate(_entry_grid(cand.matrix)):
-        for j, e in enumerate(row):
-            p, qq, r, s = e.coeffs()
-            total += abs(QuarticElem(p, 0, -r, 0).interval(bits)
-                         - targets.u[i][j]).hi
-            total += abs(QuarticElem(0, qq, 0, -s).interval(bits)).hi
-            total += abs(e.conj_even().interval(bits) - targets.v[i][j]).hi
-    return total
+                insort(best, (key, coeffs, mat))
+                del best[count:]
+                if len(best) == count:
+                    cutoff = best[-1][0]
+    return [LimitCandidate(mat) for _, _, mat in best]
 
 
 # ---------------------------------------------------------------------------

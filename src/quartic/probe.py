@@ -19,7 +19,7 @@ from .errors import DepthTooLarge
 from .intervals import DEFAULT_BITS, Interval, interval_json
 from .linalg import RingMat2, entry_dist_sq, sqrt_of_square_interval
 from .projective import PingPongCertificate, certify_exponent
-from .ring import QuarticElem, Sign, field_quantity_N, mul4
+from .ring import QuarticElem, Sign, field_quantity_N
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
 _INVERSE = (1, 0, 3, 2)
@@ -306,10 +306,6 @@ class TorsionResult:
     sign_at_first_hit: int | None = None
 
 
-def _trace_tuple(x: QuarticElem):
-    return tuple(int(c) for c in x.coeffs())
-
-
 def torsion_probe(a: RingMat2, k: int, n_max: int) -> TorsionResult:
     """First n <= n_max with a^n = +-I, exactly, else a non-torsion verdict.
 
@@ -322,29 +318,14 @@ def torsion_probe(a: RingMat2, k: int, n_max: int) -> TorsionResult:
         raise ValueError("embedding index must be 0..3")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if not a.is_integral():
-        prev = QuarticElem(2)
-        cur = a.trace()
-        t1 = a.trace()
-        for n in range(1, n_max + 1):
-            if cur == QuarticElem(2) or cur == QuarticElem(-2):
-                res = _confirm_torsion(a, n, n_max)
-                if res is not None:
-                    return res
-            prev, cur = cur, t1 * cur - prev
-        return TorsionResult(False, n_max)
-    t1 = _trace_tuple(a.trace())
-    prev = (2, 0, 0, 0)
-    cur = t1
-    plus2 = (2, 0, 0, 0)
-    minus2 = (-2, 0, 0, 0)
+    prev = QuarticElem(2)
+    cur = t1 = a.trace()
     for n in range(1, n_max + 1):
-        if cur == plus2 or cur == minus2:
+        if cur == QuarticElem(2) or cur == QuarticElem(-2):
             res = _confirm_torsion(a, n, n_max)
             if res is not None:
                 return res
-        nxt = tuple(t1_c - p for t1_c, p in zip(mul4(t1, cur), prev))
-        prev, cur = cur, nxt
+        prev, cur = cur, t1 * cur - prev
     return TorsionResult(False, n_max)
 
 

@@ -21,10 +21,8 @@ from quartic.construction import (
     paper_generators,
     trace_matches_chebyshev,
 )
-from quartic.cubic import CubicElem, CubicMat2
 from quartic.linalg import (
     MatClass,
-    RingMat2,
     charpoly_fraction,
     classify,
     embedded_charpoly_product,
@@ -50,7 +48,13 @@ from quartic.limits import (
     search_limit_candidates,
 )
 from quartic.ring import QuarticElem, field_quantity_N
-from quartic.cli import PSI_P_REFERENCE, PSI_Q_DISPLAYED
+from quartic.cli import (
+    PSI_P_REFERENCE,
+    PSI_Q_DISPLAYED,
+    _random_cubic_sl2,
+    _random_sl2_even,
+    _random_word_matrix,
+)
 
 P, Q = paper_generators()
 
@@ -62,14 +66,6 @@ def report(number: int, label: str, started: float) -> None:
 @pytest.fixture(scope="module")
 def certified():
     return free_pair_power(P, Q)
-
-
-def random_word(rng: random.Random, max_len: int = 6) -> RingMat2:
-    gens = [P, P.inv(), Q, Q.inv()]
-    out = RingMat2.identity()
-    for _ in range(rng.randint(1, max_len)):
-        out = out * gens[rng.randrange(4)]
-    return out
 
 
 def test_criterion_01_displayed_representations():
@@ -88,36 +84,14 @@ def test_criterion_02_multiplicativity():
     t0 = time.monotonic()
     rng = random.Random(101)
     for _ in range(200):
-        a = random_word(rng)
-        b = random_word(rng)
+        a = _random_word_matrix(rng, P, Q)
+        b = _random_word_matrix(rng, P, Q)
         assert regular_rep(a * b, 4) == regular_rep(a, 4) * regular_rep(b, 4)
-
-    def rand_even():
-        out = RingMat2.identity()
-        for _ in range(rng.randint(1, 3)):
-            x = QuarticElem(rng.randint(-3, 3), 0, rng.randint(-3, 3), 0)
-            if rng.random() < 0.5:
-                out = out * RingMat2(QuarticElem(1), x, QuarticElem(0), QuarticElem(1))
-            else:
-                out = out * RingMat2(QuarticElem(1), QuarticElem(0), x, QuarticElem(1))
-        return out
-
-    def rand_cubic():
-        out = CubicMat2.identity()
-        for _ in range(rng.randint(1, 3)):
-            x = CubicElem(rng.randint(-3, 3), rng.randint(-3, 3),
-                          rng.randint(-3, 3))
-            if rng.random() < 0.5:
-                out = out * CubicMat2(CubicElem(1), x, CubicElem(0), CubicElem(1))
-            else:
-                out = out * CubicMat2(CubicElem(1), CubicElem(0), x, CubicElem(1))
-        return out
-
     for _ in range(50):
-        a, b = rand_even(), rand_even()
+        a, b = _random_sl2_even(rng), _random_sl2_even(rng)
         assert regular_rep(a * b, 2) == regular_rep(a, 2) * regular_rep(b, 2)
     for _ in range(50):
-        a, b = rand_cubic(), rand_cubic()
+        a, b = _random_cubic_sl2(rng), _random_cubic_sl2(rng)
         assert regular_rep(a * b, 3) == regular_rep(a, 3) * regular_rep(b, 3)
     report(2, "representation multiplicativity for ranks 8, 4 and 6", t0)
 
@@ -139,7 +113,7 @@ def test_criterion_04_spectrum_decomposition():
     t0 = time.monotonic()
     rng = random.Random(202)
     for _ in range(50):
-        a = random_word(rng, 4)
+        a = _random_word_matrix(rng, P, Q, 4)
         lhs = charpoly_fraction([list(r) for r in regular_rep(a, 4).entries])
         assert lhs == embedded_charpoly_product(a)
     assert hyperbolic_like(regular_rep(P, 4)) is not None

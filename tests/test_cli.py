@@ -131,7 +131,8 @@ def test_bad_config_exit_two(tmp_path, capsys):
                  ["margin", "--config", str(negative)],
                  ["margin", "--L", "0"],
                  ["margin", "--N", "0", "--L", "2"],
-                 ["certify", "--N", "3", "--L", "0"]):
+                 ["certify", "--N", "3", "--L", "0"],
+                 ["search", "--bound", "1", "--count", "0"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         # one error line, no traceback

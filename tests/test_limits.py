@@ -6,8 +6,11 @@ import pytest
 
 from quartic.construction import paper_generators
 from quartic.errors import NonIntegralInput, NotUnimodular
+from quartic.intervals import DEFAULT_BITS
 from quartic.limits import (
     LimitCandidate,
+    _entry_grid,
+    _entry_residuals,
     check_limit_conditions,
     default_targets,
     margin_uniformity_probe,
@@ -25,6 +28,19 @@ GOLDEN_B1_PREFIX = [
     "0 0 -1 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
     "1 0 -1 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
     "-1 -1 -1 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+]
+
+# frozen from search_limit_candidates(2, count=8) before the exact rank
+# table replaced the float shortlist
+GOLDEN_BOUND2_TOP8 = [
+    "2 -1 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 0 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 -1 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 -1 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 -1 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 0 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 -2 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 -2 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
 ]
 
 
@@ -98,6 +114,31 @@ def test_search_bound_one_golden_prefix():
     cands = search_limit_candidates(1, count=10)
     texts = [c.matrix.to_text() for c in cands]
     assert texts[:4] == GOLDEN_B1_PREFIX
+
+
+def test_search_bound_two_golden_top8():
+    cands = search_limit_candidates(2, count=8)
+    assert [c.matrix.to_text() for c in cands] == GOLDEN_BOUND2_TOP8
+
+
+def test_search_pruning_is_exact():
+    # a count above the number of candidates never prunes, so this is every
+    # bound-1 matrix passing conditions iv and viii
+    full = search_limit_candidates(1, count=10 ** 6)
+    assert len(full) == 7392
+    targets = default_targets()
+    keys = []
+    for cand in full:
+        rank = sum(iv.hi for i, row in enumerate(_entry_grid(cand.matrix))
+                   for j, e in enumerate(row)
+                   for iv in _entry_residuals(e, targets.u[i][j],
+                                              targets.v[i][j], DEFAULT_BITS))
+        keys.append((rank, [c for row in cand.coeff_grid() for c in row]))
+    assert keys == sorted(keys)
+    # at count 53 a full best list must swap its last entry for a later hit
+    # of equal rank and smaller coefficients
+    for k in (1, 8, 25, 53):
+        assert search_limit_candidates(1, count=k) == full[:k]
 
 
 def test_search_zero_bound_is_empty():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from quartic.cubic import CubicElem, CubicMat2
 from quartic.errors import (
     NotUnimodular,
     ParabolicNotSupported,
@@ -24,19 +23,12 @@ from quartic.linalg import (
     share_eigenvector,
     spectrum_decomposition_holds,
 )
+from quartic.cli import _random_cubic_sl2, _random_word_matrix
 from quartic.construction import paper_generators
 from quartic.ring import ONE, QuarticElem, galois
 
 
 P, Q = paper_generators()
-
-
-def random_word(rng, max_len=6):
-    gens = [P, P.inv(), Q, Q.inv()]
-    out = RingMat2.identity()
-    for _ in range(rng.randint(1, max_len)):
-        out = out * gens[rng.randrange(4)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +96,8 @@ def test_classify_requires_det_one():
 
 def test_classify_conjugation_invariant(rng):
     for _ in range(15):
-        a = random_word(rng, 4)
-        w = random_word(rng, 4)
+        a = _random_word_matrix(rng, P, Q, 4)
+        w = _random_word_matrix(rng, P, Q, 4)
         conj = w * a * w.inv()
         for k in range(4):
             assert classify(conj, k) == classify(a, k)
@@ -113,7 +105,7 @@ def test_classify_conjugation_invariant(rng):
 
 def test_trace_commutes_with_embedding(rng):
     for _ in range(15):
-        a = random_word(rng, 4)
+        a = _random_word_matrix(rng, P, Q, 4)
         for k in range(4):
             assert galois(a.trace(), k) == a.embed(k).trace()
 
@@ -143,14 +135,14 @@ def test_psi_q_row_four_computed():
 
 def test_multiplicative_kappa4(rng):
     for _ in range(25):
-        a = random_word(rng)
-        b = random_word(rng)
+        a = _random_word_matrix(rng, P, Q)
+        b = _random_word_matrix(rng, P, Q)
         assert regular_rep(a * b, 4) == regular_rep(a, 4) * regular_rep(b, 4)
 
 
 def test_det_one_kappa4(rng):
     for _ in range(200):
-        assert regular_rep(random_word(rng), 4).det() == 1
+        assert regular_rep(_random_word_matrix(rng, P, Q), 4).det() == 1
 
 
 def test_kappa2_requires_even_subring():
@@ -163,18 +155,8 @@ def test_kappa2_requires_even_subring():
 def test_kappa3_uses_cubic_matrices(rng):
     with pytest.raises(WrongSubring):
         regular_rep(Q, 3)
-    def rand_cubic():
-        out = CubicMat2.identity()
-        for _ in range(rng.randint(1, 3)):
-            x = CubicElem(rng.randint(-3, 3), rng.randint(-3, 3),
-                          rng.randint(-3, 3))
-            if rng.random() < 0.5:
-                out = out * CubicMat2(CubicElem(1), x, CubicElem(0), CubicElem(1))
-            else:
-                out = out * CubicMat2(CubicElem(1), CubicElem(0), x, CubicElem(1))
-        return out
     for _ in range(15):
-        a, b = rand_cubic(), rand_cubic()
+        a, b = _random_cubic_sl2(rng), _random_cubic_sl2(rng)
         assert regular_rep(a * b, 3) == regular_rep(a, 3) * regular_rep(b, 3)
         assert regular_rep(a, 3).det() == 1
 
@@ -183,7 +165,7 @@ def test_spectrum_decomposition(rng):
     assert spectrum_decomposition_holds(P)
     assert spectrum_decomposition_holds(Q)
     for _ in range(10):
-        assert spectrum_decomposition_holds(random_word(rng, 4))
+        assert spectrum_decomposition_holds(_random_word_matrix(rng, P, Q, 4))
 
 
 def test_charpoly_leading_coefficients():
@@ -252,8 +234,8 @@ def test_share_eigenvector_scalar_raises():
 
 def test_share_eigenvector_embedding_independent(rng):
     for _ in range(10):
-        a = random_word(rng, 4)
-        b = random_word(rng, 4)
+        a = _random_word_matrix(rng, P, Q, 4)
+        b = _random_word_matrix(rng, P, Q, 4)
         if a.is_scalar() or b.is_scalar():
             continue
         verdicts = {share_eigenvector(a, b, k) for k in range(4)}
