@@ -3,8 +3,9 @@
 A candidate is an integral 2x2 matrix over Z[beta] whose three Galois
 views play fixed roles: the second view must be elliptic while the third
 and the identity view are hyperbolic.  The checker scores candidates
-against user-supplied limit targets; the search enumerates bounded
-integral matrices of determinant one by hashing entry products.
+against user-supplied limit targets; the search finds the best-ranked
+bounded integral matrices of determinant one by a top-k threshold join
+over per-entry rank tables.
 """
 
 from __future__ import annotations
@@ -259,6 +260,20 @@ def check_limit_conditions(candidate: LimitCandidate,
 # bounded search
 
 
+def _pairs_within(ka: list[int], order_a: list[int], kb: list[int],
+                  order_b: list[int], limit: int):
+    """Index pairs (a, b) with ka[a] + kb[b] <= limit; order_a and order_b
+    list the indices of ka and kb by increasing value."""
+    low_b = kb[order_b[0]]
+    for a in order_a:
+        if ka[a] + low_b > limit:
+            return
+        for b in order_b:
+            if ka[a] + kb[b] > limit:
+                break
+            yield a, b
+
+
 def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
                             count: int = 25,
                             bits: int = DEFAULT_BITS) -> list[LimitCandidate]:
@@ -267,12 +282,16 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
     ranked exactly by the summed residual upper bounds of
     ``check_limit_conditions``, ties broken by the coefficients.
 
-    The det = 1 constraint is resolved by indexing all diagonal products:
-    x11 x22 = 1 + x12 x21 becomes a hash join instead of a quartic scan.
     The rank is a sum of per-entry terms, so each position gets a table of
-    entry ranks as ints over one common denominator and a det-1 hit costs
-    four lookups; only hits that beat the count-th best found so far reach
-    the exact structural checks.
+    entry ranks as ints over one common denominator and a hit's key is four
+    lookups.  The det = 1 constraint x11 x22 = 1 + x12 x21 is a join of
+    diagonal products against off-diagonal ones, run in threshold rounds
+    (Fagin, Lotem and Naor's threshold algorithm): each round indexes only
+    the diagonal and off-diagonal entry pairs that can be half of a hit
+    with key at most the round's threshold, and the threshold's slack
+    doubles until the best list is full within it.  Only hits that beat
+    the count-th best found so far reach the exact structural checks, and
+    each hit is checked at most once.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -289,21 +308,34 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
     den = lcm(*(r.denominator for table in ranks for r in table))
     k11, k12, k21, k22 = ([r.numerator * (den // r.denominator) for r in table]
                           for table in ranks)
-    products: dict[tuple, list[tuple[int, int]]] = {}
-    for i, a in enumerate(entries):
-        for j, c in enumerate(entries):
-            products.setdefault(mul4(a, c), []).append((i, j))
+    o11, o12, o21, o22 = (sorted(range(len(t)), key=t.__getitem__)
+                          for t in (k11, k12, k21, k22))
+    lo_diag = k11[o11[0]] + k22[o22[0]]
+    lo_off = k12[o12[0]] + k21[o21[0]]
+    hi = k11[o11[-1]] + k12[o12[-1]] + k21[o21[-1]] + k22[o22[-1]]
+    # structural verdict per hit (entry indices), the matrix if it passes
+    passed: dict[tuple[int, int, int, int], RingMat2 | None] = {}
 
-    # best holds the count smallest (key, coeffs, matrix) so far, sorted; a
-    # key above cutoff cannot enter it, and no key exceeds the first cutoff
-    best: list[tuple[int, tuple, RingMat2]] = []
-    cutoff = max(k11) + max(k12) + max(k21) + max(k22)
-    low = min(k11) + min(k22)
-    for i12, e12 in enumerate(entries):
-        for i21, e21 in enumerate(entries):
+    # threshold rounds: a hit with key <= top has its diagonal half within
+    # top - lo_off and its off-diagonal half within top - lo_diag, so each
+    # round finds every hit with key <= top; a full list whose worst key is
+    # <= top is then final, since every hit left unfound ranks after it
+    slack = den
+    while True:
+        top = lo_diag + lo_off + slack
+        products: dict[tuple, list[tuple[int, int]]] = {}
+        for i11, i22 in _pairs_within(k11, o11, k22, o22, top - lo_off):
+            products.setdefault(mul4(entries[i11], entries[i22]),
+                                []).append((i11, i22))
+        # best holds the count smallest (key, coeffs, matrix) so far,
+        # sorted; a key above cutoff cannot enter it
+        best: list[tuple[int, tuple, RingMat2]] = []
+        cutoff = hi
+        for i12, i21 in _pairs_within(k12, o12, k21, o21, top - lo_diag):
             off = k12[i12] + k21[i21]
-            if off + low > cutoff:
+            if off + lo_diag > cutoff:
                 continue
+            e12, e21 = entries[i12], entries[i21]
             m = mul4(e12, e21)
             for i11, i22 in products.get((1 + m[0], m[1], m[2], m[3]), ()):
                 key = off + k11[i11] + k22[i22]
@@ -312,17 +344,26 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
                 coeffs = entries[i11] + e12 + e21 + entries[i22]
                 if len(best) == count and (key, coeffs) > best[-1][:2]:
                     continue
-                mat = RingMat2(elems[i11], elems[i12], elems[i21], elems[i22])
-                # scalar +-I (trace +-2) fails condition iv, so it never
-                # reaches share_eigenvector, which rejects scalars
-                if not all(classify(mat, k) in ok for _, k, ok in _CONDITION_IV):
-                    continue
-                if share_eigenvector(mat, q, 0):
+                idx = (i11, i12, i21, i22)
+                if idx not in passed:
+                    mat = RingMat2(elems[i11], elems[i12], elems[i21],
+                                   elems[i22])
+                    # scalar +-I (trace +-2) fails condition iv, so it never
+                    # reaches share_eigenvector, which rejects scalars
+                    ok = (all(classify(mat, k) in cls
+                              for _, k, cls in _CONDITION_IV)
+                          and not share_eigenvector(mat, q, 0))
+                    passed[idx] = mat if ok else None
+                mat = passed[idx]
+                if mat is None:
                     continue
                 insort(best, (key, coeffs, mat))
                 del best[count:]
                 if len(best) == count:
                     cutoff = best[-1][0]
+        if (len(best) == count and best[-1][0] <= top) or top >= hi:
+            break
+        slack *= 2
     return [LimitCandidate(mat) for _, _, mat in best]
 
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import paper_generators
-from .errors import DepthTooLarge
+from .errors import DepthTooLarge, NotUnimodular
 from .intervals import DEFAULT_BITS, Interval, interval_json
 from .linalg import RingMat2, entry_dist_sq, sqrt_of_square_interval
 from .projective import PingPongCertificate, certify_exponent
-from .ring import QuarticElem, Sign, field_quantity_N
+from .ring import ONE, QuarticElem, Sign, field_quantity_N
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
 _INVERSE = (1, 0, 3, 2)
@@ -168,14 +168,24 @@ class MarginReport:
 def _scan_subtree(gens: list[RingMat2], first: int, depth: int,
                   views: tuple[int, int]):
     """Exact minimum of the squared product-metric distance over all reduced
-    words of length <= depth starting with the given letter.
+    words of length <= depth starting with the given letter and their
+    inverses.
 
-    Returns (min_sq, tie words, per-length minima as elements)."""
+    A det-1 W and its inverse lie at the same distance in every view (the
+    entries of W^-1 - I are those of W - I, moved and sign-changed), so only
+    the word of each pair whose codes sort first is measured, and a tie
+    records both.  Returns (min_sq or None, tie words, per-length minima as
+    elements)."""
     ident = RingMat2.identity()
     best: QuarticElem | None = None
     ties: list[tuple[int, ...]] = []
     per_len: dict[int, QuarticElem] = {}
     for codes, mat in walk_words(gens, depth, (first,)):
+        # from a list, so the tuple is allocated at its final size: resizing
+        # tuples built from a generator strands them on the free lists
+        inv = tuple([_INVERSE[c] for c in reversed(codes)])
+        if inv < codes:
+            continue
         d_sq = entry_dist_sq(mat, ident, views[0])
         d1_sq = entry_dist_sq(mat, ident, views[1])
         if (d1_sq - d_sq).sign() == Sign.POSITIVE:
@@ -186,14 +196,14 @@ def _scan_subtree(gens: list[RingMat2], first: int, depth: int,
             per_len[length] = d_sq
         if best is None:
             best = d_sq
-            ties = [codes]
+            ties = [codes, inv]
         else:
             s = (d_sq - best).sign()
             if s == Sign.NEGATIVE:
                 best = d_sq
-                ties = [codes]
+                ties = [codes, inv]
             elif s == Sign.ZERO:
-                ties.append(codes)
+                ties += (codes, inv)
     return best, ties, per_len
 
 
@@ -202,11 +212,18 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
                         views: tuple[int, int] = (0, 1),
                         bits: int = DEFAULT_BITS) -> MarginReport:
     """Minimum over nonempty reduced words of length <= depth of the
-    product-metric distance max(d(view0(W), I), d(view1(W), I)), exact."""
+    product-metric distance max(d(view0(W), I), d(view1(W), I)), exact.
+    Both generators must have determinant one."""
     if n < 1 or depth < 1:
         raise ValueError("need N >= 1 and L >= 1")
+    if threads < 1:
+        raise ValueError("need threads >= 1")
     if depth > depth_cap:
         raise DepthTooLarge(f"L = {depth} beyond cap {depth_cap}")
+    if pair is None:
+        pair = paper_generators()
+    if any(g.det() != ONE for g in pair):
+        raise NotUnimodular("margin generators must have determinant one")
     gens = _generator_powers(n, pair)
 
     tasks = ([gens] * 4, range(4), [depth] * 4, [views] * 4)
@@ -220,6 +237,8 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     ties: list[tuple[int, ...]] = []
     per_len: dict[int, QuarticElem] = {}
     for b, t, pl in results:
+        if b is None:
+            continue
         if best is None or (b - best).sign() == Sign.NEGATIVE:
             best = b
             ties = list(t)

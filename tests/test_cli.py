@@ -127,8 +127,13 @@ def test_bad_config_exit_two(tmp_path, capsys):
     unknown.write_text("unknown = 3\n")
     negative = tmp_path / "negative.cfg"
     negative.write_text("L = -1\n")
+    no_threads = tmp_path / "threads.cfg"
+    no_threads.write_text("threads = 0\n")
     for argv in (["margin", "--config", str(unknown)],
                  ["margin", "--config", str(negative)],
+                 ["margin", "--config", str(no_threads)],
+                 ["margin", "--threads", "0"],
+                 ["margin", "--N", "1", "--L", "1", "--threads", "-5"],
                  ["margin", "--L", "0"],
                  ["margin", "--N", "0", "--L", "2"],
                  ["certify", "--N", "3", "--L", "0"],

@@ -43,6 +43,36 @@ GOLDEN_BOUND2_TOP8 = [
     "2 -2 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
 ]
 
+# frozen from search_limit_candidates(2, count=25) with the all-pairs
+# product join, before the threshold rounds
+GOLDEN_BOUND2_TOP25 = [
+    "2 -1 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 0 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 -1 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 -1 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 -1 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 0 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 -2 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 -2 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "-1 -2 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 -2 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 0 -1 1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 1 0 1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "-1 -1 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 0 0 1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 1 0 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 -1 -1 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 -1 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 0 -2 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 -2 -2 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "2 1 1 1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 0 -1 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 0 -1 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "-1 -1 -1 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "0 -1 -1 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+    "1 1 0 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
+]
+
 
 def test_candidate_views_match_galois_images():
     cand = LimitCandidate(P)
@@ -119,6 +149,11 @@ def test_search_bound_one_golden_prefix():
 def test_search_bound_two_golden_top8():
     cands = search_limit_candidates(2, count=8)
     assert [c.matrix.to_text() for c in cands] == GOLDEN_BOUND2_TOP8
+
+
+def test_search_bound_two_golden_top25():
+    cands = search_limit_candidates(2, count=25)
+    assert [c.matrix.to_text() for c in cands] == GOLDEN_BOUND2_TOP25
 
 
 def test_search_pruning_is_exact():

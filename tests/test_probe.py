@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from quartic.construction import paper_generators
-from quartic.errors import DepthTooLarge
-from quartic.linalg import RingMat2, entry_dist_sq
+from quartic.errors import DepthTooLarge, NotUnimodular
+from quartic.limits import margin_uniformity_probe, search_limit_candidates
+from quartic.linalg import RingMat2, entry_dist_sq, sqrt_of_square_interval
 from quartic.probe import (
     ReducedWord,
     discreteness_margin,
@@ -130,6 +131,68 @@ def test_margin_threads_agree():
     assert a.margin_sq == b.margin_sq
     assert str(a.witness) == str(b.witness)
     assert [str(w) for w in a.ties] == [str(w) for w in b.ties]
+
+
+def _unpaired_margin(n, depth, pair, views):
+    """Reference margin measuring every word, inverses included: the exact
+    minimum, its ties in (length, codes) order, and the cumulative
+    per-depth enclosures."""
+    p, q = pair
+    gens = [p ** n, (p ** n).inv(), q ** n, (q ** n).inv()]
+    ident = RingMat2.identity()
+    best, ties, per_len = None, [], {}
+    for codes, mat in walk_words(gens, depth):
+        d = entry_dist_sq(mat, ident, views[0])
+        d1 = entry_dist_sq(mat, ident, views[1])
+        if (d1 - d).sign() == Sign.POSITIVE:
+            d = d1
+        cur = per_len.get(len(codes))
+        if cur is None or (d - cur).sign() == Sign.NEGATIVE:
+            per_len[len(codes)] = d
+        s = None if best is None else (d - best).sign()
+        if s is None or s == Sign.NEGATIVE:
+            best, ties = d, [codes]
+        elif s == Sign.ZERO:
+            ties.append(codes)
+    running, per_depth = None, []
+    for length in range(1, depth + 1):
+        v = per_len[length]
+        if running is None or (v - running).sign() == Sign.NEGATIVE:
+            running = v
+        per_depth.append((length, sqrt_of_square_interval(running)))
+    return best, sorted(ties, key=lambda c: (len(c), c)), per_depth
+
+
+@pytest.mark.parametrize("n, depth, views, pair", [
+    (1, 4, (0, 1), "paper"),
+    (2, 4, (0, 1), "paper"),
+    (3, 3, (0, 1), "paper"),
+    (2, 4, (2, 3), "candidate"),
+    # f = g: f g^-1, f g^-1 f g^-1 and the other words equal to I tie at
+    # distance zero, several of them in one subtree
+    (1, 4, (0, 1), "repeated"),
+])
+def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
+    pair = {"paper": (P, Q),
+            "candidate": (Q, search_limit_candidates(1, count=1)[0].matrix),
+            "repeated": (P, P)}[pair]
+    rep = discreteness_margin(n, depth, pair=pair, views=views)
+    best, ties, per_depth = _unpaired_margin(n, depth, pair, views)
+    assert rep.margin_sq == best
+    assert [w.codes for w in rep.ties] == ties
+    assert [(d, iv.lo, iv.hi) for d, iv in rep.per_depth] == [
+        (d, iv.lo, iv.hi) for d, iv in per_depth]
+
+
+def test_margin_requires_unimodular_generators():
+    stretch = RingMat2(QuarticElem(2), QuarticElem(0), QuarticElem(0),
+                       QuarticElem(1))
+    with pytest.raises(NotUnimodular):
+        discreteness_margin(1, 2, pair=(P, stretch))
+    # JSON candidates reach the margin with no determinant check of their own
+    with pytest.raises(NotUnimodular):
+        margin_uniformity_probe([{"matrix": stretch.to_text()}], 1, 2,
+                                Fraction(1, 2))
 
 
 def test_margin_depth_cap():
