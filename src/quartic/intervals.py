@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import isqrt
 
 DEFAULT_BITS = 64
+FILTER_BITS = 48
 
 
 def ifourth_root(n: int) -> int:
@@ -102,6 +103,24 @@ def dyadic_bounds(c0: int, cs, bounds_at, bits: int) -> tuple[int, int]:
     return lo, hi
 
 
+def filter_bounds(c0: int, cs, bounds_at) -> tuple[int, int]:
+    """Integer bounds for (c0 + sum cs[i] * r_i) * 2^FILTER_BITS.
+
+    The enclosure is taken at the coefficients' bit length plus FILTER_BITS
+    and rounded outward, so its width is a few units at scale
+    2^-FILTER_BITS however large the coefficients are.  Two values whose
+    bounds are disjoint are ordered exactly; only overlapping bounds need
+    an exact sign (the filter of Bronnimann, Burnikel and Pion).
+    """
+    m = abs(c0)
+    for c in cs:
+        m |= abs(c)
+    bits = m.bit_length() + FILTER_BITS
+    lo, hi = dyadic_bounds(c0, cs, bounds_at, bits)
+    shift = bits - FILTER_BITS
+    return lo >> shift, -(-hi >> shift)
+
+
 def dyadic_sign(c0: int, cs, bounds_at) -> int:
     """Exact sign of c0 + sum cs[i] * r_i for integers c0, cs[i].
 
@@ -185,9 +204,6 @@ class Interval:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def __lt__(self, other: "Interval") -> bool:
         """Certified strict order: every point of self below every point of other."""

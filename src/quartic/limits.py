@@ -24,13 +24,19 @@ from .linalg import (
     MatClass,
     RingMat2,
     classify,
+    compare_enclosed,
     eigen2,
-    entry_dist_sq,
+    eps_thresholds,
+    int_matrices,
+    is_scalar4,
+    minus_identity4,
+    ring_matrix,
     share_eigenvector,
+    view_dist4,
 )
 from .probe import ReducedWord, discreteness_margin, walk_words
 from .projective import ProjPoint, proj_dist
-from .ring import ONE, QuarticElem, Sign, mul4
+from .ring import ONE, QuarticElem, mul4
 
 
 @dataclass(frozen=True)
@@ -218,9 +224,10 @@ def check_limit_conditions(candidate: LimitCandidate,
 
     # probe-only relation scan for the freeness condition on <view1, Q>
     r1 = candidate.view1()
+    gens, den = int_matrices([r1, r1.inv(), q, q.inv()])
     hits = [str(ReducedWord(codes)) for codes, mat
-            in walk_words([r1, r1.inv(), q, q.inv()], vi_depth)
-            if mat.is_identity()]
+            in walk_words(gens, vi_depth)
+            if is_scalar4(mat, den ** len(codes))]
     cond_vi = {
         "probe_only": True,
         "relation_scan_depth": vi_depth,
@@ -414,16 +421,19 @@ def _near_identity_rows(pair, n: int, depth: int, eps: Fraction,
     p, cnd = pair
     pn = p ** n
     cn = cnd ** n
-    gens = [pn, pn.inv(), cn, cn.inv()]
-    ident = RingMat2.identity()
-    eps_sq = QuarticElem(eps * eps)
+    gens, den = int_matrices([pn, pn.inv(), cn, cn.inv()])
+    below = eps_thresholds(den, eps, depth)
     out = []
     for codes, mat in walk_words(gens, depth):
-        d2 = entry_dist_sq(mat, ident, 2)
-        d3 = entry_dist_sq(mat, ident, 3)
-        dprod = d3 if (d3 - d2).sign() == Sign.POSITIVE else d2
-        if (dprod - eps_sq).sign() != Sign.NEGATIVE:
+        one = den ** len(codes)
+        xs = minus_identity4(mat, one, eps.denominator)
+        d = view_dist4(xs, 2)
+        d3 = view_dist4(xs, 3)
+        if compare_enclosed(d3, d) > 0:
+            d = d3
+        if compare_enclosed(d, below[len(codes)]) >= 0:
             continue
+        mat = ring_matrix(mat, one)
         entry = {"word": str(ReducedWord(codes))}
         try:
             eig = eigen2(mat, 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 import enum
 
 from .cubic import CubicMat2
@@ -23,7 +24,14 @@ from .errors import (
     WrongSubring,
 )
 from .extension import QuadExt
-from .intervals import DEFAULT_BITS, Interval
+from .intervals import (
+    DEFAULT_BITS,
+    FILTER_BITS,
+    Interval,
+    dyadic_bounds,
+    filter_bounds,
+    quartic_bounds,
+)
 from .ring import (
     ONE,
     ZERO,
@@ -32,6 +40,9 @@ from .ring import (
     QuarticElem,
     Sign,
     galois,
+    mul4,
+    quad_sign,
+    sign4,
 )
 
 _ZERO_QUADRAT = QuadRat(0)
@@ -156,9 +167,6 @@ class RingMat2:
     def is_neg_identity(self) -> bool:
         return (self.e11 == QuarticElem(-1) and self.e12.is_zero()
                 and self.e21.is_zero() and self.e22 == QuarticElem(-1))
-
-    def is_plus_minus_identity(self) -> bool:
-        return self.is_identity() or self.is_neg_identity()
 
     def is_scalar(self) -> bool:
         return self.e12.is_zero() and self.e21.is_zero() and self.e11 == self.e22
@@ -615,6 +623,144 @@ def entry_dist_sq(a: RingMat2, b: RingMat2, k: int) -> QuarticElem:
         if best is None or (v - best).sign() == Sign.POSITIVE:
             best = v
     return best
+
+
+# ---------------------------------------------------------------------------
+# the integral word kernel: 2x2 matrices of int 4-tuples over one denominator
+#
+# A word scan holds each matrix as four int 4-tuples (e11, e12, e21, e22) on
+# the basis 1, beta, beta^2, beta^3; the letters share one denominator d, so
+# a word of length k stands for its tuples over d^k.  A view distance is an
+# exact int 4-tuple t together with integer bounds lo <= t * 2^FILTER_BITS
+# <= hi ("enclosed"); comparisons read the bounds first and take an exact
+# sign only where they overlap, so no float ever decides.
+
+
+def int_matrices(mats) -> tuple[list, int]:
+    """The matrices as int 4-tuple matrices over their least common
+    denominator d: returns (out, d) with mats[i] = out[i] / d."""
+    coeffs = [[e.coeffs() for e in m.entries()] for m in mats]
+    d = lcm(*[c.denominator for m in coeffs for e in m for c in e])
+    return [tuple([tuple([c.numerator * (d // c.denominator) for c in e])
+                   for e in m]) for m in coeffs], d
+
+
+def elem4(t, d: int) -> QuarticElem:
+    """The element t / d of an int 4-tuple t."""
+    if d == 1:
+        return QuarticElem(*t)
+    return QuarticElem(*[Fraction(c, d) for c in t])
+
+
+def ring_matrix(m, d: int) -> RingMat2:
+    """The RingMat2 m / d of an int 4-tuple matrix m."""
+    return RingMat2(*[elem4(e, d) for e in m])
+
+
+def mul_mat4(a, b):
+    """Product of two int 4-tuple matrices."""
+    out = []
+    for x, y, z, w in ((a[0], b[0], a[1], b[2]), (a[0], b[1], a[1], b[3]),
+                       (a[2], b[0], a[3], b[2]), (a[2], b[1], a[3], b[3])):
+        p0, p1, p2, p3 = mul4(x, y)
+        q0, q1, q2, q3 = mul4(z, w)
+        out.append((p0 + q0, p1 + q1, p2 + q2, p3 + q3))
+    return tuple(out)
+
+
+def is_scalar4(m, s: int) -> bool:
+    """Whether the int 4-tuple matrix m equals s times the identity."""
+    e11, e12, e21, e22 = m
+    return (e11 == e22 == (s, 0, 0, 0) and not any(e12)
+            and not any(e21))
+
+
+def minus_identity4(mat, one: int, scale: int) -> list:
+    """The entries of mat - one * I as int 4-tuples, each times scale."""
+    e11, e12, e21, e22 = mat
+    xs = [(e11[0] - one, e11[1], e11[2], e11[3]), e12, e21,
+          (e22[0] - one, e22[1], e22[2], e22[3])]
+    if scale != 1:
+        xs = [(c0 * scale, c1 * scale, c2 * scale, c3 * scale)
+              for c0, c1, c2, c3 in xs]
+    return xs
+
+
+def enclosed(t) -> tuple[int, int, tuple]:
+    """(lo, hi, t) for an int 4-tuple t, with lo <= t * 2^FILTER_BITS <= hi."""
+    lo, hi = filter_bounds(t[0], t[1:], quartic_bounds)
+    return lo, hi, t
+
+
+def compare_enclosed(a, b) -> int:
+    """Exact sign of a - b for two enclosed values over one denominator:
+    disjoint bounds decide, and ring.sign4 of the difference decides the
+    rest (ties included)."""
+    if a[1] < b[0]:
+        return -1
+    if a[0] > b[1]:
+        return 1
+    x, y = a[2], b[2]
+    return sign4((x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]))
+
+
+def eps_thresholds(d: int, eps: Fraction, depth: int) -> list:
+    """Enclosed thresholds for words over the denominator d: a word of
+    length k is closer than eps when its view distance, taken on the
+    entries of W - I times eps's denominator, is below entry k."""
+    a = eps.numerator
+    return [enclosed((a * a * d ** (2 * k), 0, 0, 0))
+            for k in range(depth + 1)]
+
+
+def view_dist4(xs, k: int) -> tuple[int, int, tuple]:
+    """Enclosed max_ij |sigma_k(x_ij)|^2 over the four int 4-tuples xs,
+    exact, in closed form.
+
+    The complex views 1 and 3 give the same modulus:
+    |sigma_1(x)|^2 = (c0^2 + 2c2^2 - 4c1c3) + (c1^2 + 2c3^2 - 2c0c2) sqrt2,
+    and the largest is picked by quad_sign.  In the real views 0 and 2
+    (x and its conjugate) the entries are ordered by |x|, from enclosures at
+    one precision, and only the winner is squared."""
+    if k & 1:
+        bu = bv = None
+        for c0, c1, c2, c3 in xs:
+            u = c0 * c0 + 2 * c2 * c2 - 4 * c1 * c3
+            v = c1 * c1 + 2 * c3 * c3 - 2 * c0 * c2
+            if bu is None or quad_sign(u - bu, v - bv) > 0:
+                bu, bv = u, v
+        return enclosed((bu, 0, bv, 0))
+    if k:
+        xs = [(c0, -c1, c2, -c3) for c0, c1, c2, c3 in xs]
+    m = 0
+    for c0, c1, c2, c3 in xs:
+        m |= abs(c0) | abs(c1) | abs(c2) | abs(c3)
+    bits = m.bit_length() + FILTER_BITS
+    win = None
+    for x in xs:
+        lo, hi = dyadic_bounds(x[0], x[1:], quartic_bounds, bits)
+        if hi < 0:
+            lo, hi = -hi, -lo
+        elif lo < 0:
+            lo, hi = 0, max(-lo, hi)
+        if win is not None and hi < win[0]:
+            continue
+        if win is None or lo > win[1] or _abs_sign(x, win[2]) > 0:
+            win = (lo, hi, x)
+    lo, hi, x = win
+    # |x| * 2^bits lies in [lo, hi] with lo >= 0, so x^2 * 2^(2 bits) in
+    # [lo^2, hi^2]; rounded outward to scale 2^FILTER_BITS
+    shift = 2 * bits - FILTER_BITS
+    return lo * lo >> shift, -(-(hi * hi) >> shift), mul4(x, x)
+
+
+def _abs_sign(x, y) -> int:
+    """Exact sign of |x| - |y| for int 4-tuples."""
+    if sign4(x) < 0:
+        x = (-x[0], -x[1], -x[2], -x[3])
+    if sign4(y) < 0:
+        y = (-y[0], -y[1], -y[2], -y[3])
+    return sign4((x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]))
 
 
 def nonneg_interval(x: QuarticElem, bits: int = DEFAULT_BITS,

@@ -10,16 +10,28 @@ the report.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import paper_generators
 from .errors import DepthTooLarge, NotUnimodular
 from .intervals import DEFAULT_BITS, Interval, interval_json
-from .linalg import RingMat2, entry_dist_sq, sqrt_of_square_interval
+from .linalg import (
+    RingMat2,
+    compare_enclosed,
+    elem4,
+    entry_dist_sq,
+    eps_thresholds,
+    int_matrices,
+    is_scalar4,
+    minus_identity4,
+    mul_mat4,
+    ring_matrix,
+    sqrt_of_square_interval,
+    view_dist4,
+)
 from .projective import PingPongCertificate, certify_exponent
-from .ring import ONE, QuarticElem, Sign, field_quantity_N
+from .ring import ONE, QuarticElem, field_quantity_N
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
 _INVERSE = (1, 0, 3, 2)
@@ -122,20 +134,38 @@ def evaluate_word(word: ReducedWord, n: int, pair=None) -> RingMat2:
     return out
 
 
-def walk_words(gens, depth: int, roots=range(4)):
+def _inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
+    # from a list, so the tuple is allocated at its final size: resizing
+    # tuples built from a generator strands them on the free lists
+    return tuple([_INVERSE[c] for c in reversed(codes)])
+
+
+def walk_words(gens, depth: int, roots=range(4), paired: bool = False):
     """Every nonempty reduced word of length <= depth whose first letter is
     in roots, as (codes, matrix) in lexicographic preorder (tuple order).
-    Each matrix is its prefix's product times one generator."""
+
+    gens are the four letters as int 4-tuple matrices over one denominator
+    d (``linalg.int_matrices``); a word of length k comes with its product
+    over d^k, its prefix's matrix times one letter.  With paired, only the
+    word of each {W, W^-1} whose codes sort first is yielded (no reduced
+    word is its own inverse), and a skipped word of full length is never
+    multiplied."""
     if depth < 1:
         return
-    stack = [((c,), gens[c]) for c in sorted(roots, reverse=True)]
+    stack = [((c,), gens[c], not paired or _INVERSE[c] >= c)
+             for c in sorted(roots, reverse=True)]
     while stack:
-        codes, mat = stack.pop()
-        yield codes, mat
+        codes, mat, keep = stack.pop()
+        if keep:
+            yield codes, mat
         if len(codes) < depth:
+            leaf = len(codes) + 1 == depth
             for c in range(3, -1, -1):
                 if _INVERSE[codes[-1]] != c:
-                    stack.append((codes + (c,), mat * gens[c]))
+                    child = codes + (c,)
+                    keep = not paired or _inverse_codes(child) >= child
+                    if keep or not leaf:
+                        stack.append((child, mul_mat4(mat, gens[c]), keep))
 
 
 @dataclass
@@ -165,45 +195,44 @@ class MarginReport:
         }
 
 
-def _scan_subtree(gens: list[RingMat2], first: int, depth: int,
+def _scan_subtree(gens, den: int, first: int, depth: int,
                   views: tuple[int, int]):
     """Exact minimum of the squared product-metric distance over all reduced
     words of length <= depth starting with the given letter and their
-    inverses.
+    inverses, on int 4-tuple matrices over the letters' denominator den.
 
     A det-1 W and its inverse lie at the same distance in every view (the
     entries of W^-1 - I are those of W - I, moved and sign-changed), so only
     the word of each pair whose codes sort first is measured, and a tie
-    records both.  Returns (min_sq or None, tie words, per-length minima as
-    elements)."""
-    ident = RingMat2.identity()
-    best: QuarticElem | None = None
+    records both.  Every distance is taken over the one denominator
+    den^(2 depth) and enclosed (``linalg.view_dist4``).  Returns (min or
+    None, tie words, per-length minima), the values enclosed int 4-tuples."""
+    ones = [den ** k for k in range(depth + 1)]
+    scales = ones[::-1]
+    va, vb = views
+    best = None
     ties: list[tuple[int, ...]] = []
-    per_len: dict[int, QuarticElem] = {}
-    for codes, mat in walk_words(gens, depth, (first,)):
-        # from a list, so the tuple is allocated at its final size: resizing
-        # tuples built from a generator strands them on the free lists
-        inv = tuple([_INVERSE[c] for c in reversed(codes)])
-        if inv < codes:
-            continue
-        d_sq = entry_dist_sq(mat, ident, views[0])
-        d1_sq = entry_dist_sq(mat, ident, views[1])
-        if (d1_sq - d_sq).sign() == Sign.POSITIVE:
-            d_sq = d1_sq
+    per_len: dict[int, tuple] = {}
+    for codes, mat in walk_words(gens, depth, (first,), paired=True):
         length = len(codes)
+        xs = minus_identity4(mat, ones[length], scales[length])
+        d = view_dist4(xs, va)
         cur = per_len.get(length)
-        if cur is None or (d_sq - cur).sign() == Sign.NEGATIVE:
-            per_len[length] = d_sq
-        if best is None:
-            best = d_sq
-            ties = [codes, inv]
-        else:
-            s = (d_sq - best).sign()
-            if s == Sign.NEGATIVE:
-                best = d_sq
-                ties = [codes, inv]
-            elif s == Sign.ZERO:
-                ties += (codes, inv)
+        if cur is not None and compare_enclosed(d, cur) > 0:
+            # one view already beats this length's minimum, and so the
+            # running best (best <= cur): the word changes nothing
+            continue
+        d1 = view_dist4(xs, vb)
+        if compare_enclosed(d1, d) > 0:
+            d = d1
+        if cur is None or compare_enclosed(d, cur) < 0:
+            per_len[length] = d
+        s = -1 if best is None else compare_enclosed(d, best)
+        if s < 0:
+            best = d
+            ties = [codes, _inverse_codes(codes)]
+        elif s == 0:
+            ties += (codes, _inverse_codes(codes))
     return best, ties, per_len
 
 
@@ -218,16 +247,20 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
         raise ValueError("need N >= 1 and L >= 1")
     if threads < 1:
         raise ValueError("need threads >= 1")
+    if any(k not in (0, 1, 2, 3) for k in views):
+        raise ValueError(f"embedding index must be 0..3, got {views}")
     if depth > depth_cap:
         raise DepthTooLarge(f"L = {depth} beyond cap {depth_cap}")
     if pair is None:
         pair = paper_generators()
     if any(g.det() != ONE for g in pair):
         raise NotUnimodular("margin generators must have determinant one")
-    gens = _generator_powers(n, pair)
+    gens, den = int_matrices(_generator_powers(n, pair))
 
-    tasks = ([gens] * 4, range(4), [depth] * 4, [views] * 4)
+    tasks = ([gens] * 4, [den] * 4, range(4), [depth] * 4, [views] * 4)
     if threads > 1:
+        # imported here: the pool module costs every command's start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(threads, 4)) as pool:
             results = list(pool.map(_scan_subtree, *tasks))
     else:
@@ -235,20 +268,22 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
 
     best = None
     ties: list[tuple[int, ...]] = []
-    per_len: dict[int, QuarticElem] = {}
+    per_len: dict[int, tuple] = {}
     for b, t, pl in results:
         if b is None:
             continue
-        if best is None or (b - best).sign() == Sign.NEGATIVE:
+        s = -1 if best is None else compare_enclosed(b, best)
+        if s < 0:
             best = b
             ties = list(t)
-        elif (b - best).sign() == Sign.ZERO:
+        elif s == 0:
             ties.extend(t)
         for length, v in pl.items():
             cur = per_len.get(length)
-            if cur is None or (v - cur).sign() == Sign.NEGATIVE:
+            if cur is None or compare_enclosed(v, cur) < 0:
                 per_len[length] = v
 
+    den2 = den ** (2 * depth)
     ties.sort(key=lambda codes: (len(codes), codes))
     witness = ReducedWord(ties[0])
     wmat = evaluate_word(witness, n, pair)
@@ -262,13 +297,15 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     running = None
     for length in range(1, depth + 1):
         v = per_len.get(length)
-        if v is not None:
-            if running is None or (v - running).sign() == Sign.NEGATIVE:
-                running = v
-        cumulative.append((length, sqrt_of_square_interval(running, bits)))
+        if v is not None and (running is None
+                              or compare_enclosed(v, running) < 0):
+            running = v
+        cumulative.append(
+            (length, sqrt_of_square_interval(elem4(running[2], den2), bits)))
+    margin_sq = elem4(best[2], den2)
     return MarginReport(
-        n=n, depth=depth, margin_sq=best,
-        margin=sqrt_of_square_interval(best, bits),
+        n=n, depth=depth, margin_sq=margin_sq,
+        margin=sqrt_of_square_interval(margin_sq, bits),
         witness=witness,
         ties=[ReducedWord(t) for t in ties],
         factors=factors,
@@ -302,14 +339,19 @@ def freeness_certificate(n: int, pair=None,
     cert = certify_exponent(p.real_view(2), q.real_view(2), n)
     if cert is None:
         raise ValueError(f"no ping-pong certificate at exponent {n}")
-    gens = _generator_powers(n, pair)
-    hits: list[str] = []
+    gens, den = int_matrices(_generator_powers(n, pair))
+    ones = [den ** k for k in range(crosscheck_depth + 1)]
+    hits: list[tuple[int, ...]] = []
     count = 0
-    for codes, mat in walk_words(gens, crosscheck_depth):
-        count += 1
-        if mat.is_plus_minus_identity():
-            hits.append(str(ReducedWord(codes)))
-    return FreenessCertificate(n, cert, crosscheck_depth, count, hits)
+    # W is +-I exactly when W^-1 is, so each pair is checked once
+    for codes, mat in walk_words(gens, crosscheck_depth, paired=True):
+        count += 2
+        one = ones[len(codes)]
+        if is_scalar4(mat, one) or is_scalar4(mat, -one):
+            hits += (codes, _inverse_codes(codes))
+    hits.sort()
+    return FreenessCertificate(n, cert, crosscheck_depth, count,
+                               [str(ReducedWord(c)) for c in hits])
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +447,17 @@ def dual_smallness_scan(n: int, depth: int, eps,
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gens = _generator_powers(n, pair)
+    gens, den = int_matrices(_generator_powers(n, pair))
+    below = eps_thresholds(den, eps, depth)
     ident = RingMat2.identity()
-    eps_sq = QuarticElem(eps * eps)
     rows: list[DualSmallnessRow] = []
     for codes, mat in walk_words(gens, depth):
-        d0_sq = entry_dist_sq(mat, ident, 0)
-        if (d0_sq - eps_sq).sign() != Sign.NEGATIVE:
+        one = den ** len(codes)
+        d0 = view_dist4(minus_identity4(mat, one, eps.denominator), 0)
+        if compare_enclosed(d0, below[len(codes)]) >= 0:
             continue
+        mat = ring_matrix(mat, one)
+        d0_sq = entry_dist_sq(mat, ident, 0)
         diff_entries = (mat - ident).entries()
         norms = []
         bound_ok = True

@@ -856,10 +856,26 @@ def _build_certificate(a: RingMat2, b: RingMat2, n: int,
         basepoint=basepoint, disjointness_bits=bits)
 
 
+# the checker's precision cap: a certificate may not ask for more
+_MAX_DISJOINTNESS_BITS = 4096
+
+
 def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
-    """Standalone re-validation from the certificate data alone."""
+    """Standalone re-validation from the certificate data alone.  Total on
+    ``PingPongCertificate.from_json`` output: a malformed certificate gets
+    (False, problems), never an exception."""
     problems: list[str] = []
     a, b = cert.gen_a, cert.gen_b
+    for label, g in (("generator_a", a), ("generator_b", b)):
+        if g.det() != ONE or classify(g, 0) != MatClass.HYPERBOLIC:
+            problems.append(f"{label} is not hyperbolic with determinant one")
+    if cert.exponent < 1:
+        problems.append(f"exponent {cert.exponent} is below 1")
+    if not 1 <= cert.disjointness_bits <= _MAX_DISJOINTNESS_BITS:
+        problems.append(f"disjointness_bits {cert.disjointness_bits} outside "
+                        f"1..{_MAX_DISJOINTNESS_BITS}")
+    if problems:
+        return False, problems
     expected = _fixed_point_balls(a, b, Fraction(1))
     for name, ball in cert.balls.items():
         if name not in expected:
@@ -895,6 +911,10 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
         ) if got != want]
         if wrong:
             problems.append(f"{cond.name}: {'; '.join(wrong)}")
+            continue
+        if cond.outer <= 0:
+            problems.append(f"{cond.name}: outer bound {cond.outer} is not "
+                            "positive")
             continue
         if not _region_membership_ok(cond, cert.balls, source):
             problems.append(f"{cond.name}: region/ball relation fails")
@@ -965,7 +985,8 @@ def pingpong_exponent(a: RingMat2, b: RingMat2,
         n *= 2
     if cert is None:
         raise SearchOverflow(f"no certificate up to exponent {max_exponent}")
-    lo, hi = max(1, n // 2), n
+    # the doubling phase already saw n // 2 fail
+    lo, hi = n // 2 + 1, n
     best = cert
     while lo < hi:
         mid = (lo + hi) // 2

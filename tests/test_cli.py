@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, formats, schema validity."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 
+import quartic
 from quartic.cli import main
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -155,3 +159,15 @@ def test_bad_config_value_exit_two(tmp_path, capsys):
         cfg.write_text(f"# comment\n{line}\n")
         assert main(["margin", "--config", str(cfg)]) == 2
         assert f"{cfg}:2: bad value" in capsys.readouterr().err
+
+
+def test_import_leaves_process_pool_unloaded():
+    """The margin imports its process pool only for threads > 1, so no
+    command pays for the module at start-up."""
+    src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, quartic.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -16,8 +16,22 @@ from math import lcm
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quartic.intervals import DEFAULT_BITS, dyadic_bounds, quartic_bounds
-from quartic.ring import QuadRat, QuarticElem, Sign, galois
+from quartic.intervals import (
+    DEFAULT_BITS,
+    FILTER_BITS,
+    dyadic_bounds,
+    filter_bounds,
+    quartic_bounds,
+)
+from quartic.linalg import (
+    RingMat2,
+    compare_enclosed,
+    enclosed,
+    entry_dist_sq,
+    ring_matrix,
+    view_dist4,
+)
+from quartic.ring import QuadRat, QuarticElem, Sign, galois, sign4
 
 ZERO4 = (Fraction(0),) * 4
 
@@ -249,3 +263,82 @@ def test_quadrat_ops_match_reference(p, q):
 def test_quadrat_cancellation(p, k):
     x = QuadRat(*p)
     assert_same_quad(x + QuadRat(k[0] - p[0], k[1] - p[1]), k)
+
+
+# ---------------------------------------------------------------------------
+# the integral word kernel: closed-form view distances, filtered comparisons
+
+big = st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+big_vec = st.tuples(big, big, big, big)
+
+
+@st.composite
+def tiny_int(draw):
+    """An integer multiple of (beta - 1)^n, so close to zero that 64 bits
+    and the filter's enclosures cannot separate it from zero for large n."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    scale = draw(st.integers(min_value=-9, max_value=9).filter(bool))
+    return tuple(scale * int(c) for c in ref_pow(UNIT_SMALL, n))
+
+
+int4 = st.one_of(int_vec.map(lambda t: tuple(map(int, t))), big_vec,
+                 tiny_int())
+
+
+@st.composite
+def near_pair(draw):
+    """Two int 4-tuples that are equal, negatives, or a tiny step apart."""
+    a = draw(int4)
+    b = draw(st.sampled_from(["same", "neg", "step", "free"]))
+    if b == "same":
+        return a, a
+    if b == "neg":
+        return a, tuple(-c for c in a)
+    if b == "step":
+        return a, tuple(x + y for x, y in zip(a, draw(tiny_int())))
+    return a, draw(int4)
+
+
+def encloses(lo, hi, t) -> bool:
+    scaled = [c << FILTER_BITS for c in t]
+    return (sign4((scaled[0] - lo, *scaled[1:])) >= 0
+            and sign4((scaled[0] - hi, *scaled[1:])) <= 0)
+
+
+@given(int4)
+def test_filter_bounds_are_narrow_at_any_size(t):
+    lo, hi = filter_bounds(t[0], t[1:], quartic_bounds)
+    assert encloses(lo, hi, t)
+    assert hi - lo <= 5
+
+
+@given(near_pair(), near_pair(), st.integers(min_value=0, max_value=3))
+def test_view_dist4_matches_entry_dist_sq(p1, p2, k):
+    xs = [*p1, *p2]
+    lo, hi, t = view_dist4(xs, k)
+    zero = RingMat2(0, 0, 0, 0)
+    assert QuarticElem(*t) == entry_dist_sq(ring_matrix(xs, 1), zero, k)
+    assert encloses(lo, hi, t)
+
+
+@given(near_pair())
+def test_compare_enclosed_is_exact(p):
+    a, b = p
+    for x, y in ((a, b), (b, a), (a, a)):
+        want = ref_sign(tuple(Fraction(u - v) for u, v in zip(x, y)))
+        assert compare_enclosed(enclosed(x), enclosed(y)) == want
+
+
+def test_view_dist4_orders_entries_closer_than_the_filter():
+    """Two entries whose moduli differ by less than the enclosures resolve:
+    the larger must win in either order and with either sign, and the
+    exact sign decides it."""
+    step = tuple(int(c) for c in ref_pow(UNIT_SMALL, 30))    # ~ 2e-22 > 0
+    x = (7 * 10 ** 30, -5 * 10 ** 30, 3 * 10 ** 30, 2 * 10 ** 30)
+    y = tuple(a + b for a, b in zip(x, step))
+    neg_x, neg_y = tuple(-c for c in x), tuple(-c for c in y)
+    zero = (0, 0, 0, 0)
+    for xs in ([x, y, zero, zero], [y, x, zero, zero],
+               [zero, neg_x, zero, y], [zero, neg_y, zero, x],
+               [x, neg_y, zero, zero]):
+        assert view_dist4(xs, 0)[2] == tuple(map(int, ref_mul(y, y)))

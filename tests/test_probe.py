@@ -7,7 +7,14 @@ import pytest
 from quartic.construction import paper_generators
 from quartic.errors import DepthTooLarge, NotUnimodular
 from quartic.limits import margin_uniformity_probe, search_limit_candidates
-from quartic.linalg import RingMat2, entry_dist_sq, sqrt_of_square_interval
+from quartic.linalg import (
+    RingMat2,
+    entry_dist_sq,
+    int_matrices,
+    is_scalar4,
+    ring_matrix,
+    sqrt_of_square_interval,
+)
 from quartic.probe import (
     ReducedWord,
     discreteness_margin,
@@ -22,6 +29,10 @@ from quartic.probe import (
 from quartic.ring import QuarticElem, Sign
 
 P, Q = paper_generators()
+# the paper pair conjugated by diag(2, 1/2): rational, determinant one
+_H = RingMat2(QuarticElem(2), QuarticElem(0), QuarticElem(0),
+              QuarticElem(Fraction(1, 2)))
+P_RAT, Q_RAT = _H * P * _H.inv(), _H * Q * _H.inv()
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +83,60 @@ def test_evaluate_word_homomorphism(rng):
                 == evaluate_word(u, 2) * evaluate_word(v, 2))
 
 
-def test_walk_words_is_lexicographic_and_matches_enumeration():
-    gens = [P, P.inv(), Q, Q.inv()]
+def _check_walk(pair, n):
+    gens, den = int_matrices([m for g in pair for m in (g ** n, g ** -n)])
     for depth in range(5):
         walked = list(walk_words(gens, depth))
         codes = [c for c, _ in walked]
         assert codes == sorted(w.codes for w in enumerate_words(depth)
                                if w.codes)
         for c, mat in walked:
-            assert mat == evaluate_word(ReducedWord(c), 1)
+            assert ring_matrix(mat, den ** len(c)) == evaluate_word(
+                ReducedWord(c), n, pair)
+    return den
+
+
+def test_walk_words_is_lexicographic_and_matches_enumeration():
+    assert _check_walk((P, Q), 1) == 1
+
+
+def test_walk_words_rational_letters_share_one_denominator():
+    assert _check_walk((P_RAT, Q_RAT), 2) > 1
+
+
+def test_walk_words_scalar_test_matches_ring_matrices():
+    # S^2 = -I and S^4 = I, so words in S and P hit both signs
+    s = RingMat2(QuarticElem(0), QuarticElem(-1), QuarticElem(1),
+                 QuarticElem(0))
+    pair = (s, P_RAT)
+    gens, den = int_matrices([s, s.inv(), P_RAT, P_RAT.inv()])
+    for sign in (1, -1):
+        hits = [c for c, m in walk_words(gens, 4)
+                if is_scalar4(m, sign * den ** len(c))]
+        want = [w.codes for w in enumerate_words(4) if w.codes and (
+            evaluate_word(w, 1, pair).is_identity() if sign == 1
+            else evaluate_word(w, 1, pair).is_neg_identity())]
+        assert hits and sorted(hits) == sorted(want)
 
 
 def test_walk_words_roots_partition_the_walk():
-    gens = [P, P.inv(), Q, Q.inv()]
+    gens, _ = int_matrices([P, P.inv(), Q, Q.inv()])
     full = [c for c, _ in walk_words(gens, 3)]
     parts = [c for first in range(4)
              for c, _ in walk_words(gens, 3, (first,))]
     assert parts == full
     for first in range(4):
         assert all(c[0] == first for c, _ in walk_words(gens, 3, (first,)))
+
+
+def test_walk_words_paired_keeps_one_word_of_each_inverse_pair():
+    gens, _ = int_matrices([P, P.inv(), Q, Q.inv()])
+    for depth in range(1, 5):
+        full = list(walk_words(gens, depth))
+        paired = list(walk_words(gens, depth, paired=True))
+        assert paired == [(c, m) for c, m in full
+                          if ReducedWord(c).inverse().codes > c]
+        assert 2 * len(paired) == len(full)
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +180,27 @@ def test_margin_threads_agree():
 
 
 def _unpaired_margin(n, depth, pair, views):
-    """Reference margin measuring every word, inverses included: the exact
-    minimum, its ties in (length, codes) order, and the cumulative
-    per-depth enclosures."""
-    p, q = pair
-    gens = [p ** n, (p ** n).inv(), q ** n, (q ** n).inv()]
+    """Slow reference margin on RingMat2 products and entry_dist_sq,
+    measuring every word, inverses included: the exact minimum, its ties
+    in (length, codes) order, and the cumulative per-depth enclosures."""
     ident = RingMat2.identity()
     best, ties, per_len = None, [], {}
-    for codes, mat in walk_words(gens, depth):
+    for word in enumerate_words(depth):
+        if not word.codes:
+            continue
+        mat = evaluate_word(word, n, pair)
         d = entry_dist_sq(mat, ident, views[0])
         d1 = entry_dist_sq(mat, ident, views[1])
         if (d1 - d).sign() == Sign.POSITIVE:
             d = d1
-        cur = per_len.get(len(codes))
+        cur = per_len.get(len(word))
         if cur is None or (d - cur).sign() == Sign.NEGATIVE:
-            per_len[len(codes)] = d
+            per_len[len(word)] = d
         s = None if best is None else (d - best).sign()
         if s is None or s == Sign.NEGATIVE:
-            best, ties = d, [codes]
+            best, ties = d, [word.codes]
         elif s == Sign.ZERO:
-            ties.append(codes)
+            ties.append(word.codes)
     running, per_depth = None, []
     for length in range(1, depth + 1):
         v = per_len[length]
@@ -171,12 +218,22 @@ def _unpaired_margin(n, depth, pair, views):
     # f = g: f g^-1, f g^-1 f g^-1 and the other words equal to I tie at
     # distance zero, several of them in one subtree
     (1, 4, (0, 1), "repeated"),
+    # rational entries: every distance over one common denominator
+    (1, 4, (0, 1), "rational"),
+    (2, 3, (2, 3), "rational"),
+    # subtrees scanned by pool workers
+    (2, 4, (0, 1), "paper_threads2"),
 ])
 def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
-    pair = {"paper": (P, Q),
-            "candidate": (Q, search_limit_candidates(1, count=1)[0].matrix),
-            "repeated": (P, P)}[pair]
-    rep = discreteness_margin(n, depth, pair=pair, views=views)
+    pair, threads = {
+        "paper": ((P, Q), 1),
+        "candidate": ((Q, search_limit_candidates(1, count=1)[0].matrix), 1),
+        "repeated": ((P, P), 1),
+        "rational": ((P_RAT, Q_RAT), 1),
+        "paper_threads2": ((P, Q), 2),
+    }[pair]
+    rep = discreteness_margin(n, depth, pair=pair, views=views,
+                              threads=threads)
     best, ties, per_depth = _unpaired_margin(n, depth, pair, views)
     assert rep.margin_sq == best
     assert [w.codes for w in rep.ties] == ties

@@ -7,8 +7,9 @@ import pytest
 
 from quartic.construction import paper_generators
 from quartic.errors import HypothesisViolated, NotHyperbolicLike
-from quartic.linalg import RingMat2, regular_rep
+from quartic.linalg import RingMat2, int_matrices, is_scalar4, regular_rep
 from quartic.probe import walk_words
+from quartic import projective
 from quartic.projective import (
     PingPongCertificate,
     ProjPoint,
@@ -167,13 +168,20 @@ def test_certificate_wrong_center_detected(certificate):
 
 def _mutated(certificate, mutate):
     blob = json.loads(certificate.to_json_text())
-    mutate(blob["checked_conditions"])
+    mutate(blob)
     return PingPongCertificate.from_json(blob)
 
 
 def _set_field(name, key, value):
-    def mutate(conds):
-        next(c for c in conds if c["name"] == name)[key] = value
+    def mutate(blob):
+        next(c for c in blob["checked_conditions"]
+             if c["name"] == name)[key] = value
+    return mutate
+
+
+def _set_top(key, value):
+    def mutate(blob):
+        blob[key] = value
     return mutate
 
 
@@ -187,16 +195,43 @@ def _set_field(name, key, value):
     _set_field("A_att_step", "region_kind", "complement"),
     _set_field("A_pos", "target", "A_rep"),
     _set_field("B_att_step", "target", "A_att"),
-    lambda conds: conds.append(dict(conds[0])),
-    lambda conds: conds.pop(),
-    lambda conds: conds.pop(0),
+    lambda blob: blob["checked_conditions"].append(
+        dict(blob["checked_conditions"][0])),
+    lambda blob: blob["checked_conditions"].pop(),
+    lambda blob: blob["checked_conditions"].pop(0),
+    # these three raised instead of returning (False, problems)
+    _set_top("disjointness_bits", -64),
+    _set_field("A_neg", "outer", "0"),
+    _set_top("generator_b", "1 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"),
+    # the precision the checker would spend is capped
+    _set_top("disjointness_bits", 10 ** 6),
+    _set_top("generator_a", "2 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"),
+    _set_top("generator_b", "0 0 0 0; 1 0 0 0; -1 0 0 0; 0 0 0 0"),
+    _set_top("N", 0),
 ], ids=["step_exponent", "pos_exponent", "neg_exponent", "generator",
         "step_generator", "region_kind", "step_region_kind", "target",
-        "step_target", "duplicate", "dropped_last", "dropped_first"])
+        "step_target", "duplicate", "dropped_last", "dropped_first",
+        "negative_bits", "zero_outer", "identity_generator", "huge_bits",
+        "det_two_generator", "elliptic_generator", "zero_exponent"])
 def test_certificate_single_field_mutation_rejected(certificate, mutate):
     assert certificate.exponent == 3
     ok, problems = verify_certificate(_mutated(certificate, mutate))
     assert not ok and problems
+
+
+def test_pingpong_search_tries_no_exponent_twice(monkeypatch, certificate):
+    tried = []
+    real = projective.certify_exponent
+
+    def spy(a, b, n, sep=None):
+        tried.append(n)
+        return real(a, b, n, sep)
+
+    monkeypatch.setattr(projective, "certify_exponent", spy)
+    cert = pingpong_exponent(A2, B2)
+    assert tried == [1, 2, 4, 3]
+    assert cert.to_json_text() == certificate.to_json_text()
+    assert cert.to_json_text() == real(A2, B2, 3).to_json_text()
 
 
 def test_pingpong_same_matrix_rejected():
@@ -214,10 +249,11 @@ def test_no_short_relations(certificate):
     n = certificate.exponent
     a = A2 ** n
     b = B2 ** n
+    gens, den = int_matrices([a, a.inv(), b, b.inv()])
     count = 0
-    for codes, mat in walk_words([a, a.inv(), b, b.inv()], 10):
+    for codes, mat in walk_words(gens, 10):
         count += 1
-        assert not mat.is_identity(), codes
+        assert not is_scalar4(mat, den ** len(codes)), codes
     assert count == sum(4 * 3 ** (k - 1) for k in range(1, 11))
 
 
