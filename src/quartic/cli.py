@@ -77,7 +77,7 @@ def _setting(args, config: dict, key: str):
     return DEFAULTS[key]
 
 
-def _parse_matrix(text: str) -> RingMat2:
+def _parse_matrix(text: str, elem=QuarticElem, mat=RingMat2):
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != 4:
         raise UsageError(
@@ -85,24 +85,10 @@ def _parse_matrix(text: str) -> RingMat2:
     entries = []
     for pos, part in enumerate(parts, 1):
         try:
-            entries.append(QuarticElem.parse(part))
+            entries.append(elem.parse(part))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"matrix entry {pos} ({part!r}): {exc}") from exc
-    return RingMat2(*entries)
-
-
-def _parse_cubic_matrix(text: str) -> CubicMat2:
-    parts = [p.strip() for p in text.split(";")]
-    if len(parts) != 4:
-        raise UsageError(
-            f"matrix needs 4 ';'-separated entries, got {len(parts)}")
-    entries = []
-    for pos, part in enumerate(parts, 1):
-        try:
-            entries.append(CubicElem.parse(part))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"matrix entry {pos} ({part!r}): {exc}") from exc
-    return CubicMat2(*entries)
+    return mat(*entries)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +131,8 @@ CLASSIFICATION_REFERENCE = {
 
 
 def _apply_overrides(p: RingMat2, q: RingMat2, overrides: list[str]):
-    slots = {"11": "e11", "12": "e12", "21": "e21", "22": "e22"}
+    slots = ("11", "12", "21", "22")
     mats = {"P": list(p.entries()), "Q": list(q.entries())}
-    order = ("e11", "e12", "e21", "e22")
     for spec in overrides or []:
         if "=" not in spec:
             raise UsageError(f"override needs NAME=coeffs, got {spec!r}")
@@ -159,7 +144,7 @@ def _apply_overrides(p: RingMat2, q: RingMat2, overrides: list[str]):
             value = QuarticElem.parse(coeffs.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"override {name}: {exc}") from exc
-        mats[name[0]][order.index(slots[name[1:]])] = value
+        mats[name[0]][slots.index(name[1:])] = value
     return RingMat2(*mats["P"]), RingMat2(*mats["Q"])
 
 
@@ -167,25 +152,19 @@ def _random_quartic(rng: random.Random, span: int = 4) -> QuarticElem:
     return QuarticElem(*(rng.randint(-span, span) for _ in range(4)))
 
 
-def _random_sl2_even(rng: random.Random) -> RingMat2:
-    out = RingMat2.identity()
+def _random_sl2(rng: random.Random, kappa: int):
+    """A product of one to three elementary matrices, each upper or lower at
+    random, over Z[sqrt2] inside Z[beta] (kappa 2) or Z[2^(1/3)] (kappa 3)."""
+    mat = CubicMat2 if kappa == 3 else RingMat2
+    out = mat.identity()
+    one, zero = out.e11, out.e12
     for _ in range(rng.randint(1, 3)):
-        x = QuarticElem(rng.randint(-3, 3), 0, rng.randint(-3, 3), 0)
+        c = [rng.randint(-3, 3) for _ in range(kappa)]
+        x = CubicElem(*c) if kappa == 3 else QuarticElem(c[0], 0, c[1], 0)
         if rng.random() < 0.5:
-            out = out * RingMat2(QuarticElem(1), x, QuarticElem(0), QuarticElem(1))
+            out = out * mat(one, x, zero, one)
         else:
-            out = out * RingMat2(QuarticElem(1), QuarticElem(0), x, QuarticElem(1))
-    return out
-
-
-def _random_cubic_sl2(rng: random.Random) -> CubicMat2:
-    out = CubicMat2.identity()
-    for _ in range(rng.randint(1, 3)):
-        x = CubicElem(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-        if rng.random() < 0.5:
-            out = out * CubicMat2(CubicElem(1), x, CubicElem(0), CubicElem(1))
-        else:
-            out = out * CubicMat2(CubicElem(1), CubicElem(0), x, CubicElem(1))
+            out = out * mat(one, zero, x, one)
     return out
 
 
@@ -229,24 +208,13 @@ def cmd_verify_paper(args, config: dict) -> Report:
 
     # multiplicativity of the three representations
     rng = random.Random(20260809)
-    ok2 = all(
-        regular_rep(a * b, 2) == regular_rep(a, 2) * regular_rep(b, 2)
-        for a, b in ((_random_sl2_even(rng), _random_sl2_even(rng))
-                     for _ in range(20)))
-    rep.add("phi2_multiplicativity", PASS if ok2 else FAIL,
-            anchor="rank-4 representation is a homomorphism")
-    ok3 = all(
-        regular_rep(a * b, 3) == regular_rep(a, 3) * regular_rep(b, 3)
-        for a, b in ((_random_cubic_sl2(rng), _random_cubic_sl2(rng))
-                     for _ in range(20)))
-    rep.add("phi3_multiplicativity", PASS if ok3 else FAIL,
-            anchor="rank-6 representation is a homomorphism")
-    ok4 = all(
-        regular_rep(a * b, 4) == regular_rep(a, 4) * regular_rep(b, 4)
-        for a, b in ((_random_word_matrix(rng, p, q),
-                      _random_word_matrix(rng, p, q)) for _ in range(20)))
-    rep.add("phi4_multiplicativity", PASS if ok4 else FAIL,
-            anchor="rank-8 representation is a homomorphism")
+    draws = {2: lambda: _random_sl2(rng, 2), 3: lambda: _random_sl2(rng, 3),
+             4: lambda: _random_word_matrix(rng, p, q)}
+    for k, draw in draws.items():
+        ok = all(regular_rep(a * b, k) == regular_rep(a, k) * regular_rep(b, k)
+                 for a, b in ((draw(), draw()) for _ in range(20)))
+        rep.add(f"phi{k}_multiplicativity", PASS if ok else FAIL,
+                anchor=f"rank-{2 * k} representation is a homomorphism")
 
     # classification table
     table_ok = True
@@ -287,21 +255,17 @@ def cmd_verify_paper(args, config: dict) -> Report:
             anchor="squared eigenvalue gap and its inverse")
 
     # conjugate-norm quantity: closed form against the literal product
-    norm_ok = True
     worst = None
     for _ in range(200):
         x = _random_quartic(rng, 6)
         try:
-            v = field_quantity_N(x)
+            bad = field_quantity_N(x) < 1 and not x.is_zero()
         except QuarticError:
-            norm_ok = False
+            bad = True
+        if bad:
             worst = x.to_text()
             break
-        if not x.is_zero() and v < 1:
-            norm_ok = False
-            worst = x.to_text()
-            break
-    rep.add("field_norm_oracle", PASS if norm_ok else FAIL,
+    rep.add("field_norm_oracle", PASS if worst is None else FAIL,
             value=worst, anchor="conjugate product norm, two routes")
 
     cheb_ok = all(construction.trace_matches_chebyshev(n) for n in range(1, 31))
@@ -376,29 +340,21 @@ def cmd_classify(args, config: dict) -> Report:
 def cmd_repr(args, config: dict) -> Report:
     rep = Report("repr")
     kappa = args.kappa if args.kappa is not None else 4
-    if kappa == 3:
-        mat = _parse_cubic_matrix(args.matrix)
-        rep.inputs = {"matrix": mat.to_text(), "kappa": kappa}
-    else:
-        mat = _parse_matrix(args.matrix)
-        rep.inputs = {"matrix": mat.to_text(), "kappa": kappa}
+    mat = (_parse_matrix(args.matrix, CubicElem, CubicMat2) if kappa == 3
+           else _parse_matrix(args.matrix))
+    rep.inputs = {"matrix": mat.to_text(), "kappa": kappa}
     rr = regular_rep(mat, kappa)
     rep.add("matrix", PASS, value=[[str(c) for c in row] for row in rr.entries])
     rep.add("determinant", PASS if rr.det() == 1 else FAIL, value=str(rr.det()))
     return rep
 
 
-def _default_exponent(args, config) -> int:
-    n = _setting(args, config, "N")
-    if n is not None:
-        return n
-    p, q = construction.paper_generators()
-    return projective.free_pair_power(p, q).exponent
-
-
 def cmd_margin(args, config: dict) -> Report:
     rep = Report("margin")
-    n = _default_exponent(args, config)
+    n = _setting(args, config, "N")
+    if n is None:
+        pair = construction.paper_generators()
+        n = projective.free_pair_power(*pair).exponent
     depth = _setting(args, config, "L")
     threads = _setting(args, config, "threads")
     result = probe.discreteness_margin(n, depth, threads=threads)
@@ -410,10 +366,10 @@ def cmd_margin(args, config: dict) -> Report:
 
 def cmd_certify(args, config: dict) -> Report:
     rep = Report("certify")
-    n = _default_exponent(args, config)
-    rep.inputs = {"N": n}
-    cert = probe.freeness_certificate(n, crosscheck_depth=min(
-        _setting(args, config, "L"), 8))
+    depth = min(_setting(args, config, "L"), 8)
+    cert = probe.freeness_certificate(_setting(args, config, "N"),
+                                      crosscheck_depth=depth)
+    rep.inputs = {"N": cert.n}
     ok, problems = projective.verify_certificate(cert.pingpong)
     rep.add("pingpong_certificate", PASS if ok else FAIL,
             value={"N": cert.n, "problems": problems,
@@ -478,19 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "Q(2^(1/4))")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, settings=False, threads=False):
+    def common(sp, settings=False, threads=False, exponent=False):
         sp.add_argument("--json", action="store_true",
                         help="emit a deterministic JSON report")
         if settings:
             sp.add_argument("--config", type=str, default=None)
         if threads:
             sp.add_argument("--threads", type=int, default=None)
+        if exponent:
+            sp.add_argument("--N", type=int, default=None)
+            sp.add_argument("--L", type=int, default=None)
 
     sp = sub.add_parser("verify-paper",
                         help="re-derive the built-in reference values")
-    common(sp, settings=True, threads=True)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--L", type=int, default=None)
+    common(sp, settings=True, threads=True, exponent=True)
     sp.add_argument("--override", action="append", default=None,
                     metavar="P11=q0 q1 q2 q3",
                     help="replace a generator entry (negative testing)")
@@ -506,14 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", type=int, default=None, choices=(2, 3, 4))
 
     sp = sub.add_parser("margin", help="discreteness margin scan")
-    common(sp, settings=True, threads=True)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--L", type=int, default=None)
+    common(sp, settings=True, threads=True, exponent=True)
 
     sp = sub.add_parser("certify", help="ping-pong freeness certificate")
-    common(sp, settings=True)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--L", type=int, default=None)
+    common(sp, settings=True, exponent=True)
 
     sp = sub.add_parser("search", help="bounded limit-candidate search")
     common(sp, settings=True)

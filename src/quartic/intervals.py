@@ -9,6 +9,7 @@ are cached, and sign determination refines by doubling the bit count.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 DEFAULT_BITS = 64
@@ -34,48 +35,39 @@ def icbrt(n: int) -> int:
         x = y
 
 
-# bits -> (lo, hi) integer numerators at scale 2^bits, hi = lo + 1
-_BETA_CACHE: dict[int, tuple[int, int]] = {}
-_SQRT2_CACHE: dict[int, tuple[int, int]] = {}
-_BETA3_CACHE: dict[int, tuple[int, int]] = {}
-_CBRT2_CACHE: dict[int, tuple[int, int]] = {}
-_CBRT4_CACHE: dict[int, tuple[int, int]] = {}
+# each root as (lo, hi) integer numerators at scale 2^bits, hi = lo + 1,
+# cached per bit count
 
 
+@cache
 def beta_bounds(bits: int) -> tuple[int, int]:
-    if bits not in _BETA_CACHE:
-        lo = ifourth_root(2 << (4 * bits))
-        _BETA_CACHE[bits] = (lo, lo + 1)
-    return _BETA_CACHE[bits]
+    lo = ifourth_root(2 << (4 * bits))
+    return lo, lo + 1
 
 
+@cache
 def sqrt2_bounds(bits: int) -> tuple[int, int]:
-    if bits not in _SQRT2_CACHE:
-        lo = isqrt(2 << (2 * bits))
-        _SQRT2_CACHE[bits] = (lo, lo + 1)
-    return _SQRT2_CACHE[bits]
+    lo = isqrt(2 << (2 * bits))
+    return lo, lo + 1
 
 
+@cache
 def beta3_bounds(bits: int) -> tuple[int, int]:
     # beta^3 = 2^(3/4) = fourth root of 8
-    if bits not in _BETA3_CACHE:
-        lo = ifourth_root(8 << (4 * bits))
-        _BETA3_CACHE[bits] = (lo, lo + 1)
-    return _BETA3_CACHE[bits]
+    lo = ifourth_root(8 << (4 * bits))
+    return lo, lo + 1
 
 
+@cache
 def cbrt2_bounds(bits: int) -> tuple[int, int]:
-    if bits not in _CBRT2_CACHE:
-        lo = icbrt(2 << (3 * bits))
-        _CBRT2_CACHE[bits] = (lo, lo + 1)
-    return _CBRT2_CACHE[bits]
+    lo = icbrt(2 << (3 * bits))
+    return lo, lo + 1
 
 
+@cache
 def cbrt4_bounds(bits: int) -> tuple[int, int]:
-    if bits not in _CBRT4_CACHE:
-        lo = icbrt(4 << (3 * bits))
-        _CBRT4_CACHE[bits] = (lo, lo + 1)
-    return _CBRT4_CACHE[bits]
+    lo = icbrt(4 << (3 * bits))
+    return lo, lo + 1
 
 
 def quartic_bounds(bits: int):

@@ -18,7 +18,8 @@ from math import lcm
 
 from .construction import paper_generators
 from .errors import NonIntegralInput, NotUnimodular, QuarticError
-from .intervals import DEFAULT_BITS, Interval, interval_json
+from .intervals import (DEFAULT_BITS, Interval, dyadic_bounds, interval_json,
+                        quartic_bounds)
 from .linalg import (
     EmbeddedMat2,
     MatClass,
@@ -164,19 +165,48 @@ class LimitCheckReport:
         }
 
 
-def _entry_grid(m: RingMat2):
-    return [[m.e11, m.e12], [m.e21, m.e22]]
+def _scaled_targets(targets: LimitTargets, bits: int):
+    """The residuals' int scale, the lcm of 2^bits and the target endpoints'
+    denominators, and each position's (u, v) targets, row-major, as int
+    (lo, hi) pairs at that scale."""
+    ivs = [iv for grid in (targets.u, targets.v) for row in grid for iv in row]
+    scale = lcm(1 << bits,
+                *(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
+    ends = [(int(iv.lo * scale), int(iv.hi * scale)) for iv in ivs]
+    return scale, list(zip(ends[:4], ends[4:]))
 
 
-def _entry_residuals(e: QuarticElem, u: Interval, v: Interval,
-                     bits: int) -> tuple[Interval, Interval, Interval]:
+def _part_bounds(pairs, bits: int, scale: int):
+    """Int enclosures at scale of the even parts x + y b^2 and of the odd
+    parts x b + y b^3 of the coefficient pairs (x, y), as two dicts.
+
+    dyadic_bounds adds one term per coefficient, so the enclosures of an
+    entry's even and odd parts sum, bound for bound, to the entry's own."""
+    mult = scale >> bits
+    even, odd = {}, {}
+    for x, y in pairs:
+        lo, hi = dyadic_bounds(x, (0, y, 0), quartic_bounds, bits)
+        even[x, y] = lo * mult, hi * mult
+        lo, hi = dyadic_bounds(0, (x, 0, y), quartic_bounds, bits)
+        odd[x, y] = lo * mult, hi * mult
+    return even, odd
+
+
+def _abs_diff(lo: int, hi: int, t_lo: int = 0, t_hi: int = 0):
+    """The enclosure |[lo, hi] - [t_lo, t_hi]| (as Interval.__abs__)."""
+    lo, hi = lo - t_hi, hi - t_lo
+    return max(lo, -hi, 0), max(hi, -lo)
+
+
+def _residuals(even, odd, coeffs, u, v):
     """Residual enclosures of one entry p + q b + r b^2 + s b^3 against its
-    targets: the even part p - r b^2 against u, the odd part q b - s b^3
-    against zero, and the second view against v."""
-    p, q, r, s = e.coeffs()
-    return (abs(QuarticElem(p, 0, -r, 0).interval(bits) - u),
-            abs(QuarticElem(0, q, 0, -s).interval(bits)),
-            abs(e.conj_even().interval(bits) - v))
+    targets, read from the part enclosures: the even part p - r b^2 against
+    u, the odd part q b - s b^3 against zero, and the second view
+    (p + r b^2) - (q b + s b^3) against v."""
+    p, q, r, s = coeffs
+    (e_lo, e_hi), (o_lo, o_hi) = even[p, r], odd[q, s]
+    return (_abs_diff(*even[p, -r], *u), _abs_diff(*odd[q, -s]),
+            _abs_diff(e_lo - o_hi, e_hi - o_lo, *v))
 
 
 # condition iv: (report key, embedding, accepted classes); the second view
@@ -207,10 +237,15 @@ def check_limit_conditions(candidate: LimitCandidate,
     if m.det() != ONE:
         raise NotUnimodular("candidate must have determinant one")
 
-    cells = [[_entry_residuals(e, targets.u[i][j], targets.v[i][j], bits)
-              for j, e in enumerate(row)]
-             for i, row in enumerate(_entry_grid(m))]
-    res_i, res_ii, res_iii = ([[cell[n] for cell in row] for row in cells]
+    scale, tgt = _scaled_targets(targets, bits)
+    grid = candidate.coeff_grid()
+    even, odd = _part_bounds({(x, t * y) for c0, c1, c2, c3 in grid
+                              for x, y in ((c0, c2), (c1, c3))
+                              for t in (1, -1)}, bits, scale)
+    ivs = [[Interval(Fraction(lo, scale), Fraction(hi, scale))
+            for lo, hi in _residuals(even, odd, e, u, v)]
+           for e, (u, v) in zip(grid, tgt)]
+    res_i, res_ii, res_iii = ([[ivs[0][n], ivs[1][n]], [ivs[2][n], ivs[3][n]]]
                               for n in range(3))
     odd_zero = all(e.in_even_subring() for e in m.entries())
     cond_iv = {name: classify(m, k) in ok for name, k, ok in _CONDITION_IV}
@@ -281,6 +316,20 @@ def _pairs_within(ka: list[int], order_a: list[int], kb: list[int],
             yield a, b
 
 
+def _rank_tables(bound: int, targets: LimitTargets, bits: int):
+    """Per-position rank tables, row-major, over the entries with
+    |coefficients| <= bound in itertools.product order: each rank is the
+    sum of the entry's three residual upper ends, an int at the returned
+    scale.  Only the (2 bound + 1)^2 coefficient pairs are enclosed, never
+    an entry on its own."""
+    scale, tgt = _scaled_targets(targets, bits)
+    rng = range(-bound, bound + 1)
+    even, odd = _part_bounds(itertools.product(rng, repeat=2), bits, scale)
+    entries = list(itertools.product(rng, repeat=4))
+    return scale, [[sum(hi for _, hi in _residuals(even, odd, e, u, v))
+                    for e in entries] for u, v in tgt]
+
+
 def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
                             count: int = 25,
                             bits: int = DEFAULT_BITS) -> list[LimitCandidate]:
@@ -290,8 +339,8 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
     ``check_limit_conditions``, ties broken by the coefficients.
 
     The rank is a sum of per-entry terms, so each position gets a table of
-    entry ranks as ints over one common denominator and a hit's key is four
-    lookups.  The det = 1 constraint x11 x22 = 1 + x12 x21 is a join of
+    entry ranks as ints at one scale (``_rank_tables``) and a hit's key is
+    four lookups.  The det = 1 constraint x11 x22 = 1 + x12 x21 is a join of
     diagonal products against off-diagonal ones, run in threshold rounds
     (Fagin, Lotem and Naor's threshold algorithm): each round indexes only
     the diagonal and off-diagonal entry pairs that can be half of a hit
@@ -306,15 +355,8 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
         raise ValueError("count must be positive")
     targets = targets or default_targets(bits)
     _, q = paper_generators()
-    rng = range(-bound, bound + 1)
-    entries = list(itertools.product(rng, repeat=4))
-    elems = [QuarticElem(*t) for t in entries]
-    ranks = [[sum(iv.hi for iv in _entry_residuals(
-                  x, targets.u[i][j], targets.v[i][j], bits)) for x in elems]
-             for i in (0, 1) for j in (0, 1)]
-    den = lcm(*(r.denominator for table in ranks for r in table))
-    k11, k12, k21, k22 = ([r.numerator * (den // r.denominator) for r in table]
-                          for table in ranks)
+    scale, (k11, k12, k21, k22) = _rank_tables(bound, targets, bits)
+    entries = list(itertools.product(range(-bound, bound + 1), repeat=4))
     o11, o12, o21, o22 = (sorted(range(len(t)), key=t.__getitem__)
                           for t in (k11, k12, k21, k22))
     lo_diag = k11[o11[0]] + k22[o22[0]]
@@ -327,7 +369,7 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
     # top - lo_off and its off-diagonal half within top - lo_diag, so each
     # round finds every hit with key <= top; a full list whose worst key is
     # <= top is then final, since every hit left unfound ranks after it
-    slack = den
+    slack = scale
     while True:
         top = lo_diag + lo_off + slack
         products: dict[tuple, list[tuple[int, int]]] = {}
@@ -353,8 +395,7 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
                     continue
                 idx = (i11, i12, i21, i22)
                 if idx not in passed:
-                    mat = RingMat2(elems[i11], elems[i12], elems[i21],
-                                   elems[i22])
+                    mat = RingMat2(*(QuarticElem(*entries[i]) for i in idx))
                     # scalar +-I (trace +-2) fails condition iv, so it never
                     # reaches share_eigenvector, which rejects scalars
                     ok = (all(classify(mat, k) in cls

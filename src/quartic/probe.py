@@ -30,7 +30,8 @@ from .linalg import (
     sqrt_of_square_interval,
     view_dist4,
 )
-from .projective import PingPongCertificate, certify_exponent
+from .projective import (PingPongCertificate, certify_exponent,
+                         free_pair_power)
 from .ring import ONE, QuarticElem, field_quantity_N
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
@@ -117,9 +118,7 @@ def enumerate_words(depth: int):
 
 
 def _generator_powers(n: int, pair=None) -> list[RingMat2]:
-    if pair is None:
-        pair = paper_generators()
-    p, q = pair
+    p, q = pair or paper_generators()
     pn = p ** n
     qn = q ** n
     return [pn, pn.inv(), qn, qn.inv()]
@@ -288,11 +287,8 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     witness = ReducedWord(ties[0])
     wmat = evaluate_word(witness, n, pair)
     ident = RingMat2.identity()
-    factors = {
-        "s0": sqrt_of_square_interval(entry_dist_sq(wmat, ident, 0), bits),
-        "s1": sqrt_of_square_interval(entry_dist_sq(wmat, ident, 1), bits),
-        "s2": sqrt_of_square_interval(entry_dist_sq(wmat, ident, 2), bits),
-    }
+    factors = {f"s{k}": sqrt_of_square_interval(
+        entry_dist_sq(wmat, ident, k), bits) for k in range(3)}
     cumulative = []
     running = None
     for length in range(1, depth + 1):
@@ -326,20 +322,24 @@ class FreenessCertificate:
         return not self.identity_hits
 
 
-def freeness_certificate(n: int, pair=None,
+def freeness_certificate(n: int | None, pair=None,
                          crosscheck_depth: int = 8) -> FreenessCertificate:
     """Ping-pong certificate at the given exponent for the sigma2 views,
     cross-checked by exhaustive exact evaluation: no nonempty reduced word
-    up to the cross-check depth may evaluate to plus or minus identity."""
-    if n < 1 or crosscheck_depth < 1:
+    up to the cross-check depth may evaluate to plus or minus identity.
+    With n None the exponent is the least one ``free_pair_power`` finds,
+    and the certificate its search ended on is the one cross-checked."""
+    if (n is not None and n < 1) or crosscheck_depth < 1:
         raise ValueError("need a positive exponent and cross-check depth")
-    if pair is None:
-        pair = paper_generators()
+    pair = pair or paper_generators()
     p, q = pair
-    cert = certify_exponent(p.real_view(2), q.real_view(2), n)
-    if cert is None:
-        raise ValueError(f"no ping-pong certificate at exponent {n}")
-    gens, den = int_matrices(_generator_powers(n, pair))
+    if n is None:
+        cert = free_pair_power(p, q).certificate
+    else:
+        cert = certify_exponent(p.real_view(2), q.real_view(2), n)
+        if cert is None:
+            raise ValueError(f"no ping-pong certificate at exponent {n}")
+    gens, den = int_matrices(_generator_powers(cert.exponent, pair))
     ones = [den ** k for k in range(crosscheck_depth + 1)]
     hits: list[tuple[int, ...]] = []
     count = 0
@@ -350,7 +350,7 @@ def freeness_certificate(n: int, pair=None,
         if is_scalar4(mat, one) or is_scalar4(mat, -one):
             hits += (codes, _inverse_codes(codes))
     hits.sort()
-    return FreenessCertificate(n, cert, crosscheck_depth, count,
+    return FreenessCertificate(cert.exponent, cert, crosscheck_depth, count,
                                [str(ReducedWord(c)) for c in hits])
 
 

@@ -51,8 +51,7 @@ from quartic.ring import QuarticElem, field_quantity_N
 from quartic.cli import (
     PSI_P_REFERENCE,
     PSI_Q_DISPLAYED,
-    _random_cubic_sl2,
-    _random_sl2_even,
+    _random_sl2,
     _random_word_matrix,
 )
 
@@ -88,10 +87,10 @@ def test_criterion_02_multiplicativity():
         b = _random_word_matrix(rng, P, Q)
         assert regular_rep(a * b, 4) == regular_rep(a, 4) * regular_rep(b, 4)
     for _ in range(50):
-        a, b = _random_sl2_even(rng), _random_sl2_even(rng)
+        a, b = _random_sl2(rng, 2), _random_sl2(rng, 2)
         assert regular_rep(a * b, 2) == regular_rep(a, 2) * regular_rep(b, 2)
     for _ in range(50):
-        a, b = _random_cubic_sl2(rng), _random_cubic_sl2(rng)
+        a, b = _random_sl2(rng, 3), _random_sl2(rng, 3)
         assert regular_rep(a * b, 3) == regular_rep(a, 3) * regular_rep(b, 3)
     report(2, "representation multiplicativity for ranks 8, 4 and 6", t0)
 

@@ -9,6 +9,7 @@ import sys
 import jsonschema
 
 import quartic
+from quartic import probe, projective
 from quartic.cli import main
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -171,3 +172,25 @@ def test_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_certify_reuses_the_searched_certificate(monkeypatch, capsys):
+    """The exponent search ends on a certificate at its exponent; certify
+    cross-checks that one instead of building it again."""
+    exponents = []
+    real = projective.certify_exponent
+
+    def spy(a, b, n, sep=None):
+        exponents.append(n)
+        return real(a, b, n, sep)
+
+    monkeypatch.setattr(projective, "certify_exponent", spy)
+    monkeypatch.setattr(probe, "certify_exponent", spy)
+    code, blob = run_json(capsys, "certify")
+    assert code == 0
+    assert exponents == [1, 2, 4, 3]
+    assert blob["inputs"] == {"N": 3}
+    exponents.clear()
+    code, again = run_json(capsys, "certify", "--N", "3")
+    assert exponents == [3]
+    assert again == blob

@@ -1,16 +1,26 @@
 """Limit-candidate checker and bounded search."""
 
+import functools
+import hashlib
+import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quartic
+from quartic import intervals, limits, ring
 from quartic.construction import paper_generators
 from quartic.errors import NonIntegralInput, NotUnimodular
-from quartic.intervals import DEFAULT_BITS
+from quartic.intervals import DEFAULT_BITS, Interval
 from quartic.limits import (
     LimitCandidate,
-    _entry_grid,
-    _entry_residuals,
+    LimitTargets,
+    _rank_tables,
     check_limit_conditions,
     default_targets,
     margin_uniformity_probe,
@@ -20,6 +30,55 @@ from quartic.linalg import MatClass, RingMat2, classify, share_eigenvector
 from quartic.ring import QuarticElem, galois
 
 P, Q = paper_generators()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# targets with endpoints over 3, so the rank scale is not a power of two
+THIRDS = LimitTargets(
+    [[Interval(Fraction(5, 3), Fraction(2)), Interval(Fraction(1, 3))],
+     [Interval(Fraction(-4, 3), Fraction(-2, 3)), Interval(Fraction(0))]],
+    [[Interval(Fraction(-1, 3), Fraction(1, 3)), Interval(Fraction(2, 3))],
+     [Interval(Fraction(-1)), Interval(Fraction(-7, 3), Fraction(4, 3))]])
+
+# frozen at the parent of the integer rank tables: sha256 of the residual
+# grids and notes of check_limit_conditions(.., vi_depth=1, seq_index=3)
+# .to_json() for the eight bound-2 candidates, and of their exact endpoints
+GRIDS_BOUND2_TOP8_SHA256 = (
+    "da6897750ec9adbf1fdbede54bc12c9892f406ad27f3ef1a7881d7941b6fdf28")
+EXACT_BOUND2_TOP8_SHA256 = (
+    "8066271b510bbeb35322d0e502219d12026aa42d32a90897c8b5816814700169")
+# stdout of scripts/limit_candidate_search.py --bound 2 --count 6
+# --margin-L 2, frozen at the same parent
+SCRIPT_STDOUT_SHA256 = (
+    "5376ec7e6205967567771d175bac05cdb2765bebcd26260571246c8f32fa0bf2")
+
+
+def reference_residuals(e: QuarticElem, u: Interval, v: Interval,
+                        bits: int = DEFAULT_BITS):
+    """Slow reference: Fraction enclosures of one entry's residuals, the
+    even part p - r b^2 against u, the odd part q b - s b^3 against zero
+    and the second view against v."""
+    p, q, r, s = e.coeffs()
+    return (abs(QuarticElem(p, 0, -r, 0).interval(bits) - u),
+            abs(QuarticElem(0, q, 0, -s).interval(bits)),
+            abs(e.conj_even().interval(bits) - v))
+
+
+def reference_key(targets: LimitTargets):
+    """Sort key of a candidate in the search order: its reference rank,
+    memoized per position and entry, then its coefficients."""
+    @functools.cache
+    def entry_rank(k: int, coeffs: tuple) -> Fraction:
+        u, v = targets.u[k // 2][k % 2], targets.v[k // 2][k % 2]
+        return sum(iv.hi for iv in reference_residuals(QuarticElem(*coeffs),
+                                                       u, v))
+
+    def key(cand: LimitCandidate):
+        grid = [tuple(row) for row in cand.coeff_grid()]
+        return (sum(entry_rank(k, c) for k, c in enumerate(grid)),
+                [c for row in grid for c in row])
+
+    return key
+
 
 # frozen from the exhaustive bound-1 scan (its own oracle): the four
 # companion-shaped candidates ranked closest to the default targets
@@ -156,19 +215,17 @@ def test_search_bound_two_golden_top25():
     assert [c.matrix.to_text() for c in cands] == GOLDEN_BOUND2_TOP25
 
 
-def test_search_pruning_is_exact():
+@pytest.fixture(scope="module")
+def bound1_all():
     # a count above the number of candidates never prunes, so this is every
     # bound-1 matrix passing conditions iv and viii
-    full = search_limit_candidates(1, count=10 ** 6)
+    return search_limit_candidates(1, count=10 ** 6)
+
+
+def test_search_pruning_is_exact(bound1_all):
+    full = bound1_all
     assert len(full) == 7392
-    targets = default_targets()
-    keys = []
-    for cand in full:
-        rank = sum(iv.hi for i, row in enumerate(_entry_grid(cand.matrix))
-                   for j, e in enumerate(row)
-                   for iv in _entry_residuals(e, targets.u[i][j],
-                                              targets.v[i][j], DEFAULT_BITS))
-        keys.append((rank, [c for row in cand.coeff_grid() for c in row]))
+    keys = list(map(reference_key(default_targets()), full))
     assert keys == sorted(keys)
     # at count 53 a full best list must swap its last entry for a later hit
     # of equal rank and smaller coefficients
@@ -223,3 +280,86 @@ def test_margin_uniformity_accepts_json_candidates():
     cands = search_limit_candidates(1, count=1)
     rows = margin_uniformity_probe([cands[0].to_json()], 2, 2, Fraction(1, 4))
     assert len(rows) == 1
+
+
+def _assert_tables_match_reference(bound, targets):
+    scale, tables = _rank_tables(bound, targets, DEFAULT_BITS)
+    entries = list(itertools.product(range(-bound, bound + 1), repeat=4))
+    for k, table in enumerate(tables):
+        u, v = targets.u[k // 2][k % 2], targets.v[k // 2][k % 2]
+        assert len(table) == len(entries)
+        for coeffs, rank in zip(entries, table):
+            ref = sum(iv.hi for iv in reference_residuals(
+                QuarticElem(*coeffs), u, v))
+            assert Fraction(rank, scale) == ref, (k, coeffs)
+
+
+def test_rank_tables_match_reference_bound_two():
+    _assert_tables_match_reference(2, default_targets())
+
+
+def test_rank_tables_match_reference_thirds():
+    _assert_tables_match_reference(1, THIRDS)
+
+
+def test_search_order_matches_reference_thirds(bound1_all):
+    # conditions iv and viii do not depend on the targets, so the hits are
+    # the bound-1 hits for the default targets in the reference order
+    expected = sorted(bound1_all, key=reference_key(THIRDS))
+    assert expected[:8] != bound1_all[:8]
+    for k in (1, 8, 53):
+        got = search_limit_candidates(1, count=k, targets=THIRDS)
+        assert got == expected[:k]
+
+
+def test_search_encloses_no_entry_on_its_own(monkeypatch):
+    calls = []
+    real = intervals.dyadic_bounds
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(limits, "dyadic_bounds", spy)
+    monkeypatch.setattr(ring, "dyadic_bounds", spy)
+    assert search_limit_candidates(2, count=8)
+    # 50 pair enclosures and 8 targets; one per entry would be 2,500+
+    assert 0 < len(calls) <= 200
+
+
+def test_checker_residual_grids_unchanged():
+    cands = search_limit_candidates(2, count=8)
+    keys = ("residuals_even_part", "residuals_odd_part",
+            "residuals_second_view", "notes")
+    reps = [check_limit_conditions(c, vi_depth=1, seq_index=3)
+            for c in cands]
+    blob = json.dumps([{k: rep.to_json()[k] for k in keys} for rep in reps],
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        GRIDS_BOUND2_TOP8_SHA256)
+    exact = [[[[str(iv.lo), str(iv.hi)] for row in grid for iv in row]
+              for grid in (rep.residuals_i, rep.residuals_ii,
+                           rep.residuals_iii)] for rep in reps]
+    assert hashlib.sha256(json.dumps(exact).encode()).hexdigest() == (
+        EXACT_BOUND2_TOP8_SHA256)
+
+
+def test_checker_residuals_match_reference_thirds():
+    for cand in search_limit_candidates(1, count=6, targets=THIRDS):
+        rep = check_limit_conditions(cand, targets=THIRDS, vi_depth=1)
+        for k, e in enumerate(cand.matrix.entries()):
+            i, j = divmod(k, 2)
+            ref = reference_residuals(e, THIRDS.u[i][j], THIRDS.v[i][j])
+            got = (rep.residuals_i[i][j], rep.residuals_ii[i][j],
+                   rep.residuals_iii[i][j])
+            assert [(g.lo, g.hi) for g in got] == [(r.lo, r.hi) for r in ref]
+
+
+def test_limit_candidate_script_stdout_unchanged():
+    src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "limit_candidate_search.py"),
+         "--bound", "2", "--count", "6", "--margin-L", "2"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == SCRIPT_STDOUT_SHA256

@@ -23,7 +23,7 @@ from quartic.linalg import (
     share_eigenvector,
     spectrum_decomposition_holds,
 )
-from quartic.cli import _random_cubic_sl2, _random_word_matrix
+from quartic.cli import _random_sl2, _random_word_matrix
 from quartic.construction import paper_generators
 from quartic.ring import ONE, QuarticElem, galois
 
@@ -156,7 +156,7 @@ def test_kappa3_uses_cubic_matrices(rng):
     with pytest.raises(WrongSubring):
         regular_rep(Q, 3)
     for _ in range(15):
-        a, b = _random_cubic_sl2(rng), _random_cubic_sl2(rng)
+        a, b = _random_sl2(rng, 3), _random_sl2(rng, 3)
         assert regular_rep(a * b, 3) == regular_rep(a, 3) * regular_rep(b, 3)
         assert regular_rep(a, 3).det() == 1
 
