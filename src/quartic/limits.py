@@ -319,15 +319,33 @@ def _pairs_within(ka: list[int], order_a: list[int], kb: list[int],
 def _rank_tables(bound: int, targets: LimitTargets, bits: int):
     """Per-position rank tables, row-major, over the entries with
     |coefficients| <= bound in itertools.product order: each rank is the
-    sum of the entry's three residual upper ends, an int at the returned
-    scale.  Only the (2 bound + 1)^2 coefficient pairs are enclosed, never
-    an entry on its own."""
+    sum of the entry's three residual upper ends (``_residuals``), an int
+    at the returned scale.  Only the (2 bound + 1)^2 coefficient pairs are
+    enclosed, never an entry on its own.
+
+    Residual i of p + q b + r b^2 + s b^3 depends only on (p, r) and the
+    position, residual ii only on (q, s), so each is taken once per pair.
+    The second-view residual's upper end, max(e_hi - o_lo - v_lo,
+    v_hi - e_lo + o_hi) for the even part e and the odd part o, is one add
+    per entry on each side of the max."""
     scale, tgt = _scaled_targets(targets, bits)
     rng = range(-bound, bound + 1)
-    even, odd = _part_bounds(itertools.product(rng, repeat=2), bits, scale)
-    entries = list(itertools.product(rng, repeat=4))
-    return scale, [[sum(hi for _, hi in _residuals(even, odd, e, u, v))
-                    for e in entries] for u, v in tgt]
+    pairs = list(itertools.product(rng, repeat=2))
+    even, odd = _part_bounds(pairs, bits, scale)
+    by_qs = {(q, s): (_abs_diff(*odd[q, -s])[1], -odd[q, s][0], odd[q, s][1])
+             for q, s in pairs}
+    tables = []
+    for u, (v_lo, v_hi) in tgt:
+        by_pr = {(p, r): (_abs_diff(*even[p, -r], *u)[1],
+                          even[p, r][1] - v_lo, v_hi - even[p, r][0])
+                 for p, r in pairs}
+        table = []
+        for p, q, r, s in itertools.product(rng, repeat=4):
+            res_i, e_up, e_down = by_pr[p, r]
+            res_ii, o_up, o_down = by_qs[q, s]
+            table.append(res_i + res_ii + max(e_up + o_up, e_down + o_down))
+        tables.append(table)
+    return scale, tables
 
 
 def search_limit_candidates(bound: int, targets: LimitTargets | None = None,

@@ -139,16 +139,17 @@ def _inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([_INVERSE[c] for c in reversed(codes)])
 
 
-def walk_words(gens, depth: int, roots=range(4), paired: bool = False):
+def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
+               mul=mul_mat4):
     """Every nonempty reduced word of length <= depth whose first letter is
     in roots, as (codes, matrix) in lexicographic preorder (tuple order).
 
-    gens are the four letters as int 4-tuple matrices over one denominator
-    d (``linalg.int_matrices``); a word of length k comes with its product
-    over d^k, its prefix's matrix times one letter.  With paired, only the
-    word of each {W, W^-1} whose codes sort first is yielded (no reduced
-    word is its own inverse), and a skipped word of full length is never
-    multiplied."""
+    A word's matrix is mul(its prefix's matrix, its last letter).  By
+    default gens are the four letters as int 4-tuple matrices over one
+    denominator d (``linalg.int_matrices``), so a word of length k comes
+    with its product over d^k.  With paired, only the word of each
+    {W, W^-1} whose codes sort first is yielded (no reduced word is its own
+    inverse), and a skipped word of full length is never multiplied."""
     if depth < 1:
         return
     stack = [((c,), gens[c], not paired or _INVERSE[c] >= c)
@@ -164,7 +165,7 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False):
                     child = codes + (c,)
                     keep = not paired or _inverse_codes(child) >= child
                     if keep or not leaf:
-                        stack.append((child, mul_mat4(mat, gens[c]), keep))
+                        stack.append((child, mul(mat, gens[c]), keep))
 
 
 @dataclass
@@ -340,18 +341,53 @@ def freeness_certificate(n: int | None, pair=None,
         if cert is None:
             raise ValueError(f"no ping-pong certificate at exponent {n}")
     gens, den = int_matrices(_generator_powers(cert.exponent, pair))
-    ones = [den ** k for k in range(crosscheck_depth + 1)]
-    hits: list[tuple[int, ...]] = []
-    count = 0
-    # W is +-I exactly when W^-1 is, so each pair is checked once
-    for codes, mat in walk_words(gens, crosscheck_depth, paired=True):
-        count += 2
-        one = ones[len(codes)]
-        if is_scalar4(mat, one) or is_scalar4(mat, -one):
-            hits += (codes, _inverse_codes(codes))
+    count, hits = _crosscheck(gens, den, crosscheck_depth)
     hits.sort()
     return FreenessCertificate(cert.exponent, cert, crosscheck_depth, count,
                                [str(ReducedWord(c)) for c in hits])
+
+
+# The cross-check's filter ring F_p, p = 2^61 - 1: beta -> 2^46 maps Z[beta]
+# onto it, since 2^184 = 2 (mod p).
+_PRIME = (1 << 61) - 1
+_BETA_IMAGE = 1 << 46
+
+
+def _crosscheck(gens, den: int, depth: int) -> tuple[int, list]:
+    """(words counted, hits) over every nonempty reduced word of length
+    <= depth in the int 4-tuple letters gens over den: a hit is the codes of
+    a word whose product is +-I exactly.
+
+    The walk runs in F_p: a word of length k is +-I only if its product
+    over den^k is +-den^k I mod p.  A word that fails that test is not +-I;
+    a word that passes is multiplied out exactly and decided by
+    ``is_scalar4``."""
+    p = _PRIME
+    b = _BETA_IMAGE % p
+    letters = [tuple([(t[0] + b * (t[1] + b * (t[2] + b * t[3]))) % p
+                      for t in g]) for g in gens]
+
+    def mul(x, y):
+        x11, x12, x21, x22 = x
+        y11, y12, y21, y22 = y
+        return ((x11 * y11 + x12 * y21) % p, (x11 * y12 + x12 * y22) % p,
+                (x21 * y11 + x22 * y21) % p, (x21 * y12 + x22 * y22) % p)
+
+    count = 0
+    hits: list[tuple[int, ...]] = []
+    for codes, (m11, m12, m21, m22) in walk_words(letters, depth, mul=mul):
+        count += 1
+        if m12 or m21 or m11 != m22:
+            continue
+        one = den ** len(codes)
+        if m11 not in (one % p, -one % p):
+            continue
+        mat = gens[codes[0]]
+        for c in codes[1:]:
+            mat = mul_mat4(mat, gens[c])
+        if is_scalar4(mat, one) or is_scalar4(mat, -one):
+            hits.append(codes)
+    return count, hits
 
 
 # ---------------------------------------------------------------------------

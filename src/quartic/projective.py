@@ -351,23 +351,6 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     )
 
 
-def covector_annihilates(cov: tuple, p: ProjPoint) -> bool:
-    acc = None
-    for c, x in zip(cov, p.coords):
-        acc = c * x if acc is None else acc + c * x
-    return acc.sign() == Sign.ZERO
-
-
-def power_data(data: HyperbolicLikeData, n: int) -> tuple[ProjPoint, ProjPoint]:
-    """Attracting/repelling points of the n-th power: same pair, swapped
-    when n is negative."""
-    if n == 0:
-        raise ValueError("powers of exponent zero have no fixed-point data")
-    if n > 0:
-        return data.attracting, data.repelling
-    return data.repelling, data.attracting
-
-
 # ---------------------------------------------------------------------------
 # ping-pong on the projective line
 
@@ -418,6 +401,41 @@ class Ball:
         c2 = QuadExt(QuarticElem.parse(obj["center"]["v2"]["a"]),
                      QuarticElem.parse(obj["center"]["v2"]["b"]), d)
         return cls(obj["name"], (c1, c2), Fraction(obj["radius"]))
+
+
+class _FormBall(Ball):
+    """A ball of the certificate search, its membership sign read from one
+    binary quadratic form.
+
+    With cross = p1 c2 - p2 c1 and |c|^2 = c1^2 + c2^2, the value
+    cross^2 - r^2 |p|^2 |c|^2 of ``Ball.membership_sign`` is
+    A p1^2 + B p1 p2 + C p2^2 for A = c2^2 - r^2 |c|^2, B = -2 c1 c2 and
+    C = c1^2 - r^2 |c|^2, built once per (center, radius).  Points are
+    base-field pairs, as every point the search signs.  ``verify_certificate``
+    keeps the direct formula of ``Ball``."""
+
+    def __init__(self, name: str, center: tuple[QuadExt, QuadExt],
+                 radius: Fraction):
+        super().__init__(name, center, radius)
+        c1, c2 = center
+        r2c2 = (c1 * c1 + c2 * c2) * QuarticElem(radius * radius)
+        form = (c2 * c2 - r2c2, c1 * c2 * QuarticElem(-2), c1 * c1 - r2c2)
+        self._a = tuple(f.a for f in form)
+        self._b = tuple(f.b for f in form)
+        # the charts' points at infinity are (1, 0) for u and (0, 1) for s
+        self._excludes = {"u": form[0].sign() == Sign.POSITIVE,
+                          "s": form[2].sign() == Sign.POSITIVE}
+
+    def membership_sign(self, point: tuple) -> Sign:
+        p1, p2 = point
+        x, y, z = p1 * p1, p1 * p2, p2 * p2
+        a0, a1, a2 = self._a
+        b0, b1, b2 = self._b
+        return QuadExt(a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z,
+                       self.center[0].d).sign()
+
+    def excludes_chart_infinity(self, chart: str) -> bool:
+        return self._excludes[chart]
 
 
 def _chart_point(chart: str, t: Fraction) -> tuple[QuarticElem, QuarticElem]:
@@ -806,54 +824,123 @@ def _condition_matrix(cert_a: RingMat2, cert_b: RingMat2,
     return g ** exponent
 
 
-def _build_certificate(a: RingMat2, b: RingMat2, n: int,
-                       rho: Fraction) -> PingPongCertificate | None:
-    balls = _fixed_point_balls(a, b, rho)
-    bits = DEFAULT_BITS
-    ok = False
-    while bits <= 1024:
-        if _balls_disjoint(balls, bits):
-            ok = True
-            break
-        bits *= 2
-    if not ok:
-        return None
-    basepoint = None
-    for cand in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-                 Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3),
-                 Fraction(10), Fraction(-10)):
-        if _point_outside_all(cand, balls):
-            basepoint = cand
-            break
-    if basepoint is None:
-        return None
+# basepoint candidates, in the order the search tries them
+_BASEPOINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+               Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3),
+               Fraction(10), Fraction(-10))
 
-    conditions = []
-    for name in _CONDITIONS:
+
+def _search_region(ball: Ball, kind: str):
+    """(region, outer) of a condition of the kind on its source ball, or
+    None.  The interval helpers check at the region's ends what
+    ``_region_membership_ok`` checks, so the search needs no second check."""
+    region = (_outer_interval(ball) if kind == "interval"
+              else _inner_interval(ball))
+    if region is None:
+        return None
+    outer = Fraction(1)
+    if kind == "complement":
+        bound = max(abs(region[0]), abs(region[1]), Fraction(4))
+        outer = Fraction(2 ** (bound.numerator // bound.denominator).bit_length() * 2)
+    return region, outer
+
+
+class _PairSearch:
+    """The certificate search state of one hyperbolic pair (a, b).
+
+    It checks the pair's hypotheses and computes each exact quantity once
+    for every exponent and radius it is asked about: the fixed points (one
+    ``eigen2`` per generator), their six chordal distances per precision,
+    each generator power, and per radius the balls as quadratic forms, the
+    disjointness precision, the basepoint and each region.  A step
+    condition (exponent +-1) is certified once per radius for every
+    exponent, so a failed attempt costs only its complement conditions."""
+
+    def __init__(self, a: RingMat2, b: RingMat2):
+        for m, label in ((a, "first"), (b, "second")):
+            if classify(m, 0) != MatClass.HYPERBOLIC:
+                raise NotHyperbolicLike(f"{label} input is not hyperbolic")
+        if share_eigenvector(a, b, 0):
+            raise HypothesisViolated("fixed-point sets intersect")
+        self.gens = {"A": a, "B": b}
+        self.centers = {name: ball.center for name, ball
+                        in _fixed_point_balls(a, b, Fraction(1)).items()}
+        self._memo: dict = {}
+        self.sep = self._separation()
+
+    def _once(self, key, compute):
+        """compute() the first time key is asked for, its value after."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def _distances(self, bits: int) -> list[Fraction]:
+        """Lower ends of the six pairwise chordal distances of the fixed
+        points, from ``proj_dist`` at bits."""
+        def compute():
+            pts = [ProjPoint(self.centers[k]) for k in sorted(self.centers)]
+            return [proj_dist(p, q, bits).lo
+                    for i, p in enumerate(pts) for q in pts[i + 1:]]
+        return self._once(("distances", bits), compute)
+
+    def _separation(self) -> Fraction:
+        """A certified positive lower bound on the fixed points' separation."""
+        for bits in (64, 128, 256, 512):
+            try:
+                sep = min(self._distances(bits))
+            except UndecidedComparison:
+                continue
+            if sep > 0:
+                return sep
+        raise HypothesisViolated("fixed points too close to separate")
+
+    def _rung(self, rho: Fraction):
+        """(balls, disjointness bits, basepoint) at radius rho, or None when
+        the balls overlap or no basepoint lies outside them: then rho fails
+        at every exponent."""
+        balls = {name: _FormBall(name, c, rho)
+                 for name, c in self.centers.items()}
+        bits = next((bits for bits in (DEFAULT_BITS << k for k in range(5))
+                     if all(lo > 2 * rho for lo in self._distances(bits))), None)
+        basepoint = None if bits is None else next(
+            (t for t in _BASEPOINTS if _point_outside_all(t, balls)), None)
+        return None if basepoint is None else (balls, bits, basepoint)
+
+    def _condition(self, rho: Fraction, balls: dict[str, _FormBall],
+                   name: str, n: int) -> MappingCondition | None:
+        """The named condition at exponent n on the balls of radius rho,
+        certified, or None."""
         gen, expo, source, target, kind = _condition_spec(name, n)
-        if kind == "interval":
-            region = _outer_interval(balls[source])
-        else:
-            region = _inner_interval(balls[source])
-        if region is None:
+
+        def compute():
+            region = self._once(("region", rho, name),
+                                lambda: _search_region(balls[source], kind))
+            if region is None:
+                return None
+            cond = MappingCondition(name, gen, expo, region[0], kind,
+                                    region[1], target)
+            m = self._once(("power", gen, expo),
+                           lambda: self.gens[gen] ** expo)
+            return cond if _certify_condition(m, cond, balls)[0] else None
+        return self._once(("condition", rho, name, expo), compute)
+
+    def certificate(self, n: int, rho: Fraction) -> PingPongCertificate | None:
+        """The certificate at exponent n and radius rho, or None."""
+        rung = self._once(("rung", rho), lambda: self._rung(rho))
+        if rung is None:
             return None
-        outer = Fraction(1)
-        if kind == "complement":
-            bound = max(abs(region[0]), abs(region[1]), Fraction(4))
-            outer = Fraction(2 ** (bound.numerator // bound.denominator).bit_length() * 2)
-        cond = MappingCondition(name=name, generator=gen, exponent=expo,
-                                region=region, region_kind=kind, outer=outer,
-                                target=target)
-        if not _region_membership_ok(cond, balls, source):
-            return None
-        m = _condition_matrix(a, b, gen, expo)
-        good, _reason = _certify_condition(m, cond, balls)
-        if not good:
-            return None
-        conditions.append(cond)
-    return PingPongCertificate(
-        exponent=n, gen_a=a, gen_b=b, balls=balls, conditions=conditions,
-        basepoint=basepoint, disjointness_bits=bits)
+        balls, bits, basepoint = rung
+        conditions = []
+        for name in _CONDITIONS:
+            cond = self._condition(rho, balls, name, n)
+            if cond is None:
+                return None
+            conditions.append(cond)
+        return PingPongCertificate(
+            exponent=n, gen_a=self.gens["A"], gen_b=self.gens["B"],
+            balls={k: Ball(k, b.center, b.radius) for k, b in balls.items()},
+            conditions=conditions, basepoint=basepoint,
+            disjointness_bits=bits)
 
 
 # the checker's precision cap: a certificate may not ask for more
@@ -925,47 +1012,21 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
     return (not problems), problems
 
 
-def _validate_pingpong_pair(a: RingMat2, b: RingMat2) -> Fraction:
-    """Hypothesis checks; returns a certified lower bound on the minimal
-    pairwise distance of the four fixed points."""
-    for m, label in ((a, "first"), (b, "second")):
-        if classify(m, 0) != MatClass.HYPERBOLIC:
-            raise NotHyperbolicLike(f"{label} input is not hyperbolic")
-    if share_eigenvector(a, b, 0):
-        raise HypothesisViolated("fixed-point sets intersect")
-    balls_probe = _fixed_point_balls(a, b, Fraction(1, 4))
-    sep = None
-    for bits in (64, 128, 256, 512):
-        try:
-            vals = []
-            names = sorted(balls_probe)
-            for i, n1 in enumerate(names):
-                for n2 in names[i + 1:]:
-                    vals.append(proj_dist(balls_probe[n1].center_point(),
-                                          balls_probe[n2].center_point(), bits).lo)
-            sep = min(vals)
-            if sep > 0:
-                break
-        except UndecidedComparison:
-            continue
-    if sep is None or sep <= 0:
-        raise HypothesisViolated("fixed points too close to separate")
-    return sep
-
-
 def certify_exponent(a: RingMat2, b: RingMat2, n: int,
-                     sep: Fraction | None = None) -> PingPongCertificate | None:
+                     search: _PairSearch | None = None
+                     ) -> PingPongCertificate | None:
     """Certificate at the given exponent, or None; the radius ladder starts
-    at a quarter of the fixed-point separation."""
+    at a quarter of the fixed-point separation.  A caller that tries several
+    exponents of one pair passes them one ``_PairSearch``."""
     if n < 1:
         raise ValueError("exponent must be at least 1")
-    if sep is None:
-        sep = _validate_pingpong_pair(a, b)
-    rho = _dyadic_near(sep / 4)
+    if search is None:
+        search = _PairSearch(a, b)
+    rho = _dyadic_near(search.sep / 4)
     for _ in range(6):
         if rho <= 0:
             break
-        cert = _build_certificate(a, b, n, rho)
+        cert = search.certificate(n, rho)
         if cert is not None:
             return cert
         rho = rho / 2
@@ -974,12 +1035,13 @@ def certify_exponent(a: RingMat2, b: RingMat2, n: int,
 
 def pingpong_exponent(a: RingMat2, b: RingMat2,
                       max_exponent: int = 1 << 16) -> PingPongCertificate:
-    """Smallest certified exponent via doubling-then-bisection search."""
-    sep = _validate_pingpong_pair(a, b)
+    """Smallest certified exponent via doubling-then-bisection search, all of
+    it on one ``_PairSearch``."""
+    search = _PairSearch(a, b)
     n = 1
     cert = None
     while n <= max_exponent:
-        cert = certify_exponent(a, b, n, sep)
+        cert = certify_exponent(a, b, n, search)
         if cert is not None:
             break
         n *= 2
@@ -990,7 +1052,7 @@ def pingpong_exponent(a: RingMat2, b: RingMat2,
     best = cert
     while lo < hi:
         mid = (lo + hi) // 2
-        c = certify_exponent(a, b, mid, sep)
+        c = certify_exponent(a, b, mid, search)
         if c is not None:
             best = c
             hi = mid

@@ -15,6 +15,7 @@ from quartic.linalg import (
     ring_matrix,
     sqrt_of_square_interval,
 )
+from quartic import probe
 from quartic.probe import (
     ReducedWord,
     discreteness_margin,
@@ -280,6 +281,58 @@ def test_freeness_certificate_smoke():
     assert cert.ok()
     assert cert.words_checked == word_count(5) - 1
     assert cert.pingpong.exponent == 3
+
+
+# S^4 = T^6 = I, so short words of this pair are +-I
+_S = RingMat2(QuarticElem(0), QuarticElem(-1), QuarticElem(1), QuarticElem(0))
+_T = RingMat2(QuarticElem(1), QuarticElem(-1), QuarticElem(1), QuarticElem(0))
+
+
+def _reference_hits(pair, depth):
+    """The codes of every nonempty reduced word of length <= depth that is
+    +-I, from exact RingMat2 products."""
+    hits = []
+    for w in enumerate_words(depth):
+        m = evaluate_word(w, 1, pair)
+        if len(w) and (m.is_identity() or m.is_neg_identity()):
+            hits.append(w.codes)
+    return sorted(hits)
+
+
+def _crosscheck_of(pair, depth):
+    gens, den = int_matrices([pair[0], pair[0].inv(), pair[1], pair[1].inv()])
+    count, hits = probe._crosscheck(gens, den, depth)
+    return count, sorted(hits)
+
+
+def test_crosscheck_finds_the_relators_of_a_torsion_pair():
+    count, hits = _crosscheck_of((_S, _T), 6)
+    assert count == word_count(6) - 1
+    assert hits == _reference_hits((_S, _T), 6)
+    assert (0, 0) in hits and (2, 2, 2) in hits and (3, 3, 3) in hits
+
+
+def test_crosscheck_agrees_with_exact_walk_under_a_weak_filter(monkeypatch):
+    # 2^4 = 2 (mod 7) as well, so F_7 is a filter ring for beta -> 2^46 too;
+    # about a quarter of the paper words pass it, and the exact fallback
+    # rejects each of them
+    exact_checks = []
+    real = probe.is_scalar4
+
+    def spy(m, s):
+        exact_checks.append(s)
+        return real(m, s)
+
+    strong = freeness_certificate(3, crosscheck_depth=6)
+    strong_relators = _crosscheck_of((_S, _T), 5)
+    monkeypatch.setattr(probe, "_PRIME", 7)
+    monkeypatch.setattr(probe, "is_scalar4", spy)
+    weak = freeness_certificate(3, crosscheck_depth=6)
+    assert exact_checks
+    assert weak.words_checked == strong.words_checked == word_count(6) - 1
+    assert weak.identity_hits == strong.identity_hits == []
+    assert _crosscheck_of((_S, _T), 5) == strong_relators
+    assert strong_relators[1] == _reference_hits((_S, _T), 5)
 
 
 # ---------------------------------------------------------------------------

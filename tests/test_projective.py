@@ -7,25 +7,25 @@ import pytest
 
 from quartic.construction import paper_generators
 from quartic.errors import HypothesisViolated, NotHyperbolicLike
+from quartic.extension import QuadExt
 from quartic.linalg import RingMat2, int_matrices, is_scalar4, regular_rep
 from quartic.probe import walk_words
 from quartic import projective
 from quartic.projective import (
+    Ball,
     PingPongCertificate,
     ProjPoint,
     analyze_dominance,
-    covector_annihilates,
     dominant_eigenvalue,
     free_pair_power,
     hyperbolic_like,
     noncommuting_check,
     pingpong_exponent,
-    power_data,
     proj_dist,
     proj_equal,
     verify_certificate,
 )
-from quartic.ring import ONE, ZERO, QuarticElem
+from quartic.ring import ONE, ZERO, QuarticElem, Sign
 
 P, Q = paper_generators()
 A2 = P.real_view(2)
@@ -71,13 +71,19 @@ def test_hyperbolic_like_psi():
     assert hyperbolic_like(regular_rep(Q, 4)) is None
 
 
+def _annihilates(cov, point):
+    """Whether the covector's dot product with the point is exactly zero."""
+    return sum((c * x for c, x in zip(cov[1:], point.coords[1:])),
+               cov[0] * point.coords[0]).is_zero()
+
+
 def test_hyperbolic_like_cross_membership():
     data = hyperbolic_like(regular_rep(P, 4))
     assert data.dim == 8
-    assert covector_annihilates(data.cross_minus, data.attracting)
-    assert covector_annihilates(data.cross_plus, data.repelling)
-    assert not covector_annihilates(data.cross_plus, data.attracting)
-    assert not covector_annihilates(data.cross_minus, data.repelling)
+    assert _annihilates(data.cross_minus, data.attracting)
+    assert _annihilates(data.cross_plus, data.repelling)
+    assert not _annihilates(data.cross_plus, data.attracting)
+    assert not _annihilates(data.cross_minus, data.repelling)
 
 
 def test_hyperbolic_like_dim2_crosses_are_opposite_points():
@@ -96,12 +102,6 @@ def test_power_compatibility():
     inverse = hyperbolic_like(B2.inv())
     assert proj_equal(base.attracting, inverse.repelling)
     assert proj_equal(base.repelling, inverse.attracting)
-    att, rep = power_data(base, 5)
-    assert proj_equal(att, base.attracting) and proj_equal(rep, base.repelling)
-    att, rep = power_data(base, -5)
-    assert proj_equal(att, base.repelling) and proj_equal(rep, base.attracting)
-    with pytest.raises(ValueError):
-        power_data(base, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,77 @@ def test_pingpong_search_tries_no_exponent_twice(monkeypatch, certificate):
     assert tried == [1, 2, 4, 3]
     assert cert.to_json_text() == certificate.to_json_text()
     assert cert.to_json_text() == real(A2, B2, 3).to_json_text()
+
+
+def test_search_form_signs_match_the_checker_formula(monkeypatch):
+    """Every point the search signs on the paper pair gets the sign of the
+    checker's direct formula."""
+    seen = []
+    real = projective._FormBall.membership_sign
+
+    def spy(ball, point):
+        sign = real(ball, point)
+        seen.append((ball, point, sign))
+        return sign
+
+    monkeypatch.setattr(projective._FormBall, "membership_sign", spy)
+    cert = projective.certify_exponent(A2, B2, 3)
+    assert cert is not None and len(seen) > 50
+    for ball, point, sign in seen:
+        assert Ball.membership_sign(ball, point) == sign, (ball.name, point)
+
+
+def _edge_slopes(ball, side, bits=40):
+    """Rational slopes (inside, outside) of the ball 2^-bits apart at one
+    edge (side +1 or -1), bisected with the checker's formula."""
+    c1, c2 = ball.center
+    inside = (c2 * c1.inv()).interval().lo
+    # a chordal radius r spans about r (1 + s^2) in slope s
+    outside = inside + side * (1 + inside * inside)
+    assert ball.membership_sign((ONE, QuarticElem(inside))) == Sign.NEGATIVE
+    assert ball.membership_sign((ONE, QuarticElem(outside))) == Sign.POSITIVE
+    for _ in range(bits):
+        mid = (inside + outside) / 2
+        if ball.membership_sign((ONE, QuarticElem(mid))) == Sign.NEGATIVE:
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
+
+
+@pytest.mark.parametrize("halvings", [0, 1])
+def test_form_signs_at_the_ball_edges(certificate, halvings):
+    for ball in certificate.balls.values():
+        rho = ball.radius / 2 ** halvings
+        plain = Ball(ball.name, ball.center, rho)
+        form = projective._FormBall(ball.name, ball.center, rho)
+        for side in (1, -1):
+            for t, want in zip(_edge_slopes(plain, side),
+                               (Sign.NEGATIVE, Sign.POSITIVE)):
+                for point in ((ONE, QuarticElem(t)), (QuarticElem(t), ONE)):
+                    assert plain.membership_sign(point) == \
+                        form.membership_sign(point)
+                assert form.membership_sign((ONE, QuarticElem(t))) == want
+        for chart in ("s", "u"):
+            assert (form.excludes_chart_infinity(chart)
+                    == plain.excludes_chart_infinity(chart))
+
+
+def test_form_sign_zero_on_the_boundary():
+    # the chordal ball of radius 3/5 around slope 0 has slopes +-3/4 on its
+    # boundary: (3/4)^2 / (1 + (3/4)^2) = (3/5)^2
+    d = QuarticElem(2)
+    center = (QuadExt.of_base(ONE, d), QuadExt.of_base(ZERO, d))
+    for rho, edge in ((Fraction(3, 5), Fraction(3, 4)),
+                      (Fraction(4, 5), Fraction(4, 3))):
+        plain = Ball("c", center, rho)
+        form = projective._FormBall("c", center, rho)
+        for t, want in ((edge, Sign.ZERO), (-edge, Sign.ZERO),
+                        (edge * (1 - Fraction(1, 2 ** 30)), Sign.NEGATIVE),
+                        (edge * (1 + Fraction(1, 2 ** 30)), Sign.POSITIVE)):
+            point = (ONE, QuarticElem(t))
+            assert plain.membership_sign(point) == want
+            assert form.membership_sign(point) == want
 
 
 def test_pingpong_same_matrix_rejected():
