@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 import enum
 
 from .cubic import CubicMat2
@@ -263,40 +264,63 @@ def classify(a: RingMat2, k: int) -> MatClass:
 # regular representations
 
 
-@dataclass(frozen=True)
 class RegularRep:
-    """2k x 2k rational matrix, the image of a 2x2 matrix over Z[2^(1/k)]."""
+    """2k x 2k rational matrix, the image of a 2x2 matrix over Z[2^(1/k)].
 
-    kappa: int
-    entries: tuple[tuple[Fraction, ...], ...]
-    source: object = None
+    Stored as int rows over one positive denominator ``den``, reduced (the
+    entries and ``den`` share no factor), so equal matrices have equal
+    storage, an integral matrix has ``den`` 1, and a product is one int
+    matrix product."""
+
+    __slots__ = ("kappa", "rows", "den", "source")
+
+    def __init__(self, kappa: int, rows, den: int = 1, source=None):
+        if den != 1:
+            g = gcd(den, *(c for row in rows for c in row))
+            if g != 1:
+                rows = tuple(tuple(c // g for c in row) for row in rows)
+                den //= g
+        self.kappa, self.rows, self.den, self.source = kappa, rows, den, source
+
+    def __repr__(self) -> str:
+        return f"RegularRep({self.kappa}, {self.rows!r}, den={self.den})"
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions."""
+        return tuple(tuple(Fraction(c, self.den) for c in row)
+                     for row in self.rows)
 
     def __mul__(self, other: "RegularRep") -> "RegularRep":
         if self.kappa != other.kappa:
             raise ValueError("mixed block sizes")
-        n = 2 * self.kappa
-        a, b = self.entries, other.entries
-        rows = tuple(
-            tuple(sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n))
-            for i in range(n))
-        return RegularRep(self.kappa, rows)
+        cols = tuple(zip(*other.rows))
+        rows = tuple(tuple([sum(map(mul, row, col)) for col in cols])
+                     for row in self.rows)
+        return RegularRep(self.kappa, rows, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegularRep):
             return NotImplemented
-        return self.kappa == other.kappa and self.entries == other.entries
+        return (self.kappa == other.kappa and self.den == other.den
+                and self.rows == other.rows)
+
+    def __hash__(self):
+        return hash((self.kappa, self.den, self.rows))
 
     def is_identity(self) -> bool:
-        n = 2 * self.kappa
-        return all(self.entries[i][j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(n))
+        return self.den == 1 and all(c == (i == j)
+                                     for i, row in enumerate(self.rows)
+                                     for j, c in enumerate(row))
 
     def det(self) -> Fraction:
-        return det_fraction([list(r) for r in self.entries])
+        return Fraction(_bareiss_det(self.rows), self.den ** len(self.rows))
 
     def to_int_grid(self) -> list[list]:
-        return [[c if c.denominator != 1 else int(c) for c in row]
-                for row in self.entries]
+        """The entries, each an int when integral and a Fraction otherwise."""
+        d = self.den
+        return [[c // d if c % d == 0 else Fraction(c, d) for c in row]
+                for row in self.rows]
 
 
 def _block(coeffs, kappa: int):
@@ -310,67 +334,62 @@ def regular_rep(a, kappa: int) -> RegularRep:
     """The 2k x 2k rational image of a; kappa selects the ground ring.
 
     kappa = 4 takes a RingMat2 over Q(beta); kappa = 2 requires the entries
-    to lie in Q(sqrt2); kappa = 3 takes a CubicMat2 over Q(2^(1/3)).
+    to lie in Q(sqrt2); kappa = 3 takes a CubicMat2 over Q(2^(1/3)).  The
+    image is built on the entries' int coefficients over their least common
+    denominator.
     """
     if kappa == 3:
         if not isinstance(a, CubicMat2):
             raise WrongSubring("kappa = 3 needs a matrix over Q(2^(1/3))")
-        blocks = [_block(e.coeffs(), 3) for e in a.entries()]
+        coeff_lists = [e.int_coeffs() for e in a.entries()]
     elif kappa in (2, 4):
         if not isinstance(a, RingMat2):
             raise WrongSubring(f"kappa = {kappa} needs a matrix over Q(beta)")
         coeff_lists = []
         for e in a.entries():
+            c, d = e.int_coeffs()
             if kappa == 2:
                 if not e.in_even_subring():
                     raise WrongSubring(
                         f"entry {e.to_text()} is not in Q(sqrt2)")
-                coeff_lists.append((e.q0, e.q2))
-            else:
-                coeff_lists.append(e.coeffs())
-        blocks = [_block(cs, kappa) for cs in coeff_lists]
+                c = (c[0], c[2])
+            coeff_lists.append((c, d))
     else:
         raise ValueError(f"kappa must be 2, 3 or 4, not {kappa}")
 
-    b11, b12, b21, b22 = blocks
-    rows = []
-    for i in range(kappa):
-        rows.append(tuple(b11[i]) + tuple(b12[i]))
-    for i in range(kappa):
-        rows.append(tuple(b21[i]) + tuple(b22[i]))
-    return RegularRep(kappa, tuple(tuple(Fraction(c) for c in r) for r in rows),
-                      source=a)
+    den = lcm(*(d for _, d in coeff_lists))
+    b11, b12, b21, b22 = (_block([x * (den // d) for x in c], kappa)
+                          for c, d in coeff_lists)
+    rows = [tuple(b11[i] + b12[i]) for i in range(kappa)]
+    rows += [tuple(b21[i] + b22[i]) for i in range(kappa)]
+    return RegularRep(kappa, tuple(rows), den, source=a)
 
 
 # ---------------------------------------------------------------------------
 # exact rational matrix helpers
 
 
-def det_fraction(rows) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+def _bareiss_det(rows) -> int:
+    """Determinant of a square int matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i, row_k = m[i], m[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 def charpoly_fraction(rows) -> list[Fraction]:
@@ -639,10 +658,10 @@ def entry_dist_sq(a: RingMat2, b: RingMat2, k: int) -> QuarticElem:
 def int_matrices(mats) -> tuple[list, int]:
     """The matrices as int 4-tuple matrices over their least common
     denominator d: returns (out, d) with mats[i] = out[i] / d."""
-    coeffs = [[e.coeffs() for e in m.entries()] for m in mats]
-    d = lcm(*[c.denominator for m in coeffs for e in m for c in e])
-    return [tuple([tuple([c.numerator * (d // c.denominator) for c in e])
-                   for e in m]) for m in coeffs], d
+    ints = [[e.int_coeffs() for e in m.entries()] for m in mats]
+    d = lcm(*[e_d for m in ints for _, e_d in m])
+    return [tuple([tuple([c * (d // e_d) for c in cs]) for cs, e_d in m])
+            for m in ints], d
 
 
 def elem4(t, d: int) -> QuarticElem:
@@ -658,13 +677,24 @@ def ring_matrix(m, d: int) -> RingMat2:
 
 
 def mul_mat4(a, b):
-    """Product of two int 4-tuple matrices."""
+    """Product of two int 4-tuple matrices: each entry is x*y + z*w for
+    pairs of 4-tuples, the two ``ring.mul4`` bodies written out as one."""
     out = []
-    for x, y, z, w in ((a[0], b[0], a[1], b[2]), (a[0], b[1], a[1], b[3]),
-                       (a[2], b[0], a[3], b[2]), (a[2], b[1], a[3], b[3])):
-        p0, p1, p2, p3 = mul4(x, y)
-        q0, q1, q2, q3 = mul4(z, w)
-        out.append((p0 + q0, p1 + q1, p2 + q2, p3 + q3))
+    for (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3), \
+            (w0, w1, w2, w3) in ((a[0], b[0], a[1], b[2]),
+                                 (a[0], b[1], a[1], b[3]),
+                                 (a[2], b[0], a[3], b[2]),
+                                 (a[2], b[1], a[3], b[3])):
+        # beta^4 = 2 folds degrees 4..6 back down
+        out.append((
+            x0 * y0 + z0 * w0 + 2 * (x1 * y3 + x2 * y2 + x3 * y1
+                                     + z1 * w3 + z2 * w2 + z3 * w1),
+            x0 * y1 + x1 * y0 + z0 * w1 + z1 * w0
+            + 2 * (x2 * y3 + x3 * y2 + z2 * w3 + z3 * w2),
+            x0 * y2 + x1 * y1 + x2 * y0 + z0 * w2 + z1 * w1 + z2 * w0
+            + 2 * (x3 * y3 + z3 * w3),
+            x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0
+            + z0 * w3 + z1 * w2 + z2 * w1 + z3 * w0))
     return tuple(out)
 
 
@@ -752,6 +782,29 @@ def view_dist4(xs, k: int) -> tuple[int, int, tuple]:
     # [lo^2, hi^2]; rounded outward to scale 2^FILTER_BITS
     shift = 2 * bits - FILTER_BITS
     return lo * lo >> shift, -(-(hi * hi) >> shift), mul4(x, x)
+
+
+def entry_exceeds(xs, k: int, bound: int) -> bool:
+    """Whether integer bounds prove |sigma_k(x)|^2 * 2^FILTER_BITS > bound
+    for some x of the int 4-tuples xs, entry by entry: then
+    ``view_dist4(xs, k)`` exceeds every value enclosed below bound.  False
+    proves nothing."""
+    for c0, c1, c2, c3 in xs:
+        if k & 1:
+            lo = filter_bounds(c0 * c0 + 2 * c2 * c2 - 4 * c1 * c3,
+                               (0, c1 * c1 + 2 * c3 * c3 - 2 * c0 * c2, 0),
+                               quartic_bounds)[0]
+        else:
+            if k:
+                c1, c3 = -c1, -c3
+            lo, hi = filter_bounds(c0, (c1, c2, c3), quartic_bounds)
+            # |x| * 2^FILTER_BITS >= lo >= 0, so
+            # x^2 * 2^FILTER_BITS >= lo^2 >> FILTER_BITS
+            lo = lo if lo > 0 else -hi if hi < 0 else 0
+            lo = lo * lo >> FILTER_BITS
+        if lo > bound:
+            return True
+    return False
 
 
 def _abs_sign(x, y) -> int:

@@ -21,6 +21,7 @@ from .linalg import (
     compare_enclosed,
     elem4,
     entry_dist_sq,
+    entry_exceeds,
     eps_thresholds,
     int_matrices,
     is_scalar4,
@@ -82,15 +83,6 @@ class ReducedWord:
 
     def inverse(self) -> "ReducedWord":
         return ReducedWord(tuple(_INVERSE[c] for c in reversed(self.codes)))
-
-    def concat(self, other: "ReducedWord") -> "ReducedWord":
-        codes = list(self.codes)
-        for c in other.codes:
-            if codes and _INVERSE[codes[-1]] == c:
-                codes.pop()
-            else:
-                codes.append(c)
-        return ReducedWord(codes)
 
 
 def word_count(depth: int) -> int:
@@ -205,8 +197,11 @@ def _scan_subtree(gens, den: int, first: int, depth: int,
     entries of W^-1 - I are those of W - I, moved and sign-changed), so only
     the word of each pair whose codes sort first is measured, and a tie
     records both.  Every distance is taken over the one denominator
-    den^(2 depth) and enclosed (``linalg.view_dist4``).  Returns (min or
-    None, tie words, per-length minima), the values enclosed int 4-tuples."""
+    den^(2 depth) and enclosed (``linalg.view_dist4``); a word with one
+    entry whose bounds exceed its length's running minimum
+    (``linalg.entry_exceeds``) is skipped before any distance is taken.
+    Returns (min or None, tie words, per-length minima), the values
+    enclosed int 4-tuples."""
     ones = [den ** k for k in range(depth + 1)]
     scales = ones[::-1]
     va, vb = views
@@ -216,11 +211,16 @@ def _scan_subtree(gens, den: int, first: int, depth: int,
     for codes, mat in walk_words(gens, depth, (first,), paired=True):
         length = len(codes)
         xs = minus_identity4(mat, ones[length], scales[length])
-        d = view_dist4(xs, va)
         cur = per_len.get(length)
+        # one view already beats this length's minimum, and so the running
+        # best (best <= cur): the word changes nothing.  Most words are
+        # rejected from one entry's bounds in either view; the rest compare
+        # exactly.
+        if cur is not None and (entry_exceeds(xs, va, cur[1])
+                                or entry_exceeds(xs, vb, cur[1])):
+            continue
+        d = view_dist4(xs, va)
         if cur is not None and compare_enclosed(d, cur) > 0:
-            # one view already beats this length's minimum, and so the
-            # running best (best <= cur): the word changes nothing
             continue
         d1 = view_dist4(xs, vb)
         if compare_enclosed(d1, d) > 0:

@@ -410,16 +410,17 @@ class _FormBall(Ball):
     With cross = p1 c2 - p2 c1 and |c|^2 = c1^2 + c2^2, the value
     cross^2 - r^2 |p|^2 |c|^2 of ``Ball.membership_sign`` is
     A p1^2 + B p1 p2 + C p2^2 for A = c2^2 - r^2 |c|^2, B = -2 c1 c2 and
-    C = c1^2 - r^2 |c|^2, built once per (center, radius).  Points are
-    base-field pairs, as every point the search signs.  ``verify_certificate``
-    keeps the direct formula of ``Ball``."""
+    C = c1^2 - r^2 |c|^2, built once per (center, radius) from the center's
+    ``_center_terms`` (computed here unless given).  Points are base-field
+    pairs, as every point the search signs.  ``verify_certificate`` keeps
+    the direct formula of ``Ball``."""
 
     def __init__(self, name: str, center: tuple[QuadExt, QuadExt],
-                 radius: Fraction):
+                 radius: Fraction, terms=None):
         super().__init__(name, center, radius)
-        c1, c2 = center
-        r2c2 = (c1 * c1 + c2 * c2) * QuarticElem(radius * radius)
-        form = (c2 * c2 - r2c2, c1 * c2 * QuarticElem(-2), c1 * c1 - r2c2)
+        c11, c22, b, norm = terms or _center_terms(center)
+        r2c2 = norm * QuarticElem(radius * radius)
+        form = (c22 - r2c2, b, c11 - r2c2)
         self._a = tuple(f.a for f in form)
         self._b = tuple(f.b for f in form)
         # the charts' points at infinity are (1, 0) for u and (0, 1) for s
@@ -436,6 +437,14 @@ class _FormBall(Ball):
 
     def excludes_chart_infinity(self, chart: str) -> bool:
         return self._excludes[chart]
+
+
+def _center_terms(center: tuple[QuadExt, QuadExt]) -> tuple:
+    """(c1^2, c2^2, -2 c1 c2, |c|^2) of a ball center c = (c1, c2): the
+    radius-free parts of its ``_FormBall`` form."""
+    c1, c2 = center
+    c11, c22 = c1 * c1, c2 * c2
+    return c11, c22, c1 * c2 * QuarticElem(-2), c11 + c22
 
 
 def _chart_point(chart: str, t: Fraction) -> tuple[QuarticElem, QuarticElem]:
@@ -851,10 +860,11 @@ class _PairSearch:
     It checks the pair's hypotheses and computes each exact quantity once
     for every exponent and radius it is asked about: the fixed points (one
     ``eigen2`` per generator), their six chordal distances per precision,
-    each generator power, and per radius the balls as quadratic forms, the
-    disjointness precision, the basepoint and each region.  A step
-    condition (exponent +-1) is certified once per radius for every
-    exponent, so a failed attempt costs only its complement conditions."""
+    each generator power, the radius-free terms of each center's form, and
+    per radius the balls as quadratic forms, the disjointness precision,
+    the basepoint and each region.  A step condition (exponent +-1) is
+    certified once per radius for every exponent, so a failed attempt
+    costs only its complement conditions."""
 
     def __init__(self, a: RingMat2, b: RingMat2):
         for m, label in ((a, "first"), (b, "second")):
@@ -898,8 +908,10 @@ class _PairSearch:
         """(balls, disjointness bits, basepoint) at radius rho, or None when
         the balls overlap or no basepoint lies outside them: then rho fails
         at every exponent."""
-        balls = {name: _FormBall(name, c, rho)
-                 for name, c in self.centers.items()}
+        balls = {}
+        for name, c in self.centers.items():
+            terms = self._once(("center", name), lambda: _center_terms(c))
+            balls[name] = _FormBall(name, c, rho, terms)
         bits = next((bits for bits in (DEFAULT_BITS << k for k in range(5))
                      if all(lo > 2 * rho for lo in self._distances(bits))), None)
         basepoint = None if bits is None else next(

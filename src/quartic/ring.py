@@ -288,6 +288,10 @@ class QuarticElem:
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(map(_fraction, self._c, (self._d,) * 4))
 
+    def int_coeffs(self) -> tuple[tuple[int, int, int, int], int]:
+        """(c, d): the coefficients as the reduced ints c over d > 0."""
+        return self._c, self._d
+
     def to_text(self) -> str:
         if self._d == 1:
             return " ".join(map(str, self._c))

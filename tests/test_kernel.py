@@ -28,6 +28,7 @@ from quartic.linalg import (
     compare_enclosed,
     enclosed,
     entry_dist_sq,
+    entry_exceeds,
     ring_matrix,
     view_dist4,
 )
@@ -319,6 +320,23 @@ def test_view_dist4_matches_entry_dist_sq(p1, p2, k):
     zero = RingMat2(0, 0, 0, 0)
     assert QuarticElem(*t) == entry_dist_sq(ring_matrix(xs, 1), zero, k)
     assert encloses(lo, hi, t)
+
+
+@given(near_pair(), near_pair(), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=-6, max_value=6))
+def test_entry_exceeds_only_on_proof(p1, p2, k, step):
+    """True only when the view distance t satisfies t * 2^FILTER_BITS > bound
+    exactly, for bounds at and around the enclosure's ends; a bound far
+    below a distance that is not tiny is always rejected."""
+    xs = [*p1, *p2]
+    lo, hi, t = view_dist4(xs, k)
+    scaled = [c << FILTER_BITS for c in t]
+    for bound in (lo + step, hi + step, lo - 1, hi):
+        if entry_exceeds(xs, k, bound):
+            assert sign4((scaled[0] - bound, *scaled[1:])) > 0
+    assert not entry_exceeds(xs, k, hi)
+    if lo >= 1 << 20:
+        assert entry_exceeds(xs, k, lo // 2)
 
 
 @given(near_pair())

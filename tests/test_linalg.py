@@ -1,6 +1,10 @@
 """Matrices, classification, regular representations, eigen data."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic.errors import (
     NotUnimodular,
@@ -24,6 +28,7 @@ from quartic.linalg import (
     spectrum_decomposition_holds,
 )
 from quartic.cli import _random_sl2, _random_word_matrix
+from quartic.cubic import CubicElem, CubicMat2
 from quartic.construction import paper_generators
 from quartic.ring import ONE, QuarticElem, galois
 
@@ -173,6 +178,142 @@ def test_charpoly_leading_coefficients():
     assert coeffs[0] == 1
     assert coeffs[-1] == 1          # det of an SL2 source block structure
     assert coeffs == embedded_charpoly_product(P)
+
+
+# ---------------------------------------------------------------------------
+# regular representations against a Fraction-grid reference
+#
+# The reference builds each block column by column as the coefficients of
+# x * r^j (r^kappa = 2) on Fraction tuples, and multiplies, compares and
+# takes determinants on Fraction grids by the schoolbook rules.
+
+
+def ref_block(coeffs, kappa):
+    cols = []
+    for j in range(kappa):
+        col = [Fraction(0)] * kappa
+        for i, c in enumerate(coeffs):
+            k = i + j
+            col[k % kappa] += c * (2 if k >= kappa else 1)
+        cols.append(col)
+    return [[cols[j][i] for j in range(kappa)] for i in range(kappa)]
+
+
+def ref_grid(mat, kappa):
+    coeffs = [e.coeffs() for e in mat.entries()]
+    if kappa == 2:
+        coeffs = [(c[0], c[2]) for c in coeffs]
+    b11, b12, b21, b22 = (ref_block(c, kappa) for c in coeffs)
+    return ([b11[i] + b12[i] for i in range(kappa)]
+            + [b21[i] + b22[i] for i in range(kappa)])
+
+
+def ref_grid_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][l] * b[l][j] for l in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def ref_det(grid):
+    m = [row[:] for row in grid]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def ref_int_grid(grid):
+    return [[int(c) if c.denominator == 1 else c for c in row]
+            for row in grid]
+
+
+rep_coeff = st.one_of(st.integers(min_value=-9, max_value=9).map(Fraction),
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=6))
+
+
+def rep_entry(kappa, cs):
+    cs = [int(c) if c.denominator == 1 else c for c in cs]
+    if kappa == 3:
+        return CubicElem(*cs)
+    if kappa == 2:
+        return QuarticElem(cs[0], 0, cs[1], 0)
+    return QuarticElem(*cs)
+
+
+@st.composite
+def rep_matrix(draw, kappa):
+    """A 2x2 matrix over the kappa ring, integral or not."""
+    width = 2 if kappa == 2 else kappa
+    cells = [rep_entry(kappa, draw(st.lists(rep_coeff, min_size=width,
+                                            max_size=width)))
+             for _ in range(4)]
+    return CubicMat2(*cells) if kappa == 3 else RingMat2(*cells)
+
+
+def _typed(grid):
+    return [[(type(c), c) for c in row] for row in grid]
+
+
+def _check_rep(a, b, kappa):
+    ra, rb = regular_rep(a, kappa), regular_rep(b, kappa)
+    ga, gb = ref_grid(a, kappa), ref_grid(b, kappa)
+    assert _typed(ra.to_int_grid()) == _typed(ref_int_grid(ga))
+    assert [list(row) for row in ra.entries] == ga
+    assert ra.det() == ref_det(ga)
+    prod = ra * rb
+    assert prod.to_int_grid() == ref_int_grid(ref_grid_mul(ga, gb))
+    assert prod == regular_rep(a * b, kappa)
+    assert (ra == rb) == (ga == gb)
+    identity = [[Fraction(int(i == j)) for j in range(2 * kappa)]
+                for i in range(2 * kappa)]
+    assert ra.is_identity() == (ga == identity)
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_regular_rep_matches_fraction_reference(kappa, data):
+    a = data.draw(rep_matrix(kappa))
+    b = data.draw(st.one_of(rep_matrix(kappa), st.just(a)))
+    _check_rep(a, b, kappa)
+
+
+def _inverse_pair(kappa):
+    """[[1/2, 2/3 r], [0, 2]] and its inverse [[2, -2/3 r], [0, 1/2]] over
+    the kappa ring, r = 2^(1/kappa)."""
+    if kappa == 3:
+        r = CubicElem(0, Fraction(2, 3), 0)
+        one = CubicElem(1)
+        return (CubicMat2(one * Fraction(1, 2), r, one * 0, one * 2),
+                CubicMat2(one * 2, -r, one * 0, one * Fraction(1, 2)))
+    r = (QuarticElem(0, 0, Fraction(2, 3), 0) if kappa == 2
+         else QuarticElem(0, Fraction(2, 3), 0, 0))
+    a = RingMat2(Fraction(1, 2), r, 0, 2)
+    return a, a.inv()
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+def test_regular_rep_non_integral_inverse_pair(kappa):
+    a, b = _inverse_pair(kappa)
+    _check_rep(a, b, kappa)
+    _check_rep(b, a, kappa)
+    ra, rb = regular_rep(a, kappa), regular_rep(b, kappa)
+    assert ra.den == 6 and not ra.is_identity()
+    assert (ra * rb).is_identity() and (ra * rb).den == 1
+    assert ra.det() == 1 and rb.det() == 1
+    assert (ra * rb).to_int_grid() == [[int(i == j) for j in range(2 * kappa)]
+                                       for i in range(2 * kappa)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from quartic.linalg import (
     ring_matrix,
     sqrt_of_square_interval,
 )
-from quartic import probe
+from quartic import linalg, probe
 from quartic.probe import (
     ReducedWord,
     discreteness_margin,
@@ -80,7 +80,9 @@ def test_evaluate_word_homomorphism(rng):
     for _ in range(500):
         u = words[rng.randrange(len(words))]
         v = words[rng.randrange(len(words))]
-        assert (evaluate_word(u.concat(v), 2)
+        if probe._INVERSE[u.codes[-1]] == v.codes[0]:
+            continue            # u v is not freely reduced as written
+        assert (evaluate_word(ReducedWord(u.codes + v.codes), 2)
                 == evaluate_word(u, 2) * evaluate_word(v, 2))
 
 
@@ -224,6 +226,10 @@ def _unpaired_margin(n, depth, pair, views):
     (2, 3, (2, 3), "rational"),
     # subtrees scanned by pool workers
     (2, 4, (0, 1), "paper_threads2"),
+    # the complex-first views, and a depth where most words are rejected
+    # from one entry's bounds
+    (2, 4, (2, 3), "paper"),
+    (1, 7, (0, 1), "paper"),
 ])
 def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
     pair, threads = {
@@ -240,6 +246,32 @@ def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
     assert [w.codes for w in rep.ties] == ties
     assert [(d, iv.lo, iv.hi) for d, iv in rep.per_depth] == [
         (d, iv.lo, iv.hi) for d, iv in per_depth]
+
+
+def test_margin_falls_through_to_the_exact_path(monkeypatch):
+    """On (P, P) the words equal to I tie at distance zero at several
+    lengths: one entry's bounds cannot reject such a word, so it falls
+    through to view_dist4 and compare_enclosed, whose overlapping bounds
+    go to the exact sign4.  Counted by spies on both helpers."""
+    calls = {"rejected": 0, "fell_through": 0, "sign4": 0}
+    real_exceeds, real_sign4 = probe.entry_exceeds, linalg.sign4
+
+    def exceeds(xs, k, bound):
+        hit = real_exceeds(xs, k, bound)
+        calls["rejected" if hit else "fell_through"] += 1
+        return hit
+
+    def sign4(t):
+        calls["sign4"] += 1
+        return real_sign4(t)
+
+    monkeypatch.setattr(probe, "entry_exceeds", exceeds)
+    monkeypatch.setattr(linalg, "sign4", sign4)
+    rep = discreteness_margin(1, 4, pair=(P, P))
+    assert min(calls.values()) > 0, calls
+    best, ties, _ = _unpaired_margin(1, 4, (P, P), (0, 1))
+    assert rep.margin_sq == best == 0
+    assert [w.codes for w in rep.ties] == ties
 
 
 def test_margin_requires_unimodular_generators():
