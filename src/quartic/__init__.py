@@ -44,7 +44,6 @@ from .projective import (
 )
 from .construction import (
     paper_generators,
-    GammaGenerators,
     check_conditions,
     conjugation_record,
     chebyshev,

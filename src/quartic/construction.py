@@ -20,7 +20,6 @@ from .projective import ProjPoint, noncommuting_check, proj_dist
 from .ring import (
     ONE,
     ZERO,
-    QuadRat,
     QuarticElem,
     Sign,
     Signedness,
@@ -30,6 +29,7 @@ from .ring import (
     galois,
     gamma,
     signedness,
+    sqrt2_text,
 )
 
 
@@ -39,38 +39,6 @@ def paper_generators() -> tuple[RingMat2, RingMat2]:
     p = RingMat2(QuarticElem(5, -3, 1, -2), ONE, -ONE, ZERO)
     q = RingMat2(QuarticElem(3, 0, 2, 0), ONE, -ONE, ZERO)
     return p, q
-
-
-@dataclass
-class GammaGenerators:
-    """The product-group generators f = (P^N, sigma1(P^N)) and
-    g = (Q^N, sigma1(Q^N)), kept as the base powers plus embedding views."""
-
-    P: RingMat2
-    Q: RingMat2
-    N: int
-
-    def f_base(self) -> RingMat2:
-        return self.P ** self.N
-
-    def g_base(self) -> RingMat2:
-        return self.Q ** self.N
-
-    def f_pair(self):
-        m = self.f_base()
-        return m, m.embed(1)
-
-
-def make_generators(n: int | None = None) -> GammaGenerators:
-    """Product-group generators at the given exponent; when n is omitted the
-    exponent comes from the ping-pong certificate search."""
-    p, q = paper_generators()
-    if n is None:
-        from .projective import free_pair_power
-        n = free_pair_power(p, q).exponent
-    if n < 1:
-        raise ValueError("exponent must be a positive integer")
-    return GammaGenerators(p, q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -85,23 +53,20 @@ class ChebyshevPair:
     a: int
     b: int
 
-    def value(self) -> QuadRat:
-        return QuadRat(self.a, self.b)
+
+_CHEB_CACHE: list[QuarticElem] = [QuarticElem(2), QuarticElem(3, 0, 2)]
+_CHEB2_CACHE: list[QuarticElem] = [ZERO, ONE]
+_TRACE_Q = QuarticElem(3, 0, 2)
 
 
-_CHEB_CACHE: list[QuadRat] = [QuadRat(2), QuadRat(3, 2)]
-_CHEB2_CACHE: list[QuadRat] = [QuadRat(0), QuadRat(1)]
-_TRACE_Q = QuadRat(3, 2)
-
-
-def _cheb_first(n: int) -> QuadRat:
+def _cheb_first(n: int) -> QuarticElem:
     """lambda^n + lambda^-n as an element of Z[sqrt2], n >= 0."""
     while len(_CHEB_CACHE) <= n:
         _CHEB_CACHE.append(_TRACE_Q * _CHEB_CACHE[-1] - _CHEB_CACHE[-2])
     return _CHEB_CACHE[n]
 
 
-def _cheb_second(n: int) -> QuadRat:
+def _cheb_second(n: int) -> QuarticElem:
     """(lambda^n - lambda^-n) / (lambda - lambda^-1) in Z[sqrt2], any n."""
     if n < 0:
         return -_cheb_second(-n)
@@ -110,7 +75,7 @@ def _cheb_second(n: int) -> QuadRat:
     return _CHEB2_CACHE[n]
 
 
-def cheb_value(n: int) -> QuadRat:
+def cheb_value(n: int) -> QuarticElem:
     return _cheb_first(abs(n))
 
 
@@ -118,14 +83,14 @@ def chebyshev(n: int) -> ChebyshevPair:
     if n < 0:
         raise ValueError("nonnegative index expected")
     v = _cheb_first(n)
-    return ChebyshevPair(n, int(v.u), int(v.v))
+    return ChebyshevPair(n, int(v.q0), int(v.q2))
 
 
 def trace_matches_chebyshev(n: int) -> bool:
     """trace(Q^n) = A_n + B_n sqrt2, checked exactly."""
     _, q = paper_generators()
     t = (q ** n).trace()
-    return t.even_quadrat() == cheb_value(n)
+    return t == cheb_value(n)
 
 
 @dataclass
@@ -248,21 +213,20 @@ def _conj_decomposition(zeta, eta, mu, nu, an, bn, cn, dn, map_entry):
     n1 = map_entry(nu - ONE)
     e = map_entry(eta)
     u = map_entry(mu)
-    an_q, bn_q, cn_q, dn_q = (x.as_quartic() for x in (an, bn, cn, dn))
-    e11 = an_q * dn_q * z1 - bn_q * cn_q * n1 + bn_q * dn_q * u - an_q * cn_q * e
-    e12 = an_q * an_q * e - bn_q * bn_q * u - an_q * bn_q * (z1 - n1)
-    e21 = dn_q * dn_q * u - cn_q * cn_q * e + cn_q * dn_q * (z1 - n1)
-    e22 = an_q * dn_q * n1 - bn_q * cn_q * z1 + an_q * cn_q * e - bn_q * dn_q * u
+    e11 = an * dn * z1 - bn * cn * n1 + bn * dn * u - an * cn * e
+    e12 = an * an * e - bn * bn * u - an * bn * (z1 - n1)
+    e21 = dn * dn * u - cn * cn * e + cn * dn * (z1 - n1)
+    e22 = an * dn * n1 - bn * cn * z1 + an * cn * e - bn * dn * u
     return e11, e12, e21, e22
 
 
 @dataclass
 class ConjugationRecord:
     n: int
-    a_n: QuadRat
-    b_n: QuadRat
-    c_n: QuadRat
-    d_n: QuadRat
+    a_n: QuarticElem
+    b_n: QuarticElem
+    c_n: QuarticElem
+    d_n: QuarticElem
     direct: RingMat2
     direct_primed: RingMat2
     closed_forms_match: bool
@@ -283,8 +247,8 @@ class ConjugationRecord:
             return None if x is None else x.to_text()
         return {
             "n": self.n,
-            "a_n": str(self.a_n), "b_n": str(self.b_n),
-            "c_n": str(self.c_n), "d_n": str(self.d_n),
+            "a_n": sqrt2_text(self.a_n), "b_n": sqrt2_text(self.b_n),
+            "c_n": sqrt2_text(self.c_n), "d_n": sqrt2_text(self.d_n),
             "direct": self.direct.to_text(),
             "direct_primed": self.direct_primed.to_text(),
             "closed_forms_match": self.closed_forms_match,
@@ -296,17 +260,17 @@ class ConjugationRecord:
         }
 
 
-def lambda_plus_inverse() -> QuadRat:
+def lambda_plus_inverse() -> QuarticElem:
     """lambda + 1/lambda for the hyperbolic generator: 3 + 2 sqrt2."""
-    return QuadRat(3, 2)
+    return QuarticElem(3, 0, 2)
 
 
-def l_squared() -> QuadRat:
+def l_squared() -> QuarticElem:
     """(lambda - 1/lambda)^2 = 13 + 12 sqrt2."""
-    return (lambda_plus_inverse() * lambda_plus_inverse()) - QuadRat(4)
+    return (lambda_plus_inverse() * lambda_plus_inverse()) - 4
 
 
-def l_squared_inverse() -> QuadRat:
+def l_squared_inverse() -> QuarticElem:
     return l_squared().inv()
 
 
@@ -317,10 +281,7 @@ def conjugation_record(a: RingMat2, n: int) -> ConjugationRecord:
     _, q = paper_generators()
     s2a = a.real_view(2)
     qn = q ** n
-    an = qn.e11.even_quadrat()
-    bn = qn.e12.even_quadrat()
-    cn = qn.e21.even_quadrat()
-    dn = qn.e22.even_quadrat()
+    an, bn, cn, dn = qn.entries()
     checks: dict[str, bool] = {}
 
     # closed forms in the hyperbolic eigenvalue: a_n = psi_{n+1}, etc.
@@ -364,12 +325,12 @@ def conjugation_record(a: RingMat2, n: int) -> ConjugationRecord:
     dn1 = delta(nu - ONE)
     de = delta(eta)
     du = delta(mu)
-    c2n = cheb_value(2 * n).as_quartic()
-    c2nm1 = cheb_value(2 * n - 1).as_quartic()
-    c2np1 = cheb_value(2 * n + 1).as_quartic()
-    lam1 = lambda_plus_inverse().as_quartic()
-    lam2 = cheb_value(2).as_quartic()
-    lsq = l_squared().as_quartic()
+    c2n = cheb_value(2 * n)
+    c2nm1 = cheb_value(2 * n - 1)
+    c2np1 = cheb_value(2 * n + 1)
+    lam1 = lambda_plus_inverse()
+    lam2 = cheb_value(2)
+    lsq = l_squared()
 
     record.s1 = c2n * (dn1 - dz) - c2nm1 * du + c2np1 * de
     record.s2 = c2n * (dz - dn1) + c2nm1 * du - c2np1 * de
@@ -384,18 +345,18 @@ def conjugation_record(a: RingMat2, n: int) -> ConjugationRecord:
         lsq * record.delta_matrix.e22 == lsq + record.s2 + record.r2)
     checks["ent12_closed_form"] = (
         lsq * record.delta_matrix.e12
-        == (cheb_value(2 * n + 2).as_quartic() - 2) * de
+        == (cheb_value(2 * n + 2) - 2) * de
         - (c2n - 2) * du - (c2np1 - lam1) * (dz - dn1))
     # the (2,1) closed form needs "+" on its third term to agree with the
     # bilinear expansion; the sign printed in the reference display fails
     # for n >= 2 whenever delta(zeta-1) != delta(nu-1)
     checks["ent21_closed_form"] = (
         lsq * record.delta_matrix.e21
-        == (cheb_value(2 * n - 2).as_quartic() - 2) * du
+        == (cheb_value(2 * n - 2) - 2) * du
         - (c2n - 2) * de + (c2nm1 - lam1) * (dz - dn1))
     record.ent21_displayed_sign_matches = (
         lsq * record.delta_matrix.e21
-        == (cheb_value(2 * n - 2).as_quartic() - 2) * du
+        == (cheb_value(2 * n - 2) - 2) * du
         - (c2n - 2) * de - (c2nm1 - lam1) * (dz - dn1))
     checks["s1_minus_s1_primed"] = (
         record.s1 - record.s1_primed
@@ -672,12 +633,11 @@ def inequality_probe(a: RingMat2, which: int,
     # which == 14
     expr = (QuarticElem(3, 0, 2, 0) * (delta1(eta) - delta1(mu))
             + 2 * (delta1(nu1) - delta1(zeta1)))
-    cd = expr.even_quadrat()
-    plus = cd.abs()
-    minus = cd.conj().abs()
+    plus = expr.abs()
+    minus = QuarticElem(expr.q0, 0, -expr.q2, 0).abs()
     smaller = plus if (plus - minus).sign() != Sign.POSITIVE else minus
     rec.items.append({
-        "C": str(cd.u), "D": str(cd.v),
+        "C": str(expr.q0), "D": str(expr.q2),
         "abs_c_plus_d_sqrt2": interval_json(plus.interval(bits)),
         "abs_c_minus_d_sqrt2": interval_json(minus.interval(bits)),
         "min_of_pair": interval_json(smaller.interval(bits)),

@@ -37,16 +37,14 @@ from .ring import (
     ONE,
     ZERO,
     EmbeddedComplex,
-    QuadRat,
     QuarticElem,
     Sign,
     galois,
     mul4,
     quad_sign,
     sign4,
+    _elem,
 )
-
-_ZERO_QUADRAT = QuadRat(0)
 
 
 class MatClass(enum.Enum):
@@ -229,7 +227,7 @@ class EmbeddedMat2:
         ), self.k)
 
     def adjugate_inv(self) -> "EmbeddedMat2":
-        one = EmbeddedComplex(ONE, _ZERO_QUADRAT)
+        one = EmbeddedComplex(ONE, ZERO)
         if self.det() != one:
             raise NotUnimodular("embedded inverse implemented for det 1 only")
         e = self.entries
@@ -664,16 +662,9 @@ def int_matrices(mats) -> tuple[list, int]:
             for m in ints], d
 
 
-def elem4(t, d: int) -> QuarticElem:
-    """The element t / d of an int 4-tuple t."""
-    if d == 1:
-        return QuarticElem(*t)
-    return QuarticElem(*[Fraction(c, d) for c in t])
-
-
 def ring_matrix(m, d: int) -> RingMat2:
     """The RingMat2 m / d of an int 4-tuple matrix m."""
-    return RingMat2(*[elem4(e, d) for e in m])
+    return RingMat2(*[_elem(e, d) for e in m])
 
 
 def mul_mat4(a, b):

@@ -19,7 +19,6 @@ from .intervals import DEFAULT_BITS, Interval, interval_json
 from .linalg import (
     RingMat2,
     compare_enclosed,
-    elem4,
     entry_dist_sq,
     entry_exceeds,
     eps_thresholds,
@@ -33,7 +32,7 @@ from .linalg import (
 )
 from .projective import (PingPongCertificate, certify_exponent,
                          free_pair_power)
-from .ring import ONE, QuarticElem, field_quantity_N
+from .ring import ONE, QuarticElem, _elem, field_quantity_N
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
 _INVERSE = (1, 0, 3, 2)
@@ -141,13 +140,16 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
     denominator d (``linalg.int_matrices``), so a word of length k comes
     with its product over d^k.  With paired, only the word of each
     {W, W^-1} whose codes sort first is yielded (no reduced word is its own
-    inverse), and a skipped word of full length is never multiplied."""
+    inverse), and a skipped word of full length is never multiplied.  Each
+    paired stack entry carries its word's inverse codes, so a child's are
+    the parent's with one letter prepended."""
     if depth < 1:
         return
-    stack = [((c,), gens[c], not paired or _INVERSE[c] >= c)
+    stack = [((c,), gens[c], not paired or _INVERSE[c] >= c,
+              (_INVERSE[c],) if paired else None)
              for c in sorted(roots, reverse=True)]
     while stack:
-        codes, mat, keep = stack.pop()
+        codes, mat, keep, inv = stack.pop()
         if keep:
             yield codes, mat
         if len(codes) < depth:
@@ -155,9 +157,11 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
             for c in range(3, -1, -1):
                 if _INVERSE[codes[-1]] != c:
                     child = codes + (c,)
-                    keep = not paired or _inverse_codes(child) >= child
+                    child_inv = (_INVERSE[c],) + inv if paired else None
+                    keep = not paired or child_inv >= child
                     if keep or not leaf:
-                        stack.append((child, mul(mat, gens[c]), keep))
+                        stack.append((child, mul(mat, gens[c]), keep,
+                                      child_inv))
 
 
 @dataclass
@@ -298,8 +302,8 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
                               or compare_enclosed(v, running) < 0):
             running = v
         cumulative.append(
-            (length, sqrt_of_square_interval(elem4(running[2], den2), bits)))
-    margin_sq = elem4(best[2], den2)
+            (length, sqrt_of_square_interval(_elem(running[2], den2), bits)))
+    margin_sq = _elem(best[2], den2)
     return MarginReport(
         n=n, depth=depth, margin_sq=margin_sq,
         margin=sqrt_of_square_interval(margin_sq, bits),

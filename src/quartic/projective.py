@@ -71,10 +71,6 @@ class ProjPoint:
         return [c.interval(bits) for c in self.coords]
 
 
-def _pt_value_sign(x) -> Sign:
-    return x.sign()
-
-
 def _as_ext_parts(x) -> tuple[QuarticElem, QuarticElem, QuarticElem | None]:
     """(a, b, d) for a value a + b sqrt(d); base values carry d = None."""
     if isinstance(x, QuadExt):
@@ -156,7 +152,7 @@ def proj_dist(p: ProjPoint, q: ProjPoint, bits: int = DEFAULT_BITS,
             p2 = p.coords[i] * p.coords[i] if p2 is None else p2 + p.coords[i] * p.coords[i]
             q2 = q.coords[i] * q.coords[i] if q2 is None else q2 + q.coords[i] * q.coords[i]
         num = p2 * q2 - dot * dot       # |p|^2 |q|^2 - (p.q)^2, exact
-        if _pt_value_sign(num) == Sign.ZERO:
+        if num.sign() == Sign.ZERO:
             return Interval(0)
         b = bits
         while True:

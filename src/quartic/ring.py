@@ -1,16 +1,17 @@
-"""Exact arithmetic in Q(beta), beta = 2^(1/4), and in its subfield Q(sqrt2).
+"""Exact arithmetic in Q(beta), beta = 2^(1/4).
 
-An element of Q(beta) is four Python ints over one positive common
-denominator, on the basis {1, beta, beta^2, beta^3}; an element of Q(sqrt2)
-is two ints over one denominator.  Both are kept reduced (the numerators
-and the denominator share no factor), so equal values have equal storage,
-and integral values carry denominator 1 and skip every gcd.  Products
-reduce by beta^4 = 2 (``mul4`` on raw int 4-tuples).  The four Galois
-embeddings send beta to beta * i^k.  Sign determination is exact: zero is
-decided symbolically (the basis is linearly independent over Q), Q(sqrt2)
-signs algebraically (``quad_sign``), and every other nonzero element is
-separated from zero by the one dyadic refinement in
-``intervals.dyadic_sign`` (``sign4`` on raw int 4-tuples).
+An element is four Python ints over one positive common denominator, on
+the basis {1, beta, beta^2, beta^3}, kept reduced (the numerators and the
+denominator share no factor), so equal values have equal storage, and
+integral values carry denominator 1 and skip every gcd.  The subfield
+Q(sqrt2) = Q(beta^2) is the even subring: elements whose beta and beta^3
+coefficients vanish.  Products reduce by beta^4 = 2 (``mul4`` on raw int
+4-tuples).  The four Galois embeddings send beta to beta * i^k.  Sign
+determination is exact: zero is decided symbolically (the basis is
+linearly independent over Q), even-subring signs algebraically
+(``quad_sign``), and every other nonzero element is separated from zero by
+the one dyadic refinement in ``intervals.dyadic_sign`` (``sign4`` on raw
+int 4-tuples).
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .intervals import (
     Interval,
     dyadic_bounds,
     dyadic_sign,
-    from_dyadic_pair,
     quartic_bounds,
-    sqrt2_bounds,
 )
 
 
@@ -105,144 +104,6 @@ def sign4(t) -> int:
 
 
 _new = object.__new__
-
-
-def _quadrat(u: int, v: int, d: int) -> "QuadRat":
-    """(u + v*sqrt2) / d for ints, d > 0, reduced by gcd unless d is 1."""
-    if d != 1:
-        g = gcd(u, v, d)
-        if g != 1:
-            u //= g
-            v //= g
-            d //= g
-    x = _new(QuadRat)
-    x._u = u
-    x._v = v
-    x._d = d
-    return x
-
-
-class QuadRat:
-    """u + v*sqrt(2) with rational u, v.  Sign is decided algebraically."""
-
-    __slots__ = ("_u", "_v", "_d")
-
-    def __init__(self, u, v=0):
-        (self._u, self._v), self._d = _over((u, v))
-
-    @property
-    def u(self) -> Fraction:
-        return _fraction(self._u, self._d)
-
-    @property
-    def v(self) -> Fraction:
-        return _fraction(self._v, self._d)
-
-    def __repr__(self) -> str:
-        return f"QuadRat({self.u}, {self.v})"
-
-    def __str__(self) -> str:
-        return f"{self.u} + {self.v}*sqrt2"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadRat(other)
-        if not isinstance(other, QuadRat):
-            return NotImplemented
-        return self._u == other._u and self._v == other._v and self._d == other._d
-
-    def __hash__(self):
-        if self._d == 1:
-            return hash((self._u, self._v))
-        return hash((self.u, self.v))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadRat(other)
-        elif not isinstance(other, QuadRat):
-            return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _quadrat(self._u + other._u, self._v + other._v, d)
-        return _quadrat(self._u * e + other._u * d, self._v * e + other._v * d, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _quadrat(-self._u, -self._v, self._d)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            return _quadrat(self._u * n, self._v * n, self._d * other.denominator)
-        if not isinstance(other, QuadRat):
-            return NotImplemented
-        u, v, w, z = self._u, self._v, other._u, other._v
-        return _quadrat(u * w + 2 * v * z, u * z + v * w, self._d * other._d)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QuadRat":
-        """Galois conjugate u - v*sqrt(2)."""
-        return _quadrat(self._u, -self._v, self._d)
-
-    def norm(self) -> Fraction:
-        """u^2 - 2 v^2, the field norm down to Q."""
-        return Fraction(self._u * self._u - 2 * self._v * self._v,
-                        self._d * self._d)
-
-    def inv(self) -> "QuadRat":
-        # 1 / ((u + v sqrt2) / d) = d (u - v sqrt2) / (u^2 - 2 v^2)
-        n = self._u * self._u - 2 * self._v * self._v
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        s = -1 if n < 0 else 1
-        return _quadrat(s * self._d * self._u, -s * self._d * self._v, s * n)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * other.inv()
-
-    def is_zero(self) -> bool:
-        return self._u == 0 and self._v == 0
-
-    def is_integral(self) -> bool:
-        return self._d == 1
-
-    def sign(self) -> Sign:
-        return _SIGN[quad_sign(self._u, self._v)]
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadRat(other)
-        return (self - other).sign() == Sign.NEGATIVE
-
-    def __le__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadRat(other)
-        return (self - other).sign() != Sign.POSITIVE
-
-    def abs(self) -> "QuadRat":
-        return -self if self.sign() == Sign.NEGATIVE else self
-
-    def interval(self, bits: int = DEFAULT_BITS) -> Interval:
-        s_lo, s_hi = sqrt2_bounds(bits)
-        base = from_dyadic_pair(s_lo, s_hi, bits).scaled(self.v)
-        return base + Interval(self.u)
-
-    def as_quartic(self) -> "QuarticElem":
-        return _elem((self._u, 0, self._v, 0), self._d)
-
-
-ZERO_Q = QuadRat(0)
-SQRT2 = QuadRat(0, 1)
 
 
 def _elem(c: tuple, d: int) -> "QuarticElem":
@@ -407,13 +268,6 @@ class QuarticElem:
         _, c1, _, c3 = self._c
         return _elem((0, c1, 0, c3), self._d)
 
-    def even_quadrat(self) -> QuadRat:
-        """The element as u + v*sqrt2; requires the odd part to vanish."""
-        if not self.in_even_subring():
-            raise InternalMismatch(f"{self!r} is not in Q(sqrt2)")
-        c0, _, c2, _ = self._c
-        return _quadrat(c0, c2, self._d)
-
     def conj_even(self) -> "QuarticElem":
         """beta -> -beta, the automorphism fixing Q(sqrt2)."""
         c0, c1, c2, c3 = self._c
@@ -424,8 +278,13 @@ class QuarticElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(beta)")
         y = self.conj_even()
-        z = (self * y).even_quadrat()      # relative norm, lives in Q(sqrt2)
-        return y * z.inv().as_quartic()
+        # the relative norm x * y = (u + v sqrt2) / d lies in Q(sqrt2), and
+        # its inverse is d (u - v sqrt2) / (u^2 - 2 v^2)
+        z = self * y
+        u, _, v, _ = z._c
+        n = u * u - 2 * v * v
+        s = -1 if n < 0 else 1
+        return y * _elem((s * z._d * u, 0, -s * z._d * v, 0), s * n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -460,21 +319,30 @@ def _coerce(x) -> QuarticElem | None:
         return x
     if isinstance(x, (int, Fraction)):
         return QuarticElem(x)
-    if isinstance(x, QuadRat):
-        return x.as_quartic()
     return None
 
 
 ZERO = QuarticElem(0)
 ONE = QuarticElem(1)
 BETA = QuarticElem(0, 1)
+SQRT2 = QuarticElem(0, 0, 1)
+
+
+def QuadRat(u, v=0) -> QuarticElem:
+    """u + v*sqrt2 as an element of the even subring Q(sqrt2)."""
+    return QuarticElem(u, 0, v, 0)
+
+
+def sqrt2_text(x: QuarticElem) -> str:
+    """An element of Q(sqrt2) as 'u + v*sqrt2'."""
+    return f"{x.q0} + {x.q2}*sqrt2"
 
 
 class EmbeddedComplex:
     """Exact image of a quartic element under one Galois embedding.
 
     Stored as re + beta * im_scale * i where re is a real element of Q(beta)
-    and im_scale lies in Q(sqrt2).  For the complex embeddings (k = 1, 3)
+    and im_scale an element of Q(beta) with zero odd part.  For the complex embeddings (k = 1, 3)
     the real part always lands in the Q(sqrt2) subring; for the real
     embeddings (k = 0, 2) im_scale is zero and re carries the whole image.
     Arithmetic stays inside a single embedded field.
@@ -482,7 +350,7 @@ class EmbeddedComplex:
 
     __slots__ = ("re", "im_scale")
 
-    def __init__(self, re: QuarticElem, im_scale: QuadRat):
+    def __init__(self, re: QuarticElem, im_scale: QuarticElem):
         self.re = re
         self.im_scale = im_scale
 
@@ -517,24 +385,17 @@ class EmbeddedComplex:
 
     def __mul__(self, other: "EmbeddedComplex") -> "EmbeddedComplex":
         # (r1 + b s1 i)(r2 + b s2 i) = r1 r2 - sqrt2 s1 s2 + b (r1 s2 + r2 s1) i
-        re = self.re * other.re - (SQRT2 * self.im_scale * other.im_scale).as_quartic()
-        im_q = self.re * other.im_scale.as_quartic() + other.re * self.im_scale.as_quartic()
-        if not im_q.in_even_subring():
+        re = self.re * other.re - SQRT2 * self.im_scale * other.im_scale
+        im = self.re * other.im_scale + other.re * self.im_scale
+        if not im.in_even_subring():
             raise InternalMismatch(
                 "product left the embedded field; operands came from "
                 "different embeddings")
-        return EmbeddedComplex(re, im_q.even_quadrat())
+        return EmbeddedComplex(re, im)
 
     def abs2(self) -> QuarticElem:
         """Squared modulus re^2 + sqrt2 * im_scale^2, a real quartic element."""
-        s = self.im_scale
-        u, v = s._u, s._v
-        # sqrt2 (u + v sqrt2)^2 = 4uv + (u^2 + 2v^2) sqrt2, over d^2
-        return self.re * self.re + _elem((4 * u * v, 0, u * u + 2 * v * v, 0),
-                                         s._d * s._d)
-
-    def abs2_quadrat(self) -> QuadRat:
-        return self.abs2().even_quadrat()
+        return self.re * self.re + SQRT2 * self.im_scale * self.im_scale
 
 
 def galois(x: QuarticElem, k: int) -> EmbeddedComplex:
@@ -542,13 +403,13 @@ def galois(x: QuarticElem, k: int) -> EmbeddedComplex:
     if k not in (0, 1, 2, 3):
         raise ValueError(f"embedding index must be 0..3, got {k}")
     if k == 0:
-        return EmbeddedComplex(x, ZERO_Q)
+        return EmbeddedComplex(x, ZERO)
     if k == 2:
-        return EmbeddedComplex(x.conj_even(), ZERO_Q)
+        return EmbeddedComplex(x.conj_even(), ZERO)
     # beta -> +-i beta: (q0 - q2 sqrt2) +- i beta (q1 - q3 sqrt2)
     c0, c1, c2, c3 = x._c
     d = x._d
-    im = _quadrat(c1, -c3, d) if k == 1 else _quadrat(-c1, c3, d)
+    im = _elem((c1, 0, -c3, 0) if k == 1 else (-c1, 0, c3, 0), d)
     return EmbeddedComplex(_elem((c0, 0, -c2, 0), d), im)
 
 
@@ -577,15 +438,14 @@ def field_quantity_N(x: QuarticElem) -> Fraction:
     v = 2 * a * p - m * m - 2 * e * e
     closed = abs(u * u - 2 * v * v)
 
-    prod02 = (x * x.conj_even()).even_quadrat()
+    prod02 = x * x.conj_even()
     z13 = galois(x, 1) * galois(x, 3)
     if not z13.is_real():
         raise InternalMismatch("sigma1(x) * sigma3(x) should be real")
-    prod13 = z13.re.even_quadrat()
-    full = prod02 * prod13
-    if full.v != 0:
+    full = prod02 * z13.re
+    if not full.is_rational():
         raise InternalMismatch("full conjugate product should be rational")
-    oracle = abs(full.u)
+    oracle = abs(full.q0)
 
     if closed != oracle:
         raise InternalMismatch(
@@ -663,10 +523,6 @@ def coeff_norm(x: QuarticElem) -> Fraction:
     return max(abs(c) for c in x.coeffs())
 
 
-def coeff_norm_terms(x: QuarticElem) -> tuple[QuarticElem, ...]:
-    return _term_elems(x)
-
-
 def in_S(x: QuarticElem, eps, c) -> bool:
     """Membership in {x integral : 0 < |x| < eps, |sigma1(x)| < c}, exact."""
     eps = _frac(eps)
@@ -679,8 +535,7 @@ def in_S(x: QuarticElem, eps, c) -> bool:
         return False
     if (x * x - QuarticElem(eps * eps)).sign() != Sign.NEGATIVE:
         return False
-    m2 = galois(x, 1).abs2_quadrat()
-    return (m2 - QuadRat(c * c)).sign() == Sign.NEGATIVE
+    return (galois(x, 1).abs2() - c * c).sign() == Sign.NEGATIVE
 
 
 def delta_submultiplicative_witness(x: QuarticElem, y: QuarticElem):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, schema validity."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 import quartic
 from quartic import probe, projective
@@ -109,6 +111,51 @@ def test_probe_inequality_command(capsys):
     code, blob = run_json(capsys, "probe-inequality", Q_TEXT, "--which", "13")
     assert code == 0
     assert blob["results"][0]["verdict"] == "probe-only"
+
+
+# sha256 of the stdout of each command on SIGNED_TEXT, whose sigma2 view has
+# signed shifted entries, so every gamma/delta branch runs.  These outputs
+# print Q(sqrt2) values (a_n..d_n, probe 14's C and D) as 'u + v*sqrt2'.
+SIGNED_TEXT = "9 -7 7 -6; 28 -22 17 -15; 1 0 1 -2; 7 -5 1 -1"
+GOLDEN = {
+    ("conjugate", "--n", "0"):
+        "6c63e3ddff5dc08d80a4e61340bff3478c5827c947b9cff938142f6e7b52199b",
+    ("conjugate", "--n", "1"):
+        "c67d08afc81e6ea615cdb330311bb9e20c7c0adb65b06d1c8031aed14befbd87",
+    ("conjugate", "--n", "2"):
+        "569f68571ee0a3eee2213a70cace83518ce15cd8fc8b29090000d008b237b74f",
+    ("conjugate", "--n", "3"):
+        "4e8e9779b05dcdb8527a8c1456694f112b6e6f0b8336db4d29b64985c64d47ed",
+    ("conjugate", "--n", "4"):
+        "2792615c277f352d9d08de7ff989135fcca8d77e420f503d206457d4acc77d2c",
+    ("probe-inequality", "--which", "4"):
+        "7e88638f8e2fb957b2412b594b792feed1667614c35f746438d40a0e1dae706a",
+    ("probe-inequality", "--which", "6"):
+        "104dbc80bfcc1858f1dfa93ea162bf71288c5d98be9dec9128ca40f7aa6e1ed4",
+    ("probe-inequality", "--which", "7"):
+        "dbc4cc63d762c2c75b50fef00a492bd044448a2ed9bcc33e7592f68cd05a61e6",
+    ("probe-inequality", "--which", "8"):
+        "43401bf11bd10470e39a90a4ce28912041ec7bcdfad5de82a935fddf7f8fc84d",
+    ("probe-inequality", "--which", "9"):
+        "5f17549c9000ed0698ac6890b29d338573930fc015ab44e07cad9450b3929a82",
+    ("probe-inequality", "--which", "10"):
+        "8cfd514691a46e38090d9306fa182188c9c5d061997d77529848caec725ac991",
+    ("probe-inequality", "--which", "11"):
+        "4aefc046c3e010e6efdd23b4f46344173324ccbc6d24b98d6b95c27db29dd98f",
+    ("probe-inequality", "--which", "13"):
+        "7906664a548bb54e774f6241b3ed6749d7c2914a27b850500e4fc9164b9d2b99",
+    ("probe-inequality", "--which", "14"):
+        "50f14c10d4cae6ea38f958d295c6db5c2b6bd9806042b2c12b679e77017d2673",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN),
+                         ids=lambda argv: "-".join(argv[::2]))
+def test_signed_matrix_outputs_match_golden(argv, capsys):
+    command, option, value = argv
+    code, out = run(capsys, command, SIGNED_TEXT, option, value, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
 def test_unknown_inequality_rejected(capsys):

@@ -6,8 +6,6 @@ from fractions import Fraction
 import pytest
 
 from quartic.construction import (
-    GammaGenerators,
-    make_generators,
     ProbeParams,
     chebyshev,
     check_conditions,
@@ -47,21 +45,6 @@ def test_generator_entries():
 def test_generator_determinants_and_trace():
     assert P.det().is_one() and Q.det().is_one()
     assert Q.trace() == QuarticElem(3, 0, 2, 0)
-
-
-def test_gamma_generators_views():
-    gg = GammaGenerators(P, Q, 2)
-    base, embedded = gg.f_pair()
-    assert base == P ** 2
-    assert embedded.k == 1
-    assert embedded.trace() is not None
-
-
-def test_make_generators_explicit_exponent():
-    gg = make_generators(2)
-    assert gg.N == 2 and gg.g_base() == Q ** 2
-    with pytest.raises(ValueError):
-        make_generators(0)
 
 
 # ---------------------------------------------------------------------------

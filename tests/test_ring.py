@@ -17,7 +17,6 @@ from quartic.ring import (
     Sign,
     Signedness,
     coeff_norm,
-    coeff_norm_terms,
     delta,
     delta1,
     delta2,
@@ -256,12 +255,6 @@ def test_coeff_norm():
     assert coeff_norm(ZERO) == 0
     assert coeff_norm(QuarticElem(5, -3, 1, -2)) == 5
     assert coeff_norm(QuarticElem(0, 0, 0, Fraction(1, 3))) == Fraction(1, 3)
-
-
-def test_coeff_norm_terms():
-    terms = coeff_norm_terms(QuarticElem(2, 3, 5, 7))
-    assert terms == (QuarticElem(2), QuarticElem(0, 3),
-                     QuarticElem(0, 0, 5), QuarticElem(0, 0, 0, 7))
 
 
 def test_in_S_examples():
