@@ -775,6 +775,28 @@ def view_dist4(xs, k: int) -> tuple[int, int, tuple]:
     return lo * lo >> shift, -(-(hi * hi) >> shift), mul4(x, x)
 
 
+def view_norm4(xs, k: int) -> tuple[int, int, tuple]:
+    """Enclosed squared Frobenius norm sum_ij |sigma_k(x_ij)|^2 over the four
+    int 4-tuples xs, exact, in closed form: the sum of the squares in the
+    real views, of view_dist4's (u, v) forms in the complex ones."""
+    if k & 1:
+        u = v = 0
+        for c0, c1, c2, c3 in xs:
+            u += c0 * c0 + 2 * c2 * c2 - 4 * c1 * c3
+            v += c1 * c1 + 2 * c3 * c3 - 2 * c0 * c2
+        return enclosed((u, 0, v, 0))
+    s0 = s1 = s2 = s3 = 0
+    for c0, c1, c2, c3 in xs:
+        s0 += c0 * c0 + 2 * c2 * c2 + 4 * c1 * c3
+        s1 += c0 * c1 + 2 * c2 * c3
+        s2 += c1 * c1 + 2 * c3 * c3 + 2 * c0 * c2
+        s3 += c0 * c3 + c1 * c2
+    # view 2 is view 0 after beta -> -beta
+    if k:
+        s1, s3 = -s1, -s3
+    return enclosed((s0, 2 * s1, s2, 2 * s3))
+
+
 def entry_exceeds(xs, k: int, bound: int) -> bool:
     """Whether integer bounds prove |sigma_k(x)|^2 * 2^FILTER_BITS > bound
     for some x of the int 4-tuples xs, entry by entry: then

@@ -2,20 +2,26 @@
 discreteness margin, freeness certification, torsion probing and the
 dual-smallness scan.
 
-The margin is computed exactly: the squared sup-distance of every word
-matrix from the identity is an element of Q(beta), so the minimizer and
-all ties are found by exact sign comparisons.  Intervals appear only in
-the report.
+The margin is computed exactly, by branch and bound over the word tree.
+The squared sup-distance of a word matrix from the identity is an element
+of Q(beta), held as an int 4-tuple with integer bounds; the minimizer, all
+ties and the cumulative minimum at each length are found by exact sign
+comparisons.  A word is measured only when no shorter-or-equal measured
+word already beats it by an integer bound, and a whole subtree is skipped
+when the Frobenius norm of its root proves every word below farther than
+that.  Intervals appear only in the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .construction import paper_generators
 from .errors import DepthTooLarge, NotUnimodular
-from .intervals import DEFAULT_BITS, Interval, interval_json
+from .intervals import (DEFAULT_BITS, FILTER_BITS, Interval, interval_json,
+                        sqrt2_bounds)
 from .linalg import (
     RingMat2,
     compare_enclosed,
@@ -29,6 +35,7 @@ from .linalg import (
     ring_matrix,
     sqrt_of_square_interval,
     view_dist4,
+    view_norm4,
 )
 from .projective import (PingPongCertificate, certify_exponent,
                          free_pair_power)
@@ -131,7 +138,7 @@ def _inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
-               mul=mul_mat4):
+               mul=mul_mat4, prune=None):
     """Every nonempty reduced word of length <= depth whose first letter is
     in roots, as (codes, matrix) in lexicographic preorder (tuple order).
 
@@ -142,7 +149,11 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
     {W, W^-1} whose codes sort first is yielded (no reduced word is its own
     inverse), and a skipped word of full length is never multiplied.  Each
     paired stack entry carries its word's inverse codes, so a child's are
-    the parent's with one letter prepended."""
+    the parent's with one letter prepended.
+
+    With prune, prune(codes, matrix) is called for every word shorter than
+    depth, yielded or not, after the consumer has taken the word; when it
+    returns true, no longer word with that prefix is built or yielded."""
     if depth < 1:
         return
     stack = [((c,), gens[c], not paired or _INVERSE[c] >= c,
@@ -152,7 +163,7 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
         codes, mat, keep, inv = stack.pop()
         if keep:
             yield codes, mat
-        if len(codes) < depth:
+        if len(codes) < depth and (prune is None or not prune(codes, mat)):
             leaf = len(codes) + 1 == depth
             for c in range(3, -1, -1):
                 if _INVERSE[codes[-1]] != c:
@@ -191,53 +202,122 @@ class MarginReport:
         }
 
 
+def _prune_limit(fhi: int, j: int, den: int, depth: int, bound_hi: int) -> int:
+    """The int a node U of length depth - j is pruned above, in one view: if
+    the ``linalg.view_norm4`` lower end of U's matrix exceeds it, every word
+    below U lies farther than the squared distance B whose enclosure over
+    den^(2 depth) has upper end bound_hi.
+
+    In the Frobenius norm, ||U|| <= ||W|| F^|V| <= ||W|| F^j for W = UV
+    with 1 <= |V| <= j, where F^2 bounds every letter's squared norm (fhi is
+    an upper end over den^2) and F >= sqrt2 > 1 because each letter has
+    determinant one.  The largest entry of W - I is at least
+    (||W|| - sqrt2) / 2.  So ||U||^2 > F^(2j) (sqrt2 + 2 sqrt B)^2 puts every
+    such W farther than B.  The returned floor is that right side over U's
+    denominator den^(2(depth - j)), times 2^FILTER_BITS, built from upper
+    bounds only, so an int lower end above it proves the inequality."""
+    half = FILTER_BITS // 2
+    # sqrt2 + 2 sqrt B <= a / (2^FILTER_BITS den^depth)
+    a = (sqrt2_bounds(FILTER_BITS)[1] * den ** depth
+         + ((isqrt(bound_hi) + 1) << (half + 1)))
+    return fhi ** j * a * a // (den ** (4 * j) << (FILTER_BITS * (j + 1)))
+
+
+def _letter_minimum(gens, den: int, depth: int, views: tuple[int, int]):
+    """The least squared product-metric distance over the one-letter words,
+    taken over den^(2 depth) and enclosed as in ``_scan_subtree``."""
+    best = None
+    for g in gens:
+        xs = minus_identity4(g, den, den ** (depth - 1))
+        d = view_dist4(xs, views[0])
+        d1 = view_dist4(xs, views[1])
+        if compare_enclosed(d1, d) > 0:
+            d = d1
+        if best is None or compare_enclosed(d, best) < 0:
+            best = d
+    return best
+
+
 def _scan_subtree(gens, den: int, first: int, depth: int,
-                  views: tuple[int, int]):
+                  views: tuple[int, int], seed):
     """Exact minimum of the squared product-metric distance over all reduced
     words of length <= depth starting with the given letter and their
-    inverses, on int 4-tuple matrices over the letters' denominator den.
+    inverses, on int 4-tuple matrices over the letters' denominator den,
+    and the exact cumulative minima by length of these words and of the
+    one-letter word at distance seed (``_letter_minimum``).
 
     A det-1 W and its inverse lie at the same distance in every view (the
     entries of W^-1 - I are those of W - I, moved and sign-changed), so only
     the word of each pair whose codes sort first is measured, and a tie
     records both.  Every distance is taken over the one denominator
-    den^(2 depth) and enclosed (``linalg.view_dist4``); a word with one
-    entry whose bounds exceed its length's running minimum
-    (``linalg.entry_exceeds``) is skipped before any distance is taken.
-    Returns (min or None, tie words, per-length minima), the values
-    enclosed int 4-tuples."""
+    den^(2 depth) and enclosed (``linalg.view_dist4``).
+
+    A word strictly farther than some measured word no longer than itself
+    is neither a cumulative minimum nor a tie, so each word is held against
+    B, the least distance measured so far over lengths up to its own, seed
+    included.  A word with one entry whose bounds exceed B
+    (``linalg.entry_exceeds``) is skipped before any distance is taken.  A
+    node of length k < depth whose Frobenius norm in either view proves
+    every descendant farther than the B of length k + 1 (``_prune_limit``)
+    has no child built.  B is never the subtree's overall minimum: the walk
+    measures deeper words before shallower siblings.  Every decision
+    compares ints or takes an exact sign.
+
+    Returns (min, tie words, cumulative minima for lengths 1..depth), the
+    values enclosed int 4-tuples; min is None, with no ties, when no word
+    here comes within seed."""
     ones = [den ** k for k in range(depth + 1)]
     scales = ones[::-1]
     va, vb = views
     best = None
     ties: list[tuple[int, ...]] = []
-    per_len: dict[int, tuple] = {}
-    for codes, mat in walk_words(gens, depth, (first,), paired=True):
+    # cum[k]: least distance measured so far over lengths <= k
+    cum = [None] + [seed] * depth
+    fhi = [max(view_norm4(g, v)[1] for g in gens) for v in views]
+    # limits[k]: (the B they were built from, view a's, view b's)
+    limits: list = [(None,)] * depth
+
+    def prune(codes, mat):
+        k = len(codes)
+        # ||U||^2 <= F^(2k), so the test needs 2k > depth to ever hold
+        if 2 * k <= depth:
+            return False
+        b = cum[k + 1]
+        lim = limits[k]
+        if lim[0] is not b:
+            lim = limits[k] = (b, *[_prune_limit(f, depth - k, den, depth, b[1])
+                                    for f in fhi])
+        return (view_norm4(mat, va)[0] > lim[1]
+                or view_norm4(mat, vb)[0] > lim[2])
+
+    for codes, mat in walk_words(gens, depth, (first,), paired=True,
+                                 prune=prune):
         length = len(codes)
         xs = minus_identity4(mat, ones[length], scales[length])
-        cur = per_len.get(length)
-        # one view already beats this length's minimum, and so the running
-        # best (best <= cur): the word changes nothing.  Most words are
-        # rejected from one entry's bounds in either view; the rest compare
-        # exactly.
-        if cur is not None and (entry_exceeds(xs, va, cur[1])
-                                or entry_exceeds(xs, vb, cur[1])):
+        cur = cum[length]
+        # one view already beats B, and so the word changes nothing.  Most
+        # words are rejected from one entry's bounds in either view; the
+        # rest compare exactly.
+        if entry_exceeds(xs, va, cur[1]) or entry_exceeds(xs, vb, cur[1]):
             continue
         d = view_dist4(xs, va)
-        if cur is not None and compare_enclosed(d, cur) > 0:
+        if compare_enclosed(d, cur) > 0:
             continue
         d1 = view_dist4(xs, vb)
         if compare_enclosed(d1, d) > 0:
             d = d1
-        if cur is None or compare_enclosed(d, cur) < 0:
-            per_len[length] = d
+        # cum is nonincreasing in k
+        for k in range(length, depth + 1):
+            if compare_enclosed(d, cum[k]) >= 0:
+                break
+            cum[k] = d
         s = -1 if best is None else compare_enclosed(d, best)
         if s < 0:
             best = d
             ties = [codes, _inverse_codes(codes)]
         elif s == 0:
             ties += (codes, _inverse_codes(codes))
-    return best, ties, per_len
+    return best, ties, cum[1:]
 
 
 def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
@@ -261,7 +341,10 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
         raise NotUnimodular("margin generators must have determinant one")
     gens, den = int_matrices(_generator_powers(n, pair))
 
-    tasks = ([gens] * 4, [den] * 4, range(4), [depth] * 4, [views] * 4)
+    # every subtree prunes against the one-letter words from the start
+    seed = _letter_minimum(gens, den, depth, views)
+    tasks = ([gens] * 4, [den] * 4, range(4), [depth] * 4, [views] * 4,
+             [seed] * 4)
     if threads > 1:
         # imported here: the pool module costs every command's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -272,8 +355,10 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
 
     best = None
     ties: list[tuple[int, ...]] = []
-    per_len: dict[int, tuple] = {}
-    for b, t, pl in results:
+    cum = [seed] * depth
+    for b, t, sub in results:
+        cum = [v if compare_enclosed(v, c) < 0 else c
+               for v, c in zip(sub, cum)]
         if b is None:
             continue
         s = -1 if best is None else compare_enclosed(b, best)
@@ -282,10 +367,6 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
             ties = list(t)
         elif s == 0:
             ties.extend(t)
-        for length, v in pl.items():
-            cur = per_len.get(length)
-            if cur is None or compare_enclosed(v, cur) < 0:
-                per_len[length] = v
 
     den2 = den ** (2 * depth)
     ties.sort(key=lambda codes: (len(codes), codes))
@@ -294,15 +375,9 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     ident = RingMat2.identity()
     factors = {f"s{k}": sqrt_of_square_interval(
         entry_dist_sq(wmat, ident, k), bits) for k in range(3)}
-    cumulative = []
-    running = None
-    for length in range(1, depth + 1):
-        v = per_len.get(length)
-        if v is not None and (running is None
-                              or compare_enclosed(v, running) < 0):
-            running = v
-        cumulative.append(
-            (length, sqrt_of_square_interval(_elem(running[2], den2), bits)))
+    cumulative = [
+        (length, sqrt_of_square_interval(_elem(v[2], den2), bits))
+        for length, v in enumerate(cum, 1)]
     margin_sq = _elem(best[2], den2)
     return MarginReport(
         n=n, depth=depth, margin_sq=margin_sq,

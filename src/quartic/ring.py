@@ -290,6 +290,8 @@ class QuarticElem:
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         other = _coerce(other)
+        if other is None:
+            return NotImplemented
         return self * other.inv()
 
     def interval(self, bits: int = DEFAULT_BITS) -> Interval:
@@ -307,10 +309,14 @@ class QuarticElem:
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
+        if other is None:
+            return NotImplemented
         return (self - other).sign() == Sign.NEGATIVE
 
     def __le__(self, other) -> bool:
         other = _coerce(other)
+        if other is None:
+            return NotImplemented
         return (self - other).sign() != Sign.POSITIVE
 
 

@@ -158,6 +158,26 @@ def test_signed_matrix_outputs_match_golden(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
+# sha256 of `margin --json` stdout, recorded before the scan pruned whole
+# subtrees: per_depth, the ties and the witness must not move.
+MARGIN_GOLDEN = {
+    ("--N", "3", "--L", "8"):
+        "6f3daa41e3426920b201b5d10c14889990d841d34e746ef24e3e0fb99c63b51e",
+    ("--N", "3", "--L", "10"):
+        "4b2c8bd73d331c4930814bc99205880edff29ca0fb3cb093741719a7282e27be",
+    ("--N", "2", "--L", "5"):
+        "c03ec208b80ba0b23b71020926609e2f6e6441d8d496970ad19ef5d417710da9",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MARGIN_GOLDEN),
+                         ids=lambda argv: "N{}-L{}".format(*argv[1::2]))
+def test_margin_outputs_match_golden(argv, capsys):
+    code, out = run(capsys, "margin", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MARGIN_GOLDEN[argv]
+
+
 def test_unknown_inequality_rejected(capsys):
     code = main(["probe-inequality", Q_TEXT, "--which", "12"])
     assert code == 2

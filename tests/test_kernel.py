@@ -31,6 +31,7 @@ from quartic.linalg import (
     entry_exceeds,
     ring_matrix,
     view_dist4,
+    view_norm4,
 )
 from quartic.ring import QuarticElem, Sign, galois, sign4
 
@@ -280,6 +281,20 @@ def test_view_dist4_matches_entry_dist_sq(p1, p2, k):
     lo, hi, t = view_dist4(xs, k)
     zero = RingMat2(0, 0, 0, 0)
     assert QuarticElem(*t) == entry_dist_sq(ring_matrix(xs, 1), zero, k)
+    assert encloses(lo, hi, t)
+
+
+@given(near_pair(), near_pair(), st.integers(min_value=0, max_value=3))
+def test_view_norm4_matches_galois(p1, p2, k):
+    """The squared Frobenius norm in view k is the sum of |sigma_k(x)|^2
+    over the entries, enclosed."""
+    xs = [*p1, *p2]
+    lo, hi, t = view_norm4(xs, k)
+    want = QuarticElem(0)
+    for x in xs:
+        e = galois(QuarticElem(*x), k)
+        want += e.re * e.re if e.is_real() else e.abs2()
+    assert QuarticElem(*t) == want
     assert encloses(lo, hi, t)
 
 

@@ -182,34 +182,52 @@ def test_margin_threads_agree():
     assert [str(w) for w in a.ties] == [str(w) for w in b.ties]
 
 
-def _unpaired_margin(n, depth, pair, views):
-    """Slow reference margin on RingMat2 products and entry_dist_sq,
-    measuring every word, inverses included: the exact minimum, its ties
-    in (length, codes) order, and the cumulative per-depth enclosures."""
+def _word_distances(n, depth, pair, views):
+    """Slow reference: the exact squared product-metric distance of every
+    nonempty reduced word, inverses included, shortest first, on RingMat2
+    products and entry_dist_sq.  Each word's product is its prefix's times
+    its last letter."""
     ident = RingMat2.identity()
-    best, ties, per_len = None, [], {}
+    letters = probe._generator_powers(n, pair)
+    mats = {(): ident}
+    out = {}
     for word in enumerate_words(depth):
-        if not word.codes:
+        codes = word.codes
+        if not codes:
             continue
-        mat = evaluate_word(word, n, pair)
+        mat = mats[codes] = mats[codes[:-1]] * letters[codes[-1]]
         d = entry_dist_sq(mat, ident, views[0])
         d1 = entry_dist_sq(mat, ident, views[1])
-        if (d1 - d).sign() == Sign.POSITIVE:
-            d = d1
-        cur = per_len.get(len(word))
-        if cur is None or (d - cur).sign() == Sign.NEGATIVE:
-            per_len[len(word)] = d
+        out[codes] = d1 if (d1 - d).sign() == Sign.POSITIVE else d
+    return out
+
+
+def _cumulative_minima(dist, depth):
+    """{length: least distance over the words no longer than length}."""
+    running, out = None, {}
+    for length in range(1, depth + 1):
+        for codes, d in dist.items():
+            if len(codes) == length and (
+                    running is None or (d - running).sign() == Sign.NEGATIVE):
+                running = d
+        out[length] = running
+    return out
+
+
+def _unpaired_margin(n, depth, pair, views):
+    """Slow reference margin measuring every word: the exact minimum, its
+    ties in (length, codes) order, and the cumulative per-depth
+    enclosures."""
+    dist = _word_distances(n, depth, pair, views)
+    best, ties = None, []
+    for codes, d in dist.items():
         s = None if best is None else (d - best).sign()
         if s is None or s == Sign.NEGATIVE:
-            best, ties = d, [word.codes]
+            best, ties = d, [codes]
         elif s == Sign.ZERO:
-            ties.append(word.codes)
-    running, per_depth = None, []
-    for length in range(1, depth + 1):
-        v = per_len[length]
-        if running is None or (v - running).sign() == Sign.NEGATIVE:
-            running = v
-        per_depth.append((length, sqrt_of_square_interval(running)))
+            ties.append(codes)
+    per_depth = [(length, sqrt_of_square_interval(v))
+                 for length, v in _cumulative_minima(dist, depth).items()]
     return best, sorted(ties, key=lambda c: (len(c), c)), per_depth
 
 
@@ -230,6 +248,10 @@ def _unpaired_margin(n, depth, pair, views):
     # from one entry's bounds
     (2, 4, (2, 3), "paper"),
     (1, 7, (0, 1), "paper"),
+    # pruning fires heavily: the paper's depth, and f = g, where the words
+    # equal to I bring B to zero
+    (3, 8, (0, 1), "paper"),
+    (1, 6, (0, 1), "repeated"),
 ])
 def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
     pair, threads = {
@@ -246,6 +268,40 @@ def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
     assert [w.codes for w in rep.ties] == ties
     assert [(d, iv.lo, iv.hi) for d, iv in rep.per_depth] == [
         (d, iv.lo, iv.hi) for d, iv in per_depth]
+
+
+@pytest.mark.parametrize("n, depth, pair", [(2, 5, "paper"),
+                                           (1, 6, "repeated")])
+def test_pruned_subtrees_hold_no_cumulative_minimum(n, depth, pair,
+                                                    monkeypatch):
+    """Every word below a node the scan prunes lies strictly above the
+    final cumulative minimum for its length, so it could be neither a
+    per_depth value nor a tie.  Checked against the exact distance of every
+    word."""
+    pair = {"paper": (P, Q), "repeated": (P, P)}[pair]
+    pruned = []
+    real_walk = probe.walk_words
+
+    def walk(*args, prune, **kwargs):
+        def spy(codes, mat):
+            hit = prune(codes, mat)
+            if hit:
+                pruned.append(codes)
+            return hit
+        return real_walk(*args, prune=spy, **kwargs)
+
+    monkeypatch.setattr(probe, "walk_words", walk)
+    discreteness_margin(n, depth, pair=pair)
+    assert pruned
+    dist = _word_distances(n, depth, pair, (0, 1))
+    cumulative = _cumulative_minima(dist, depth)
+    below = 0
+    for node in pruned:
+        for codes, d in dist.items():
+            if len(codes) > len(node) and codes[:len(node)] == node:
+                below += 1
+                assert (d - cumulative[len(codes)]).sign() == Sign.POSITIVE
+    assert below > len(pruned)
 
 
 def test_margin_falls_through_to_the_exact_path(monkeypatch):

@@ -2,6 +2,7 @@
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
+import operator
 
 import pytest
 from hypothesis import given
@@ -71,6 +72,19 @@ def test_unit_product():
 def test_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ZERO.inv()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.truediv,
+                                operator.lt, operator.le, operator.gt,
+                                operator.ge])
+@pytest.mark.parametrize("other", ["x", 1.5, None])
+def test_unsupported_operand_raises_type_error(op, other):
+    """An operand that is not an int, Fraction or QuarticElem gets Python's
+    own TypeError, naming its type when the element comes first."""
+    with pytest.raises(TypeError, match=f"'{type(other).__name__}'"):
+        op(ONE, other)
+    with pytest.raises(TypeError):
+        op(other, ONE)
 
 
 @given(elements, elements, elements)
