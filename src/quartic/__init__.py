@@ -9,7 +9,6 @@ from .ring import (
     Sign,
     Signedness,
     galois,
-    sign_of,
     signedness,
     field_quantity_N,
     gamma,

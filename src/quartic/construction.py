@@ -291,7 +291,7 @@ def conjugation_record(a: RingMat2, n: int) -> ConjugationRecord:
     checks["d_n"] = dn == -_cheb_second(n - 1)
 
     direct = qn * s2a * (q ** -n)
-    zeta, eta, mu, nu = s2a.e11, s2a.e12, s2a.e21, s2a.e22
+    zeta, eta, mu, nu = s2a.entries()
     e11, e12, e21, e22 = _conj_decomposition(zeta, eta, mu, nu, an, bn, cn, dn,
                                              lambda x: x)
     bilinear = RingMat2(e11 + ONE, e12, e21, e22 + ONE)
@@ -339,23 +339,24 @@ def conjugation_record(a: RingMat2, n: int) -> ConjugationRecord:
     record.s1_primed = c2n * (dz - dn1) - c2nm1 * de + c2np1 * du
     record.s2_primed = c2n * (dn1 - dz) + c2nm1 * de - c2np1 * du
 
+    m11, m12, m21, m22 = record.delta_matrix.entries()
     checks["ent11_decomposition"] = (
-        lsq * record.delta_matrix.e11 == lsq + record.s1 + record.r1)
+        lsq * m11 == lsq + record.s1 + record.r1)
     checks["ent22_decomposition"] = (
-        lsq * record.delta_matrix.e22 == lsq + record.s2 + record.r2)
+        lsq * m22 == lsq + record.s2 + record.r2)
     checks["ent12_closed_form"] = (
-        lsq * record.delta_matrix.e12
+        lsq * m12
         == (cheb_value(2 * n + 2) - 2) * de
         - (c2n - 2) * du - (c2np1 - lam1) * (dz - dn1))
     # the (2,1) closed form needs "+" on its third term to agree with the
     # bilinear expansion; the sign printed in the reference display fails
     # for n >= 2 whenever delta(zeta-1) != delta(nu-1)
     checks["ent21_closed_form"] = (
-        lsq * record.delta_matrix.e21
+        lsq * m21
         == (cheb_value(2 * n - 2) - 2) * du
         - (c2n - 2) * de + (c2nm1 - lam1) * (dz - dn1))
     record.ent21_displayed_sign_matches = (
-        lsq * record.delta_matrix.e21
+        lsq * m21
         == (cheb_value(2 * n - 2) - 2) * du
         - (c2n - 2) * de - (c2nm1 - lam1) * (dz - dn1))
     checks["s1_minus_s1_primed"] = (
@@ -402,8 +403,8 @@ class InequalityRecord:
 
 
 def _entries_for_probe(a: RingMat2):
-    s = a.real_view(2)
-    return s.e11 - ONE, s.e12, s.e21, s.e22 - ONE
+    e11, e12, e21, e22 = a.real_view(2).entries()
+    return e11 - ONE, e12, e21, e22 - ONE
 
 
 def _require_signed(entries) -> None:

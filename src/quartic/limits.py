@@ -24,6 +24,7 @@ from .linalg import (
     EmbeddedMat2,
     MatClass,
     RingMat2,
+    _mat,
     classify,
     compare_enclosed,
     eigen2,
@@ -31,7 +32,6 @@ from .linalg import (
     int_matrices,
     is_scalar4,
     minus_identity4,
-    ring_matrix,
     share_eigenvector,
     view_dist4,
 )
@@ -492,13 +492,14 @@ def _near_identity_rows(pair, n: int, depth: int, eps: Fraction,
             d = d3
         if compare_enclosed(d, below[len(codes)]) >= 0:
             continue
-        mat = ring_matrix(mat, one)
+        mat = _mat(mat, one)
         entry = {"word": str(ReducedWord(codes))}
         try:
             eig = eigen2(mat, 0)
             if eig.vec_dominant is not None:
-                pt_col = ProjPoint((mat.e11, mat.e21))
-                pt_row = ProjPoint((mat.e21, mat.e22))
+                e11, _, e21, e22 = mat.entries()
+                pt_col = ProjPoint((e11, e21))
+                pt_row = ProjPoint((e21, e22))
                 for tag, vec in (("dominant", eig.vec_dominant),
                                  ("recessive", eig.vec_recessive)):
                     target = ProjPoint(vec)

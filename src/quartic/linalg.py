@@ -1,11 +1,16 @@
 """2x2 matrices over Q(beta), trace classification, and the regular
 representations into GL(2k, Q) for k = 2, 3, 4.
 
-Everything is exact.  Embedded views reuse the scalar Galois machinery;
-classification is a trace test; the block form of the regular
-representation is the matrix of left multiplication on the coefficient
-module, so multiplicativity is a theorem the tests re-check rather than
-an approximation.
+Everything is exact.  A 2x2 matrix over Q(beta) has one representation,
+``RingMat2``: four int 4-tuples on the basis 1, beta, beta^2, beta^3 over
+one reduced denominator.  Products, determinants, traces and the scalar
+tests work on those ints (``mul_mat4``, ``is_scalar4``); the word scans
+take the same int matrices over a common denominator (``int_matrices``)
+and measure view distances on them (``view_dist4``).  Embedded views reuse
+the scalar Galois machinery; classification is a trace test; the block
+form of the regular representation is the matrix of left multiplication
+on the coefficient module, so multiplicativity is a theorem the tests
+re-check rather than an approximation.
 """
 
 from __future__ import annotations
@@ -61,15 +66,33 @@ def as_paper_hyperbolic(cls: MatClass) -> bool:
 
 
 class RingMat2:
-    """2x2 matrix over Q(beta), row major."""
+    """2x2 matrix over Q(beta), row major.
 
-    __slots__ = ("e11", "e12", "e21", "e22")
+    Stored as the int 4-tuple matrix ``_m`` = (e11, e12, e21, e22), each
+    entry on the basis 1, beta, beta^2, beta^3, over one positive
+    denominator ``_d``, kept reduced (the sixteen ints and ``_d`` share no
+    factor), so equal matrices have equal storage and a product is one
+    ``mul_mat4``.  ``e11``..``e22`` and ``entries()`` build each entry as its
+    own reduced ``QuarticElem`` on every read.
+    """
+
+    __slots__ = ("_m", "_d")
 
     def __init__(self, e11, e12, e21, e22):
-        self.e11 = _q(e11)
-        self.e12 = _q(e12)
-        self.e21 = _q(e21)
-        self.e22 = _q(e22)
+        es = [e.int_coeffs() if type(e) is QuarticElem
+              else QuarticElem(e).int_coeffs() for e in (e11, e12, e21, e22)]
+        # each entry is reduced, so over the lcm of their denominators the
+        # entry carrying a prime's highest power keeps a coefficient prime
+        # to it: the matrix is reduced too
+        d = lcm(*[e_d for _, e_d in es])
+        self._m = tuple([c if e_d == d else tuple([x * (d // e_d) for x in c])
+                         for c, e_d in es])
+        self._d = d
+
+    e11 = property(lambda self: _elem(self._m[0], self._d))
+    e12 = property(lambda self: _elem(self._m[1], self._d))
+    e21 = property(lambda self: _elem(self._m[2], self._d))
+    e22 = property(lambda self: _elem(self._m[3], self._d))
 
     @classmethod
     def identity(cls) -> "RingMat2":
@@ -83,22 +106,12 @@ class RingMat2:
             raise ValueError(f"expected 4 entries separated by ';' in {text!r}")
         return cls(*(QuarticElem.parse(p) for p in parts))
 
-    @classmethod
-    def from_json(cls, rows: list) -> "RingMat2":
-        flat = [Fraction(c) for entry in rows for c in entry]
-        if len(flat) != 16:
-            raise ValueError("matrix JSON must be 4 entries of 4 coefficients")
-        es = [QuarticElem(*flat[i:i + 4]) for i in range(0, 16, 4)]
-        return cls(*es)
-
     def entries(self):
-        return (self.e11, self.e12, self.e21, self.e22)
+        d = self._d
+        return tuple([_elem(e, d) for e in self._m])
 
     def to_text(self) -> str:
         return "; ".join(e.to_text() for e in self.entries())
-
-    def to_json(self) -> list:
-        return [[str(c) for c in e.coeffs()] for e in self.entries()]
 
     def __repr__(self) -> str:
         return f"RingMat2({self.to_text()!r})"
@@ -106,46 +119,34 @@ class RingMat2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMat2):
             return NotImplemented
-        return self.entries() == other.entries()
+        return self._m == other._m and self._d == other._d
 
     def __hash__(self):
-        return hash(self.entries())
+        return hash((self._m, self._d))
 
     def __mul__(self, other: "RingMat2") -> "RingMat2":
-        return RingMat2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
-    def __add__(self, other: "RingMat2") -> "RingMat2":
-        return RingMat2(self.e11 + other.e11, self.e12 + other.e12,
-                        self.e21 + other.e21, self.e22 + other.e22)
-
-    def __sub__(self, other: "RingMat2") -> "RingMat2":
-        return RingMat2(self.e11 - other.e11, self.e12 - other.e12,
-                        self.e21 - other.e21, self.e22 - other.e22)
-
-    def __neg__(self) -> "RingMat2":
-        return RingMat2(-self.e11, -self.e12, -self.e21, -self.e22)
-
-    def scale(self, c) -> "RingMat2":
-        return RingMat2(self.e11 * c, self.e12 * c, self.e21 * c, self.e22 * c)
+        return _mat(mul_mat4(self._m, other._m), self._d * other._d)
 
     def det(self) -> QuarticElem:
-        return self.e11 * self.e22 - self.e12 * self.e21
+        e11, e12, e21, e22 = self._m
+        x0, x1, x2, x3 = mul4(e11, e22)
+        y0, y1, y2, y3 = mul4(e12, e21)
+        return _elem((x0 - y0, x1 - y1, x2 - y2, x3 - y3), self._d * self._d)
 
     def trace(self) -> QuarticElem:
-        return self.e11 + self.e22
+        (a0, a1, a2, a3), _, _, (b0, b1, b2, b3) = self._m
+        return _elem((a0 + b0, a1 + b1, a2 + b2, a3 + b3), self._d)
 
     def inv(self) -> "RingMat2":
+        """The adjugate times the inverse of the determinant."""
         d = self.det()
         if d.is_zero():
             raise SingularMatrix("matrix is singular")
-        dinv = d.inv()
-        return RingMat2(self.e22 * dinv, -self.e12 * dinv,
-                        -self.e21 * dinv, self.e11 * dinv)
+        c, c_d = d.inv().int_coeffs()
+        neg = (-c[0], -c[1], -c[2], -c[3])
+        e11, e12, e21, e22 = self._m
+        return _mat((mul4(e22, c), mul4(e12, neg), mul4(e21, neg),
+                     mul4(e11, c)), self._d * c_d)
 
     def __pow__(self, n: int) -> "RingMat2":
         if n < 0:
@@ -160,18 +161,16 @@ class RingMat2:
         return result
 
     def is_identity(self) -> bool:
-        return (self.e11.is_one() and self.e12.is_zero()
-                and self.e21.is_zero() and self.e22.is_one())
+        return is_scalar4(self._m, self._d)
 
     def is_neg_identity(self) -> bool:
-        return (self.e11 == QuarticElem(-1) and self.e12.is_zero()
-                and self.e21.is_zero() and self.e22 == QuarticElem(-1))
+        return is_scalar4(self._m, -self._d)
 
     def is_scalar(self) -> bool:
-        return self.e12.is_zero() and self.e21.is_zero() and self.e11 == self.e22
+        return is_scalar4(self._m)
 
     def is_integral(self) -> bool:
-        return all(e.is_integral() for e in self.entries())
+        return self._d == 1
 
     def real_view(self, k: int) -> "RingMat2":
         """The matrix with the real embedding k (0 or 2) applied entrywise."""
@@ -179,7 +178,8 @@ class RingMat2:
             raise ValueError("real views exist only for k = 0 and k = 2")
         if k == 0:
             return self
-        return RingMat2(*(e.conj_even() for e in self.entries()))
+        return _mat(tuple([(c0, -c1, c2, -c3) for c0, c1, c2, c3 in self._m]),
+                    self._d)
 
     def embed(self, k: int) -> "EmbeddedMat2":
         return EmbeddedMat2(tuple(galois(e, k) for e in self.entries()), k)
@@ -188,10 +188,22 @@ class RingMat2:
         return self * other * self.inv() * other.inv()
 
 
-def _q(x) -> QuarticElem:
-    if isinstance(x, QuarticElem):
-        return x
-    return QuarticElem(x)
+_new = object.__new__
+
+
+def _mat(m, d: int) -> RingMat2:
+    """The matrix m / d of an int 4-tuple matrix m (a tuple of four int
+    4-tuples) over d > 0, reduced by gcd unless d is 1."""
+    if d != 1:
+        g = gcd(d, *m[0], *m[1], *m[2], *m[3])
+        if g != 1:
+            m = tuple([(c0 // g, c1 // g, c2 // g, c3 // g)
+                       for c0, c1, c2, c3 in m])
+            d //= g
+    x = _new(RingMat2)
+    x._m = m
+    x._d = d
+    return x
 
 
 @dataclass(frozen=True)
@@ -333,31 +345,28 @@ def regular_rep(a, kappa: int) -> RegularRep:
 
     kappa = 4 takes a RingMat2 over Q(beta); kappa = 2 requires the entries
     to lie in Q(sqrt2); kappa = 3 takes a CubicMat2 over Q(2^(1/3)).  The
-    image is built on the entries' int coefficients over their least common
-    denominator.
+    image is built on the matrix's int coefficients over one denominator.
     """
     if kappa == 3:
         if not isinstance(a, CubicMat2):
             raise WrongSubring("kappa = 3 needs a matrix over Q(2^(1/3))")
         coeff_lists = [e.int_coeffs() for e in a.entries()]
+        den = lcm(*(d for _, d in coeff_lists))
+        ints = [[x * (den // d) for x in c] for c, d in coeff_lists]
     elif kappa in (2, 4):
         if not isinstance(a, RingMat2):
             raise WrongSubring(f"kappa = {kappa} needs a matrix over Q(beta)")
-        coeff_lists = []
-        for e in a.entries():
-            c, d = e.int_coeffs()
-            if kappa == 2:
-                if not e.in_even_subring():
+        ints, den = a._m, a._d
+        if kappa == 2:
+            for c in ints:
+                if c[1] or c[3]:
                     raise WrongSubring(
-                        f"entry {e.to_text()} is not in Q(sqrt2)")
-                c = (c[0], c[2])
-            coeff_lists.append((c, d))
+                        f"entry {_elem(c, den).to_text()} is not in Q(sqrt2)")
+            ints = [(c[0], c[2]) for c in ints]
     else:
         raise ValueError(f"kappa must be 2, 3 or 4, not {kappa}")
 
-    den = lcm(*(d for _, d in coeff_lists))
-    b11, b12, b21, b22 = (_block([x * (den // d) for x in c], kappa)
-                          for c, d in coeff_lists)
+    b11, b12, b21, b22 = (_block(c, kappa) for c in ints)
     rows = [tuple(b11[i] + b12[i]) for i in range(kappa)]
     rows += [tuple(b21[i] + b22[i]) for i in range(kappa)]
     return RegularRep(kappa, tuple(rows), den, source=a)
@@ -558,12 +567,13 @@ class Eigen2:
 def _eigvec_pair(a: RingMat2, lam: QuadExt) -> tuple[QuadExt, QuadExt]:
     """Eigenvector (v1, v2) of the real matrix a for eigenvalue lam."""
     d = lam.d
-    b = QuadExt.of_base(a.e12, d)
-    top = lam - QuadExt.of_base(a.e11, d)
+    e11, e12, e21, e22 = a.entries()
+    b = QuadExt.of_base(e12, d)
+    top = lam - QuadExt.of_base(e11, d)
     if not (b.is_zero() and top.is_zero()):
         return (b, top)
     # first row degenerate: use the second one
-    return (lam - QuadExt.of_base(a.e22, d), QuadExt.of_base(a.e21, d))
+    return (lam - QuadExt.of_base(e22, d), QuadExt.of_base(e21, d))
 
 
 def eigen2(a: RingMat2, k: int, bits: int = DEFAULT_BITS) -> Eigen2:
@@ -606,7 +616,8 @@ def eigen2(a: RingMat2, k: int, bits: int = DEFAULT_BITS) -> Eigen2:
 
 def fixed_slope_form(a: RingMat2) -> tuple[QuarticElem, QuarticElem, QuarticElem]:
     """Binary form c z^2 + (d - a) z - b whose roots are fixed slopes."""
-    return (a.e21, a.e22 - a.e11, -a.e12)
+    e11, e12, e21, e22 = a.entries()
+    return (e21, e22 - e11, -e12)
 
 
 def resultant_quadratics(f, g) -> QuarticElem:
@@ -628,43 +639,24 @@ def share_eigenvector(a: RingMat2, b: RingMat2, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# entrywise distances of embedded views
-
-
-def entry_dist_sq(a: RingMat2, b: RingMat2, k: int) -> QuarticElem:
-    """Exact squared sup-distance max_ij |sigma_k(a_ij - b_ij)|^2."""
-    best = None
-    for x, y in zip(a.entries(), b.entries()):
-        e = galois(x - y, k)
-        v = e.re * e.re if e.is_real() else e.abs2()
-        if best is None or (v - best).sign() == Sign.POSITIVE:
-            best = v
-    return best
-
-
-# ---------------------------------------------------------------------------
-# the integral word kernel: 2x2 matrices of int 4-tuples over one denominator
+# the int 4-tuple matrix kernel
 #
-# A word scan holds each matrix as four int 4-tuples (e11, e12, e21, e22) on
-# the basis 1, beta, beta^2, beta^3; the letters share one denominator d, so
-# a word of length k stands for its tuples over d^k.  A view distance is an
-# exact int 4-tuple t together with integer bounds lo <= t * 2^FILTER_BITS
-# <= hi ("enclosed"); comparisons read the bounds first and take an exact
-# sign only where they overlap, so no float ever decides.
+# A RingMat2 is four int 4-tuples (e11, e12, e21, e22) over one denominator;
+# a word scan takes the letters' tuples over their common denominator d
+# (``int_matrices``), so a word of length k stands for its tuples over d^k.
+# A view distance is an exact int 4-tuple t together with integer bounds
+# lo <= t * 2^FILTER_BITS <= hi ("enclosed"); comparisons read the bounds
+# first and take an exact sign only where they overlap, so no float ever
+# decides.
 
 
 def int_matrices(mats) -> tuple[list, int]:
-    """The matrices as int 4-tuple matrices over their least common
-    denominator d: returns (out, d) with mats[i] = out[i] / d."""
-    ints = [[e.int_coeffs() for e in m.entries()] for m in mats]
-    d = lcm(*[e_d for m in ints for _, e_d in m])
-    return [tuple([tuple([c * (d // e_d) for c in cs]) for cs, e_d in m])
-            for m in ints], d
-
-
-def ring_matrix(m, d: int) -> RingMat2:
-    """The RingMat2 m / d of an int 4-tuple matrix m."""
-    return RingMat2(*[_elem(e, d) for e in m])
+    """The int 4-tuple matrices of mats over their least common denominator
+    d: returns (out, d) with mats[i] = out[i] / d."""
+    d = lcm(*[m._d for m in mats])
+    return [m._m if m._d == d
+            else tuple([tuple([c * (d // m._d) for c in e]) for e in m._m])
+            for m in mats], d
 
 
 def mul_mat4(a, b):
@@ -689,11 +681,12 @@ def mul_mat4(a, b):
     return tuple(out)
 
 
-def is_scalar4(m, s: int) -> bool:
-    """Whether the int 4-tuple matrix m equals s times the identity."""
+def is_scalar4(m, s: int | None = None) -> bool:
+    """Whether the int 4-tuple matrix m is scalar, and, when s is given,
+    equal to s times the identity."""
     e11, e12, e21, e22 = m
-    return (e11 == e22 == (s, 0, 0, 0) and not any(e12)
-            and not any(e21))
+    return (e11 == e22 and (s is None or e11 == (s, 0, 0, 0))
+            and not any(e12) and not any(e21))
 
 
 def minus_identity4(mat, one: int, scale: int) -> list:

@@ -25,14 +25,12 @@ from .intervals import (DEFAULT_BITS, FILTER_BITS, Interval, interval_json,
 from .linalg import (
     RingMat2,
     compare_enclosed,
-    entry_dist_sq,
     entry_exceeds,
     eps_thresholds,
     int_matrices,
     is_scalar4,
     minus_identity4,
     mul_mat4,
-    ring_matrix,
     sqrt_of_square_interval,
     view_dist4,
     view_norm4,
@@ -371,10 +369,10 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     den2 = den ** (2 * depth)
     ties.sort(key=lambda codes: (len(codes), codes))
     witness = ReducedWord(ties[0])
-    wmat = evaluate_word(witness, n, pair)
-    ident = RingMat2.identity()
-    factors = {f"s{k}": sqrt_of_square_interval(
-        entry_dist_sq(wmat, ident, k), bits) for k in range(3)}
+    one = den ** len(witness)
+    xs = minus_identity4(_word_matrix(gens, witness.codes), one, 1)
+    factors = {f"s{k}": sqrt_of_square_interval(d, bits)
+               for k, d in enumerate(_view_dists(xs, one))}
     cumulative = [
         (length, sqrt_of_square_interval(_elem(v[2], den2), bits))
         for length, v in enumerate(cum, 1)]
@@ -461,12 +459,24 @@ def _crosscheck(gens, den: int, depth: int) -> tuple[int, list]:
         one = den ** len(codes)
         if m11 not in (one % p, -one % p):
             continue
-        mat = gens[codes[0]]
-        for c in codes[1:]:
-            mat = mul_mat4(mat, gens[c])
+        mat = _word_matrix(gens, codes)
         if is_scalar4(mat, one) or is_scalar4(mat, -one):
             hits.append(codes)
     return count, hits
+
+
+def _word_matrix(gens, codes):
+    """The product of the int 4-tuple letters gens along a nonempty word."""
+    mat = gens[codes[0]]
+    for c in codes[1:]:
+        mat = mul_mat4(mat, gens[c])
+    return mat
+
+
+def _view_dists(xs, den: int) -> list[QuarticElem]:
+    """max_ij |sigma_k(x_ij / den)|^2 for k = 0, 1, 2, exact, over the four
+    int 4-tuples xs."""
+    return [_elem(view_dist4(xs, k)[2], den * den) for k in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,32 +574,23 @@ def dual_smallness_scan(n: int, depth: int, eps,
         raise ValueError("eps must be positive")
     gens, den = int_matrices(_generator_powers(n, pair))
     below = eps_thresholds(den, eps, depth)
-    ident = RingMat2.identity()
     rows: list[DualSmallnessRow] = []
     for codes, mat in walk_words(gens, depth):
         one = den ** len(codes)
         d0 = view_dist4(minus_identity4(mat, one, eps.denominator), 0)
         if compare_enclosed(d0, below[len(codes)]) >= 0:
             continue
-        mat = ring_matrix(mat, one)
-        d0_sq = entry_dist_sq(mat, ident, 0)
-        diff_entries = (mat - ident).entries()
-        norms = []
-        bound_ok = True
-        for x in diff_entries:
-            if x.is_zero():
-                continue
-            nv = field_quantity_N(x)
-            norms.append(nv)
-            if nv < 1:
-                bound_ok = False
+        xs = minus_identity4(mat, one, 1)
+        norms = [field_quantity_N(_elem(x, one)) for x in xs if any(x)]
+        d_sigma0, d_sigma1, d_sigma2 = (sqrt_of_square_interval(d, bits)
+                                        for d in _view_dists(xs, one))
         rows.append(DualSmallnessRow(
             word=ReducedWord(codes),
-            d_sigma0=sqrt_of_square_interval(d0_sq, bits),
-            d_sigma1=sqrt_of_square_interval(entry_dist_sq(mat, ident, 1), bits),
-            d_sigma2=sqrt_of_square_interval(entry_dist_sq(mat, ident, 2), bits),
+            d_sigma0=d_sigma0,
+            d_sigma1=d_sigma1,
+            d_sigma2=d_sigma2,
             entry_norms=norms,
-            escape_bound_ok=bound_ok,
+            escape_bound_ok=all(v >= 1 for v in norms),
         ))
     rows.sort(key=lambda row: (len(row.word), row.word.codes))
     return DualSmallnessTable(n, depth, eps, rows)

@@ -332,7 +332,8 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     att8 = ProjPoint(_lift_vec(att2, k))
     rep8 = ProjPoint(_lift_vec(rep2, k))
     # a left eigenvector of the view is an eigenvector of its transpose
-    view_t = RingMat2(view.e11, view.e21, view.e12, view.e22)
+    e11, e12, e21, e22 = view.entries()
+    view_t = RingMat2(e11, e21, e12, e22)
     cov_plus = _lift_covec(_eigvec_pair(view_t, lam_dom), k)
     cov_minus = _lift_covec(_eigvec_pair(view_t, lam_rec), k)
     return HyperbolicLikeData(
@@ -450,15 +451,14 @@ def _chart_point(chart: str, t: Fraction) -> tuple[QuarticElem, QuarticElem]:
 
 def _image_pair(m: RingMat2, chart: str, t: Fraction) -> tuple[QuarticElem, QuarticElem]:
     v1, v2 = _chart_point(chart, t)
-    return (m.e11 * v1 + m.e12 * v2, m.e21 * v1 + m.e22 * v2)
+    e11, e12, e21, e22 = m.entries()
+    return (e11 * v1 + e12 * v2, e21 * v1 + e22 * v2)
 
 
 def _den_coeffs(m: RingMat2, chart: str, target_chart: str):
     """Linear denominator A + B t of the composed chart map."""
-    if target_chart == "s":
-        row = (m.e11, m.e12)
-    else:
-        row = (m.e21, m.e22)
+    e11, e12, e21, e22 = m.entries()
+    row = (e11, e12) if target_chart == "s" else (e21, e22)
     if chart == "s":
         return row[0], row[1]
     return row[1], row[0]
@@ -1091,12 +1091,13 @@ def noncommuting_check(a: RingMat2, b: RingMat2) -> NoncommutingResult:
         return NoncommutingResult(False, "inputs are not hyperbolic-like")
     if share_eigenvector(a, b, 0):
         return NoncommutingResult(False, "shared fixed point")
+    e11, e12, e21, e22 = a.entries()
     for pt in (db.attracting, db.repelling):
         image = ProjPoint((
-            QuadExt.of_base(a.e11, pt.coords[0].d) * pt.coords[0]
-            + QuadExt.of_base(a.e12, pt.coords[0].d) * pt.coords[1],
-            QuadExt.of_base(a.e21, pt.coords[0].d) * pt.coords[0]
-            + QuadExt.of_base(a.e22, pt.coords[0].d) * pt.coords[1],
+            QuadExt.of_base(e11, pt.coords[0].d) * pt.coords[0]
+            + QuadExt.of_base(e12, pt.coords[0].d) * pt.coords[1],
+            QuadExt.of_base(e21, pt.coords[0].d) * pt.coords[0]
+            + QuadExt.of_base(e22, pt.coords[0].d) * pt.coords[1],
         ))
         if proj_equal(image, db.attracting) or proj_equal(image, db.repelling):
             return NoncommutingResult(

@@ -419,10 +419,6 @@ def galois(x: QuarticElem, k: int) -> EmbeddedComplex:
     return EmbeddedComplex(_elem((c0, 0, -c2, 0), d), im)
 
 
-def sign_of(x: QuarticElem) -> Sign:
-    return x.sign()
-
-
 def signedness(x: QuarticElem) -> Signedness:
     cs = x.coeffs()
     if all(c >= 0 for c in cs) and not x.is_zero():

@@ -146,6 +146,16 @@ GOLDEN = {
         "7906664a548bb54e774f6241b3ed6749d7c2914a27b850500e4fc9164b9d2b99",
     ("probe-inequality", "--which", "14"):
         "50f14c10d4cae6ea38f958d295c6db5c2b6bd9806042b2c12b679e77017d2673",
+    ("repr", "--kappa", "4"):
+        "e866b65f6e358d2aa7f552091ded57aa4758e2ff54ad215ae4dfd24a7e7e08a2",
+    ("classify", "--k", "0"):
+        "95872de29bd7c04bd9c8883531cebc7d11382bb71e7eac321823dcef3a679552",
+    ("classify", "--k", "1"):
+        "3abff594b4fb7f5b47876f43f96ba159404b13ffd704e93b5cf39a3c1c9e5d32",
+    ("classify", "--k", "2"):
+        "244f90d794f8d5d7faa11c59776507149d9a06254982a25b3c90bce7045f9338",
+    ("classify", "--k", "3"):
+        "74af506fd292e4591a408ff7e59bfb6eb0ac13a89670d626c8f70bfb9acf85fc",
 }
 
 
@@ -156,6 +166,31 @@ def test_signed_matrix_outputs_match_golden(argv, capsys):
     code, out = run(capsys, command, SIGNED_TEXT, option, value, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# sha256 of `repr --json` stdout on matrices whose entries carry different
+# denominators, so the image is built over a common denominator.
+REPR_GOLDEN = [
+    ("1/2 0 1/3 0; 1 0 0 0; -1 0 0 0; 0 0 0 0", "2",
+     "649f8d2ec60f81d4b2d56df715cf886e784b20f1a1206ad1eb71b60b71ae04ce"),
+    ("1/2 0 1/3 0; 1 0 0 0; -1 0 0 0; 0 0 0 0", "4",
+     "4385ee04f5752798fda712f7bbedf7a1a9770af5d5ae6c847f642ee9d43ac2c5"),
+    ("1/2 0 0 0; 1/3 0 1/5 0; 3 0 0 0; 4 0 6/5 0", "2",
+     "d461c00f7ec9aa1e6ee398de1b8607afbfe6e9095b571c7996d47b2a7395352a"),
+    ("1/2 0 0 0; 1/3 0 1/5 0; 3 0 0 0; 4 0 6/5 0", "4",
+     "709dc32a890c7b85197908cf1c81c2b9b694b361d02e48428028057197237408"),
+    ("1/2 1/3 0 -1/4; 1 0 0 0; -1 0 0 0; 0 0 0 0", "4",
+     "8aa7c658e5a24ae355e1f010553262f7830a570d50e98b5421958f8ef75a7b20"),
+]
+
+
+@pytest.mark.parametrize("text, kappa, digest", REPR_GOLDEN,
+                         ids=[f"{i}-kappa{row[1]}"
+                              for i, row in enumerate(REPR_GOLDEN)])
+def test_repr_fractional_outputs_match_golden(text, kappa, digest, capsys):
+    code, out = run(capsys, "repr", text, "--kappa", kappa, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of `margin --json` stdout, recorded before the scan pruned whole

@@ -27,13 +27,13 @@ from quartic.linalg import (
     RingMat2,
     compare_enclosed,
     enclosed,
-    entry_dist_sq,
     entry_exceeds,
-    ring_matrix,
     view_dist4,
     view_norm4,
 )
 from quartic.ring import QuarticElem, Sign, galois, sign4
+
+from matrix_reference import entry_dist_sq
 
 ZERO4 = (Fraction(0),) * 4
 
@@ -280,7 +280,8 @@ def test_view_dist4_matches_entry_dist_sq(p1, p2, k):
     xs = [*p1, *p2]
     lo, hi, t = view_dist4(xs, k)
     zero = RingMat2(0, 0, 0, 0)
-    assert QuarticElem(*t) == entry_dist_sq(ring_matrix(xs, 1), zero, k)
+    mat = RingMat2(*(QuarticElem(*x) for x in xs))
+    assert QuarticElem(*t) == entry_dist_sq(mat, zero, k)
     assert encloses(lo, hi, t)
 
 

@@ -1,5 +1,7 @@
 """Word enumeration, margins, freeness, torsion, dual smallness."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,10 +11,9 @@ from quartic.errors import DepthTooLarge, NotUnimodular
 from quartic.limits import margin_uniformity_probe, search_limit_candidates
 from quartic.linalg import (
     RingMat2,
-    entry_dist_sq,
+    _mat,
     int_matrices,
     is_scalar4,
-    ring_matrix,
     sqrt_of_square_interval,
 )
 from quartic import linalg, probe
@@ -28,6 +29,8 @@ from quartic.probe import (
     word_count,
 )
 from quartic.ring import QuarticElem, Sign
+
+from matrix_reference import RefMat2, entry_dist_sq
 
 P, Q = paper_generators()
 # the paper pair conjugated by diag(2, 1/2): rational, determinant one
@@ -94,7 +97,7 @@ def _check_walk(pair, n):
         assert codes == sorted(w.codes for w in enumerate_words(depth)
                                if w.codes)
         for c, mat in walked:
-            assert ring_matrix(mat, den ** len(c)) == evaluate_word(
+            assert _mat(mat, den ** len(c)) == evaluate_word(
                 ReducedWord(c), n, pair)
     return den
 
@@ -184,11 +187,11 @@ def test_margin_threads_agree():
 
 def _word_distances(n, depth, pair, views):
     """Slow reference: the exact squared product-metric distance of every
-    nonempty reduced word, inverses included, shortest first, on RingMat2
+    nonempty reduced word, inverses included, shortest first, on RefMat2
     products and entry_dist_sq.  Each word's product is its prefix's times
     its last letter."""
-    ident = RingMat2.identity()
-    letters = probe._generator_powers(n, pair)
+    ident = RefMat2.identity()
+    letters = [RefMat2(*g.entries()) for g in probe._generator_powers(n, pair)]
     mats = {(): ident}
     out = {}
     for word in enumerate_words(depth):
@@ -468,6 +471,16 @@ def test_dual_smallness_rows_have_norm_bound():
         assert row.escape_bound_ok
         assert all(v >= 1 for v in row.entry_norms)
         assert len(row.word) >= 1
+
+
+# sha256 of the sorted-key JSON of dual_smallness_scan(2, 3, 4)
+DUAL_SCAN_GOLDEN = (
+    "368614c2dda28395303a9729211dcfe940650e0bfb1d83b1907c33150d6b3bac")
+
+
+def test_dual_smallness_scan_matches_golden():
+    blob = json.dumps(dual_smallness_scan(2, 3, 4).to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == DUAL_SCAN_GOLDEN
 
 
 def test_dual_smallness_escape_visible():

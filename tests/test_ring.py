@@ -28,7 +28,6 @@ from quartic.ring import (
     gamma1,
     gamma2,
     in_S,
-    sign_of,
     signedness,
 )
 
@@ -161,7 +160,7 @@ def test_norm_oracle_bulk(rng):
 
 
 def test_sign_zero():
-    assert sign_of(ZERO) == Sign.ZERO
+    assert ZERO.sign() == Sign.ZERO
 
 
 def test_sign_against_decimal_oracle():
@@ -171,12 +170,12 @@ def test_sign_against_decimal_oracle():
         val = eval_decimal(x)
         assert abs(val) > Decimal("1e-40")
         expect = Sign.POSITIVE if val > 0 else Sign.NEGATIVE
-        assert sign_of(x) == expect
+        assert x.sign() == expect
 
 
 @given(elements)
 def test_sign_zero_iff_symbolically_zero(x):
-    assert (sign_of(x) == Sign.ZERO) == x.is_zero()
+    assert (x.sign() == Sign.ZERO) == x.is_zero()
 
 
 # ---------------------------------------------------------------------------
