@@ -15,8 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import construction, limits, probe, projective
-from .cubic import CubicElem, CubicMat2
+from . import construction
 from .errors import QuarticError
 from .intervals import interval_json
 from .linalg import (
@@ -24,6 +23,7 @@ from .linalg import (
     RingMat2,
     as_paper_hyperbolic,
     classify,
+    eigen2,
     regular_rep,
     share_eigenvector,
 )
@@ -155,6 +155,7 @@ def _random_quartic(rng: random.Random, span: int = 4) -> QuarticElem:
 def _random_sl2(rng: random.Random, kappa: int):
     """A product of one to three elementary matrices, each upper or lower at
     random, over Z[sqrt2] inside Z[beta] (kappa 2) or Z[2^(1/3)] (kappa 3)."""
+    from .cubic import CubicElem, CubicMat2
     mat = CubicMat2 if kappa == 3 else RingMat2
     out = mat.identity()
     one, zero = out.e11, out.e12
@@ -178,6 +179,8 @@ def _random_word_matrix(rng: random.Random, p: RingMat2, q: RingMat2,
 
 
 def cmd_verify_paper(args, config: dict) -> Report:
+    from . import probe, projective
+    from .extension import QuadExt
     rep = Report("verify-paper")
     p, q = construction.paper_generators()
     p, q = _apply_overrides(p, q, args.override)
@@ -236,8 +239,6 @@ def cmd_verify_paper(args, config: dict) -> Report:
             anchor="third-view generators have no common eigenvector")
 
     # scalar identities
-    from .linalg import eigen2
-    from .extension import QuadExt
     eq = eigen2(q, 0)
     lam_ok = (eq.lam_dominant + eq.lam_recessive
               == QuadExt.of_base(q.trace(), eq.lam_dominant.d))
@@ -340,8 +341,11 @@ def cmd_classify(args, config: dict) -> Report:
 def cmd_repr(args, config: dict) -> Report:
     rep = Report("repr")
     kappa = args.kappa if args.kappa is not None else 4
-    mat = (_parse_matrix(args.matrix, CubicElem, CubicMat2) if kappa == 3
-           else _parse_matrix(args.matrix))
+    if kappa == 3:
+        from .cubic import CubicElem, CubicMat2
+        mat = _parse_matrix(args.matrix, CubicElem, CubicMat2)
+    else:
+        mat = _parse_matrix(args.matrix)
     rep.inputs = {"matrix": mat.to_text(), "kappa": kappa}
     rr = regular_rep(mat, kappa)
     rep.add("matrix", PASS, value=[[str(c) for c in row] for row in rr.entries])
@@ -350,6 +354,7 @@ def cmd_repr(args, config: dict) -> Report:
 
 
 def cmd_margin(args, config: dict) -> Report:
+    from . import probe, projective
     rep = Report("margin")
     n = _setting(args, config, "N")
     if n is None:
@@ -365,6 +370,7 @@ def cmd_margin(args, config: dict) -> Report:
 
 
 def cmd_certify(args, config: dict) -> Report:
+    from . import probe, projective
     rep = Report("certify")
     depth = min(_setting(args, config, "L"), 8)
     cert = probe.freeness_certificate(_setting(args, config, "N"),
@@ -383,6 +389,7 @@ def cmd_certify(args, config: dict) -> Report:
 
 
 def cmd_search(args, config: dict) -> Report:
+    from . import limits
     rep = Report("search")
     bound = _setting(args, config, "bound")
     count = 25 if args.count is None else args.count

@@ -16,7 +16,6 @@ from .errors import UnsignedElement
 from .extension import QuadExt
 from .intervals import DEFAULT_BITS, Interval, interval_json, sqrt2_interval
 from .linalg import RingMat2, eigen2, share_eigenvector
-from .projective import ProjPoint, noncommuting_check, proj_dist
 from .ring import (
     ONE,
     ZERO,
@@ -186,6 +185,7 @@ def check_conditions(p: RingMat2, q: RingMat2, m: int, n: int) -> ConditionRepor
     In dimension two the cross conditions coincide with fixed-point
     disjointness, so conditions one and two carry the same verdict.
     """
+    from .projective import noncommuting_check
     if m < 1 or n < 1:
         raise ValueError("powers must be at least 1")
     try:
@@ -442,6 +442,7 @@ def inequality_probe(a: RingMat2, which: int,
     """Diagnostic evaluation of one displayed inequality on the sigma2
     entries of `a`.  Sign-quantified inequalities are evaluated for all
     sixteen sign choices with exact verdicts."""
+    from .projective import ProjPoint, proj_dist
     params = params or ProbeParams()
     bits = params.bits
     if which not in (4, 6, 7, 8, 9, 10, 11, 13, 14):

@@ -35,8 +35,6 @@ from .linalg import (
     share_eigenvector,
     view_dist4,
 )
-from .probe import ReducedWord, discreteness_margin, walk_words
-from .projective import ProjPoint, proj_dist
 from .ring import ONE, QuarticElem, mul4
 
 
@@ -228,6 +226,7 @@ def check_limit_conditions(candidate: LimitCandidate,
     against the limit targets, and a probe-only freeness scan.  With a
     sequence index the residuals are also compared against the targets'
     tolerance schedule."""
+    from .probe import ReducedWord, walk_words
     targets = targets or default_targets(bits)
     if q is None:
         _, q = paper_generators()
@@ -462,6 +461,7 @@ def margin_uniformity_probe(candidates, n: int, depth: int, eps,
     Words are evaluated once over Z[beta] with generators (Q^n, P_cand^n);
     the two product factors are the sigma2 and sigma3 views because sigma2
     fixes Q and sigma1(Q) = sigma3(Q)."""
+    from .probe import discreteness_margin
     eps = Fraction(eps)
     _, q = paper_generators()
     rows = []
@@ -477,6 +477,8 @@ def margin_uniformity_probe(candidates, n: int, depth: int, eps,
 
 def _near_identity_rows(pair, n: int, depth: int, eps: Fraction,
                         bits: int) -> list[dict]:
+    from .probe import ReducedWord, walk_words
+    from .projective import ProjPoint, proj_dist
     p, cnd = pair
     pn = p ** n
     cn = cnd ** n

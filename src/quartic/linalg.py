@@ -21,7 +21,6 @@ from math import gcd, lcm
 from operator import mul
 import enum
 
-from .cubic import CubicMat2
 from .errors import (
     NotUnimodular,
     ParabolicNotSupported,
@@ -46,6 +45,7 @@ from .ring import (
     Sign,
     galois,
     mul4,
+    power,
     quad_sign,
     sign4,
     _elem,
@@ -151,14 +151,7 @@ class RingMat2:
     def __pow__(self, n: int) -> "RingMat2":
         if n < 0:
             return self.inv() ** (-n)
-        result = RingMat2.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n) if n else RingMat2.identity()
 
     def is_identity(self) -> bool:
         return is_scalar4(self._m, self._d)
@@ -348,6 +341,7 @@ def regular_rep(a, kappa: int) -> RegularRep:
     image is built on the matrix's int coefficients over one denominator.
     """
     if kappa == 3:
+        from .cubic import CubicMat2
         if not isinstance(a, CubicMat2):
             raise WrongSubring("kappa = 3 needs a matrix over Q(2^(1/3))")
         coeff_lists = [e.int_coeffs() for e in a.entries()]

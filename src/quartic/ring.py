@@ -103,6 +103,22 @@ def sign4(t) -> int:
     return dyadic_sign(t0, (t1, t2, t3), quartic_bounds)
 
 
+def power(base, n: int):
+    """base ** n for n >= 1 by repeated squaring, starting from the lowest
+    set bit's power and skipping the square after the highest bit."""
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    result = base
+    n >>= 1
+    while n:
+        base = base * base
+        if n & 1:
+            result = result * base
+        n >>= 1
+    return result
+
+
 _new = object.__new__
 
 
@@ -233,14 +249,7 @@ class QuarticElem:
     def __pow__(self, n: int) -> "QuarticElem":
         if n < 0:
             return self.inv() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n) if n else ONE
 
     def is_zero(self) -> bool:
         return self._c == (0, 0, 0, 0)
@@ -455,10 +464,12 @@ def field_quantity_N(x: QuarticElem) -> Fraction:
     return closed
 
 
-def _term_elems(x: QuarticElem) -> tuple[QuarticElem, ...]:
-    """The four monomial terms (a, m*beta, p*beta^2, e*beta^3) as elements."""
-    return (QuarticElem(x.q0), QuarticElem(0, x.q1),
-            QuarticElem(0, 0, x.q2), QuarticElem(0, 0, 0, x.q3))
+def _terms(x: QuarticElem, degrees) -> tuple[QuarticElem, ...]:
+    """The monomial terms q_i beta^i of x for i in degrees, each one int of
+    its vector over its denominator."""
+    c, d = x._c, x._d
+    return tuple(_elem(tuple(c[i] if j == i else 0 for j in range(4)), d)
+                 for i in degrees)
 
 
 def _min_elem(terms: tuple[QuarticElem, ...]) -> QuarticElem:
@@ -481,7 +492,7 @@ def gamma(x: QuarticElem) -> QuarticElem:
         raise UnsignedElement(f"gamma of mixed-sign element {x.to_text()}")
     if s == Signedness.NEGATIVE:
         return -gamma(-x)
-    return 4 * _min_elem(_term_elems(x))
+    return 4 * _min_elem(_terms(x, range(4)))
 
 
 def delta(x: QuarticElem) -> QuarticElem:
@@ -497,7 +508,7 @@ def gamma1(x: QuarticElem) -> QuarticElem:
         raise UnsignedElement(f"gamma1 of mixed-sign element {x.to_text()}")
     if s == Signedness.NEGATIVE:
         return -gamma1(-x)
-    return 2 * _min_elem((QuarticElem(x.q0), QuarticElem(0, 0, x.q2)))
+    return 2 * _min_elem(_terms(x, (0, 2)))
 
 
 def gamma2(x: QuarticElem) -> QuarticElem:
@@ -509,7 +520,7 @@ def gamma2(x: QuarticElem) -> QuarticElem:
         raise UnsignedElement(f"gamma2 of mixed-sign element {x.to_text()}")
     if s == Signedness.NEGATIVE:
         return -gamma2(-x)
-    return 2 * _min_elem((QuarticElem(0, x.q1), QuarticElem(0, 0, 0, x.q3)))
+    return 2 * _min_elem(_terms(x, (1, 3)))
 
 
 def delta1(x: QuarticElem) -> QuarticElem:

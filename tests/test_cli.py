@@ -276,6 +276,37 @@ def test_import_leaves_process_pool_unloaded():
     assert out.strip() == "False"
 
 
+def _quartic_modules(argv) -> set[str]:
+    """The quartic modules loaded in a fresh process after importing the CLI
+    and running main(argv) if argv is not empty."""
+    src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import contextlib, io, sys\n"
+            "from quartic.cli import main\n"
+            f"if {argv!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        main({argv!r})\n"
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'quartic'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_command_import_sets():
+    """Each command loads only the modules it runs.  Checked in fresh
+    processes, since this test module has imported probe and projective."""
+    shared = {"quartic"} | {f"quartic.{m}" for m in (
+        "cli", "construction", "errors", "extension", "intervals", "linalg",
+        "report", "ring")}
+    assert _quartic_modules([]) == shared
+    search = _quartic_modules(["search", "--bound", "1", "--count", "2",
+                               "--json"])
+    assert not search & {"quartic.probe", "quartic.projective",
+                         "quartic.cubic"}
+    certify = _quartic_modules(["certify", "--json"])
+    assert not certify & {"quartic.limits", "quartic.cubic"}
+
+
 def test_certify_reuses_the_searched_certificate(monkeypatch, capsys):
     """The exponent search ends on a certificate at its exponent; certify
     cross-checks that one instead of building it again."""

@@ -70,7 +70,7 @@ def test_products_and_scalar_data_match(xs, ys):
     assert a.real_view(0) == a
 
 
-@given(matrices, st.integers(-3, 3))
+@given(matrices, st.integers(-9, 9))
 def test_inverse_and_powers_match(xs, n):
     a, r = pair(xs)
     if r.det().is_zero():

@@ -97,6 +97,17 @@ def test_mul_inverse(x):
         assert x * x.inv() == ONE
 
 
+@given(elements, st.integers(min_value=-9, max_value=9))
+def test_power_matches_repeated_product(x, n):
+    if n < 0 and x.is_zero():
+        return
+    base = x if n >= 0 else x.inv()
+    expected = ONE
+    for _ in range(abs(n)):
+        expected = expected * base
+    assert x ** n == expected
+
+
 @given(elements, elements)
 def test_mul_commutative_and_distributive(x, y):
     assert x * y == y * x
