@@ -4,12 +4,14 @@ Subcommands: verify-paper, classify, repr, margin, certify, search,
 conjugate, probe-inequality.  Every command emits a Report, as text or as
 deterministic JSON (--json).  Exit codes: 0 all checks pass (errata are
 reported but do not fail), 1 any check fails, 2 bad usage, bad config,
-unparseable input or an out-of-range setting.
+unparseable input or an out-of-range setting, 141 (128 + SIGPIPE) stdout
+closed before the report was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -29,6 +31,8 @@ from .linalg import (
 )
 from .report import ERRATUM, FAIL, PASS, PROBE_ONLY, Report
 from .ring import QuarticElem, field_quantity_N, sqrt2_text
+
+EXIT_BROKEN_PIPE = 141
 
 DEFAULTS = {
     "N": None,          # None: take the exponent from the ping-pong certificate
@@ -515,10 +519,15 @@ def main(argv=None) -> int:
         # ValueError is how the library rejects an out-of-range setting
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(rep.to_json_text())
-    else:
-        print(rep.to_text())
+    try:
+        print(rep.to_json_text() if args.json else rep.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stdout now points at devnull, so the flush at
+        # shutdown writes nothing and prints no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    if not args.json:
         print(f"elapsed: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return 1 if rep.failed() else 0
 

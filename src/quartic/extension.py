@@ -40,32 +40,37 @@ class QuadExt:
     def __add__(self, other):
         other = _as_ext(other, self.d)
         self._check_compatible(other)
-        return QuadExt(self.a + other.a, self.b + other.b, self._common_d(other))
+        return _ext(self.a + other.a, self.b + other.b, self._common_d(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _as_ext(other, self.d)
         self._check_compatible(other)
-        return QuadExt(self.a - other.a, self.b - other.b, self._common_d(other))
+        return _ext(self.a - other.a, self.b - other.b, self._common_d(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _ext(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         other = _as_ext(other, self.d)
         self._check_compatible(other)
         d = self._common_d(other)
-        return QuadExt(self.a * other.a + self.b * other.b * d,
-                       self.a * other.b + self.b * other.a, d)
+        a, b, a2, b2 = self.a, self.b, other.a, other.b
+        # a base-field operand takes two products, not four
+        if b2.is_zero():
+            return _ext(a * a2, b if b.is_zero() else b * a2, d)
+        if b.is_zero():
+            return _ext(a * a2, a * b2, d)
+        return _ext(a * a2 + b * b2 * d, a * b2 + b * a2, d)
 
     __rmul__ = __mul__
 
     def conj_sqrt(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _ext(self.a, -self.b, self.d)
 
     def norm_base(self) -> QuarticElem:
         """a^2 - b^2 d, the norm down to Q(beta)."""
@@ -77,7 +82,7 @@ class QuadExt:
             # sqrt(d) lies in the base field here; fall back on the value
             raise ZeroDivisionError("inverse through a degenerate extension")
         ninv = n.inv()
-        return QuadExt(self.a * ninv, -self.b * ninv, self.d)
+        return _ext(self.a * ninv, -self.b * ninv, self.d)
 
     def sign(self) -> Sign:
         sa = self.a.sign()
@@ -135,7 +140,14 @@ def _as_quartic(x) -> QuarticElem:
     return q
 
 
+def _ext(a: QuarticElem, b: QuarticElem, d: QuarticElem) -> QuadExt:
+    """a + b*sqrt(d) from parts already in Q(beta), with no coercion."""
+    out = object.__new__(QuadExt)
+    out.a, out.b, out.d = a, b, d
+    return out
+
+
 def _as_ext(x, d) -> QuadExt:
     if isinstance(x, QuadExt):
         return x
-    return QuadExt(_as_quartic(x), ZERO, d)
+    return _ext(_as_quartic(x), ZERO, d)

@@ -403,8 +403,9 @@ class FreenessCertificate:
 def freeness_certificate(n: int | None, pair=None,
                          crosscheck_depth: int = 8) -> FreenessCertificate:
     """Ping-pong certificate at the given exponent for the sigma2 views,
-    cross-checked by exhaustive exact evaluation: no nonempty reduced word
-    up to the cross-check depth may evaluate to plus or minus identity.
+    cross-checked by an exact word search (``_crosscheck``): no nonempty
+    reduced word up to the cross-check depth may evaluate to plus or minus
+    identity, and every such word is decided.
     With n None the exponent is the least one ``free_pair_power`` finds,
     and the certificate its search ended on is the one cross-checked."""
     if (n is not None and n < 1) or crosscheck_depth < 1:
@@ -435,14 +436,20 @@ def _crosscheck(gens, den: int, depth: int) -> tuple[int, list]:
     <= depth in the int 4-tuple letters gens over den: a hit is the codes of
     a word whose product is +-I exactly.
 
-    The walk runs in F_p: a word of length k is +-I only if its product
-    over den^k is +-den^k I mod p.  A word that fails that test is not +-I;
-    a word that passes is multiplied out exactly and decided by
-    ``is_scalar4``."""
+    The search meets in the middle, in F_p.  Only the words of length
+    <= h = ceil(depth / 2) are multiplied, each keyed by its product over
+    den^|w| times den^(h - |w|) mod p, up to sign.  A nonempty reduced word
+    W of length k splits in one way as W = U X^-1 with |U| = ceil(k / 2) and
+    |X| = floor(k / 2), reduced exactly when X is empty or U and X end in
+    different letters; W = +-I exactly only if U = +-X, and then U and X
+    share a key.  So only pairs from one key's bucket are candidates, and
+    each is multiplied out exactly and decided by ``is_scalar4``."""
     p = _PRIME
     b = _BETA_IMAGE % p
+    h = (depth + 1) // 2
     letters = [tuple([(t[0] + b * (t[1] + b * (t[2] + b * t[3]))) % p
                       for t in g]) for g in gens]
+    scale = [pow(den, h - k, p) for k in range(h + 1)]
 
     def mul(x, y):
         x11, x12, x21, x22 = x
@@ -450,19 +457,30 @@ def _crosscheck(gens, den: int, depth: int) -> tuple[int, list]:
         return ((x11 * y11 + x12 * y21) % p, (x11 * y12 + x12 * y22) % p,
                 (x21 * y11 + x22 * y21) % p, (x21 * y12 + x22 * y22) % p)
 
-    count = 0
+    buckets: dict[tuple, list] = {}
+    for codes, mat in [((), (1, 0, 0, 1)), *walk_words(letters, h, mul=mul)]:
+        s = scale[len(codes)]
+        key = tuple([x * s % p for x in mat])
+        key = min(key, tuple([-x % p for x in key]))
+        buckets.setdefault(key, []).append(codes)
+
     hits: list[tuple[int, ...]] = []
-    for codes, (m11, m12, m21, m22) in walk_words(letters, depth, mul=mul):
-        count += 1
-        if m12 or m21 or m11 != m22:
+    for words in buckets.values():
+        # a lone word pairs only with itself, and U U^-1 is not reduced
+        if len(words) < 2:
             continue
-        one = den ** len(codes)
-        if m11 not in (one % p, -one % p):
-            continue
-        mat = _word_matrix(gens, codes)
-        if is_scalar4(mat, one) or is_scalar4(mat, -one):
-            hits.append(codes)
-    return count, hits
+        for u in words:
+            for x in words:
+                lu, lx = len(u), len(x)
+                if (not u or not 0 <= lu - lx <= 1 or lu + lx > depth
+                        or (x and u[-1] == x[-1])):
+                    continue
+                codes = u + _inverse_codes(x)
+                one = den ** len(codes)
+                mat = _word_matrix(gens, codes)
+                if is_scalar4(mat, one) or is_scalar4(mat, -one):
+                    hits.append(codes)
+    return word_count(depth) - 1, hits
 
 
 def _word_matrix(gens, codes):

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import quartic
-from quartic import probe, projective
+from quartic import cli, probe, projective
 from quartic.cli import main
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -274,6 +274,28 @@ def test_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_ends_quietly(unbuffered):
+    """A reader that closes the pipe before the report is written gets no
+    traceback: the command exits 141 with nothing on stderr, whether the
+    write fails in print or in the flush after it."""
+    src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quartic.cli", "conjugate", Q_TEXT, "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
 
 
 def _quartic_modules(argv) -> set[str]:

@@ -390,9 +390,42 @@ def _reference_hits(pair, depth):
     return sorted(hits)
 
 
+def reference_crosscheck(gens, den, depth):
+    """``probe._crosscheck`` by walking every word: each nonempty reduced
+    word of length <= depth is multiplied in F_p, p = ``probe._PRIME``, and
+    one whose image is +-den^k I is multiplied out exactly."""
+    p = probe._PRIME
+    b = probe._BETA_IMAGE % p
+    letters = [tuple([(t[0] + b * (t[1] + b * (t[2] + b * t[3]))) % p
+                      for t in g]) for g in gens]
+
+    def mul(x, y):
+        x11, x12, x21, x22 = x
+        y11, y12, y21, y22 = y
+        return ((x11 * y11 + x12 * y21) % p, (x11 * y12 + x12 * y22) % p,
+                (x21 * y11 + x22 * y21) % p, (x21 * y12 + x22 * y22) % p)
+
+    count = 0
+    hits = []
+    for codes, (m11, m12, m21, m22) in walk_words(letters, depth, mul=mul):
+        count += 1
+        if m12 or m21 or m11 != m22:
+            continue
+        one = den ** len(codes)
+        if m11 not in (one % p, -one % p):
+            continue
+        mat = probe._word_matrix(gens, codes)
+        if is_scalar4(mat, one) or is_scalar4(mat, -one):
+            hits.append(codes)
+    return count, hits
+
+
+def _letters_of(pair):
+    return int_matrices([pair[0], pair[0].inv(), pair[1], pair[1].inv()])
+
+
 def _crosscheck_of(pair, depth):
-    gens, den = int_matrices([pair[0], pair[0].inv(), pair[1], pair[1].inv()])
-    count, hits = probe._crosscheck(gens, den, depth)
+    count, hits = probe._crosscheck(*_letters_of(pair), depth)
     return count, sorted(hits)
 
 
@@ -424,6 +457,69 @@ def test_crosscheck_agrees_with_exact_walk_under_a_weak_filter(monkeypatch):
     assert weak.identity_hits == strong.identity_hits == []
     assert _crosscheck_of((_S, _T), 5) == strong_relators
     assert strong_relators[1] == _reference_hits((_S, _T), 5)
+
+
+# relators of both parities, up to 1,426 hits at depth 9; -I as a letter
+# gives relators of length one, which split against the empty word
+_MINUS_I = RingMat2(QuarticElem(-1), QuarticElem(0), QuarticElem(0),
+                    QuarticElem(-1))
+_CROSSCHECK_CASES = (
+    [pytest.param((_S, _T), d, id=f"torsion-L{d}") for d in range(1, 10)]
+    + [pytest.param((_T, _MINUS_I), d, id=f"central-L{d}")
+       for d in range(1, 6)]
+    + [pytest.param((P ** n, Q ** n), d, id=f"paper-N{n}-L{d}")
+       for n in (1, 2, 3) for d in range(1, 9)])
+
+
+@pytest.mark.parametrize("prime", [probe._PRIME, 7], ids=["p61", "p7"])
+@pytest.mark.parametrize("pair, depth", _CROSSCHECK_CASES)
+def test_crosscheck_matches_reference(pair, depth, prime, monkeypatch):
+    monkeypatch.setattr(probe, "_PRIME", prime)
+    gens, den = _letters_of(pair)
+    count, hits = reference_crosscheck(gens, den, depth)
+    assert _crosscheck_of(pair, depth) == (count, sorted(hits))
+    assert count == word_count(depth) - 1
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_crosscheck_matches_reference_when_every_key_collides(depth,
+                                                              monkeypatch):
+    # conjugated by diag(7, 1/7), the torsion pair has denominator 49, so in
+    # F_7 every word shorter than the half length keys to zero
+    h = RingMat2(QuarticElem(7), QuarticElem(0), QuarticElem(0),
+                 QuarticElem(Fraction(1, 7)))
+    pair = (h * _S * h.inv(), h * _T * h.inv())
+    gens, den = _letters_of(pair)
+    assert den % 7 == 0
+    monkeypatch.setattr(probe, "_PRIME", 7)
+    count, hits = reference_crosscheck(gens, den, depth)
+    assert _crosscheck_of(pair, depth) == (count, sorted(hits))
+    assert sorted(hits) == _reference_hits(pair, depth)
+
+
+def test_crosscheck_multiplies_only_half_length_words(monkeypatch):
+    """At depth 8 the F_p walk goes to length 4: 160 words from 156
+    products, where walking every word takes 13,120."""
+    words = []
+    products = []
+    real = probe.walk_words
+
+    def spy(letters, depth, *args, mul, **kwargs):
+        def counted(x, y):
+            products.append(1)
+            return mul(x, y)
+        for item in real(letters, depth, *args, mul=counted, **kwargs):
+            words.append(item[0])
+            yield item
+
+    gens, den = int_matrices(probe._generator_powers(3))
+    monkeypatch.setattr(probe, "walk_words", spy)
+    count, hits = probe._crosscheck(gens, den, 8)
+    assert len(words) <= 160 and len(products) <= 160
+    assert max(map(len, words)) == 4
+    monkeypatch.undo()
+    assert (count, sorted(hits)) == reference_crosscheck(gens, den, 8)
+    assert count == 13120 and hits == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quartic.errors import NonIntegralInput, UnsignedElement
+from quartic.extension import QuadExt
 from quartic.ring import (
     BETA,
     ONE,
@@ -187,6 +188,22 @@ def test_sign_against_decimal_oracle():
 @given(elements)
 def test_sign_zero_iff_symbolically_zero(x):
     assert (x.sign() == Sign.ZERO) == x.is_zero()
+
+
+@given(elements, st.one_of(st.just(ZERO), elements), elements, elements,
+       elements, st.booleans())
+def test_quadext_product_with_a_base_field_operand(a, b, c, r, s, left):
+    """(a + b sqrt(d)) * c takes the two-product path; it equals the general
+    formula (a c + b 0 d) + (a 0 + b c) sqrt(d), on the d ``_common_d``
+    picks, with the same sign, in either order and with b zero or not."""
+    x = QuadExt(a, b, r * r)
+    y = QuadExt.of_base(c, s * s)
+    prod = x * y if left else y * x
+    first, second = (x, y) if left else (y, x)
+    d = first._common_d(second)
+    general = QuadExt(a * c + b * ZERO * d, a * ZERO + b * c, d)
+    assert (prod.a, prod.b, prod.d) == (general.a, general.b, d)
+    assert prod.sign() == general.sign()
 
 
 # ---------------------------------------------------------------------------
