@@ -376,7 +376,7 @@ def cmd_margin(args, config: dict) -> Report:
 def cmd_certify(args, config: dict) -> Report:
     from . import probe, projective
     rep = Report("certify")
-    depth = min(_setting(args, config, "L"), 8)
+    depth = _setting(args, config, "L")
     cert = probe.freeness_certificate(_setting(args, config, "N"),
                                       crosscheck_depth=depth)
     rep.inputs = {"N": cert.n}

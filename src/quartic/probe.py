@@ -407,9 +407,13 @@ def freeness_certificate(n: int | None, pair=None,
     reduced word up to the cross-check depth may evaluate to plus or minus
     identity, and every such word is decided.
     With n None the exponent is the least one ``free_pair_power`` finds,
-    and the certificate its search ended on is the one cross-checked."""
+    and the certificate its search ended on is the one cross-checked.  The
+    depth is capped at the margin's ``DEFAULT_DEPTH_CAP``."""
     if (n is not None and n < 1) or crosscheck_depth < 1:
         raise ValueError("need a positive exponent and cross-check depth")
+    if crosscheck_depth > DEFAULT_DEPTH_CAP:
+        raise DepthTooLarge(
+            f"L = {crosscheck_depth} beyond cap {DEFAULT_DEPTH_CAP}")
     pair = pair or paper_generators()
     p, q = pair
     if n is None:

@@ -8,14 +8,16 @@ Ping-pong certificates are fully exact.  Balls are chordal-metric balls
 around the exact eigenvector points; the compact complement of a removed
 rational interval is covered by rational cells; each cell is certified by
 evaluating the Moebius image of its endpoints exactly and using convexity
-of the ball in a chart where the cell maps without a pole.  The standalone
-checker re-runs the same predicates from the serialized data.
+of the ball in a chart where the cell maps without a pole.  The search and
+the standalone checker share one ball form (``Ball.membership_sign``) and
+one region test (``_region_ok``); the checker re-runs them from the
+serialized data.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -133,8 +135,13 @@ def proj_equal(p: ProjPoint, q: ProjPoint) -> bool:
     return True
 
 
-def proj_dist(p: ProjPoint, q: ProjPoint, bits: int = DEFAULT_BITS,
-              max_bits: int = 4096) -> Interval:
+# the most bits a chordal distance enclosure is refined to; a certificate
+# may not ask the checker for more
+_MAX_BITS = 4096
+
+
+def proj_dist(p: ProjPoint, q: ProjPoint,
+              bits: int = DEFAULT_BITS) -> Interval:
     """Chordal distance |p ^ q| / (|p| |q|) as a validated interval.
 
     The squared distance is computed exactly whenever the coordinates live
@@ -162,16 +169,15 @@ def proj_dist(p: ProjPoint, q: ProjPoint, bits: int = DEFAULT_BITS,
                 lo = (iv_num.lo / iv_den.hi)
                 hi = (iv_num.hi / iv_den.lo)
                 return Interval(lo, min(Fraction(1), hi)).sqrt(b)
-            if b >= max_bits:
+            if b >= _MAX_BITS:
                 raise UndecidedComparison("chordal distance enclosure stalled")
             b *= 2
     except InternalMismatch:
         # coordinates live in two different extensions: enclosures only
-        return _proj_dist_intervals(p, q, bits, max_bits)
+        return _proj_dist_intervals(p, q, bits)
 
 
-def _proj_dist_intervals(p: ProjPoint, q: ProjPoint, bits: int,
-                         max_bits: int) -> Interval:
+def _proj_dist_intervals(p: ProjPoint, q: ProjPoint, bits: int) -> Interval:
     b = bits
     while True:
         pc = p.interval_coords(b)
@@ -189,7 +195,7 @@ def _proj_dist_intervals(p: ProjPoint, q: ProjPoint, bits: int,
             lo = max(Fraction(0), num.lo / den.hi)
             hi = max(Fraction(0), num.hi / den.lo)
             return Interval(lo, min(Fraction(1), hi)).sqrt(b)
-        if b >= max_bits:
+        if b >= _MAX_BITS:
             raise UndecidedComparison("coordinate intervals too coarse")
         b *= 2
 
@@ -352,31 +358,47 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
 # ping-pong on the projective line
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ball:
-    """Chordal ball with an exact center on the projective line."""
+    """Chordal ball with an exact center on the projective line.
+
+    With cross = p1 c2 - p2 c1 and |c|^2 = c1^2 + c2^2, a point p lies
+    strictly inside iff cross^2 - r^2 |p|^2 |c|^2 < 0.  That value is the
+    binary quadratic form A p1^2 + B p1 p2 + C p2^2 for A = c2^2 - r^2 |c|^2,
+    B = -2 c1 c2 and C = c1^2 - r^2 |c|^2, built once here from the center's
+    ``_center_terms``; the search passes them in from its per-center memo.
+    The search and the checker both sign with it."""
 
     name: str
     center: tuple[QuadExt, QuadExt]
     radius: Fraction
+    terms: InitVar[tuple | None] = None
+
+    def __post_init__(self, terms):
+        c11, c22, b, norm = terms or _center_terms(self.center)
+        r2c2 = norm * QuarticElem(self.radius * self.radius)
+        form = (c22 - r2c2, b, c11 - r2c2)
+        object.__setattr__(self, "_form", (tuple(f.a for f in form),
+                                           tuple(f.b for f in form)))
+        # the charts' points at infinity are (1, 0) for u and (0, 1) for s
+        object.__setattr__(self, "_excludes", {
+            "u": form[0].sign() == Sign.POSITIVE,
+            "s": form[2].sign() == Sign.POSITIVE})
 
     def center_point(self) -> ProjPoint:
         return ProjPoint(self.center)
 
-    def membership_sign(self, point: tuple) -> Sign:
-        """Sign of chordal(p, c)^2 - r^2: NEGATIVE means strictly inside."""
-        d = self.center[0].d
-        p1 = point[0] if isinstance(point[0], QuadExt) else QuadExt.of_base(point[0], d)
-        p2 = point[1] if isinstance(point[1], QuadExt) else QuadExt.of_base(point[1], d)
-        c1, c2 = self.center
-        cross = p1 * c2 - p2 * c1
-        r2 = QuarticElem(self.radius * self.radius)
-        val = cross * cross - (p1 * p1 + p2 * p2) * (c1 * c1 + c2 * c2) * QuadExt.of_base(r2, d)
-        return val.sign()
+    def membership_sign(self, point: tuple[QuarticElem, QuarticElem]) -> Sign:
+        """Sign of chordal(p, c)^2 - r^2 at a base-field point p:
+        NEGATIVE means strictly inside."""
+        p1, p2 = point
+        x, y, z = p1 * p1, p1 * p2, p2 * p2
+        (a0, a1, a2), (b0, b1, b2) = self._form
+        return QuadExt(a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z,
+                       self.center[0].d).sign()
 
     def excludes_chart_infinity(self, chart: str) -> bool:
-        inf_point = (ZERO, ONE) if chart == "s" else (ONE, ZERO)
-        return self.membership_sign(inf_point) == Sign.POSITIVE
+        return self._excludes[chart]
 
     def to_json(self) -> dict:
         c1, c2 = self.center
@@ -400,45 +422,9 @@ class Ball:
         return cls(obj["name"], (c1, c2), Fraction(obj["radius"]))
 
 
-class _FormBall(Ball):
-    """A ball of the certificate search, its membership sign read from one
-    binary quadratic form.
-
-    With cross = p1 c2 - p2 c1 and |c|^2 = c1^2 + c2^2, the value
-    cross^2 - r^2 |p|^2 |c|^2 of ``Ball.membership_sign`` is
-    A p1^2 + B p1 p2 + C p2^2 for A = c2^2 - r^2 |c|^2, B = -2 c1 c2 and
-    C = c1^2 - r^2 |c|^2, built once per (center, radius) from the center's
-    ``_center_terms`` (computed here unless given).  Points are base-field
-    pairs, as every point the search signs.  ``verify_certificate`` keeps
-    the direct formula of ``Ball``."""
-
-    def __init__(self, name: str, center: tuple[QuadExt, QuadExt],
-                 radius: Fraction, terms=None):
-        super().__init__(name, center, radius)
-        c11, c22, b, norm = terms or _center_terms(center)
-        r2c2 = norm * QuarticElem(radius * radius)
-        form = (c22 - r2c2, b, c11 - r2c2)
-        self._a = tuple(f.a for f in form)
-        self._b = tuple(f.b for f in form)
-        # the charts' points at infinity are (1, 0) for u and (0, 1) for s
-        self._excludes = {"u": form[0].sign() == Sign.POSITIVE,
-                          "s": form[2].sign() == Sign.POSITIVE}
-
-    def membership_sign(self, point: tuple) -> Sign:
-        p1, p2 = point
-        x, y, z = p1 * p1, p1 * p2, p2 * p2
-        a0, a1, a2 = self._a
-        b0, b1, b2 = self._b
-        return QuadExt(a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z,
-                       self.center[0].d).sign()
-
-    def excludes_chart_infinity(self, chart: str) -> bool:
-        return self._excludes[chart]
-
-
 def _center_terms(center: tuple[QuadExt, QuadExt]) -> tuple:
     """(c1^2, c2^2, -2 c1 c2, |c|^2) of a ball center c = (c1, c2): the
-    radius-free parts of its ``_FormBall`` form."""
+    radius-free parts of its ``Ball`` form."""
     c1, c2 = center
     c11, c22 = c1 * c1, c2 * c2
     return c11, c22, c1 * c2 * QuarticElem(-2), c11 + c22
@@ -488,8 +474,12 @@ def _cell_pole_free(m: RingMat2, cell: Cell, target_chart: str) -> bool:
     return s_lo != Sign.ZERO and s_lo == s_hi
 
 
-def _certify_cell(m: RingMat2, cell: Cell, ball: Ball,
-                  max_depth: int = 24) -> tuple[bool, list[Cell], str]:
+# the deepest a cell is bisected to separate the chart poles
+_MAX_CELL_DEPTH = 24
+
+
+def _certify_cell(m: RingMat2, cell: Cell,
+                  ball: Ball) -> tuple[bool, list[Cell], str]:
     """Certify that the image of the cell lies strictly inside the ball.
 
     Returns (ok, leaf cells with chosen chart, failure reason).  Endpoint
@@ -516,7 +506,7 @@ def _certify_cell(m: RingMat2, cell: Cell, ball: Ball,
                 break
         if placed:
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_CELL_DEPTH:
             return False, [], "subdivision depth exhausted"
         mid = (lo + hi) / 2
         stack.append((chart, lo, mid, depth + 1))
@@ -631,15 +621,14 @@ class PingPongCertificate:
         )
 
 
-def _fixed_point_balls(a: RingMat2, b: RingMat2, rho: Fraction) -> dict[str, Ball]:
+def _fixed_points(a: RingMat2,
+                  b: RingMat2) -> dict[str, tuple[QuadExt, QuadExt]]:
+    """The four ball centers by name: the generators' attracting and
+    repelling eigenvector points."""
     ea = eigen2(a, 0)
     eb = eigen2(b, 0)
-    return {
-        "A_att": Ball("A_att", ea.vec_dominant, rho),
-        "A_rep": Ball("A_rep", ea.vec_recessive, rho),
-        "B_att": Ball("B_att", eb.vec_dominant, rho),
-        "B_rep": Ball("B_rep", eb.vec_recessive, rho),
-    }
+    return {"A_att": ea.vec_dominant, "A_rep": ea.vec_recessive,
+            "B_att": eb.vec_dominant, "B_rep": eb.vec_recessive}
 
 
 def _balls_disjoint(balls: dict[str, Ball], bits: int) -> bool:
@@ -658,75 +647,49 @@ def _point_outside_all(t: Fraction, balls: dict[str, Ball]) -> bool:
     return all(b.membership_sign(pt) == Sign.POSITIVE for b in balls.values())
 
 
-def _dyadic_near(x: Fraction, bits: int = 24) -> Fraction:
-    return Fraction(round(x * (1 << bits)), 1 << bits)
+# dyadic precisions of the search's region ends and of its slope window
+_DYADIC_BITS = 24
+_SLOPE_BITS = 96
 
 
-def _ball_slope_window(ball: Ball, bits: int = 96) -> tuple[Fraction, Fraction] | None:
+def _dyadic_near(x: Fraction) -> Fraction:
+    return Fraction(round(x * (1 << _DYADIC_BITS)), 1 << _DYADIC_BITS)
+
+
+def _ball_slope_window(ball: Ball) -> tuple[Fraction, Fraction] | None:
     """Dyadic estimates (lo, hi) of the ball's extent in the slope chart."""
     c1, c2 = ball.center
     if not ball.excludes_chart_infinity("s"):
         return None
-    s_iv = None
-    b = bits
-    c1_iv = c1.interval(b)
-    c2_iv = c2.interval(b)
+    c1_iv = c1.interval(_SLOPE_BITS)
+    c2_iv = c2.interval(_SLOPE_BITS)
     if c1_iv.contains_zero():
         return None
-    s_iv = Interval(min(c2_iv.lo / c1_iv.lo, c2_iv.lo / c1_iv.hi,
-                        c2_iv.hi / c1_iv.lo, c2_iv.hi / c1_iv.hi),
-                    max(c2_iv.lo / c1_iv.lo, c2_iv.lo / c1_iv.hi,
-                        c2_iv.hi / c1_iv.lo, c2_iv.hi / c1_iv.hi))
+    slopes = [y / x for x in (c1_iv.lo, c1_iv.hi)
+              for y in (c2_iv.lo, c2_iv.hi)]
+    lo, hi = min(slopes), max(slopes)
     # chordal radius r around slope s0 spans roughly r * (1 + s0^2) in slope
-    spread = ball.radius * (1 + max(abs(s_iv.lo), abs(s_iv.hi)) ** 2) * 2
-    return (s_iv.lo - spread, s_iv.hi + spread)
+    spread = ball.radius * (1 + max(abs(lo), abs(hi)) ** 2) * 2
+    return (lo - spread, hi + spread)
 
 
-def _inner_interval(ball: Ball) -> tuple[Fraction, Fraction] | None:
-    """Rational interval strictly inside the ball (in the slope chart)."""
-    win = _ball_slope_window(ball)
-    if win is None:
-        return None
-    lo_w, hi_w = win
-    mid = (lo_w + hi_w) / 2
-    half = (hi_w - lo_w) / 2
-    for shrink in (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4),
-                   Fraction(1, 8), Fraction(1, 32)):
-        lo = _dyadic_near(mid - half * shrink)
-        hi = _dyadic_near(mid + half * shrink)
-        if lo >= hi:
-            continue
-        p_lo = (ONE, QuarticElem(lo))
-        p_hi = (ONE, QuarticElem(hi))
-        if (ball.membership_sign(p_lo) == Sign.NEGATIVE
-                and ball.membership_sign(p_hi) == Sign.NEGATIVE):
-            return lo, hi
-    return None
-
-
-def _outer_interval(ball: Ball) -> tuple[Fraction, Fraction] | None:
-    """Rational interval strictly containing the ball (slope chart)."""
-    win = _ball_slope_window(ball)
-    if win is None:
-        return None
-    lo_w, hi_w = win
-    mid = (lo_w + hi_w) / 2
-    half = (hi_w - lo_w) / 2
+def _region_ok(ball: Ball, region: tuple[Fraction, Fraction],
+               kind: str) -> bool:
+    """The region is a nonempty interval lo < hi of the slope chart: a
+    "complement" region (the removed interval) lies strictly inside the
+    ball, an "interval" region strictly contains it, the center between its
+    ends.  Both reason about the ball as a slope-chart interval."""
+    if not (region[0] < region[1] and ball.excludes_chart_infinity("s")):
+        return False
+    want = Sign.NEGATIVE if kind == "complement" else Sign.POSITIVE
+    if any(ball.membership_sign((ONE, QuarticElem(t))) != want
+           for t in region):
+        return False
+    if kind == "complement":
+        return True
     c1, c2 = ball.center
-    for grow in (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)):
-        lo = _dyadic_near(mid - half * grow)
-        hi = _dyadic_near(mid + half * grow)
-        p_lo = (ONE, QuarticElem(lo))
-        p_hi = (ONE, QuarticElem(hi))
-        if (ball.membership_sign(p_lo) != Sign.POSITIVE
-                or ball.membership_sign(p_hi) != Sign.POSITIVE):
-            continue
-        # endpoints strictly outside; center must sit between them
-        s_lo = (c2 - c1 * QuarticElem(lo)).sign()
-        s_hi = (c2 - c1 * QuarticElem(hi)).sign()
-        if s_lo != s_hi and Sign.ZERO not in (s_lo, s_hi):
-            return lo, hi
-    return None
+    s_lo, s_hi = ((c2 - c1 * QuarticElem(t)).sign() for t in region)
+    return s_lo != s_hi and Sign.ZERO not in (s_lo, s_hi)
 
 
 def _complement_cells(removed: tuple[Fraction, Fraction],
@@ -779,28 +742,6 @@ def _recheck_condition(m: RingMat2, cond: MappingCondition,
     return all(_recheck_cell(m, c, target) for c in cond.cells)
 
 
-def _region_membership_ok(cond: MappingCondition, balls: dict[str, Ball],
-                          source_ball: str) -> bool:
-    """Removed intervals sit inside their ball; enclosing intervals contain it."""
-    ball = balls[source_ball]
-    lo, hi = cond.region
-    p_lo = (ONE, QuarticElem(lo))
-    p_hi = (ONE, QuarticElem(hi))
-    if not ball.excludes_chart_infinity("s"):
-        # both region kinds reason about the ball as a slope-chart interval
-        return False
-    if cond.region_kind == "complement":
-        return (ball.membership_sign(p_lo) == Sign.NEGATIVE
-                and ball.membership_sign(p_hi) == Sign.NEGATIVE)
-    if (ball.membership_sign(p_lo) != Sign.POSITIVE
-            or ball.membership_sign(p_hi) != Sign.POSITIVE):
-        return False
-    c1, c2 = ball.center
-    s_lo = (c2 - c1 * QuarticElem(lo)).sign()
-    s_hi = (c2 - c1 * QuarticElem(hi)).sign()
-    return s_lo != s_hi and Sign.ZERO not in (s_lo, s_hi)
-
-
 # Every ping-pong condition, by name: generator, exponent sign, source ball,
 # target ball and region kind.  A "complement" condition maps the
 # complement of its source ball with exponent +-N; an "interval" (step)
@@ -823,24 +764,34 @@ def _condition_spec(name: str, n: int) -> tuple[str, int, str, str, str]:
     return gen, sgn * (n if kind == "complement" else 1), source, target, kind
 
 
-def _condition_matrix(cert_a: RingMat2, cert_b: RingMat2,
-                      generator: str, exponent: int) -> RingMat2:
-    g = cert_a if generator == "A" else cert_b
-    return g ** exponent
-
-
 # basepoint candidates, in the order the search tries them
 _BASEPOINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3),
                Fraction(10), Fraction(-10))
 
 
+# the factors, in the order the search tries them, by which the ball's
+# slope window is scaled into a region: a removed interval shrinks inside
+# the ball, an enclosing interval grows around it
+_REGION_SCALES = {
+    "complement": (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4),
+                   Fraction(1, 8), Fraction(1, 32)),
+    "interval": (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)),
+}
+
+
 def _search_region(ball: Ball, kind: str):
     """(region, outer) of a condition of the kind on its source ball, or
-    None.  The interval helpers check at the region's ends what
-    ``_region_membership_ok`` checks, so the search needs no second check."""
-    region = (_outer_interval(ball) if kind == "interval"
-              else _inner_interval(ball))
+    None: the first dyadic scaling of the ball's slope window that passes
+    the checker's ``_region_ok``."""
+    win = _ball_slope_window(ball)
+    if win is None:
+        return None
+    mid = (win[0] + win[1]) / 2
+    half = (win[1] - win[0]) / 2
+    scaled = ((_dyadic_near(mid - half * f), _dyadic_near(mid + half * f))
+              for f in _REGION_SCALES[kind])
+    region = next((r for r in scaled if _region_ok(ball, r, kind)), None)
     if region is None:
         return None
     outer = Fraction(1)
@@ -857,10 +808,10 @@ class _PairSearch:
     for every exponent and radius it is asked about: the fixed points (one
     ``eigen2`` per generator), their six chordal distances per precision,
     each generator power, the radius-free terms of each center's form, and
-    per radius the balls as quadratic forms, the disjointness precision,
-    the basepoint and each region.  A step condition (exponent +-1) is
-    certified once per radius for every exponent, so a failed attempt
-    costs only its complement conditions."""
+    per radius the balls, the disjointness precision, the basepoint and
+    each region.  A step condition (exponent +-1) is certified once per
+    radius for every exponent, so a failed attempt costs only its
+    complement conditions."""
 
     def __init__(self, a: RingMat2, b: RingMat2):
         for m, label in ((a, "first"), (b, "second")):
@@ -869,8 +820,7 @@ class _PairSearch:
         if share_eigenvector(a, b, 0):
             raise HypothesisViolated("fixed-point sets intersect")
         self.gens = {"A": a, "B": b}
-        self.centers = {name: ball.center for name, ball
-                        in _fixed_point_balls(a, b, Fraction(1)).items()}
+        self.centers = _fixed_points(a, b)
         self._memo: dict = {}
         self.sep = self._separation()
 
@@ -907,14 +857,14 @@ class _PairSearch:
         balls = {}
         for name, c in self.centers.items():
             terms = self._once(("center", name), lambda: _center_terms(c))
-            balls[name] = _FormBall(name, c, rho, terms)
+            balls[name] = Ball(name, c, rho, terms)
         bits = next((bits for bits in (DEFAULT_BITS << k for k in range(5))
                      if all(lo > 2 * rho for lo in self._distances(bits))), None)
         basepoint = None if bits is None else next(
             (t for t in _BASEPOINTS if _point_outside_all(t, balls)), None)
         return None if basepoint is None else (balls, bits, basepoint)
 
-    def _condition(self, rho: Fraction, balls: dict[str, _FormBall],
+    def _condition(self, rho: Fraction, balls: dict[str, Ball],
                    name: str, n: int) -> MappingCondition | None:
         """The named condition at exponent n on the balls of radius rho,
         certified, or None."""
@@ -946,13 +896,9 @@ class _PairSearch:
             conditions.append(cond)
         return PingPongCertificate(
             exponent=n, gen_a=self.gens["A"], gen_b=self.gens["B"],
-            balls={k: Ball(k, b.center, b.radius) for k, b in balls.items()},
+            balls=dict(balls),
             conditions=conditions, basepoint=basepoint,
             disjointness_bits=bits)
-
-
-# the checker's precision cap: a certificate may not ask for more
-_MAX_DISJOINTNESS_BITS = 4096
 
 
 def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
@@ -966,17 +912,17 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
             problems.append(f"{label} is not hyperbolic with determinant one")
     if cert.exponent < 1:
         problems.append(f"exponent {cert.exponent} is below 1")
-    if not 1 <= cert.disjointness_bits <= _MAX_DISJOINTNESS_BITS:
+    if not 1 <= cert.disjointness_bits <= _MAX_BITS:
         problems.append(f"disjointness_bits {cert.disjointness_bits} outside "
-                        f"1..{_MAX_DISJOINTNESS_BITS}")
+                        f"1..{_MAX_BITS}")
     if problems:
         return False, problems
-    expected = _fixed_point_balls(a, b, Fraction(1))
+    expected = _fixed_points(a, b)
     for name, ball in cert.balls.items():
         if name not in expected:
             problems.append(f"unknown ball {name}")
             continue
-        if not proj_equal(ball.center_point(), expected[name].center_point()):
+        if not proj_equal(ball.center_point(), ProjPoint(expected[name])):
             problems.append(f"ball {name} center is not the eigenvector point")
         if ball.radius <= 0:
             problems.append(f"ball {name} has nonpositive radius")
@@ -1011,10 +957,10 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
             problems.append(f"{cond.name}: outer bound {cond.outer} is not "
                             "positive")
             continue
-        if not _region_membership_ok(cond, cert.balls, source):
+        if not _region_ok(cert.balls[source], cond.region, kind):
             problems.append(f"{cond.name}: region/ball relation fails")
             continue
-        m = _condition_matrix(a, b, gen, expo)
+        m = (a if gen == "A" else b) ** expo
         if not _recheck_condition(m, cond, cert.balls):
             problems.append(f"{cond.name}: cell verification fails")
     return (not problems), problems

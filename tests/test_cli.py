@@ -92,6 +92,16 @@ def test_certify_command(capsys):
     assert "pingpong_certificate" in names and "word_crosscheck" in names
 
 
+def test_certify_depth_up_to_the_margin_cap(capsys):
+    code, blob = run_json(capsys, "certify", "--L", "12")
+    assert code == 0
+    check = blob["results"][1]["value"]
+    assert check == {"depth": 12, "words": 1062880, "identity_hits": []}
+    assert main(["certify", "--L", "13", "--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DepthTooLarge: ") and err.count("\n") == 1
+
+
 def test_search_command(capsys):
     code, blob = run_json(capsys, "search", "--bound", "1", "--count", "3")
     assert code == 0

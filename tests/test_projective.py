@@ -1,5 +1,6 @@
 """Dominance analysis, north-south data and ping-pong certificates."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -185,6 +186,13 @@ def _set_top(key, value):
     return mutate
 
 
+def _reverse_step_regions(blob):
+    for cond in blob["checked_conditions"]:
+        if cond["region_kind"] == "interval":
+            cond["region"].reverse()
+            cond["cells"] = []
+
+
 @pytest.mark.parametrize("mutate", [
     _set_field("A_att_step", "exponent", 3),
     _set_field("A_pos", "exponent", 1),
@@ -208,15 +216,33 @@ def _set_top(key, value):
     _set_top("generator_a", "2 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"),
     _set_top("generator_b", "0 0 0 0; 1 0 0 0; -1 0 0 0; 0 0 0 0"),
     _set_top("N", 0),
+    # a step region with its ends swapped is empty, so no cell checks it
+    _reverse_step_regions,
 ], ids=["step_exponent", "pos_exponent", "neg_exponent", "generator",
         "step_generator", "region_kind", "step_region_kind", "target",
         "step_target", "duplicate", "dropped_last", "dropped_first",
         "negative_bits", "zero_outer", "identity_generator", "huge_bits",
-        "det_two_generator", "elliptic_generator", "zero_exponent"])
+        "det_two_generator", "elliptic_generator", "zero_exponent",
+        "reversed_step_regions"])
 def test_certificate_single_field_mutation_rejected(certificate, mutate):
     assert certificate.exponent == 3
     ok, problems = verify_certificate(_mutated(certificate, mutate))
     assert not ok and problems
+
+
+# sha256 of the full certificate JSON of the paper pair's sigma2 views:
+# balls, regions, outer bounds, cells, basepoint and disjointness_bits
+# (`certify --json` prints only the balls).
+CERTIFICATE_GOLDEN = {
+    3: "1517dcbcb133c61e4df2e280265636b26ea409b4b5a0bf3de56cb36b6955e06e",
+    4: "e288957d08bc38ecec88c7ae49c61721dc1fce025b48bb76f1b539a799ef49a5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CERTIFICATE_GOLDEN))
+def test_certificate_json_matches_golden(n):
+    text = projective.certify_exponent(A2, B2, n).to_json_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_GOLDEN[n]
 
 
 def test_pingpong_search_tries_no_exponent_twice(monkeypatch, certificate):
@@ -234,36 +260,62 @@ def test_pingpong_search_tries_no_exponent_twice(monkeypatch, certificate):
     assert cert.to_json_text() == real(A2, B2, 3).to_json_text()
 
 
+def _reference_sign(ball, point):
+    """Sign of chordal(p, c)^2 - r^2 by the direct formula
+    cross^2 - r^2 |p|^2 |c|^2, cross = p1 c2 - p2 c1, in the center's
+    extension: the reference for ``Ball.membership_sign``'s form."""
+    d = ball.center[0].d
+    p1, p2 = (QuadExt.of_base(x, d) for x in point)
+    c1, c2 = ball.center
+    cross = p1 * c2 - p2 * c1
+    r2 = QuadExt.of_base(QuarticElem(ball.radius * ball.radius), d)
+    return (cross * cross
+            - (p1 * p1 + p2 * p2) * (c1 * c1 + c2 * c2) * r2).sign()
+
+
+def _assert_exclusions_match_reference(ball):
+    # the charts' points at infinity are (0, 1) for s and (1, 0) for u
+    for chart, point in (("s", (ZERO, ONE)), ("u", (ONE, ZERO))):
+        assert ball.excludes_chart_infinity(chart) == (
+            _reference_sign(ball, point) == Sign.POSITIVE)
+
+
 def test_search_form_signs_match_the_checker_formula(monkeypatch):
-    """Every point the search signs on the paper pair gets the sign of the
-    checker's direct formula."""
+    """Every point the search and the checker sign on the paper pair gets
+    the sign of the direct formula."""
     seen = []
-    real = projective._FormBall.membership_sign
+    real = Ball.membership_sign
 
     def spy(ball, point):
         sign = real(ball, point)
         seen.append((ball, point, sign))
         return sign
 
-    monkeypatch.setattr(projective._FormBall, "membership_sign", spy)
+    monkeypatch.setattr(Ball, "membership_sign", spy)
     cert = projective.certify_exponent(A2, B2, 3)
     assert cert is not None and len(seen) > 50
+    searched = len(seen)
+    again = PingPongCertificate.from_json(json.loads(cert.to_json_text()))
+    assert verify_certificate(again) == (True, [])
+    assert len(seen) - searched > 50
     for ball, point, sign in seen:
-        assert Ball.membership_sign(ball, point) == sign, (ball.name, point)
+        assert _reference_sign(ball, point) == sign, (ball.name, point)
+    for ball in {id(b): b for b, _, _ in seen}.values():
+        _assert_exclusions_match_reference(ball)
 
 
 def _edge_slopes(ball, side, bits=40):
     """Rational slopes (inside, outside) of the ball 2^-bits apart at one
-    edge (side +1 or -1), bisected with the checker's formula."""
+    edge (side +1 or -1), bisected with the reference formula."""
     c1, c2 = ball.center
     inside = (c2 * c1.inv()).interval().lo
     # a chordal radius r spans about r (1 + s^2) in slope s
     outside = inside + side * (1 + inside * inside)
-    assert ball.membership_sign((ONE, QuarticElem(inside))) == Sign.NEGATIVE
-    assert ball.membership_sign((ONE, QuarticElem(outside))) == Sign.POSITIVE
+    assert _reference_sign(ball, (ONE, QuarticElem(inside))) == Sign.NEGATIVE
+    assert _reference_sign(ball, (ONE, QuarticElem(outside))) == Sign.POSITIVE
     for _ in range(bits):
         mid = (inside + outside) / 2
-        if ball.membership_sign((ONE, QuarticElem(mid))) == Sign.NEGATIVE:
+        if _reference_sign(ball, (ONE, QuarticElem(mid))) == Sign.NEGATIVE:
             inside = mid
         else:
             outside = mid
@@ -273,19 +325,15 @@ def _edge_slopes(ball, side, bits=40):
 @pytest.mark.parametrize("halvings", [0, 1])
 def test_form_signs_at_the_ball_edges(certificate, halvings):
     for ball in certificate.balls.values():
-        rho = ball.radius / 2 ** halvings
-        plain = Ball(ball.name, ball.center, rho)
-        form = projective._FormBall(ball.name, ball.center, rho)
+        form = Ball(ball.name, ball.center, ball.radius / 2 ** halvings)
         for side in (1, -1):
-            for t, want in zip(_edge_slopes(plain, side),
+            for t, want in zip(_edge_slopes(form, side),
                                (Sign.NEGATIVE, Sign.POSITIVE)):
                 for point in ((ONE, QuarticElem(t)), (QuarticElem(t), ONE)):
-                    assert plain.membership_sign(point) == \
-                        form.membership_sign(point)
+                    assert form.membership_sign(point) == \
+                        _reference_sign(form, point)
                 assert form.membership_sign((ONE, QuarticElem(t))) == want
-        for chart in ("s", "u"):
-            assert (form.excludes_chart_infinity(chart)
-                    == plain.excludes_chart_infinity(chart))
+        _assert_exclusions_match_reference(form)
 
 
 def test_form_sign_zero_on_the_boundary():
@@ -295,13 +343,12 @@ def test_form_sign_zero_on_the_boundary():
     center = (QuadExt.of_base(ONE, d), QuadExt.of_base(ZERO, d))
     for rho, edge in ((Fraction(3, 5), Fraction(3, 4)),
                       (Fraction(4, 5), Fraction(4, 3))):
-        plain = Ball("c", center, rho)
-        form = projective._FormBall("c", center, rho)
+        form = Ball("c", center, rho)
         for t, want in ((edge, Sign.ZERO), (-edge, Sign.ZERO),
                         (edge * (1 - Fraction(1, 2 ** 30)), Sign.NEGATIVE),
                         (edge * (1 + Fraction(1, 2 ** 30)), Sign.POSITIVE)):
             point = (ONE, QuarticElem(t))
-            assert plain.membership_sign(point) == want
+            assert _reference_sign(form, point) == want
             assert form.membership_sign(point) == want
 
 
