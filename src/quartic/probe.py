@@ -318,6 +318,12 @@ def _scan_subtree(gens, den: int, first: int, depth: int,
     return best, ties, cum[1:]
 
 
+def _check_depth(depth: int, cap: int = DEFAULT_DEPTH_CAP) -> None:
+    """Raise ``DepthTooLarge`` when a word depth L is beyond the cap."""
+    if depth > cap:
+        raise DepthTooLarge(f"L = {depth} beyond cap {cap}")
+
+
 def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
                         depth_cap: int = DEFAULT_DEPTH_CAP,
                         views: tuple[int, int] = (0, 1),
@@ -331,8 +337,7 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
         raise ValueError("need threads >= 1")
     if any(k not in (0, 1, 2, 3) for k in views):
         raise ValueError(f"embedding index must be 0..3, got {views}")
-    if depth > depth_cap:
-        raise DepthTooLarge(f"L = {depth} beyond cap {depth_cap}")
+    _check_depth(depth, depth_cap)
     if pair is None:
         pair = paper_generators()
     if any(g.det() != ONE for g in pair):
@@ -411,9 +416,7 @@ def freeness_certificate(n: int | None, pair=None,
     depth is capped at the margin's ``DEFAULT_DEPTH_CAP``."""
     if (n is not None and n < 1) or crosscheck_depth < 1:
         raise ValueError("need a positive exponent and cross-check depth")
-    if crosscheck_depth > DEFAULT_DEPTH_CAP:
-        raise DepthTooLarge(
-            f"L = {crosscheck_depth} beyond cap {DEFAULT_DEPTH_CAP}")
+    _check_depth(crosscheck_depth)
     pair = pair or paper_generators()
     p, q = pair
     if n is None:

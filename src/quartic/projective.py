@@ -17,7 +17,7 @@ serialized data.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -365,19 +365,18 @@ class Ball:
     With cross = p1 c2 - p2 c1 and |c|^2 = c1^2 + c2^2, a point p lies
     strictly inside iff cross^2 - r^2 |p|^2 |c|^2 < 0.  That value is the
     binary quadratic form A p1^2 + B p1 p2 + C p2^2 for A = c2^2 - r^2 |c|^2,
-    B = -2 c1 c2 and C = c1^2 - r^2 |c|^2, built once here from the center's
-    ``_center_terms``; the search passes them in from its per-center memo.
-    The search and the checker both sign with it."""
+    B = -2 c1 c2 and C = c1^2 - r^2 |c|^2, built once here from the center
+    and radius alone.  The search and the checker both sign with it."""
 
     name: str
     center: tuple[QuadExt, QuadExt]
     radius: Fraction
-    terms: InitVar[tuple | None] = None
 
-    def __post_init__(self, terms):
-        c11, c22, b, norm = terms or _center_terms(self.center)
-        r2c2 = norm * QuarticElem(self.radius * self.radius)
-        form = (c22 - r2c2, b, c11 - r2c2)
+    def __post_init__(self):
+        c1, c2 = self.center
+        c11, c22 = c1 * c1, c2 * c2
+        r2c2 = (c11 + c22) * QuarticElem(self.radius * self.radius)
+        form = (c22 - r2c2, c1 * c2 * QuarticElem(-2), c11 - r2c2)
         object.__setattr__(self, "_form", (tuple(f.a for f in form),
                                            tuple(f.b for f in form)))
         # the charts' points at infinity are (1, 0) for u and (0, 1) for s
@@ -420,14 +419,6 @@ class Ball:
         c2 = QuadExt(QuarticElem.parse(obj["center"]["v2"]["a"]),
                      QuarticElem.parse(obj["center"]["v2"]["b"]), d)
         return cls(obj["name"], (c1, c2), Fraction(obj["radius"]))
-
-
-def _center_terms(center: tuple[QuadExt, QuadExt]) -> tuple:
-    """(c1^2, c2^2, -2 c1 c2, |c|^2) of a ball center c = (c1, c2): the
-    radius-free parts of its ``Ball`` form."""
-    c1, c2 = center
-    c11, c22 = c1 * c1, c2 * c2
-    return c11, c22, c1 * c2 * QuarticElem(-2), c11 + c22
 
 
 def _chart_point(chart: str, t: Fraction) -> tuple[QuarticElem, QuarticElem]:
@@ -806,10 +797,9 @@ class _PairSearch:
 
     It checks the pair's hypotheses and computes each exact quantity once
     for every exponent and radius it is asked about: the fixed points (one
-    ``eigen2`` per generator), their six chordal distances per precision,
-    each generator power, the radius-free terms of each center's form, and
-    per radius the balls, the disjointness precision, the basepoint and
-    each region.  A step condition (exponent +-1) is certified once per
+    ``eigen2`` per generator), their six chordal distances per precision
+    and each generator power, and per radius the balls, the disjointness
+    precision, the basepoint and each region.  A step condition (exponent +-1) is certified once per
     radius for every exponent, so a failed attempt costs only its
     complement conditions."""
 
@@ -854,10 +844,7 @@ class _PairSearch:
         """(balls, disjointness bits, basepoint) at radius rho, or None when
         the balls overlap or no basepoint lies outside them: then rho fails
         at every exponent."""
-        balls = {}
-        for name, c in self.centers.items():
-            terms = self._once(("center", name), lambda: _center_terms(c))
-            balls[name] = Ball(name, c, rho, terms)
+        balls = {name: Ball(name, c, rho) for name, c in self.centers.items()}
         bits = next((bits for bits in (DEFAULT_BITS << k for k in range(5))
                      if all(lo > 2 * rho for lo in self._distances(bits))), None)
         basepoint = None if bits is None else next(
