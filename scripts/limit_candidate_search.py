@@ -43,7 +43,8 @@ def main() -> int:
     rows = margin_uniformity_probe(cands, args.margin_N, args.margin_L,
                                    Fraction(args.eps))
     for row in rows:
-        print("  margin >=", float(row.margin.lo), " witness", row.witness,
+        lo, _, scale = row.margin
+        print("  margin >=", lo / scale, " witness", row.witness,
               " near-identity words:", len(row.near_identity_words))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

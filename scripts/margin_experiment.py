@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from quartic.probe import discreteness_margin
 
@@ -30,20 +31,22 @@ def main() -> int:
     for n in range(1, args.max_N + 1):
         t0 = time.monotonic()
         rep = discreteness_margin(n, args.max_L, threads=args.threads)
+        m_lo, m_hi, m_s = rep.margin
+        e_lo, e_hi, e_s = rep.factors["s2"]
         rows.append({
             "N": n,
             "L": args.max_L,
-            "margin": [str(rep.margin.lo), str(rep.margin.hi)],
+            "margin": [str(Fraction(m_lo, m_s)), str(Fraction(m_hi, m_s))],
             "witness": str(rep.witness),
-            "sigma2_escape": [str(rep.factors["s2"].lo),
-                              str(rep.factors["s2"].hi)],
+            "sigma2_escape": [str(Fraction(e_lo, e_s)),
+                              str(Fraction(e_hi, e_s))],
             "seconds": round(time.monotonic() - t0, 2),
         })
         if not args.json:
             r = rows[-1]
-            print(f"N={r['N']}  margin >= {float(rep.margin.lo):.6f}  "
+            print(f"N={r['N']}  margin >= {m_lo / m_s:.6f}  "
                   f"witness '{r['witness']}'  "
-                  f"third-view size ~ {float(rep.factors['s2'].lo):.3g}  "
+                  f"third-view size ~ {e_lo / e_s:.3g}  "
                   f"({r['seconds']}s)")
     if args.json:
         print(json.dumps(rows, indent=1))

@@ -320,7 +320,7 @@ def cmd_verify_paper(args, config: dict) -> Report:
     depth = _setting(args, config, "L")
     margin = probe.discreteness_margin(n_default, depth, pair=(p, q),
                                        threads=threads)
-    margin_pos = margin.margin.lo > 0
+    margin_pos = margin.margin[0] > 0
     rep.add("margin_positive", PASS if margin_pos else FAIL,
             value={"N": n_default, "L": depth,
                    "margin": interval_json(margin.margin),
@@ -368,7 +368,7 @@ def cmd_margin(args, config: dict) -> Report:
     threads = _setting(args, config, "threads")
     result = probe.discreteness_margin(n, depth, threads=threads)
     rep.inputs = {"N": n, "L": depth}
-    rep.add("margin", PASS if result.margin.lo > 0 else FAIL,
+    rep.add("margin", PASS if result.margin[0] > 0 else FAIL,
             value=result.to_json())
     return rep
 

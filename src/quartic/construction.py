@@ -4,7 +4,8 @@ P and Q are the fixed 2x2 matrices over Z[beta] whose Galois views drive
 everything else.  This module houses the conjugation closed forms for
 Q^n sigma2(A) Q^-n, the trace recursion lambda^n + lambda^-n = A_n + B_n
 sqrt2, the Pell-gap table, and the standalone inequality probes.  All
-verdicts are exact; intervals appear only as reported values.
+verdicts are exact; enclosures, int triples (lo, hi, scale) from
+``intervals``, appear only as reported values.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .errors import UnsignedElement
 from .extension import QuadExt
-from .intervals import DEFAULT_BITS, Interval, interval_json, sqrt2_interval
+from .intervals import DEFAULT_BITS, Enclosure, enc_div, enc_sqrt, interval_json
 from .linalg import RingMat2, eigen2, share_eigenvector
 from .ring import (
     ONE,
@@ -98,8 +99,8 @@ class PellRow:
     a: int
     b: int
     pell_norm: int                     # |A_n^2 - 2 B_n^2|
-    gap: Interval                      # |A_n - sqrt2 B_n|
-    ratio_gap: Interval                # |A_n / B_n - sqrt2|
+    gap: Enclosure                     # |A_n - sqrt2 B_n|
+    ratio_gap: Enclosure               # |A_n / B_n - sqrt2|
     norm_increased: bool | None        # vs the previous row
 
 
@@ -134,7 +135,6 @@ def pell_divergence(n_max: int, bits: int = 128) -> PellTable:
     """
     if n_max < 2:
         raise ValueError("n_max >= 2 expected")
-    s2 = sqrt2_interval(bits)
     rows: list[PellRow] = []
     prev_norm = None
     first_dec = None
@@ -142,9 +142,9 @@ def pell_divergence(n_max: int, bits: int = 128) -> PellTable:
         pair = chebyshev(n)
         a, b = pair.a, pair.b
         norm = abs(a * a - 2 * b * b)
-        den = Interval(a) + s2.scaled(b)
-        gap = Interval(Fraction(norm) / den.hi, Fraction(norm) / den.lo)
-        ratio = Interval(gap.lo / b, gap.hi / b)
+        den = QuarticElem(a, 0, b).interval(bits)
+        gap = enc_div((norm, norm, 1), den)
+        ratio = (gap[0], gap[1], gap[2] * b)
         inc = None if prev_norm is None else norm > prev_norm
         if inc is False and first_dec is None:
             first_dec = n
@@ -384,13 +384,6 @@ def make_signed_sigma2_matrix(x: QuarticElem, y: QuarticElem,
 
 
 @dataclass
-class ProbeParams:
-    eps: Fraction = Fraction(1, 100)
-    cap_d: Fraction = Fraction(1)
-    bits: int = DEFAULT_BITS
-
-
-@dataclass
 class InequalityRecord:
     which: int
     available: bool
@@ -433,18 +426,26 @@ def _sigma2_p_max_ratio() -> QuadExt:
     return s_abs if (s_abs - inv_abs).sign() == Sign.POSITIVE else inv_abs
 
 
-def _iv(x, bits) -> list[str]:
-    return interval_json(x.interval(bits) if not isinstance(x, Interval) else x)
+def _iv(x) -> list[str]:
+    return interval_json(x.interval(DEFAULT_BITS))
 
 
-def inequality_probe(a: RingMat2, which: int,
-                     params: ProbeParams | None = None) -> InequalityRecord:
+def _ratio_json(num: QuarticElem, den: QuarticElem) -> list[str] | None:
+    """Enclosure of |num| / |den|, or None when |den| is not enclosed away
+    from zero."""
+    div = den.abs().interval(DEFAULT_BITS)
+    if div[0] <= 0:
+        return None
+    return interval_json(enc_div(num.abs().interval(DEFAULT_BITS), div))
+
+
+def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
     """Diagnostic evaluation of one displayed inequality on the sigma2
     entries of `a`.  Sign-quantified inequalities are evaluated for all
-    sixteen sign choices with exact verdicts."""
+    sixteen sign choices with exact verdicts.  Distances print as
+    enclosures at DEFAULT_BITS; probe 4 flags distances below 1 and
+    probe 8 takes eps = 1/100."""
     from .projective import ProjPoint, proj_dist
-    params = params or ProbeParams()
-    bits = params.bits
     if which not in (4, 6, 7, 8, 9, 10, 11, 13, 14):
         raise ValueError(f"inequality {which} is not probeable")
     zeta1, eta, mu, nu1 = _entries_for_probe(a)
@@ -463,11 +464,11 @@ def inequality_probe(a: RingMat2, which: int,
                 continue
             pt = ProjPoint((QuarticElem(coords[0]), QuarticElem(coords[1])))
             for tname, tpt in targets:
-                dist = proj_dist(pt, tpt, bits)
+                dist = proj_dist(pt, tpt)
                 rec.items.append({
                     "point": label, "target": tname,
                     "dist": interval_json(dist),
-                    "below_cap": bool(dist.hi < params.cap_d),
+                    "below_cap": dist[1] < dist[2],
                 })
         rec.note = "distances to the sigma2 eigenvector points of P"
         return rec
@@ -485,12 +486,9 @@ def inequality_probe(a: RingMat2, which: int,
             dd = den.abs()
             above = ((nn - dd * QuarticElem(lo_cap)).sign() == Sign.POSITIVE)
             below = ((nn - dd * QuarticElem(hi_cap)).sign() == Sign.NEGATIVE)
-            niv = num.abs().interval(bits)
-            div = den.abs().interval(bits)
-            ratio = Interval(niv.lo / div.hi, niv.hi / div.lo) if div.lo > 0 else None
             rec.items.append({
                 "ratio": name,
-                "interval": interval_json(ratio) if ratio else None,
+                "interval": _ratio_json(num, den),
                 "above_lower_cap": above,
                 "below_upper_cap": below,
             })
@@ -501,21 +499,22 @@ def inequality_probe(a: RingMat2, which: int,
         shifted = (a.e11 - ONE, a.e12, a.e21, a.e22 - ONE)
         any_chain = False
         for name, x in zip(names, shifted):
-            m0 = galois(x, 0).abs2().interval(bits).sqrt(bits)
-            m1 = galois(x, 1).abs2().interval(bits).sqrt(bits)
-            m2 = galois(x, 2).abs2().interval(bits).sqrt(bits)
-            chain = (m0.hi < params.eps and Fraction(1, 1000) < m1.lo
-                     and m1.hi < 10 and m2.lo > 10)
+            m0, m1, m2 = (enc_sqrt(galois(x, k).abs2().interval(DEFAULT_BITS))
+                          for k in range(3))
+            # all three at the square root's scale 2^DEFAULT_BITS
+            s = m0[2]
+            chain = (100 * m0[1] < s and s < 1000 * m1[0]
+                     and m1[1] < 10 * s and m2[0] > 10 * s)
             any_chain = any_chain or chain
             rec.items.append({
                 "entry": name,
                 "sigma0": interval_json(m0),
                 "sigma1": interval_json(m1),
                 "sigma2": interval_json(m2),
-                "chain_holds": bool(chain),
+                "chain_holds": chain,
             })
-        rec.items.append({"exists_entry_with_chain": bool(any_chain)})
-        rec.note = f"thresholds: eps={params.eps}, 1/1000, 10"
+        rec.items.append({"exists_entry_with_chain": any_chain})
+        rec.note = "thresholds: eps=1/100, 1/1000, 10"
         return rec
 
     if which == 13:
@@ -531,7 +530,7 @@ def inequality_probe(a: RingMat2, which: int,
                         count += holds
                         rec.items.append({
                             "signs": [s1, s2, s3, s4],
-                            "lhs_abs": interval_json(lhs.abs().interval(bits)),
+                            "lhs_abs": _iv(lhs.abs()),
                             "exceeds_one": bool(holds),
                         })
         rec.note = f"{count} of 16 sign choices exceed 1"
@@ -559,9 +558,9 @@ def inequality_probe(a: RingMat2, which: int,
         holds = ((overall - QuarticElem(Fraction(1, 1000))).sign()
                  == Sign.POSITIVE)
         rec.items.append({
-            "first_set": _iv(first, bits),
-            "second_set": _iv(second, bits),
-            "overall_min": _iv(overall, bits),
+            "first_set": _iv(first),
+            "second_set": _iv(second),
+            "overall_min": _iv(overall),
             "exceeds_threshold": bool(holds),
         })
         rec.note = "threshold 1/1000"
@@ -592,12 +591,9 @@ def inequality_probe(a: RingMat2, which: int,
                         == Sign.POSITIVE)
             holds = lower_ok and upper_ok
             any_holds = any_holds or holds
-            niv = num.abs().interval(bits)
-            div = den.abs().interval(bits)
-            ratio = Interval(niv.lo / div.hi, niv.hi / div.lo) if div.lo > 0 else None
             rec.items.append({
                 "ratio": name,
-                "interval": interval_json(ratio) if ratio else None,
+                "interval": _ratio_json(num, den),
                 "within_window": bool(holds),
             })
         rec.items.append({"some_ratio_within_window": bool(any_holds)})
@@ -626,7 +622,7 @@ def inequality_probe(a: RingMat2, which: int,
                         count += holds
                         rec.items.append({
                             "signs": [s1, s2, s3, s4],
-                            "lhs_abs": _iv(lhs.abs(), bits),
+                            "lhs_abs": _iv(lhs.abs()),
                             "exceeds_threshold": bool(holds),
                         })
         rec.note = f"{count} of 16 sign choices exceed 10^-20 / M"
@@ -640,9 +636,9 @@ def inequality_probe(a: RingMat2, which: int,
     smaller = plus if (plus - minus).sign() != Sign.POSITIVE else minus
     rec.items.append({
         "C": str(expr.q0), "D": str(expr.q2),
-        "abs_c_plus_d_sqrt2": interval_json(plus.interval(bits)),
-        "abs_c_minus_d_sqrt2": interval_json(minus.interval(bits)),
-        "min_of_pair": interval_json(smaller.interval(bits)),
+        "abs_c_plus_d_sqrt2": _iv(plus),
+        "abs_c_minus_d_sqrt2": _iv(minus),
+        "min_of_pair": _iv(smaller),
     })
     rec.note = "diagnostic only: the floor constant is context dependent"
     return rec

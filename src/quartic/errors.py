@@ -58,4 +58,5 @@ class SearchOverflow(QuarticError):
 
 
 class UndecidedComparison(QuarticError):
-    """Interval refinement hit its precision cap without a verdict."""
+    """A chordal-distance enclosure reached its precision cap (4096 bits)
+    without a nonnegative numerator over a positive denominator."""

@@ -9,7 +9,7 @@ square in the field.
 from __future__ import annotations
 
 from .errors import InternalMismatch
-from .intervals import DEFAULT_BITS, Interval
+from .intervals import DEFAULT_BITS, Enclosure, enc_add, enc_mul, enc_sqrt
 from .ring import ZERO, QuarticElem, Sign, _coerce
 
 
@@ -124,13 +124,12 @@ class QuadExt:
     def abs(self) -> "QuadExt":
         return -self if self.sign() == Sign.NEGATIVE else self
 
-    def interval(self, bits: int = DEFAULT_BITS) -> Interval:
+    def interval(self, bits: int = DEFAULT_BITS) -> Enclosure:
         base = self.a.interval(bits)
         if self.b.is_zero():
             return base
-        root = self.d.interval(bits).sqrt(bits)
-        b_iv = self.b.interval(bits)
-        return base + b_iv * root
+        root = enc_sqrt(self.d.interval(bits), bits)
+        return enc_add(base, enc_mul(self.b.interval(bits), root))
 
 
 def _as_quartic(x) -> QuarticElem:

@@ -1,14 +1,15 @@
-"""Dyadic enclosures for the handful of irrationalities the package uses.
+"""Integer enclosures for the handful of irrationalities the package uses.
 
-Interval endpoints are exact Fractions, so +, -, * are rounding-free.
-Precision only enters when enclosing beta = 2^(1/4) (or sqrt(2), or 2^(1/3))
-and when taking square roots for display.  Enclosures at a given bit count
-are cached, and sign determination refines by doubling the bit count.
+Every enclosure is ints over one positive scale.  The roots beta =
+2^(1/4), sqrt(2), beta^3 and the cube roots of 2 and 4 are enclosed at
+scale 2^bits, cached per bit count; sign determination refines by doubling
+the bit count.  A reported value is an ``Enclosure`` (lo, hi, scale): its
+sums, products and quotients are exact, and precision enters only when
+enclosing a root and when taking a square root for display.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 
@@ -132,125 +133,56 @@ def dyadic_sign(c0: int, cs, bounds_at) -> int:
         bits *= 2
 
 
-class Interval:
-    """Closed interval [lo, hi] with Fraction endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi=None):
-        if hi is None:
-            hi = lo
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if lo > hi:
-            raise ValueError(f"inverted interval [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
-
-    def __repr__(self) -> str:
-        return f"Interval({self.lo}, {self.hi})"
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        ps = (self.lo * other.lo, self.lo * other.hi,
-              self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(ps), max(ps))
-
-    def scaled(self, c: Fraction) -> "Interval":
-        c = Fraction(c)
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
-
-    def __abs__(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
-    def square(self) -> "Interval":
-        a = abs(self)
-        return Interval(a.lo * a.lo, a.hi * a.hi)
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def sign(self) -> int | None:
-        """-1, 0 or +1 when decided, None when the interval straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == 0 == self.hi:
-            return 0
-        return None
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __lt__(self, other: "Interval") -> bool:
-        """Certified strict order: every point of self below every point of other."""
-        return self.hi < other.lo
-
-    def sqrt(self, bits: int = DEFAULT_BITS) -> "Interval":
-        if self.lo < 0:
-            raise ValueError("sqrt of an interval reaching below zero")
-        return Interval(_sqrt_lower(self.lo, bits), _sqrt_upper(self.hi, bits))
+# An enclosure is an int triple (lo, hi, scale), scale > 0, standing for
+# the exact interval [lo/scale, hi/scale].  Sums, products and quotients
+# are exact; only the square root rounds, outward at scale 2^bits.
+Enclosure = tuple[int, int, int]
 
 
-def _sqrt_lower(x: Fraction, bits: int) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    s = 1 << bits
-    n = (x.numerator * s * s) // x.denominator
-    return Fraction(isqrt(n), s)
+def enc_add(x: Enclosure, y: Enclosure) -> Enclosure:
+    (lo, hi, s), (lo2, hi2, s2) = x, y
+    if s == s2:
+        return lo + lo2, hi + hi2, s
+    return lo * s2 + lo2 * s, hi * s2 + hi2 * s, s * s2
 
 
-def _sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    s = 1 << bits
-    n = -((-x.numerator * s * s) // x.denominator)  # ceil
+def enc_mul(x: Enclosure, y: Enclosure) -> Enclosure:
+    (lo, hi, s), (lo2, hi2, s2) = x, y
+    ps = (lo * lo2, lo * hi2, hi * lo2, hi * hi2)
+    return min(ps), max(ps), s * s2
+
+
+def enc_div(n: Enclosure, d: Enclosure) -> Enclosure:
+    """[n.lo / d.hi, n.hi / d.lo] over one common scale, for d.lo > 0."""
+    (lo, hi, s), (d_lo, d_hi, t) = n, d
+    return lo * t * d_lo, hi * t * d_hi, s * d_lo * d_hi
+
+
+def enc_sqrt(x: Enclosure, bits: int = DEFAULT_BITS) -> Enclosure:
+    """Square root rounded outward to scale 2^bits."""
+    lo, hi, s = x
+    if lo < 0:
+        raise ValueError("sqrt of an enclosure reaching below zero")
+    q = 1 << bits
+    n = -(-hi * q * q // s)             # ceil
     r = isqrt(n)
-    if r * r < n:
-        r += 1
-    return Fraction(r, s)
+    return isqrt(lo * q * q // s), r + (r * r < n), q
 
 
-def from_dyadic_pair(lo: int, hi: int, bits: int) -> Interval:
-    s = 1 << bits
-    return Interval(Fraction(lo, s), Fraction(hi, s))
+# the report's decimal places; endpoints round outward to them
+_PLACES = 12
+_UNIT = 10 ** _PLACES
 
 
-def sqrt2_interval(bits: int = DEFAULT_BITS) -> Interval:
-    return from_dyadic_pair(*sqrt2_bounds(bits), bits)
+def format_endpoint(n: int, d: int, round_up: bool = False) -> str:
+    """Exact decimal rendering of n / d (d > 0) rounded outward to
+    _PLACES digits."""
+    v = -(-n * _UNIT // d) if round_up else n * _UNIT // d
+    whole, frac = divmod(abs(v), _UNIT)
+    return f"{'-' if v < 0 else ''}{whole}.{frac:0{_PLACES}d}"
 
 
-def format_endpoint(x: Fraction, places: int = 12, round_up: bool = False) -> str:
-    """Exact decimal rendering of x rounded outward to `places` digits."""
-    q = 10 ** places
-    n = x.numerator * q
-    d = x.denominator
-    if round_up:
-        v = -((-n) // d)
-    else:
-        v = n // d
-    sign = "-" if v < 0 else ""
-    v = abs(v)
-    whole, frac = divmod(v, q)
-    return f"{sign}{whole}.{frac:0{places}d}"
-
-
-def interval_json(iv: Interval, places: int = 12) -> list[str]:
+def interval_json(e: Enclosure) -> list[str]:
     """Deterministic [lo, hi] string pair, outward rounded."""
-    return [format_endpoint(iv.lo, places, round_up=False),
-            format_endpoint(iv.hi, places, round_up=True)]
+    lo, hi, s = e
+    return [format_endpoint(lo, s), format_endpoint(hi, s, round_up=True)]

@@ -14,12 +14,12 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .construction import paper_generators
 from .errors import NonIntegralInput, NotUnimodular, QuarticError
-from .intervals import (DEFAULT_BITS, Interval, dyadic_bounds, interval_json,
-                        quartic_bounds)
+from .intervals import (DEFAULT_BITS, Enclosure, dyadic_bounds, enc_add,
+                        interval_json, quartic_bounds)
 from .linalg import (
     EmbeddedMat2,
     MatClass,
@@ -85,13 +85,13 @@ class LimitCandidate:
 
 @dataclass
 class LimitTargets:
-    """Interval targets for the two limit matrices: v entries for the
+    """Enclosure targets for the two limit matrices: v entries for the
     elliptic limit of the second view, u entries for the hyperbolic limit.
     The tolerance schedule says how tight the residuals must be at the
     n-th member of a candidate sequence; default is geometric."""
 
-    u: list[list[Interval]]
-    v: list[list[Interval]]
+    u: list[list[Enclosure]]
+    v: list[list[Enclosure]]
     tolerances: list[Fraction] | None = None
 
     def tolerance_at(self, seq_index: int) -> Fraction:
@@ -119,11 +119,12 @@ def default_targets(bits: int = DEFAULT_BITS) -> LimitTargets:
     return LimitTargets.from_matrices(u_mat, v_mat, bits)
 
 
-def _interval_class(trace_iv: Interval) -> str:
-    a = abs(trace_iv)
-    if a.hi < 2:
+def _interval_class(trace: Enclosure) -> str:
+    lo, hi, s = trace
+    lo, hi = _abs_diff(lo, hi)
+    if hi < 2 * s:
         return "elliptic"
-    if a.lo > 2:
+    if lo > 2 * s:
         return "hyperbolic"
     return "undecided"
 
@@ -131,10 +132,10 @@ def _interval_class(trace_iv: Interval) -> str:
 @dataclass
 class LimitCheckReport:
     candidate: LimitCandidate
-    residuals_i: list[list[Interval]]
-    residuals_ii: list[list[Interval]]
+    residuals_i: list[list[Enclosure]]
+    residuals_ii: list[list[Enclosure]]
     residuals_ii_exact_zero: bool
-    residuals_iii: list[list[Interval]]
+    residuals_iii: list[list[Enclosure]]
     cond_iv: dict[str, bool]
     cond_v: dict[str, str]
     cond_vi_probe: dict
@@ -165,12 +166,11 @@ class LimitCheckReport:
 
 def _scaled_targets(targets: LimitTargets, bits: int):
     """The residuals' int scale, the lcm of 2^bits and the target endpoints'
-    denominators, and each position's (u, v) targets, row-major, as int
-    (lo, hi) pairs at that scale."""
+    reduced denominators, and each position's (u, v) targets, row-major, as
+    int (lo, hi) pairs at that scale."""
     ivs = [iv for grid in (targets.u, targets.v) for row in grid for iv in row]
-    scale = lcm(1 << bits,
-                *(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
-    ends = [(int(iv.lo * scale), int(iv.hi * scale)) for iv in ivs]
+    scale = lcm(1 << bits, *(s // gcd(lo, hi, s) for lo, hi, s in ivs))
+    ends = [(lo * scale // s, hi * scale // s) for lo, hi, s in ivs]
     return scale, list(zip(ends[:4], ends[4:]))
 
 
@@ -191,7 +191,7 @@ def _part_bounds(pairs, bits: int, scale: int):
 
 
 def _abs_diff(lo: int, hi: int, t_lo: int = 0, t_hi: int = 0):
-    """The enclosure |[lo, hi] - [t_lo, t_hi]| (as Interval.__abs__)."""
+    """The enclosure |[lo, hi] - [t_lo, t_hi]|."""
     lo, hi = lo - t_hi, hi - t_lo
     return max(lo, -hi, 0), max(hi, -lo)
 
@@ -241,16 +241,15 @@ def check_limit_conditions(candidate: LimitCandidate,
     even, odd = _part_bounds({(x, t * y) for c0, c1, c2, c3 in grid
                               for x, y in ((c0, c2), (c1, c3))
                               for t in (1, -1)}, bits, scale)
-    ivs = [[Interval(Fraction(lo, scale), Fraction(hi, scale))
-            for lo, hi in _residuals(even, odd, e, u, v)]
+    ivs = [[(lo, hi, scale) for lo, hi in _residuals(even, odd, e, u, v)]
            for e, (u, v) in zip(grid, tgt)]
     res_i, res_ii, res_iii = ([[ivs[0][n], ivs[1][n]], [ivs[2][n], ivs[3][n]]]
                               for n in range(3))
     odd_zero = all(e.in_even_subring() for e in m.entries())
     cond_iv = {name: classify(m, k) in ok for name, k, ok in _CONDITION_IV}
 
-    u_trace = targets.u[0][0] + targets.u[1][1]
-    v_trace = targets.v[0][0] + targets.v[1][1]
+    u_trace = enc_add(targets.u[0][0], targets.u[1][1])
+    v_trace = enc_add(targets.v[0][0], targets.v[1][1])
     cond_v = {
         "target_elliptic": _interval_class(v_trace),
         "target_hyperbolic": _interval_class(u_trace),
@@ -289,11 +288,12 @@ def check_limit_conditions(candidate: LimitCandidate,
                               notes)
     if seq_index is not None:
         tol = targets.tolerance_at(seq_index)
-        worst = max(iv.hi for grid in (res_i, res_ii, res_iii)
-                    for row in grid for iv in row)
+        worst = max(hi for grid in (res_i, res_ii, res_iii)
+                    for row in grid for _, hi, _ in row)
         report.notes.append(
-            f"sequence index {seq_index}: worst residual {float(worst):.6g} "
-            f"{'within' if worst <= tol else 'exceeds'} tolerance {tol}")
+            f"sequence index {seq_index}: worst residual {worst / scale:.6g} "
+            f"{'within' if worst <= tol * scale else 'exceeds'} tolerance "
+            f"{tol}")
     return report
 
 
@@ -439,7 +439,7 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
 @dataclass
 class UniformityRow:
     candidate: LimitCandidate
-    margin: Interval
+    margin: Enclosure
     witness: str
     near_identity_words: list[dict]
 

@@ -32,8 +32,11 @@ from .extension import QuadExt
 from .intervals import (
     DEFAULT_BITS,
     FILTER_BITS,
-    Interval,
+    Enclosure,
     dyadic_bounds,
+    enc_add,
+    enc_mul,
+    enc_sqrt,
     filter_bounds,
     quartic_bounds,
 )
@@ -473,12 +476,6 @@ class BlockEig:
     u_rad: tuple[QuarticElem, QuarticElem] | None = None   # (a, w): u = (a + sqrt w)/2
     real_trace: QuarticElem | None = None
 
-    def u_interval(self, bits: int = DEFAULT_BITS) -> Interval:
-        if self.u_base is not None:
-            return self.u_base.interval(bits)
-        a, w = self.u_rad
-        return (a.interval(bits) + w.interval(bits).sqrt(bits)).scaled(Fraction(1, 2))
-
 
 def block_eig(a: RingMat2, k: int) -> BlockEig:
     cls = classify(a, k)
@@ -550,11 +547,11 @@ class Eigen2:
     trace: EmbeddedComplex
     lam_dominant: QuadExt | None = None
     lam_recessive: QuadExt | None = None
-    lam_dominant_interval: Interval | None = None
-    lam_recessive_interval: Interval | None = None
+    lam_dominant_interval: Enclosure | None = None
+    lam_recessive_interval: Enclosure | None = None
     vec_dominant: tuple[QuadExt, QuadExt] | None = None
     vec_recessive: tuple[QuadExt, QuadExt] | None = None
-    modulus_sq_interval: Interval | None = None
+    modulus_sq_interval: Enclosure | None = None
     note: str = ""
 
 
@@ -598,12 +595,15 @@ def eigen2(a: RingMat2, k: int, bits: int = DEFAULT_BITS) -> Eigen2:
         rec.note = "real hyperbolic pair lambda, 1/lambda"
     elif cls == MatClass.ELLIPTIC:
         rec.note = "complex conjugate pair on the unit circle"
-        rec.modulus_sq_interval = Interval(1)
+        rec.modulus_sq_interval = (1, 1, 1)
     else:
+        # |lambda|^2 = (u + sqrt(u^2 - 4)) / 2 with u = (a + sqrt w) / 2
         a_u, w_u = blk.u_rad
-        u_iv = blk.u_interval(bits)
-        m2 = (u_iv + (u_iv * u_iv - Interval(4)).sqrt(bits)).scaled(Fraction(1, 2))
-        rec.modulus_sq_interval = m2
+        lo, hi, s = enc_add(a_u.interval(bits), enc_sqrt(w_u.interval(bits), bits))
+        u = (lo, hi, 2 * s)
+        root = enc_sqrt(enc_add(enc_mul(u, u), (-4, -4, 1)), bits)
+        lo, hi, s = enc_add(u, root)
+        rec.modulus_sq_interval = (lo, hi, 2 * s)
         rec.note = "non-real eigenvalue pair lambda, 1/lambda"
     return rec
 
@@ -816,19 +816,18 @@ def _abs_sign(x, y) -> int:
     return sign4((x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]))
 
 
-def nonneg_interval(x: QuarticElem, bits: int = DEFAULT_BITS,
-                    cap: int = 1 << 14) -> Interval:
-    """Enclosure of a provably nonnegative value; refines past the
-    cancellation that can push a coarse lower endpoint below zero."""
+def nonneg_interval(x: QuarticElem, bits: int = DEFAULT_BITS) -> Enclosure:
+    """Enclosure of a provably nonnegative value; refines, up to 2^14 bits,
+    past the cancellation that can push a coarse lower end below zero."""
     b = bits
     while True:
-        iv = x.interval(b)
-        if iv.lo >= 0:
-            return iv
-        if b >= cap:
-            return Interval(Fraction(0), max(Fraction(0), iv.hi))
+        lo, hi, s = x.interval(b)
+        if lo >= 0:
+            return lo, hi, s
+        if b >= 1 << 14:
+            return 0, max(0, hi), s
         b *= 2
 
 
-def sqrt_of_square_interval(x: QuarticElem, bits: int = DEFAULT_BITS) -> Interval:
-    return nonneg_interval(x, bits).sqrt(bits)
+def sqrt_of_square_interval(x: QuarticElem, bits: int = DEFAULT_BITS) -> Enclosure:
+    return enc_sqrt(nonneg_interval(x, bits), bits)

@@ -9,7 +9,8 @@ ties and the cumulative minimum at each length are found by exact sign
 comparisons.  A word is measured only when no shorter-or-equal measured
 word already beats it by an integer bound, and a whole subtree is skipped
 when the Frobenius norm of its root proves every word below farther than
-that.  Intervals appear only in the report.
+that.  Enclosures, int triples (lo, hi, scale) from ``intervals``, appear
+only in the report.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import isqrt
 
 from .construction import paper_generators
 from .errors import DepthTooLarge, NotUnimodular
-from .intervals import (DEFAULT_BITS, FILTER_BITS, Interval, interval_json,
+from .intervals import (DEFAULT_BITS, FILTER_BITS, Enclosure, interval_json,
                         sqrt2_bounds)
 from .linalg import (
     RingMat2,
@@ -178,11 +179,11 @@ class MarginReport:
     n: int
     depth: int
     margin_sq: QuarticElem
-    margin: Interval
+    margin: Enclosure
     witness: ReducedWord
     ties: list[ReducedWord]
-    factors: dict[str, Interval]
-    per_depth: list[tuple[int, Interval]]
+    factors: dict[str, Enclosure]
+    per_depth: list[tuple[int, Enclosure]]
     views: tuple[int, int] = (0, 1)
 
     def to_json(self) -> dict:
@@ -558,9 +559,9 @@ def _confirm_torsion(a: RingMat2, n: int, n_max: int) -> TorsionResult | None:
 @dataclass
 class DualSmallnessRow:
     word: ReducedWord
-    d_sigma0: Interval
-    d_sigma1: Interval
-    d_sigma2: Interval
+    d_sigma0: Enclosure
+    d_sigma1: Enclosure
+    d_sigma2: Enclosure
     entry_norms: list[Fraction]
     escape_bound_ok: bool
 

@@ -30,7 +30,7 @@ from .errors import (
     UndecidedComparison,
 )
 from .extension import QuadExt
-from .intervals import DEFAULT_BITS, Interval
+from .intervals import DEFAULT_BITS, Enclosure, enc_add, enc_div, enc_mul, enc_sqrt
 from .linalg import (
     BlockEig,
     MatClass,
@@ -68,9 +68,6 @@ class ProjPoint:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def interval_coords(self, bits: int = DEFAULT_BITS) -> list[Interval]:
-        return [c.interval(bits) for c in self.coords]
 
 
 def _as_ext_parts(x) -> tuple[QuarticElem, QuarticElem, QuarticElem | None]:
@@ -141,8 +138,8 @@ _MAX_BITS = 4096
 
 
 def proj_dist(p: ProjPoint, q: ProjPoint,
-              bits: int = DEFAULT_BITS) -> Interval:
-    """Chordal distance |p ^ q| / (|p| |q|) as a validated interval.
+              bits: int = DEFAULT_BITS) -> Enclosure:
+    """Chordal distance |p ^ q| / (|p| |q|) as a validated enclosure.
 
     The squared distance is computed exactly whenever the coordinates live
     in a common extension, so equality gives an exact zero; otherwise the
@@ -160,15 +157,14 @@ def proj_dist(p: ProjPoint, q: ProjPoint,
             q2 = q.coords[i] * q.coords[i] if q2 is None else q2 + q.coords[i] * q.coords[i]
         num = p2 * q2 - dot * dot       # |p|^2 |q|^2 - (p.q)^2, exact
         if num.sign() == Sign.ZERO:
-            return Interval(0)
+            return 0, 0, 1
         b = bits
         while True:
             iv_num = num.interval(b)
             iv_den = (p2 * q2).interval(b)
-            if iv_num.lo >= 0 and iv_den.lo > 0:
-                lo = (iv_num.lo / iv_den.hi)
-                hi = (iv_num.hi / iv_den.lo)
-                return Interval(lo, min(Fraction(1), hi)).sqrt(b)
+            if iv_num[0] >= 0 and iv_den[0] > 0:
+                lo, hi, s = enc_div(iv_num, iv_den)
+                return enc_sqrt((lo, min(s, hi), s), b)
             if b >= _MAX_BITS:
                 raise UndecidedComparison("chordal distance enclosure stalled")
             b *= 2
@@ -177,24 +173,24 @@ def proj_dist(p: ProjPoint, q: ProjPoint,
         return _proj_dist_intervals(p, q, bits)
 
 
-def _proj_dist_intervals(p: ProjPoint, q: ProjPoint, bits: int) -> Interval:
+def _proj_dist_intervals(p: ProjPoint, q: ProjPoint, bits: int) -> Enclosure:
     b = bits
     while True:
-        pc = p.interval_coords(b)
-        qc = q.interval_coords(b)
-        dot = pc[0] * qc[0]
-        p2 = pc[0] * pc[0]
-        q2 = qc[0] * qc[0]
+        pc = [c.interval(b) for c in p.coords]
+        qc = [c.interval(b) for c in q.coords]
+        dot = enc_mul(pc[0], qc[0])
+        p2 = enc_mul(pc[0], pc[0])
+        q2 = enc_mul(qc[0], qc[0])
         for i in range(1, p.dim):
-            dot = dot + pc[i] * qc[i]
-            p2 = p2 + pc[i] * pc[i]
-            q2 = q2 + qc[i] * qc[i]
-        num = p2 * q2 - dot * dot
-        den = p2 * q2
-        if den.lo > 0:
-            lo = max(Fraction(0), num.lo / den.hi)
-            hi = max(Fraction(0), num.hi / den.lo)
-            return Interval(lo, min(Fraction(1), hi)).sqrt(b)
+            dot = enc_add(dot, enc_mul(pc[i], qc[i]))
+            p2 = enc_add(p2, enc_mul(pc[i], pc[i]))
+            q2 = enc_add(q2, enc_mul(qc[i], qc[i]))
+        den = enc_mul(p2, q2)
+        dot_lo, dot_hi, t = enc_mul(dot, dot)
+        num = enc_add(den, (-dot_hi, -dot_lo, t))
+        if den[0] > 0:
+            lo, hi, s = enc_div(num, den)
+            return enc_sqrt((max(0, lo), min(s, max(0, hi)), s), b)
         if b >= _MAX_BITS:
             raise UndecidedComparison("coordinate intervals too coarse")
         b *= 2
@@ -209,9 +205,7 @@ class DominantRecord:
     """A certified dominant eigenvalue: real, simple, strictly extreme."""
 
     value: QuadExt
-    interval: Interval
     block_k: int
-    u_interval: Interval
 
 
 @dataclass
@@ -254,10 +248,7 @@ def analyze_dominance(m) -> DominanceAnalysis:
     if top.mat_class == MatClass.LOXODROMIC:
         return DominanceAnalysis(None, "maximal eigenvalue is not real", blocks)
     eig = eigen2(src, top.k)
-    rec = DominantRecord(value=eig.lam_dominant,
-                         interval=eig.lam_dominant_interval,
-                         block_k=top.k,
-                         u_interval=top.u_interval())
+    rec = DominantRecord(value=eig.lam_dominant, block_k=top.k)
     return DominanceAnalysis(rec, "dominant", blocks)
 
 
@@ -300,7 +291,6 @@ class HyperbolicLikeData:
 
     dim: int
     lam_max: DominantRecord
-    lam_min_interval: Interval
     attracting: ProjPoint
     repelling: ProjPoint
     cross_plus: ProjPoint | tuple      # P(V_a): complement of the max eigenline
@@ -326,7 +316,6 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
         return HyperbolicLikeData(
             dim=2,
             lam_max=ana.record,
-            lam_min_interval=eig.lam_recessive_interval,
             attracting=ProjPoint(att2),
             repelling=ProjPoint(rep2),
             cross_plus=ProjPoint(rep2),
@@ -345,7 +334,6 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     return HyperbolicLikeData(
         dim=2 * m.kappa,
         lam_max=ana.record,
-        lam_min_interval=eig.lam_recessive_interval,
         attracting=att8,
         repelling=rep8,
         cross_plus=cov_plus,
@@ -627,8 +615,8 @@ def _balls_disjoint(balls: dict[str, Ball], bits: int) -> bool:
     for i, n1 in enumerate(names):
         for n2 in names[i + 1:]:
             b1, b2 = balls[n1], balls[n2]
-            d = proj_dist(b1.center_point(), b2.center_point(), bits)
-            if not d.lo > b1.radius + b2.radius:
+            lo, _, s = proj_dist(b1.center_point(), b2.center_point(), bits)
+            if not lo > (b1.radius + b2.radius) * s:
                 return False
     return True
 
@@ -652,12 +640,12 @@ def _ball_slope_window(ball: Ball) -> tuple[Fraction, Fraction] | None:
     c1, c2 = ball.center
     if not ball.excludes_chart_infinity("s"):
         return None
-    c1_iv = c1.interval(_SLOPE_BITS)
-    c2_iv = c2.interval(_SLOPE_BITS)
-    if c1_iv.contains_zero():
+    x_lo, x_hi, s1 = c1.interval(_SLOPE_BITS)
+    y_lo, y_hi, s2 = c2.interval(_SLOPE_BITS)
+    if x_lo <= 0 <= x_hi:
         return None
-    slopes = [y / x for x in (c1_iv.lo, c1_iv.hi)
-              for y in (c2_iv.lo, c2_iv.hi)]
+    slopes = [Fraction(y * s1, x * s2) for x in (x_lo, x_hi)
+              for y in (y_lo, y_hi)]
     lo, hi = min(slopes), max(slopes)
     # chordal radius r around slope s0 spans roughly r * (1 + s0^2) in slope
     spread = ball.radius * (1 + max(abs(lo), abs(hi)) ** 2) * 2
@@ -825,8 +813,9 @@ class _PairSearch:
         points, from ``proj_dist`` at bits."""
         def compute():
             pts = [ProjPoint(self.centers[k]) for k in sorted(self.centers)]
-            return [proj_dist(p, q, bits).lo
-                    for i, p in enumerate(pts) for q in pts[i + 1:]]
+            dists = (proj_dist(p, q, bits)
+                     for i, p in enumerate(pts) for q in pts[i + 1:])
+            return [Fraction(lo, s) for lo, _, s in dists]
         return self._once(("distances", bits), compute)
 
     def _separation(self) -> Fraction:

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from .errors import InternalMismatch, NonIntegralInput, UnsignedElement
 from .intervals import (
     DEFAULT_BITS,
-    Interval,
+    Enclosure,
     dyadic_bounds,
     dyadic_sign,
     quartic_bounds,
@@ -303,11 +303,10 @@ class QuarticElem:
             return NotImplemented
         return self * other.inv()
 
-    def interval(self, bits: int = DEFAULT_BITS) -> Interval:
+    def interval(self, bits: int = DEFAULT_BITS) -> Enclosure:
         c0, c1, c2, c3 = self._c
         lo, hi = dyadic_bounds(c0, (c1, c2, c3), quartic_bounds, bits)
-        s = self._d << bits
-        return Interval(Fraction(lo, s), Fraction(hi, s))
+        return lo, hi, self._d << bits
 
     def sign(self) -> Sign:
         """Exact sign.  Zero is symbolic; nonzero refines until separated."""

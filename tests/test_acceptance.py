@@ -184,9 +184,9 @@ def test_criterion_09_margin_positive_and_escape(certified):
     t0 = time.monotonic()
     n = certified.exponent
     rep = discreteness_margin(n, 8)
-    assert rep.margin.lo > 0
-    uppers = [iv.hi for _, iv in rep.per_depth]
-    lowers = [iv.lo for _, iv in rep.per_depth]
+    assert rep.margin[0] > 0
+    uppers = [Fraction(hi, s) for _, (_, hi, s) in rep.per_depth]
+    lowers = [lo for _, (lo, _, _) in rep.per_depth]
     assert all(a >= b for a, b in zip(uppers, uppers[1:]))
     assert all(v > 0 for v in lowers)
     assert len(rep.per_depth) == 8

@@ -178,6 +178,30 @@ def test_signed_matrix_outputs_match_golden(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
+# sha256 of `probe-inequality --json` stdout on the paper's P for every
+# probeable inequality: distances, ratios and moduli print as enclosures
+P_TEXT = "5 -3 1 -2; 1 0 0 0; -1 0 0 0; 0 0 0 0"
+PROBE_P_GOLDEN = {
+    "4": "db04093dc7d7a644b7f195267f58c0206c9f071e2fdd50585c51a18bc722a23a",
+    "6": "72d269c6501fe7d8aeb077f2486a89e1f2d29c117988e9ae1b458ff7e7c1bcd2",
+    "7": "21a060aea6db365588439e9de148d2cdc7c1aea213f1e1c54468f4ce500068a9",
+    "8": "fba8e877a3ea398de993a468c76bee54ad4f8feda082915546587259b38ede7f",
+    "9": "a2aa988470d6615445aa0454fbf3ecce3ecfab1473c94ba289f72e1cac626adb",
+    "10": "04957c3096196abcba4f6a801e0c78423359f0ca517f9108522b62bff3bf6e2d",
+    "11": "8fc1246f44bb5bdab6239e8bdfc904eea930d3dbe34e8675a44fdba1ab5c17bf",
+    "13": "4ea1b52d269deff1e0c24c3e0b28f95816c79de981419160a407d2b9d281a579",
+    "14": "fed9394b60123656153acd97f8e85299880a5f05bef0e7272b1367509ad19c6e",
+}
+
+
+@pytest.mark.parametrize("which", sorted(PROBE_P_GOLDEN, key=int))
+def test_probe_inequality_on_p_matches_golden(which, capsys):
+    code, out = run(capsys, "probe-inequality", P_TEXT, "--which", which,
+                    "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROBE_P_GOLDEN[which]
+
+
 # sha256 of `repr --json` stdout on matrices whose entries carry different
 # denominators, so the image is built over a common denominator.
 REPR_GOLDEN = [

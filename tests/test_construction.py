@@ -1,12 +1,13 @@
 """Generator pair, conjugation closed forms, trace recursion, Pell table,
 inequality probes."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from quartic.construction import (
-    ProbeParams,
     chebyshev,
     check_conditions,
     conjugation_record,
@@ -79,7 +80,8 @@ def test_pell_first_gap():
     table = pell_divergence(5)
     r1 = table.rows[0]
     assert r1.pell_norm == 1
-    assert Fraction("0.171") < r1.gap.lo <= r1.gap.hi < Fraction("0.172")
+    lo, hi, s = r1.gap
+    assert Fraction("0.171") < Fraction(lo, s) <= Fraction(hi, s) < Fraction("0.172")
 
 
 def test_pell_norm_growth_refuted_exactly():
@@ -93,9 +95,20 @@ def test_pell_norm_growth_refuted_exactly():
 
 def test_pell_ratio_shrinks():
     table = pell_divergence(20)
-    widths = [r.ratio_gap.hi for r in table.rows]
+    widths = [Fraction(hi, s) for _, hi, s in (r.ratio_gap for r in table.rows)]
     assert widths[-1] < widths[0]
     assert widths[-1] < Fraction(1, 10 ** 10)
+
+
+# sha256 of the sorted-key JSON of pell_divergence(20), whose gaps are
+# quotients of an integer by an enclosure of A_n + B_n sqrt2
+PELL_GOLDEN = (
+    "e5a53765637ca8fb2af27f0453bd7cdc8b9b6694605ce58a69f5475c73fc47a6")
+
+
+def test_pell_divergence_matches_golden():
+    blob = json.dumps(pell_divergence(20).to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == PELL_GOLDEN
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +226,7 @@ def test_probe_delta_requires_signed_entries():
 
 
 def test_probe_4_reports_projective_distances():
-    rec = inequality_probe(P * Q, 4, ProbeParams(cap_d=Fraction(1)))
+    rec = inequality_probe(P * Q, 4)
     defined = [i for i in rec.items if "dist" in i]
     assert defined, rec.items
     for item in defined:

@@ -16,7 +16,7 @@ import quartic
 from quartic import intervals, limits, ring
 from quartic.construction import paper_generators
 from quartic.errors import NonIntegralInput, NotUnimodular
-from quartic.intervals import DEFAULT_BITS, Interval
+from quartic.intervals import DEFAULT_BITS
 from quartic.limits import (
     LimitCandidate,
     LimitTargets,
@@ -29,15 +29,15 @@ from quartic.limits import (
 from quartic.linalg import MatClass, RingMat2, classify, share_eigenvector
 from quartic.ring import QuarticElem, galois
 
+from interval_reference import Interval
+
 P, Q = paper_generators()
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # targets with endpoints over 3, so the rank scale is not a power of two
 THIRDS = LimitTargets(
-    [[Interval(Fraction(5, 3), Fraction(2)), Interval(Fraction(1, 3))],
-     [Interval(Fraction(-4, 3), Fraction(-2, 3)), Interval(Fraction(0))]],
-    [[Interval(Fraction(-1, 3), Fraction(1, 3)), Interval(Fraction(2, 3))],
-     [Interval(Fraction(-1)), Interval(Fraction(-7, 3), Fraction(4, 3))]])
+    [[(5, 6, 3), (1, 1, 3)], [(-4, -2, 3), (0, 0, 1)]],
+    [[(-1, 1, 3), (4, 4, 6)], [(-1, -1, 1), (-7, 4, 3)]])
 
 # frozen at the parent of the integer rank tables: sha256 of the residual
 # grids and notes of check_limit_conditions(.., vi_depth=1, seq_index=3)
@@ -52,15 +52,15 @@ SCRIPT_STDOUT_SHA256 = (
     "5376ec7e6205967567771d175bac05cdb2765bebcd26260571246c8f32fa0bf2")
 
 
-def reference_residuals(e: QuarticElem, u: Interval, v: Interval,
-                        bits: int = DEFAULT_BITS):
+def reference_residuals(e: QuarticElem, u, v, bits: int = DEFAULT_BITS):
     """Slow reference: Fraction enclosures of one entry's residuals, the
-    even part p - r b^2 against u, the odd part q b - s b^3 against zero
-    and the second view against v."""
+    even part p - r b^2 against the target enclosure u, the odd part
+    q b - s b^3 against zero and the second view against v."""
     p, q, r, s = e.coeffs()
-    return (abs(QuarticElem(p, 0, -r, 0).interval(bits) - u),
-            abs(QuarticElem(0, q, 0, -s).interval(bits)),
-            abs(e.conj_even().interval(bits) - v))
+    return tuple(abs(Interval.of(x.interval(bits)) - Interval.of(t))
+                 for x, t in ((QuarticElem(p, 0, -r, 0), u),
+                              (QuarticElem(0, q, 0, -s), (0, 0, 1)),
+                              (e.conj_even(), v)))
 
 
 def reference_key(targets: LimitTargets):
@@ -173,7 +173,7 @@ def test_zero_odd_part_gives_zero_residual():
     cand = LimitCandidate(Q)          # q = s = 0 in every entry
     rep = check_limit_conditions(cand, vi_depth=1)
     assert rep.residuals_ii_exact_zero
-    assert all(iv.hi == 0 for row in rep.residuals_ii for iv in row)
+    assert all(hi == 0 for row in rep.residuals_ii for _, hi, _ in row)
 
 
 def test_checker_vi_is_probe_only():
@@ -267,13 +267,27 @@ def test_margin_uniformity_probe_smoke():
     rows = margin_uniformity_probe(cands, 2, 3, Fraction(1, 2))
     assert len(rows) == 2
     for row in rows:
-        assert row.margin.lo > 0
+        assert row.margin[0] > 0
         assert row.witness
         assert isinstance(row.near_identity_words, list)
     # identity word never appears
     for row in rows:
         for entry in row.near_identity_words:
             assert entry["word"] != "<empty>"
+
+
+# sha256 of the sorted-key JSON of the uniformity rows of the first three
+# bound-2 candidates at N = 2, L = 3, eps = 1/2: margins and the chordal
+# distances of near-identity words to the eigenvector points
+UNIFORMITY_GOLDEN = (
+    "50568c0ea4c81a8379b39594a30ec0daf13b16fbc5f7e811fdc9e3af6aa0165a")
+
+
+def test_margin_uniformity_probe_matches_golden():
+    rows = margin_uniformity_probe(search_limit_candidates(2, count=8)[:3],
+                                   2, 3, Fraction(1, 2))
+    blob = json.dumps([row.to_json() for row in rows], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == UNIFORMITY_GOLDEN
 
 
 def test_margin_uniformity_accepts_json_candidates():
@@ -337,7 +351,8 @@ def test_checker_residual_grids_unchanged():
                       sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         GRIDS_BOUND2_TOP8_SHA256)
-    exact = [[[[str(iv.lo), str(iv.hi)] for row in grid for iv in row]
+    exact = [[[[str(Fraction(lo, s)), str(Fraction(hi, s))]
+               for row in grid for lo, hi, s in row]
               for grid in (rep.residuals_i, rep.residuals_ii,
                            rep.residuals_iii)] for rep in reps]
     assert hashlib.sha256(json.dumps(exact).encode()).hexdigest() == (
@@ -352,7 +367,8 @@ def test_checker_residuals_match_reference_thirds():
             ref = reference_residuals(e, THIRDS.u[i][j], THIRDS.v[i][j])
             got = (rep.residuals_i[i][j], rep.residuals_ii[i][j],
                    rep.residuals_iii[i][j])
-            assert [(g.lo, g.hi) for g in got] == [(r.lo, r.hi) for r in ref]
+            assert [Interval.of(g).ends() for g in got] == [
+                r.ends() for r in ref]
 
 
 def test_limit_candidate_script_stdout_unchanged():

@@ -325,14 +325,17 @@ def test_eigen_q_trace_identity():
     lam, mu = e.lam_dominant, e.lam_recessive
     assert lam + mu == QuadExt.of_base(Q.trace(), lam.d)
     assert lam * mu == QuadExt.of_base(ONE, lam.d)
-    assert 5 < e.lam_dominant_interval.lo < e.lam_dominant_interval.hi < 6
+    lo, hi, s = e.lam_dominant_interval
+    assert 5 * s < lo < hi < 6 * s
 
 
 def test_eigen_p_sigma2_moduli():
     e = eigen2(P, 2)
     assert e.mat_class == MatClass.HYPERBOLIC
-    assert e.lam_dominant_interval.lo > 1
-    assert 0 < e.lam_recessive_interval.lo < e.lam_recessive_interval.hi < 1
+    lo, _, s = e.lam_dominant_interval
+    assert lo > s
+    lo, hi, s = e.lam_recessive_interval
+    assert 0 < lo < hi < s
 
 
 def test_eigen_parabolic_rejected():
@@ -346,13 +349,15 @@ def test_eigen_parabolic_rejected():
 def test_eigen_elliptic_reports_unit_circle():
     e = eigen2(P, 0)
     assert e.mat_class == MatClass.ELLIPTIC
-    assert e.modulus_sq_interval.lo == 1 == e.modulus_sq_interval.hi
+    lo, hi, s = e.modulus_sq_interval
+    assert lo == s == hi
 
 
 def test_eigen_loxodromic_modulus():
     e = eigen2(P, 1)
     assert e.mat_class == MatClass.LOXODROMIC
-    assert e.modulus_sq_interval.lo > 1
+    lo, _, s = e.modulus_sq_interval
+    assert lo > s
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +37,7 @@ from quartic.ring import QuarticElem, Sign
 from matrix_reference import RefMat2, entry_dist_sq
 
 P, Q = paper_generators()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the paper pair conjugated by diag(2, 1/2): rational, determinant one
 _H = RingMat2(QuarticElem(2), QuarticElem(0), QuarticElem(0),
               QuarticElem(Fraction(1, 2)))
@@ -165,8 +170,8 @@ def test_margin_depth_one_is_min_over_generators():
 
 def test_margin_monotone_and_positive():
     rep = discreteness_margin(2, 4)
-    assert rep.margin.lo > 0
-    values = [iv.hi for _, iv in rep.per_depth]
+    assert rep.margin[0] > 0
+    values = [Fraction(hi, s) for _, (_, hi, s) in rep.per_depth]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -269,8 +274,10 @@ def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
     best, ties, per_depth = _unpaired_margin(n, depth, pair, views)
     assert rep.margin_sq == best
     assert [w.codes for w in rep.ties] == ties
-    assert [(d, iv.lo, iv.hi) for d, iv in rep.per_depth] == [
-        (d, iv.lo, iv.hi) for d, iv in per_depth]
+    assert [(d, Fraction(lo, s), Fraction(hi, s))
+            for d, (lo, hi, s) in rep.per_depth] == [
+        (d, Fraction(lo, s), Fraction(hi, s))
+        for d, (lo, hi, s) in per_depth]
 
 
 @pytest.mark.parametrize("n, depth, pair", [(2, 5, "paper"),
@@ -579,11 +586,34 @@ def test_dual_smallness_scan_matches_golden():
     assert hashlib.sha256(blob.encode()).hexdigest() == DUAL_SCAN_GOLDEN
 
 
+# sha256 of the sorted-key JSON of `scripts/margin_experiment.py --max-N 3
+# --max-L 5 --json` stdout without its timings: exact margin and escape
+# endpoints as Fraction strings
+MARGIN_SCRIPT_GOLDEN = (
+    "b1cb89de999518ab6167d841dee65b073e4f99f908419c0f19d94e07a5010162")
+
+
+def test_margin_experiment_script_golden():
+    src = str(pathlib.Path(probe.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "margin_experiment.py"),
+         "--max-N", "3", "--max-L", "5", "--json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        check=True, text=True).stdout
+    rows = json.loads(out)
+    for row in rows:
+        del row["seconds"]
+    blob = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == MARGIN_SCRIPT_GOLDEN
+
+
 def test_dual_smallness_escape_visible():
     # close in the first factor forces large third-view magnitudes
     table = dual_smallness_scan(2, 3, 2)
     for row in table.rows:
-        assert row.d_sigma2.hi > row.d_sigma0.lo
+        _, hi2, s2 = row.d_sigma2
+        lo0, _, s0 = row.d_sigma0
+        assert Fraction(hi2, s2) > Fraction(lo0, s0)
 
 
 def test_dual_smallness_tiny_eps_empty():

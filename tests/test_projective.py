@@ -9,6 +9,7 @@ import pytest
 from quartic.construction import paper_generators
 from quartic.errors import HypothesisViolated, NotHyperbolicLike
 from quartic.extension import QuadExt
+from quartic.intervals import interval_json
 from quartic.linalg import RingMat2, int_matrices, is_scalar4, regular_rep
 from quartic.probe import walk_words
 from quartic import projective
@@ -46,7 +47,7 @@ def test_dominant_psi_p():
     rec = dominant_eigenvalue(regular_rep(P, 4))
     assert rec is not None
     assert rec.block_k == 2
-    assert rec.interval.lo > 1
+    assert (rec.value - 1).sign() == Sign.POSITIVE
 
 
 def test_dominant_psi_q_double_max():
@@ -112,18 +113,38 @@ def test_power_compatibility():
 def test_proj_dist_zero_for_equal_points():
     p = ProjPoint((ONE, QuarticElem(2)))
     q = ProjPoint((QuarticElem(3), QuarticElem(6)))
-    d = proj_dist(p, q)
-    assert d.lo == 0 == d.hi
+    lo, hi, _ = proj_dist(p, q)
+    assert lo == 0 == hi
 
 
 def test_proj_dist_orthogonal():
-    d = proj_dist(ProjPoint((ONE, ZERO)), ProjPoint((ZERO, ONE)))
-    assert d.lo == 1 == d.hi
+    lo, hi, s = proj_dist(ProjPoint((ONE, ZERO)), ProjPoint((ZERO, ONE)))
+    assert lo == s == hi
 
 
 def test_proj_dist_diagonal_pair():
-    d = proj_dist(ProjPoint((ONE, ONE)), ProjPoint((ONE, -ONE)))
-    assert d.lo == 1 == d.hi
+    lo, hi, s = proj_dist(ProjPoint((ONE, ONE)), ProjPoint((ONE, -ONE)))
+    assert lo == s == hi
+
+
+# interval_json of the chordal distances between the four certificate
+# centers; an A center and a B center live in different extensions
+CENTER_DIST_GOLDEN = {
+    ("A_att", "A_rep"): ["0.988706599053", "0.988706599054"],
+    ("A_att", "B_att"): ["0.099750381598", "0.099750381599"],
+    ("A_att", "B_rep"): ["0.968826412712", "0.968826412713"],
+    ("A_rep", "B_att"): ["0.968826412712", "0.968826412713"],
+    ("A_rep", "B_rep"): ["0.099750381598", "0.099750381599"],
+    ("B_att", "B_rep"): ["0.939282169482", "0.939282169483"],
+}
+
+
+def test_center_distances_match_golden():
+    centers = projective._fixed_points(A2, B2)
+    got = {(a, b): interval_json(proj_dist(ProjPoint(centers[a]),
+                                           ProjPoint(centers[b])))
+           for a, b in CENTER_DIST_GOLDEN}
+    assert got == CENTER_DIST_GOLDEN
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +329,8 @@ def _edge_slopes(ball, side, bits=40):
     """Rational slopes (inside, outside) of the ball 2^-bits apart at one
     edge (side +1 or -1), bisected with the reference formula."""
     c1, c2 = ball.center
-    inside = (c2 * c1.inv()).interval().lo
+    lo, _, s = (c2 * c1.inv()).interval()
+    inside = Fraction(lo, s)
     # a chordal radius r spans about r (1 + s^2) in slope s
     outside = inside + side * (1 + inside * inside)
     assert _reference_sign(ball, (ONE, QuarticElem(inside))) == Sign.NEGATIVE
