@@ -10,13 +10,13 @@ verdicts are exact; enclosures, int triples (lo, hi, scale) from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnsignedElement
 from .extension import QuadExt
 from .intervals import DEFAULT_BITS, Enclosure, enc_div, enc_sqrt, interval_json
 from .linalg import RingMat2, eigen2, share_eigenvector
+from .record import Record
 from .ring import (
     ONE,
     ZERO,
@@ -45,8 +45,7 @@ def paper_generators() -> tuple[RingMat2, RingMat2]:
 # trace recursion and Pell quantities
 
 
-@dataclass(frozen=True)
-class ChebyshevPair:
+class ChebyshevPair(Record):
     """Integers with lambda^n + lambda^-n = A_n + B_n sqrt2."""
 
     n: int
@@ -93,8 +92,7 @@ def trace_matches_chebyshev(n: int) -> bool:
     return t == cheb_value(n)
 
 
-@dataclass
-class PellRow:
+class PellRow(Record):
     n: int
     a: int
     b: int
@@ -104,8 +102,7 @@ class PellRow:
     norm_increased: bool | None        # vs the previous row
 
 
-@dataclass
-class PellTable:
+class PellTable(Record):
     rows: list[PellRow]
     first_norm_decrease: int | None
     monotone_gap_verdict: bool         # did |A - sqrt2 B| grow at every step
@@ -158,8 +155,7 @@ def pell_divergence(n_max: int, bits: int = 128) -> PellTable:
 # conditions (1) - (3)
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(Record):
     condition1: bool
     condition2: bool
     condition3_first: bool
@@ -220,8 +216,7 @@ def _conj_decomposition(zeta, eta, mu, nu, an, bn, cn, dn, map_entry):
     return e11, e12, e21, e22
 
 
-@dataclass
-class ConjugationRecord:
+class ConjugationRecord(Record):
     n: int
     a_n: QuarticElem
     b_n: QuarticElem
@@ -239,7 +234,7 @@ class ConjugationRecord:
     r2: QuarticElem | None = None
     s1_primed: QuarticElem | None = None
     s2_primed: QuarticElem | None = None
-    identity_checks: dict = field(default_factory=dict)
+    identity_checks: dict = {}
     ent21_displayed_sign_matches: bool | None = None
 
     def to_json(self) -> dict:
@@ -383,11 +378,10 @@ def make_signed_sigma2_matrix(x: QuarticElem, y: QuarticElem,
 # inequality probes
 
 
-@dataclass
-class InequalityRecord:
+class InequalityRecord(Record):
     which: int
     available: bool
-    items: list = field(default_factory=list)
+    items: list = []
     note: str = ""
 
     def to_json(self) -> dict:

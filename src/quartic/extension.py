@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .errors import InternalMismatch
 from .intervals import DEFAULT_BITS, Enclosure, enc_add, enc_mul, enc_sqrt
-from .ring import ZERO, QuarticElem, Sign, _coerce
+from .ring import (ZERO, QuarticElem, Sign, common_over, mul4, sign4, _SIGN,
+                   _coerce)
 
 
 class QuadExt:
@@ -85,21 +86,8 @@ class QuadExt:
         return _ext(self.a * ninv, -self.b * ninv, self.d)
 
     def sign(self) -> Sign:
-        sa = self.a.sign()
-        if self.b.is_zero():
-            return sa
-        sd = self.d.sign()
-        if sd == Sign.ZERO:
-            return sa
-        sb = self.b.sign()
-        if sa == Sign.ZERO:
-            return sb
-        if sa == sb:
-            return sa
-        t = (self.a * self.a - self.b * self.b * self.d).sign()
-        if t == Sign.ZERO:
-            return Sign.ZERO
-        return sa if t == Sign.POSITIVE else sb
+        (u,), (v,), d_num, d_den = surd_form([self.a], [self.b], self.d)
+        return surd_sign(u, v, d_num, d_den)
 
     def is_zero(self) -> bool:
         return self.sign() == Sign.ZERO
@@ -130,6 +118,32 @@ class QuadExt:
             return base
         root = enc_sqrt(self.d.interval(bits), bits)
         return enc_add(base, enc_mul(self.b.interval(bits), root))
+
+
+def surd_form(us, vs, d: QuarticElem) -> tuple:
+    """(u, v, d_num, d_den) with u_i + v_i sqrt(d_num / d_den) a positive
+    multiple of us_i + vs_i sqrt(d) for every i: u and v are the int
+    4-tuples of us and vs over their own common denominators e_u and e_v,
+    which fold into d_num / d_den = d e_u^2 / e_v^2."""
+    (u, e_u), (v, e_v) = common_over(us), common_over(vs)
+    d_num, d_den = d.int_coeffs()
+    return u, v, tuple(c * e_u * e_u for c in d_num), d_den * e_v * e_v
+
+
+def surd_sign(u: tuple, v: tuple, d_num: tuple, d_den: int) -> Sign:
+    """Exact sign of u + v sqrt(d_num / d_den) for int 4-tuples u, v and
+    d_num >= 0 and an int d_den > 0: the parts' common sign where they
+    agree, else the sign of the part whose square wins in
+    u^2 d_den - v^2 d_num, and zero on a tie."""
+    su = sign4(u)
+    if not any(v):
+        return _SIGN[su]
+    sv = sign4(v)
+    if su == sv:
+        return _SIGN[su]
+    t = sign4(tuple(x * d_den - y for x, y in
+                    zip(mul4(u, u), mul4(mul4(v, v), d_num))))
+    return _SIGN[t and (su if t > 0 else sv)]
 
 
 def _as_quartic(x) -> QuarticElem:

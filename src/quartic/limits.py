@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -35,11 +34,11 @@ from .linalg import (
     share_eigenvector,
     view_dist4,
 )
+from .record import Record
 from .ring import ONE, QuarticElem, mul4
 
 
-@dataclass(frozen=True)
-class LimitCandidate:
+class LimitCandidate(Record, eq=True, frozen=True):
     """Integral candidate with its three embedding views.
 
     The views satisfy, entrywise: view1 = (p + r b^2) - (q b + s b^3),
@@ -83,8 +82,7 @@ class LimitCandidate:
         return cls(RingMat2.parse(obj["matrix"]))
 
 
-@dataclass
-class LimitTargets:
+class LimitTargets(Record):
     """Enclosure targets for the two limit matrices: v entries for the
     elliptic limit of the second view, u entries for the hyperbolic limit.
     The tolerance schedule says how tight the residuals must be at the
@@ -129,8 +127,7 @@ def _interval_class(trace: Enclosure) -> str:
     return "undecided"
 
 
-@dataclass
-class LimitCheckReport:
+class LimitCheckReport(Record):
     candidate: LimitCandidate
     residuals_i: list[list[Enclosure]]
     residuals_ii: list[list[Enclosure]]
@@ -141,7 +138,7 @@ class LimitCheckReport:
     cond_vi_probe: dict
     cond_vii: dict[str, bool]
     cond_viii: bool
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = []
 
     def passes_iv_and_viii(self) -> bool:
         return all(self.cond_iv.values()) and self.cond_viii
@@ -436,8 +433,7 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
 # uniformity probe
 
 
-@dataclass
-class UniformityRow:
+class UniformityRow(Record):
     candidate: LimitCandidate
     margin: Enclosure
     witness: str

@@ -15,7 +15,6 @@ re-check rather than an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -40,12 +39,14 @@ from .intervals import (
     filter_bounds,
     quartic_bounds,
 )
+from .record import Record
 from .ring import (
     ONE,
     ZERO,
     EmbeddedComplex,
     QuarticElem,
     Sign,
+    common_over,
     galois,
     mul4,
     power,
@@ -82,15 +83,12 @@ class RingMat2:
     __slots__ = ("_m", "_d")
 
     def __init__(self, e11, e12, e21, e22):
-        es = [e.int_coeffs() if type(e) is QuarticElem
-              else QuarticElem(e).int_coeffs() for e in (e11, e12, e21, e22)]
         # each entry is reduced, so over the lcm of their denominators the
         # entry carrying a prime's highest power keeps a coefficient prime
         # to it: the matrix is reduced too
-        d = lcm(*[e_d for _, e_d in es])
-        self._m = tuple([c if e_d == d else tuple([x * (d // e_d) for x in c])
-                         for c, e_d in es])
-        self._d = d
+        self._m, self._d = common_over([
+            e if type(e) is QuarticElem else QuarticElem(e)
+            for e in (e11, e12, e21, e22)])
 
     e11 = property(lambda self: _elem(self._m[0], self._d))
     e12 = property(lambda self: _elem(self._m[1], self._d))
@@ -202,8 +200,7 @@ def _mat(m, d: int) -> RingMat2:
     return x
 
 
-@dataclass(frozen=True)
-class EmbeddedMat2:
+class EmbeddedMat2(Record):
     """Entrywise Galois image of a RingMat2; k records the embedding.
 
     Products are defined whenever both factors live in one embedded field
@@ -460,8 +457,7 @@ def spectrum_decomposition_holds(a: RingMat2) -> bool:
 # eigen data for 2x2 views
 
 
-@dataclass
-class BlockEig:
+class BlockEig(Record):
     """Per-embedding eigen summary used by the dominance analysis.
 
     u is |lambda|^2 + |lambda|^-2 for the block's eigenvalue pair, encoded
@@ -497,22 +493,16 @@ def compare_u(x: BlockEig, y: BlockEig) -> Sign:
     if x.u_base is not None and y.u_base is not None:
         return (x.u_base - y.u_base).sign()
     if x.u_base is not None:
-        return Sign(-int(_cmp_rad_base(y.u_rad, x.u_base)))
+        return Sign(-_cmp_rad_base(y.u_rad, x.u_base))
     if y.u_base is not None:
-        return Sign(int(_cmp_rad_base(x.u_rad, y.u_base)))
+        return _cmp_rad_base(x.u_rad, y.u_base)
     return _cmp_rad_rad(x.u_rad, y.u_rad)
 
 
-def _cmp_rad_base(rad, base: QuarticElem) -> int:
-    """sign of (a + sqrt w)/2 - base."""
+def _cmp_rad_base(rad, base: QuarticElem) -> Sign:
+    """sign of (a + sqrt w)/2 - base, w >= 0."""
     a, w = rad
-    s = 2 * base - a                      # compare sqrt(w) with s
-    if s.sign() != Sign.POSITIVE:
-        if s.sign() == Sign.ZERO and w.is_zero():
-            return 0
-        return 1
-    t = (w - s * s).sign()
-    return int(t)
+    return QuadExt(a - 2 * base, ONE, w).sign()
 
 
 def _cmp_rad_rad(r1, r2) -> Sign:
@@ -538,8 +528,7 @@ def _cmp_rad_rad(r1, r2) -> Sign:
     return s_root if q == Sign.POSITIVE else st
 
 
-@dataclass
-class Eigen2:
+class Eigen2(Record):
     """User-facing eigen data for one embedded 2x2 view."""
 
     k: int

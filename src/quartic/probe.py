@@ -15,7 +15,6 @@ only in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -38,6 +37,7 @@ from .linalg import (
 )
 from .projective import (PingPongCertificate, certify_exponent,
                          free_pair_power)
+from .record import Record
 from .ring import ONE, QuarticElem, _elem, field_quantity_N
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
@@ -174,8 +174,7 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
                                       child_inv))
 
 
-@dataclass
-class MarginReport:
+class MarginReport(Record):
     n: int
     depth: int
     margin_sq: QuarticElem
@@ -394,8 +393,7 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     )
 
 
-@dataclass
-class FreenessCertificate:
+class FreenessCertificate(Record):
     n: int
     pingpong: PingPongCertificate
     crosscheck_depth: int
@@ -509,8 +507,7 @@ def _view_dists(xs, den: int) -> list[QuarticElem]:
 # torsion
 
 
-@dataclass
-class TorsionResult:
+class TorsionResult(Record):
     torsion: bool
     n_max: int
     order: int | None = None              # least n with A^n = I
@@ -556,8 +553,7 @@ def _confirm_torsion(a: RingMat2, n: int, n_max: int) -> TorsionResult | None:
 # dual smallness
 
 
-@dataclass
-class DualSmallnessRow:
+class DualSmallnessRow(Record):
     word: ReducedWord
     d_sigma0: Enclosure
     d_sigma1: Enclosure
@@ -576,8 +572,7 @@ class DualSmallnessRow:
         }
 
 
-@dataclass
-class DualSmallnessTable:
+class DualSmallnessTable(Record):
     n: int
     depth: int
     eps: Fraction

@@ -17,7 +17,6 @@ serialized data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     SingularMatrix,
     UndecidedComparison,
 )
-from .extension import QuadExt
+from .extension import QuadExt, surd_form, surd_sign
 from .intervals import DEFAULT_BITS, Enclosure, enc_add, enc_div, enc_mul, enc_sqrt
 from .linalg import (
     BlockEig,
@@ -43,15 +42,15 @@ from .linalg import (
     eigen2,
     share_eigenvector,
 )
-from .ring import ONE, ZERO, QuarticElem, Sign
+from .record import Record
+from .ring import ONE, ZERO, QuarticElem, Sign, mul4
 
 
 # ---------------------------------------------------------------------------
 # projective points
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record, frozen=True):
     """Point of real projective space in homogeneous coordinates.
 
     Coordinates are exact field values (QuarticElem or QuadExt).  Equality
@@ -200,19 +199,17 @@ def _proj_dist_intervals(p: ProjPoint, q: ProjPoint, bits: int) -> Enclosure:
 # dominance analysis
 
 
-@dataclass
-class DominantRecord:
+class DominantRecord(Record):
     """A certified dominant eigenvalue: real, simple, strictly extreme."""
 
     value: QuadExt
     block_k: int
 
 
-@dataclass
-class DominanceAnalysis:
+class DominanceAnalysis(Record):
     record: DominantRecord | None
     reason: str
-    blocks: list[BlockEig] = field(default_factory=list)
+    blocks: list[BlockEig] = []
 
 
 def _blocks_of(m) -> tuple[list[BlockEig], RingMat2]:
@@ -280,8 +277,7 @@ def _lift_covec(w: tuple[QuadExt, QuadExt], k: int) -> tuple:
     return tuple(w[i] * QuadExt.of_base(c, w[0].d) for i in range(2) for c in u)
 
 
-@dataclass
-class HyperbolicLikeData:
+class HyperbolicLikeData(Record):
     """Attracting/repelling points and characteristic crosses.
 
     For dimension 2 the crosses degenerate to the opposite fixed points.
@@ -346,15 +342,15 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
 # ping-pong on the projective line
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record, frozen=True):
     """Chordal ball with an exact center on the projective line.
 
     With cross = p1 c2 - p2 c1 and |c|^2 = c1^2 + c2^2, a point p lies
     strictly inside iff cross^2 - r^2 |p|^2 |c|^2 < 0.  That value is the
     binary quadratic form A p1^2 + B p1 p2 + C p2^2 for A = c2^2 - r^2 |c|^2,
     B = -2 c1 c2 and C = c1^2 - r^2 |c|^2, built once here from the center
-    and radius alone.  The search and the checker both sign with it."""
+    and radius alone, as ints (``surd_form``).  The search and the checker
+    both sign with it."""
 
     name: str
     center: tuple[QuadExt, QuadExt]
@@ -365,12 +361,13 @@ class Ball:
         c11, c22 = c1 * c1, c2 * c2
         r2c2 = (c11 + c22) * QuarticElem(self.radius * self.radius)
         form = (c22 - r2c2, c1 * c2 * QuarticElem(-2), c11 - r2c2)
-        object.__setattr__(self, "_form", (tuple(f.a for f in form),
-                                           tuple(f.b for f in form)))
+        a, b, d_num, d_den = surd_form([f.a for f in form],
+                                       [f.b for f in form], c1.d)
+        object.__setattr__(self, "_form", (a, b, d_num, d_den))
         # the charts' points at infinity are (1, 0) for u and (0, 1) for s
         object.__setattr__(self, "_excludes", {
-            "u": form[0].sign() == Sign.POSITIVE,
-            "s": form[2].sign() == Sign.POSITIVE})
+            chart: surd_sign(a[i], b[i], d_num, d_den) == Sign.POSITIVE
+            for chart, i in (("u", 0), ("s", 2))})
 
     def center_point(self) -> ProjPoint:
         return ProjPoint(self.center)
@@ -378,11 +375,12 @@ class Ball:
     def membership_sign(self, point: tuple[QuarticElem, QuarticElem]) -> Sign:
         """Sign of chordal(p, c)^2 - r^2 at a base-field point p:
         NEGATIVE means strictly inside."""
-        p1, p2 = point
-        x, y, z = p1 * p1, p1 * p2, p2 * p2
-        (a0, a1, a2), (b0, b1, b2) = self._form
-        return QuadExt(a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z,
-                       self.center[0].d).sign()
+        (c1, e1), (c2, e2) = (x.int_coeffs() for x in point)
+        # both coordinates over e1 e2: the form scales by (e1 e2)^2 > 0
+        c1, c2 = tuple(c * e2 for c in c1), tuple(c * e1 for c in c2)
+        xyz = (mul4(c1, c1), mul4(c1, c2), mul4(c2, c2))
+        a, b, d_num, d_den = self._form
+        return surd_sign(_form_at(a, xyz), _form_at(b, xyz), d_num, d_den)
 
     def excludes_chart_infinity(self, chart: str) -> bool:
         return self._excludes[chart]
@@ -409,6 +407,12 @@ class Ball:
         return cls(obj["name"], (c1, c2), Fraction(obj["radius"]))
 
 
+def _form_at(f: tuple, xyz: tuple) -> tuple:
+    """f0 x + f1 y + f2 z for int 4-tuples."""
+    (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3) = map(mul4, f, xyz)
+    return u0 + v0 + w0, u1 + v1 + w1, u2 + v2 + w2, u3 + v3 + w3
+
+
 def _chart_point(chart: str, t: Fraction) -> tuple[QuarticElem, QuarticElem]:
     q = QuarticElem(t)
     return (ONE, q) if chart == "s" else (q, ONE)
@@ -429,8 +433,7 @@ def _den_coeffs(m: RingMat2, chart: str, target_chart: str):
     return row[1], row[0]
 
 
-@dataclass
-class Cell:
+class Cell(Record):
     chart: str
     lo: Fraction
     hi: Fraction
@@ -520,8 +523,7 @@ def _cells_tile(cells: list[Cell], chart: str, lo: Fraction, hi: Fraction) -> bo
     return True
 
 
-@dataclass
-class MappingCondition:
+class MappingCondition(Record):
     name: str
     generator: str                     # "A" or "B"
     exponent: int
@@ -529,7 +531,7 @@ class MappingCondition:
     region_kind: str                   # "complement" or "interval"
     outer: Fraction                    # K for complement coverage
     target: str                        # ball name
-    cells: list[Cell] = field(default_factory=list)
+    cells: list[Cell] = []
 
     def to_json(self) -> dict:
         return {
@@ -557,8 +559,7 @@ class MappingCondition:
         )
 
 
-@dataclass
-class PingPongCertificate:
+class PingPongCertificate(Record):
     """Finite data certifying that <A^m, B^k> is free and discrete for all
     m, k >= exponent."""
 
@@ -995,8 +996,7 @@ def pingpong_exponent(a: RingMat2, b: RingMat2,
 # commutation and freeness wrappers
 
 
-@dataclass
-class NoncommutingResult:
+class NoncommutingResult(Record):
     holds: bool
     reason: str
     commutator_nontrivial: bool | None = None
@@ -1031,8 +1031,7 @@ def noncommuting_check(a: RingMat2, b: RingMat2) -> NoncommutingResult:
     return NoncommutingResult(True, "north-south dynamics forces AB != BA", True)
 
 
-@dataclass
-class FreePairResult:
+class FreePairResult(Record):
     exponent: int
     certificate: PingPongCertificate
 

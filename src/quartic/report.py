@@ -9,7 +9,8 @@ rendering so that JSON output is byte-stable across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .record import Record
 
 TOOL_VERSION = "0.1.0"
 
@@ -19,8 +20,7 @@ PROBE_ONLY = "probe-only"
 ERRATUM = "erratum"
 
 
-@dataclass
-class ReportEntry:
+class ReportEntry(Record):
     name: str
     verdict: str
     value: object = None
@@ -35,11 +35,10 @@ class ReportEntry:
         return out
 
 
-@dataclass
-class Report:
+class Report(Record):
     command: str
-    inputs: dict = field(default_factory=dict)
-    results: list[ReportEntry] = field(default_factory=list)
+    inputs: dict = {}
+    results: list[ReportEntry] = []
 
     def add(self, name: str, verdict: str, value=None, anchor: str = "") -> None:
         self.results.append(ReportEntry(name, verdict, value, anchor))

@@ -61,9 +61,17 @@ def _over(xs) -> tuple[tuple[int, ...], int]:
     denominator, which leaves the vector reduced."""
     if all(type(x) is int for x in xs):
         return tuple(xs), 1
-    fs = [_frac(x) for x in xs]
+    fs = [x if type(x) is int else _frac(x) for x in xs]
     d = lcm(*(f.denominator for f in fs))
     return tuple(f.numerator * (d // f.denominator) for f in fs), d
+
+
+def common_over(xs) -> tuple[tuple, int]:
+    """The int 4-tuples of the QuarticElems xs over their least common
+    denominator d, and d."""
+    d = lcm(*[x._d for x in xs])
+    return tuple([x._c if x._d == d else tuple([c * (d // x._d) for c in x._c])
+                  for x in xs]), d
 
 
 def _fraction(n: int, d: int) -> Fraction:
@@ -428,10 +436,11 @@ def galois(x: QuarticElem, k: int) -> EmbeddedComplex:
 
 
 def signedness(x: QuarticElem) -> Signedness:
-    cs = x.coeffs()
-    if all(c >= 0 for c in cs) and not x.is_zero():
+    # over a positive denominator the numerators carry the signs
+    lo, hi = min(x._c), max(x._c)
+    if lo >= 0 and hi > 0:
         return Signedness.POSITIVE
-    if all(c <= 0 for c in cs) and not x.is_zero():
+    if hi <= 0 and lo < 0:
         return Signedness.NEGATIVE
     return Signedness.UNSIGNED
 
@@ -443,10 +452,11 @@ def field_quantity_N(x: QuarticElem) -> Fraction:
     with the literal conjugate product; a mismatch raises InternalMismatch.
     At least 1 for nonzero integral input.
     """
-    a, m, p, e = x.coeffs()
+    # on the numerators of x: u and v are over d^2, the closed form over d^4
+    a, m, p, e = x._c
     u = a * a + 2 * p * p - 4 * m * e
     v = 2 * a * p - m * m - 2 * e * e
-    closed = abs(u * u - 2 * v * v)
+    num, den = abs(u * u - 2 * v * v), x._d ** 4
 
     prod02 = x * x.conj_even()
     z13 = galois(x, 1) * galois(x, 3)
@@ -455,12 +465,12 @@ def field_quantity_N(x: QuarticElem) -> Fraction:
     full = prod02 * z13.re
     if not full.is_rational():
         raise InternalMismatch("full conjugate product should be rational")
-    oracle = abs(full.q0)
-
-    if closed != oracle:
+    n, d = abs(full._c[0]), full._d
+    if num * d != n * den:
         raise InternalMismatch(
-            f"N({x.to_text()}): closed form {closed} != product {oracle}")
-    return closed
+            f"N({x.to_text()}): closed form {Fraction(num, den)} != "
+            f"product {_fraction(n, d)}")
+    return Fraction(num, den)
 
 
 def _terms(x: QuarticElem, degrees) -> tuple[QuarticElem, ...]:

@@ -332,9 +332,14 @@ def test_closed_stdout_ends_quietly(unbuffered):
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
 
 
-def _quartic_modules(argv) -> set[str]:
-    """The quartic modules loaded in a fresh process after importing the CLI
-    and running main(argv) if argv is not empty."""
+# stdlib modules that only code generation needs; no command may load them
+_GENERATION = {"dataclasses", "inspect"}
+
+
+def _loaded_modules(argv) -> set[str]:
+    """The quartic modules, and those of ``_GENERATION``, loaded in a fresh
+    process after importing the CLI and running main(argv) if argv is not
+    empty."""
     src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import contextlib, io, sys\n"
@@ -342,25 +347,31 @@ def _quartic_modules(argv) -> set[str]:
             f"if {argv!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             f"        main({argv!r})\n"
-            "print(*(m for m in sys.modules if m.split('.')[0] == 'quartic'))")
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'quartic'\n"
+            f"        or m in {sorted(_GENERATION)!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return set(out.split())
 
 
 def test_command_import_sets():
-    """Each command loads only the modules it runs.  Checked in fresh
-    processes, since this test module has imported probe and projective."""
+    """Each command loads only the modules it runs, and none loads the
+    stdlib's code generation.  Checked in fresh processes, since this test
+    module has imported probe and projective."""
     shared = {"quartic"} | {f"quartic.{m}" for m in (
         "cli", "construction", "errors", "extension", "intervals", "linalg",
-        "report", "ring")}
-    assert _quartic_modules([]) == shared
-    search = _quartic_modules(["search", "--bound", "1", "--count", "2",
-                               "--json"])
+        "record", "report", "ring")}
+    assert _loaded_modules([]) == shared
+    search = _loaded_modules(["search", "--bound", "1", "--count", "2",
+                              "--json"])
     assert not search & {"quartic.probe", "quartic.projective",
                          "quartic.cubic"}
-    certify = _quartic_modules(["certify", "--json"])
+    certify = _loaded_modules(["certify", "--json"])
     assert not certify & {"quartic.limits", "quartic.cubic"}
+    verify = _loaded_modules(["verify-paper", "--json"])
+    margin = _loaded_modules(["margin", "--N", "2", "--L", "3"])
+    for loaded in (search, certify, verify, margin):
+        assert shared <= loaded and not loaded & _GENERATION
 
 
 def test_certify_reuses_the_searched_certificate(monkeypatch, capsys):

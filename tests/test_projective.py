@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quartic.construction import paper_generators
 from quartic.errors import HypothesisViolated, NotHyperbolicLike
@@ -28,6 +30,8 @@ from quartic.projective import (
     verify_certificate,
 )
 from quartic.ring import ONE, ZERO, QuarticElem, Sign
+
+from ring_reference import reference_quadext_sign
 
 P, Q = paper_generators()
 A2 = P.real_view(2)
@@ -290,8 +294,8 @@ def _reference_sign(ball, point):
     c1, c2 = ball.center
     cross = p1 * c2 - p2 * c1
     r2 = QuadExt.of_base(QuarticElem(ball.radius * ball.radius), d)
-    return (cross * cross
-            - (p1 * p1 + p2 * p2) * (c1 * c1 + c2 * c2) * r2).sign()
+    return reference_quadext_sign(
+        cross * cross - (p1 * p1 + p2 * p2) * (c1 * c1 + c2 * c2) * r2)
 
 
 def _assert_exclusions_match_reference(ball):
@@ -302,8 +306,9 @@ def _assert_exclusions_match_reference(ball):
 
 
 def test_search_form_signs_match_the_checker_formula(monkeypatch):
-    """Every point the search and the checker sign on the paper pair gets
-    the sign of the direct formula."""
+    """Every point the whole exponent search signs on the paper pair, its
+    failing exponents and rungs included, and every point the checker
+    signs, gets the sign of the direct formula."""
     seen = []
     real = Ball.membership_sign
 
@@ -313,9 +318,19 @@ def test_search_form_signs_match_the_checker_formula(monkeypatch):
         return sign
 
     monkeypatch.setattr(Ball, "membership_sign", spy)
-    cert = projective.certify_exponent(A2, B2, 3)
-    assert cert is not None and len(seen) > 50
+    tried = []
+    real_exponent = projective.certify_exponent
+
+    def exponent_spy(a, b, n, search=None):
+        tried.append(n)
+        return real_exponent(a, b, n, search)
+
+    monkeypatch.setattr(projective, "certify_exponent", exponent_spy)
+    cert = free_pair_power(P, Q).certificate
+    assert tried == [1, 2, 4, 3]
     searched = len(seen)
+    assert searched > 150
+    assert len({ball.radius for ball, _, _ in seen}) > 1
     again = PingPongCertificate.from_json(json.loads(cert.to_json_text()))
     assert verify_certificate(again) == (True, [])
     assert len(seen) - searched > 50
@@ -323,6 +338,64 @@ def test_search_form_signs_match_the_checker_formula(monkeypatch):
         assert _reference_sign(ball, point) == sign, (ball.name, point)
     for ball in {id(b): b for b, _, _ in seen}.values():
         _assert_exclusions_match_reference(ball)
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+parts = st.builds(QuarticElem, small, st.integers(-3, 3), small,
+                  st.integers(-3, 3))
+# the sqrt(d) part may vanish, d may be zero, and d = 2 is a square in
+# Q(beta), so u + v sqrt(d) can vanish with u and v both nonzero
+surd_parts = st.one_of(st.just(ZERO), parts)
+radicands = st.sampled_from([ZERO, QuarticElem(2), QuarticElem(3),
+                             QuarticElem(0, 1), QuarticElem(5, 0, 1)])
+
+
+@given(surd_parts, surd_parts, surd_parts, surd_parts, radicands,
+       st.fractions(min_value=0, max_value=2, max_denominator=16),
+       parts, parts)
+def test_form_sign_matches_the_formula_anywhere(a1, b1, a2, b2, d, rho,
+                                                p1, p2):
+    ball = Ball("h", (QuadExt(a1, b1, d), QuadExt(a2, b2, d)), rho)
+    assert ball.membership_sign((p1, p2)) == _reference_sign(ball, (p1, p2))
+    _assert_exclusions_match_reference(ball)
+
+
+@given(parts, parts, surd_parts, surd_parts,
+       st.one_of(st.just(QuarticElem(2)), radicands), st.integers(2, 7),
+       st.data())
+def test_form_sign_zero_on_rotated_boundaries(e1, e2, k_a, k_b, d, u, data):
+    """A point at chordal distance n / h from the center, for a
+    Pythagorean triple (m, n, h), signs zero on the ball of radius n / h.
+    Over d = 2 the center is any surd pair, otherwise a surd multiple of
+    a base-field pair."""
+    v = data.draw(st.integers(1, u - 1))
+    m, n, h = u * u - v * v, 2 * u * v, u * u + v * v
+    if d == QuarticElem(2):
+        center = (QuadExt(e1, k_a, d), QuadExt(e2, k_b, d))
+        e1, e2 = (c.a + c.b * QuarticElem(0, 0, 1) for c in center)
+    else:
+        k = QuadExt(k_a, k_b, d)
+        center = (k * e1, k * e2)
+    lam = data.draw(small.filter(bool))
+    point = (lam * (m * e1 - n * e2) / h, lam * (n * e1 + m * e2) / h)
+    ball = Ball("z", center, Fraction(n, h))
+    assert _reference_sign(ball, point) == Sign.ZERO
+    assert ball.membership_sign(point) == Sign.ZERO
+    _assert_exclusions_match_reference(ball)
+
+
+def test_form_sign_of_a_value_with_no_rational_part():
+    # around (1, sqrt11) at radius 1/2 the form's rational part vanishes at
+    # slope +-2, since 11 + 2^2 = (1/2)^2 (1 + 11)(1 + 2^2); the value left
+    # is -+4 sqrt11
+    d = QuarticElem(11)
+    ball = Ball("r", (QuadExt(ONE, ZERO, d), QuadExt(ZERO, ONE, d)),
+                Fraction(1, 2))
+    for point, want in (((ONE, QuarticElem(2)), Sign.NEGATIVE),
+                        ((QuarticElem(Fraction(1, 2)), ONE), Sign.NEGATIVE),
+                        ((ONE, QuarticElem(-2)), Sign.POSITIVE)):
+        assert _reference_sign(ball, point) == want
+        assert ball.membership_sign(point) == want
 
 
 def _edge_slopes(ball, side, bits=40):

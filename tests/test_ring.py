@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quartic.errors import NonIntegralInput, UnsignedElement
 from quartic.extension import QuadExt
+from quartic.linalg import _cmp_rad_base
 from quartic.ring import (
     BETA,
     ONE,
@@ -30,6 +31,15 @@ from quartic.ring import (
     gamma2,
     in_S,
     signedness,
+    _over,
+)
+
+from ring_reference import (
+    reference_cmp_rad_base,
+    reference_field_quantity_N,
+    reference_over,
+    reference_quadext_sign,
+    reference_signedness,
 )
 
 
@@ -190,6 +200,33 @@ def test_sign_zero_iff_symbolically_zero(x):
     assert (x.sign() == Sign.ZERO) == x.is_zero()
 
 
+@given(elements, st.one_of(st.just(ZERO), elements), elements,
+       st.sampled_from(["any", "square", "zero"]))
+def test_surd_sign_matches_the_quadext_reference(a, b, s, case):
+    """a + b sqrt(d) for any a, b and d >= 0; for a square d = s^2 also with
+    a = -b s, where the value vanishes with both parts nonzero."""
+    d = s * s if case != "any" else s * s + s.abs()
+    if case == "zero":
+        a = -b * s
+    x = QuadExt(a, b, d)
+    assert x.sign() == reference_quadext_sign(x)
+    if case == "zero":
+        assert x.sign() == Sign.ZERO
+
+
+@given(elements, elements, elements,
+       st.sampled_from(["any", "square", "zero"]))
+def test_surd_sign_orders_a_radical_against_a_base_value(a, s, base, case):
+    """(a + sqrt w)/2 - base for any w >= 0, and for w = s^2 also where
+    sqrt w = 2 base - a exactly."""
+    w = s * s if case != "any" else s * s + s.abs()
+    if case == "zero":
+        a = 2 * base - s.abs()
+    assert _cmp_rad_base((a, w), base) == reference_cmp_rad_base((a, w), base)
+    if case == "zero":
+        assert _cmp_rad_base((a, w), base) == Sign.ZERO
+
+
 @given(elements, st.one_of(st.just(ZERO), elements), elements, elements,
        elements, st.booleans())
 def test_quadext_product_with_a_base_field_operand(a, b, c, r, s, left):
@@ -224,8 +261,32 @@ def test_norm_formula_vs_conjugate_product(x):
         assert v >= 1
 
 
+@given(st.one_of(elements, int_elements))
+def test_norm_matches_the_fraction_reference(x):
+    v = field_quantity_N(x)
+    assert type(v) is Fraction and v == reference_field_quantity_N(x)
+
+
+# a coordinate as the public constructor takes it: an int, a Fraction, or
+# the text of either
+coordinates = st.one_of(int_coeff, rationals,
+                        st.one_of(int_coeff, rationals).map(str))
+
+
+@given(st.lists(coordinates, min_size=4, max_size=4))
+def test_coercion_matches_the_fraction_reference(xs):
+    assert _over(xs) == reference_over(xs)
+    x = QuarticElem(*xs)
+    assert (x._c, x._d) == reference_over(xs)
+
+
 # ---------------------------------------------------------------------------
 # signedness and the gamma/delta split
+
+
+@given(st.one_of(elements, int_elements, st.just(ZERO)))
+def test_signedness_matches_the_fraction_reference(x):
+    assert signedness(x) == reference_signedness(x)
 
 
 def test_signedness_examples():
