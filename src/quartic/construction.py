@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UnsignedElement
+from .errors import QuarticError, UnsignedElement
 from .extension import QuadExt
 from .intervals import DEFAULT_BITS, Enclosure, enc_div, enc_sqrt, interval_json
 from .linalg import RingMat2, eigen2, share_eigenvector
@@ -186,7 +186,7 @@ def check_conditions(p: RingMat2, q: RingMat2, m: int, n: int) -> ConditionRepor
         raise ValueError("powers must be at least 1")
     try:
         disjoint = not share_eigenvector(p, q, 2)
-    except Exception:
+    except QuarticError:
         disjoint = False
     c3a = not (((q ** m) * (p ** n) * (q ** -m)).commutator(p ** n)).is_identity()
     c3b = not (((p ** m) * (q ** n) * (p ** -m)).commutator(q ** n)).is_identity()

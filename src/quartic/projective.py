@@ -5,13 +5,18 @@ detected exactly through the invariant u = |lambda|^2 + |lambda|^-2, so a
 double maximal eigenvalue is a symbolic verdict, not a numerical one.
 
 Ping-pong certificates are fully exact.  Balls are chordal-metric balls
-around the exact eigenvector points; the compact complement of a removed
-rational interval is covered by rational cells; each cell is certified by
-evaluating the Moebius image of its endpoints exactly and using convexity
-of the ball in a chart where the cell maps without a pole.  The search and
-the standalone checker share one ball form (``Ball.membership_sign``) and
-one region test (``_region_ok``); the checker re-runs them from the
-serialized data.
+around the exact eigenvector points.  A condition's roots are the rational
+intervals its cover must tile: the complement of a removed interval as two
+slope-chart intervals and one interval of the inverse chart, or a step
+interval.  The search covers each root with one cell and accepts the cover
+by the checker's own test (``_recheck_condition``): a cell holds when its
+image has no pole in a chart where the target ball is an interval and both
+end images lie strictly inside the ball.  Points are int 4-tuple pairs up
+to a positive scale, and the ball form (``Ball.membership_sign``) signs them
+exactly.  No cell is bisected: a root with a pole in every chart where the
+ball is convex maps one parameter onto that chart's point at infinity,
+which lies outside the ball, so every leaf that contains it would have an
+end outside the ball.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .linalg import (
     share_eigenvector,
 )
 from .record import Record
-from .ring import ONE, ZERO, QuarticElem, Sign, mul4
+from .ring import ONE, ZERO, QuarticElem, Sign, mul4, sign4
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +63,6 @@ class ProjPoint(Record, frozen=True):
     """
 
     coords: tuple
-    normalized: bool = False
 
     def __post_init__(self):
         if not self.coords:
@@ -372,13 +376,12 @@ class Ball(Record, frozen=True):
     def center_point(self) -> ProjPoint:
         return ProjPoint(self.center)
 
-    def membership_sign(self, point: tuple[QuarticElem, QuarticElem]) -> Sign:
-        """Sign of chordal(p, c)^2 - r^2 at a base-field point p:
-        NEGATIVE means strictly inside."""
-        (c1, e1), (c2, e2) = (x.int_coeffs() for x in point)
-        # both coordinates over e1 e2: the form scales by (e1 e2)^2 > 0
-        c1, c2 = tuple(c * e2 for c in c1), tuple(c * e1 for c in c2)
-        xyz = (mul4(c1, c1), mul4(c1, c2), mul4(c2, c2))
+    def membership_sign(self, point: tuple[tuple, tuple]) -> Sign:
+        """Sign of chordal(p, c)^2 - r^2 at a base-field point p given as
+        two int 4-tuples, scaled by any nonzero factor (the form is
+        quadratic): NEGATIVE means strictly inside."""
+        p1, p2 = point
+        xyz = (mul4(p1, p1), mul4(p1, p2), mul4(p2, p2))
         a, b, d_num, d_den = self._form
         return surd_sign(_form_at(a, xyz), _form_at(b, xyz), d_num, d_den)
 
@@ -413,24 +416,18 @@ def _form_at(f: tuple, xyz: tuple) -> tuple:
     return u0 + v0 + w0, u1 + v1 + w1, u2 + v2 + w2, u3 + v3 + w3
 
 
-def _chart_point(chart: str, t: Fraction) -> tuple[QuarticElem, QuarticElem]:
-    q = QuarticElem(t)
-    return (ONE, q) if chart == "s" else (q, ONE)
+def _image_pair(m: RingMat2, chart: str, t: Fraction) -> tuple[tuple, tuple]:
+    """m applied to the chart's point at t, (1, t) in chart s and (t, 1) in
+    chart u, as two int 4-tuples: the image times the positive factor of
+    t's denominator and m's."""
+    v1, v2 = ((t.denominator, t.numerator) if chart == "s"
+              else (t.numerator, t.denominator))
+    e11, e12, e21, e22 = m._m
+    return (tuple([x * v1 + y * v2 for x, y in zip(e11, e12)]),
+            tuple([x * v1 + y * v2 for x, y in zip(e21, e22)]))
 
 
-def _image_pair(m: RingMat2, chart: str, t: Fraction) -> tuple[QuarticElem, QuarticElem]:
-    v1, v2 = _chart_point(chart, t)
-    e11, e12, e21, e22 = m.entries()
-    return (e11 * v1 + e12 * v2, e21 * v1 + e22 * v2)
-
-
-def _den_coeffs(m: RingMat2, chart: str, target_chart: str):
-    """Linear denominator A + B t of the composed chart map."""
-    e11, e12, e21, e22 = m.entries()
-    row = (e11, e12) if target_chart == "s" else (e21, e22)
-    if chart == "s":
-        return row[0], row[1]
-    return row[1], row[0]
+_IDENTITY = RingMat2.identity()
 
 
 class Cell(Record):
@@ -450,77 +447,41 @@ class Cell(Record):
 
 
 def _cell_pole_free(m: RingMat2, cell: Cell, target_chart: str) -> bool:
-    a, b = _den_coeffs(m, cell.chart, target_chart)
-    s_lo = (a + b * QuarticElem(cell.lo)).sign()
-    s_hi = (a + b * QuarticElem(cell.hi)).sign()
-    return s_lo != Sign.ZERO and s_lo == s_hi
+    """The cell's image misses the target chart's point at infinity: the
+    image coordinate that is that chart's denominator (the first for s, the
+    second for u) has one nonzero sign at both ends.  That coordinate is
+    linear in the cell's parameter, and the scale of ``_image_pair`` is
+    positive, so the signs are its own."""
+    i = 0 if target_chart == "s" else 1
+    s_lo, s_hi = (sign4(_image_pair(m, cell.chart, t)[i])
+                  for t in (cell.lo, cell.hi))
+    return s_lo != 0 and s_lo == s_hi
 
 
-# the deepest a cell is bisected to separate the chart poles
-_MAX_CELL_DEPTH = 24
-
-
-def _certify_cell(m: RingMat2, cell: Cell,
-                  ball: Ball) -> tuple[bool, list[Cell], str]:
-    """Certify that the image of the cell lies strictly inside the ball.
-
-    Returns (ok, leaf cells with chosen chart, failure reason).  Endpoint
-    failures are final; pole collisions subdivide until the two chart
-    poles separate.
-    """
-    stack = [(cell.chart, cell.lo, cell.hi, 0)]
-    leaves: list[Cell] = []
-    charts_ok = {c: ball.excludes_chart_infinity(c) for c in ("s", "u")}
-    if not (charts_ok["s"] or charts_ok["u"]):
-        return False, [], "ball is convex in no chart"
-    while stack:
-        chart, lo, hi, depth = stack.pop()
-        for t in (lo, hi):
-            img = _image_pair(m, chart, t)
-            if ball.membership_sign(img) != Sign.NEGATIVE:
-                return False, [], (
-                    f"endpoint {chart}={t} maps outside ball {ball.name}")
-        placed = False
-        for tc in ("s", "u"):
-            if charts_ok[tc] and _cell_pole_free(m, Cell(chart, lo, hi), tc):
-                leaves.append(Cell(chart, lo, hi, tc))
-                placed = True
-                break
-        if placed:
-            continue
-        if depth >= _MAX_CELL_DEPTH:
-            return False, [], "subdivision depth exhausted"
-        mid = (lo + hi) / 2
-        stack.append((chart, lo, mid, depth + 1))
-        stack.append((chart, mid, hi, depth + 1))
-    return True, leaves, ""
+def _root_cell(m: RingMat2, root: Cell, ball: Ball) -> Cell | None:
+    """The root as one cell, mapped into the first chart where the ball is
+    convex and the root has no pole, or None if there is no such chart."""
+    for chart in ("s", "u"):
+        if ball.excludes_chart_infinity(chart) and _cell_pole_free(m, root, chart):
+            return Cell(root.chart, root.lo, root.hi, chart)
+    return None
 
 
 def _recheck_cell(m: RingMat2, cell: Cell, ball: Ball) -> bool:
-    if cell.target_chart not in ("s", "u"):
-        return False
-    if not ball.excludes_chart_infinity(cell.target_chart):
-        return False
-    if not _cell_pole_free(m, cell, cell.target_chart):
-        return False
-    for t in (cell.lo, cell.hi):
-        img = _image_pair(m, cell.chart, t)
-        if ball.membership_sign(img) != Sign.NEGATIVE:
-            return False
-    return True
+    """The cell's image lies strictly inside the ball: it has no pole in its
+    target chart, where the ball is an interval, and both end images lie
+    inside."""
+    return (cell.target_chart in ("s", "u")
+            and ball.excludes_chart_infinity(cell.target_chart)
+            and _cell_pole_free(m, cell, cell.target_chart)
+            and all(ball.membership_sign(_image_pair(m, cell.chart, t))
+                    == Sign.NEGATIVE for t in (cell.lo, cell.hi)))
 
 
-def _cells_tile(cells: list[Cell], chart: str, lo: Fraction, hi: Fraction) -> bool:
-    """The chart's cells must exactly tile [lo, hi]."""
-    parts = sorted((c.lo, c.hi) for c in cells if c.chart == chart)
-    if not parts:
-        return lo >= hi
-    if parts[0][0] != lo or parts[-1][1] != hi:
-        return False
-    for (a1, b1), (a2, b2) in zip(parts, parts[1:]):
-        if b1 != a2:
-            return False
-    return True
+def _cells_tile(cells: list[Cell], root: Cell) -> bool:
+    """The cells, sorted, chain from the root's lo end to its hi end."""
+    parts = sorted((c.lo, c.hi) for c in cells)
+    return [root.lo] + [b for _, b in parts] == [a for a, _ in parts] + [root.hi]
 
 
 class MappingCondition(Record):
@@ -623,7 +584,7 @@ def _balls_disjoint(balls: dict[str, Ball], bits: int) -> bool:
 
 
 def _point_outside_all(t: Fraction, balls: dict[str, Ball]) -> bool:
-    pt = (ONE, QuarticElem(t))
+    pt = _image_pair(_IDENTITY, "s", t)
     return all(b.membership_sign(pt) == Sign.POSITIVE for b in balls.values())
 
 
@@ -662,7 +623,7 @@ def _region_ok(ball: Ball, region: tuple[Fraction, Fraction],
     if not (region[0] < region[1] and ball.excludes_chart_infinity("s")):
         return False
     want = Sign.NEGATIVE if kind == "complement" else Sign.POSITIVE
-    if any(ball.membership_sign((ONE, QuarticElem(t))) != want
+    if any(ball.membership_sign(_image_pair(_IDENTITY, "s", t)) != want
            for t in region):
         return False
     if kind == "complement":
@@ -672,54 +633,46 @@ def _region_ok(ball: Ball, region: tuple[Fraction, Fraction],
     return s_lo != s_hi and Sign.ZERO not in (s_lo, s_hi)
 
 
-def _complement_cells(removed: tuple[Fraction, Fraction],
-                      outer: Fraction) -> list[Cell]:
-    lo, hi = removed
-    inv = Fraction(1) / outer
-    return [Cell("s", hi, outer), Cell("s", -outer, lo), Cell("u", -inv, inv)]
+def _roots(cond: MappingCondition) -> list[Cell]:
+    """The intervals the condition's cells must tile: for a removed
+    interval (lo, hi) and outer bound K, [hi, K] and [-K, lo] in chart s and
+    [-1/K, 1/K] in chart u; for a step interval, [lo, hi] in chart s."""
+    lo, hi = cond.region
+    if cond.region_kind != "complement":
+        return [Cell("s", lo, hi)]
+    inv = 1 / cond.outer
+    return [Cell("s", hi, cond.outer), Cell("s", -cond.outer, lo),
+            Cell("u", -inv, inv)]
 
 
 def _certify_condition(m: RingMat2, cond: MappingCondition,
-                       balls: dict[str, Ball]) -> tuple[bool, str]:
-    target = balls[cond.target]
-    if cond.region_kind == "complement":
-        roots = _complement_cells(cond.region, cond.outer)
-    else:
-        roots = [Cell("s", cond.region[0], cond.region[1])]
-    all_leaves: list[Cell] = []
-    for root in roots:
-        ok, leaves, reason = _certify_cell(m, root, target)
-        if not ok:
-            return False, f"{cond.name}: {reason}"
-        all_leaves.extend(leaves)
-    cond.cells = all_leaves
-    return True, ""
+                       balls: dict[str, Ball]) -> bool:
+    """Cover each root with one cell (``_root_cell``) and accept the cover
+    by the checker's ``_recheck_condition``."""
+    cond.cells = [_root_cell(m, root, balls[cond.target])
+                  for root in _roots(cond)]
+    return None not in cond.cells and _recheck_condition(m, cond, balls)
 
 
 def _recheck_condition(m: RingMat2, cond: MappingCondition,
                        balls: dict[str, Ball]) -> bool:
-    target = balls[cond.target]
+    """A complement's outer bound reaches past its removed interval, each
+    cell lies in exactly one root of its chart, each root's cells tile it,
+    and each cell passes ``_recheck_cell``."""
     lo, hi = cond.region
-    if cond.region_kind == "complement":
-        inv = Fraction(1) / cond.outer
-        if cond.outer < max(abs(lo), abs(hi)):
+    if cond.region_kind == "complement" and cond.outer < max(abs(lo), abs(hi)):
+        return False
+    roots = _roots(cond)
+    tiles = [[] for _ in roots]
+    for c in cond.cells:
+        homes = [i for i, r in enumerate(roots)
+                 if r.chart == c.chart and r.lo <= c.lo and c.hi <= r.hi]
+        if len(homes) != 1:
             return False
-        s_cells = [c for c in cond.cells if c.chart == "s"]
-        u_cells = [c for c in cond.cells if c.chart == "u"]
-        right = [c for c in s_cells if c.lo >= hi]
-        left = [c for c in s_cells if c.hi <= lo]
-        if len(right) + len(left) != len(s_cells):
-            return False
-        if not _cells_tile(right, "s", hi, cond.outer):
-            return False
-        if not _cells_tile(left, "s", -cond.outer, lo):
-            return False
-        if not _cells_tile(u_cells, "u", -inv, inv):
-            return False
-    else:
-        if not _cells_tile(cond.cells, "s", lo, hi):
-            return False
-    return all(_recheck_cell(m, c, target) for c in cond.cells)
+        tiles[homes[0]].append(c)
+    if not all(_cells_tile(t, r) for t, r in zip(tiles, roots)):
+        return False
+    return all(_recheck_cell(m, c, balls[cond.target]) for c in cond.cells)
 
 
 # Every ping-pong condition, by name: generator, exponent sign, source ball,
@@ -856,7 +809,7 @@ class _PairSearch:
                                     region[1], target)
             m = self._once(("power", gen, expo),
                            lambda: self.gens[gen] ** expo)
-            return cond if _certify_condition(m, cond, balls)[0] else None
+            return cond if _certify_condition(m, cond, balls) else None
         return self._once(("condition", rho, name, expo), compute)
 
     def certificate(self, n: int, rho: Fraction) -> PingPongCertificate | None:

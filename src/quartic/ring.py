@@ -473,35 +473,25 @@ def field_quantity_N(x: QuarticElem) -> Fraction:
     return Fraction(num, den)
 
 
-def _terms(x: QuarticElem, degrees) -> tuple[QuarticElem, ...]:
-    """The monomial terms q_i beta^i of x for i in degrees, each one int of
-    its vector over its denominator."""
-    c, d = x._c, x._d
-    return tuple(_elem(tuple(c[i] if j == i else 0 for j in range(4)), d)
-                 for i in degrees)
-
-
-def _min_elem(terms: tuple[QuarticElem, ...]) -> QuarticElem:
-    best = terms[0]
-    for t in terms[1:]:
-        if (t - best).sign() == Sign.NEGATIVE:
-            best = t
-    return best
-
-
-def gamma(x: QuarticElem) -> QuarticElem:
-    """4 * min of the four monomial terms, extended oddly to negative x.
-
-    Zero input is allowed and yields zero (continuity); mixed signs raise.
-    """
+def _gamma(x: QuarticElem, name: str, degrees, scale: int) -> QuarticElem:
+    """scale * the least of x's monomial terms q_i beta^i for i in degrees,
+    each one int of its vector over its denominator, extended oddly to
+    negative x.  Zero input yields zero (continuity); mixed signs raise."""
     if x.is_zero():
         return ZERO
     s = signedness(x)
     if s == Signedness.UNSIGNED:
-        raise UnsignedElement(f"gamma of mixed-sign element {x.to_text()}")
+        raise UnsignedElement(f"{name} of mixed-sign element {x.to_text()}")
     if s == Signedness.NEGATIVE:
-        return -gamma(-x)
-    return 4 * _min_elem(_terms(x, range(4)))
+        return -_gamma(-x, name, degrees, scale)
+    c, d = x._c, x._d
+    return scale * min(_elem(tuple(c[i] if j == i else 0 for j in range(4)), d)
+                       for i in degrees)
+
+
+def gamma(x: QuarticElem) -> QuarticElem:
+    """4 * min of the four monomial terms, extended oddly to negative x."""
+    return _gamma(x, "gamma", range(4), 4)
 
 
 def delta(x: QuarticElem) -> QuarticElem:
@@ -510,26 +500,12 @@ def delta(x: QuarticElem) -> QuarticElem:
 
 def gamma1(x: QuarticElem) -> QuarticElem:
     """2 * min of the even-part terms {a, p*beta^2}, oddly extended."""
-    if x.is_zero():
-        return ZERO
-    s = signedness(x)
-    if s == Signedness.UNSIGNED:
-        raise UnsignedElement(f"gamma1 of mixed-sign element {x.to_text()}")
-    if s == Signedness.NEGATIVE:
-        return -gamma1(-x)
-    return 2 * _min_elem(_terms(x, (0, 2)))
+    return _gamma(x, "gamma1", (0, 2), 2)
 
 
 def gamma2(x: QuarticElem) -> QuarticElem:
     """2 * min of the odd-part terms {m*beta, e*beta^3}, oddly extended."""
-    if x.is_zero():
-        return ZERO
-    s = signedness(x)
-    if s == Signedness.UNSIGNED:
-        raise UnsignedElement(f"gamma2 of mixed-sign element {x.to_text()}")
-    if s == Signedness.NEGATIVE:
-        return -gamma2(-x)
-    return 2 * _min_elem(_terms(x, (1, 3)))
+    return _gamma(x, "gamma2", (1, 3), 2)
 
 
 def delta1(x: QuarticElem) -> QuarticElem:

@@ -127,6 +127,15 @@ def test_conditions_fail_for_identical_generators():
     assert not rep.condition1
 
 
+def test_conditions_fail_for_a_scalar_generator():
+    # a scalar matrix has no fixed slopes: share_eigenvector raises
+    # ScalarMatrix, a QuarticError, and condition 1 reads False
+    two = QuarticElem(2)
+    rep = check_conditions(RingMat2(two, 0, 0, two), Q, 1, 1)
+    assert not rep.condition1 and not rep.condition2
+    assert not rep.via_noncommuting
+
+
 def test_conditions_powers_grid():
     for m in range(1, 6):
         for n in range(1, 6):

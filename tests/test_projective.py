@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartic.construction import paper_generators
@@ -17,6 +17,8 @@ from quartic.probe import walk_words
 from quartic import projective
 from quartic.projective import (
     Ball,
+    Cell,
+    MappingCondition,
     PingPongCertificate,
     ProjPoint,
     analyze_dominance,
@@ -29,8 +31,17 @@ from quartic.projective import (
     proj_equal,
     verify_certificate,
 )
-from quartic.ring import ONE, ZERO, QuarticElem, Sign
+from quartic.ring import ONE, ZERO, QuarticElem, Sign, common_over
 
+import certificate_reference
+from certificate_reference import (
+    reference_cell_pole_free,
+    reference_certify_cell,
+    reference_certify_condition,
+    reference_complement_cells,
+    reference_image_pair,
+    reference_recheck_condition,
+)
 from ring_reference import reference_quadext_sign
 
 P, Q = paper_generators()
@@ -285,12 +296,24 @@ def test_pingpong_search_tries_no_exponent_twice(monkeypatch, certificate):
     assert cert.to_json_text() == real(A2, B2, 3).to_json_text()
 
 
+def _int_point(point):
+    """A point of two QuarticElems as two int 4-tuples, both scaled by
+    their common denominator: the point type ``Ball.membership_sign``
+    takes."""
+    return common_over(point)[0]
+
+
+def _slope_point(t):
+    return _int_point((ONE, QuarticElem(t)))
+
+
 def _reference_sign(ball, point):
-    """Sign of chordal(p, c)^2 - r^2 by the direct formula
-    cross^2 - r^2 |p|^2 |c|^2, cross = p1 c2 - p2 c1, in the center's
-    extension: the reference for ``Ball.membership_sign``'s form."""
+    """Sign of chordal(p, c)^2 - r^2 at the int point p by the direct
+    formula cross^2 - r^2 |p|^2 |c|^2, cross = p1 c2 - p2 c1, in the
+    center's extension: the reference for ``Ball.membership_sign``'s
+    form."""
     d = ball.center[0].d
-    p1, p2 = (QuadExt.of_base(x, d) for x in point)
+    p1, p2 = (QuadExt.of_base(QuarticElem(*x), d) for x in point)
     c1, c2 = ball.center
     cross = p1 * c2 - p2 * c1
     r2 = QuadExt.of_base(QuarticElem(ball.radius * ball.radius), d)
@@ -302,7 +325,7 @@ def _assert_exclusions_match_reference(ball):
     # the charts' points at infinity are (0, 1) for s and (1, 0) for u
     for chart, point in (("s", (ZERO, ONE)), ("u", (ONE, ZERO))):
         assert ball.excludes_chart_infinity(chart) == (
-            _reference_sign(ball, point) == Sign.POSITIVE)
+            _reference_sign(ball, _int_point(point)) == Sign.POSITIVE)
 
 
 def test_search_form_signs_match_the_checker_formula(monkeypatch):
@@ -329,15 +352,272 @@ def test_search_form_signs_match_the_checker_formula(monkeypatch):
     cert = free_pair_power(P, Q).certificate
     assert tried == [1, 2, 4, 3]
     searched = len(seen)
-    assert searched > 150
+    assert searched == 179
     assert len({ball.radius for ball, _, _ in seen}) > 1
     again = PingPongCertificate.from_json(json.loads(cert.to_json_text()))
     assert verify_certificate(again) == (True, [])
-    assert len(seen) - searched > 50
+    assert len(seen) == 231
     for ball, point, sign in seen:
         assert _reference_sign(ball, point) == sign, (ball.name, point)
     for ball in {id(b): b for b, _, _ in seen}.values():
         _assert_exclusions_match_reference(ball)
+
+
+# ---------------------------------------------------------------------------
+# one cell per root, accepted by the checker, against the bisecting search
+# and the left/right/u tiling test of tests/certificate_reference.py
+
+
+@pytest.fixture(scope="module")
+def pair_search():
+    return projective._PairSearch(A2, B2)
+
+
+def _ladder(search):
+    """Every radius ``certify_exponent`` tries on the pair."""
+    rho = projective._dyadic_near(search.sep / 4)
+    return [rho / 2 ** k for k in range(6)]
+
+
+def _cells(cells):
+    return [(c.chart, c.lo, c.hi, c.target_chart) for c in cells]
+
+
+def test_one_cell_search_matches_bisecting_reference_on_the_paper_pair(
+        pair_search):
+    """At exponents 1-4 and every radius of the ladder, each condition's
+    searched region gets the same verdict and cells from the one-cell
+    search as from the bisecting reference."""
+    verdicts = set()
+    for rho in _ladder(pair_search):
+        balls = {name: Ball(name, c, rho)
+                 for name, c in pair_search.centers.items()}
+        for n in range(1, 5):
+            for name in projective._CONDITIONS:
+                gen, expo, source, target, kind = \
+                    projective._condition_spec(name, n)
+                region = projective._search_region(balls[source], kind)
+                if region is None:
+                    continue
+                m = pair_search.gens[gen] ** expo
+                cond = MappingCondition(name, gen, expo, region[0], kind,
+                                        region[1], target)
+                ok = projective._certify_condition(m, cond, balls)
+                want, cells = reference_certify_condition(m, cond, balls)
+                assert ok == want, (rho, n, name)
+                if ok:
+                    assert _cells(cond.cells) == _cells(cells)
+                verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def _pole(m, chart, target_chart):
+    """The exact parameter of the chart that m maps onto the target chart's
+    point at infinity, or None."""
+    e11, e12, e21, e22 = m.entries()
+    a, b = (e11, e12) if target_chart == "s" else (e21, e22)
+    # the image coordinate is a + b t in chart s and a t + b in chart u
+    num, den = (a, b) if chart == "s" else (b, a)
+    return None if den.is_zero() else -num / den
+
+
+def test_pole_test_at_a_rational_pole():
+    # (1, t) maps to (2 + t, 1 + t): chart s's denominator vanishes at -2,
+    # chart u's at -1; a cell that touches a pole is not pole-free
+    m = RingMat2(QuarticElem(2), ONE, ONE, ONE)
+    for lo, hi, chart, want in ((-2, -2, "s", False), (-3, -2, "s", False),
+                                (-3, -1, "s", False), (-1, 0, "s", True),
+                                (-1, -1, "u", False), (-2, -1, "u", False),
+                                (-3, -2, "u", True), (0, 5, "u", True)):
+        cell = Cell("s", Fraction(lo), Fraction(hi))
+        assert projective._cell_pole_free(m, cell, chart) == want
+        assert reference_cell_pole_free(m, cell, chart) == want
+
+
+def _positive_multiple(p, q):
+    """Whether the int point p is a positive rational multiple of q."""
+    p, q = p[0] + p[1], q[0] + q[1]
+    k = next(i for i, x in enumerate(q) if x)
+    scale = Fraction(p[k], q[k])
+    return scale > 0 and all(x == scale * y for x, y in zip(p, q))
+
+
+def test_one_cell_search_matches_bisecting_reference_at_poles(pair_search):
+    """Roots built to straddle a pole of a generator power get the same
+    verdict and cells from one cell plus ``_recheck_cell`` as from the
+    bisecting reference.  The reference bisects some of them, and each of
+    those fails: the pole maps onto a chart's point at infinity, and a
+    ball convex in that chart lies away from it.  Besides the ladder's
+    radii, at 1/8 and 1/4 some balls are convex in one chart only."""
+    radii = st.one_of(st.sampled_from(_ladder(pair_search)),
+                      st.sampled_from([Fraction(1, 8), Fraction(1, 4)]))
+    splits = []
+    succeeded = []
+
+    # "image" is the ball the power maps the rest of the line into
+    @settings(max_examples=300)
+    @given(st.sampled_from("AB"), st.integers(-4, 4).filter(bool),
+           st.sampled_from(["image"] + sorted(pair_search.centers)),
+           radii, st.sampled_from("su"), st.sampled_from("su"),
+           st.integers(-64, 64), st.integers(-64, 64), st.integers(0, 24))
+    def check(gen, expo, name, rho, chart, pole_chart, a, b, bits):
+        m = pair_search.gens[gen] ** expo
+        if name == "image":
+            name = gen + ("_att" if expo > 0 else "_rep")
+        ball = Ball(name, pair_search.centers[name], rho)
+        pole = _pole(m, chart, pole_chart)
+        if pole is None:
+            return
+        lo, hi, s = pole.interval()
+        # dyadic ends a and b steps of 2^-bits out from the pole: around
+        # it when a < 0 < b
+        one = 2 ** bits
+        lo, hi = lo * one // s + a, -(-hi * one // s) + b
+        if lo >= hi:
+            return
+        root = Cell(chart, Fraction(lo, one), Fraction(hi, one))
+        for c in "su":
+            assert projective._cell_pole_free(m, root, c) == \
+                reference_cell_pole_free(m, root, c)
+        for t in (root.lo, root.hi):
+            assert _positive_multiple(projective._image_pair(m, chart, t),
+                                      reference_image_pair(m, chart, t))
+        cell = projective._root_cell(m, root, ball)
+        ok = cell is not None and projective._recheck_cell(m, cell, ball)
+        want, leaves, n_splits = reference_certify_cell(m, root, ball)
+        assert ok == want
+        if ok:
+            assert _cells([cell]) == _cells(leaves)
+        assert not (want and n_splits)
+        splits.append(n_splits)
+        succeeded.append(ok)
+
+    check()
+    assert sum(map(bool, splits)) >= 10, splits
+    assert sum(succeeded) >= 10, succeeded
+
+
+def _variants(cond):
+    """(label, cover, outer, want): the condition's own cover and small
+    changes to it, each with its verdict."""
+    cells = cond.cells
+    first = cells[0]
+    a, b = first.lo, first.hi
+    mid, mid2 = a + (b - a) / 3, a + 2 * (b - a) / 3
+
+    def part(lo, hi):
+        return Cell(first.chart, lo, hi, first.target_chart)
+
+    rest = cells[1:]
+    out = [("own", cells, True),
+           ("gap", [part(a, mid), part(mid2, b)] + rest, False),
+           ("overlap", [part(a, mid2), part(mid, b)] + rest, False),
+           ("duplicate", cells + [first], False),
+           ("zero_width", [part(a, a)] + cells, True)]
+    lo, hi = cond.region
+    if cond.region_kind == "complement":
+        inv = 1 / cond.outer
+        s_cells = [c for c in cells if c.chart == "s"]
+        u_cells = [c for c in cells if c.chart == "u"]
+        out += [
+            ("s_past_outer", cells + [Cell("s", cond.outer, cond.outer + 1,
+                                           s_cells[0].target_chart)], False),
+            ("u_past_inverse", s_cells + [Cell("u", -inv, 2 * inv, c.target_chart)
+                                          for c in u_cells], False),
+            ("s_straddles_removed", cells + [Cell("s", lo, hi, "s")], False),
+        ]
+    else:
+        out += [("s_past_region", cells + [part(hi, hi + 1)], False)]
+    return [(label, cover, cond.outer, want) for label, cover, want in out] + (
+        [("outer_below_region", cells, max(abs(lo), abs(hi)) / 2, False)]
+        if cond.region_kind == "complement" else [])
+
+
+def test_tiling_check_matches_reference_on_the_certificate_covers(certificate):
+    """The roots-based tiling test and the left/right/u reference give the
+    same verdict, the expected one, on the paper certificate's own covers
+    and on a gap, an overlap, a duplicated cell, a zero-width cell, cells
+    past ``outer`` or past +-1/outer, a cell over the removed interval and
+    an ``outer`` below the region."""
+    seen = set()
+    for cond in certificate.conditions:
+        gen, expo = cond.generator, cond.exponent
+        m = (certificate.gen_a if gen == "A" else certificate.gen_b) ** expo
+        for label, cover, outer, want in _variants(cond):
+            changed = MappingCondition(cond.name, gen, expo, cond.region,
+                                       cond.region_kind, outer, cond.target,
+                                       list(cover))
+            got = projective._recheck_condition(m, changed, certificate.balls)
+            ref = reference_recheck_condition(m, changed, certificate.balls)
+            assert got == ref == want, (cond.name, label)
+            seen.add(label)
+    assert len(seen) == 10
+
+
+def test_tiling_check_matches_reference_on_drawn_covers(monkeypatch):
+    """With every cell accepted, the verdict is the tiling alone: the two
+    tests agree on tilings of the roots and their changes, drawn on a grid.
+    The new test is stricter only on covers outside this set: a cell in a
+    chart with no root of the condition, or a reversed cell outside every
+    root, which the reference accepted."""
+    for module, name in ((projective, "_recheck_cell"),
+                         (certificate_reference, "reference_recheck_cell")):
+        monkeypatch.setattr(module, name, lambda m, c, ball: True)
+    grid = [Fraction(k, 4) for k in range(-20, 21)]
+    verdicts = []
+
+    @given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(["complement", "interval"]))
+        lo, hi = sorted(data.draw(st.lists(st.sampled_from(grid[8:-8]),
+                                           min_size=2, max_size=2,
+                                           unique=True)))
+        outer = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1),
+                                           Fraction(2), Fraction(4)]))
+        roots = (reference_complement_cells((lo, hi), outer)
+                 if kind == "complement" else [Cell("s", lo, hi)])
+        cells = []
+        for root in roots:
+            inside = [t for t in grid if root.lo <= t <= root.hi]
+            ends = sorted(data.draw(st.lists(st.sampled_from(inside or grid),
+                                             max_size=3)))
+            ends = [root.lo] + ends + [root.hi]
+            cells += [Cell(root.chart, x, y, "s") for x, y in zip(ends, ends[1:])]
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(cells) - 1))
+            c = cells[i]
+            change = data.draw(st.sampled_from(
+                ["drop", "duplicate", "shift_lo", "shift_hi", "chart"]))
+            step = data.draw(st.sampled_from([Fraction(-1, 4), Fraction(1, 4)]))
+            if change == "drop":
+                cells.pop(i)
+            elif change == "duplicate":
+                cells.append(c)
+            elif change == "shift_lo" and c.lo + step <= c.hi:
+                cells[i] = Cell(c.chart, c.lo + step, c.hi, "s")
+            elif change == "shift_hi" and c.lo <= c.hi + step:
+                cells[i] = Cell(c.chart, c.lo, c.hi + step, "s")
+            elif change == "chart" and kind == "complement":
+                cells[i] = Cell("u" if c.chart == "s" else "s", c.lo, c.hi, "s")
+        cond = MappingCondition("c", "A", 1, (lo, hi), kind, outer, "t", cells)
+        want = reference_recheck_condition(None, cond, {"t": None})
+        assert projective._recheck_condition(None, cond, {"t": None}) == want
+        verdicts.append(want)
+
+    check()
+    assert True in verdicts and False in verdicts
+    # outside the compared set the new test rejects what the reference took
+    step = MappingCondition("c", "A", 1, (Fraction(0), Fraction(1)),
+                            "interval", Fraction(1), "t",
+                            [Cell("s", Fraction(0), Fraction(1), "s"),
+                             Cell("u", Fraction(0), Fraction(1), "s")])
+    reversed_past = MappingCondition(
+        "c", "A", 1, (Fraction(0), Fraction(1)), "interval", Fraction(1), "t",
+        [Cell("s", Fraction(0), Fraction(2), "s"),
+         Cell("s", Fraction(2), Fraction(1), "s")])
+    for cond in (step, reversed_past):
+        assert reference_recheck_condition(None, cond, {"t": None})
+        assert not projective._recheck_condition(None, cond, {"t": None})
 
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -356,7 +636,8 @@ radicands = st.sampled_from([ZERO, QuarticElem(2), QuarticElem(3),
 def test_form_sign_matches_the_formula_anywhere(a1, b1, a2, b2, d, rho,
                                                 p1, p2):
     ball = Ball("h", (QuadExt(a1, b1, d), QuadExt(a2, b2, d)), rho)
-    assert ball.membership_sign((p1, p2)) == _reference_sign(ball, (p1, p2))
+    point = _int_point((p1, p2))
+    assert ball.membership_sign(point) == _reference_sign(ball, point)
     _assert_exclusions_match_reference(ball)
 
 
@@ -377,7 +658,8 @@ def test_form_sign_zero_on_rotated_boundaries(e1, e2, k_a, k_b, d, u, data):
         k = QuadExt(k_a, k_b, d)
         center = (k * e1, k * e2)
     lam = data.draw(small.filter(bool))
-    point = (lam * (m * e1 - n * e2) / h, lam * (n * e1 + m * e2) / h)
+    point = _int_point((lam * (m * e1 - n * e2) / h,
+                        lam * (n * e1 + m * e2) / h))
     ball = Ball("z", center, Fraction(n, h))
     assert _reference_sign(ball, point) == Sign.ZERO
     assert ball.membership_sign(point) == Sign.ZERO
@@ -391,9 +673,10 @@ def test_form_sign_of_a_value_with_no_rational_part():
     d = QuarticElem(11)
     ball = Ball("r", (QuadExt(ONE, ZERO, d), QuadExt(ZERO, ONE, d)),
                 Fraction(1, 2))
-    for point, want in (((ONE, QuarticElem(2)), Sign.NEGATIVE),
-                        ((QuarticElem(Fraction(1, 2)), ONE), Sign.NEGATIVE),
-                        ((ONE, QuarticElem(-2)), Sign.POSITIVE)):
+    for point, want in ((_slope_point(2), Sign.NEGATIVE),
+                        (_int_point((QuarticElem(Fraction(1, 2)), ONE)),
+                         Sign.NEGATIVE),
+                        (_slope_point(-2), Sign.POSITIVE)):
         assert _reference_sign(ball, point) == want
         assert ball.membership_sign(point) == want
 
@@ -406,11 +689,11 @@ def _edge_slopes(ball, side, bits=40):
     inside = Fraction(lo, s)
     # a chordal radius r spans about r (1 + s^2) in slope s
     outside = inside + side * (1 + inside * inside)
-    assert _reference_sign(ball, (ONE, QuarticElem(inside))) == Sign.NEGATIVE
-    assert _reference_sign(ball, (ONE, QuarticElem(outside))) == Sign.POSITIVE
+    assert _reference_sign(ball, _slope_point(inside)) == Sign.NEGATIVE
+    assert _reference_sign(ball, _slope_point(outside)) == Sign.POSITIVE
     for _ in range(bits):
         mid = (inside + outside) / 2
-        if _reference_sign(ball, (ONE, QuarticElem(mid))) == Sign.NEGATIVE:
+        if _reference_sign(ball, _slope_point(mid)) == Sign.NEGATIVE:
             inside = mid
         else:
             outside = mid
@@ -424,10 +707,11 @@ def test_form_signs_at_the_ball_edges(certificate, halvings):
         for side in (1, -1):
             for t, want in zip(_edge_slopes(form, side),
                                (Sign.NEGATIVE, Sign.POSITIVE)):
-                for point in ((ONE, QuarticElem(t)), (QuarticElem(t), ONE)):
+                for point in (_slope_point(t),
+                              _int_point((QuarticElem(t), ONE))):
                     assert form.membership_sign(point) == \
                         _reference_sign(form, point)
-                assert form.membership_sign((ONE, QuarticElem(t))) == want
+                assert form.membership_sign(_slope_point(t)) == want
         _assert_exclusions_match_reference(form)
 
 
@@ -442,7 +726,7 @@ def test_form_sign_zero_on_the_boundary():
         for t, want in ((edge, Sign.ZERO), (-edge, Sign.ZERO),
                         (edge * (1 - Fraction(1, 2 ** 30)), Sign.NEGATIVE),
                         (edge * (1 + Fraction(1, 2 ** 30)), Sign.POSITIVE)):
-            point = (ONE, QuarticElem(t))
+            point = _slope_point(t)
             assert _reference_sign(form, point) == want
             assert form.membership_sign(point) == want
 
