@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import construction
-from .errors import QuarticError
+from .errors import ParabolicNotSupported, QuarticError
 from .intervals import interval_json
 from .linalg import (
     MatClass,
@@ -242,9 +242,13 @@ def cmd_verify_paper(args, config: dict) -> Report:
     rep.add("sigma2_no_common_eigenvector", PASS if not shared else FAIL,
             anchor="third-view generators have no common eigenvector")
 
-    # scalar identities
-    eq = eigen2(q, 0)
-    lam_ok = (eq.lam_dominant + eq.lam_recessive
+    # scalar identities; an elliptic or parabolic q has no real lambda
+    try:
+        eq = eigen2(q, 0)
+    except ParabolicNotSupported:
+        eq = None
+    lam_ok = (eq is not None and eq.lam_dominant is not None
+              and eq.lam_dominant + eq.lam_recessive
               == QuadExt.of_base(q.trace(), eq.lam_dominant.d))
     tr_ok = q.trace() == construction.lambda_plus_inverse()
     rep.add("lambda_plus_inverse", PASS if (lam_ok and tr_ok) else FAIL,

@@ -123,12 +123,13 @@ class PellTable(Record):
         }
 
 
-def pell_divergence(n_max: int, bits: int = 128) -> PellTable:
+def pell_divergence(n_max: int) -> PellTable:
     """Exact Pell-gap table for lambda^n + lambda^-n = A_n + B_n sqrt2.
 
     gap = |A - sqrt2 B| is evaluated through the exact identity
-    gap = |A^2 - 2B^2| / (A + sqrt2 B), which is stable; the monotonicity
-    of |A^2 - 2B^2| is an exact integer verdict per step.
+    gap = |A^2 - 2B^2| / (A + sqrt2 B), which is stable, with A + sqrt2 B
+    enclosed at 128 bits; the monotonicity of |A^2 - 2B^2| is an exact
+    integer verdict per step.
     """
     if n_max < 2:
         raise ValueError("n_max >= 2 expected")
@@ -139,7 +140,7 @@ def pell_divergence(n_max: int, bits: int = 128) -> PellTable:
         pair = chebyshev(n)
         a, b = pair.a, pair.b
         norm = abs(a * a - 2 * b * b)
-        den = QuarticElem(a, 0, b).interval(bits)
+        den = QuarticElem(a, 0, b).interval(128)
         gap = enc_div((norm, norm, 1), den)
         ratio = (gap[0], gap[1], gap[2] * b)
         inc = None if prev_norm is None else norm > prev_norm

@@ -2,7 +2,8 @@
 
 A candidate is an integral 2x2 matrix over Z[beta] whose three Galois
 views play fixed roles: the second view must be elliptic while the third
-and the identity view are hyperbolic.  The checker scores candidates
+and the identity view are hyperbolic.  All three are decided on matrices
+over the ring (see ``LimitCandidate``).  The checker scores candidates
 against user-supplied limit targets; the search finds the best-ranked
 bounded integral matrices of determinant one by a top-k threshold join
 over per-entry rank tables.
@@ -20,7 +21,6 @@ from .errors import NonIntegralInput, NotUnimodular, QuarticError
 from .intervals import (DEFAULT_BITS, Enclosure, dyadic_bounds, enc_add,
                         interval_json, quartic_bounds)
 from .linalg import (
-    EmbeddedMat2,
     MatClass,
     RingMat2,
     _mat,
@@ -39,11 +39,15 @@ from .ring import ONE, QuarticElem, mul4
 
 
 class LimitCandidate(Record, eq=True, frozen=True):
-    """Integral candidate with its three embedding views.
+    """Integral candidate with its two real views, matrices over the ring.
 
     The views satisfy, entrywise: view1 = (p + r b^2) - (q b + s b^3),
     view3 = (p + r b^2) + (q b + s b^3); the constructor re-derives both
     from the raw coefficients and checks them against the Galois maps.
+    The complex sigma3 view needs no matrix: sigma1 = sigma3 o sigma2 on
+    Q(beta), so its commutator [sigma1(q) sigma3(m) sigma1(q)^-1, sigma3(m)]
+    is the image of [q view1 q^-1, view1] under the injective sigma3 o
+    sigma2, and one ring commutator decides both.
     """
 
     matrix: RingMat2
@@ -60,10 +64,6 @@ class LimitCandidate(Record, eq=True, frozen=True):
     def view1(self) -> RingMat2:
         """sigma2 image: real, must be elliptic for a valid candidate."""
         return self.matrix.real_view(2)
-
-    def view2(self) -> EmbeddedMat2:
-        """sigma3 image in SL(2, C)."""
-        return self.matrix.embed(3)
 
     def view3(self) -> RingMat2:
         """The identity embedding; entries can escape to infinity along a
@@ -99,22 +99,21 @@ class LimitTargets(Record):
         return Fraction(1, 2 ** seq_index) if seq_index >= 0 else Fraction(1)
 
     @classmethod
-    def from_matrices(cls, u_mat: RingMat2, v_mat: RingMat2,
-                      bits: int = DEFAULT_BITS) -> "LimitTargets":
-        u = [[u_mat.e11.interval(bits), u_mat.e12.interval(bits)],
-             [u_mat.e21.interval(bits), u_mat.e22.interval(bits)]]
-        v = [[v_mat.e11.interval(bits), v_mat.e12.interval(bits)],
-             [v_mat.e21.interval(bits), v_mat.e22.interval(bits)]]
+    def from_matrices(cls, u_mat: RingMat2, v_mat: RingMat2) -> "LimitTargets":
+        u = [[u_mat.e11.interval(), u_mat.e12.interval()],
+             [u_mat.e21.interval(), u_mat.e22.interval()]]
+        v = [[v_mat.e11.interval(), v_mat.e12.interval()],
+             [v_mat.e21.interval(), v_mat.e22.interval()]]
         return cls(u, v)
 
 
-def default_targets(bits: int = DEFAULT_BITS) -> LimitTargets:
+def default_targets() -> LimitTargets:
     """Companion-shaped targets built from the hyperbolic generator trace:
     u from trace 3 + 2 sqrt2 (hyperbolic), v from its conjugate 3 - 2 sqrt2
     (elliptic)."""
     u_mat = RingMat2(QuarticElem(3, 0, 2, 0), ONE, -ONE, QuarticElem(0))
     v_mat = RingMat2(QuarticElem(3, 0, -2, 0), ONE, -ONE, QuarticElem(0))
-    return LimitTargets.from_matrices(u_mat, v_mat, bits)
+    return LimitTargets.from_matrices(u_mat, v_mat)
 
 
 def _interval_class(trace: Enclosure) -> str:
@@ -217,14 +216,13 @@ def check_limit_conditions(candidate: LimitCandidate,
                            targets: LimitTargets | None = None,
                            q: RingMat2 | None = None,
                            vi_depth: int = 10,
-                           seq_index: int | None = None,
-                           bits: int = DEFAULT_BITS) -> LimitCheckReport:
+                           seq_index: int | None = None) -> LimitCheckReport:
     """Exact verdicts for the structural conditions, interval residuals
     against the limit targets, and a probe-only freeness scan.  With a
     sequence index the residuals are also compared against the targets'
     tolerance schedule."""
     from .probe import ReducedWord, walk_words
-    targets = targets or default_targets(bits)
+    targets = targets or default_targets()
     if q is None:
         _, q = paper_generators()
     m = candidate.matrix
@@ -232,12 +230,14 @@ def check_limit_conditions(candidate: LimitCandidate,
         raise NonIntegralInput("integer coefficients required")
     if m.det() != ONE:
         raise NotUnimodular("candidate must have determinant one")
+    if q.det() != ONE:
+        raise NotUnimodular("q must have determinant one")
 
-    scale, tgt = _scaled_targets(targets, bits)
+    scale, tgt = _scaled_targets(targets, DEFAULT_BITS)
     grid = candidate.coeff_grid()
     even, odd = _part_bounds({(x, t * y) for c0, c1, c2, c3 in grid
                               for x, y in ((c0, c2), (c1, c3))
-                              for t in (1, -1)}, bits, scale)
+                              for t in (1, -1)}, DEFAULT_BITS, scale)
     ivs = [[(lo, hi, scale) for lo, hi in _residuals(even, odd, e, u, v)]
            for e, (u, v) in zip(grid, tgt)]
     res_i, res_ii, res_iii = ([[ivs[0][n], ivs[1][n]], [ivs[2][n], ivs[3][n]]]
@@ -267,14 +267,10 @@ def check_limit_conditions(candidate: LimitCandidate,
                       "pair is free, and the scan found no relation"),
     }
 
-    s1q = q.embed(1)
-    r2 = candidate.view2()
-    comm1 = (q * r1 * q.inv()).commutator(r1)
-    comm2 = (s1q * r2 * s1q.adjugate_inv()).commutator(r2)
-    cond_vii = {
-        "commutator_view1": not comm1.is_identity(),
-        "commutator_view2": not comm2.is_identity(),
-    }
+    # the view2 (sigma3) commutator is the image of this one under the
+    # injective sigma3 o sigma2 (see LimitCandidate): one verdict for both
+    nontrivial = not (q * r1 * q.inv()).commutator(r1).is_identity()
+    cond_vii = {"commutator_view1": nontrivial, "commutator_view2": nontrivial}
 
     cond_viii = not share_eigenvector(m, q, 0)
 
@@ -345,8 +341,7 @@ def _rank_tables(bound: int, targets: LimitTargets, bits: int):
 
 
 def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
-                            count: int = 25,
-                            bits: int = DEFAULT_BITS) -> list[LimitCandidate]:
+                            count: int = 25) -> list[LimitCandidate]:
     """The count best integral matrices with per-entry coefficient bound and
     determinant one that pass conditions iv and viii against the paper Q,
     ranked exactly by the summed residual upper bounds of
@@ -367,9 +362,9 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
         raise ValueError("bound must be nonnegative")
     if count < 1:
         raise ValueError("count must be positive")
-    targets = targets or default_targets(bits)
+    targets = targets or default_targets()
     _, q = paper_generators()
-    scale, (k11, k12, k21, k22) = _rank_tables(bound, targets, bits)
+    scale, (k11, k12, k21, k22) = _rank_tables(bound, targets, DEFAULT_BITS)
     entries = list(itertools.product(range(-bound, bound + 1), repeat=4))
     o11, o12, o21, o22 = (sorted(range(len(t)), key=t.__getitem__)
                           for t in (k11, k12, k21, k22))
@@ -448,8 +443,8 @@ class UniformityRow(Record):
         }
 
 
-def margin_uniformity_probe(candidates, n: int, depth: int, eps,
-                            bits: int = DEFAULT_BITS) -> list[UniformityRow]:
+def margin_uniformity_probe(candidates, n: int, depth: int,
+                            eps) -> list[UniformityRow]:
     """Margins for the groups generated by (Q, sigma1 Q) and the candidate
     views, at a common exponent; near-identity words get the projective
     eigenvector-proximity distances attached.
@@ -465,14 +460,14 @@ def margin_uniformity_probe(candidates, n: int, depth: int, eps,
         if isinstance(cand, dict):
             cand = LimitCandidate.from_json(cand)
         pair = (q, cand.matrix)
-        rep = discreteness_margin(n, depth, pair=pair, views=(2, 3), bits=bits)
-        near = _near_identity_rows(pair, n, depth, eps, bits)
+        rep = discreteness_margin(n, depth, pair=pair, views=(2, 3))
+        near = _near_identity_rows(pair, n, depth, eps)
         rows.append(UniformityRow(cand, rep.margin, str(rep.witness), near))
     return rows
 
 
-def _near_identity_rows(pair, n: int, depth: int, eps: Fraction,
-                        bits: int) -> list[dict]:
+def _near_identity_rows(pair, n: int, depth: int,
+                        eps: Fraction) -> list[dict]:
     from .probe import ReducedWord, walk_words
     from .projective import ProjPoint, proj_dist
     p, cnd = pair
@@ -502,9 +497,9 @@ def _near_identity_rows(pair, n: int, depth: int, eps: Fraction,
                                  ("recessive", eig.vec_recessive)):
                     target = ProjPoint(vec)
                     entry[f"dist_col_{tag}"] = interval_json(
-                        proj_dist(pt_col, target, bits))
+                        proj_dist(pt_col, target))
                     entry[f"dist_row_{tag}"] = interval_json(
-                        proj_dist(pt_row, target, bits))
+                        proj_dist(pt_row, target))
             else:
                 entry["eigen"] = "not hyperbolic in the identity view"
         except QuarticError as exc:

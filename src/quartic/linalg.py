@@ -175,9 +175,6 @@ class RingMat2:
         return _mat(tuple([(c0, -c1, c2, -c3) for c0, c1, c2, c3 in self._m]),
                     self._d)
 
-    def embed(self, k: int) -> "EmbeddedMat2":
-        return EmbeddedMat2(tuple(galois(e, k) for e in self.entries()), k)
-
     def commutator(self, other: "RingMat2") -> "RingMat2":
         return self * other * self.inv() * other.inv()
 
@@ -198,54 +195,6 @@ def _mat(m, d: int) -> RingMat2:
     x._m = m
     x._d = d
     return x
-
-
-class EmbeddedMat2(Record):
-    """Entrywise Galois image of a RingMat2; k records the embedding.
-
-    Products are defined whenever both factors live in one embedded field
-    (the scalar multiplication guards this); inverses are restricted to
-    determinant one, where the adjugate needs no division.
-    """
-
-    entries: tuple[EmbeddedComplex, EmbeddedComplex, EmbeddedComplex, EmbeddedComplex]
-    k: int
-
-    def trace(self) -> EmbeddedComplex:
-        return self.entries[0] + self.entries[3]
-
-    def det(self) -> EmbeddedComplex:
-        e = self.entries
-        return e[0] * e[3] - e[1] * e[2]
-
-    def is_real(self) -> bool:
-        return all(e.is_real() for e in self.entries)
-
-    def __mul__(self, other: "EmbeddedMat2") -> "EmbeddedMat2":
-        a = self.entries
-        b = other.entries
-        return EmbeddedMat2((
-            a[0] * b[0] + a[1] * b[2],
-            a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2],
-            a[2] * b[1] + a[3] * b[3],
-        ), self.k)
-
-    def adjugate_inv(self) -> "EmbeddedMat2":
-        one = EmbeddedComplex(ONE, ZERO)
-        if self.det() != one:
-            raise NotUnimodular("embedded inverse implemented for det 1 only")
-        e = self.entries
-        return EmbeddedMat2((e[3], -e[1], -e[2], e[0]), self.k)
-
-    def commutator(self, other: "EmbeddedMat2") -> "EmbeddedMat2":
-        return self * other * self.adjugate_inv() * other.adjugate_inv()
-
-    def is_identity(self) -> bool:
-        e = self.entries
-        return (e[0].re.is_one() and e[0].im_scale.is_zero()
-                and e[1].is_zero() and e[2].is_zero()
-                and e[3].re.is_one() and e[3].im_scale.is_zero())
 
 
 def classify(a: RingMat2, k: int) -> MatClass:
@@ -556,7 +505,7 @@ def _eigvec_pair(a: RingMat2, lam: QuadExt) -> tuple[QuadExt, QuadExt]:
     return (lam - QuadExt.of_base(e22, d), QuadExt.of_base(e21, d))
 
 
-def eigen2(a: RingMat2, k: int, bits: int = DEFAULT_BITS) -> Eigen2:
+def eigen2(a: RingMat2, k: int) -> Eigen2:
     """Eigenvalues of the k-th view: exact quadratic-extension data for the
     real hyperbolic case, interval data otherwise; parabolic is rejected."""
     blk = block_eig(a, k)
@@ -576,8 +525,8 @@ def eigen2(a: RingMat2, k: int, bits: int = DEFAULT_BITS) -> Eigen2:
         view = a.real_view(k) if k in (0, 2) else None
         rec.lam_dominant = lam_dom
         rec.lam_recessive = lam_rec
-        rec.lam_dominant_interval = lam_dom.interval(bits)
-        rec.lam_recessive_interval = lam_rec.interval(bits)
+        rec.lam_dominant_interval = lam_dom.interval()
+        rec.lam_recessive_interval = lam_rec.interval()
         if view is not None:
             rec.vec_dominant = _eigvec_pair(view, lam_dom)
             rec.vec_recessive = _eigvec_pair(view, lam_rec)
@@ -588,9 +537,9 @@ def eigen2(a: RingMat2, k: int, bits: int = DEFAULT_BITS) -> Eigen2:
     else:
         # |lambda|^2 = (u + sqrt(u^2 - 4)) / 2 with u = (a + sqrt w) / 2
         a_u, w_u = blk.u_rad
-        lo, hi, s = enc_add(a_u.interval(bits), enc_sqrt(w_u.interval(bits), bits))
+        lo, hi, s = enc_add(a_u.interval(), enc_sqrt(w_u.interval()))
         u = (lo, hi, 2 * s)
-        root = enc_sqrt(enc_add(enc_mul(u, u), (-4, -4, 1)), bits)
+        root = enc_sqrt(enc_add(enc_mul(u, u), (-4, -4, 1)))
         lo, hi, s = enc_add(u, root)
         rec.modulus_sq_interval = (lo, hi, 2 * s)
         rec.note = "non-real eigenvalue pair lambda, 1/lambda"

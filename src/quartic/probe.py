@@ -20,8 +20,7 @@ from math import isqrt
 
 from .construction import paper_generators
 from .errors import DepthTooLarge, NotUnimodular
-from .intervals import (DEFAULT_BITS, FILTER_BITS, Enclosure, interval_json,
-                        sqrt2_bounds)
+from .intervals import FILTER_BITS, Enclosure, interval_json, sqrt2_bounds
 from .linalg import (
     RingMat2,
     compare_enclosed,
@@ -318,16 +317,14 @@ def _scan_subtree(gens, den: int, first: int, depth: int,
     return best, ties, cum[1:]
 
 
-def _check_depth(depth: int, cap: int = DEFAULT_DEPTH_CAP) -> None:
+def _check_depth(depth: int) -> None:
     """Raise ``DepthTooLarge`` when a word depth L is beyond the cap."""
-    if depth > cap:
-        raise DepthTooLarge(f"L = {depth} beyond cap {cap}")
+    if depth > DEFAULT_DEPTH_CAP:
+        raise DepthTooLarge(f"L = {depth} beyond cap {DEFAULT_DEPTH_CAP}")
 
 
 def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
-                        depth_cap: int = DEFAULT_DEPTH_CAP,
-                        views: tuple[int, int] = (0, 1),
-                        bits: int = DEFAULT_BITS) -> MarginReport:
+                        views: tuple[int, int] = (0, 1)) -> MarginReport:
     """Minimum over nonempty reduced words of length <= depth of the
     product-metric distance max(d(view0(W), I), d(view1(W), I)), exact.
     Both generators must have determinant one."""
@@ -337,7 +334,7 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
         raise ValueError("need threads >= 1")
     if any(k not in (0, 1, 2, 3) for k in views):
         raise ValueError(f"embedding index must be 0..3, got {views}")
-    _check_depth(depth, depth_cap)
+    _check_depth(depth)
     if pair is None:
         pair = paper_generators()
     if any(g.det() != ONE for g in pair):
@@ -376,15 +373,15 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     witness = ReducedWord(ties[0])
     one = den ** len(witness)
     xs = minus_identity4(_word_matrix(gens, witness.codes), one, 1)
-    factors = {f"s{k}": sqrt_of_square_interval(d, bits)
+    factors = {f"s{k}": sqrt_of_square_interval(d)
                for k, d in enumerate(_view_dists(xs, one))}
     cumulative = [
-        (length, sqrt_of_square_interval(_elem(v[2], den2), bits))
+        (length, sqrt_of_square_interval(_elem(v[2], den2)))
         for length, v in enumerate(cum, 1)]
     margin_sq = _elem(best[2], den2)
     return MarginReport(
         n=n, depth=depth, margin_sq=margin_sq,
-        margin=sqrt_of_square_interval(margin_sq, bits),
+        margin=sqrt_of_square_interval(margin_sq),
         witness=witness,
         ties=[ReducedWord(t) for t in ties],
         factors=factors,
@@ -586,7 +583,7 @@ class DualSmallnessTable(Record):
 
 
 def dual_smallness_scan(n: int, depth: int, eps,
-                        pair=None, bits: int = DEFAULT_BITS) -> DualSmallnessTable:
+                        pair=None) -> DualSmallnessTable:
     """Words whose first-factor view is eps-close to the identity, with the
     conjugate-norm escape bound checked exactly on every nonzero entry
     difference from the identity."""
@@ -603,7 +600,7 @@ def dual_smallness_scan(n: int, depth: int, eps,
             continue
         xs = minus_identity4(mat, one, 1)
         norms = [field_quantity_N(_elem(x, one)) for x in xs if any(x)]
-        d_sigma0, d_sigma1, d_sigma2 = (sqrt_of_square_interval(d, bits)
+        d_sigma0, d_sigma1, d_sigma2 = (sqrt_of_square_interval(d)
                                         for d in _view_dists(xs, one))
         rows.append(DualSmallnessRow(
             word=ReducedWord(codes),

@@ -783,6 +783,12 @@ class _PairSearch:
                 return sep
         raise HypothesisViolated("fixed points too close to separate")
 
+    def radii(self) -> list[Fraction]:
+        """The radius ladder: a quarter of the fixed-point separation, as a
+        dyadic, then five halvings; empty when that dyadic is zero."""
+        rho = _dyadic_near(self.sep / 4)
+        return [rho / 2 ** k for k in range(6)] if rho > 0 else []
+
     def _rung(self, rho: Fraction):
         """(balls, disjointness bits, basepoint) at radius rho, or None when
         the balls overlap or no basepoint lies outside them: then rho fails
@@ -794,6 +800,13 @@ class _PairSearch:
             (t for t in _BASEPOINTS if _point_outside_all(t, balls)), None)
         return None if basepoint is None else (balls, bits, basepoint)
 
+    def _region(self, rho: Fraction, balls: dict[str, Ball], name: str):
+        """The named condition's (region, outer) on the balls of radius
+        rho, or None; it does not depend on the exponent."""
+        _, _, source, _, kind = _CONDITIONS[name]
+        return self._once(("region", rho, name),
+                          lambda: _search_region(balls[source], kind))
+
     def _condition(self, rho: Fraction, balls: dict[str, Ball],
                    name: str, n: int) -> MappingCondition | None:
         """The named condition at exponent n on the balls of radius rho,
@@ -801,8 +814,7 @@ class _PairSearch:
         gen, expo, source, target, kind = _condition_spec(name, n)
 
         def compute():
-            region = self._once(("region", rho, name),
-                                lambda: _search_region(balls[source], kind))
+            region = self._region(rho, balls, name)
             if region is None:
                 return None
             cond = MappingCondition(name, gen, expo, region[0], kind,
@@ -811,6 +823,20 @@ class _PairSearch:
                            lambda: self.gens[gen] ** expo)
             return cond if _certify_condition(m, cond, balls) else None
         return self._once(("condition", rho, name, expo), compute)
+
+    def live(self) -> bool:
+        """Whether some radius passes the parts of a certificate that no
+        exponent changes: its rung, its eight regions and its four step
+        conditions.  Radii are checked in ladder order, up to a live one."""
+        for rho in self.radii():
+            rung = self._once(("rung", rho), lambda: self._rung(rho))
+            if rung is not None and all(
+                    self._condition(rho, rung[0], name, 1) is not None
+                    if kind == "interval"
+                    else self._region(rho, rung[0], name) is not None
+                    for name, (*_, kind) in _CONDITIONS.items()):
+                return True
+        return False
 
     def certificate(self, n: int, rho: Fraction) -> PingPongCertificate | None:
         """The certificate at exponent n and radius rho, or None."""
@@ -906,31 +932,26 @@ def certify_exponent(a: RingMat2, b: RingMat2, n: int,
         raise ValueError("exponent must be at least 1")
     if search is None:
         search = _PairSearch(a, b)
-    rho = _dyadic_near(search.sep / 4)
-    for _ in range(6):
-        if rho <= 0:
-            break
+    for rho in search.radii():
         cert = search.certificate(n, rho)
         if cert is not None:
             return cert
-        rho = rho / 2
     return None
 
 
-def pingpong_exponent(a: RingMat2, b: RingMat2,
-                      max_exponent: int = 1 << 16) -> PingPongCertificate:
+def pingpong_exponent(a: RingMat2, b: RingMat2) -> PingPongCertificate:
     """Smallest certified exponent via doubling-then-bisection search, all of
-    it on one ``_PairSearch``."""
+    it on one ``_PairSearch``.  The doubling gives up past 2^16, or as soon
+    as an exponent fails while no radius is live (``_PairSearch.live``)."""
     search = _PairSearch(a, b)
     n = 1
-    cert = None
-    while n <= max_exponent:
-        cert = certify_exponent(a, b, n, search)
-        if cert is not None:
-            break
+    while (cert := certify_exponent(a, b, n, search)) is None:
+        if not search.live():
+            raise SearchOverflow("no exponent can pass: every radius fails "
+                                 "a ball, region or step condition")
         n *= 2
-    if cert is None:
-        raise SearchOverflow(f"no certificate up to exponent {max_exponent}")
+        if n > 1 << 16:
+            raise SearchOverflow(f"no certificate up to exponent {n // 2}")
     # the doubling phase already saw n // 2 fail
     lo, hi = n // 2 + 1, n
     best = cert

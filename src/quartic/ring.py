@@ -390,20 +390,11 @@ class EmbeddedComplex:
     def is_real(self) -> bool:
         return self.im_scale.is_zero()
 
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im_scale.is_zero()
-
     def conj(self) -> "EmbeddedComplex":
         return EmbeddedComplex(self.re, -self.im_scale)
 
     def __add__(self, other: "EmbeddedComplex") -> "EmbeddedComplex":
         return EmbeddedComplex(self.re + other.re, self.im_scale + other.im_scale)
-
-    def __sub__(self, other: "EmbeddedComplex") -> "EmbeddedComplex":
-        return EmbeddedComplex(self.re - other.re, self.im_scale - other.im_scale)
-
-    def __neg__(self) -> "EmbeddedComplex":
-        return EmbeddedComplex(-self.re, -self.im_scale)
 
     def __mul__(self, other: "EmbeddedComplex") -> "EmbeddedComplex":
         # (r1 + b s1 i)(r2 + b s2 i) = r1 r2 - sqrt2 s1 s2 + b (r1 s2 + r2 s1) i

@@ -5,10 +5,14 @@ compares entry by entry with the schoolbook formulas.  ``entry_dist_sq`` is
 the squared sup-distance of two matrices' views taken through
 ``ring.galois``.  ``linalg.RingMat2`` (an int 4-tuple matrix over one
 denominator) and ``linalg.view_dist4`` must agree with them.
+``sigma3_commutator_nontrivial`` decides the limit checker's complex-view
+commutator condition on the complex views themselves, entries as
+(re, im_scale) pairs, the way the checker did before it read the verdict
+off one ring commutator.
 """
 
-from quartic.errors import SingularMatrix
-from quartic.ring import ONE, ZERO, QuarticElem, Sign, galois
+from quartic.errors import NotUnimodular, SingularMatrix
+from quartic.ring import ONE, SQRT2, ZERO, QuarticElem, Sign, galois
 
 
 class RefMat2:
@@ -91,3 +95,48 @@ def entry_dist_sq(a, b, k: int) -> QuarticElem:
         if best is None or (v - best).sign() == Sign.POSITIVE:
             best = v
     return best
+
+
+# ---------------------------------------------------------------------------
+# complex views on (re, im_scale) pairs: x = re + beta * im_scale * i
+
+
+def _cmul(x, y):
+    """(r1 + b s1 i)(r2 + b s2 i)
+    = r1 r2 - sqrt2 s1 s2 + b (r1 s2 + r2 s1) i, as (b i)^2 = -sqrt2."""
+    (r1, s1), (r2, s2) = x, y
+    return (r1 * r2 - SQRT2 * s1 * s2, r1 * s2 + r2 * s1)
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def complex_view(m, k: int) -> tuple:
+    """The entries of the k-th view of m as (re, im_scale) pairs."""
+    return tuple((g.re, g.im_scale)
+                 for g in (galois(e, k) for e in m.entries()))
+
+
+def cmat_mul(a, b) -> tuple:
+    return (_cadd(_cmul(a[0], b[0]), _cmul(a[1], b[2])),
+            _cadd(_cmul(a[0], b[1]), _cmul(a[1], b[3])),
+            _cadd(_cmul(a[2], b[0]), _cmul(a[3], b[2])),
+            _cadd(_cmul(a[2], b[1]), _cmul(a[3], b[3])))
+
+
+def cmat_inv(a) -> tuple:
+    """The adjugate, the inverse for determinant one only."""
+    det = _cadd(_cmul(a[0], a[3]), tuple(-c for c in _cmul(a[1], a[2])))
+    if det != (ONE, ZERO):
+        raise NotUnimodular("complex-view inverse needs determinant one")
+    return (a[3], (-a[1][0], -a[1][1]), (-a[2][0], -a[2][1]), a[0])
+
+
+def sigma3_commutator_nontrivial(q, m) -> bool:
+    """Whether [sigma1(q) sigma3(m) sigma1(q)^-1, sigma3(m)] is not the
+    identity, computed in the complex views."""
+    s1q, r2 = complex_view(q, 1), complex_view(m, 3)
+    c = cmat_mul(cmat_mul(s1q, r2), cmat_inv(s1q))
+    comm = cmat_mul(cmat_mul(cmat_mul(c, r2), cmat_inv(c)), cmat_inv(r2))
+    return comm != ((ONE, ZERO), (ZERO, ZERO), (ZERO, ZERO), (ONE, ZERO))

@@ -298,6 +298,52 @@ def test_bad_config_value_exit_two(tmp_path, capsys):
         assert f"{cfg}:2: bad value" in capsys.readouterr().err
 
 
+def _verdicts(blob) -> dict:
+    return {r["name"]: r["verdict"] for r in blob["results"]}
+
+
+@pytest.mark.parametrize("entry", ["1 0 0 0", "2 0 0 0"])
+def test_override_non_hyperbolic_q_fails_lambda_check(entry, capsys):
+    """An elliptic (trace 1) or parabolic (trace 2) Q has no real
+    eigenvalue pair: lambda_plus_inverse fails and the report is whole."""
+    code, blob = run_json(capsys, "verify-paper", "--override",
+                          f"Q11={entry}")
+    assert code == 1
+    verdicts = _verdicts(blob)
+    assert verdicts["lambda_plus_inverse"] == "fail"
+    assert "margin_positive" in verdicts
+
+
+COMPANION_OVERRIDES = ("P11=0 -4 6 6", "Q11=-5 -4 3 3", "Q12=-4 -4 3 3",
+                       "Q22=-1 0 0 0")
+
+
+def test_override_pair_without_certificate_reports_failure():
+    """A pair no radius can certify fails the freeness check with the
+    reason, in a fresh process, well within a minute."""
+    src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "quartic.cli", "verify-paper", "--json"]
+    for spec in COMPANION_OVERRIDES:
+        argv += ["--override", spec]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    blob = json.loads(proc.stdout)
+    jsonschema.validate(blob, SCHEMA)
+    freeness = next(r for r in blob["results"]
+                    if r["name"] == "freeness_certificate")
+    assert freeness["verdict"] == "fail"
+    assert "every radius" in freeness["value"]
+
+
+@pytest.mark.parametrize("spec", ["Q33=1 0 0 0", "P11", "P11=1 x 0 0"])
+def test_malformed_override_exit_two(spec, capsys):
+    assert main(["verify-paper", "--override", spec]) == 2
+    assert "override" in capsys.readouterr().err
+
+
 def test_import_leaves_process_pool_unloaded():
     """The margin imports its process pool only for threads > 1, so no
     command pays for the module at start-up."""

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartic.construction import paper_generators
-from quartic.errors import HypothesisViolated, NotHyperbolicLike
+from quartic.errors import (HypothesisViolated, NotHyperbolicLike,
+                            SearchOverflow)
 from quartic.extension import QuadExt
 from quartic.intervals import interval_json
 from quartic.linalg import RingMat2, int_matrices, is_scalar4, regular_rep
@@ -739,6 +740,41 @@ def test_pingpong_same_matrix_rejected():
 def test_pingpong_elliptic_rejected():
     with pytest.raises(NotHyperbolicLike):
         pingpong_exponent(P, B2)   # P itself is elliptic in the identity view
+
+
+def test_paper_search_certifications(monkeypatch):
+    """The paper search certifies 28 conditions; checking after each
+    failed exponent that some radius is live adds none."""
+    names = []
+    real = projective._certify_condition
+
+    def spy(m, cond, balls):
+        names.append(cond.name)
+        return real(m, cond, balls)
+
+    monkeypatch.setattr(projective, "_certify_condition", spy)
+    assert free_pair_power(P, Q).exponent == 3
+    assert len(names) == 28
+
+
+# sigma2 views of a pair whose step condition B_att_step fails at every
+# radius of the ladder, at every exponent
+COMPANION = (RingMat2.parse("0 -4 6 6; 1 0 0 0; -1 0 0 0; 0 0 0 0"),
+             RingMat2.parse("-5 -4 3 3; -4 -4 3 3; -1 0 0 0; -1 0 0 0"))
+
+
+def test_search_gives_up_when_no_radius_is_live(monkeypatch):
+    """The search stops after exponent 1 instead of doubling on: the spy
+    fails at once on any later exponent."""
+    real = projective.certify_exponent
+
+    def spy(a, b, n, search=None):
+        assert n == 1, f"the search went on to exponent {n}"
+        return real(a, b, n, search)
+
+    monkeypatch.setattr(projective, "certify_exponent", spy)
+    with pytest.raises(SearchOverflow, match="every radius"):
+        free_pair_power(*COMPANION)
 
 
 def test_no_short_relations(certificate):
