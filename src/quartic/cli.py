@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import construction
-from .errors import ParabolicNotSupported, QuarticError
+from .errors import QuarticError
 from .intervals import interval_json
 from .linalg import (
     MatClass,
@@ -245,7 +245,7 @@ def cmd_verify_paper(args, config: dict) -> Report:
     # scalar identities; an elliptic or parabolic q has no real lambda
     try:
         eq = eigen2(q, 0)
-    except ParabolicNotSupported:
+    except QuarticError:
         eq = None
     lam_ok = (eq is not None and eq.lam_dominant is not None
               and eq.lam_dominant + eq.lam_recessive

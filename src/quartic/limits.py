@@ -214,7 +214,6 @@ _CONDITION_IV = (
 
 def check_limit_conditions(candidate: LimitCandidate,
                            targets: LimitTargets | None = None,
-                           q: RingMat2 | None = None,
                            vi_depth: int = 10,
                            seq_index: int | None = None) -> LimitCheckReport:
     """Exact verdicts for the structural conditions, interval residuals
@@ -223,15 +222,12 @@ def check_limit_conditions(candidate: LimitCandidate,
     tolerance schedule."""
     from .probe import ReducedWord, walk_words
     targets = targets or default_targets()
-    if q is None:
-        _, q = paper_generators()
+    _, q = paper_generators()
     m = candidate.matrix
     if not m.is_integral():
         raise NonIntegralInput("integer coefficients required")
     if m.det() != ONE:
         raise NotUnimodular("candidate must have determinant one")
-    if q.det() != ONE:
-        raise NotUnimodular("q must have determinant one")
 
     scale, tgt = _scaled_targets(targets, DEFAULT_BITS)
     grid = candidate.coeff_grid()

@@ -156,20 +156,11 @@ def test_checker_requires_det_one():
         check_limit_conditions(bad, vi_depth=1)
 
 
-def test_checker_requires_det_one_q():
-    stretch = RingMat2(QuarticElem(2), QuarticElem(0),
-                       QuarticElem(0), QuarticElem(1))
-    with pytest.raises(NotUnimodular):
-        check_limit_conditions(LimitCandidate(Q), q=stretch, vi_depth=1)
-
-
-def _random_sl2(rng, odd: bool) -> RingMat2:
-    """A product of two to four elementary matrices over Z[beta], their
-    off-diagonal entry in Z[sqrt2] unless odd."""
+def _random_sl2(rng) -> RingMat2:
+    """A product of two to four elementary matrices over Z[beta]."""
     out = RingMat2.identity()
     for _ in range(rng.randint(2, 4)):
-        c = [rng.randint(-2, 2) for _ in range(4)]
-        x = QuarticElem(c[0], c[1] if odd else 0, c[2], c[3] if odd else 0)
+        x = QuarticElem(*(rng.randint(-2, 2) for _ in range(4)))
         e = (1, x, 0, 1) if rng.random() < 0.5 else (1, 0, x, 1)
         out = out * RingMat2(*e)
     return out
@@ -178,22 +169,18 @@ def _random_sl2(rng, odd: bool) -> RingMat2:
 def test_commutator_verdict_matches_sigma3_reference(rng):
     """Both commutator keys carry the ring verdict on sigma2, and it is
     the verdict of the sigma1/sigma3 route taken in the complex views, on
-    det-1 pairs with and without a beta-odd part in q, a sixth of them
-    with q a power of sigma2(m), whose commutator is trivial."""
+    random det-1 candidates with a beta-odd part, a sixth of them
+    sigma2(Q^k), whose commutator with the paper Q is trivial."""
     trivial = 0
     for i in range(120):
-        m = _random_sl2(rng, odd=True)
+        if i % 6 == 0:
+            m = (Q ** rng.choice((1, -1, 2))).real_view(2)
+        else:
+            m = _random_sl2(rng)
         if m.is_scalar():
             continue
-        if i % 6 == 0:
-            q = m.real_view(2) ** rng.choice((1, -1, 2))
-        else:
-            q = _random_sl2(rng, odd=i % 2 == 1)
-        if q.is_scalar():
-            continue
-        vii = check_limit_conditions(LimitCandidate(m), q=q,
-                                     vi_depth=1).cond_vii
-        want = sigma3_commutator_nontrivial(q, m)
+        vii = check_limit_conditions(LimitCandidate(m), vi_depth=1).cond_vii
+        want = sigma3_commutator_nontrivial(Q, m)
         assert vii == {"commutator_view1": want, "commutator_view2": want}
         trivial += not want
     assert trivial >= 10
