@@ -30,7 +30,7 @@ from .linalg import (
     share_eigenvector,
 )
 from .report import ERRATUM, FAIL, PASS, PROBE_ONLY, Report
-from .ring import QuarticElem, field_quantity_N, sqrt2_text
+from .ring import ONE, QuarticElem, field_quantity_N, sqrt2_text
 
 EXIT_BROKEN_PIPE = 141
 
@@ -149,7 +149,14 @@ def _apply_overrides(p: RingMat2, q: RingMat2, overrides: list[str]):
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"override {name}: {exc}") from exc
         mats[name[0]][slots.index(name[1:])] = value
-    return RingMat2(*mats["P"]), RingMat2(*mats["Q"])
+    pair = RingMat2(*mats["P"]), RingMat2(*mats["Q"])
+    # every check assumes determinant one: reject before any of them runs
+    for name, m in zip("PQ", pair):
+        det = m.det()
+        if det != ONE:
+            raise UsageError(f"override: {name} has determinant "
+                             f"{det.to_text()}, expected 1")
+    return pair
 
 
 def _random_quartic(rng: random.Random, span: int = 4) -> QuarticElem:

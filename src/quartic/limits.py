@@ -42,8 +42,9 @@ class LimitCandidate(Record, eq=True, frozen=True):
     """Integral candidate with its two real views, matrices over the ring.
 
     The views satisfy, entrywise: view1 = (p + r b^2) - (q b + s b^3),
-    view3 = (p + r b^2) + (q b + s b^3); the constructor re-derives both
-    from the raw coefficients and checks them against the Galois maps.
+    view3 = (p + r b^2) + (q b + s b^3) is the matrix itself; the
+    constructor re-derives both from the raw coefficients and checks them
+    against the Galois maps.
     The complex sigma3 view needs no matrix: sigma1 = sigma3 o sigma2 on
     Q(beta), so its commutator [sigma1(q) sigma3(m) sigma1(q)^-1, sigma3(m)]
     is the image of [q view1 q^-1, view1] under the injective sigma3 o
@@ -64,11 +65,6 @@ class LimitCandidate(Record, eq=True, frozen=True):
     def view1(self) -> RingMat2:
         """sigma2 image: real, must be elliptic for a valid candidate."""
         return self.matrix.real_view(2)
-
-    def view3(self) -> RingMat2:
-        """The identity embedding; entries can escape to infinity along a
-        convergent candidate sequence."""
-        return self.matrix
 
     def coeff_grid(self) -> list[list[int]]:
         return [[int(c) for c in e.coeffs()] for e in self.matrix.entries()]
@@ -160,28 +156,29 @@ class LimitCheckReport(Record):
         }
 
 
-def _scaled_targets(targets: LimitTargets, bits: int):
-    """The residuals' int scale, the lcm of 2^bits and the target endpoints'
-    reduced denominators, and each position's (u, v) targets, row-major, as
-    int (lo, hi) pairs at that scale."""
+def _scaled_targets(targets: LimitTargets):
+    """The residuals' int scale, the lcm of 2^DEFAULT_BITS and the target
+    endpoints' reduced denominators, and each position's (u, v) targets,
+    row-major, as int (lo, hi) pairs at that scale."""
     ivs = [iv for grid in (targets.u, targets.v) for row in grid for iv in row]
-    scale = lcm(1 << bits, *(s // gcd(lo, hi, s) for lo, hi, s in ivs))
+    scale = lcm(1 << DEFAULT_BITS,
+                *(s // gcd(lo, hi, s) for lo, hi, s in ivs))
     ends = [(lo * scale // s, hi * scale // s) for lo, hi, s in ivs]
     return scale, list(zip(ends[:4], ends[4:]))
 
 
-def _part_bounds(pairs, bits: int, scale: int):
+def _part_bounds(pairs, scale: int):
     """Int enclosures at scale of the even parts x + y b^2 and of the odd
     parts x b + y b^3 of the coefficient pairs (x, y), as two dicts.
 
     dyadic_bounds adds one term per coefficient, so the enclosures of an
     entry's even and odd parts sum, bound for bound, to the entry's own."""
-    mult = scale >> bits
+    mult = scale >> DEFAULT_BITS
     even, odd = {}, {}
     for x, y in pairs:
-        lo, hi = dyadic_bounds(x, (0, y, 0), quartic_bounds, bits)
+        lo, hi = dyadic_bounds(x, (0, y, 0), quartic_bounds, DEFAULT_BITS)
         even[x, y] = lo * mult, hi * mult
-        lo, hi = dyadic_bounds(0, (x, 0, y), quartic_bounds, bits)
+        lo, hi = dyadic_bounds(0, (x, 0, y), quartic_bounds, DEFAULT_BITS)
         odd[x, y] = lo * mult, hi * mult
     return even, odd
 
@@ -229,11 +226,11 @@ def check_limit_conditions(candidate: LimitCandidate,
     if m.det() != ONE:
         raise NotUnimodular("candidate must have determinant one")
 
-    scale, tgt = _scaled_targets(targets, DEFAULT_BITS)
+    scale, tgt = _scaled_targets(targets)
     grid = candidate.coeff_grid()
     even, odd = _part_bounds({(x, t * y) for c0, c1, c2, c3 in grid
                               for x, y in ((c0, c2), (c1, c3))
-                              for t in (1, -1)}, DEFAULT_BITS, scale)
+                              for t in (1, -1)}, scale)
     ivs = [[(lo, hi, scale) for lo, hi in _residuals(even, odd, e, u, v)]
            for e, (u, v) in zip(grid, tgt)]
     res_i, res_ii, res_iii = ([[ivs[0][n], ivs[1][n]], [ivs[2][n], ivs[3][n]]]
@@ -304,7 +301,7 @@ def _pairs_within(ka: list[int], order_a: list[int], kb: list[int],
             yield a, b
 
 
-def _rank_tables(bound: int, targets: LimitTargets, bits: int):
+def _rank_tables(bound: int, targets: LimitTargets):
     """Per-position rank tables, row-major, over the entries with
     |coefficients| <= bound in itertools.product order: each rank is the
     sum of the entry's three residual upper ends (``_residuals``), an int
@@ -316,10 +313,10 @@ def _rank_tables(bound: int, targets: LimitTargets, bits: int):
     The second-view residual's upper end, max(e_hi - o_lo - v_lo,
     v_hi - e_lo + o_hi) for the even part e and the odd part o, is one add
     per entry on each side of the max."""
-    scale, tgt = _scaled_targets(targets, bits)
+    scale, tgt = _scaled_targets(targets)
     rng = range(-bound, bound + 1)
     pairs = list(itertools.product(rng, repeat=2))
-    even, odd = _part_bounds(pairs, bits, scale)
+    even, odd = _part_bounds(pairs, scale)
     by_qs = {(q, s): (_abs_diff(*odd[q, -s])[1], -odd[q, s][0], odd[q, s][1])
              for q, s in pairs}
     tables = []
@@ -360,7 +357,7 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
         raise ValueError("count must be positive")
     targets = targets or default_targets()
     _, q = paper_generators()
-    scale, (k11, k12, k21, k22) = _rank_tables(bound, targets, DEFAULT_BITS)
+    scale, (k11, k12, k21, k22) = _rank_tables(bound, targets)
     entries = list(itertools.product(range(-bound, bound + 1), repeat=4))
     o11, o12, o21, o22 = (sorted(range(len(t)), key=t.__getitem__)
                           for t in (k11, k12, k21, k22))

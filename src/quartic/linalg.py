@@ -395,13 +395,6 @@ def embedded_charpoly_product(a: RingMat2) -> list[Fraction]:
     return out
 
 
-def spectrum_decomposition_holds(a: RingMat2) -> bool:
-    """char(Psi(a)) equals the product of the four embedded char polys."""
-    lhs = charpoly_fraction([list(r) for r in regular_rep(a, 4).entries])
-    rhs = embedded_charpoly_product(a)
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # eigen data for 2x2 views
 

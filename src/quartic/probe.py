@@ -1,4 +1,4 @@
-"""Finite experiments on the generated group: word enumeration, the
+"""Finite experiments on the generated group: the reduced-word walker, the
 discreteness margin, freeness certification, torsion probing and the
 dual-smallness scan.
 
@@ -45,48 +45,16 @@ DEFAULT_DEPTH_CAP = 12
 
 
 class ReducedWord:
-    """Freely reduced word over {f, f^-1, g, g^-1}, stored as letter codes."""
+    """Freely reduced word over {f, f^-1, g, g^-1}, held as the letter codes
+    a walker yields, so reduced by construction."""
 
     __slots__ = ("codes",)
 
-    def __init__(self, codes=()):
-        codes = tuple(codes)
-        for a, b in zip(codes, codes[1:]):
-            if _INVERSE[a] == b:
-                raise ValueError("word is not freely reduced")
+    def __init__(self, codes: tuple[int, ...] = ()):
         self.codes = codes
-
-    @classmethod
-    def parse(cls, text: str) -> "ReducedWord":
-        text = text.strip()
-        if not text:
-            return cls()
-        codes = []
-        for tok in text.split():
-            if tok not in LETTER_NAMES:
-                raise ValueError(f"unknown letter {tok!r}")
-            codes.append(LETTER_NAMES.index(tok))
-        return cls(codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReducedWord):
-            return NotImplemented
-        return self.codes == other.codes
-
-    def __hash__(self):
-        return hash(self.codes)
 
     def __str__(self) -> str:
         return " ".join(LETTER_NAMES[c] for c in self.codes) or "<empty>"
-
-    def __repr__(self) -> str:
-        return f"ReducedWord({str(self)!r})"
-
-    def inverse(self) -> "ReducedWord":
-        return ReducedWord(tuple(_INVERSE[c] for c in reversed(self.codes)))
 
 
 def word_count(depth: int) -> int:
@@ -94,39 +62,11 @@ def word_count(depth: int) -> int:
     return 1 + sum(4 * 3 ** (k - 1) for k in range(1, depth + 1))
 
 
-def enumerate_words(depth: int):
-    """All freely reduced words of length <= depth, shortest first, each
-    exactly once, lexicographic in the letter order f < f^-1 < g < g^-1."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    yield ReducedWord()
-    level = [()]
-    for _ in range(depth):
-        nxt = []
-        for codes in level:
-            for c in range(4):
-                if codes and _INVERSE[codes[-1]] == c:
-                    continue
-                w = codes + (c,)
-                nxt.append(w)
-                yield ReducedWord(w)
-        level = nxt
-
-
 def _generator_powers(n: int, pair=None) -> list[RingMat2]:
     p, q = pair or paper_generators()
     pn = p ** n
     qn = q ** n
     return [pn, pn.inv(), qn, qn.inv()]
-
-
-def evaluate_word(word: ReducedWord, n: int, pair=None) -> RingMat2:
-    """Exact product with f -> P^n and g -> Q^n."""
-    gens = _generator_powers(n, pair)
-    out = RingMat2.identity()
-    for c in word.codes:
-        out = out * gens[c]
-    return out
 
 
 def _inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
@@ -370,9 +310,8 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
 
     den2 = den ** (2 * depth)
     ties.sort(key=lambda codes: (len(codes), codes))
-    witness = ReducedWord(ties[0])
-    one = den ** len(witness)
-    xs = minus_identity4(_word_matrix(gens, witness.codes), one, 1)
+    one = den ** len(ties[0])
+    xs = minus_identity4(_word_matrix(gens, ties[0]), one, 1)
     factors = {f"s{k}": sqrt_of_square_interval(d)
                for k, d in enumerate(_view_dists(xs, one))}
     cumulative = [
@@ -382,7 +321,7 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     return MarginReport(
         n=n, depth=depth, margin_sq=margin_sq,
         margin=sqrt_of_square_interval(margin_sq),
-        witness=witness,
+        witness=ReducedWord(ties[0]),
         ties=[ReducedWord(t) for t in ties],
         factors=factors,
         per_depth=cumulative,
@@ -610,5 +549,5 @@ def dual_smallness_scan(n: int, depth: int, eps,
             entry_norms=norms,
             escape_bound_ok=all(v >= 1 for v in norms),
         ))
-    rows.sort(key=lambda row: (len(row.word), row.word.codes))
+    rows.sort(key=lambda row: (len(row.word.codes), row.word.codes))
     return DualSmallnessTable(n, depth, eps, rows)

@@ -253,11 +253,6 @@ def analyze_dominance(m) -> DominanceAnalysis:
     return DominanceAnalysis(rec, "dominant", blocks)
 
 
-def dominant_eigenvalue(m) -> DominantRecord | None:
-    """Dominant eigenvalue per the strict definition, or None."""
-    return analyze_dominance(m).record
-
-
 _BETA_POWERS = (ONE, QuarticElem(0, 1), QuarticElem(0, 0, 1), QuarticElem(0, 0, 0, 1))
 
 

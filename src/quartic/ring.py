@@ -262,9 +262,6 @@ class QuarticElem:
     def is_zero(self) -> bool:
         return self._c == (0, 0, 0, 0)
 
-    def is_one(self) -> bool:
-        return self._c == (1, 0, 0, 0) and self._d == 1
-
     def is_rational(self) -> bool:
         _, c1, c2, c3 = self._c
         return not (c1 or c2 or c3)
@@ -390,9 +387,6 @@ class EmbeddedComplex:
     def is_real(self) -> bool:
         return self.im_scale.is_zero()
 
-    def conj(self) -> "EmbeddedComplex":
-        return EmbeddedComplex(self.re, -self.im_scale)
-
     def __add__(self, other: "EmbeddedComplex") -> "EmbeddedComplex":
         return EmbeddedComplex(self.re + other.re, self.im_scale + other.im_scale)
 
@@ -507,11 +501,6 @@ def delta2(x: QuarticElem) -> QuarticElem:
     return x.odd_part() - gamma2(x)
 
 
-def coeff_norm(x: QuarticElem) -> Fraction:
-    """max of the absolute coefficient values."""
-    return max(abs(c) for c in x.coeffs())
-
-
 def in_S(x: QuarticElem, eps, c) -> bool:
     """Membership in {x integral : 0 < |x| < eps, |sigma1(x)| < c}, exact."""
     eps = _frac(eps)
@@ -525,21 +514,3 @@ def in_S(x: QuarticElem, eps, c) -> bool:
     if (x * x - QuarticElem(eps * eps)).sign() != Sign.NEGATIVE:
         return False
     return (galois(x, 1).abs2() - c * c).sign() == Sign.NEGATIVE
-
-
-def delta_submultiplicative_witness(x: QuarticElem, y: QuarticElem):
-    """Check |delta(xy)| <= |delta(x) delta(y)| for signed x, y.
-
-    Returns None when the inequality holds, otherwise a dict describing the
-    violation (surfaced, never swallowed).
-    """
-    lhs = delta(x * y).abs()
-    rhs = (delta(x) * delta(y)).abs()
-    if (lhs - rhs).sign() == Sign.POSITIVE:
-        return {
-            "x": x.to_text(),
-            "y": y.to_text(),
-            "delta_xy": lhs.to_text(),
-            "delta_x_delta_y": rhs.to_text(),
-        }
-    return None

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, formats, schema validity."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,6 +11,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quartic
 from quartic import cli, probe, projective
@@ -338,10 +342,33 @@ def test_override_pair_without_certificate_reports_failure():
     assert "every radius" in freeness["value"]
 
 
-@pytest.mark.parametrize("spec", ["Q33=1 0 0 0", "P11", "P11=1 x 0 0"])
+# the last two leave Q with determinant 2 and 0: rejected before any check
+@pytest.mark.parametrize("spec", ["Q33=1 0 0 0", "P11", "P11=1 x 0 0",
+                                  "Q21=-2 0 0 0", "Q21=0 0 0 0"])
 def test_malformed_override_exit_two(spec, capsys):
     assert main(["verify-paper", "--override", spec]) == 2
-    assert "override" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "override" in captured.err and captured.out == ""
+
+
+_COEFFS = st.lists(st.integers(-6, 6), min_size=4, max_size=4).map(
+    lambda c: " ".join(map(str, c)))
+
+
+@settings(max_examples=15)
+@given(st.dictionaries(st.sampled_from(["P11", "Q11"]), _COEFFS, min_size=1))
+def test_det_one_overrides_finish_the_report(overrides):
+    """P22 = Q22 = 0, so any P11 or Q11 keeps determinant one: every such
+    pair runs every check and exits 0 or 1 with a whole report."""
+    argv = ["verify-paper", "--json"]
+    for name, coeffs in overrides.items():
+        argv += ["--override", f"{name}={coeffs}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1), argv
+    jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
 
 
 def test_import_leaves_process_pool_unloaded():

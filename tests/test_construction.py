@@ -22,7 +22,7 @@ from quartic.construction import (
 )
 from quartic.errors import UnsignedElement
 from quartic.linalg import RingMat2
-from quartic.ring import QuadRat, QuarticElem
+from quartic.ring import ONE, QuadRat, QuarticElem
 
 P, Q = paper_generators()
 
@@ -44,7 +44,7 @@ def test_generator_entries():
 
 
 def test_generator_determinants_and_trace():
-    assert P.det().is_one() and Q.det().is_one()
+    assert P.det() == ONE and Q.det() == ONE
     assert Q.trace() == QuarticElem(3, 0, 2, 0)
 
 

@@ -139,7 +139,7 @@ def test_candidate_views_match_galois_images():
     v1 = cand.view1()
     for base, got in zip(P.entries(), v1.entries()):
         assert got == base.conj_even()
-    assert cand.view3() == P
+    assert cand.matrix == P
 
 
 def test_candidate_requires_integral():
@@ -325,7 +325,7 @@ def test_margin_uniformity_accepts_json_candidates():
 
 
 def _assert_tables_match_reference(bound, targets):
-    scale, tables = _rank_tables(bound, targets, DEFAULT_BITS)
+    scale, tables = _rank_tables(bound, targets)
     entries = list(itertools.product(range(-bound, bound + 1), repeat=4))
     for k, table in enumerate(tables):
         u, v = targets.u[k // 2][k % 2], targets.v[k // 2][k % 2]

@@ -1,4 +1,4 @@
-"""Word enumeration, margins, freeness, torsion, dual smallness."""
+"""The word walker, margins, freeness, torsion, dual smallness."""
 
 import hashlib
 import json
@@ -25,8 +25,6 @@ from quartic.probe import (
     ReducedWord,
     discreteness_margin,
     dual_smallness_scan,
-    enumerate_words,
-    evaluate_word,
     freeness_certificate,
     torsion_probe,
     walk_words,
@@ -35,6 +33,8 @@ from quartic.probe import (
 from quartic.ring import QuarticElem, Sign
 
 from matrix_reference import RefMat2, entry_dist_sq
+from word_reference import (inverse_codes, parse_word, reference_word_matrix,
+                            reference_words)
 
 P, Q = paper_generators()
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -52,46 +52,41 @@ def test_word_counts():
     assert word_count(0) == 1
     assert word_count(1) == 5
     assert word_count(3) == 53
-    assert len(list(enumerate_words(0))) == 1
-    assert len(list(enumerate_words(1))) == 5
-    assert len(list(enumerate_words(3))) == 53
+    for depth in range(5):
+        assert len(reference_words(depth)) == word_count(depth)
 
 
 def test_words_are_unique_and_reduced():
-    seen = set()
-    for w in enumerate_words(4):
-        assert w.codes not in seen
-        seen.add(w.codes)
-        ReducedWord(w.codes)    # revalidates free reduction
+    words = reference_words(4)
+    assert len(set(words)) == len(words)
+    assert all(codes[i] ^ 1 != codes[i + 1]
+               for codes in words for i in range(len(codes) - 1))
 
 
-def test_reduced_word_rejects_cancellation():
-    with pytest.raises(ValueError):
-        ReducedWord((0, 1))
+def test_reduced_word_str():
+    codes = parse_word("f g f^-1 g^-1")
+    assert str(ReducedWord(codes)) == "f g f^-1 g^-1"
+    assert str(ReducedWord(inverse_codes(codes))) == "g f g^-1 f^-1"
+    assert str(ReducedWord()) == "<empty>"
 
 
-def test_parse_and_str_roundtrip():
-    w = ReducedWord.parse("f g f^-1 g^-1")
-    assert str(w) == "f g f^-1 g^-1"
-    assert w.inverse() == ReducedWord.parse("g f g^-1 f^-1")
-
-
-def test_evaluate_word_examples():
-    assert evaluate_word(ReducedWord(), 5).is_identity()
-    comm = evaluate_word(ReducedWord.parse("f g f^-1 g^-1"), 1)
+def test_reference_word_matrix_examples():
+    assert reference_word_matrix((), 5, (P, Q)).is_identity()
+    comm = reference_word_matrix(parse_word("f g f^-1 g^-1"), 1, (P, Q))
     assert not comm.is_identity()
-    assert evaluate_word(ReducedWord.parse("f f"), 1) == P ** 2
+    assert reference_word_matrix(parse_word("f f"), 1, (P, Q)) == P ** 2
 
 
-def test_evaluate_word_homomorphism(rng):
-    words = [w for w in enumerate_words(3) if len(w) > 0]
+def test_reference_word_matrix_homomorphism(rng):
+    words = reference_words(3)[1:]
     for _ in range(500):
         u = words[rng.randrange(len(words))]
         v = words[rng.randrange(len(words))]
-        if probe._INVERSE[u.codes[-1]] == v.codes[0]:
+        if u[-1] ^ 1 == v[0]:
             continue            # u v is not freely reduced as written
-        assert (evaluate_word(ReducedWord(u.codes + v.codes), 2)
-                == evaluate_word(u, 2) * evaluate_word(v, 2))
+        assert (reference_word_matrix(u + v, 2, (P, Q))
+                == reference_word_matrix(u, 2, (P, Q))
+                * reference_word_matrix(v, 2, (P, Q)))
 
 
 def _check_walk(pair, n):
@@ -99,11 +94,10 @@ def _check_walk(pair, n):
     for depth in range(5):
         walked = list(walk_words(gens, depth))
         codes = [c for c, _ in walked]
-        assert codes == sorted(w.codes for w in enumerate_words(depth)
-                               if w.codes)
+        assert codes == sorted(reference_words(depth)[1:])
         for c, mat in walked:
-            assert _mat(mat, den ** len(c)) == evaluate_word(
-                ReducedWord(c), n, pair)
+            assert _mat(mat, den ** len(c)) == reference_word_matrix(
+                c, n, pair)
     return den
 
 
@@ -124,9 +118,9 @@ def test_walk_words_scalar_test_matches_ring_matrices():
     for sign in (1, -1):
         hits = [c for c, m in walk_words(gens, 4)
                 if is_scalar4(m, sign * den ** len(c))]
-        want = [w.codes for w in enumerate_words(4) if w.codes and (
-            evaluate_word(w, 1, pair).is_identity() if sign == 1
-            else evaluate_word(w, 1, pair).is_neg_identity())]
+        want = [c for c in reference_words(4)[1:] if (
+            reference_word_matrix(c, 1, pair).is_identity() if sign == 1
+            else reference_word_matrix(c, 1, pair).is_neg_identity())]
         assert hits and sorted(hits) == sorted(want)
 
 
@@ -145,8 +139,7 @@ def test_walk_words_paired_keeps_one_word_of_each_inverse_pair():
     for depth in range(1, 5):
         full = list(walk_words(gens, depth))
         paired = list(walk_words(gens, depth, paired=True))
-        assert paired == [(c, m) for c, m in full
-                          if ReducedWord(c).inverse().codes > c]
+        assert paired == [(c, m) for c, m in full if inverse_codes(c) > c]
         assert 2 * len(paired) == len(full)
 
 
@@ -177,9 +170,9 @@ def test_margin_monotone_and_positive():
 
 def test_margin_witness_ties_include_inverse():
     rep = discreteness_margin(2, 3)
-    words = {str(w) for w in rep.ties}
-    assert str(rep.witness) in words
-    assert str(rep.witness.inverse()) in words
+    ties = [w.codes for w in rep.ties]
+    assert rep.witness.codes in ties
+    assert inverse_codes(rep.witness.codes) in ties
 
 
 def test_margin_threads_agree():
@@ -196,13 +189,12 @@ def _word_distances(n, depth, pair, views):
     products and entry_dist_sq.  Each word's product is its prefix's times
     its last letter."""
     ident = RefMat2.identity()
-    letters = [RefMat2(*g.entries()) for g in probe._generator_powers(n, pair)]
+    p, q = pair
+    letters = [RefMat2(*m.entries())
+               for m in (p ** n, p ** -n, q ** n, q ** -n)]
     mats = {(): ident}
     out = {}
-    for word in enumerate_words(depth):
-        codes = word.codes
-        if not codes:
-            continue
+    for codes in reference_words(depth)[1:]:
         mat = mats[codes] = mats[codes[:-1]] * letters[codes[-1]]
         d = entry_dist_sq(mat, ident, views[0])
         d1 = entry_dist_sq(mat, ident, views[1])
@@ -390,10 +382,10 @@ def _reference_hits(pair, depth):
     """The codes of every nonempty reduced word of length <= depth that is
     +-I, from exact RingMat2 products."""
     hits = []
-    for w in enumerate_words(depth):
-        m = evaluate_word(w, 1, pair)
-        if len(w) and (m.is_identity() or m.is_neg_identity()):
-            hits.append(w.codes)
+    for codes in reference_words(depth)[1:]:
+        m = reference_word_matrix(codes, 1, pair)
+        if m.is_identity() or m.is_neg_identity():
+            hits.append(codes)
     return sorted(hits)
 
 
@@ -573,7 +565,7 @@ def test_dual_smallness_rows_have_norm_bound():
     for row in table.rows:
         assert row.escape_bound_ok
         assert all(v >= 1 for v in row.entry_norms)
-        assert len(row.word) >= 1
+        assert len(row.word.codes) >= 1
 
 
 # sha256 of the sorted-key JSON of dual_smallness_scan(2, 3, 4)

@@ -23,7 +23,6 @@ from quartic.projective import (
     PingPongCertificate,
     ProjPoint,
     analyze_dominance,
-    dominant_eigenvalue,
     free_pair_power,
     hyperbolic_like,
     noncommuting_check,
@@ -60,7 +59,7 @@ def certificate():
 
 
 def test_dominant_psi_p():
-    rec = dominant_eigenvalue(regular_rep(P, 4))
+    rec = analyze_dominance(regular_rep(P, 4)).record
     assert rec is not None
     assert rec.block_k == 2
     assert (rec.value - 1).sign() == Sign.POSITIVE
@@ -73,7 +72,7 @@ def test_dominant_psi_q_double_max():
 
 
 def test_dominant_identity_none():
-    assert dominant_eigenvalue(RingMat2.identity()) is None
+    assert analyze_dominance(RingMat2.identity()).record is None
 
 
 def test_dominant_rotation_none():
@@ -81,7 +80,7 @@ def test_dominant_rotation_none():
     rot = RingMat2(QuarticElem(0, 0, h), QuarticElem(0, 0, -h),
                    QuarticElem(0, 0, h), QuarticElem(0, 0, h))
     assert rot.det() == ONE
-    assert dominant_eigenvalue(rot) is None
+    assert analyze_dominance(rot).record is None
 
 
 def test_hyperbolic_like_psi():

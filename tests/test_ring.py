@@ -19,11 +19,9 @@ from quartic.ring import (
     QuarticElem,
     Sign,
     Signedness,
-    coeff_norm,
     delta,
     delta1,
     delta2,
-    delta_submultiplicative_witness,
     field_quantity_N,
     galois,
     gamma,
@@ -149,7 +147,8 @@ def test_galois_p_trace():
 
 def test_galois_conjugate_pair():
     x = QuarticElem(2, 7, -1, 3)
-    assert galois(x, 1) == galois(x, 3).conj()
+    s1, s3 = galois(x, 1), galois(x, 3)
+    assert s1.re == s3.re and s1.im_scale == -s3.im_scale
 
 
 @given(elements, elements, st.integers(min_value=0, max_value=3))
@@ -340,23 +339,17 @@ def test_decomposition_identity_signed(x):
 
 @given(strictly_positive, strictly_positive, st.booleans(), st.booleans())
 def test_delta_submultiplicative_on_signed_pairs(x, y, flip_x, flip_y):
-    # any counterexample is surfaced verbatim, never swallowed
     if flip_x:
         x = -x
     if flip_y:
         y = -y
-    witness = delta_submultiplicative_witness(x, y)
-    assert witness is None, f"submultiplicativity violated: {witness}"
+    assert delta(x * y).abs() <= (delta(x) * delta(y)).abs(), (
+        f"|delta(xy)| > |delta(x) delta(y)| at x = {x.to_text()}, "
+        f"y = {y.to_text()}")
 
 
 # ---------------------------------------------------------------------------
-# coefficient norm and the thin set
-
-
-def test_coeff_norm():
-    assert coeff_norm(ZERO) == 0
-    assert coeff_norm(QuarticElem(5, -3, 1, -2)) == 5
-    assert coeff_norm(QuarticElem(0, 0, 0, Fraction(1, 3))) == Fraction(1, 3)
+# the thin set
 
 
 def test_in_S_examples():
