@@ -203,9 +203,11 @@ def cmd_verify_paper(args, config: dict) -> Report:
     rep.add("psi_p_display", PASS if psi_p == PSI_P_REFERENCE else FAIL,
             anchor="rank-8 representation of P, displayed matrix")
     psi_q = regular_rep(q, 4).to_int_grid()
-    diff = [(i + 1, j + 1, psi_q[i][j], PSI_Q_DISPLAYED[i][j])
-            for i in range(8) for j in range(8)
-            if psi_q[i][j] != PSI_Q_DISPLAYED[i][j]]
+    # a rational override makes some entries Fractions, reported as "p/q"
+    diff = [(i + 1, j + 1, c if isinstance(c, int) else str(c), shown)
+            for i, row in enumerate(psi_q)
+            for j, (c, shown) in enumerate(zip(row, PSI_Q_DISPLAYED[i]))
+            if c != shown]
     if diff == [(4, 4, 3, 0)]:
         rep.add("psi_q_display", ERRATUM,
                 value={"position": [4, 4], "computed": 3, "displayed": 0},

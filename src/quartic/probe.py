@@ -9,8 +9,10 @@ ties and the cumulative minimum at each length are found by exact sign
 comparisons.  A word is measured only when no shorter-or-equal measured
 word already beats it by an integer bound, and a whole subtree is skipped
 when the Frobenius norm of its root proves every word below farther than
-that.  Enclosures, int triples (lo, hi, scale) from ``intervals``, appear
-only in the report.
+that.  One word of each orbit of equal distances is measured: {W, W^-1},
+or, when every letter has g21 = -g12, {W, W^-1, flip W, reverse W}
+(``_scan_subtree``).  Enclosures, int triples (lo, hi, scale) from
+``intervals``, appear only in the report.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
-               mul=mul_mat4, prune=None):
+               mul=mul_mat4, prune=None, reversal: bool = False):
     """Every nonempty reduced word of length <= depth whose first letter is
     in roots, as (codes, matrix) in lexicographic preorder (tuple order).
 
@@ -85,9 +87,10 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
     denominator d (``linalg.int_matrices``), so a word of length k comes
     with its product over d^k.  With paired, only the word of each
     {W, W^-1} whose codes sort first is yielded (no reduced word is its own
-    inverse), and a skipped word of full length is never multiplied.  Each
-    paired stack entry carries its word's inverse codes, so a child's are
-    the parent's with one letter prepended.
+    inverse); with reversal, only a word whose codes sort no later than
+    their reversal.  A skipped word of full length is never multiplied.
+    Each paired stack entry carries its word's inverse codes, so a child's
+    are the parent's with one letter prepended.
 
     With prune, prune(codes, matrix) is called for every word shorter than
     depth, yielded or not, after the consumer has taken the word; when it
@@ -107,7 +110,8 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
                 if _INVERSE[codes[-1]] != c:
                     child = codes + (c,)
                     child_inv = (_INVERSE[c],) + inv if paired else None
-                    keep = not paired or child_inv >= child
+                    keep = ((not paired or child_inv >= child)
+                            and (not reversal or child[::-1] >= child))
                     if keep or not leaf:
                         stack.append((child, mul(mat, gens[c]), keep,
                                       child_inv))
@@ -176,18 +180,25 @@ def _letter_minimum(gens, den: int, depth: int, views: tuple[int, int]):
 
 
 def _scan_subtree(gens, den: int, first: int, depth: int,
-                  views: tuple[int, int], seed):
+                  views: tuple[int, int], seed, swap: bool):
     """Exact minimum of the squared product-metric distance over all reduced
     words of length <= depth starting with the given letter and their
-    inverses, on int 4-tuple matrices over the letters' denominator den,
+    orbits, on int 4-tuple matrices over the letters' denominator den,
     and the exact cumulative minima by length of these words and of the
     one-letter word at distance seed (``_letter_minimum``).
 
     A det-1 W and its inverse lie at the same distance in every view (the
     entries of W^-1 - I are those of W - I, moved and sign-changed), so only
     the word of each pair whose codes sort first is measured, and a tie
-    records both.  Every distance is taken over the one denominator
-    den^(2 depth) and enclosed (``linalg.view_dist4``).
+    records both.  With swap, every letter g has g21 = -g12, so
+    M g M = g^-1 for M = [[0, 1], [1, 0]]: the word flip W with each letter
+    inverted is M W M, whose entries minus I are those of W - I permuted,
+    and so flip W and reverse W = flip W^-1 lie at W's distance too.  Then
+    a word is measured only when it also sorts no later than its reversal,
+    and a tie records its whole orbit {W, W^-1, flip W, reverse W} (two
+    words for a palindrome, whose flip is its inverse).  Every distance is
+    taken over the one denominator den^(2 depth) and enclosed
+    (``linalg.view_dist4``).
 
     A word strictly farther than some measured word no longer than itself
     is neither a cumulative minimum nor a tie, so each word is held against
@@ -228,7 +239,7 @@ def _scan_subtree(gens, den: int, first: int, depth: int,
                 or view_norm4(mat, vb)[0] > lim[2])
 
     for codes, mat in walk_words(gens, depth, (first,), paired=True,
-                                 prune=prune):
+                                 prune=prune, reversal=swap):
         length = len(codes)
         xs = minus_identity4(mat, ones[length], scales[length])
         cur = cum[length]
@@ -251,9 +262,11 @@ def _scan_subtree(gens, den: int, first: int, depth: int,
         s = -1 if best is None else compare_enclosed(d, best)
         if s < 0:
             best = d
-            ties = [codes, _inverse_codes(codes)]
-        elif s == 0:
+            ties = []
+        if s <= 0:
             ties += (codes, _inverse_codes(codes))
+            if swap and codes[::-1] != codes:
+                ties += (tuple([c ^ 1 for c in codes]), codes[::-1])
     return best, ties, cum[1:]
 
 
@@ -283,12 +296,17 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
 
     # every subtree prunes against the one-letter words from the start
     seed = _letter_minimum(gens, den, depth, views)
-    tasks = ([gens] * 4, [den] * 4, range(4), [depth] * 4, [views] * 4,
-             [seed] * 4)
+    # with g21 = -g12 in every letter, the least word of each orbit
+    # (``_scan_subtree``) starts with f or g
+    swap = all(g[2] == tuple([-x for x in g[1]]) for g in gens)
+    roots = (0, 2) if swap else range(4)
+    k = len(roots)
+    tasks = ([gens] * k, [den] * k, roots, [depth] * k, [views] * k,
+             [seed] * k, [swap] * k)
     if threads > 1:
         # imported here: the pool module costs every command's start-up
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(threads, 4)) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
             results = list(pool.map(_scan_subtree, *tasks))
     else:
         results = list(map(_scan_subtree, *tasks))
@@ -451,16 +469,13 @@ class TorsionResult(Record):
     sign_at_first_hit: int | None = None
 
 
-def torsion_probe(a: RingMat2, k: int, n_max: int) -> TorsionResult:
+def torsion_probe(a: RingMat2, n_max: int) -> TorsionResult:
     """First n <= n_max with a^n = +-I, exactly, else a non-torsion verdict.
 
     The trace sequence t_n = tr(a^n) obeys t_{n+1} = t_1 t_n - t_{n-1};
-    candidates with t_n = +-2 are confirmed by an exact binary power.
-    The verdict is independent of the embedding index (the Galois maps are
-    injective); k is validated for interface compatibility.
+    candidates with t_n = +-2 are confirmed by an exact binary power.  The
+    verdict holds in every embedding, since the Galois maps are injective.
     """
-    if k not in (0, 1, 2, 3):
-        raise ValueError("embedding index must be 0..3")
     if n_max < 1:
         raise ValueError("n_max must be positive")
     prev = QuarticElem(2)

@@ -201,7 +201,7 @@ def test_criterion_09_margin_positive_and_escape(certified):
 
 def test_criterion_10_torsion_probe():
     t0 = time.monotonic()
-    res = torsion_probe(P, 0, 10 ** 4)
+    res = torsion_probe(P, 10 ** 4)
     assert not res.torsion
     assert res.n_max == 10 ** 4
     report(10, "P has no power within 10^4 equal to +-identity", t0)

@@ -371,6 +371,25 @@ def test_det_one_overrides_finish_the_report(overrides):
     jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
 
 
+@pytest.mark.parametrize("as_json", [True, False])
+def test_rational_det_one_override_finishes_the_report(as_json, capsys):
+    """Q12 = 2 and Q21 = -1/2 keep determinant one, and psi(Q) then has
+    entries -1/2: the display check reports them as "p/q" text in both
+    output modes."""
+    argv = ["verify-paper", "--override", "Q12=2 0 0 0",
+            "--override", "Q21=-1/2 0 0 0"]
+    if as_json:
+        code, blob = run_json(capsys, *argv)
+        display = next(r for r in blob["results"]
+                       if r["name"] == "psi_q_display")
+        assert [5, 1, "-1/2", -1] in display["value"]["mismatches"]
+        assert [4, 4, 3, 0] in display["value"]["mismatches"]
+    else:
+        code, out = run(capsys, *argv)
+        assert '[5, 1, "-1/2", -1]' in out and "summary:" in out
+    assert code == 1
+
+
 def test_import_leaves_process_pool_unloaded():
     """The margin imports its process pool only for threads > 1, so no
     command pays for the module at start-up."""

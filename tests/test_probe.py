@@ -1,9 +1,11 @@
 """The word walker, margins, freeness, torsion, dual smallness."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -42,6 +44,27 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 _H = RingMat2(QuarticElem(2), QuarticElem(0), QuarticElem(0),
               QuarticElem(Fraction(1, 2)))
 P_RAT, Q_RAT = _H * P * _H.inv(), _H * Q * _H.inv()
+# g21 = -g12 in both, and neither is companion-shaped
+SWAP_A = RingMat2(QuarticElem(1), QuarticElem(2), QuarticElem(-2),
+                  QuarticElem(-3))
+SWAP_B = RingMat2(QuarticElem(1, -1), QuarticElem(0, 1), QuarticElem(0, -1),
+                  QuarticElem(1, 1))
+
+
+def _companion_pair(seed):
+    """Two companion matrices [[t, 1], [-1, 0]], each coefficient of t drawn
+    from -3..3 over 1 or 2."""
+    rng = random.Random(seed)
+    return tuple(RingMat2(QuarticElem(*[Fraction(rng.randint(-3, 3),
+                                                 rng.choice((1, 2)))
+                                        for _ in range(4)]),
+                          QuarticElem(1), QuarticElem(-1), QuarticElem(0))
+                 for _ in range(2))
+
+
+def _flip(codes):
+    """The word with every letter inverted."""
+    return tuple(c ^ 1 for c in codes)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +164,20 @@ def test_walk_words_paired_keeps_one_word_of_each_inverse_pair():
         paired = list(walk_words(gens, depth, paired=True))
         assert paired == [(c, m) for c, m in full if inverse_codes(c) > c]
         assert 2 * len(paired) == len(full)
+
+
+def test_walk_words_swap_symmetry_reversal_rule():
+    gens, _ = int_matrices([P, P.inv(), Q, Q.inv()])
+    for depth in range(1, 6):
+        full = list(walk_words(gens, depth, (0, 2)))
+        kept = list(walk_words(gens, depth, (0, 2), paired=True,
+                               reversal=True))
+        assert kept == [(c, m) for c, m in full
+                        if inverse_codes(c) > c and c[::-1] >= c]
+        # each orbit {W, W^-1, flip W, reverse W} once, by its least word
+        orbits = {min(c, inverse_codes(c), _flip(c), c[::-1])
+                  for c in reference_words(depth)[1:]}
+        assert sorted(orbits) == [c for c, _ in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +289,16 @@ def _unpaired_margin(n, depth, pair, views):
     # equal to I bring B to zero
     (3, 8, (0, 1), "paper"),
     (1, 6, (0, 1), "repeated"),
+    # the swap-symmetric scan over half the tree: seeded companion pairs,
+    # with integral and rational traces, and a pair of other shape
+    (2, 4, (0, 1), "swap_symmetry_companion1"),
+    (1, 5, (0, 1), "swap_symmetry_companion2"),
+    (1, 4, (2, 3), "swap_symmetry_companion3"),
+    (1, 5, (0, 1), "swap_symmetry_noncompanion"),
+    # only f passes the guard, so all four subtrees are scanned; in views
+    # (2, 3) a scan of the f and g subtrees alone misses the minimum f^-1 g
+    (2, 4, (0, 1), "swap_symmetry_half"),
+    (1, 4, (2, 3), "swap_symmetry_half"),
 ])
 def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
     pair, threads = {
@@ -260,6 +307,11 @@ def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
         "repeated": ((P, P), 1),
         "rational": ((P_RAT, Q_RAT), 1),
         "paper_threads2": ((P, Q), 2),
+        "swap_symmetry_companion1": (_companion_pair(1), 1),
+        "swap_symmetry_companion2": (_companion_pair(2), 1),
+        "swap_symmetry_companion3": (_companion_pair(3), 1),
+        "swap_symmetry_noncompanion": ((SWAP_A, SWAP_B), 1),
+        "swap_symmetry_half": ((P, P_RAT), 1),
     }[pair]
     rep = discreteness_margin(n, depth, pair=pair, views=views,
                               threads=threads)
@@ -304,6 +356,96 @@ def test_pruned_subtrees_hold_no_cumulative_minimum(n, depth, pair,
                 below += 1
                 assert (d - cumulative[len(codes)]).sign() == Sign.POSITIVE
     assert below > len(pruned)
+
+
+def _spy_scan(monkeypatch, *margin_args, **margin_kwargs):
+    """The roots and reversal flag of each walk of a margin scan, and the
+    products the walks multiplied."""
+    walks, muls = [], [0]
+    real_walk = probe.walk_words
+
+    def walk(gens, depth, roots, *args, reversal, **kwargs):
+        walks.append((tuple(roots), reversal))
+
+        def mul(a, b):
+            muls[0] += 1
+            return linalg.mul_mat4(a, b)
+        return real_walk(gens, depth, roots, *args, reversal=reversal,
+                         mul=mul, **kwargs)
+
+    monkeypatch.setattr(probe, "walk_words", walk)
+    discreteness_margin(*margin_args, **margin_kwargs)
+    return sorted(walks), muls[0]
+
+
+@pytest.mark.parametrize("pair, swap", [
+    ("paper", True), ("noncompanion", True),
+    # the first limit candidate is companion-shaped too
+    ("candidate", True),
+    ("rational", False), ("half", False),
+])
+def test_swap_symmetry_guard_picks_the_roots(pair, swap, monkeypatch):
+    """With g21 = -g12 in every letter the scan walks the f and g subtrees
+    with the reversal rule, else all four subtrees without it."""
+    pair = {
+        "paper": (P, Q),
+        "noncompanion": (SWAP_A, SWAP_B),
+        "candidate": (Q, search_limit_candidates(1, count=1)[0].matrix),
+        "rational": (P_RAT, Q_RAT),
+        "half": (P, P_RAT),
+    }[pair]
+    walks, _ = _spy_scan(monkeypatch, 1, 3, pair=pair)
+    roots = (0, 2) if swap else range(4)
+    assert walks == [((r,), swap) for r in roots]
+
+
+def test_swap_symmetry_halves_the_paper_scan(monkeypatch):
+    """At the paper's (3, 8) two subtrees multiply at most 850 products,
+    where the four subtrees of the inverse-paired scan multiply 1,686."""
+    walks, muls = _spy_scan(monkeypatch, 3, 8)
+    assert walks == [((0,), True), ((2,), True)]
+    assert muls <= 850
+
+
+@pytest.mark.parametrize("pair, threads, workers", [
+    ((P, Q), 4, 2), ((P_RAT, Q_RAT), 4, 4), ((P_RAT, Q_RAT), 3, 3)])
+def test_swap_symmetry_pool_starts_one_worker_per_subtree(
+        pair, threads, workers, monkeypatch):
+    """The pool never starts more workers than there are subtrees."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    discreteness_margin(1, 3, pair=pair, threads=threads)
+    assert sizes == [workers]
+
+
+@pytest.mark.parametrize("pair", [(P, Q), (SWAP_A, SWAP_B)])
+def test_swap_symmetry_orbit_shares_one_distance(pair):
+    """M W M = flip W when every letter has g21 = -g12, so flip W and
+    reverse W lie at W's distance; checked on every word up to length 5."""
+    dist = _word_distances(1, 5, pair, (0, 1))
+    for codes, d in dist.items():
+        assert dist[_flip(codes)] == d == dist[codes[::-1]], codes
+
+
+def test_swap_symmetry_needs_the_guard():
+    """Where only f has g21 = -g12, some flip W lies at another distance:
+    the scan must walk all four subtrees."""
+    dist = _word_distances(1, 2, (P, P_RAT), (0, 1))
+    assert dist[_flip((0, 2))] != dist[(0, 2)]
 
 
 def test_margin_falls_through_to_the_exact_path(monkeypatch):
@@ -527,13 +669,13 @@ def test_crosscheck_multiplies_only_half_length_words(monkeypatch):
 
 def test_torsion_minus_identity():
     neg = RingMat2(QuarticElem(-1), QuarticElem(0), QuarticElem(0), QuarticElem(-1))
-    res = torsion_probe(neg, 0, 10)
+    res = torsion_probe(neg, 10)
     assert res.torsion and res.order == 2 and res.order_mod_center == 1
 
 
 def test_torsion_quarter_rotation():
     rot = RingMat2(QuarticElem(0), QuarticElem(1), QuarticElem(-1), QuarticElem(0))
-    res = torsion_probe(rot, 0, 10)
+    res = torsion_probe(rot, 10)
     assert res.torsion and res.order == 4 and res.order_mod_center == 2
     assert res.sign_at_first_hit == -1
 
@@ -541,18 +683,18 @@ def test_torsion_quarter_rotation():
 def test_torsion_trace_heuristic_agreement():
     # order-6 rotation: trace 1 = 2 cos(pi/3)
     rot6 = RingMat2(QuarticElem(1), QuarticElem(-1), QuarticElem(1), QuarticElem(0))
-    res = torsion_probe(rot6, 0, 20)
+    res = torsion_probe(rot6, 20)
     assert res.torsion and res.order == 6
 
 
 def test_torsion_p_short_horizon():
-    res = torsion_probe(P, 0, 500)
+    res = torsion_probe(P, 500)
     assert not res.torsion
 
 
-def test_torsion_rejects_bad_embedding():
+def test_torsion_rejects_nonpositive_horizon():
     with pytest.raises(ValueError):
-        torsion_probe(P, 7, 10)
+        torsion_probe(P, 0)
 
 
 # ---------------------------------------------------------------------------
