@@ -393,11 +393,14 @@ def cmd_certify(args, config: dict) -> Report:
     cert = probe.freeness_certificate(_setting(args, config, "N"),
                                       crosscheck_depth=depth)
     rep.inputs = {"N": cert.n}
-    ok, problems = projective.verify_certificate(cert.pingpong)
+    if cert.pingpong is None:
+        ok, balls = False, []
+        problems = [f"no ping-pong certificate at exponent {cert.n}"]
+    else:
+        ok, problems = projective.verify_certificate(cert.pingpong)
+        balls = [b.to_json() for b in cert.pingpong.balls.values()]
     rep.add("pingpong_certificate", PASS if ok else FAIL,
-            value={"N": cert.n, "problems": problems,
-                   "balls": [b.to_json() for b in
-                             cert.pingpong.balls.values()]})
+            value={"N": cert.n, "problems": problems, "balls": balls})
     rep.add("word_crosscheck", PASS if cert.ok() else FAIL,
             value={"depth": cert.crosscheck_depth,
                    "words": cert.words_checked,

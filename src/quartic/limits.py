@@ -4,7 +4,8 @@ A candidate is an integral 2x2 matrix over Z[beta] whose three Galois
 views play fixed roles: the second view must be elliptic while the third
 and the identity view are hyperbolic.  All three are decided on matrices
 over the ring (see ``LimitCandidate``).  The checker scores candidates
-against user-supplied limit targets; the search finds the best-ranked
+against the paper's pair of limit targets, the companion matrices of Q's
+trace 3 + 2 sqrt2 and of its conjugate; the search finds the best-ranked
 bounded integral matrices of determinant one by a top-k threshold join
 over per-entry rank tables.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from fractions import Fraction
-from math import gcd, lcm
 
 from .construction import paper_generators
 from .errors import NonIntegralInput, NotUnimodular, QuarticError
@@ -35,7 +35,7 @@ from .linalg import (
     view_dist4,
 )
 from .record import Record
-from .ring import ONE, QuarticElem, mul4
+from .ring import ONE, ZERO, QuarticElem, mul4
 
 
 class LimitCandidate(Record, eq=True, frozen=True):
@@ -73,43 +73,16 @@ class LimitCandidate(Record, eq=True, frozen=True):
         return {"coefficients": self.coeff_grid(),
                 "matrix": self.matrix.to_text()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LimitCandidate":
-        return cls(RingMat2.parse(obj["matrix"]))
 
-
-class LimitTargets(Record):
-    """Enclosure targets for the two limit matrices: v entries for the
-    elliptic limit of the second view, u entries for the hyperbolic limit.
-    The tolerance schedule says how tight the residuals must be at the
-    n-th member of a candidate sequence; default is geometric."""
-
-    u: list[list[Enclosure]]
-    v: list[list[Enclosure]]
-    tolerances: list[Fraction] | None = None
-
-    def tolerance_at(self, seq_index: int) -> Fraction:
-        if self.tolerances:
-            idx = min(seq_index, len(self.tolerances) - 1)
-            return self.tolerances[idx]
-        return Fraction(1, 2 ** seq_index) if seq_index >= 0 else Fraction(1)
-
-    @classmethod
-    def from_matrices(cls, u_mat: RingMat2, v_mat: RingMat2) -> "LimitTargets":
-        u = [[u_mat.e11.interval(), u_mat.e12.interval()],
-             [u_mat.e21.interval(), u_mat.e22.interval()]]
-        v = [[v_mat.e11.interval(), v_mat.e12.interval()],
-             [v_mat.e21.interval(), v_mat.e22.interval()]]
-        return cls(u, v)
-
-
-def default_targets() -> LimitTargets:
-    """Companion-shaped targets built from the hyperbolic generator trace:
-    u from trace 3 + 2 sqrt2 (hyperbolic), v from its conjugate 3 - 2 sqrt2
-    (elliptic)."""
-    u_mat = RingMat2(QuarticElem(3, 0, 2, 0), ONE, -ONE, QuarticElem(0))
-    v_mat = RingMat2(QuarticElem(3, 0, -2, 0), ONE, -ONE, QuarticElem(0))
-    return LimitTargets.from_matrices(u_mat, v_mat)
+# The paper's limit targets: U = [[3 + 2 sqrt2, 1], [-1, 0]], the companion
+# matrix of Q's trace, is hyperbolic, and V, the same with the conjugate
+# trace 3 - 2 sqrt2, is elliptic.  Each is a row-major list of entry
+# enclosures at scale 2^DEFAULT_BITS, which is the residuals' scale.
+_SCALE = 1 << DEFAULT_BITS
+_U, _V = ([e.interval() for e in (trace, ONE, -ONE, ZERO)]
+          for trace in (QuarticElem(3, 0, 2, 0), QuarticElem(3, 0, -2, 0)))
+# each position's (u, v) targets as int (lo, hi) pairs at that scale
+_TARGETS = [(u[:2], v[:2]) for u, v in zip(_U, _V)]
 
 
 def _interval_class(trace: Enclosure) -> str:
@@ -156,30 +129,17 @@ class LimitCheckReport(Record):
         }
 
 
-def _scaled_targets(targets: LimitTargets):
-    """The residuals' int scale, the lcm of 2^DEFAULT_BITS and the target
-    endpoints' reduced denominators, and each position's (u, v) targets,
-    row-major, as int (lo, hi) pairs at that scale."""
-    ivs = [iv for grid in (targets.u, targets.v) for row in grid for iv in row]
-    scale = lcm(1 << DEFAULT_BITS,
-                *(s // gcd(lo, hi, s) for lo, hi, s in ivs))
-    ends = [(lo * scale // s, hi * scale // s) for lo, hi, s in ivs]
-    return scale, list(zip(ends[:4], ends[4:]))
-
-
-def _part_bounds(pairs, scale: int):
-    """Int enclosures at scale of the even parts x + y b^2 and of the odd
-    parts x b + y b^3 of the coefficient pairs (x, y), as two dicts.
+def _part_bounds(pairs):
+    """Int enclosures at scale 2^DEFAULT_BITS of the even parts x + y b^2
+    and of the odd parts x b + y b^3 of the coefficient pairs (x, y), as
+    two dicts.
 
     dyadic_bounds adds one term per coefficient, so the enclosures of an
     entry's even and odd parts sum, bound for bound, to the entry's own."""
-    mult = scale >> DEFAULT_BITS
     even, odd = {}, {}
     for x, y in pairs:
-        lo, hi = dyadic_bounds(x, (0, y, 0), quartic_bounds, DEFAULT_BITS)
-        even[x, y] = lo * mult, hi * mult
-        lo, hi = dyadic_bounds(0, (x, 0, y), quartic_bounds, DEFAULT_BITS)
-        odd[x, y] = lo * mult, hi * mult
+        even[x, y] = dyadic_bounds(x, (0, y, 0), quartic_bounds, DEFAULT_BITS)
+        odd[x, y] = dyadic_bounds(0, (x, 0, y), quartic_bounds, DEFAULT_BITS)
     return even, odd
 
 
@@ -210,15 +170,10 @@ _CONDITION_IV = (
 
 
 def check_limit_conditions(candidate: LimitCandidate,
-                           targets: LimitTargets | None = None,
-                           vi_depth: int = 10,
-                           seq_index: int | None = None) -> LimitCheckReport:
+                           vi_depth: int = 10) -> LimitCheckReport:
     """Exact verdicts for the structural conditions, interval residuals
-    against the limit targets, and a probe-only freeness scan.  With a
-    sequence index the residuals are also compared against the targets'
-    tolerance schedule."""
+    against the paper's limit targets, and a probe-only freeness scan."""
     from .probe import ReducedWord, walk_words
-    targets = targets or default_targets()
     _, q = paper_generators()
     m = candidate.matrix
     if not m.is_integral():
@@ -226,23 +181,20 @@ def check_limit_conditions(candidate: LimitCandidate,
     if m.det() != ONE:
         raise NotUnimodular("candidate must have determinant one")
 
-    scale, tgt = _scaled_targets(targets)
     grid = candidate.coeff_grid()
     even, odd = _part_bounds({(x, t * y) for c0, c1, c2, c3 in grid
                               for x, y in ((c0, c2), (c1, c3))
-                              for t in (1, -1)}, scale)
-    ivs = [[(lo, hi, scale) for lo, hi in _residuals(even, odd, e, u, v)]
-           for e, (u, v) in zip(grid, tgt)]
+                              for t in (1, -1)})
+    ivs = [[(lo, hi, _SCALE) for lo, hi in _residuals(even, odd, e, u, v)]
+           for e, (u, v) in zip(grid, _TARGETS)]
     res_i, res_ii, res_iii = ([[ivs[0][n], ivs[1][n]], [ivs[2][n], ivs[3][n]]]
                               for n in range(3))
     odd_zero = all(e.in_even_subring() for e in m.entries())
     cond_iv = {name: classify(m, k) in ok for name, k, ok in _CONDITION_IV}
 
-    u_trace = enc_add(targets.u[0][0], targets.u[1][1])
-    v_trace = enc_add(targets.v[0][0], targets.v[1][1])
     cond_v = {
-        "target_elliptic": _interval_class(v_trace),
-        "target_hyperbolic": _interval_class(u_trace),
+        "target_elliptic": _interval_class(enc_add(_V[0], _V[3])),
+        "target_hyperbolic": _interval_class(enc_add(_U[0], _U[3])),
     }
 
     # probe-only relation scan for the freeness condition on <view1, Q>
@@ -269,18 +221,9 @@ def check_limit_conditions(candidate: LimitCandidate,
 
     notes = ["the second-view limit condition is applied to every entry; "
              "the displayed indexing names one entry but quantifies all"]
-    report = LimitCheckReport(candidate, res_i, res_ii, odd_zero, res_iii,
-                              cond_iv, cond_v, cond_vi, cond_vii, cond_viii,
-                              notes)
-    if seq_index is not None:
-        tol = targets.tolerance_at(seq_index)
-        worst = max(hi for grid in (res_i, res_ii, res_iii)
-                    for row in grid for _, hi, _ in row)
-        report.notes.append(
-            f"sequence index {seq_index}: worst residual {worst / scale:.6g} "
-            f"{'within' if worst <= tol * scale else 'exceeds'} tolerance "
-            f"{tol}")
-    return report
+    return LimitCheckReport(candidate, res_i, res_ii, odd_zero, res_iii,
+                            cond_iv, cond_v, cond_vi, cond_vii, cond_viii,
+                            notes)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +244,11 @@ def _pairs_within(ka: list[int], order_a: list[int], kb: list[int],
             yield a, b
 
 
-def _rank_tables(bound: int, targets: LimitTargets):
+def _rank_tables(bound: int):
     """Per-position rank tables, row-major, over the entries with
     |coefficients| <= bound in itertools.product order: each rank is the
     sum of the entry's three residual upper ends (``_residuals``), an int
-    at the returned scale.  Only the (2 bound + 1)^2 coefficient pairs are
+    at scale 2^DEFAULT_BITS.  Only the (2 bound + 1)^2 coefficient pairs are
     enclosed, never an entry on its own.
 
     Residual i of p + q b + r b^2 + s b^3 depends only on (p, r) and the
@@ -313,14 +256,13 @@ def _rank_tables(bound: int, targets: LimitTargets):
     The second-view residual's upper end, max(e_hi - o_lo - v_lo,
     v_hi - e_lo + o_hi) for the even part e and the odd part o, is one add
     per entry on each side of the max."""
-    scale, tgt = _scaled_targets(targets)
     rng = range(-bound, bound + 1)
     pairs = list(itertools.product(rng, repeat=2))
-    even, odd = _part_bounds(pairs, scale)
+    even, odd = _part_bounds(pairs)
     by_qs = {(q, s): (_abs_diff(*odd[q, -s])[1], -odd[q, s][0], odd[q, s][1])
              for q, s in pairs}
     tables = []
-    for u, (v_lo, v_hi) in tgt:
+    for u, (v_lo, v_hi) in _TARGETS:
         by_pr = {(p, r): (_abs_diff(*even[p, -r], *u)[1],
                           even[p, r][1] - v_lo, v_hi - even[p, r][0])
                  for p, r in pairs}
@@ -330,10 +272,10 @@ def _rank_tables(bound: int, targets: LimitTargets):
             res_ii, o_up, o_down = by_qs[q, s]
             table.append(res_i + res_ii + max(e_up + o_up, e_down + o_down))
         tables.append(table)
-    return scale, tables
+    return tables
 
 
-def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
+def search_limit_candidates(bound: int,
                             count: int = 25) -> list[LimitCandidate]:
     """The count best integral matrices with per-entry coefficient bound and
     determinant one that pass conditions iv and viii against the paper Q,
@@ -355,9 +297,8 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
         raise ValueError("bound must be nonnegative")
     if count < 1:
         raise ValueError("count must be positive")
-    targets = targets or default_targets()
     _, q = paper_generators()
-    scale, (k11, k12, k21, k22) = _rank_tables(bound, targets)
+    k11, k12, k21, k22 = _rank_tables(bound)
     entries = list(itertools.product(range(-bound, bound + 1), repeat=4))
     o11, o12, o21, o22 = (sorted(range(len(t)), key=t.__getitem__)
                           for t in (k11, k12, k21, k22))
@@ -371,7 +312,7 @@ def search_limit_candidates(bound: int, targets: LimitTargets | None = None,
     # top - lo_off and its off-diagonal half within top - lo_diag, so each
     # round finds every hit with key <= top; a full list whose worst key is
     # <= top is then final, since every hit left unfound ranks after it
-    slack = scale
+    slack = _SCALE
     while True:
         top = lo_diag + lo_off + slack
         products: dict[tuple, list[tuple[int, int]]] = {}
@@ -450,8 +391,6 @@ def margin_uniformity_probe(candidates, n: int, depth: int,
     _, q = paper_generators()
     rows = []
     for cand in candidates:
-        if isinstance(cand, dict):
-            cand = LimitCandidate.from_json(cand)
         pair = (q, cand.matrix)
         rep = discreteness_margin(n, depth, pair=pair, views=(2, 3))
         near = _near_identity_rows(pair, n, depth, eps)

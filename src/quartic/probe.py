@@ -349,39 +349,40 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
 
 class FreenessCertificate(Record):
     n: int
-    pingpong: PingPongCertificate
+    pingpong: PingPongCertificate | None    # None: no radius certifies n
     crosscheck_depth: int
     words_checked: int
     identity_hits: list[str]
 
     def ok(self) -> bool:
+        """The cross-check's verdict: no word hit plus or minus identity."""
         return not self.identity_hits
 
 
-def freeness_certificate(n: int | None, pair=None,
+def freeness_certificate(n: int | None,
                          crosscheck_depth: int = 8) -> FreenessCertificate:
     """Ping-pong certificate at the given exponent for the sigma2 views,
     cross-checked by an exact word search (``_crosscheck``): no nonempty
     reduced word up to the cross-check depth may evaluate to plus or minus
     identity, and every such word is decided.
     With n None the exponent is the least one ``free_pair_power`` finds,
-    and the certificate its search ended on is the one cross-checked.  The
-    depth is capped at the margin's ``DEFAULT_DEPTH_CAP``."""
+    and the certificate its search ended on is the one cross-checked.  An
+    exponent no radius certifies gets no certificate, and its words are
+    still cross-checked.  The depth is capped at the margin's
+    ``DEFAULT_DEPTH_CAP``."""
     if (n is not None and n < 1) or crosscheck_depth < 1:
         raise ValueError("need a positive exponent and cross-check depth")
     _check_depth(crosscheck_depth)
-    pair = pair or paper_generators()
-    p, q = pair
+    p, q = paper_generators()
     if n is None:
         cert = free_pair_power(p, q).certificate
+        n = cert.exponent
     else:
         cert = certify_exponent(p.real_view(2), q.real_view(2), n)
-        if cert is None:
-            raise ValueError(f"no ping-pong certificate at exponent {n}")
-    gens, den = int_matrices(_generator_powers(cert.exponent, pair))
+    gens, den = int_matrices(_generator_powers(n))
     count, hits = _crosscheck(gens, den, crosscheck_depth)
     hits.sort()
-    return FreenessCertificate(cert.exponent, cert, crosscheck_depth, count,
+    return FreenessCertificate(n, cert, crosscheck_depth, count,
                                [str(ReducedWord(c)) for c in hits])
 
 
@@ -536,15 +537,14 @@ class DualSmallnessTable(Record):
         }
 
 
-def dual_smallness_scan(n: int, depth: int, eps,
-                        pair=None) -> DualSmallnessTable:
+def dual_smallness_scan(n: int, depth: int, eps) -> DualSmallnessTable:
     """Words whose first-factor view is eps-close to the identity, with the
     conjugate-norm escape bound checked exactly on every nonzero entry
     difference from the identity."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gens, den = int_matrices(_generator_powers(n, pair))
+    gens, den = int_matrices(_generator_powers(n))
     below = eps_thresholds(den, eps, depth)
     rows: list[DualSmallnessRow] = []
     for codes, mat in walk_words(gens, depth):

@@ -106,6 +106,34 @@ def test_certify_depth_up_to_the_margin_cap(capsys):
     assert err.startswith("error: DepthTooLarge: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_certify_at_an_uncertified_exponent_fails_the_check(n, monkeypatch,
+                                                            capsys):
+    """No radius certifies the paper pair at N = 1 or 2: that is a failed
+    check, not bad input.  The report is whole, its certificate row fails
+    and names the exponent, and the words are still cross-checked at it."""
+    exponents = []
+    real = probe._generator_powers
+
+    def spy(k, pair=None):
+        exponents.append(k)
+        return real(k, pair)
+
+    monkeypatch.setattr(probe, "_generator_powers", spy)
+    code, blob = run_json(capsys, "certify", "--N", str(n))
+    assert code == 1
+    assert blob["inputs"] == {"N": n}
+    assert blob["results"] == [
+        {"name": "pingpong_certificate", "verdict": "fail",
+         "value": {"N": n, "balls": [], "problems": [
+             f"no ping-pong certificate at exponent {n}"]}},
+        {"name": "word_crosscheck", "verdict": "pass",
+         "value": {"depth": 8, "words": 13120, "identity_hits": []}},
+    ]
+    assert blob["summary"] == {"fail": 1, "pass": 1}
+    assert exponents == [n]
+
+
 def test_search_command(capsys):
     code, blob = run_json(capsys, "search", "--bound", "1", "--count", "3")
     assert code == 0
@@ -282,6 +310,7 @@ def test_bad_config_exit_two(tmp_path, capsys):
                  ["margin", "--L", "0"],
                  ["margin", "--N", "0", "--L", "2"],
                  ["certify", "--N", "3", "--L", "0"],
+                 ["certify", "--N", "0"],
                  ["search", "--bound", "1", "--count", "0"]):
         assert main(argv) == 2
         err = capsys.readouterr().err

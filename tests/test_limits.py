@@ -19,10 +19,8 @@ from quartic.errors import NonIntegralInput, NotUnimodular
 from quartic.intervals import DEFAULT_BITS
 from quartic.limits import (
     LimitCandidate,
-    LimitTargets,
     _rank_tables,
     check_limit_conditions,
-    default_targets,
     margin_uniformity_probe,
     search_limit_candidates,
 )
@@ -35,16 +33,19 @@ from matrix_reference import sigma3_commutator_nontrivial
 P, Q = paper_generators()
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# targets with endpoints over 3, so the rank scale is not a power of two
-THIRDS = LimitTargets(
-    [[(5, 6, 3), (1, 1, 3)], [(-4, -2, 3), (0, 0, 1)]],
-    [[(-1, 1, 3), (4, 4, 6)], [(-1, -1, 1), (-7, 4, 3)]])
+# the paper's limit targets, row-major (u, v) enclosures per position: the
+# companion matrices [[t, 1], [-1, 0]] of Q's trace t = 3 + 2 sqrt2 and of
+# its conjugate 3 - 2 sqrt2
+PAPER_TARGETS = [(QuarticElem(c, 0, t, 0).interval(),
+                  QuarticElem(c, 0, -t, 0).interval())
+                 for c, t in ((3, 2), (1, 0), (-1, 0), (0, 0))]
 
-# frozen at the parent of the integer rank tables: sha256 of the residual
-# grids and notes of check_limit_conditions(.., vi_depth=1, seq_index=3)
-# .to_json() for the eight bound-2 candidates, and of their exact endpoints
+# sha256 of the residual grids and notes of check_limit_conditions(..,
+# vi_depth=1).to_json() for the eight bound-2 candidates, frozen before the
+# targets became fixed, and of their exact endpoints, frozen at the parent
+# of the integer rank tables
 GRIDS_BOUND2_TOP8_SHA256 = (
-    "da6897750ec9adbf1fdbede54bc12c9892f406ad27f3ef1a7881d7941b6fdf28")
+    "3bb9ef0db34780203beda1cff1b219ec3ad47e64168f877f7005b9ee00da4972")
 EXACT_BOUND2_TOP8_SHA256 = (
     "8066271b510bbeb35322d0e502219d12026aa42d32a90897c8b5816814700169")
 # stdout of scripts/limit_candidate_search.py --bound 2 --count 6
@@ -64,25 +65,23 @@ def reference_residuals(e: QuarticElem, u, v, bits: int = DEFAULT_BITS):
                               (e.conj_even(), v)))
 
 
-def reference_key(targets: LimitTargets):
+@functools.cache
+def reference_entry_rank(k: int, coeffs: tuple) -> Fraction:
+    """The reference rank of an entry at row-major position k."""
+    return sum(iv.hi for iv in reference_residuals(QuarticElem(*coeffs),
+                                                   *PAPER_TARGETS[k]))
+
+
+def reference_key(cand: LimitCandidate):
     """Sort key of a candidate in the search order: its reference rank,
-    memoized per position and entry, then its coefficients."""
-    @functools.cache
-    def entry_rank(k: int, coeffs: tuple) -> Fraction:
-        u, v = targets.u[k // 2][k % 2], targets.v[k // 2][k % 2]
-        return sum(iv.hi for iv in reference_residuals(QuarticElem(*coeffs),
-                                                       u, v))
-
-    def key(cand: LimitCandidate):
-        grid = [tuple(row) for row in cand.coeff_grid()]
-        return (sum(entry_rank(k, c) for k, c in enumerate(grid)),
-                [c for row in grid for c in row])
-
-    return key
+    then its coefficients."""
+    grid = [tuple(row) for row in cand.coeff_grid()]
+    return (sum(reference_entry_rank(k, c) for k, c in enumerate(grid)),
+            [c for row in grid for c in row])
 
 
 # frozen from the exhaustive bound-1 scan (its own oracle): the four
-# companion-shaped candidates ranked closest to the default targets
+# companion-shaped candidates ranked closest to the paper's targets
 GOLDEN_B1_PREFIX = [
     "0 -1 -1 0; 1 0 0 0; -1 0 0 0; 0 0 0 0",
     "0 0 -1 -1; 1 0 0 0; -1 0 0 0; 0 0 0 0",
@@ -218,15 +217,6 @@ def test_checker_vi_lists_relations_in_walk_order():
         "f f f f", "f^-1 f^-1 f^-1 f^-1"]
 
 
-def test_checker_tolerance_schedule():
-    rep = check_limit_conditions(LimitCandidate(Q), vi_depth=1, seq_index=3)
-    assert any("tolerance" in note for note in rep.notes)
-    custom = default_targets()
-    custom.tolerances = [Fraction(1)]
-    assert custom.tolerance_at(7) == Fraction(1)
-    assert default_targets().tolerance_at(4) == Fraction(1, 16)
-
-
 def test_search_bound_one_golden_prefix():
     cands = search_limit_candidates(1, count=10)
     texts = [c.matrix.to_text() for c in cands]
@@ -253,7 +243,7 @@ def bound1_all():
 def test_search_pruning_is_exact(bound1_all):
     full = bound1_all
     assert len(full) == 7392
-    keys = list(map(reference_key(default_targets()), full))
+    keys = list(map(reference_key, full))
     assert keys == sorted(keys)
     # at count 53 a full best list must swap its last entry for a later hit
     # of equal rank and smaller coefficients
@@ -284,12 +274,6 @@ def test_search_deterministic():
     assert a == b
 
 
-def test_candidate_json_roundtrip():
-    cand = search_limit_candidates(1, count=1)[0]
-    again = LimitCandidate.from_json(cand.to_json())
-    assert again.matrix == cand.matrix
-
-
 def test_margin_uniformity_probe_smoke():
     cands = search_limit_candidates(1, count=2)
     rows = margin_uniformity_probe(cands, 2, 3, Fraction(1, 2))
@@ -318,40 +302,14 @@ def test_margin_uniformity_probe_matches_golden():
     assert hashlib.sha256(blob.encode()).hexdigest() == UNIFORMITY_GOLDEN
 
 
-def test_margin_uniformity_accepts_json_candidates():
-    cands = search_limit_candidates(1, count=1)
-    rows = margin_uniformity_probe([cands[0].to_json()], 2, 2, Fraction(1, 4))
-    assert len(rows) == 1
-
-
-def _assert_tables_match_reference(bound, targets):
-    scale, tables = _rank_tables(bound, targets)
-    entries = list(itertools.product(range(-bound, bound + 1), repeat=4))
+def test_rank_tables_match_reference_bound_two():
+    tables = _rank_tables(2)
+    entries = list(itertools.product(range(-2, 3), repeat=4))
     for k, table in enumerate(tables):
-        u, v = targets.u[k // 2][k % 2], targets.v[k // 2][k % 2]
         assert len(table) == len(entries)
         for coeffs, rank in zip(entries, table):
-            ref = sum(iv.hi for iv in reference_residuals(
-                QuarticElem(*coeffs), u, v))
-            assert Fraction(rank, scale) == ref, (k, coeffs)
-
-
-def test_rank_tables_match_reference_bound_two():
-    _assert_tables_match_reference(2, default_targets())
-
-
-def test_rank_tables_match_reference_thirds():
-    _assert_tables_match_reference(1, THIRDS)
-
-
-def test_search_order_matches_reference_thirds(bound1_all):
-    # conditions iv and viii do not depend on the targets, so the hits are
-    # the bound-1 hits for the default targets in the reference order
-    expected = sorted(bound1_all, key=reference_key(THIRDS))
-    assert expected[:8] != bound1_all[:8]
-    for k in (1, 8, 53):
-        got = search_limit_candidates(1, count=k, targets=THIRDS)
-        assert got == expected[:k]
+            assert Fraction(rank, 1 << DEFAULT_BITS) == (
+                reference_entry_rank(k, coeffs)), (k, coeffs)
 
 
 def test_search_encloses_no_entry_on_its_own(monkeypatch):
@@ -373,8 +331,7 @@ def test_checker_residual_grids_unchanged():
     cands = search_limit_candidates(2, count=8)
     keys = ("residuals_even_part", "residuals_odd_part",
             "residuals_second_view", "notes")
-    reps = [check_limit_conditions(c, vi_depth=1, seq_index=3)
-            for c in cands]
+    reps = [check_limit_conditions(c, vi_depth=1) for c in cands]
     blob = json.dumps([{k: rep.to_json()[k] for k in keys} for rep in reps],
                       sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
@@ -387,12 +344,17 @@ def test_checker_residual_grids_unchanged():
         EXACT_BOUND2_TOP8_SHA256)
 
 
-def test_checker_residuals_match_reference_thirds():
-    for cand in search_limit_candidates(1, count=6, targets=THIRDS):
-        rep = check_limit_conditions(cand, targets=THIRDS, vi_depth=1)
+def test_checker_residuals_match_reference(rng):
+    """On the first bound-1 candidates and on random det-1 matrices, whose
+    entries reach every coefficient in every position."""
+    randoms = [m for m in (_random_sl2(rng) for _ in range(20))
+               if not m.is_scalar()]
+    for cand in (search_limit_candidates(1, count=6)
+                 + [LimitCandidate(m) for m in randoms]):
+        rep = check_limit_conditions(cand, vi_depth=1)
         for k, e in enumerate(cand.matrix.entries()):
             i, j = divmod(k, 2)
-            ref = reference_residuals(e, THIRDS.u[i][j], THIRDS.v[i][j])
+            ref = reference_residuals(e, *PAPER_TARGETS[k])
             got = (rep.residuals_i[i][j], rep.residuals_ii[i][j],
                    rep.residuals_iii[i][j])
             assert [Interval.of(g).ends() for g in got] == [

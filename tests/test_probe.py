@@ -14,7 +14,8 @@ import pytest
 
 from quartic.construction import paper_generators
 from quartic.errors import DepthTooLarge, NotUnimodular
-from quartic.limits import margin_uniformity_probe, search_limit_candidates
+from quartic.limits import (LimitCandidate, margin_uniformity_probe,
+                            search_limit_candidates)
 from quartic.linalg import (
     RingMat2,
     _mat,
@@ -479,9 +480,10 @@ def test_margin_requires_unimodular_generators():
                        QuarticElem(1))
     with pytest.raises(NotUnimodular):
         discreteness_margin(1, 2, pair=(P, stretch))
-    # JSON candidates reach the margin with no determinant check of their own
+    # limit candidates reach the margin with no determinant check of their
+    # own
     with pytest.raises(NotUnimodular):
-        margin_uniformity_probe([{"matrix": stretch.to_text()}], 1, 2,
+        margin_uniformity_probe([LimitCandidate(stretch)], 1, 2,
                                 Fraction(1, 2))
 
 

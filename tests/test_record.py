@@ -28,7 +28,7 @@ def _records() -> list[type]:
 def test_record_base_reads_fields_once_per_class():
     assert Cell._fields == ("chart", "lo", "hi", "target_chart")
     assert Cell._defaults == {"target_chart": ""}
-    assert len(_records()) == 29
+    assert len(_records()) == 28
 
 
 def test_record_base_init_and_repr():

@@ -3,7 +3,11 @@ top-level function and class, and each public method, is named somewhere
 in ``src/``, ``scripts/`` or ``bench/`` outside its own body.  A definition
 that only tests read belongs with the tests.  Names are matched as
 identifier tokens, so comments and strings are not readers, and a method
-counts as read when any code uses its name."""
+counts as read when any code uses its name.
+
+Every defaulted parameter has a reader too: some call in the program
+passes it.  A parameter that only tests set belongs with the tests, or its
+default is a constant."""
 
 import ast
 import pathlib
@@ -59,3 +63,103 @@ def test_every_src_definition_has_a_program_reader():
                 unread[node.name] = f"{path.name}:{node.lineno}"
     # an allowed name that gained a reader is dropped from the list
     assert set(unread) == set(ALLOWED), unread
+
+
+# defaulted parameters no call in the program passes, each for its reason
+ALLOWED_PARAMS = {
+    "_random_word_matrix(max_len)":
+        "acceptance criterion 4 draws words of length <= 4",
+    "sqrt_of_square_interval(bits)":
+        "a test starts at 8 bits to reach nonneg_interval's doubling branch",
+    "QuadRat(v)": "QuadRat is kept for the acceptance gate",
+}
+
+
+def _program_trees():
+    for top in ("src", "scripts", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield ast.parse(path.read_text())
+
+
+def _callee(func) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _passes(trees, classes):
+    """{callee name: [(positional count, keywords, star, double star)]}
+    over every call in the program.  A call to a class is a call to its
+    ``__init__``, and a class's keywords are a call to its base's
+    ``__init_subclass__``."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _callee(node.func)
+                if name in classes:
+                    name = "__init__"
+                args = node.args
+                kws = node.keywords
+            elif isinstance(node, ast.ClassDef) and node.keywords:
+                name, args, kws = "__init_subclass__", [], node.keywords
+            else:
+                continue
+            star = any(isinstance(a, ast.Starred) for a in args)
+            out.setdefault(name, []).append((
+                sum(not isinstance(a, ast.Starred) for a in args),
+                {k.arg for k in kws if k.arg is not None},
+                star, any(k.arg is None for k in kws)))
+    return out
+
+
+def _functions(path):
+    """(label, def, positional offset) for the top-level functions of a
+    module and the methods of its classes; a method's calls do not pass
+    its first parameter, unless it is a staticmethod."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, 0
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in m.decorator_list)
+                    label = node.name if m.name == "__init__" else m.name
+                    yield label, m, 0 if static else 1
+
+
+def _defaulted(fn, offset):
+    """(name, positional index or None) of each defaulted parameter;
+    the index counts from the first parameter a call passes."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    for i, arg in enumerate(pos[len(pos) - len(a.defaults):],
+                            len(pos) - len(a.defaults)):
+        yield arg.arg, i - offset
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_defaulted_src_parameter_is_passed_by_the_program():
+    paths = sorted((ROOT / "src" / "quartic").glob("*.py"))
+    classes = {node.name for path in paths
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    calls = _passes(list(_program_trees()), classes)
+    unpassed = {}
+    for path in paths:
+        for label, fn, offset in _functions(path):
+            for name, index in _defaulted(fn, offset):
+                if not any(name in kws or dstar
+                           or (index is not None and (n > index or star))
+                           for n, kws, star, dstar in calls.get(fn.name, [])):
+                    unpassed[f"{label}({name})"] = f"{path.name}:{fn.lineno}"
+    assert {k: v for k, v in unpassed.items()
+            if k not in ALLOWED_PARAMS} == {}
+    # an allowed parameter that gained a caller is dropped from the list
+    assert set(ALLOWED_PARAMS) <= set(unpassed)
