@@ -3,7 +3,7 @@
 P and Q are the fixed 2x2 matrices over Z[beta] whose Galois views drive
 everything else.  This module houses the conjugation closed forms for
 Q^n sigma2(A) Q^-n, the trace recursion lambda^n + lambda^-n = A_n + B_n
-sqrt2, the Pell-gap table, and the standalone inequality probes.  All
+sqrt2, and the standalone inequality probes.  All
 verdicts are exact; enclosures, int triples (lo, hi, scale) from
 ``intervals``, appear only as reported values.
 """
@@ -42,7 +42,7 @@ def paper_generators() -> tuple[RingMat2, RingMat2]:
 
 
 # ---------------------------------------------------------------------------
-# trace recursion and Pell quantities
+# trace recursion
 
 
 class ChebyshevPair(Record):
@@ -90,66 +90,6 @@ def trace_matches_chebyshev(n: int) -> bool:
     _, q = paper_generators()
     t = (q ** n).trace()
     return t == cheb_value(n)
-
-
-class PellRow(Record):
-    n: int
-    a: int
-    b: int
-    pell_norm: int                     # |A_n^2 - 2 B_n^2|
-    gap: Enclosure                     # |A_n - sqrt2 B_n|
-    ratio_gap: Enclosure               # |A_n / B_n - sqrt2|
-    norm_increased: bool | None        # vs the previous row
-
-
-class PellTable(Record):
-    rows: list[PellRow]
-    first_norm_decrease: int | None
-    monotone_gap_verdict: bool         # did |A - sqrt2 B| grow at every step
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "n": r.n, "A": r.a, "B": r.b,
-                    "pell_norm": r.pell_norm,
-                    "gap": interval_json(r.gap),
-                    "ratio_gap": interval_json(r.ratio_gap),
-                    "norm_increased": r.norm_increased,
-                } for r in self.rows
-            ],
-            "first_norm_decrease": self.first_norm_decrease,
-            "monotone_gap_verdict": self.monotone_gap_verdict,
-        }
-
-
-def pell_divergence(n_max: int) -> PellTable:
-    """Exact Pell-gap table for lambda^n + lambda^-n = A_n + B_n sqrt2.
-
-    gap = |A - sqrt2 B| is evaluated through the exact identity
-    gap = |A^2 - 2B^2| / (A + sqrt2 B), which is stable, with A + sqrt2 B
-    enclosed at 128 bits; the monotonicity of |A^2 - 2B^2| is an exact
-    integer verdict per step.
-    """
-    if n_max < 2:
-        raise ValueError("n_max >= 2 expected")
-    rows: list[PellRow] = []
-    prev_norm = None
-    first_dec = None
-    for n in range(1, n_max + 1):
-        pair = chebyshev(n)
-        a, b = pair.a, pair.b
-        norm = abs(a * a - 2 * b * b)
-        den = QuarticElem(a, 0, b).interval(128)
-        gap = enc_div((norm, norm, 1), den)
-        ratio = (gap[0], gap[1], gap[2] * b)
-        inc = None if prev_norm is None else norm > prev_norm
-        if inc is False and first_dec is None:
-            first_dec = n
-        rows.append(PellRow(n, a, b, norm, gap, ratio, inc))
-        prev_norm = norm
-    monotone = first_dec is None
-    return PellTable(rows, first_dec, monotone)
 
 
 # ---------------------------------------------------------------------------

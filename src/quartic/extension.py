@@ -50,9 +50,6 @@ class QuadExt:
         self._check_compatible(other)
         return _ext(self.a - other.a, self.b - other.b, self._common_d(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return _ext(-self.a, -self.b, self.d)
 
@@ -97,17 +94,6 @@ class QuadExt:
             other = _as_ext(other, self.d)
             return (self - other).is_zero()
         return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("QuadExt is unhashable; compare by value")
-
-    def __lt__(self, other) -> bool:
-        other = _as_ext(other, self.d)
-        return (self - other).sign() == Sign.NEGATIVE
-
-    def __le__(self, other) -> bool:
-        other = _as_ext(other, self.d)
-        return (self - other).sign() != Sign.POSITIVE
 
     def abs(self) -> "QuadExt":
         return -self if self.sign() == Sign.NEGATIVE else self

@@ -1,9 +1,8 @@
 """Integer enclosures for the handful of irrationalities the package uses.
 
 Every enclosure is ints over one positive scale.  The roots beta =
-2^(1/4), sqrt(2), beta^3 and the cube roots of 2 and 4 are enclosed at
-scale 2^bits, cached per bit count; sign determination refines by doubling
-the bit count.  A reported value is an ``Enclosure`` (lo, hi, scale): its
+2^(1/4), sqrt(2) and beta^3 are enclosed at scale 2^bits, cached per bit
+count; sign determination refines by doubling the bit count.  A reported value is an ``Enclosure`` (lo, hi, scale): its
 sums, products and quotients are exact, and precision enters only when
 enclosing a root and when taking a square root for display.
 """
@@ -20,20 +19,6 @@ FILTER_BITS = 48
 def ifourth_root(n: int) -> int:
     """floor(n ** (1/4)) for nonnegative n."""
     return isqrt(isqrt(n))
-
-
-def icbrt(n: int) -> int:
-    """floor(n ** (1/3)) for nonnegative n, Newton iteration on ints."""
-    if n < 0:
-        raise ValueError("icbrt of negative")
-    if n == 0:
-        return 0
-    x = 1 << (-(-n.bit_length() // 3) + 1)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
 
 
 # each root as (lo, hi) integer numerators at scale 2^bits, hi = lo + 1,
@@ -59,26 +44,9 @@ def beta3_bounds(bits: int) -> tuple[int, int]:
     return lo, lo + 1
 
 
-@cache
-def cbrt2_bounds(bits: int) -> tuple[int, int]:
-    lo = icbrt(2 << (3 * bits))
-    return lo, lo + 1
-
-
-@cache
-def cbrt4_bounds(bits: int) -> tuple[int, int]:
-    lo = icbrt(4 << (3 * bits))
-    return lo, lo + 1
-
-
 def quartic_bounds(bits: int):
     """Enclosures of beta, beta^2 = sqrt2 and beta^3 at scale 2^bits."""
     return beta_bounds(bits), sqrt2_bounds(bits), beta3_bounds(bits)
-
-
-def cubic_bounds(bits: int):
-    """Enclosures of 2^(1/3) and 2^(2/3) at scale 2^bits."""
-    return cbrt2_bounds(bits), cbrt4_bounds(bits)
 
 
 def dyadic_bounds(c0: int, cs, bounds_at, bits: int) -> tuple[int, int]:
@@ -117,12 +85,9 @@ def filter_bounds(c0: int, cs, bounds_at) -> tuple[int, int]:
 def dyadic_sign(c0: int, cs, bounds_at) -> int:
     """Exact sign of c0 + sum cs[i] * r_i for integers c0, cs[i].
 
-    1 and the r_i must be linearly independent over Q, so only the zero
-    vector has sign 0 and refinement, from DEFAULT_BITS by doubling, ends
-    for every other vector.
+    1 and the r_i must be linearly independent over Q and some cs[i]
+    nonzero, so refinement, from DEFAULT_BITS by doubling, ends.
     """
-    if not any(cs):
-        return (c0 > 0) - (c0 < 0)
     bits = DEFAULT_BITS
     while True:
         lo, hi = dyadic_bounds(c0, cs, bounds_at, bits)

@@ -33,8 +33,6 @@ from .intervals import (
     FILTER_BITS,
     Enclosure,
     dyadic_bounds,
-    enc_add,
-    enc_mul,
     enc_sqrt,
     filter_bounds,
     quartic_bounds,
@@ -99,14 +97,6 @@ class RingMat2:
     def identity(cls) -> "RingMat2":
         return cls(ONE, ZERO, ZERO, ONE)
 
-    @classmethod
-    def parse(cls, text: str) -> "RingMat2":
-        """Wire format: 'q0 q1 q2 q3; q0 q1 q2 q3; ...' four entries."""
-        parts = [p.strip() for p in text.split(";")]
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 entries separated by ';' in {text!r}")
-        return cls(*(QuarticElem.parse(p) for p in parts))
-
     def entries(self):
         d = self._d
         return tuple([_elem(e, d) for e in self._m])
@@ -121,9 +111,6 @@ class RingMat2:
         if not isinstance(other, RingMat2):
             return NotImplemented
         return self._m == other._m and self._d == other._d
-
-    def __hash__(self):
-        return hash((self._m, self._d))
 
     def __mul__(self, other: "RingMat2") -> "RingMat2":
         return _mat(mul_mat4(self._m, other._m), self._d * other._d)
@@ -177,6 +164,23 @@ class RingMat2:
 
     def commutator(self, other: "RingMat2") -> "RingMat2":
         return self * other * self.inv() * other.inv()
+
+
+def parse_matrix(text: str, elem=QuarticElem, mat=RingMat2):
+    """The 2x2 matrix of the text format 'e11; e12; e21; e22', each entry
+    in ``elem.parse``'s format; a malformed text raises ValueError naming
+    the entry."""
+    parts = [p.strip() for p in text.split(";")]
+    if len(parts) != 4:
+        raise ValueError(
+            f"matrix needs 4 ';'-separated entries, got {len(parts)}")
+    entries = []
+    for pos, part in enumerate(parts, 1):
+        try:
+            entries.append(elem.parse(part))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"matrix entry {pos} ({part!r}): {exc}") from exc
+    return mat(*entries)
 
 
 _new = object.__new__
@@ -256,14 +260,6 @@ class RegularRep:
             return NotImplemented
         return (self.kappa == other.kappa and self.den == other.den
                 and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.kappa, self.den, self.rows))
-
-    def is_identity(self) -> bool:
-        return self.den == 1 and all(c == (i == j)
-                                     for i, row in enumerate(self.rows)
-                                     for j, c in enumerate(row))
 
     def det(self) -> Fraction:
         return Fraction(_bareiss_det(self.rows), self.den ** len(self.rows))
@@ -421,7 +417,8 @@ def block_eig(a: RingMat2, k: int) -> BlockEig:
     if not t.is_real():
         abs2 = t.abs2()
         im2 = t.abs2() - t.re * t.re            # (Im tau)^2 as a quartic value
-        w = (abs2 - QuarticElem(4)) ** 2 + 16 * im2
+        w4 = abs2 - QuarticElem(4)
+        w = w4 * w4 + 16 * im2
         return BlockEig(k, cls, t, u_rad=(abs2, w))
     r = t.re
     if cls == MatClass.HYPERBOLIC:
@@ -500,7 +497,8 @@ def _eigvec_pair(a: RingMat2, lam: QuadExt) -> tuple[QuadExt, QuadExt]:
 
 def eigen2(a: RingMat2, k: int) -> Eigen2:
     """Eigenvalues of the k-th view: exact quadratic-extension data for the
-    real hyperbolic case, interval data otherwise; parabolic is rejected."""
+    real hyperbolic case, the unit circle for the elliptic one; parabolic
+    and loxodromic views are rejected."""
     blk = block_eig(a, k)
     cls = blk.mat_class
     if cls == MatClass.PARABOLIC:
@@ -528,14 +526,7 @@ def eigen2(a: RingMat2, k: int) -> Eigen2:
         rec.note = "complex conjugate pair on the unit circle"
         rec.modulus_sq_interval = (1, 1, 1)
     else:
-        # |lambda|^2 = (u + sqrt(u^2 - 4)) / 2 with u = (a + sqrt w) / 2
-        a_u, w_u = blk.u_rad
-        lo, hi, s = enc_add(a_u.interval(), enc_sqrt(w_u.interval()))
-        u = (lo, hi, 2 * s)
-        root = enc_sqrt(enc_add(enc_mul(u, u), (-4, -4, 1)))
-        lo, hi, s = enc_add(u, root)
-        rec.modulus_sq_interval = (lo, hi, 2 * s)
-        rec.note = "non-real eigenvalue pair lambda, 1/lambda"
+        raise ValueError("eigen data of a loxodromic view is not supported")
     return rec
 
 

@@ -45,10 +45,11 @@ from .linalg import (
     classify,
     compare_u,
     eigen2,
+    parse_matrix,
     share_eigenvector,
 )
 from .record import Record
-from .ring import ONE, ZERO, QuarticElem, Sign, mul4, sign4
+from .ring import ONE, QuarticElem, Sign, mul4, sign4
 
 
 # ---------------------------------------------------------------------------
@@ -73,66 +74,14 @@ class ProjPoint(Record, frozen=True):
         return len(self.coords)
 
 
-def _as_ext_parts(x) -> tuple[QuarticElem, QuarticElem, QuarticElem | None]:
-    """(a, b, d) for a value a + b sqrt(d); base values carry d = None."""
-    if isinstance(x, QuadExt):
-        if x.b.is_zero():
-            return x.a, ZERO, None
-        return x.a, x.b, x.d
-    return x, ZERO, None
-
-
-def _cross_is_zero(pi, qj, pj, qi) -> bool:
-    """Exact vanishing of pi*qj - pj*qi where the p and q coordinates may
-    live in two different quadratic extensions of the base field.
-
-    The cross expands to X + sqrt(d2) * Y with X, Y in the p-extension;
-    it vanishes iff X^2 = d2 * Y^2 with opposite signs on X and Y.
-    """
-    a_i, b_i, d1_i = _as_ext_parts(pi)
-    a_j, b_j, d1_j = _as_ext_parts(pj)
-    c_j, e_j, d2_j = _as_ext_parts(qj)
-    c_i, e_i, d2_i = _as_ext_parts(qi)
-    d1 = d1_i if d1_i is not None else d1_j
-    d2 = d2_j if d2_j is not None else d2_i
-    if d1_i is not None and d1_j is not None and d1_i != d1_j:
-        raise InternalMismatch("point coordinates in two different extensions")
-    if d2_i is not None and d2_j is not None and d2_i != d2_j:
-        raise InternalMismatch("point coordinates in two different extensions")
-    # components of the cross over {1, sqrt d1, sqrt d2, sqrt d1 sqrt d2}
-    comp_a = a_i * c_j - a_j * c_i
-    comp_b = b_i * c_j - b_j * c_i
-    comp_c = a_i * e_j - a_j * e_i
-    comp_d = b_i * e_j - b_j * e_i
-    if d1 is None:
-        d1 = ZERO
-    if d2 is None:
-        d2 = ZERO
-    x = QuadExt(comp_a, comp_b, d1)
-    y = QuadExt(comp_c, comp_d, d1)
-    if d2.is_zero():
-        return x.is_zero()
-    if not (x * x == y * y * QuadExt.of_base(d2, d1)):
-        return False
-    sx = x.sign()
-    sy = y.sign()
-    if sx == Sign.ZERO and sy == Sign.ZERO:
-        return True
-    return sx != sy and Sign.ZERO not in (sx, sy)
-
-
 def proj_equal(p: ProjPoint, q: ProjPoint) -> bool:
-    """Exact proportionality test; handles coordinates living in two
-    different quadratic extensions of the base field."""
+    """Exact proportionality test of two points whose coordinates lie in
+    one quadratic extension of the base field; coordinates in two
+    different extensions raise ``InternalMismatch``."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} vs {q.dim}")
-    n = p.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not _cross_is_zero(p.coords[i], q.coords[j],
-                                  p.coords[j], q.coords[i]):
-                return False
-    return True
+    return all((p.coords[i] * q.coords[j] - p.coords[j] * q.coords[i]).is_zero()
+               for i in range(p.dim) for j in range(i + 1, p.dim))
 
 
 # the most bits a chordal distance enclosure is refined to; a certificate
@@ -217,19 +166,11 @@ class DominanceAnalysis(Record):
 
 
 def _blocks_of(m) -> tuple[list[BlockEig], RingMat2]:
+    """The eigen blocks of a RingMat2 (its identity view) or of the rank-8
+    representation of one (all four views)."""
     if isinstance(m, RegularRep):
-        src = m.source
-        if not isinstance(src, RingMat2):
-            raise ValueError(
-                "dominance analysis needs the 2x2 source of the representation")
-        if m.kappa == 4:
-            return [block_eig(src, k) for k in range(4)], src
-        if m.kappa == 2:
-            return [block_eig(src, k) for k in (0, 2)], src
-        raise ValueError("dominance analysis supports kappa 2 and 4")
-    if isinstance(m, RingMat2):
-        return [block_eig(m, 0)], m
-    raise TypeError(f"unsupported input {type(m).__name__}")
+        return [block_eig(m.source, k) for k in range(4)], m.source
+    return [block_eig(m, 0)], m
 
 
 def analyze_dominance(m) -> DominanceAnalysis:
@@ -547,8 +488,8 @@ class PingPongCertificate(Record):
         balls = {b["name"]: Ball.from_json(b) for b in obj["balls"]}
         return cls(
             exponent=int(obj["N"]),
-            gen_a=RingMat2.parse(obj["generator_a"]),
-            gen_b=RingMat2.parse(obj["generator_b"]),
+            gen_a=parse_matrix(obj["generator_a"]),
+            gen_b=parse_matrix(obj["generator_b"]),
             balls=balls,
             conditions=[MappingCondition.from_json(c)
                         for c in obj["checked_conditions"]],
@@ -873,7 +814,10 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
         if name not in expected:
             problems.append(f"unknown ball {name}")
             continue
-        if not proj_equal(ball.center_point(), ProjPoint(expected[name])):
+        # a center over another extension is not compared, but rejected
+        if (ball.center[0].d != expected[name][0].d
+                or not proj_equal(ball.center_point(),
+                                  ProjPoint(expected[name]))):
             problems.append(f"ball {name} center is not the eigenvector point")
         if ball.radius <= 0:
             problems.append(f"ball {name} has nonpositive radius")

@@ -20,7 +20,7 @@ import enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalMismatch, NonIntegralInput, UnsignedElement
+from .errors import InternalMismatch, UnsignedElement
 from .intervals import (
     DEFAULT_BITS,
     Enclosure,
@@ -49,10 +49,6 @@ class Signedness(enum.Enum):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
@@ -185,30 +181,12 @@ class QuarticElem:
     def __repr__(self) -> str:
         return f"QuarticElem({self.to_text()!r})"
 
-    def __str__(self) -> str:
-        names = ("", "b", "b^2", "b^3")
-        parts = []
-        for c, n in zip(self.coeffs(), names):
-            if c == 0:
-                continue
-            term = str(c) if not n else (n if abs(c) == 1 else f"{abs(c)}*{n}")
-            if n and c < 0:
-                term = "-" + term
-            parts.append(term if not parts or term.startswith("-") else "+" + term)
-        return "".join(parts) or "0"
-
     def __eq__(self, other) -> bool:
         if type(other) is not QuarticElem:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
         return self._c == other._c and self._d == other._d
-
-    def __hash__(self):
-        # equal to the hash of the Fraction 4-tuple coeffs()
-        if self._d == 1:
-            return hash(self._c)
-        return hash(self.coeffs())
 
     def _plus(self, other, s: int):
         """self + s * other for s = 1 or -1."""
@@ -233,9 +211,6 @@ class QuarticElem:
     def __sub__(self, other):
         return self._plus(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         c0, c1, c2, c3 = self._c
         return _elem((-c0, -c1, -c2, -c3), self._d)
@@ -254,20 +229,12 @@ class QuarticElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QuarticElem":
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n) if n else ONE
-
     def is_zero(self) -> bool:
         return self._c == (0, 0, 0, 0)
 
     def is_rational(self) -> bool:
         _, c1, c2, c3 = self._c
         return not (c1 or c2 or c3)
-
-    def is_integral(self) -> bool:
-        return self._d == 1
 
     def in_even_subring(self) -> bool:
         """True when the element lies in Q(sqrt2), i.e. no beta or beta^3 part."""
@@ -300,14 +267,6 @@ class QuarticElem:
         s = -1 if n < 0 else 1
         return y * _elem((s * z._d * u, 0, -s * z._d * v, 0), s * n)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
     def interval(self, bits: int = DEFAULT_BITS) -> Enclosure:
         c0, c1, c2, c3 = self._c
         lo, hi = dyadic_bounds(c0, (c1, c2, c3), quartic_bounds, bits)
@@ -325,12 +284,6 @@ class QuarticElem:
         if other is None:
             return NotImplemented
         return (self - other).sign() == Sign.NEGATIVE
-
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() != Sign.POSITIVE
 
 
 def _coerce(x) -> QuarticElem | None:
@@ -376,19 +329,8 @@ class EmbeddedComplex:
     def __repr__(self) -> str:
         return f"EmbeddedComplex({self.re!r}, {self.im_scale!r})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmbeddedComplex):
-            return NotImplemented
-        return self.re == other.re and self.im_scale == other.im_scale
-
-    def __hash__(self):
-        return hash((self.re, self.im_scale))
-
     def is_real(self) -> bool:
         return self.im_scale.is_zero()
-
-    def __add__(self, other: "EmbeddedComplex") -> "EmbeddedComplex":
-        return EmbeddedComplex(self.re + other.re, self.im_scale + other.im_scale)
 
     def __mul__(self, other: "EmbeddedComplex") -> "EmbeddedComplex":
         # (r1 + b s1 i)(r2 + b s2 i) = r1 r2 - sqrt2 s1 s2 + b (r1 s2 + r2 s1) i
@@ -500,17 +442,3 @@ def delta1(x: QuarticElem) -> QuarticElem:
 def delta2(x: QuarticElem) -> QuarticElem:
     return x.odd_part() - gamma2(x)
 
-
-def in_S(x: QuarticElem, eps, c) -> bool:
-    """Membership in {x integral : 0 < |x| < eps, |sigma1(x)| < c}, exact."""
-    eps = _frac(eps)
-    c = _frac(c)
-    if eps <= 0 or c <= 0:
-        raise ValueError("thresholds must be positive")
-    if not x.is_integral():
-        raise NonIntegralInput(f"in_S needs integer coefficients: {x.to_text()}")
-    if x.is_zero():
-        return False
-    if (x * x - QuarticElem(eps * eps)).sign() != Sign.NEGATIVE:
-        return False
-    return (galois(x, 1).abs2() - c * c).sign() == Sign.NEGATIVE

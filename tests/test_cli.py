@@ -302,6 +302,8 @@ def test_bad_config_exit_two(tmp_path, capsys):
     negative.write_text("L = -1\n")
     no_threads = tmp_path / "threads.cfg"
     no_threads.write_text("threads = 0\n")
+    zero_n = tmp_path / "zero_n.cfg"
+    zero_n.write_text("N = 0\n")
     for argv in (["margin", "--config", str(unknown)],
                  ["margin", "--config", str(negative)],
                  ["margin", "--config", str(no_threads)],
@@ -311,11 +313,15 @@ def test_bad_config_exit_two(tmp_path, capsys):
                  ["margin", "--N", "0", "--L", "2"],
                  ["certify", "--N", "3", "--L", "0"],
                  ["certify", "--N", "0"],
-                 ["search", "--bound", "1", "--count", "0"]):
+                 ["search", "--bound", "1", "--count", "0"],
+                 # 0 is not read as unset: no check runs, no report
+                 ["verify-paper", "--N", "0"],
+                 ["verify-paper", "--config", str(zero_n)]):
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         # one error line, no traceback
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert out == "", argv
 
 
 def test_option_on_wrong_command_exit_two(capsys):

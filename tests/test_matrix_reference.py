@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quartic.cli import _parse_matrix
 from quartic.errors import SingularMatrix
 from quartic.linalg import RingMat2
 from quartic.ring import QuarticElem
@@ -83,11 +84,11 @@ def test_inverse_and_powers_match(xs, n):
 
 
 @given(matrices, matrices)
-def test_equality_and_hash_match(xs, ys):
+def test_equality_matches(xs, ys):
     (a, r), (b, s) = pair(xs), pair(ys)
     assert (a == b) == (r == s)
-    # the same value reached by a product has the same storage and hash
+    # the same value reached by a product has the same storage
     again = RingMat2(*(r * s).entries())
     assert again == a * b
-    assert hash(again) == hash(a * b)
-    assert RingMat2.parse(a.to_text()) == a
+    assert again._m == (a * b)._m and again._d == (a * b)._d
+    assert _parse_matrix(a.to_text()) == a

@@ -21,10 +21,9 @@ ALLOWED = {
     "dual_smallness_scan": "the acceptance gate reads it",
     "passes_iv_and_viii": "the acceptance gate reads it",
     "QuadRat": "the acceptance gate reads it",
+    "chebyshev": "the acceptance gate reads it",
     "charpoly_fraction": "the acceptance gate's spectrum decomposition",
     "embedded_charpoly_product": "the acceptance gate's spectrum decomposition",
-    "in_S": "PAPER.md's layout names it as the thin set S_{eps,c}",
-    "pell_divergence": "README's Pell finding cites it; a golden test pins it",
 }
 
 
