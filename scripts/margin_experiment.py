@@ -23,14 +23,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-N", type=int, default=4)
     ap.add_argument("--max-L", type=int, default=6)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
 
     rows = []
     for n in range(1, args.max_N + 1):
         t0 = time.monotonic()
-        rep = discreteness_margin(n, args.max_L, threads=args.threads)
+        rep = discreteness_margin(n, args.max_L)
         m_lo, m_hi, m_s = rep.margin
         e_lo, e_hi, e_s = rep.factors["s2"]
         rows.append({

@@ -3,9 +3,9 @@
 Subcommands: verify-paper, classify, repr, margin, certify, search,
 conjugate, probe-inequality.  Every command emits a Report, as text or as
 deterministic JSON (--json).  Exit codes: 0 all checks pass (errata are
-reported but do not fail), 1 any check fails, 2 bad usage, bad config,
-unparseable input or an out-of-range setting, 141 (128 + SIGPIPE) stdout
-closed before the report was written.
+reported but do not fail), 1 any check fails, 2 bad usage, unparseable
+input or an out-of-range setting, 141 (128 + SIGPIPE) stdout closed before
+the report was written.
 """
 
 from __future__ import annotations
@@ -35,51 +35,9 @@ from .ring import ONE, QuarticElem, field_quantity_N, sqrt2_text
 
 EXIT_BROKEN_PIPE = 141
 
-DEFAULTS = {
-    "N": None,          # None: take the exponent from the ping-pong certificate
-    "L": 8,
-    "bound": 2,
-    "threads": 1,
-}
-
 
 class UsageError(Exception):
     pass
-
-
-def _parse_config(path: str) -> dict:
-    values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(
-                        f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-                key, _, val = line.partition("=")
-                key = key.strip()
-                val = val.strip()
-                if key not in DEFAULTS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = int(val)
-                except ValueError as exc:
-                    raise UsageError(
-                        f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    return values
-
-
-def _setting(args, config: dict, key: str):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return DEFAULTS[key]
 
 
 def _parse_matrix(text: str, elem=QuarticElem, mat=RingMat2):
@@ -183,18 +141,18 @@ def _random_word_matrix(rng: random.Random, p: RingMat2, q: RingMat2,
     return out
 
 
-def cmd_verify_paper(args, config: dict) -> Report:
+def cmd_verify_paper(args) -> Report:
     from . import probe, projective
     from .extension import QuadExt
     rep = Report("verify-paper")
-    n_set = _setting(args, config, "N")
-    # 0 is a setting, not an unset one: reject it before any check runs
-    if n_set is not None and n_set < 1:
-        raise UsageError(f"N must be at least 1, got {n_set}")
+    # 0 is a setting, not an unset one: reject it, and a depth out of
+    # range, before any check runs
+    if args.N is not None and args.N < 1:
+        raise UsageError(f"N must be at least 1, got {args.N}")
+    probe.check_depth(args.L)
     p, q = construction.paper_generators()
     p, q = _apply_overrides(p, q, args.override)
     rep.inputs = {"overrides": args.override or []}
-    threads = _setting(args, config, "threads")
 
     # displayed representation matrices
     psi_p = regular_rep(p, 4).to_int_grid()
@@ -319,30 +277,27 @@ def cmd_verify_paper(args, config: dict) -> Report:
         rep.add("freeness_certificate", PASS if cert_ok else FAIL,
                 value={"N": fp.exponent, "problems": problems},
                 anchor="ping-pong certificate for the third-view pair")
-        n_default = fp.exponent if n_set is None else n_set
+        n_default = fp.exponent if args.N is None else args.N
     except QuarticError as exc:
         rep.add("freeness_certificate", FAIL, value=str(exc),
                 anchor="ping-pong certificate for the third-view pair")
-        n_default = 1 if n_set is None else n_set
+        n_default = 1 if args.N is None else args.N
 
-    depth = _setting(args, config, "L")
-    margin = probe.discreteness_margin(n_default, depth, pair=(p, q),
-                                       threads=threads)
+    margin = probe.discreteness_margin(n_default, args.L, pair=(p, q))
     margin_pos = margin.margin[0] > 0
     rep.add("margin_positive", PASS if margin_pos else FAIL,
-            value={"N": n_default, "L": depth,
+            value={"N": n_default, "L": args.L,
                    "margin": interval_json(margin.margin),
                    "witness": str(margin.witness)},
             anchor="discreteness margin at the default depth")
     return rep
 
 
-def cmd_classify(args, config: dict) -> Report:
+def cmd_classify(args) -> Report:
     rep = Report("classify")
     mat = _parse_matrix(args.matrix)
-    k = args.k if args.k is not None else 0
-    got = classify(mat, k)
-    rep.inputs = {"matrix": mat.to_text(), "k": k}
+    got = classify(mat, args.k)
+    rep.inputs = {"matrix": mat.to_text(), "k": args.k}
     rep.add("class", PASS, value={
         "class": got.value,
         "as_paper_hyperbolic": as_paper_hyperbolic(got),
@@ -350,9 +305,9 @@ def cmd_classify(args, config: dict) -> Report:
     return rep
 
 
-def cmd_repr(args, config: dict) -> Report:
+def cmd_repr(args) -> Report:
     rep = Report("repr")
-    kappa = args.kappa if args.kappa is not None else 4
+    kappa = args.kappa
     if kappa == 3:
         from .cubic import CubicElem, CubicMat2
         mat = _parse_matrix(args.matrix, CubicElem, CubicMat2)
@@ -365,28 +320,26 @@ def cmd_repr(args, config: dict) -> Report:
     return rep
 
 
-def cmd_margin(args, config: dict) -> Report:
+def cmd_margin(args) -> Report:
     from . import probe, projective
     rep = Report("margin")
-    n = _setting(args, config, "N")
+    # a depth out of range exits before the exponent search runs
+    probe.check_depth(args.L)
+    n = args.N
     if n is None:
         pair = construction.paper_generators()
         n = projective.free_pair_power(*pair).exponent
-    depth = _setting(args, config, "L")
-    threads = _setting(args, config, "threads")
-    result = probe.discreteness_margin(n, depth, threads=threads)
-    rep.inputs = {"N": n, "L": depth}
+    result = probe.discreteness_margin(n, args.L)
+    rep.inputs = {"N": n, "L": args.L}
     rep.add("margin", PASS if result.margin[0] > 0 else FAIL,
             value=result.to_json())
     return rep
 
 
-def cmd_certify(args, config: dict) -> Report:
+def cmd_certify(args) -> Report:
     from . import probe, projective
     rep = Report("certify")
-    depth = _setting(args, config, "L")
-    cert = probe.freeness_certificate(_setting(args, config, "N"),
-                                      crosscheck_depth=depth)
+    cert = probe.freeness_certificate(args.N, crosscheck_depth=args.L)
     rep.inputs = {"N": cert.n}
     if cert.pingpong is None:
         ok, balls = False, []
@@ -403,37 +356,33 @@ def cmd_certify(args, config: dict) -> Report:
     return rep
 
 
-def cmd_search(args, config: dict) -> Report:
+def cmd_search(args) -> Report:
     from . import limits
     rep = Report("search")
-    bound = _setting(args, config, "bound")
-    count = 25 if args.count is None else args.count
-    cands = limits.search_limit_candidates(bound, count=count)
-    rep.inputs = {"bound": bound, "count": count}
+    cands = limits.search_limit_candidates(args.bound, count=args.count)
+    rep.inputs = {"bound": args.bound, "count": args.count}
     rep.add("candidates", PASS,
             value=[c.to_json() for c in cands])
     rep.add("candidate_count", PASS, value=len(cands))
     return rep
 
 
-def cmd_conjugate(args, config: dict) -> Report:
+def cmd_conjugate(args) -> Report:
     rep = Report("conjugate")
     mat = _parse_matrix(args.matrix)
-    n = args.n if args.n is not None else 1
-    rec = construction.conjugation_record(mat, n)
-    rep.inputs = {"matrix": mat.to_text(), "n": n}
+    rec = construction.conjugation_record(mat, args.n)
+    rep.inputs = {"matrix": mat.to_text(), "n": args.n}
     rep.add("record", PASS if rec.closed_forms_match else FAIL,
             value=rec.to_json())
     return rep
 
 
-def cmd_probe_inequality(args, config: dict) -> Report:
+def cmd_probe_inequality(args) -> Report:
     rep = Report("probe-inequality")
     mat = _parse_matrix(args.matrix)
-    which = args.which
-    rec = construction.inequality_probe(mat, which)
-    rep.inputs = {"matrix": mat.to_text(), "which": which}
-    rep.add(f"inequality_{which}", PROBE_ONLY, value=rec.to_json())
+    rec = construction.inequality_probe(mat, args.which)
+    rep.inputs = {"matrix": mat.to_text(), "which": args.which}
+    rep.add(f"inequality_{args.which}", PROBE_ONLY, value=rec.to_json())
     return rep
 
 
@@ -456,20 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "Q(2^(1/4))")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, settings=False, threads=False, exponent=False):
+    def common(sp, exponent=False):
         sp.add_argument("--json", action="store_true",
                         help="emit a deterministic JSON report")
-        if settings:
-            sp.add_argument("--config", type=str, default=None)
-        if threads:
-            sp.add_argument("--threads", type=int, default=None)
         if exponent:
+            # None: take the exponent from the ping-pong certificate
             sp.add_argument("--N", type=int, default=None)
-            sp.add_argument("--L", type=int, default=None)
+            sp.add_argument("--L", type=int, default=8)
 
     sp = sub.add_parser("verify-paper",
                         help="re-derive the built-in reference values")
-    common(sp, settings=True, threads=True, exponent=True)
+    common(sp, exponent=True)
     sp.add_argument("--override", action="append", default=None,
                     metavar="P11=q0 q1 q2 q3",
                     help="replace a generator entry (negative testing)")
@@ -477,28 +423,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="trace classification of one view")
     common(sp)
     sp.add_argument("matrix")
-    sp.add_argument("--k", type=int, default=None, choices=(0, 1, 2, 3))
+    sp.add_argument("--k", type=int, default=0, choices=(0, 1, 2, 3))
 
     sp = sub.add_parser("repr", help="regular representation matrix")
     common(sp)
     sp.add_argument("matrix")
-    sp.add_argument("--kappa", type=int, default=None, choices=(2, 3, 4))
+    sp.add_argument("--kappa", type=int, default=4, choices=(2, 3, 4))
 
     sp = sub.add_parser("margin", help="discreteness margin scan")
-    common(sp, settings=True, threads=True, exponent=True)
+    common(sp, exponent=True)
 
     sp = sub.add_parser("certify", help="ping-pong freeness certificate")
-    common(sp, settings=True, exponent=True)
+    common(sp, exponent=True)
 
     sp = sub.add_parser("search", help="bounded limit-candidate search")
-    common(sp, settings=True)
-    sp.add_argument("--bound", type=int, default=None)
-    sp.add_argument("--count", type=int, default=None)
+    common(sp)
+    sp.add_argument("--bound", type=int, default=2)
+    sp.add_argument("--count", type=int, default=25)
 
     sp = sub.add_parser("conjugate", help="conjugation record by Q^n")
     common(sp)
     sp.add_argument("matrix")
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=int, default=1)
 
     sp = sub.add_parser("probe-inequality", help="inequality diagnostics")
     common(sp)
@@ -514,15 +460,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    path = getattr(args, "config", None)
-    try:
-        config = _parse_config(path) if path else {}
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     start = time.monotonic()
     try:
-        rep = COMMANDS[args.command](args, config)
+        rep = COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

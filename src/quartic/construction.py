@@ -167,7 +167,6 @@ class ConjugationRecord(Record):
     direct_primed: RingMat2
     closed_forms_match: bool
     delta_available: bool
-    gamma_matrix: RingMat2 | None = None
     delta_matrix: RingMat2 | None = None
     s1: QuarticElem | None = None
     s2: QuarticElem | None = None
@@ -251,7 +250,6 @@ def conjugation_record(a: RingMat2, n: int) -> ConjugationRecord:
                                              gamma)
     d11, d12, d21, d22 = _conj_decomposition(zeta, eta, mu, nu, an, bn, cn, dn,
                                              delta)
-    record.gamma_matrix = RingMat2(g11, g12, g21, g22)
     record.delta_matrix = RingMat2(d11 + ONE, d12, d21, d22 + ONE)
     checks["gamma_plus_delta"] = (
         RingMat2(g11 + d11 + ONE, g12 + d12, g21 + d21, g22 + d22 + ONE)

@@ -50,7 +50,7 @@ class NotHyperbolicLike(QuarticError):
 
 
 class DepthTooLarge(QuarticError):
-    """Word-enumeration depth beyond the configured cap."""
+    """Word-enumeration depth beyond the depth cap."""
 
 
 class SearchOverflow(QuarticError):

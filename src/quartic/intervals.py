@@ -49,12 +49,11 @@ def quartic_bounds(bits: int):
     return beta_bounds(bits), sqrt2_bounds(bits), beta3_bounds(bits)
 
 
-def dyadic_bounds(c0: int, cs, bounds_at, bits: int) -> tuple[int, int]:
-    """Integer bounds for (c0 + sum cs[i] * r_i) * 2^bits, where
-    bounds_at(bits) gives each irrational r_i as (lo, hi) numerators at
-    scale 2^bits."""
+def dyadic_bounds(c0: int, cs, bits: int) -> tuple[int, int]:
+    """Integer bounds for (c0 + cs[0] beta + cs[1] beta^2 + cs[2] beta^3)
+    * 2^bits, from ``quartic_bounds(bits)``."""
     lo = hi = c0 << bits
-    for c, (plo, phi) in zip(cs, bounds_at(bits)):
+    for c, (plo, phi) in zip(cs, quartic_bounds(bits)):
         if c >= 0:
             lo += c * plo
             hi += c * phi
@@ -64,8 +63,9 @@ def dyadic_bounds(c0: int, cs, bounds_at, bits: int) -> tuple[int, int]:
     return lo, hi
 
 
-def filter_bounds(c0: int, cs, bounds_at) -> tuple[int, int]:
-    """Integer bounds for (c0 + sum cs[i] * r_i) * 2^FILTER_BITS.
+def filter_bounds(c0: int, cs) -> tuple[int, int]:
+    """Integer bounds for (c0 + cs[0] beta + cs[1] beta^2 + cs[2] beta^3)
+    * 2^FILTER_BITS.
 
     The enclosure is taken at the coefficients' bit length plus FILTER_BITS
     and rounded outward, so its width is a few units at scale
@@ -77,20 +77,22 @@ def filter_bounds(c0: int, cs, bounds_at) -> tuple[int, int]:
     for c in cs:
         m |= abs(c)
     bits = m.bit_length() + FILTER_BITS
-    lo, hi = dyadic_bounds(c0, cs, bounds_at, bits)
+    lo, hi = dyadic_bounds(c0, cs, bits)
     shift = bits - FILTER_BITS
     return lo >> shift, -(-hi >> shift)
 
 
-def dyadic_sign(c0: int, cs, bounds_at) -> int:
-    """Exact sign of c0 + sum cs[i] * r_i for integers c0, cs[i].
+def dyadic_sign(c0: int, cs) -> int:
+    """Exact sign of c0 + cs[0] beta + cs[1] beta^2 + cs[2] beta^3 for
+    integers c0, cs[i].
 
-    1 and the r_i must be linearly independent over Q and some cs[i]
-    nonzero, so refinement, from DEFAULT_BITS by doubling, ends.
+    Some cs[i] must be nonzero: 1, beta, beta^2 and beta^3 are linearly
+    independent over Q, so refinement, from DEFAULT_BITS by doubling, then
+    ends.
     """
     bits = DEFAULT_BITS
     while True:
-        lo, hi = dyadic_bounds(c0, cs, bounds_at, bits)
+        lo, hi = dyadic_bounds(c0, cs, bits)
         if lo > 0:
             return 1
         if hi < 0:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .construction import paper_generators
 from .errors import NonIntegralInput, NotUnimodular, QuarticError
 from .intervals import (DEFAULT_BITS, Enclosure, dyadic_bounds, enc_add,
-                        interval_json, quartic_bounds)
+                        interval_json)
 from .linalg import (
     MatClass,
     RingMat2,
@@ -131,8 +131,8 @@ def _part_bounds(pairs):
     entry's even and odd parts sum, bound for bound, to the entry's own."""
     even, odd = {}, {}
     for x, y in pairs:
-        even[x, y] = dyadic_bounds(x, (0, y, 0), quartic_bounds, DEFAULT_BITS)
-        odd[x, y] = dyadic_bounds(0, (x, 0, y), quartic_bounds, DEFAULT_BITS)
+        even[x, y] = dyadic_bounds(x, (0, y, 0), DEFAULT_BITS)
+        odd[x, y] = dyadic_bounds(0, (x, 0, y), DEFAULT_BITS)
     return even, odd
 
 

@@ -35,7 +35,6 @@ from .intervals import (
     dyadic_bounds,
     enc_sqrt,
     filter_bounds,
-    quartic_bounds,
 )
 from .record import Record
 from .ring import (
@@ -475,12 +474,8 @@ class Eigen2(Record):
     trace: EmbeddedComplex
     lam_dominant: QuadExt | None = None
     lam_recessive: QuadExt | None = None
-    lam_dominant_interval: Enclosure | None = None
-    lam_recessive_interval: Enclosure | None = None
     vec_dominant: tuple[QuadExt, QuadExt] | None = None
     vec_recessive: tuple[QuadExt, QuadExt] | None = None
-    modulus_sq_interval: Enclosure | None = None
-    note: str = ""
 
 
 def _eigvec_pair(a: RingMat2, lam: QuadExt) -> tuple[QuadExt, QuadExt]:
@@ -497,8 +492,9 @@ def _eigvec_pair(a: RingMat2, lam: QuadExt) -> tuple[QuadExt, QuadExt]:
 
 def eigen2(a: RingMat2, k: int) -> Eigen2:
     """Eigenvalues of the k-th view: exact quadratic-extension data for the
-    real hyperbolic case, the unit circle for the elliptic one; parabolic
-    and loxodromic views are rejected."""
+    real hyperbolic case, the class and trace alone for the elliptic one,
+    whose pair lies on the unit circle; parabolic and loxodromic views are
+    rejected."""
     blk = block_eig(a, k)
     cls = blk.mat_class
     if cls == MatClass.PARABOLIC:
@@ -516,16 +512,10 @@ def eigen2(a: RingMat2, k: int) -> Eigen2:
         view = a.real_view(k) if k in (0, 2) else None
         rec.lam_dominant = lam_dom
         rec.lam_recessive = lam_rec
-        rec.lam_dominant_interval = lam_dom.interval()
-        rec.lam_recessive_interval = lam_rec.interval()
         if view is not None:
             rec.vec_dominant = _eigvec_pair(view, lam_dom)
             rec.vec_recessive = _eigvec_pair(view, lam_rec)
-        rec.note = "real hyperbolic pair lambda, 1/lambda"
-    elif cls == MatClass.ELLIPTIC:
-        rec.note = "complex conjugate pair on the unit circle"
-        rec.modulus_sq_interval = (1, 1, 1)
-    else:
+    elif cls != MatClass.ELLIPTIC:
         raise ValueError("eigen data of a loxodromic view is not supported")
     return rec
 
@@ -618,7 +608,7 @@ def minus_identity4(mat, one: int, scale: int) -> list:
 
 def enclosed(t) -> tuple[int, int, tuple]:
     """(lo, hi, t) for an int 4-tuple t, with lo <= t * 2^FILTER_BITS <= hi."""
-    lo, hi = filter_bounds(t[0], t[1:], quartic_bounds)
+    lo, hi = filter_bounds(t[0], t[1:])
     return lo, hi, t
 
 
@@ -668,7 +658,7 @@ def view_dist4(xs, k: int) -> tuple[int, int, tuple]:
     bits = m.bit_length() + FILTER_BITS
     win = None
     for x in xs:
-        lo, hi = dyadic_bounds(x[0], x[1:], quartic_bounds, bits)
+        lo, hi = dyadic_bounds(x[0], x[1:], bits)
         if hi < 0:
             lo, hi = -hi, -lo
         elif lo < 0:
@@ -714,12 +704,11 @@ def entry_exceeds(xs, k: int, bound: int) -> bool:
     for c0, c1, c2, c3 in xs:
         if k & 1:
             lo = filter_bounds(c0 * c0 + 2 * c2 * c2 - 4 * c1 * c3,
-                               (0, c1 * c1 + 2 * c3 * c3 - 2 * c0 * c2, 0),
-                               quartic_bounds)[0]
+                               (0, c1 * c1 + 2 * c3 * c3 - 2 * c0 * c2, 0))[0]
         else:
             if k:
                 c1, c3 = -c1, -c3
-            lo, hi = filter_bounds(c0, (c1, c2, c3), quartic_bounds)
+            lo, hi = filter_bounds(c0, (c1, c2, c3))
             # |x| * 2^FILTER_BITS >= lo >= 0, so
             # x^2 * 2^FILTER_BITS >= lo^2 >> FILTER_BITS
             lo = lo if lo > 0 else -hi if hi < 0 else 0

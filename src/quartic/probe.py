@@ -270,24 +270,25 @@ def _scan_subtree(gens, den: int, first: int, depth: int,
     return best, ties, cum[1:]
 
 
-def _check_depth(depth: int) -> None:
-    """Raise ``DepthTooLarge`` when a word depth L is beyond the cap."""
+def check_depth(depth: int) -> None:
+    """Raise ``ValueError`` for a word depth L below 1 and ``DepthTooLarge``
+    for one beyond the cap."""
+    if depth < 1:
+        raise ValueError(f"need L >= 1, got {depth}")
     if depth > DEFAULT_DEPTH_CAP:
         raise DepthTooLarge(f"L = {depth} beyond cap {DEFAULT_DEPTH_CAP}")
 
 
-def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
+def discreteness_margin(n: int, depth: int, pair=None,
                         views: tuple[int, int] = (0, 1)) -> MarginReport:
     """Minimum over nonempty reduced words of length <= depth of the
     product-metric distance max(d(view0(W), I), d(view1(W), I)), exact.
     Both generators must have determinant one."""
-    if n < 1 or depth < 1:
-        raise ValueError("need N >= 1 and L >= 1")
-    if threads < 1:
-        raise ValueError("need threads >= 1")
+    if n < 1:
+        raise ValueError(f"need N >= 1, got {n}")
     if any(k not in (0, 1, 2, 3) for k in views):
         raise ValueError(f"embedding index must be 0..3, got {views}")
-    _check_depth(depth)
+    check_depth(depth)
     if pair is None:
         pair = paper_generators()
     if any(g.det() != ONE for g in pair):
@@ -300,16 +301,8 @@ def discreteness_margin(n: int, depth: int, pair=None, threads: int = 1,
     # (``_scan_subtree``) starts with f or g
     swap = all(g[2] == tuple([-x for x in g[1]]) for g in gens)
     roots = (0, 2) if swap else range(4)
-    k = len(roots)
-    tasks = ([gens] * k, [den] * k, roots, [depth] * k, [views] * k,
-             [seed] * k, [swap] * k)
-    if threads > 1:
-        # imported here: the pool module costs every command's start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
-            results = list(pool.map(_scan_subtree, *tasks))
-    else:
-        results = list(map(_scan_subtree, *tasks))
+    results = [_scan_subtree(gens, den, r, depth, views, seed, swap)
+               for r in roots]
 
     best = None
     ties: list[tuple[int, ...]] = []
@@ -370,9 +363,9 @@ def freeness_certificate(n: int | None,
     exponent no radius certifies gets no certificate, and its words are
     still cross-checked.  The depth is capped at the margin's
     ``DEFAULT_DEPTH_CAP``."""
-    if (n is not None and n < 1) or crosscheck_depth < 1:
-        raise ValueError("need a positive exponent and cross-check depth")
-    _check_depth(crosscheck_depth)
+    if n is not None and n < 1:
+        raise ValueError(f"need a positive exponent, got {n}")
+    check_depth(crosscheck_depth)
     p, q = paper_generators()
     if n is None:
         cert = free_pair_power(p, q).certificate

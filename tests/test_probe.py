@@ -1,6 +1,5 @@
 """The word walker, margins, freeness, torsion, dual smallness."""
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -213,14 +212,6 @@ def test_margin_witness_ties_include_inverse():
     assert inverse_codes(rep.witness.codes) in ties
 
 
-def test_margin_threads_agree():
-    a = discreteness_margin(2, 3, threads=1)
-    b = discreteness_margin(2, 3, threads=2)
-    assert a.margin_sq == b.margin_sq
-    assert str(a.witness) == str(b.witness)
-    assert [str(w) for w in a.ties] == [str(w) for w in b.ties]
-
-
 def _word_distances(n, depth, pair, views):
     """Slow reference: the exact squared product-metric distance of every
     nonempty reduced word, inverses included, shortest first, on RefMat2
@@ -280,8 +271,8 @@ def _unpaired_margin(n, depth, pair, views):
     # rational entries: every distance over one common denominator
     (1, 4, (0, 1), "rational"),
     (2, 3, (2, 3), "rational"),
-    # subtrees scanned by pool workers
-    (2, 4, (0, 1), "paper_threads2"),
+    # the views in the other order: view 1 filters first
+    (2, 4, (1, 0), "paper"),
     # the complex-first views, and a depth where most words are rejected
     # from one entry's bounds
     (2, 4, (2, 3), "paper"),
@@ -302,20 +293,18 @@ def _unpaired_margin(n, depth, pair, views):
     (1, 4, (2, 3), "swap_symmetry_half"),
 ])
 def test_paired_margin_matches_unpaired_reference(n, depth, views, pair):
-    pair, threads = {
-        "paper": ((P, Q), 1),
-        "candidate": ((Q, search_limit_candidates(1, count=1)[0].matrix), 1),
-        "repeated": ((P, P), 1),
-        "rational": ((P_RAT, Q_RAT), 1),
-        "paper_threads2": ((P, Q), 2),
-        "swap_symmetry_companion1": (_companion_pair(1), 1),
-        "swap_symmetry_companion2": (_companion_pair(2), 1),
-        "swap_symmetry_companion3": (_companion_pair(3), 1),
-        "swap_symmetry_noncompanion": ((SWAP_A, SWAP_B), 1),
-        "swap_symmetry_half": ((P, P_RAT), 1),
+    pair = {
+        "paper": (P, Q),
+        "candidate": (Q, search_limit_candidates(1, count=1)[0].matrix),
+        "repeated": (P, P),
+        "rational": (P_RAT, Q_RAT),
+        "swap_symmetry_companion1": _companion_pair(1),
+        "swap_symmetry_companion2": _companion_pair(2),
+        "swap_symmetry_companion3": _companion_pair(3),
+        "swap_symmetry_noncompanion": (SWAP_A, SWAP_B),
+        "swap_symmetry_half": (P, P_RAT),
     }[pair]
-    rep = discreteness_margin(n, depth, pair=pair, views=views,
-                              threads=threads)
+    rep = discreteness_margin(n, depth, pair=pair, views=views)
     best, ties, per_depth = _unpaired_margin(n, depth, pair, views)
     assert rep.margin_sq == best
     assert [w.codes for w in rep.ties] == ties
@@ -406,31 +395,6 @@ def test_swap_symmetry_halves_the_paper_scan(monkeypatch):
     walks, muls = _spy_scan(monkeypatch, 3, 8)
     assert walks == [((0,), True), ((2,), True)]
     assert muls <= 850
-
-
-@pytest.mark.parametrize("pair, threads, workers", [
-    ((P, Q), 4, 2), ((P_RAT, Q_RAT), 4, 4), ((P_RAT, Q_RAT), 3, 3)])
-def test_swap_symmetry_pool_starts_one_worker_per_subtree(
-        pair, threads, workers, monkeypatch):
-    """The pool never starts more workers than there are subtrees."""
-    sizes = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *args):
-            return map(fn, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    discreteness_margin(1, 3, pair=pair, threads=threads)
-    assert sizes == [workers]
 
 
 @pytest.mark.parametrize("pair", [(P, Q), (SWAP_A, SWAP_B)])

@@ -2,9 +2,8 @@
 command or script run, or is on ``ALLOWED`` with its reason.
 
 One fresh child interpreter runs the fixed runs of ``_corpus`` in process,
-none of them with more than one thread, under a ``sys.settrace`` line
-tracer limited to ``src/quartic``, so no cache that earlier tests
-warmed, no test order and no pool worker can hide a statement.  A statement
+under a ``sys.settrace`` line tracer limited to ``src/quartic``, so no
+cache that earlier tests warmed and no test order can hide a statement.  A statement
 counts as reached when a line event fired on a line of its own span outside
 the statements nested in it, or when one of those nested statements was
 reached (a ``try`` header fires no event on some interpreters).  Docstrings
@@ -45,22 +44,8 @@ TINY_TWO_VIEWS = (
 
 def _corpus(tmp: pathlib.Path) -> list:
     """The fixed runs, as ("cli", argv) or ("script", path, argv)."""
-    cfg = tmp / "settings.cfg"
-    cfg.write_text("# comment\nN = 2\nL = 3\n\nthreads = 1\n")
-    unknown = tmp / "unknown.cfg"
-    unknown.write_text("unknown = 3\n")
-    no_equals = tmp / "no_equals.cfg"
-    no_equals.write_text("L 3\n")
-    bad_value = tmp / "bad_value.cfg"
-    bad_value.write_text("L = abc\n")
-    negative = tmp / "negative.cfg"
-    negative.write_text("L = -1\n")
-    no_threads = tmp / "threads.cfg"
-    no_threads.write_text("threads = 0\n")
-    zero_n = tmp / "zero_n.cfg"
-    zero_n.write_text("N = 0\n")
     base = [
-        ["verify-paper", "--threads", "1"],
+        ["verify-paper"],
         ["classify", Q_TEXT],
         *(["classify", m, "--k", str(k)]
           for m in (Q_TEXT, P_TEXT) for k in range(4)),
@@ -69,7 +54,7 @@ def _corpus(tmp: pathlib.Path) -> list:
         ["repr", "--kappa", "3", "1/2 1 0; 0 1 0; 0 0 1; 2 0 1/3"],
         ["repr", "--kappa", "4", Q_TEXT],
         ["repr", Q_TEXT],
-        ["margin", "--N", "2", "--L", "3", "--threads", "1"],
+        ["margin", "--N", "2", "--L", "3"],
         ["certify", "--L", "4"],
         ["search", "--bound", "1", "--count", "3"],
         ["conjugate", Q_TEXT],
@@ -79,43 +64,33 @@ def _corpus(tmp: pathlib.Path) -> list:
     ]
     runs = [r + fmt for fmt in ([], ["--json"]) for r in base]
     runs += [
-        ["margin", "--config", str(cfg), "--json"],
-        ["margin", "--config", str(cfg), "--L", "2", "--json"],
-        ["margin", "--L", "3", "--threads", "1", "--json"],
+        ["margin", "--L", "3", "--json"],
         ["certify", "--N", "1", "--json"],
         ["certify", "--N", "3", "--json"],
         ["certify", "--N", "4", "--json"],
         ["certify", "--json"],
         ["search", "--bound", "2", "--count", "25", "--json"],
-        *(["verify-paper", "--json", "--threads", "1", "--override", o]
+        *(["verify-paper", "--json", "--override", o]
           for o in ("Q11=1 0 0 0", "Q11=2 0 0 0")),
-        ["verify-paper", "--json", "--threads", "1",
+        ["verify-paper", "--json",
          "--override", "Q12=2 0 0 0", "--override", "Q21=-1/2 0 0 0"],
         # bad usage: each exits 2 with one error line
         *(["verify-paper", "--override", o]
           for o in ("Q33=1 0 0 0", "P11", "P11=1 x 0 0", "Q21=-2 0 0 0",
                     "Q21=0 0 0 0")),
-        ["margin", "--config", str(unknown)],
-        ["margin", "--config", str(no_equals)],
-        ["margin", "--config", str(bad_value)],
-        ["margin", "--config", str(negative)],
-        ["margin", "--config", str(no_threads)],
-        ["margin", "--config", str(tmp / "missing.cfg")],
-        ["margin", "--threads", "0"],
-        ["margin", "--N", "1", "--L", "1", "--threads", "-5"],
         ["margin", "--L", "0"],
+        ["margin", "--L", "13"],
         ["margin", "--N", "0", "--L", "2"],
         ["certify", "--N", "3", "--L", "0"],
         ["certify", "--N", "0"],
         ["certify", "--L", "13"],
         ["search", "--bound", "1", "--count", "0"],
         ["verify-paper", "--N", "0"],
-        ["verify-paper", "--config", str(zero_n)],
+        ["verify-paper", "--L", "13"],
         ["search", "--bound", "-1"],
         ["classify", "3 0 2 0; 1 0 0 0; -1 0 0 0"],
         ["classify", "3 0 2 0; 1 0; -1 0 0 0; 0 0 0 0"],
         ["probe-inequality", Q_TEXT, "--which", "12"],
-        ["classify", Q_TEXT, "--threads", "2"],
         ["classify", "2 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"],
         ["repr", "--kappa", "2", P_TEXT],
         ["repr", "--kappa", "3", "1 0; 0 1 0; 0 0 0; 1 0 0"],
@@ -135,13 +110,13 @@ def _corpus(tmp: pathlib.Path) -> list:
         ["probe-inequality", "1 0 0 0; 0 0 0 0; 1023286908188737 0 "
          "-723573111879672 0; 1 0 0 0", "--which", "7"],
         # P the identity: a scalar generator, with no certificate
-        ["verify-paper", "--threads", "1", "--json",
+        ["verify-paper", "--json",
          *(f"--override=P{e}={c} 0 0 0"
            for e, c in (("11", 1), ("12", 0), ("21", 0), ("22", 1)))],
         # trace 2 + e, e = (beta - 1)^30 near 2^-72: the sign of
         # trace^2 - 4 needs more than 64 bits
         ["classify", f"{TINY_PLUS_2}; 1 0 0 0; -1 0 0 0; 0 0 0 0"],
-        *(["verify-paper", "--threads", "1", "--json",
+        *(["verify-paper", "--json",
            *(f"--override={e}={c}" for e, c in pair.items())]
           for pair in (
               # a parabolic P whose entry is below 2^-19 in views 0 and 1:
@@ -331,7 +306,6 @@ def _findings(traced: dict) -> list[tuple[str, str | None, str]]:
 # the reasons a statement may stay unreached
 GATE = "the acceptance gate reads it"
 GUARD = "a guard that no input reaches without a bug"
-POOL = "the --threads > 1 pool path, which CI's cmp steps run in fresh processes"
 WIRE = "the certificate wire format, which a certificate file checker reads"
 REPR = "pytest failure messages print it"
 
@@ -383,8 +357,6 @@ ALLOWED = [
     ("probe._scan_subtree", GUARD, "continue"),
     ("probe.discreteness_margin", GUARD, "raise ValueError(f\"embedding",
      "raise NotUnimodular"),
-    ("probe.discreteness_margin", POOL, "from concurrent.futures",
-     "with ProcessPoolExecutor"),
     # two words with one product mod p: a relation of the free pair
     ("probe._crosscheck", GUARD, "for u in words:"),
     ("probe.torsion_probe", GATE),

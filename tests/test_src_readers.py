@@ -7,7 +7,10 @@ counts as read when any code uses its name.
 
 Every defaulted parameter has a reader too: some call in the program
 passes it.  A parameter that only tests set belongs with the tests, or its
-default is a constant."""
+default is a constant.
+
+Every field of a ``Record`` subclass is read as an attribute in the
+program: a field nothing reads is work the record does for no one."""
 
 import ast
 import pathlib
@@ -162,3 +165,68 @@ def test_every_defaulted_src_parameter_is_passed_by_the_program():
             if k not in ALLOWED_PARAMS} == {}
     # an allowed parameter that gained a caller is dropped from the list
     assert set(ALLOWED_PARAMS) <= set(unpassed)
+
+
+# Record fields no code in the program reads, each for its reason
+ALLOWED_FIELDS = {
+    **{f"TorsionResult.{f}": "the acceptance gate reads the torsion verdict"
+       for f in ("torsion", "n_max", "order", "order_mod_center",
+                 "sign_at_first_hit")},
+    "HyperbolicLikeData.cross_plus":
+        "the acceptance gate's rank-8 north-south data",
+    "HyperbolicLikeData.cross_minus":
+        "the acceptance gate's rank-8 north-south data",
+    "DominanceAnalysis.reason": "the acceptance gate reads it",
+    "MarginReport.margin_sq":
+        "the exact squared margin, held against the reference scan; the "
+        "report prints its enclosure",
+    "NoncommutingResult.reason": "says which hypothesis failed",
+    "NoncommutingResult.commutator_nontrivial":
+        "says whether the commutator check ran and held",
+}
+
+
+def _record_fields(path):
+    """(class, field) for each annotated field of the module's direct
+    ``Record`` subclasses."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "Record"
+                for b in node.bases):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield node.name, stmt.target.id
+
+
+def _attribute_reads(trees):
+    """({(class, name)} read as ``self.name`` in a class body, {name} read
+    as an attribute of anything else).  A ``self`` read counts only for its
+    own class, so two records that share a field name are told apart."""
+    own, other = set(), set()
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                own |= {(cls.name, n.attr) for n in ast.walk(cls)
+                        if isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Load)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self"}
+        other |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Load)
+                  and not (isinstance(n.value, ast.Name)
+                           and n.value.id == "self")}
+    return own, other
+
+
+def test_every_record_field_is_read_by_the_program():
+    own, other = _attribute_reads(_program_trees())
+    unread = {f"{cls}.{name}": path.name
+              for path in sorted((ROOT / "src" / "quartic").glob("*.py"))
+              for cls, name in _record_fields(path)
+              if (cls, name) not in own and name not in other}
+    assert {k: v for k, v in unread.items()
+            if k not in ALLOWED_FIELDS} == {}
+    # an allowed field that gained a reader is dropped from the list
+    assert set(ALLOWED_FIELDS) <= set(unread)
