@@ -1,21 +1,22 @@
-"""The concrete generator pair and the scalar identities attached to it.
+"""The scalar identities attached to the generator pair.
 
-P and Q are the fixed 2x2 matrices over Z[beta] whose Galois views drive
-everything else.  This module houses the conjugation closed forms for
-Q^n sigma2(A) Q^-n, the trace recursion lambda^n + lambda^-n = A_n + B_n
-sqrt2, and the standalone inequality probes.  All
-verdicts are exact; enclosures, int triples (lo, hi, scale) from
-``intervals``, appear only as reported values.
+P and Q (``linalg.paper_generators``) are the fixed 2x2 matrices over
+Z[beta] whose Galois views drive everything else.  This module houses the
+conjugation closed forms for Q^n sigma2(A) Q^-n, the trace recursion
+lambda^n + lambda^-n = A_n + B_n sqrt2, and the standalone inequality
+probes.  All verdicts are exact; enclosures, int triples (lo, hi, scale)
+from ``intervals``, appear only as reported values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .eigen import eigen2
 from .errors import QuarticError, UnsignedElement
 from .extension import QuadExt
-from .intervals import DEFAULT_BITS, Enclosure, enc_div, enc_sqrt, interval_json
-from .linalg import RingMat2, eigen2, share_eigenvector
+from .intervals import DEFAULT_BITS, enc_div, enc_sqrt, interval_json
+from .linalg import RingMat2, paper_generators, share_eigenvector
 from .record import Record
 from .ring import (
     ONE,
@@ -31,14 +32,6 @@ from .ring import (
     signedness,
     sqrt2_text,
 )
-
-
-def paper_generators() -> tuple[RingMat2, RingMat2]:
-    """The generator pair: P has trace 5 - 3b + b^2 - 2b^3, Q has trace
-    3 + 2b^2; both are companion-shaped with determinant one."""
-    p = RingMat2(QuarticElem(5, -3, 1, -2), ONE, -ONE, ZERO)
-    q = RingMat2(QuarticElem(3, 0, 2, 0), ONE, -ONE, ZERO)
-    return p, q
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +202,19 @@ def l_squared_inverse() -> QuarticElem:
     return l_squared().inv()
 
 
+# |n| beyond this fails in a conjugation record: the entries of Q^n have
+# about 0.75 |n| digits, past CPython's 4,300-digit limit on int-to-text
+# conversion near |n| = 5,800, and the Chebyshev caches grow as n^2
+CONJUGATION_N_CAP = 5000
+
+
 def conjugation_record(a: RingMat2, n: int) -> ConjugationRecord:
     """Closed forms for Q^n sigma2(a) Q^-n, verified against the direct
     matrix product.  The gamma/delta split and the S/R quantities are
-    populated when the shifted sigma2 entries are signed (zero allowed)."""
+    populated when the shifted sigma2 entries are signed (zero allowed).
+    |n| is capped at ``CONJUGATION_N_CAP``."""
+    if abs(n) > CONJUGATION_N_CAP:
+        raise ValueError(f"|n| = {abs(n)} beyond cap {CONJUGATION_N_CAP}")
     _, q = paper_generators()
     s2a = a.real_view(2)
     qn = q ** n

@@ -7,9 +7,7 @@ denominator (integral values never build a Fraction), and the text format
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ring import _fraction, _new, _over
+from .ring import _fraction, _new, _over, _parse_fraction
 
 
 def _cubic(c: tuple, d: int) -> "CubicElem":
@@ -42,7 +40,7 @@ class CubicElem:
         parts = text.split()
         if len(parts) != 3:
             raise ValueError(f"expected 3 coefficients in {text!r}")
-        return cls(*(Fraction(p) for p in parts))
+        return cls(*map(_parse_fraction, parts))
 
     def coeffs(self):
         return tuple(map(_fraction, self._c, (self._d,) * 3))

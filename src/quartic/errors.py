@@ -60,3 +60,8 @@ class SearchOverflow(QuarticError):
 class UndecidedComparison(QuarticError):
     """A chordal-distance enclosure reached its precision cap (4096 bits)
     without a nonnegative numerator over a positive denominator."""
+
+
+class UsageError(Exception):
+    """Bad command-line usage: a malformed argument or an out-of-range
+    setting.  The command exits 2 with its message."""

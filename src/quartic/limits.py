@@ -16,24 +16,11 @@ import itertools
 from bisect import insort
 from fractions import Fraction
 
-from .construction import paper_generators
 from .errors import NonIntegralInput, NotUnimodular, QuarticError
 from .intervals import (DEFAULT_BITS, Enclosure, dyadic_bounds, enc_add,
                         interval_json)
-from .linalg import (
-    MatClass,
-    RingMat2,
-    _mat,
-    classify,
-    compare_enclosed,
-    eigen2,
-    eps_thresholds,
-    int_matrices,
-    is_scalar4,
-    minus_identity4,
-    share_eigenvector,
-    view_dist4,
-)
+from .linalg import (MatClass, RingMat2, _mat, classify, is_scalar4,
+                     paper_generators, share_eigenvector)
 from .record import Record
 from .ring import ONE, ZERO, QuarticElem, mul4
 
@@ -166,7 +153,7 @@ def check_limit_conditions(candidate: LimitCandidate,
                            vi_depth: int = 10) -> LimitCheckReport:
     """Exact verdicts for the structural conditions, interval residuals
     against the paper's limit targets, and a probe-only freeness scan."""
-    from .probe import ReducedWord, walk_words
+    from .probe import ReducedWord, int_matrices, walk_words
     _, q = paper_generators()
     m = candidate.matrix
     if m.det() != ONE:
@@ -391,7 +378,9 @@ def margin_uniformity_probe(candidates, n: int, depth: int,
 
 def _near_identity_rows(pair, n: int, depth: int,
                         eps: Fraction) -> list[dict]:
-    from .probe import ReducedWord, walk_words
+    from .eigen import eigen2
+    from .probe import (ReducedWord, compare_enclosed, eps_thresholds,
+                        int_matrices, minus_identity4, view_dist4, walk_words)
     from .projective import ProjPoint, proj_dist
     p, cnd = pair
     pn = p ** n

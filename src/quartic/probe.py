@@ -18,28 +18,17 @@ or, when every letter has g21 = -g12, {W, W^-1, flip W, reverse W}
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .construction import paper_generators
 from .errors import DepthTooLarge, NotUnimodular
-from .intervals import FILTER_BITS, Enclosure, interval_json, sqrt2_bounds
-from .linalg import (
-    RingMat2,
-    compare_enclosed,
-    entry_exceeds,
-    eps_thresholds,
-    int_matrices,
-    is_scalar4,
-    minus_identity4,
-    mul_mat4,
-    sqrt_of_square_interval,
-    view_dist4,
-    view_norm4,
-)
+from .intervals import (DEFAULT_BITS, FILTER_BITS, Enclosure, dyadic_bounds,
+                        enc_sqrt, filter_bounds, interval_json, sqrt2_bounds)
+from .linalg import RingMat2, is_scalar4, mul_mat4, paper_generators
 from .projective import (PingPongCertificate, certify_exponent,
                          free_pair_power)
 from .record import Record
-from .ring import ONE, QuarticElem, _elem, field_quantity_N
+from .ring import (ONE, QuarticElem, _elem, field_quantity_N, mul4, quad_sign,
+                   sign4)
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
 _INVERSE = (1, 0, 3, 2)
@@ -84,7 +73,7 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
 
     A word's matrix is mul(its prefix's matrix, its last letter).  By
     default gens are the four letters as int 4-tuple matrices over one
-    denominator d (``linalg.int_matrices``), so a word of length k comes
+    denominator d (``int_matrices``), so a word of length k comes
     with its product over d^k.  With paired, only the word of each
     {W, W^-1} whose codes sort first is yielded (no reduced word is its own
     inverse); with reversal, only a word whose codes sort no later than
@@ -117,6 +106,174 @@ def walk_words(gens, depth: int, roots=range(4), paired: bool = False,
                                       child_inv))
 
 
+# ---------------------------------------------------------------------------
+# the int 4-tuple word kernels
+#
+# A word scan takes the letters' int 4-tuple matrices over their common
+# denominator d (``int_matrices``), so a word of length k stands for its
+# tuples over d^k.  A view distance is an exact int 4-tuple t together with
+# integer bounds lo <= t * 2^FILTER_BITS <= hi ("enclosed"); comparisons
+# read the bounds first and take an exact sign only where they overlap, so
+# no float ever decides.
+
+
+def int_matrices(mats) -> tuple[list, int]:
+    """The int 4-tuple matrices of mats over their least common denominator
+    d: returns (out, d) with mats[i] = out[i] / d."""
+    d = lcm(*[m._d for m in mats])
+    return [m._m if m._d == d
+            else tuple([tuple([c * (d // m._d) for c in e]) for e in m._m])
+            for m in mats], d
+
+def minus_identity4(mat, one: int, scale: int) -> list:
+    """The entries of mat - one * I as int 4-tuples, each times scale."""
+    e11, e12, e21, e22 = mat
+    xs = [(e11[0] - one, e11[1], e11[2], e11[3]), e12, e21,
+          (e22[0] - one, e22[1], e22[2], e22[3])]
+    if scale != 1:
+        xs = [(c0 * scale, c1 * scale, c2 * scale, c3 * scale)
+              for c0, c1, c2, c3 in xs]
+    return xs
+
+
+def enclosed(t) -> tuple[int, int, tuple]:
+    """(lo, hi, t) for an int 4-tuple t, with lo <= t * 2^FILTER_BITS <= hi."""
+    lo, hi = filter_bounds(t[0], t[1:])
+    return lo, hi, t
+
+
+def compare_enclosed(a, b) -> int:
+    """Exact sign of a - b for two enclosed values over one denominator:
+    disjoint bounds decide, and ring.sign4 of the difference decides the
+    rest (ties included)."""
+    if a[1] < b[0]:
+        return -1
+    if a[0] > b[1]:
+        return 1
+    x, y = a[2], b[2]
+    return sign4((x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]))
+
+
+def eps_thresholds(d: int, eps: Fraction, depth: int) -> list:
+    """Enclosed thresholds for words over the denominator d: a word of
+    length k is closer than eps when its view distance, taken on the
+    entries of W - I times eps's denominator, is below entry k."""
+    a = eps.numerator
+    return [enclosed((a * a * d ** (2 * k), 0, 0, 0))
+            for k in range(depth + 1)]
+
+
+def view_dist4(xs, k: int) -> tuple[int, int, tuple]:
+    """Enclosed max_ij |sigma_k(x_ij)|^2 over the four int 4-tuples xs,
+    exact, in closed form.
+
+    The complex views 1 and 3 give the same modulus:
+    |sigma_1(x)|^2 = (c0^2 + 2c2^2 - 4c1c3) + (c1^2 + 2c3^2 - 2c0c2) sqrt2,
+    and the largest is picked by quad_sign.  In the real views 0 and 2
+    (x and its conjugate) the entries are ordered by |x|, from enclosures at
+    one precision, and only the winner is squared."""
+    if k & 1:
+        bu = bv = None
+        for c0, c1, c2, c3 in xs:
+            u = c0 * c0 + 2 * c2 * c2 - 4 * c1 * c3
+            v = c1 * c1 + 2 * c3 * c3 - 2 * c0 * c2
+            if bu is None or quad_sign(u - bu, v - bv) > 0:
+                bu, bv = u, v
+        return enclosed((bu, 0, bv, 0))
+    if k:
+        xs = [(c0, -c1, c2, -c3) for c0, c1, c2, c3 in xs]
+    m = 0
+    for c0, c1, c2, c3 in xs:
+        m |= abs(c0) | abs(c1) | abs(c2) | abs(c3)
+    bits = m.bit_length() + FILTER_BITS
+    win = None
+    for x in xs:
+        lo, hi = dyadic_bounds(x[0], x[1:], bits)
+        if hi < 0:
+            lo, hi = -hi, -lo
+        elif lo < 0:
+            lo, hi = 0, max(-lo, hi)
+        if win is not None and hi < win[0]:
+            continue
+        if win is None or lo > win[1] or _abs_sign(x, win[2]) > 0:
+            win = (lo, hi, x)
+    lo, hi, x = win
+    # |x| * 2^bits lies in [lo, hi] with lo >= 0, so x^2 * 2^(2 bits) in
+    # [lo^2, hi^2]; rounded outward to scale 2^FILTER_BITS
+    shift = 2 * bits - FILTER_BITS
+    return lo * lo >> shift, -(-(hi * hi) >> shift), mul4(x, x)
+
+
+def view_norm4(xs, k: int) -> tuple[int, int, tuple]:
+    """Enclosed squared Frobenius norm sum_ij |sigma_k(x_ij)|^2 over the four
+    int 4-tuples xs, exact, in closed form: the sum of the squares in the
+    real views, of view_dist4's (u, v) forms in the complex ones."""
+    if k & 1:
+        u = v = 0
+        for c0, c1, c2, c3 in xs:
+            u += c0 * c0 + 2 * c2 * c2 - 4 * c1 * c3
+            v += c1 * c1 + 2 * c3 * c3 - 2 * c0 * c2
+        return enclosed((u, 0, v, 0))
+    s0 = s1 = s2 = s3 = 0
+    for c0, c1, c2, c3 in xs:
+        s0 += c0 * c0 + 2 * c2 * c2 + 4 * c1 * c3
+        s1 += c0 * c1 + 2 * c2 * c3
+        s2 += c1 * c1 + 2 * c3 * c3 + 2 * c0 * c2
+        s3 += c0 * c3 + c1 * c2
+    # view 2 is view 0 after beta -> -beta
+    if k:
+        s1, s3 = -s1, -s3
+    return enclosed((s0, 2 * s1, s2, 2 * s3))
+
+
+def entry_exceeds(xs, k: int, bound: int) -> bool:
+    """Whether integer bounds prove |sigma_k(x)|^2 * 2^FILTER_BITS > bound
+    for some x of the int 4-tuples xs, entry by entry: then
+    ``view_dist4(xs, k)`` exceeds every value enclosed below bound.  False
+    proves nothing."""
+    for c0, c1, c2, c3 in xs:
+        if k & 1:
+            lo = filter_bounds(c0 * c0 + 2 * c2 * c2 - 4 * c1 * c3,
+                               (0, c1 * c1 + 2 * c3 * c3 - 2 * c0 * c2, 0))[0]
+        else:
+            if k:
+                c1, c3 = -c1, -c3
+            lo, hi = filter_bounds(c0, (c1, c2, c3))
+            # |x| * 2^FILTER_BITS >= lo >= 0, so
+            # x^2 * 2^FILTER_BITS >= lo^2 >> FILTER_BITS
+            lo = lo if lo > 0 else -hi if hi < 0 else 0
+            lo = lo * lo >> FILTER_BITS
+        if lo > bound:
+            return True
+    return False
+
+
+def _abs_sign(x, y) -> int:
+    """Exact sign of |x| - |y| for int 4-tuples."""
+    if sign4(x) < 0:
+        x = (-x[0], -x[1], -x[2], -x[3])
+    if sign4(y) < 0:
+        y = (-y[0], -y[1], -y[2], -y[3])
+    return sign4((x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]))
+
+
+def nonneg_interval(x: QuarticElem, bits: int = DEFAULT_BITS) -> Enclosure:
+    """Enclosure of a provably nonnegative value; refines, up to 2^14 bits,
+    past the cancellation that can push a coarse lower end below zero."""
+    b = bits
+    while True:
+        lo, hi, s = x.interval(b)
+        if lo >= 0:
+            return lo, hi, s
+        if b >= 1 << 14:
+            return 0, max(0, hi), s
+        b *= 2
+
+
+def sqrt_of_square_interval(x: QuarticElem, bits: int = DEFAULT_BITS) -> Enclosure:
+    return enc_sqrt(nonneg_interval(x, bits), bits)
+
+
 class MarginReport(Record):
     n: int
     depth: int
@@ -145,7 +302,7 @@ class MarginReport(Record):
 
 def _prune_limit(fhi: int, j: int, den: int, depth: int, bound_hi: int) -> int:
     """The int a node U of length depth - j is pruned above, in one view: if
-    the ``linalg.view_norm4`` lower end of U's matrix exceeds it, every word
+    the ``view_norm4`` lower end of U's matrix exceeds it, every word
     below U lies farther than the squared distance B whose enclosure over
     den^(2 depth) has upper end bound_hi.
 
@@ -198,13 +355,13 @@ def _scan_subtree(gens, den: int, first: int, depth: int,
     and a tie records its whole orbit {W, W^-1, flip W, reverse W} (two
     words for a palindrome, whose flip is its inverse).  Every distance is
     taken over the one denominator den^(2 depth) and enclosed
-    (``linalg.view_dist4``).
+    (``view_dist4``).
 
     A word strictly farther than some measured word no longer than itself
     is neither a cumulative minimum nor a tie, so each word is held against
     B, the least distance measured so far over lengths up to its own, seed
     included.  A word with one entry whose bounds exceed B
-    (``linalg.entry_exceeds``) is skipped before any distance is taken.  A
+    (``entry_exceeds``) is skipped before any distance is taken.  A
     node of length k < depth whose Frobenius norm in either view proves
     every descendant farther than the B of length k + 1 (``_prune_limit``)
     has no child built.  B is never the subtree's overall minimum: the walk

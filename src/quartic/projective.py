@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .eigen import (BlockEig, Eigen2, RegularRep, _eigvec_pair, block_eig,
+                    compare_u, eigen2)
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -35,20 +37,7 @@ from .errors import (
 )
 from .extension import QuadExt, surd_form, surd_sign
 from .intervals import DEFAULT_BITS, Enclosure, enc_add, enc_div, enc_mul, enc_sqrt
-from .linalg import (
-    BlockEig,
-    Eigen2,
-    MatClass,
-    RegularRep,
-    RingMat2,
-    _eigvec_pair,
-    block_eig,
-    classify,
-    compare_u,
-    eigen2,
-    parse_matrix,
-    share_eigenvector,
-)
+from .linalg import MatClass, RingMat2, classify, parse_matrix, share_eigenvector
 from .record import Record
 from .ring import ONE, QuarticElem, Sign, mul4, sign4
 

@@ -73,6 +73,15 @@ def _fraction(n: int, d: int) -> Fraction:
     return Fraction(n) if d == 1 else Fraction(n, d)
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """One rational of the text format; a zero denominator raises a
+    ValueError that names it."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def mul4(a, b):
     """Product of int (or rational) 4-tuples on the basis 1, beta, .., beta^3."""
     a0, a1, a2, a3 = a
@@ -163,7 +172,7 @@ class QuarticElem:
         if len(parts) != 4:
             raise ValueError(
                 f"expected 4 coefficients, got {len(parts)} in {text!r}")
-        return cls(*(Fraction(p) for p in parts))
+        return cls(*map(_parse_fraction, parts))
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(map(_fraction, self._c, (self._d,) * 4))

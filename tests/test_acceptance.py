@@ -21,14 +21,12 @@ from quartic.construction import (
     paper_generators,
     trace_matches_chebyshev,
 )
-from quartic.linalg import (
-    MatClass,
+from quartic.eigen import (
     charpoly_fraction,
-    classify,
     embedded_charpoly_product,
     regular_rep,
-    share_eigenvector,
 )
+from quartic.linalg import MatClass, classify, share_eigenvector
 from quartic.probe import (
     discreteness_margin,
     dual_smallness_scan,
@@ -48,7 +46,7 @@ from quartic.limits import (
     search_limit_candidates,
 )
 from quartic.ring import QuarticElem, field_quantity_N
-from quartic.cli import (
+from quartic.verify import (
     PSI_P_REFERENCE,
     PSI_Q_DISPLAYED,
     _random_sl2,

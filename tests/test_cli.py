@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quartic
-from quartic import cli, probe, projective
+from quartic import cli, construction, probe, projective
 from quartic.cli import main
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -288,8 +288,9 @@ def test_unknown_inequality_rejected(capsys):
 
 
 def test_bad_config_exit_two(monkeypatch, capsys):
-    """An out-of-range setting exits 2 before any work: the exponent
-    search never runs, nor does any verify-paper check."""
+    """An out-of-range setting or an unparseable entry exits 2 before any
+    work: the exponent search never runs, nor does any verify-paper
+    check."""
     calls = []
     real = projective.free_pair_power
 
@@ -307,12 +308,31 @@ def test_bad_config_exit_two(monkeypatch, capsys):
                  # 0 is not read as unset: no check runs, no report
                  ["verify-paper", "--N", "0"],
                  ["verify-paper", "--L", "0"],
-                 ["verify-paper", "--L", "13"]):
+                 ["verify-paper", "--L", "13"],
+                 # a zero denominator is named as one
+                 ["classify", "1/0 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"],
+                 ["verify-paper", "--override", "P11=1/0 0 0 0"],
+                 ["repr", "--kappa", "3", "1/0 0 0; 0 1 0; 0 0 0; 1 0 0"]):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         # one error line, no traceback
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert out == "", argv
+        assert ("zero denominator in '1/0'" in err) == ("1/0" in str(argv))
+    assert calls == []
+
+
+def test_conjugate_power_beyond_the_cap_exit_two(monkeypatch, capsys):
+    """|n| above the cap exits 2 with one error line before Q^n is built."""
+    calls = []
+    monkeypatch.setattr(construction, "paper_generators",
+                        lambda: calls.append(1))
+    cap = construction.CONJUGATION_N_CAP
+    for n in (cap + 1, -(cap + 1)):
+        assert main(["conjugate", Q_TEXT, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: ValueError: |n| = {cap + 1} beyond cap {cap}\n"
+        assert out == ""
     assert calls == []
 
 
@@ -460,20 +480,31 @@ def test_command_import_sets():
     """Each command loads only the modules it runs, and none loads the
     stdlib's code generation.  Checked in fresh processes, since this test
     module has imported probe and projective."""
-    shared = {"quartic"} | {f"quartic.{m}" for m in (
-        "cli", "construction", "errors", "extension", "intervals", "linalg",
-        "record", "report", "ring")}
+    def mods(*names):
+        return {f"quartic.{m}" for m in names}
+
+    shared = {"quartic"} | mods("cli", "errors", "intervals", "linalg",
+                                "record", "report", "ring")
     assert _loaded_modules([]) == shared
     search = _loaded_modules(["search", "--bound", "1", "--count", "2",
                               "--json"])
-    assert not search & {"quartic.probe", "quartic.projective",
-                         "quartic.cubic"}
+    assert not search & mods("construction", "extension", "eigen", "probe",
+                             "projective", "verify", "cubic")
     certify = _loaded_modules(["certify", "--json"])
-    assert not certify & {"quartic.limits", "quartic.cubic"}
+    assert not certify & mods("construction", "verify", "limits", "cubic")
     verify = _loaded_modules(["verify-paper", "--json"])
     margin = _loaded_modules(["margin", "--N", "2", "--L", "3"])
     for loaded in (search, certify, verify, margin):
         assert shared <= loaded and not loaded & _GENERATION
+    # the benchmark's set-up still takes the pair from construction
+    src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
+    code = ("from quartic.construction import paper_generators\n"
+            "from quartic import linalg\n"
+            "print(paper_generators() == linalg.paper_generators())")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out == "True\n"
 
 
 def test_certify_reuses_the_searched_certificate(monkeypatch, capsys):

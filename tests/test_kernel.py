@@ -22,8 +22,8 @@ from quartic.intervals import (
     dyadic_bounds,
     filter_bounds,
 )
-from quartic.linalg import (
-    RingMat2,
+from quartic.linalg import RingMat2
+from quartic.probe import (
     compare_enclosed,
     enclosed,
     entry_exceeds,

@@ -14,21 +14,24 @@ from quartic.errors import (
     WrongSubring,
 )
 from quartic.extension import QuadExt
+from quartic.eigen import (
+    charpoly_fraction,
+    eigen2,
+    embedded_charpoly_product,
+    regular_rep,
+)
 from quartic.linalg import (
     MatClass,
     RingMat2,
     as_paper_hyperbolic,
-    charpoly_fraction,
     classify,
-    eigen2,
-    embedded_charpoly_product,
-    regular_rep,
     share_eigenvector,
 )
-from quartic.cli import _parse_matrix, _random_sl2, _random_word_matrix
+from quartic.cli import _parse_matrix
 from quartic.cubic import CubicElem, CubicMat2
 from quartic.construction import paper_generators
 from quartic.ring import ONE, QuarticElem, galois
+from quartic.verify import _random_sl2, _random_word_matrix
 
 from matrix_reference import entry_dist_sq
 

@@ -15,19 +15,15 @@ from quartic.construction import paper_generators
 from quartic.errors import DepthTooLarge, NotUnimodular
 from quartic.limits import (LimitCandidate, margin_uniformity_probe,
                             search_limit_candidates)
-from quartic.linalg import (
-    RingMat2,
-    _mat,
-    int_matrices,
-    is_scalar4,
-    sqrt_of_square_interval,
-)
+from quartic.linalg import RingMat2, _mat, is_scalar4
 from quartic import linalg, probe
 from quartic.probe import (
     ReducedWord,
     discreteness_margin,
     dual_smallness_scan,
     freeness_certificate,
+    int_matrices,
+    sqrt_of_square_interval,
     torsion_probe,
     walk_words,
     word_count,
@@ -419,7 +415,7 @@ def test_margin_falls_through_to_the_exact_path(monkeypatch):
     through to view_dist4 and compare_enclosed, whose overlapping bounds
     go to the exact sign4.  Counted by spies on both helpers."""
     calls = {"rejected": 0, "fell_through": 0, "sign4": 0}
-    real_exceeds, real_sign4 = probe.entry_exceeds, linalg.sign4
+    real_exceeds, real_sign4 = probe.entry_exceeds, probe.sign4
 
     def exceeds(xs, k, bound):
         hit = real_exceeds(xs, k, bound)
@@ -431,7 +427,7 @@ def test_margin_falls_through_to_the_exact_path(monkeypatch):
         return real_sign4(t)
 
     monkeypatch.setattr(probe, "entry_exceeds", exceeds)
-    monkeypatch.setattr(linalg, "sign4", sign4)
+    monkeypatch.setattr(probe, "sign4", sign4)
     rep = discreteness_margin(1, 4, pair=(P, P))
     assert min(calls.values()) > 0, calls
     best, ties, _ = _unpaired_margin(1, 4, (P, P), (0, 1))

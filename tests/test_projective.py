@@ -14,8 +14,9 @@ from quartic.errors import (HypothesisViolated, NotHyperbolicLike,
                             SearchOverflow)
 from quartic.extension import QuadExt
 from quartic.intervals import interval_json
-from quartic.linalg import RingMat2, int_matrices, is_scalar4, regular_rep
-from quartic.probe import walk_words
+from quartic.eigen import regular_rep
+from quartic.linalg import RingMat2, is_scalar4
+from quartic.probe import int_matrices, walk_words
 from quartic import projective
 from quartic.projective import (
     Ball,

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quartic.eigen import _cmp_rad_base
 from quartic.errors import UnsignedElement
 from quartic.extension import QuadExt
-from quartic.linalg import _cmp_rad_base
 from quartic.ring import (
     BETA,
     ONE,

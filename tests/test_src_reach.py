@@ -88,6 +88,8 @@ def _corpus(tmp: pathlib.Path) -> list:
         ["verify-paper", "--N", "0"],
         ["verify-paper", "--L", "13"],
         ["search", "--bound", "-1"],
+        ["conjugate", Q_TEXT, "--n", "5001"],
+        ["classify", "1/0 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"],
         ["classify", "3 0 2 0; 1 0 0 0; -1 0 0 0"],
         ["classify", "3 0 2 0; 1 0; -1 0 0 0; 0 0 0 0"],
         ["probe-inequality", Q_TEXT, "--which", "12"],
@@ -313,12 +315,25 @@ REPR = "pytest failure messages print it"
 # *starts): each statement of the function whose first line starts with
 # one of starts is not reached, with whatever it nests
 ALLOWED = [
-    ("cli.cmd_verify_paper", GUARD, "bad = True", "worst = x.to_text()",
-     "break", "conj_ok = False"),
     ("construction.chebyshev", GATE),
     ("construction.check_conditions", GUARD, "raise ValueError"),
     ("construction.inequality_probe", GUARD, "raise ValueError"),
     ("cubic.CubicElem.__repr__", REPR),
+    ("eigen.RegularRep.__repr__", REPR),
+    ("eigen.RegularRep.__mul__", GUARD, "raise ValueError"),
+    ("eigen.RegularRep.__eq__", GUARD, "return NotImplemented"),
+    ("eigen.regular_rep", GUARD, "raise WrongSubring", "raise ValueError"),
+    ("eigen.charpoly_fraction", GATE),
+    ("eigen._poly_mul", GATE),
+    ("eigen.embedded_charpoly_product", GATE),
+    # the complex views, which only the rank-8 analysis asks for
+    ("eigen.block_eig", GATE, "abs2 = ", "im2 = ", "w4 = ", "w = ",
+     "return BlockEig(k, cls, t, u_rad="),
+    ("eigen.compare_u", GATE),
+    ("eigen._cmp_rad_base", GATE),
+    ("eigen._cmp_rad_rad", GATE),
+    ("eigen.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product",
+     "raise ValueError"),
     ("extension.QuadExt.__repr__", REPR),
     ("extension.QuadExt.inv", GUARD, "raise ZeroDivisionError"),
     ("extension.QuadExt.__eq__", GUARD, "return NotImplemented"),
@@ -335,23 +350,7 @@ ALLOWED = [
     # the torsion probe's test for -I
     ("linalg.RingMat2.is_neg_identity", GATE),
     ("linalg.RingMat2.real_view", GUARD, "raise ValueError"),
-    ("linalg.RegularRep.__repr__", REPR),
-    ("linalg.RegularRep.__mul__", GUARD, "raise ValueError"),
-    ("linalg.RegularRep.__eq__", GUARD, "return NotImplemented"),
-    ("linalg.regular_rep", GUARD, "raise WrongSubring", "raise ValueError"),
-    ("linalg.charpoly_fraction", GATE),
-    ("linalg._poly_mul", GATE),
-    ("linalg.embedded_charpoly_product", GATE),
-    # the complex views, which only the rank-8 analysis asks for
-    ("linalg.block_eig", GATE, "abs2 = ", "im2 = ", "w4 = ", "w = ",
-     "return BlockEig(k, cls, t, u_rad="),
-    ("linalg.compare_u", GATE),
-    ("linalg._cmp_rad_base", GATE),
-    ("linalg._cmp_rad_rad", GATE),
-    ("linalg.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product",
-     "raise ValueError"),
     ("linalg.share_eigenvector", GUARD, "raise ValueError"),
-    ("linalg.nonneg_interval", GUARD, "return 0, max(0, hi), s"),
     ("probe.walk_words", GUARD, "return"),
     # the exact comparison after both one-entry filters passed the word
     ("probe._scan_subtree", GUARD, "continue"),
@@ -364,6 +363,7 @@ ALLOWED = [
     ("probe.DualSmallnessRow.to_json", GATE),
     ("probe.DualSmallnessTable.to_json", GATE),
     ("probe.dual_smallness_scan", GATE),
+    ("probe.nonneg_interval", GUARD, "return 0, max(0, hi), s"),
     ("projective.ProjPoint.__post_init__", GUARD, "raise ValueError"),
     ("projective.proj_equal", GUARD, "raise DimensionMismatch"),
     # the search and the checker measure distinct fixed points
@@ -422,6 +422,8 @@ ALLOWED = [
     ("ring.galois", GUARD, "raise ValueError"),
     ("ring.field_quantity_N", GUARD, "raise InternalMismatch"),
     ("ring._gamma", GUARD, "raise UnsignedElement"),
+    ("verify.cmd_verify_paper", GUARD, "bad = True", "worst = x.to_text()",
+     "break", "conj_ok = False"),
 ]
 
 
