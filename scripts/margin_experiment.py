@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from quartic.probe import discreteness_margin
+from quartic.margin import discreteness_margin
 
 
 def main() -> int:

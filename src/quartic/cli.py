@@ -49,7 +49,7 @@ def cmd_classify(args) -> Report:
 
 
 def cmd_repr(args) -> Report:
-    from .eigen import regular_rep
+    from .regular import regular_rep
     rep = Report("repr")
     kappa = args.kappa
     if kappa == 3:
@@ -65,7 +65,7 @@ def cmd_repr(args) -> Report:
 
 
 def cmd_margin(args) -> Report:
-    from . import probe, projective
+    from . import margin, probe, projective
     rep = Report("margin")
     # a depth out of range exits before the exponent search runs
     probe.check_depth(args.L)
@@ -73,7 +73,7 @@ def cmd_margin(args) -> Report:
     if n is None:
         pair = paper_generators()
         n = projective.free_pair_power(*pair).exponent
-    result = probe.discreteness_margin(n, args.L)
+    result = margin.discreteness_margin(n, args.L)
     rep.inputs = {"N": n, "L": args.L}
     rep.add("margin", PASS if result.margin[0] > 0 else FAIL,
             value=result.to_json())
@@ -123,10 +123,10 @@ def cmd_conjugate(args) -> Report:
 
 
 def cmd_probe_inequality(args) -> Report:
-    from . import construction
+    from . import inequality
     rep = Report("probe-inequality")
     mat = _parse_matrix(args.matrix)
-    rec = construction.inequality_probe(mat, args.which)
+    rec = inequality.inequality_probe(mat, args.which)
     rep.inputs = {"matrix": mat.to_text(), "which": args.which}
     rep.add(f"inequality_{args.which}", PROBE_ONLY, value=rec.to_json())
     return rep

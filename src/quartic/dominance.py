@@ -1,0 +1,215 @@
+"""Dominance analysis and the north-south noncommuting criterion.
+
+Dominance analysis works per 2x2 embedded block: equal extreme moduli are
+detected exactly through the invariant u = |lambda|^2 + |lambda|^-2, so a
+double maximal eigenvalue is a symbolic verdict, not a numerical one.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .eigen import BlockEig, Eigen2, _eigvec_pair, block_eig, eigen2
+from .errors import SingularMatrix
+from .extension import QuadExt
+from .linalg import MatClass, RingMat2, share_eigenvector
+from .projective import ProjPoint, proj_equal
+from .record import Record
+from .regular import RegularRep
+from .ring import ONE, QuarticElem, Sign
+
+
+def compare_u(x: BlockEig, y: BlockEig) -> Sign:
+    """Exact sign of u(x) - u(y)."""
+    if x.u_base is not None and y.u_base is not None:
+        return (x.u_base - y.u_base).sign()
+    if x.u_base is not None:
+        return Sign(-_cmp_rad_base(y.u_rad, x.u_base))
+    if y.u_base is not None:
+        return _cmp_rad_base(x.u_rad, y.u_base)
+    return _cmp_rad_rad(x.u_rad, y.u_rad)
+
+
+def _cmp_rad_base(rad, base: QuarticElem) -> Sign:
+    """sign of (a + sqrt w)/2 - base, w >= 0."""
+    a, w = rad
+    return QuadExt(a - 2 * base, ONE, w).sign()
+
+
+def _cmp_rad_rad(r1, r2) -> Sign:
+    """sign of (a1 + sqrt w1)/2 - (a2 + sqrt w2)/2, all w >= 0."""
+    a1, w1 = r1
+    a2, w2 = r2
+    tp = a1 - a2
+    s_root = (w1 - w2).sign()             # sign of sqrt(w1) - sqrt(w2)
+    st = tp.sign()
+    if st == Sign.ZERO:
+        return s_root
+    if s_root == Sign.ZERO:
+        return st
+    if st == s_root:
+        return st
+    # opposite signs: compare |tp| against |sqrt w1 - sqrt w2|
+    g = w1 + w2 - tp * tp
+    if g.sign() == Sign.NEGATIVE:
+        return st
+    q = (g * g - 4 * w1 * w2).sign()
+    if q == Sign.ZERO:
+        return Sign.ZERO
+    return s_root if q == Sign.POSITIVE else st
+
+
+class DominantRecord(Record):
+    """A certified dominant eigenvalue: real, simple, strictly extreme."""
+
+    value: QuadExt
+    block_k: int
+
+
+class DominanceAnalysis(Record):
+    record: DominantRecord | None
+    reason: str
+    eigen: Eigen2 | None = None     # the dominant block's eigen data
+
+
+def _blocks_of(m) -> tuple[list[BlockEig], RingMat2]:
+    """The eigen blocks of a RingMat2 (its identity view) or of the rank-8
+    representation of one (all four views)."""
+    if isinstance(m, RegularRep):
+        return [block_eig(m.source, k) for k in range(4)], m.source
+    return [block_eig(m, 0)], m
+
+
+def analyze_dominance(m) -> DominanceAnalysis:
+    blocks, src = _blocks_of(m)
+    best = [blocks[0]]
+    for blk in blocks[1:]:
+        s = compare_u(blk, best[0])
+        if s == Sign.POSITIVE:
+            best = [blk]
+        elif s == Sign.ZERO:
+            best.append(blk)
+    if len(best) > 1:
+        return DominanceAnalysis(None, "double maximal eigenvalue")
+    top = best[0]
+    if top.mat_class in (MatClass.ELLIPTIC, MatClass.PARABOLIC):
+        return DominanceAnalysis(None, "maximal modulus is 1")
+    if top.mat_class == MatClass.LOXODROMIC:
+        return DominanceAnalysis(None, "maximal eigenvalue is not real")
+    eig = eigen2(src, top.k)
+    rec = DominantRecord(value=eig.lam_dominant, block_k=top.k)
+    return DominanceAnalysis(rec, "dominant", eig)
+
+
+_BETA_POWERS = (ONE, QuarticElem(0, 1), QuarticElem(0, 0, 1), QuarticElem(0, 0, 0, 1))
+
+
+def _beta_at(k: int, j: int) -> QuarticElem:
+    """sigma_k(beta)^j for the real embeddings k = 0, 2."""
+    v = _BETA_POWERS[j]
+    return v if k == 0 or j % 2 == 0 else -v
+
+
+def _lift_vec(w: tuple[QuadExt, QuadExt], k: int) -> tuple:
+    """Right eigenvector of the block structure: (w1 * u, w2 * u) with
+    u = (1, b^3/2, b^2/2, b/2) evaluated at sigma_k(beta)."""
+    half = Fraction(1, 2)
+    u = (ONE, _beta_at(k, 3) * half, _beta_at(k, 2) * half, _beta_at(k, 1) * half)
+    return tuple(w[i] * QuadExt.of_base(c, w[0].d) for i in range(2) for c in u)
+
+
+def _lift_covec(w: tuple[QuadExt, QuadExt], k: int) -> tuple:
+    """Left eigenvector lift with u = (1, b, b^2, b^3) at sigma_k(beta)."""
+    u = (ONE, _beta_at(k, 1), _beta_at(k, 2), _beta_at(k, 3))
+    return tuple(w[i] * QuadExt.of_base(c, w[0].d) for i in range(2) for c in u)
+
+
+class HyperbolicLikeData(Record):
+    """Attracting/repelling points and characteristic crosses.
+
+    For dimension 2 the crosses degenerate to the opposite fixed points.
+    For the 8x8 case the crosses are stored as left-eigenvector covectors;
+    a point lies on the cross iff the covector annihilates it.
+    """
+
+    dim: int
+    attracting: ProjPoint
+    repelling: ProjPoint
+    cross_plus: ProjPoint | tuple      # P(V_a): complement of the max eigenline
+    cross_minus: ProjPoint | tuple     # P(V_b): complement of the min eigenline
+    block_k: int
+
+
+def hyperbolic_like(m) -> HyperbolicLikeData | None:
+    """Full north-south data when both m and its inverse are dominant."""
+    if isinstance(m, RingMat2) and m.det().is_zero():
+        raise SingularMatrix("input must be invertible")
+    ana = analyze_dominance(m)
+    if ana.record is None:
+        return None
+    eig, k = ana.eigen, ana.record.block_k
+    # determinant-one blocks: the same block carries both extreme moduli,
+    # so dominance of the inverse comes along for free
+    att2 = eig.vec_dominant
+    rep2 = eig.vec_recessive
+    if isinstance(m, RingMat2):
+        return HyperbolicLikeData(
+            dim=2,
+            attracting=ProjPoint(att2),
+            repelling=ProjPoint(rep2),
+            cross_plus=ProjPoint(rep2),
+            cross_minus=ProjPoint(att2),
+            block_k=k,
+        )
+    view = m.source.real_view(k)
+    lam_dom, lam_rec = eig.lam_dominant, eig.lam_recessive
+    att8 = ProjPoint(_lift_vec(att2, k))
+    rep8 = ProjPoint(_lift_vec(rep2, k))
+    # a left eigenvector of the view is an eigenvector of its transpose
+    e11, e12, e21, e22 = view.entries()
+    view_t = RingMat2(e11, e21, e12, e22)
+    cov_plus = _lift_covec(_eigvec_pair(view_t, lam_dom), k)
+    cov_minus = _lift_covec(_eigvec_pair(view_t, lam_rec), k)
+    return HyperbolicLikeData(
+        dim=2 * m.kappa,
+        attracting=att8,
+        repelling=rep8,
+        cross_plus=cov_plus,
+        cross_minus=cov_minus,
+        block_k=k,
+    )
+
+
+class NoncommutingResult(Record):
+    holds: bool
+    reason: str
+    commutator_nontrivial: bool | None = None
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
+def noncommuting_check(a: RingMat2, b: RingMat2) -> NoncommutingResult:
+    """North-south dynamics criterion for AB != BA on the projective line."""
+    da = hyperbolic_like(a)
+    db = hyperbolic_like(b)
+    if da is None or db is None:
+        return NoncommutingResult(False, "inputs are not hyperbolic-like")
+    if share_eigenvector(a, b, 0):
+        return NoncommutingResult(False, "shared fixed point")
+    e11, e12, e21, e22 = a.entries()
+    for pt in (db.attracting, db.repelling):
+        image = ProjPoint((
+            QuadExt.of_base(e11, pt.coords[0].d) * pt.coords[0]
+            + QuadExt.of_base(e12, pt.coords[0].d) * pt.coords[1],
+            QuadExt.of_base(e21, pt.coords[0].d) * pt.coords[0]
+            + QuadExt.of_base(e22, pt.coords[0].d) * pt.coords[1],
+        ))
+        if proj_equal(image, db.attracting) or proj_equal(image, db.repelling):
+            return NoncommutingResult(
+                False, "first matrix preserves the fixed pair of the second")
+    nontrivial = not a.commutator(b).is_identity()
+    if not nontrivial:
+        return NoncommutingResult(
+            False, "hypotheses held but the commutator is trivial", False)
+    return NoncommutingResult(True, "north-south dynamics forces AB != BA", True)

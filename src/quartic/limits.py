@@ -364,7 +364,7 @@ def margin_uniformity_probe(candidates, n: int, depth: int,
     Words are evaluated once over Z[beta] with generators (Q^n, P_cand^n);
     the two product factors are the sigma2 and sigma3 views because sigma2
     fixes Q and sigma1(Q) = sigma3(Q)."""
-    from .probe import discreteness_margin
+    from .margin import discreteness_margin
     eps = Fraction(eps)
     _, q = paper_generators()
     rows = []
@@ -379,8 +379,9 @@ def margin_uniformity_probe(candidates, n: int, depth: int,
 def _near_identity_rows(pair, n: int, depth: int,
                         eps: Fraction) -> list[dict]:
     from .eigen import eigen2
-    from .probe import (ReducedWord, compare_enclosed, eps_thresholds,
-                        int_matrices, minus_identity4, view_dist4, walk_words)
+    from .margin import (compare_enclosed, eps_thresholds, minus_identity4,
+                         view_dist4)
+    from .probe import ReducedWord, int_matrices, walk_words
     from .projective import ProjPoint, proj_dist
     p, cnd = pair
     pn = p ** n

@@ -11,11 +11,13 @@ import random
 from fractions import Fraction
 
 from . import construction, probe, projective
-from .eigen import eigen2, regular_rep
+from .eigen import eigen2
 from .errors import QuarticError, UsageError
 from .extension import QuadExt
 from .intervals import interval_json
 from .linalg import MatClass, RingMat2, classify, share_eigenvector
+from .margin import discreteness_margin
+from .regular import regular_rep
 from .report import ERRATUM, FAIL, PASS, Report
 from .ring import ONE, QuarticElem, field_quantity_N, sqrt2_text
 
@@ -251,7 +253,7 @@ def cmd_verify_paper(args) -> Report:
                 anchor="ping-pong certificate for the third-view pair")
         n_default = 1 if args.N is None else args.N
 
-    margin = probe.discreteness_margin(n_default, args.L, pair=(p, q))
+    margin = discreteness_margin(n_default, args.L, pair=(p, q))
     margin_pos = margin.margin[0] > 0
     rep.add("margin_positive", PASS if margin_pos else FAIL,
             value={"N": n_default, "L": args.L,

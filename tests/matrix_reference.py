@@ -4,7 +4,7 @@
 compares entry by entry with the schoolbook formulas.  ``entry_dist_sq`` is
 the squared sup-distance of two matrices' views taken through
 ``ring.galois``.  ``linalg.RingMat2`` (an int 4-tuple matrix over one
-denominator) and ``probe.view_dist4`` must agree with them.
+denominator) and ``margin.view_dist4`` must agree with them.
 ``sigma3_commutator_nontrivial`` decides the limit checker's complex-view
 commutator condition on the complex views themselves, entries as
 (re, im_scale) pairs, the way the checker did before it read the verdict

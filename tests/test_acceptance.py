@@ -21,24 +21,19 @@ from quartic.construction import (
     paper_generators,
     trace_matches_chebyshev,
 )
-from quartic.eigen import (
+from quartic.dominance import analyze_dominance, hyperbolic_like
+from quartic.linalg import MatClass, classify, share_eigenvector
+from quartic.margin import (
+    discreteness_margin,
+    dual_smallness_scan,
+    torsion_probe,
+)
+from quartic.probe import freeness_certificate, word_count
+from quartic.projective import free_pair_power, verify_certificate
+from quartic.regular import (
     charpoly_fraction,
     embedded_charpoly_product,
     regular_rep,
-)
-from quartic.linalg import MatClass, classify, share_eigenvector
-from quartic.probe import (
-    discreteness_margin,
-    dual_smallness_scan,
-    freeness_certificate,
-    torsion_probe,
-    word_count,
-)
-from quartic.projective import (
-    analyze_dominance,
-    free_pair_power,
-    hyperbolic_like,
-    verify_certificate,
 )
 from quartic.limits import (
     LimitCandidate,

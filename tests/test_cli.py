@@ -336,6 +336,43 @@ def test_conjugate_power_beyond_the_cap_exit_two(monkeypatch, capsys):
     assert calls == []
 
 
+# sha256 of the stdout of `conjugate LONG_ENTRY --n 1 --json`, as it was
+# before the digit check
+LONG_ENTRY = "1" + "0" * 1500 + " 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"
+LONG_ENTRY_N1_SHA = (
+    "caae349d1299b7b4d30cbe417097e30bda764514a8f08f11db93d478ce7331f2")
+
+
+def test_conjugate_past_the_digit_limit_exit_two(monkeypatch, capsys):
+    """An entry of 1501 digits: at |n| = 2000 and 4000 the conjugate has
+    entries longer than CPython's 4300-digit limit on int-to-text
+    conversion, so conjugate exits 2 with one error line naming the entry
+    size and the limit, and no record is built.  At n = 1 the record
+    prints as before.  With one digit more, at n = 1861, the conjugates
+    have 4300 digits and an S value 4301: the record is refused once its S
+    values are known."""
+    code, out = run(capsys, "conjugate", LONG_ENTRY, "--n", "1", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_ENTRY_N1_SHA
+    assert main(["conjugate", "1" + LONG_ENTRY, "--n", "1861"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ("error: ValueError: |n| = 1861 on entries below 10^1502: "
+                   "the record's entries pass the 4300-digit limit on "
+                   "int-to-text conversion\n")
+    assert out == ""
+    built = []
+    monkeypatch.setattr(construction, "ConjugationRecord",
+                        lambda **fields: built.append(fields))
+    for n in (2000, 4000, -4000):
+        assert main(["conjugate", LONG_ENTRY, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"error: ValueError: |n| = {abs(n)} on entries below "
+                       "10^1501: the record's entries pass the 4300-digit "
+                       "limit on int-to-text conversion\n")
+        assert out == ""
+    assert built == []
+
+
 def test_option_on_wrong_command_exit_two(capsys):
     for argv in (["classify", Q_TEXT, "--threads", "2"],
                  ["conjugate", Q_TEXT, "--config", "x.cfg"],
@@ -477,9 +514,10 @@ def _loaded_modules(argv) -> set[str]:
 
 
 def test_command_import_sets():
-    """Each command loads only the modules it runs, and none loads the
-    stdlib's code generation.  Checked in fresh processes, since this test
-    module has imported probe and projective."""
+    """Each command loads exactly the modules it runs, so none compiles
+    code it never calls; none loads the stdlib's code generation.  Checked
+    in fresh processes, since this test module has imported probe and
+    projective."""
     def mods(*names):
         return {f"quartic.{m}" for m in names}
 
@@ -488,23 +526,29 @@ def test_command_import_sets():
     assert _loaded_modules([]) == shared
     search = _loaded_modules(["search", "--bound", "1", "--count", "2",
                               "--json"])
-    assert not search & mods("construction", "extension", "eigen", "probe",
-                             "projective", "verify", "cubic")
+    assert search == shared | mods("limits")
     certify = _loaded_modules(["certify", "--json"])
-    assert not certify & mods("construction", "verify", "limits", "cubic")
-    verify = _loaded_modules(["verify-paper", "--json"])
+    assert certify == shared | mods("probe", "projective", "eigen",
+                                    "extension")
     margin = _loaded_modules(["margin", "--N", "2", "--L", "3"])
-    for loaded in (search, certify, verify, margin):
-        assert shared <= loaded and not loaded & _GENERATION
-    # the benchmark's set-up still takes the pair from construction
+    assert margin == certify | mods("margin")
+    verify = _loaded_modules(["verify-paper", "--json"])
+    assert verify == margin | mods("verify", "construction", "cubic",
+                                   "regular", "dominance")
+    # the benchmark's set-up takes the pair from construction, which
+    # loads no module the pair does not need
     src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
-    code = ("from quartic.construction import paper_generators\n"
+    code = ("import sys\n"
+            "from quartic.construction import paper_generators\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'quartic')\n"
             "from quartic import linalg\n"
-            "print(paper_generators() == linalg.paper_generators())")
+            "print(paper_generators() == linalg.paper_generators(), *loaded)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True).stdout
-    assert out == "True\n"
+    assert out.split() == ["True", *sorted({"quartic"} | mods(
+        "construction", "errors", "intervals", "linalg", "record", "ring"))]
 
 
 def test_certify_reuses_the_searched_certificate(monkeypatch, capsys):

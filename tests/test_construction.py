@@ -11,7 +11,6 @@ from quartic.construction import (
     chebyshev,
     check_conditions,
     conjugation_record,
-    inequality_probe,
     l_squared,
     l_squared_inverse,
     lambda_plus_inverse,
@@ -20,6 +19,7 @@ from quartic.construction import (
     trace_matches_chebyshev,
 )
 from quartic.errors import UnsignedElement
+from quartic.inequality import inequality_probe
 from quartic.linalg import RingMat2
 from quartic.ring import ONE, QuadRat, QuarticElem
 

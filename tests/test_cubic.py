@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quartic.cubic import CubicElem, CubicMat2
-from quartic.eigen import regular_rep
+from quartic.regular import regular_rep
 
 
 def test_cubic_reduction():

@@ -16,7 +16,7 @@ from quartic.intervals import (
     format_endpoint,
     interval_json,
 )
-from quartic.probe import nonneg_interval, sqrt_of_square_interval
+from quartic.margin import nonneg_interval, sqrt_of_square_interval
 from quartic.projective import ProjPoint, _proj_dist_intervals
 from quartic.ring import QuarticElem
 

@@ -23,7 +23,7 @@ from quartic.intervals import (
     filter_bounds,
 )
 from quartic.linalg import RingMat2
-from quartic.probe import (
+from quartic.margin import (
     compare_enclosed,
     enclosed,
     entry_exceeds,

@@ -14,12 +14,7 @@ from quartic.errors import (
     WrongSubring,
 )
 from quartic.extension import QuadExt
-from quartic.eigen import (
-    charpoly_fraction,
-    eigen2,
-    embedded_charpoly_product,
-    regular_rep,
-)
+from quartic.eigen import eigen2
 from quartic.linalg import (
     MatClass,
     RingMat2,
@@ -30,6 +25,11 @@ from quartic.linalg import (
 from quartic.cli import _parse_matrix
 from quartic.cubic import CubicElem, CubicMat2
 from quartic.construction import paper_generators
+from quartic.regular import (
+    charpoly_fraction,
+    embedded_charpoly_product,
+    regular_rep,
+)
 from quartic.ring import ONE, QuarticElem, galois
 from quartic.verify import _random_sl2, _random_word_matrix
 

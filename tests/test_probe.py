@@ -16,15 +16,17 @@ from quartic.errors import DepthTooLarge, NotUnimodular
 from quartic.limits import (LimitCandidate, margin_uniformity_probe,
                             search_limit_candidates)
 from quartic.linalg import RingMat2, _mat, is_scalar4
-from quartic import linalg, probe
-from quartic.probe import (
-    ReducedWord,
+from quartic import linalg, margin, probe
+from quartic.margin import (
     discreteness_margin,
     dual_smallness_scan,
-    freeness_certificate,
-    int_matrices,
     sqrt_of_square_interval,
     torsion_probe,
+)
+from quartic.probe import (
+    ReducedWord,
+    freeness_certificate,
+    int_matrices,
     walk_words,
     word_count,
 )
@@ -320,7 +322,7 @@ def test_pruned_subtrees_hold_no_cumulative_minimum(n, depth, pair,
     word."""
     pair = {"paper": (P, Q), "repeated": (P, P)}[pair]
     pruned = []
-    real_walk = probe.walk_words
+    real_walk = margin.walk_words
 
     def walk(*args, prune, **kwargs):
         def spy(codes, mat):
@@ -330,7 +332,7 @@ def test_pruned_subtrees_hold_no_cumulative_minimum(n, depth, pair,
             return hit
         return real_walk(*args, prune=spy, **kwargs)
 
-    monkeypatch.setattr(probe, "walk_words", walk)
+    monkeypatch.setattr(margin, "walk_words", walk)
     discreteness_margin(n, depth, pair=pair)
     assert pruned
     dist = _word_distances(n, depth, pair, (0, 1))
@@ -348,7 +350,7 @@ def _spy_scan(monkeypatch, *margin_args, **margin_kwargs):
     """The roots and reversal flag of each walk of a margin scan, and the
     products the walks multiplied."""
     walks, muls = [], [0]
-    real_walk = probe.walk_words
+    real_walk = margin.walk_words
 
     def walk(gens, depth, roots, *args, reversal, **kwargs):
         walks.append((tuple(roots), reversal))
@@ -359,7 +361,7 @@ def _spy_scan(monkeypatch, *margin_args, **margin_kwargs):
         return real_walk(gens, depth, roots, *args, reversal=reversal,
                          mul=mul, **kwargs)
 
-    monkeypatch.setattr(probe, "walk_words", walk)
+    monkeypatch.setattr(margin, "walk_words", walk)
     discreteness_margin(*margin_args, **margin_kwargs)
     return sorted(walks), muls[0]
 
@@ -415,7 +417,7 @@ def test_margin_falls_through_to_the_exact_path(monkeypatch):
     through to view_dist4 and compare_enclosed, whose overlapping bounds
     go to the exact sign4.  Counted by spies on both helpers."""
     calls = {"rejected": 0, "fell_through": 0, "sign4": 0}
-    real_exceeds, real_sign4 = probe.entry_exceeds, probe.sign4
+    real_exceeds, real_sign4 = margin.entry_exceeds, margin.sign4
 
     def exceeds(xs, k, bound):
         hit = real_exceeds(xs, k, bound)
@@ -426,8 +428,8 @@ def test_margin_falls_through_to_the_exact_path(monkeypatch):
         calls["sign4"] += 1
         return real_sign4(t)
 
-    monkeypatch.setattr(probe, "entry_exceeds", exceeds)
-    monkeypatch.setattr(probe, "sign4", sign4)
+    monkeypatch.setattr(margin, "entry_exceeds", exceeds)
+    monkeypatch.setattr(margin, "sign4", sign4)
     rep = discreteness_margin(1, 4, pair=(P, P))
     assert min(calls.values()) > 0, calls
     best, ties, _ = _unpaired_margin(1, 4, (P, P), (0, 1))

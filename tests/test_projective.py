@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartic.cli import _parse_matrix
+from quartic.dominance import (analyze_dominance, hyperbolic_like,
+                               noncommuting_check)
 from quartic.construction import paper_generators
 from quartic.errors import (HypothesisViolated, NotHyperbolicLike,
                             SearchOverflow)
 from quartic.extension import QuadExt
 from quartic.intervals import interval_json
-from quartic.eigen import regular_rep
 from quartic.linalg import RingMat2, is_scalar4
 from quartic.probe import int_matrices, walk_words
 from quartic import projective
@@ -24,15 +25,13 @@ from quartic.projective import (
     MappingCondition,
     PingPongCertificate,
     ProjPoint,
-    analyze_dominance,
     free_pair_power,
-    hyperbolic_like,
-    noncommuting_check,
     pingpong_exponent,
     proj_dist,
     proj_equal,
     verify_certificate,
 )
+from quartic.regular import regular_rep
 from quartic.ring import ONE, ZERO, QuarticElem, Sign, common_over
 
 import certificate_reference

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quartic.eigen import _cmp_rad_base
+from quartic.dominance import _cmp_rad_base
 from quartic.errors import UnsignedElement
 from quartic.extension import QuadExt
 from quartic.ring import (

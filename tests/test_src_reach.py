@@ -89,6 +89,10 @@ def _corpus(tmp: pathlib.Path) -> list:
         ["verify-paper", "--L", "13"],
         ["search", "--bound", "-1"],
         ["conjugate", Q_TEXT, "--n", "5001"],
+        # an entry of 1501 digits: the conjugate at n = 2000 is too long to
+        # print
+        ["conjugate", "1" + "0" * 1500 + " 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0",
+         "--n", "2000"],
         ["classify", "1/0 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"],
         ["classify", "3 0 2 0; 1 0 0 0; -1 0 0 0"],
         ["classify", "3 0 2 0; 1 0; -1 0 0 0; 0 0 0 0"],
@@ -317,27 +321,34 @@ REPR = "pytest failure messages print it"
 ALLOWED = [
     ("construction.chebyshev", GATE),
     ("construction.check_conditions", GUARD, "raise ValueError"),
-    ("construction.inequality_probe", GUARD, "raise ValueError"),
     ("cubic.CubicElem.__repr__", REPR),
-    ("eigen.RegularRep.__repr__", REPR),
-    ("eigen.RegularRep.__mul__", GUARD, "raise ValueError"),
-    ("eigen.RegularRep.__eq__", GUARD, "return NotImplemented"),
-    ("eigen.regular_rep", GUARD, "raise WrongSubring", "raise ValueError"),
-    ("eigen.charpoly_fraction", GATE),
-    ("eigen._poly_mul", GATE),
-    ("eigen.embedded_charpoly_product", GATE),
+    ("dominance.compare_u", GATE),
+    ("dominance._cmp_rad_base", GATE),
+    ("dominance._cmp_rad_rad", GATE),
+    # the rank-8 analysis of a representation
+    ("dominance._blocks_of", GATE, "return [block_eig(m.source"),
+    ("dominance.analyze_dominance", GATE, "s = compare_u", "if s ==",
+     "return DominanceAnalysis(None, \"double",
+     "return DominanceAnalysis(None, \"maximal eigenvalue is not real"),
+    ("dominance._beta_at", GATE),
+    ("dominance._lift_vec", GATE),
+    ("dominance._lift_covec", GATE),
+    ("dominance.hyperbolic_like", GUARD, "raise SingularMatrix"),
+    ("dominance.hyperbolic_like", GATE, "view = ", "lam_dom, lam_rec",
+     "att8 = ", "rep8 = ", "e11, e12, e21, e22", "view_t = ", "cov_plus = ",
+     "cov_minus = ", "return HyperbolicLikeData("),
+    # check_conditions asks only about pairs with disjoint fixed points
+    ("dominance.noncommuting_check", GUARD, "return NoncommutingResult("),
     # the complex views, which only the rank-8 analysis asks for
     ("eigen.block_eig", GATE, "abs2 = ", "im2 = ", "w4 = ", "w = ",
      "return BlockEig(k, cls, t, u_rad="),
-    ("eigen.compare_u", GATE),
-    ("eigen._cmp_rad_base", GATE),
-    ("eigen._cmp_rad_rad", GATE),
     ("eigen.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product",
      "raise ValueError"),
     ("extension.QuadExt.__repr__", REPR),
     ("extension.QuadExt.inv", GUARD, "raise ZeroDivisionError"),
     ("extension.QuadExt.__eq__", GUARD, "return NotImplemented"),
     ("extension._as_quartic", GUARD, "raise TypeError"),
+    ("inequality.inequality_probe", GUARD, "raise ValueError"),
     ("intervals.enc_sqrt", GUARD, "raise ValueError"),
     ("limits.LimitCandidate.__post_init__", GUARD, "raise NonIntegralInput"),
     # the two targets are fixed, and decided at 64 bits
@@ -351,37 +362,25 @@ ALLOWED = [
     ("linalg.RingMat2.is_neg_identity", GATE),
     ("linalg.RingMat2.real_view", GUARD, "raise ValueError"),
     ("linalg.share_eigenvector", GUARD, "raise ValueError"),
-    ("probe.walk_words", GUARD, "return"),
     # the exact comparison after both one-entry filters passed the word
-    ("probe._scan_subtree", GUARD, "continue"),
-    ("probe.discreteness_margin", GUARD, "raise ValueError(f\"embedding",
+    ("margin._scan_subtree", GUARD, "continue"),
+    ("margin.discreteness_margin", GUARD, "raise ValueError(f\"embedding",
      "raise NotUnimodular"),
+    ("margin.torsion_probe", GATE),
+    ("margin._confirm_torsion", GATE),
+    ("margin.DualSmallnessRow.to_json", GATE),
+    ("margin.DualSmallnessTable.to_json", GATE),
+    ("margin.dual_smallness_scan", GATE),
+    ("margin.nonneg_interval", GUARD, "return 0, max(0, hi), s"),
+    ("probe.walk_words", GUARD, "return"),
     # two words with one product mod p: a relation of the free pair
     ("probe._crosscheck", GUARD, "for u in words:"),
-    ("probe.torsion_probe", GATE),
-    ("probe._confirm_torsion", GATE),
-    ("probe.DualSmallnessRow.to_json", GATE),
-    ("probe.DualSmallnessTable.to_json", GATE),
-    ("probe.dual_smallness_scan", GATE),
-    ("probe.nonneg_interval", GUARD, "return 0, max(0, hi), s"),
     ("projective.ProjPoint.__post_init__", GUARD, "raise ValueError"),
     ("projective.proj_equal", GUARD, "raise DimensionMismatch"),
     # the search and the checker measure distinct fixed points
     ("projective.proj_dist", GUARD, "raise DimensionMismatch",
      "return 0, 0, 1", "raise UndecidedComparison"),
     ("projective._proj_dist_intervals", GUARD, "raise UndecidedComparison"),
-    # the rank-8 analysis of a representation
-    ("projective._blocks_of", GATE, "return [block_eig(m.source"),
-    ("projective.analyze_dominance", GATE, "s = compare_u", "if s ==",
-     "return DominanceAnalysis(None, \"double",
-     "return DominanceAnalysis(None, \"maximal eigenvalue is not real"),
-    ("projective._beta_at", GATE),
-    ("projective._lift_vec", GATE),
-    ("projective._lift_covec", GATE),
-    ("projective.hyperbolic_like", GUARD, "raise SingularMatrix"),
-    ("projective.hyperbolic_like", GATE, "view = ", "lam_dom, lam_rec",
-     "att8 = ", "rep8 = ", "e11, e12, e21, e22", "view_t = ", "cov_plus = ",
-     "cov_minus = ", "return HyperbolicLikeData("),
     ("projective.Ball.from_json", WIRE),
     ("projective.Cell.to_json", WIRE),
     ("projective.Cell.from_json", WIRE),
@@ -405,11 +404,16 @@ ALLOWED = [
     ("projective._PairSearch.certificate", GUARD, "return None"),
     ("projective.certify_exponent", GUARD, "raise ValueError"),
     ("projective.pingpong_exponent", GUARD, "raise SearchOverflow(f\"no certificate"),
-    # check_conditions asks only about pairs with disjoint fixed points
-    ("projective.noncommuting_check", GUARD, "return NoncommutingResult("),
     ("record.Record.__init__", GUARD, "raise TypeError"),
     ("record.Record.__repr__", REPR),
     ("record.Record._frozen", GUARD),
+    ("regular.RegularRep.__repr__", REPR),
+    ("regular.RegularRep.__mul__", GUARD, "raise ValueError"),
+    ("regular.RegularRep.__eq__", GUARD, "return NotImplemented"),
+    ("regular.regular_rep", GUARD, "raise WrongSubring", "raise ValueError"),
+    ("regular.charpoly_fraction", GATE),
+    ("regular._poly_mul", GATE),
+    ("regular.embedded_charpoly_product", GATE),
     ("ring._frac", GUARD, "raise TypeError"),
     ("ring.QuarticElem.__repr__", REPR),
     ("ring.QuarticElem.__eq__", GUARD, "return NotImplemented"),
