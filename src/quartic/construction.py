@@ -113,7 +113,7 @@ def check_conditions(p: RingMat2, q: RingMat2, m: int, n: int) -> ConditionRepor
     if m < 1 or n < 1:
         raise ValueError("powers must be at least 1")
     try:
-        disjoint = not share_eigenvector(p, q, 2)
+        disjoint = not share_eigenvector(p, q)
     except QuarticError:
         disjoint = False
     c3a = not (((q ** m) * (p ** n) * (q ** -m)).commutator(p ** n)).is_identity()

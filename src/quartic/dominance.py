@@ -9,14 +9,43 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .eigen import BlockEig, Eigen2, _eigvec_pair, block_eig, eigen2
+from .eigen import Eigen2, _eigvec_pair, eigen2
 from .errors import SingularMatrix
 from .extension import QuadExt
-from .linalg import MatClass, RingMat2, share_eigenvector
-from .projective import ProjPoint, proj_equal
+from .linalg import MatClass, RingMat2, classify, share_eigenvector
+from .projective import proj_equal
 from .record import Record
 from .regular import RegularRep
-from .ring import ONE, QuarticElem, Sign
+from .ring import ONE, QuarticElem, Sign, galois
+
+
+class BlockEig(Record):
+    """Per-embedding eigen summary used by the dominance analysis.
+
+    u is |lambda|^2 + |lambda|^-2 for the block's eigenvalue pair, encoded
+    exactly: either an element of Q(beta) or (a + sqrt(w)) / 2 with a, w in
+    Q(beta).  Equal u means equal extreme moduli.
+    """
+
+    k: int
+    mat_class: MatClass
+    u_base: QuarticElem | None = None
+    u_rad: tuple[QuarticElem, QuarticElem] | None = None   # (a, w): u = (a + sqrt w)/2
+
+
+def block_eig(a: RingMat2, k: int) -> BlockEig:
+    cls = classify(a, k)
+    t = galois(a.trace(), k)
+    if not t.is_real():
+        abs2 = t.abs2()
+        im2 = t.abs2() - t.re * t.re            # (Im tau)^2 as a quartic value
+        w4 = abs2 - QuarticElem(4)
+        w = w4 * w4 + 16 * im2
+        return BlockEig(k, cls, u_rad=(abs2, w))
+    if cls == MatClass.HYPERBOLIC:
+        return BlockEig(k, cls, u_base=t.re * t.re - QuarticElem(2))
+    # elliptic and parabolic blocks have both moduli equal to 1
+    return BlockEig(k, cls, u_base=QuarticElem(2))
 
 
 def compare_u(x: BlockEig, y: BlockEig) -> Sign:
@@ -59,17 +88,13 @@ def _cmp_rad_rad(r1, r2) -> Sign:
     return s_root if q == Sign.POSITIVE else st
 
 
-class DominantRecord(Record):
-    """A certified dominant eigenvalue: real, simple, strictly extreme."""
-
-    value: QuadExt
-    block_k: int
-
-
 class DominanceAnalysis(Record):
-    record: DominantRecord | None
+    """The verdict, and when it is "dominant" the dominant block's eigen
+    data: its real, simple, strictly extreme eigenvalue is
+    ``eigen.lam_dominant`` and its block is ``eigen.k``."""
+
     reason: str
-    eigen: Eigen2 | None = None     # the dominant block's eigen data
+    eigen: Eigen2 | None = None
 
 
 def _blocks_of(m) -> tuple[list[BlockEig], RingMat2]:
@@ -90,15 +115,13 @@ def analyze_dominance(m) -> DominanceAnalysis:
         elif s == Sign.ZERO:
             best.append(blk)
     if len(best) > 1:
-        return DominanceAnalysis(None, "double maximal eigenvalue")
+        return DominanceAnalysis("double maximal eigenvalue")
     top = best[0]
     if top.mat_class in (MatClass.ELLIPTIC, MatClass.PARABOLIC):
-        return DominanceAnalysis(None, "maximal modulus is 1")
+        return DominanceAnalysis("maximal modulus is 1")
     if top.mat_class == MatClass.LOXODROMIC:
-        return DominanceAnalysis(None, "maximal eigenvalue is not real")
-    eig = eigen2(src, top.k)
-    rec = DominantRecord(value=eig.lam_dominant, block_k=top.k)
-    return DominanceAnalysis(rec, "dominant", eig)
+        return DominanceAnalysis("maximal eigenvalue is not real")
+    return DominanceAnalysis("dominant", eigen2(src, top.k))
 
 
 _BETA_POWERS = (ONE, QuarticElem(0, 1), QuarticElem(0, 0, 1), QuarticElem(0, 0, 0, 1))
@@ -132,52 +155,36 @@ class HyperbolicLikeData(Record):
     a point lies on the cross iff the covector annihilates it.
     """
 
-    dim: int
-    attracting: ProjPoint
-    repelling: ProjPoint
-    cross_plus: ProjPoint | tuple      # P(V_a): complement of the max eigenline
-    cross_minus: ProjPoint | tuple     # P(V_b): complement of the min eigenline
-    block_k: int
+    attracting: tuple
+    repelling: tuple
+    cross_plus: tuple      # P(V_a): complement of the max eigenline
+    cross_minus: tuple     # P(V_b): complement of the min eigenline
 
 
 def hyperbolic_like(m) -> HyperbolicLikeData | None:
     """Full north-south data when both m and its inverse are dominant."""
     if isinstance(m, RingMat2) and m.det().is_zero():
         raise SingularMatrix("input must be invertible")
-    ana = analyze_dominance(m)
-    if ana.record is None:
+    eig = analyze_dominance(m).eigen
+    if eig is None:
         return None
-    eig, k = ana.eigen, ana.record.block_k
+    k = eig.k
     # determinant-one blocks: the same block carries both extreme moduli,
     # so dominance of the inverse comes along for free
     att2 = eig.vec_dominant
     rep2 = eig.vec_recessive
     if isinstance(m, RingMat2):
-        return HyperbolicLikeData(
-            dim=2,
-            attracting=ProjPoint(att2),
-            repelling=ProjPoint(rep2),
-            cross_plus=ProjPoint(rep2),
-            cross_minus=ProjPoint(att2),
-            block_k=k,
-        )
+        return HyperbolicLikeData(att2, rep2, rep2, att2)
     view = m.source.real_view(k)
     lam_dom, lam_rec = eig.lam_dominant, eig.lam_recessive
-    att8 = ProjPoint(_lift_vec(att2, k))
-    rep8 = ProjPoint(_lift_vec(rep2, k))
+    att8 = _lift_vec(att2, k)
+    rep8 = _lift_vec(rep2, k)
     # a left eigenvector of the view is an eigenvector of its transpose
     e11, e12, e21, e22 = view.entries()
     view_t = RingMat2(e11, e21, e12, e22)
     cov_plus = _lift_covec(_eigvec_pair(view_t, lam_dom), k)
     cov_minus = _lift_covec(_eigvec_pair(view_t, lam_rec), k)
-    return HyperbolicLikeData(
-        dim=2 * m.kappa,
-        attracting=att8,
-        repelling=rep8,
-        cross_plus=cov_plus,
-        cross_minus=cov_minus,
-        block_k=k,
-    )
+    return HyperbolicLikeData(att8, rep8, cov_plus, cov_minus)
 
 
 class NoncommutingResult(Record):
@@ -195,16 +202,12 @@ def noncommuting_check(a: RingMat2, b: RingMat2) -> NoncommutingResult:
     db = hyperbolic_like(b)
     if da is None or db is None:
         return NoncommutingResult(False, "inputs are not hyperbolic-like")
-    if share_eigenvector(a, b, 0):
+    if share_eigenvector(a, b):
         return NoncommutingResult(False, "shared fixed point")
     e11, e12, e21, e22 = a.entries()
-    for pt in (db.attracting, db.repelling):
-        image = ProjPoint((
-            QuadExt.of_base(e11, pt.coords[0].d) * pt.coords[0]
-            + QuadExt.of_base(e12, pt.coords[0].d) * pt.coords[1],
-            QuadExt.of_base(e21, pt.coords[0].d) * pt.coords[0]
-            + QuadExt.of_base(e22, pt.coords[0].d) * pt.coords[1],
-        ))
+    for x, y in (db.attracting, db.repelling):
+        image = (QuadExt.of_base(e11, x.d) * x + QuadExt.of_base(e12, x.d) * y,
+                 QuadExt.of_base(e21, x.d) * x + QuadExt.of_base(e22, x.d) * y)
         if proj_equal(image, db.attracting) or proj_equal(image, db.repelling):
             return NoncommutingResult(
                 False, "first matrix preserves the fixed pair of the second")

@@ -14,39 +14,7 @@ from .errors import ParabolicNotSupported
 from .extension import QuadExt
 from .linalg import MatClass, RingMat2, classify
 from .record import Record
-from .ring import ONE, EmbeddedComplex, QuarticElem, Sign, galois
-
-
-class BlockEig(Record):
-    """Per-embedding eigen summary used by the dominance analysis.
-
-    u is |lambda|^2 + |lambda|^-2 for the block's eigenvalue pair, encoded
-    exactly: either an element of Q(beta) or (a + sqrt(w)) / 2 with a, w in
-    Q(beta).  Equal u means equal extreme moduli.
-    """
-
-    k: int
-    mat_class: MatClass
-    trace: EmbeddedComplex
-    u_base: QuarticElem | None = None
-    u_rad: tuple[QuarticElem, QuarticElem] | None = None   # (a, w): u = (a + sqrt w)/2
-    real_trace: QuarticElem | None = None
-
-
-def block_eig(a: RingMat2, k: int) -> BlockEig:
-    cls = classify(a, k)
-    t = galois(a.trace(), k)
-    if not t.is_real():
-        abs2 = t.abs2()
-        im2 = t.abs2() - t.re * t.re            # (Im tau)^2 as a quartic value
-        w4 = abs2 - QuarticElem(4)
-        w = w4 * w4 + 16 * im2
-        return BlockEig(k, cls, t, u_rad=(abs2, w))
-    r = t.re
-    if cls == MatClass.HYPERBOLIC:
-        return BlockEig(k, cls, t, u_base=r * r - QuarticElem(2), real_trace=r)
-    # elliptic and parabolic blocks have both moduli equal to 1
-    return BlockEig(k, cls, t, u_base=QuarticElem(2), real_trace=r)
+from .ring import ONE, QuarticElem, Sign, galois
 
 
 class Eigen2(Record):
@@ -54,7 +22,6 @@ class Eigen2(Record):
 
     k: int
     mat_class: MatClass
-    trace: EmbeddedComplex
     lam_dominant: QuadExt | None = None
     lam_recessive: QuadExt | None = None
     vec_dominant: tuple[QuadExt, QuadExt] | None = None
@@ -78,13 +45,12 @@ def eigen2(a: RingMat2, k: int) -> Eigen2:
     real hyperbolic case, the class and trace alone for the elliptic one,
     whose pair lies on the unit circle; parabolic and loxodromic views are
     rejected."""
-    blk = block_eig(a, k)
-    cls = blk.mat_class
+    cls = classify(a, k)
     if cls == MatClass.PARABOLIC:
         raise ParabolicNotSupported("double eigenvalue")
-    rec = Eigen2(k=k, mat_class=cls, trace=blk.trace)
+    rec = Eigen2(k=k, mat_class=cls)
     if cls == MatClass.HYPERBOLIC:
-        t = blk.real_trace
+        t = galois(a.trace(), k).re
         disc = t * t - QuarticElem(4)
         half = Fraction(1, 2)
         sgn = 1 if t.sign() == Sign.POSITIVE else -1

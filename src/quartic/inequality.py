@@ -77,24 +77,24 @@ def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
     sixteen sign choices with exact verdicts.  Distances print as
     enclosures at DEFAULT_BITS; probe 4 flags distances below 1 and
     probe 8 takes eps = 1/100."""
-    from .projective import ProjPoint, proj_dist
     if which not in (4, 6, 7, 8, 9, 10, 11, 13, 14):
         raise ValueError(f"inequality {which} is not probeable")
     zeta1, eta, mu, nu1 = _entries_for_probe(a)
     rec = InequalityRecord(which=which, available=True)
 
     if which == 4:
+        from .projective import proj_dist
         e3 = a.e11.q3
         g3 = a.e21.q3
         f3 = a.e12.q3
         h3 = a.e22.q3
         v_dom, v_rec = _sigma2_p_slopes()
-        targets = [("dominant", ProjPoint(v_dom)), ("recessive", ProjPoint(v_rec))]
+        targets = [("dominant", v_dom), ("recessive", v_rec)]
         for label, coords in (("[e:g]", (e3, g3)), ("[f:h]", (f3, h3))):
             if coords[0] == 0 and coords[1] == 0:
                 rec.items.append({"point": label, "defined": False})
                 continue
-            pt = ProjPoint((QuarticElem(coords[0]), QuarticElem(coords[1])))
+            pt = (QuarticElem(coords[0]), QuarticElem(coords[1]))
             for tname, tpt in targets:
                 dist = proj_dist(pt, tpt)
                 rec.items.append({

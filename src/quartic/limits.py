@@ -195,7 +195,7 @@ def check_limit_conditions(candidate: LimitCandidate,
     nontrivial = not (q * r1 * q.inv()).commutator(r1).is_identity()
     cond_vii = {"commutator_view1": nontrivial, "commutator_view2": nontrivial}
 
-    cond_viii = not share_eigenvector(m, q, 0)
+    cond_viii = not share_eigenvector(m, q)
 
     notes = ["the second-view limit condition is applied to every entry; "
              "the displayed indexing names one entry but quantifies all"]
@@ -253,6 +253,12 @@ def _rank_tables(bound: int):
     return tables
 
 
+# a larger bound is refused: the four rank tables hold (2 bound + 1)^4
+# entries each, and a count-2 search peaked at 197 MiB in 0.9 s at bound 12 and at
+# 345 MiB in 1.6 s at bound 14 (CPython 3.11), growing as bound^4
+SEARCH_BOUND_CAP = 12
+
+
 def search_limit_candidates(bound: int,
                             count: int = 25) -> list[LimitCandidate]:
     """The count best integral matrices with per-entry coefficient bound and
@@ -269,10 +275,13 @@ def search_limit_candidates(bound: int,
     with key at most the round's threshold, and the threshold's slack
     doubles until the best list is full within it.  Only hits that beat
     the count-th best found so far reach the exact structural checks, and
-    each hit is checked at most once.
+    each hit is checked at most once.  The bound is capped at
+    ``SEARCH_BOUND_CAP``.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if bound > SEARCH_BOUND_CAP:
+        raise ValueError(f"bound {bound} beyond cap {SEARCH_BOUND_CAP}")
     if count < 1:
         raise ValueError("count must be positive")
     _, q = paper_generators()
@@ -321,7 +330,7 @@ def search_limit_candidates(bound: int,
                     # reaches share_eigenvector, which rejects scalars
                     ok = (all(classify(mat, k) in cls
                               for _, k, cls in _CONDITION_IV)
-                          and not share_eigenvector(mat, q, 0))
+                          and not share_eigenvector(mat, q))
                     passed[idx] = mat if ok else None
                 mat = passed[idx]
                 if mat is None:
@@ -382,7 +391,7 @@ def _near_identity_rows(pair, n: int, depth: int,
     from .margin import (compare_enclosed, eps_thresholds, minus_identity4,
                          view_dist4)
     from .probe import ReducedWord, int_matrices, walk_words
-    from .projective import ProjPoint, proj_dist
+    from .projective import proj_dist
     p, cnd = pair
     pn = p ** n
     cn = cnd ** n
@@ -404,15 +413,12 @@ def _near_identity_rows(pair, n: int, depth: int,
             eig = eigen2(mat, 0)
             if eig.vec_dominant is not None:
                 e11, _, e21, e22 = mat.entries()
-                pt_col = ProjPoint((e11, e21))
-                pt_row = ProjPoint((e21, e22))
                 for tag, vec in (("dominant", eig.vec_dominant),
                                  ("recessive", eig.vec_recessive)):
-                    target = ProjPoint(vec)
                     entry[f"dist_col_{tag}"] = interval_json(
-                        proj_dist(pt_col, target))
+                        proj_dist((e11, e21), vec))
                     entry[f"dist_row_{tag}"] = interval_json(
-                        proj_dist(pt_row, target))
+                        proj_dist((e21, e22), vec))
             else:
                 entry["eigen"] = "not hyperbolic in the identity view"
         except QuarticError as exc:

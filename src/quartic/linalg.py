@@ -204,12 +204,10 @@ def resultant_quadratics(f, g) -> QuarticElem:
     return m * m - (f2 * g1 - g2 * f1) * (f1 * g0 - g1 * f0)
 
 
-def share_eigenvector(a: RingMat2, b: RingMat2, k: int) -> bool:
-    """True iff the k-th views share a projective fixed point, decided by an
-    exact resultant.  Galois embeddings are injective, so the verdict does
-    not depend on k; the index is validated and kept for the caller."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError("embedding index must be 0..3")
+def share_eigenvector(a: RingMat2, b: RingMat2) -> bool:
+    """True iff a and b share a projective fixed point, decided by an exact
+    resultant.  Galois embeddings are injective, so the verdict holds for
+    every view."""
     if a.is_scalar() or b.is_scalar():
         raise ScalarMatrix("fixed slopes undefined for scalar matrices")
     return resultant_quadratics(fixed_slope_form(a), fixed_slope_form(b)).is_zero()

@@ -141,7 +141,7 @@ def freeness_certificate(n: int | None,
     check_depth(crosscheck_depth)
     p, q = paper_generators()
     if n is None:
-        cert = free_pair_power(p, q).certificate
+        cert = free_pair_power(p, q)
         n = cert.exponent
     else:
         cert = certify_exponent(p.real_view(2), q.real_view(2), n)

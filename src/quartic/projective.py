@@ -1,4 +1,4 @@
-"""Projective points, chordal distances and ping-pong certificates.
+"""Chordal distances of coordinate tuples and ping-pong certificates.
 
 Ping-pong certificates are fully exact.  Balls are chordal-metric balls
 around the exact eigenvector points.  A condition's roots are the rational
@@ -40,32 +40,14 @@ from .ring import ONE, QuarticElem, Sign, mul4, sign4
 # projective points
 
 
-class ProjPoint(Record, frozen=True):
-    """Point of real projective space in homogeneous coordinates.
-
-    Coordinates are exact field values (QuarticElem or QuadExt).  Equality
-    of two points over the same extension is an exact cross-product test.
-    """
-
-    coords: tuple
-
-    def __post_init__(self):
-        if not self.coords:
-            raise ValueError("empty coordinate tuple")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-
-def proj_equal(p: ProjPoint, q: ProjPoint) -> bool:
+def proj_equal(p: tuple, q: tuple) -> bool:
     """Exact proportionality test of two points whose coordinates lie in
     one quadratic extension of the base field; coordinates in two
     different extensions raise ``InternalMismatch``."""
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"{p.dim} vs {q.dim}")
-    return all((p.coords[i] * q.coords[j] - p.coords[j] * q.coords[i]).is_zero()
-               for i in range(p.dim) for j in range(i + 1, p.dim))
+    if len(p) != len(q):
+        raise DimensionMismatch(f"{len(p)} vs {len(q)}")
+    return all((p[i] * q[j] - p[j] * q[i]).is_zero()
+               for i in range(len(p)) for j in range(i + 1, len(p)))
 
 
 # the most bits a chordal distance enclosure is refined to; a certificate
@@ -73,24 +55,23 @@ def proj_equal(p: ProjPoint, q: ProjPoint) -> bool:
 _MAX_BITS = 4096
 
 
-def proj_dist(p: ProjPoint, q: ProjPoint,
-              bits: int = DEFAULT_BITS) -> Enclosure:
+def proj_dist(p: tuple, q: tuple, bits: int = DEFAULT_BITS) -> Enclosure:
     """Chordal distance |p ^ q| / (|p| |q|) as a validated enclosure.
 
     The squared distance is computed exactly whenever the coordinates live
     in a common extension, so equality gives an exact zero; otherwise the
     enclosure is refined until it is informative.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"{p.dim} vs {q.dim}")
+    if len(p) != len(q):
+        raise DimensionMismatch(f"{len(p)} vs {len(q)}")
     try:
         dot = None
         p2 = None
         q2 = None
-        for i in range(p.dim):
-            dot = p.coords[i] * q.coords[i] if dot is None else dot + p.coords[i] * q.coords[i]
-            p2 = p.coords[i] * p.coords[i] if p2 is None else p2 + p.coords[i] * p.coords[i]
-            q2 = q.coords[i] * q.coords[i] if q2 is None else q2 + q.coords[i] * q.coords[i]
+        for x, y in zip(p, q):
+            dot = x * y if dot is None else dot + x * y
+            p2 = x * x if p2 is None else p2 + x * x
+            q2 = y * y if q2 is None else q2 + y * y
         num = p2 * q2 - dot * dot       # |p|^2 |q|^2 - (p.q)^2, exact
         if num.sign() == Sign.ZERO:
             return 0, 0, 1
@@ -109,15 +90,15 @@ def proj_dist(p: ProjPoint, q: ProjPoint,
         return _proj_dist_intervals(p, q, bits)
 
 
-def _proj_dist_intervals(p: ProjPoint, q: ProjPoint, bits: int) -> Enclosure:
+def _proj_dist_intervals(p: tuple, q: tuple, bits: int) -> Enclosure:
     b = bits
     while True:
-        pc = [c.interval(b) for c in p.coords]
-        qc = [c.interval(b) for c in q.coords]
+        pc = [c.interval(b) for c in p]
+        qc = [c.interval(b) for c in q]
         dot = enc_mul(pc[0], qc[0])
         p2 = enc_mul(pc[0], pc[0])
         q2 = enc_mul(qc[0], qc[0])
-        for i in range(1, p.dim):
+        for i in range(1, len(p)):
             dot = enc_add(dot, enc_mul(pc[i], qc[i]))
             p2 = enc_add(p2, enc_mul(pc[i], pc[i]))
             q2 = enc_add(q2, enc_mul(qc[i], qc[i]))
@@ -162,9 +143,6 @@ class Ball(Record, frozen=True):
         object.__setattr__(self, "_excludes", {
             chart: surd_sign(a[i], b[i], d_num, d_den) == Sign.POSITIVE
             for chart, i in (("u", 0), ("s", 2))})
-
-    def center_point(self) -> ProjPoint:
-        return ProjPoint(self.center)
 
     def membership_sign(self, point: tuple[tuple, tuple]) -> Sign:
         """Sign of chordal(p, c)^2 - r^2 at a base-field point p given as
@@ -367,7 +345,7 @@ def _balls_disjoint(balls: dict[str, Ball], bits: int) -> bool:
     for i, n1 in enumerate(names):
         for n2 in names[i + 1:]:
             b1, b2 = balls[n1], balls[n2]
-            lo, _, s = proj_dist(b1.center_point(), b2.center_point(), bits)
+            lo, _, s = proj_dist(b1.center, b2.center, bits)
             if not lo > (b1.radius + b2.radius) * s:
                 return False
     return True
@@ -527,24 +505,26 @@ def _search_region(ball: Ball, kind: str):
 class _PairSearch:
     """The certificate search state of one hyperbolic pair (a, b).
 
-    It checks the pair's hypotheses and computes each exact quantity once
-    for every exponent and radius it is asked about: the fixed points (one
-    ``eigen2`` per generator), their six chordal distances per precision
-    and each generator power, and per radius the balls, the disjointness
-    precision, the basepoint and each region.  A step condition (exponent +-1) is certified once per
-    radius for every exponent, so a failed attempt costs only its
-    complement conditions."""
+    The pair is the generators' sigma2 views.  It checks the pair's
+    hypotheses and computes each exact quantity once for every exponent and
+    radius it is asked about: the fixed points (one ``eigen2`` per
+    generator), their separation and the precision that certifies it,
+    each generator power, and per radius the balls, the basepoint and each
+    region.  A step condition (exponent +-1) is certified once per radius
+    for every exponent, so a failed attempt costs only its complement
+    conditions."""
 
     def __init__(self, a: RingMat2, b: RingMat2):
         for m, label in ((a, "first"), (b, "second")):
             if classify(m, 0) != MatClass.HYPERBOLIC:
-                raise NotHyperbolicLike(f"{label} input is not hyperbolic")
-        if share_eigenvector(a, b, 0):
-            raise HypothesisViolated("fixed-point sets intersect")
+                raise NotHyperbolicLike(
+                    f"{label} generator is not hyperbolic in the sigma2 view")
+        if share_eigenvector(a, b):
+            raise HypothesisViolated("sigma2 views share an eigenvector")
         self.gens = {"A": a, "B": b}
         self.centers = _fixed_points(a, b)
         self._memo: dict = {}
-        self.sep = self._separation()
+        self.sep, self.bits = self._separation()
 
     def _once(self, key, compute):
         """compute() the first time key is asked for, its value after."""
@@ -552,25 +532,21 @@ class _PairSearch:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def _distances(self, bits: int) -> list[Fraction]:
-        """Lower ends of the six pairwise chordal distances of the fixed
-        points, from ``proj_dist`` at bits."""
-        def compute():
-            pts = [ProjPoint(self.centers[k]) for k in sorted(self.centers)]
-            dists = (proj_dist(p, q, bits)
-                     for i, p in enumerate(pts) for q in pts[i + 1:])
-            return [Fraction(lo, s) for lo, _, s in dists]
-        return self._once(("distances", bits), compute)
-
-    def _separation(self) -> Fraction:
-        """A certified positive lower bound on the fixed points' separation."""
+    def _separation(self) -> tuple[Fraction, int]:
+        """(sep, bits): the least lower end of the fixed points' six
+        pairwise chordal distances (``proj_dist`` at bits), at the first
+        precision where it is positive.  Every ladder radius rho has
+        2 rho < sep, so bits certifies the balls of each rung disjoint."""
+        pts = [self.centers[k] for k in sorted(self.centers)]
         for bits in (64, 128, 256, 512):
             try:
-                sep = min(self._distances(bits))
+                sep = min(Fraction(lo, s) for lo, _, s in (
+                    proj_dist(p, q, bits)
+                    for i, p in enumerate(pts) for q in pts[i + 1:]))
             except UndecidedComparison:
                 continue
             if sep > 0:
-                return sep
+                return sep, bits
         raise HypothesisViolated("fixed points too close to separate")
 
     def radii(self) -> list[Fraction]:
@@ -580,15 +556,12 @@ class _PairSearch:
         return [rho / 2 ** k for k in range(6)] if rho > 0 else []
 
     def _rung(self, rho: Fraction):
-        """(balls, disjointness bits, basepoint) at radius rho, or None when
-        the balls overlap or no basepoint lies outside them: then rho fails
-        at every exponent."""
+        """(balls, basepoint) at radius rho, or None when no basepoint lies
+        outside the balls: then rho fails at every exponent."""
         balls = {name: Ball(name, c, rho) for name, c in self.centers.items()}
-        bits = next((bits for bits in (DEFAULT_BITS << k for k in range(5))
-                     if all(lo > 2 * rho for lo in self._distances(bits))), None)
-        basepoint = None if bits is None else next(
+        basepoint = next(
             (t for t in _BASEPOINTS if _point_outside_all(t, balls)), None)
-        return None if basepoint is None else (balls, bits, basepoint)
+        return None if basepoint is None else (balls, basepoint)
 
     def _region(self, rho: Fraction, balls: dict[str, Ball], name: str):
         """The named condition's (region, outer) on the balls of radius
@@ -633,7 +606,7 @@ class _PairSearch:
         rung = self._once(("rung", rho), lambda: self._rung(rho))
         if rung is None:
             return None
-        balls, bits, basepoint = rung
+        balls, basepoint = rung
         conditions = []
         for name in _CONDITIONS:
             cond = self._condition(rho, balls, name, n)
@@ -644,7 +617,7 @@ class _PairSearch:
             exponent=n, gen_a=self.gens["A"], gen_b=self.gens["B"],
             balls=dict(balls),
             conditions=conditions, basepoint=basepoint,
-            disjointness_bits=bits)
+            disjointness_bits=self.bits)
 
 
 def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
@@ -670,8 +643,7 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
             continue
         # a center over another extension is not compared, but rejected
         if (ball.center[0].d != expected[name][0].d
-                or not proj_equal(ball.center_point(),
-                                  ProjPoint(expected[name]))):
+                or not proj_equal(ball.center, expected[name])):
             problems.append(f"ball {name} center is not the eigenvector point")
         if ball.radius <= 0:
             problems.append(f"ball {name} has nonpositive radius")
@@ -763,19 +735,8 @@ def pingpong_exponent(a: RingMat2, b: RingMat2) -> PingPongCertificate:
 # the freeness wrapper
 
 
-class FreePairResult(Record):
-    exponent: int
-    certificate: PingPongCertificate
-
-
-def free_pair_power(a: RingMat2, b: RingMat2) -> FreePairResult:
-    """Exponent N such that <a^m, b^m> is free for all m >= N, found through
-    the third Galois view where both generators act hyperbolically."""
-    for m, label in ((a, "first"), (b, "second")):
-        if classify(m, 2) != MatClass.HYPERBOLIC:
-            raise NotHyperbolicLike(
-                f"{label} generator is not hyperbolic in the sigma2 view")
-    if share_eigenvector(a, b, 2):
-        raise HypothesisViolated("sigma2 views share an eigenvector")
-    cert = pingpong_exponent(a.real_view(2), b.real_view(2))
-    return FreePairResult(cert.exponent, cert)
+def free_pair_power(a: RingMat2, b: RingMat2) -> PingPongCertificate:
+    """The certificate of the least exponent N such that <a^m, b^m> is free
+    for all m >= N, found through the third Galois view where both
+    generators act hyperbolically."""
+    return pingpong_exponent(a.real_view(2), b.real_view(2))

@@ -168,7 +168,7 @@ def cmd_verify_paper(args) -> Report:
             value=verdicts, anchor="trace classification of all Galois views")
 
     try:
-        shared = share_eigenvector(p, q, 2)
+        shared = share_eigenvector(p, q)
     except QuarticError:
         shared = True
     rep.add("sigma2_no_common_eigenvector", PASS if not shared else FAIL,
@@ -242,12 +242,12 @@ def cmd_verify_paper(args) -> Report:
 
     # freeness certificate and margin
     try:
-        fp = projective.free_pair_power(p, q)
-        cert_ok, problems = projective.verify_certificate(fp.certificate)
+        cert = projective.free_pair_power(p, q)
+        cert_ok, problems = projective.verify_certificate(cert)
         rep.add("freeness_certificate", PASS if cert_ok else FAIL,
-                value={"N": fp.exponent, "problems": problems},
+                value={"N": cert.exponent, "problems": problems},
                 anchor="ping-pong certificate for the third-view pair")
-        n_default = fp.exponent if args.N is None else args.N
+        n_default = cert.exponent if args.N is None else args.N
     except QuarticError as exc:
         rep.add("freeness_certificate", FAIL, value=str(exc),
                 anchor="ping-pong certificate for the third-view pair")

@@ -110,7 +110,7 @@ def test_criterion_04_spectrum_decomposition():
         assert lhs == embedded_charpoly_product(a)
     assert hyperbolic_like(regular_rep(P, 4)) is not None
     ana = analyze_dominance(regular_rep(Q, 4))
-    assert ana.record is None and ana.reason == "double maximal eigenvalue"
+    assert ana.eigen is None and ana.reason == "double maximal eigenvalue"
     report(4, "characteristic polynomial splits over the four views", t0)
 
 
@@ -153,11 +153,11 @@ def test_criterion_06_scalar_identities():
 
 def test_criterion_07_pingpong_certificate(certified):
     t0 = time.monotonic()
-    assert share_eigenvector(P, Q, 2) is False
+    assert share_eigenvector(P, Q) is False
     assert classify(P, 2) == MatClass.HYPERBOLIC
     assert classify(Q, 2) == MatClass.HYPERBOLIC
     assert 1 <= certified.exponent <= 1 << 16
-    ok, problems = verify_certificate(certified.certificate)
+    ok, problems = verify_certificate(certified)
     assert ok, problems
     report(7, f"ping-pong certificate at exponent {certified.exponent}, "
               "revalidated standalone", t0)

@@ -336,6 +336,20 @@ def test_conjugate_power_beyond_the_cap_exit_two(monkeypatch, capsys):
     assert calls == []
 
 
+def test_search_bound_beyond_the_cap_exit_two(monkeypatch, capsys):
+    """A bound above the cap exits 2 with one error line before any rank
+    table is built."""
+    from quartic import limits
+    calls = []
+    monkeypatch.setattr(limits, "_rank_tables", calls.append)
+    cap = limits.SEARCH_BOUND_CAP
+    assert main(["search", "--bound", str(cap + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: ValueError: bound {cap + 1} beyond cap {cap}\n"
+    assert out == ""
+    assert calls == []
+
+
 # sha256 of the stdout of `conjugate LONG_ENTRY --n 1 --json`, as it was
 # before the digit check
 LONG_ENTRY = "1" + "0" * 1500 + " 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"
@@ -419,6 +433,31 @@ def test_override_pair_without_certificate_reports_failure():
                     if r["name"] == "freeness_certificate")
     assert freeness["verdict"] == "fail"
     assert "every radius" in freeness["value"]
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    # P the identity: a scalar, parabolic in every view
+    ({"P11": "1 0 0 0", "P12": "0 0 0 0", "P21": "0 0 0 0", "P22": "1 0 0 0"},
+     "first generator is not hyperbolic in the sigma2 view"),
+    # upper triangular P and Q share the eigenvector (1, 0)
+    ({"P11": "2 0 0 0", "P12": "1 0 0 0", "P21": "0 0 0 0",
+      "P22": "1/2 0 0 0", "Q11": "3 0 0 0", "Q12": "0 0 0 0",
+      "Q21": "0 0 0 0", "Q22": "1/3 0 0 0"},
+     "sigma2 views share an eigenvector"),
+])
+def test_override_pair_outside_the_hypotheses_reports_the_reason(
+        overrides, reason, capsys):
+    """A pair that fails a ping-pong hypothesis fails the freeness check
+    with the hypothesis it fails, and the report is whole."""
+    argv = ["verify-paper"]
+    for name, coeffs in overrides.items():
+        argv += ["--override", f"{name}={coeffs}"]
+    code, blob = run_json(capsys, *argv)
+    assert code == 1
+    freeness = next(r for r in blob["results"]
+                    if r["name"] == "freeness_certificate")
+    assert (freeness["verdict"], freeness["value"]) == ("fail", reason)
+    assert "margin_positive" in _verdicts(blob)
 
 
 # the last two leave Q with determinant 2 and 0: rejected before any check
@@ -535,6 +574,12 @@ def test_command_import_sets():
     verify = _loaded_modules(["verify-paper", "--json"])
     assert verify == margin | mods("verify", "construction", "cubic",
                                    "regular", "dominance")
+    # only probe 4 measures chordal distances
+    inequality = shared | mods("inequality", "eigen", "extension")
+    assert _loaded_modules(["probe-inequality", Q_TEXT, "--which",
+                            "13"]) == inequality
+    assert _loaded_modules(["probe-inequality", Q_TEXT, "--which",
+                            "4"]) == inequality | mods("projective")
     # the benchmark's set-up takes the pair from construction, which
     # loads no module the pair does not need
     src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)

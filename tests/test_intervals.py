@@ -17,7 +17,7 @@ from quartic.intervals import (
     interval_json,
 )
 from quartic.margin import nonneg_interval, sqrt_of_square_interval
-from quartic.projective import ProjPoint, _proj_dist_intervals
+from quartic.projective import _proj_dist_intervals
 from quartic.ring import QuarticElem
 
 from interval_reference import Interval
@@ -140,13 +140,13 @@ def test_square_root_of_a_square_matches_reference(x, bits):
     assert same(sqrt_of_square_interval(sq, bits), ref.sqrt(bits))
 
 
-def reference_proj_dist(p: ProjPoint, q: ProjPoint, bits: int) -> Interval:
+def reference_proj_dist(p: tuple, q: tuple, bits: int) -> Interval:
     """The chordal distance of two points over different extensions, with
     Fraction interval arithmetic throughout."""
-    pc = [Interval.of(c.interval(bits)) for c in p.coords]
-    qc = [Interval.of(c.interval(bits)) for c in q.coords]
+    pc = [Interval.of(c.interval(bits)) for c in p]
+    qc = [Interval.of(c.interval(bits)) for c in q]
     dot, p2, q2 = pc[0] * qc[0], pc[0] * pc[0], qc[0] * qc[0]
-    for i in range(1, p.dim):
+    for i in range(1, len(p)):
         dot = dot + pc[i] * qc[i]
         p2 = p2 + pc[i] * pc[i]
         q2 = q2 + qc[i] * qc[i]
@@ -160,8 +160,8 @@ def reference_proj_dist(p: ProjPoint, q: ProjPoint, bits: int) -> Interval:
 
 @given(quartic, quartic, quartic, quartic)
 def test_mixed_extension_distance_matches_reference(a, b, c, e):
-    p = ProjPoint((QuadExt(a, b, QuarticElem(2)), QuadExt(1, c, QuarticElem(3))))
-    q = ProjPoint((QuadExt(e, 1, QuarticElem(5)), QuadExt(a, 1, QuarticElem(5))))
+    p = (QuadExt(a, b, QuarticElem(2)), QuadExt(1, c, QuarticElem(3)))
+    q = (QuadExt(e, 1, QuarticElem(5)), QuadExt(a, 1, QuarticElem(5)))
     bits = 64
     ref = reference_proj_dist(p, q, bits)
     assert same(_proj_dist_intervals(p, q, bits), ref)

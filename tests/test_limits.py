@@ -264,7 +264,7 @@ def test_search_results_pass_checker():
         assert classify(cand.matrix, 0) == MatClass.HYPERBOLIC
         assert classify(cand.matrix, 3) in (MatClass.HYPERBOLIC,
                                             MatClass.LOXODROMIC)
-        assert not share_eigenvector(cand.matrix, Q, 0)
+        assert not share_eigenvector(cand.matrix, Q)
         rep = check_limit_conditions(cand, vi_depth=2)
         assert rep.passes_iv_and_viii()
 

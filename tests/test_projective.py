@@ -24,7 +24,6 @@ from quartic.projective import (
     Cell,
     MappingCondition,
     PingPongCertificate,
-    ProjPoint,
     free_pair_power,
     pingpong_exponent,
     proj_dist,
@@ -60,20 +59,20 @@ def certificate():
 
 
 def test_dominant_psi_p():
-    rec = analyze_dominance(regular_rep(P, 4)).record
-    assert rec is not None
-    assert rec.block_k == 2
-    assert (rec.value - 1).sign() == Sign.POSITIVE
+    eig = analyze_dominance(regular_rep(P, 4)).eigen
+    assert eig is not None
+    assert eig.k == 2
+    assert (eig.lam_dominant - 1).sign() == Sign.POSITIVE
 
 
 def test_dominant_psi_q_double_max():
     ana = analyze_dominance(regular_rep(Q, 4))
-    assert ana.record is None
+    assert ana.eigen is None
     assert ana.reason == "double maximal eigenvalue"
 
 
 def test_dominant_identity_none():
-    assert analyze_dominance(RingMat2.identity()).record is None
+    assert analyze_dominance(RingMat2.identity()).eigen is None
 
 
 def test_dominant_rotation_none():
@@ -81,7 +80,7 @@ def test_dominant_rotation_none():
     rot = RingMat2(QuarticElem(0, 0, h), QuarticElem(0, 0, -h),
                    QuarticElem(0, 0, h), QuarticElem(0, 0, h))
     assert rot.det() == ONE
-    assert analyze_dominance(rot).record is None
+    assert analyze_dominance(rot).eigen is None
 
 
 def test_hyperbolic_like_psi():
@@ -91,13 +90,13 @@ def test_hyperbolic_like_psi():
 
 def _annihilates(cov, point):
     """Whether the covector's dot product with the point is exactly zero."""
-    return sum((c * x for c, x in zip(cov[1:], point.coords[1:])),
-               cov[0] * point.coords[0]).is_zero()
+    return sum((c * x for c, x in zip(cov[1:], point[1:])),
+               cov[0] * point[0]).is_zero()
 
 
 def test_hyperbolic_like_cross_membership():
     data = hyperbolic_like(regular_rep(P, 4))
-    assert data.dim == 8
+    assert len(data.attracting) == 8
     assert _annihilates(data.cross_minus, data.attracting)
     assert _annihilates(data.cross_plus, data.repelling)
     assert not _annihilates(data.cross_plus, data.attracting)
@@ -106,7 +105,7 @@ def test_hyperbolic_like_cross_membership():
 
 def test_hyperbolic_like_dim2_crosses_are_opposite_points():
     data = hyperbolic_like(B2)
-    assert data.dim == 2
+    assert len(data.attracting) == 2
     assert proj_equal(data.cross_plus, data.repelling)
     assert proj_equal(data.cross_minus, data.attracting)
     assert not proj_equal(data.attracting, data.repelling)
@@ -130,19 +129,19 @@ def test_power_compatibility():
 
 
 def test_proj_dist_zero_for_equal_points():
-    p = ProjPoint((ONE, QuarticElem(2)))
-    q = ProjPoint((QuarticElem(3), QuarticElem(6)))
+    p = (ONE, QuarticElem(2))
+    q = (QuarticElem(3), QuarticElem(6))
     lo, hi, _ = proj_dist(p, q)
     assert lo == 0 == hi
 
 
 def test_proj_dist_orthogonal():
-    lo, hi, s = proj_dist(ProjPoint((ONE, ZERO)), ProjPoint((ZERO, ONE)))
+    lo, hi, s = proj_dist((ONE, ZERO), (ZERO, ONE))
     assert lo == s == hi
 
 
 def test_proj_dist_diagonal_pair():
-    lo, hi, s = proj_dist(ProjPoint((ONE, ONE)), ProjPoint((ONE, -ONE)))
+    lo, hi, s = proj_dist((ONE, ONE), (ONE, -ONE))
     assert lo == s == hi
 
 
@@ -160,8 +159,7 @@ CENTER_DIST_GOLDEN = {
 
 def test_center_distances_match_golden():
     centers = projective._fixed_points(A2, B2)
-    got = {(a, b): interval_json(proj_dist(ProjPoint(centers[a]),
-                                           ProjPoint(centers[b])))
+    got = {(a, b): interval_json(proj_dist(centers[a], centers[b]))
            for a, b in CENTER_DIST_GOLDEN}
     assert got == CENTER_DIST_GOLDEN
 
@@ -353,7 +351,7 @@ def test_search_form_signs_match_the_checker_formula(monkeypatch):
         return real_exponent(a, b, n, search)
 
     monkeypatch.setattr(projective, "certify_exponent", exponent_spy)
-    cert = free_pair_power(P, Q).certificate
+    cert = free_pair_power(P, Q)
     assert tried == [1, 2, 4, 3]
     searched = len(seen)
     assert searched == 179
@@ -816,8 +814,23 @@ def test_noncommuting_inverse_pair_fails_hypotheses():
 def test_free_pair_power(certificate):
     fp = free_pair_power(P, Q)
     assert fp.exponent == certificate.exponent
-    ok, _ = verify_certificate(fp.certificate)
+    ok, _ = verify_certificate(fp)
     assert ok
+
+
+def test_free_pair_power_checks_the_pair_once(monkeypatch):
+    """The search state is the one place the pair's hypotheses are
+    checked: one shared-eigenvector test, on the sigma2 views."""
+    calls = []
+    real = projective.share_eigenvector
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(projective, "share_eigenvector", spy)
+    assert free_pair_power(P, Q).exponent == 3
+    assert calls == [(A2, B2)]
 
 
 def test_free_pair_power_rejects_shared_eigenvectors():

@@ -12,7 +12,7 @@ import quartic
 from quartic.construction import paper_generators
 from quartic.extension import QuadExt
 from quartic.limits import LimitCandidate
-from quartic.projective import Ball, Cell, ProjPoint
+from quartic.projective import Ball, Cell
 from quartic.record import Record
 from quartic.ring import ONE, ZERO, QuarticElem
 
@@ -28,7 +28,7 @@ def _records() -> list[type]:
 def test_record_base_reads_fields_once_per_class():
     assert Cell._fields == ("chart", "lo", "hi", "target_chart")
     assert Cell._defaults == {"target_chart": ""}
-    assert len(_records()) == 26
+    assert len(_records()) == 23
 
 
 def test_record_base_init_and_repr():
@@ -60,8 +60,7 @@ def test_record_base_never_shares_a_list_or_dict_default(cls):
 def _frozen_records():
     d = QuarticElem(2)
     center = (QuadExt.of_base(ONE, d), QuadExt.of_base(ZERO, d))
-    return [Ball("c", center, Fraction(1, 3)), ProjPoint((ONE, ZERO)),
-            LimitCandidate(P)]
+    return [Ball("c", center, Fraction(1, 3)), LimitCandidate(P)]
 
 
 @pytest.mark.parametrize("rec", _frozen_records(),

@@ -88,6 +88,8 @@ def _corpus(tmp: pathlib.Path) -> list:
         ["verify-paper", "--N", "0"],
         ["verify-paper", "--L", "13"],
         ["search", "--bound", "-1"],
+        # one past limits.SEARCH_BOUND_CAP
+        ["search", "--bound", "13"],
         ["conjugate", Q_TEXT, "--n", "5001"],
         # an entry of 1501 digits: the conjugate at n = 2000 is too long to
         # print
@@ -322,14 +324,17 @@ ALLOWED = [
     ("construction.chebyshev", GATE),
     ("construction.check_conditions", GUARD, "raise ValueError"),
     ("cubic.CubicElem.__repr__", REPR),
+    # the complex views, which only the rank-8 analysis asks for
+    ("dominance.block_eig", GATE, "abs2 = ", "im2 = ", "w4 = ", "w = ",
+     "return BlockEig(k, cls, u_rad="),
     ("dominance.compare_u", GATE),
     ("dominance._cmp_rad_base", GATE),
     ("dominance._cmp_rad_rad", GATE),
     # the rank-8 analysis of a representation
     ("dominance._blocks_of", GATE, "return [block_eig(m.source"),
     ("dominance.analyze_dominance", GATE, "s = compare_u", "if s ==",
-     "return DominanceAnalysis(None, \"double",
-     "return DominanceAnalysis(None, \"maximal eigenvalue is not real"),
+     "return DominanceAnalysis(\"double",
+     "return DominanceAnalysis(\"maximal eigenvalue is not real"),
     ("dominance._beta_at", GATE),
     ("dominance._lift_vec", GATE),
     ("dominance._lift_covec", GATE),
@@ -339,9 +344,6 @@ ALLOWED = [
      "cov_minus = ", "return HyperbolicLikeData("),
     # check_conditions asks only about pairs with disjoint fixed points
     ("dominance.noncommuting_check", GUARD, "return NoncommutingResult("),
-    # the complex views, which only the rank-8 analysis asks for
-    ("eigen.block_eig", GATE, "abs2 = ", "im2 = ", "w4 = ", "w = ",
-     "return BlockEig(k, cls, t, u_rad="),
     ("eigen.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product",
      "raise ValueError"),
     ("extension.QuadExt.__repr__", REPR),
@@ -361,7 +363,6 @@ ALLOWED = [
     # the torsion probe's test for -I
     ("linalg.RingMat2.is_neg_identity", GATE),
     ("linalg.RingMat2.real_view", GUARD, "raise ValueError"),
-    ("linalg.share_eigenvector", GUARD, "raise ValueError"),
     # the exact comparison after both one-entry filters passed the word
     ("margin._scan_subtree", GUARD, "continue"),
     ("margin.discreteness_margin", GUARD, "raise ValueError(f\"embedding",
@@ -375,7 +376,6 @@ ALLOWED = [
     ("probe.walk_words", GUARD, "return"),
     # two words with one product mod p: a relation of the free pair
     ("probe._crosscheck", GUARD, "for u in words:"),
-    ("projective.ProjPoint.__post_init__", GUARD, "raise ValueError"),
     ("projective.proj_equal", GUARD, "raise DimensionMismatch"),
     # the search and the checker measure distinct fixed points
     ("projective.proj_dist", GUARD, "raise DimensionMismatch",
@@ -395,12 +395,9 @@ ALLOWED = [
     ("projective._recheck_condition", GUARD, "return False"),
     ("projective.verify_certificate", GUARD, "problems.append(", "continue",
      "return False, problems"),
-    # free_pair_power checks the pair first
-    ("projective._PairSearch.__init__", GUARD, "raise NotHyperbolicLike",
-     "raise HypothesisViolated"),
     ("projective._PairSearch._separation", GUARD, "continue",
      "raise HypothesisViolated"),
-    # a rung fails only on balls that meet: live() finds no such radius
+    # a rung fails only when every basepoint candidate lies in a ball
     ("projective._PairSearch.certificate", GUARD, "return None"),
     ("projective.certify_exponent", GUARD, "raise ValueError"),
     ("projective.pingpong_exponent", GUARD, "raise SearchOverflow(f\"no certificate"),
