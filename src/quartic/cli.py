@@ -81,7 +81,7 @@ def cmd_margin(args) -> Report:
 
 
 def cmd_certify(args) -> Report:
-    from . import probe, projective
+    from . import pingpong, probe
     rep = Report("certify")
     cert = probe.freeness_certificate(args.N, crosscheck_depth=args.L)
     rep.inputs = {"N": cert.n}
@@ -89,7 +89,7 @@ def cmd_certify(args) -> Report:
         ok, balls = False, []
         problems = [f"no ping-pong certificate at exponent {cert.n}"]
     else:
-        ok, problems = projective.verify_certificate(cert.pingpong)
+        ok, problems = pingpong.verify_certificate(cert.pingpong)
         balls = [b.to_json() for b in cert.pingpong.balls.values()]
     rep.add("pingpong_certificate", PASS if ok else FAIL,
             value={"N": cert.n, "problems": problems, "balls": balls})

@@ -13,7 +13,7 @@ from .eigen import Eigen2, _eigvec_pair, eigen2
 from .errors import SingularMatrix
 from .extension import QuadExt
 from .linalg import MatClass, RingMat2, classify, share_eigenvector
-from .projective import proj_equal
+from .pingpong import proj_equal
 from .record import Record
 from .regular import RegularRep
 from .ring import ONE, QuarticElem, Sign, galois

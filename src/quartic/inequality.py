@@ -49,7 +49,6 @@ def _sigma2_p_max_ratio() -> QuadExt:
     """max(|lambda1|, 1/|lambda1|) for the slope lambda1 of the sigma2 view
     of P; the two slopes are reciprocal up to sign."""
     v_dom, _ = _sigma2_p_slopes()
-    slope = None
     # slope of the dominant eigenvector [v1 : v2] as v2 / v1
     v1, v2 = v_dom
     slope = v2 * v1.inv()
@@ -83,7 +82,7 @@ def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
     rec = InequalityRecord(which=which, available=True)
 
     if which == 4:
-        from .projective import proj_dist
+        from .pingpong import proj_dist
         e3 = a.e11.q3
         g3 = a.e21.q3
         f3 = a.e12.q3

@@ -390,8 +390,8 @@ def _near_identity_rows(pair, n: int, depth: int,
     from .eigen import eigen2
     from .margin import (compare_enclosed, eps_thresholds, minus_identity4,
                          view_dist4)
+    from .pingpong import proj_dist
     from .probe import ReducedWord, int_matrices, walk_words
-    from .projective import proj_dist
     p, cnd = pair
     pn = p ** n
     cn = cnd ** n

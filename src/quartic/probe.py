@@ -15,8 +15,8 @@ from math import lcm
 
 from .errors import DepthTooLarge
 from .linalg import RingMat2, is_scalar4, mul_mat4, paper_generators
-from .projective import (PingPongCertificate, certify_exponent,
-                         free_pair_power)
+from .pingpong import PingPongCertificate
+from .projective import certify_exponent, free_pair_power
 from .record import Record
 
 LETTER_NAMES = ("f", "f^-1", "g", "g^-1")
@@ -134,8 +134,8 @@ def freeness_certificate(n: int | None,
     With n None the exponent is the least one ``free_pair_power`` finds,
     and the certificate its search ended on is the one cross-checked.  An
     exponent no radius certifies gets no certificate, and its words are
-    still cross-checked.  The depth is capped at the margin's
-    ``DEFAULT_DEPTH_CAP``."""
+    still cross-checked.  The depth is capped at this module's
+    ``DEFAULT_DEPTH_CAP`` (``check_depth``)."""
     if n is not None and n < 1:
         raise ValueError(f"need a positive exponent, got {n}")
     check_depth(crosscheck_depth)

@@ -1,5 +1,6 @@
 """Reference cell code of the ping-pong certificates, for differential tests
-of ``quartic.projective``.
+of the search in ``quartic.projective`` and the checker in
+``quartic.pingpong``.
 
 ``reference_certify_condition`` is the search as it was before each root
 became one cell: ``reference_certify_cell`` checks a cell's end images and
@@ -17,7 +18,7 @@ denominator A + B t of the composed chart map (``reference_den_coeffs``).
 
 from fractions import Fraction
 
-from quartic.projective import Cell
+from quartic.pingpong import Cell
 from quartic.ring import ONE, QuarticElem, Sign, common_over
 
 # the deepest a cell is bisected to separate the chart poles

@@ -28,8 +28,9 @@ from quartic.margin import (
     dual_smallness_scan,
     torsion_probe,
 )
+from quartic.pingpong import verify_certificate
 from quartic.probe import freeness_certificate, word_count
-from quartic.projective import free_pair_power, verify_certificate
+from quartic.projective import free_pair_power
 from quartic.regular import (
     charpoly_fraction,
     embedded_charpoly_product,

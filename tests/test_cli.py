@@ -399,6 +399,30 @@ def _verdicts(blob) -> dict:
     return {r["name"]: r["verdict"] for r in blob["results"]}
 
 
+def test_verify_paper_shares_the_eigenvector_verdict(monkeypatch, capsys):
+    """The sigma2_no_common_eigenvector row reads the verdict of
+    ``check_conditions``: one verify-paper run asks about shared
+    eigenvectors three times (``check_conditions``, ``noncommuting_check``
+    and the certificate search), not a fourth time for the row."""
+    # load every module that looks the name up
+    from quartic import dominance, linalg, verify  # noqa: F401
+    calls = []
+    real = linalg.share_eigenvector
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "quartic"
+                and getattr(module, "share_eigenvector", None) is real):
+            monkeypatch.setattr(module, "share_eigenvector", spy)
+    code, blob = run_json(capsys, "verify-paper")
+    assert code == 0
+    assert _verdicts(blob)["sigma2_no_common_eigenvector"] == "pass"
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("entry", ["1 0 0 0", "2 0 0 0"])
 def test_override_non_hyperbolic_q_fails_lambda_check(entry, capsys):
     """An elliptic (trace 1) or parabolic (trace 2) Q has no real
@@ -567,8 +591,8 @@ def test_command_import_sets():
                               "--json"])
     assert search == shared | mods("limits")
     certify = _loaded_modules(["certify", "--json"])
-    assert certify == shared | mods("probe", "projective", "eigen",
-                                    "extension")
+    assert certify == shared | mods("probe", "projective", "pingpong",
+                                    "eigen", "extension")
     margin = _loaded_modules(["margin", "--N", "2", "--L", "3"])
     assert margin == certify | mods("margin")
     verify = _loaded_modules(["verify-paper", "--json"])
@@ -579,7 +603,7 @@ def test_command_import_sets():
     assert _loaded_modules(["probe-inequality", Q_TEXT, "--which",
                             "13"]) == inequality
     assert _loaded_modules(["probe-inequality", Q_TEXT, "--which",
-                            "4"]) == inequality | mods("projective")
+                            "4"]) == inequality | mods("pingpong")
     # the benchmark's set-up takes the pair from construction, which
     # loads no module the pair does not need
     src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
@@ -594,6 +618,30 @@ def test_command_import_sets():
                          capture_output=True, text=True).stdout
     assert out.split() == ["True", *sorted({"quartic"} | mods(
         "construction", "errors", "intervals", "linalg", "record", "ring"))]
+
+
+def test_certificate_check_import_set():
+    """A standalone check of the N = 3 certificate text, ``from_json`` and
+    ``verify_certificate``, loads only the checker's trusted base:
+    ``pingpong`` and the arithmetic it imports, none of the search."""
+    p, q = construction.paper_generators()
+    text = projective.certify_exponent(p.real_view(2), q.real_view(2),
+                                       3).to_json_text()
+    src = str(pathlib.Path(quartic.__file__).resolve().parent.parent)
+    code = ("import json, sys\n"
+            "from quartic.pingpong import PingPongCertificate, "
+            "verify_certificate\n"
+            "cert = PingPongCertificate.from_json(json.load(sys.stdin))\n"
+            "print(verify_certificate(cert) == (True, []),\n"
+            "      *sorted(m for m in sys.modules if m.split('.')[0] == "
+            f"'quartic' or m in {sorted(_GENERATION)!r}))")
+    out = subprocess.run([sys.executable, "-c", code], input=text,
+                         check=True, env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "quartic", *sorted(
+        f"quartic.{m}" for m in ("pingpong", "eigen", "extension",
+                                 "intervals", "linalg", "record", "ring",
+                                 "errors"))]
 
 
 def test_certify_reuses_the_searched_certificate(monkeypatch, capsys):

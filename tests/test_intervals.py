@@ -17,7 +17,7 @@ from quartic.intervals import (
     interval_json,
 )
 from quartic.margin import nonneg_interval, sqrt_of_square_interval
-from quartic.projective import _proj_dist_intervals
+from quartic.pingpong import _proj_dist_intervals
 from quartic.ring import QuarticElem
 
 from interval_reference import Interval

@@ -18,18 +18,17 @@ from quartic.extension import QuadExt
 from quartic.intervals import interval_json
 from quartic.linalg import RingMat2, is_scalar4
 from quartic.probe import int_matrices, walk_words
-from quartic import projective
-from quartic.projective import (
+from quartic import pingpong, projective
+from quartic.pingpong import (
     Ball,
     Cell,
     MappingCondition,
     PingPongCertificate,
-    free_pair_power,
-    pingpong_exponent,
     proj_dist,
     proj_equal,
     verify_certificate,
 )
+from quartic.projective import free_pair_power, pingpong_exponent
 from quartic.regular import regular_rep
 from quartic.ring import ONE, ZERO, QuarticElem, Sign, common_over
 
@@ -158,7 +157,7 @@ CENTER_DIST_GOLDEN = {
 
 
 def test_center_distances_match_golden():
-    centers = projective._fixed_points(A2, B2)
+    centers = pingpong._fixed_points(A2, B2)
     got = {(a, b): interval_json(proj_dist(centers[a], centers[b]))
            for a, b in CENTER_DIST_GOLDEN}
     assert got == CENTER_DIST_GOLDEN
@@ -395,9 +394,9 @@ def test_one_cell_search_matches_bisecting_reference_on_the_paper_pair(
         balls = {name: Ball(name, c, rho)
                  for name, c in pair_search.centers.items()}
         for n in range(1, 5):
-            for name in projective._CONDITIONS:
+            for name in pingpong._CONDITIONS:
                 gen, expo, source, target, kind = \
-                    projective._condition_spec(name, n)
+                    pingpong._condition_spec(name, n)
                 region = projective._search_region(balls[source], kind)
                 if region is None:
                     continue
@@ -432,7 +431,7 @@ def test_pole_test_at_a_rational_pole():
                                 (-1, -1, "u", False), (-2, -1, "u", False),
                                 (-3, -2, "u", True), (0, 5, "u", True)):
         cell = Cell("s", Fraction(lo), Fraction(hi))
-        assert projective._cell_pole_free(m, cell, chart) == want
+        assert pingpong._cell_pole_free(m, cell, chart) == want
         assert reference_cell_pole_free(m, cell, chart) == want
 
 
@@ -479,13 +478,13 @@ def test_one_cell_search_matches_bisecting_reference_at_poles(pair_search):
             return
         root = Cell(chart, Fraction(lo, one), Fraction(hi, one))
         for c in "su":
-            assert projective._cell_pole_free(m, root, c) == \
+            assert pingpong._cell_pole_free(m, root, c) == \
                 reference_cell_pole_free(m, root, c)
         for t in (root.lo, root.hi):
-            assert _positive_multiple(projective._image_pair(m, chart, t),
+            assert _positive_multiple(pingpong._image_pair(m, chart, t),
                                       reference_image_pair(m, chart, t))
         cell = projective._root_cell(m, root, ball)
-        ok = cell is not None and projective._recheck_cell(m, cell, ball)
+        ok = cell is not None and pingpong._recheck_cell(m, cell, ball)
         want, leaves, n_splits = reference_certify_cell(m, root, ball)
         assert ok == want
         if ok:
@@ -549,7 +548,7 @@ def test_tiling_check_matches_reference_on_the_certificate_covers(certificate):
             changed = MappingCondition(cond.name, gen, expo, cond.region,
                                        cond.region_kind, outer, cond.target,
                                        list(cover))
-            got = projective._recheck_condition(m, changed, certificate.balls)
+            got = pingpong._recheck_condition(m, changed, certificate.balls)
             ref = reference_recheck_condition(m, changed, certificate.balls)
             assert got == ref == want, (cond.name, label)
             seen.add(label)
@@ -562,9 +561,11 @@ def test_tiling_check_matches_reference_on_drawn_covers(monkeypatch):
     The new test is stricter only on covers outside this set: a cell in a
     chart with no root of the condition, or a reversed cell outside every
     root, which the reference accepted."""
-    for module, name in ((projective, "_recheck_cell"),
+    accepted = []
+    for module, name in ((pingpong, "_recheck_cell"),
                          (certificate_reference, "reference_recheck_cell")):
-        monkeypatch.setattr(module, name, lambda m, c, ball: True)
+        monkeypatch.setattr(module, name, lambda m, c, ball, name=name:
+                            accepted.append(name) or True)
     grid = [Fraction(k, 4) for k in range(-20, 21)]
     verdicts = []
 
@@ -586,6 +587,8 @@ def test_tiling_check_matches_reference_on_drawn_covers(monkeypatch):
             ends = [root.lo] + ends + [root.hi]
             cells += [Cell(root.chart, x, y, "s") for x, y in zip(ends, ends[1:])]
         for _ in range(data.draw(st.integers(0, 2))):
+            if not cells:   # a first change dropped the only cell
+                break
             i = data.draw(st.integers(0, len(cells) - 1))
             c = cells[i]
             change = data.draw(st.sampled_from(
@@ -603,11 +606,13 @@ def test_tiling_check_matches_reference_on_drawn_covers(monkeypatch):
                 cells[i] = Cell("u" if c.chart == "s" else "s", c.lo, c.hi, "s")
         cond = MappingCondition("c", "A", 1, (lo, hi), kind, outer, "t", cells)
         want = reference_recheck_condition(None, cond, {"t": None})
-        assert projective._recheck_condition(None, cond, {"t": None}) == want
+        assert pingpong._recheck_condition(None, cond, {"t": None}) == want
         verdicts.append(want)
 
     check()
     assert True in verdicts and False in verdicts
+    # both tests looked up the spies, so the verdicts are the tilings'
+    assert set(accepted) == {"_recheck_cell", "reference_recheck_cell"}
     # outside the compared set the new test rejects what the reference took
     step = MappingCondition("c", "A", 1, (Fraction(0), Fraction(1)),
                             "interval", Fraction(1), "t",
@@ -619,7 +624,7 @@ def test_tiling_check_matches_reference_on_drawn_covers(monkeypatch):
          Cell("s", Fraction(2), Fraction(1), "s")])
     for cond in (step, reversed_past):
         assert reference_recheck_condition(None, cond, {"t": None})
-        assert not projective._recheck_condition(None, cond, {"t": None})
+        assert not pingpong._recheck_condition(None, cond, {"t": None})
 
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=12)

@@ -12,7 +12,7 @@ import quartic
 from quartic.construction import paper_generators
 from quartic.extension import QuadExt
 from quartic.limits import LimitCandidate
-from quartic.projective import Ball, Cell
+from quartic.pingpong import Ball, Cell
 from quartic.record import Record
 from quartic.ring import ONE, ZERO, QuarticElem
 

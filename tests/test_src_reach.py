@@ -373,28 +373,28 @@ ALLOWED = [
     ("margin.DualSmallnessTable.to_json", GATE),
     ("margin.dual_smallness_scan", GATE),
     ("margin.nonneg_interval", GUARD, "return 0, max(0, hi), s"),
+    ("pingpong.proj_equal", GUARD, "raise DimensionMismatch"),
+    # the search and the checker measure distinct fixed points
+    ("pingpong.proj_dist", GUARD, "raise DimensionMismatch",
+     "return 0, 0, 1", "raise UndecidedComparison"),
+    ("pingpong._proj_dist_intervals", GUARD, "raise UndecidedComparison"),
+    ("pingpong.Ball.from_json", WIRE),
+    ("pingpong.Cell.to_json", WIRE),
+    ("pingpong.Cell.from_json", WIRE),
+    ("pingpong.MappingCondition.to_json", WIRE),
+    ("pingpong.MappingCondition.from_json", WIRE),
+    ("pingpong.PingPongCertificate.to_json", WIRE),
+    ("pingpong.PingPongCertificate.to_json_text", WIRE),
+    ("pingpong.PingPongCertificate.from_json", WIRE),
+    # the checker's rejections of what the search built
+    ("pingpong._balls_disjoint", GUARD, "return False"),
+    ("pingpong._region_ok", GUARD, "return False"),
+    ("pingpong._recheck_condition", GUARD, "return False"),
+    ("pingpong.verify_certificate", GUARD, "problems.append(", "continue",
+     "return False, problems"),
     ("probe.walk_words", GUARD, "return"),
     # two words with one product mod p: a relation of the free pair
     ("probe._crosscheck", GUARD, "for u in words:"),
-    ("projective.proj_equal", GUARD, "raise DimensionMismatch"),
-    # the search and the checker measure distinct fixed points
-    ("projective.proj_dist", GUARD, "raise DimensionMismatch",
-     "return 0, 0, 1", "raise UndecidedComparison"),
-    ("projective._proj_dist_intervals", GUARD, "raise UndecidedComparison"),
-    ("projective.Ball.from_json", WIRE),
-    ("projective.Cell.to_json", WIRE),
-    ("projective.Cell.from_json", WIRE),
-    ("projective.MappingCondition.to_json", WIRE),
-    ("projective.MappingCondition.from_json", WIRE),
-    ("projective.PingPongCertificate.to_json", WIRE),
-    ("projective.PingPongCertificate.to_json_text", WIRE),
-    ("projective.PingPongCertificate.from_json", WIRE),
-    # the checker's rejections of what the search built
-    ("projective._balls_disjoint", GUARD, "return False"),
-    ("projective._region_ok", GUARD, "return False"),
-    ("projective._recheck_condition", GUARD, "return False"),
-    ("projective.verify_certificate", GUARD, "problems.append(", "continue",
-     "return False, problems"),
     ("projective._PairSearch._separation", GUARD, "continue",
      "raise HypothesisViolated"),
     # a rung fails only when every basepoint candidate lies in a ball
