@@ -32,14 +32,6 @@ from .ring import (
 # trace recursion
 
 
-class ChebyshevPair(Record):
-    """Integers with lambda^n + lambda^-n = A_n + B_n sqrt2."""
-
-    n: int
-    a: int
-    b: int
-
-
 _CHEB_CACHE: list[QuarticElem] = [QuarticElem(2), QuarticElem(3, 0, 2)]
 _CHEB2_CACHE: list[QuarticElem] = [ZERO, ONE]
 _TRACE_Q = QuarticElem(3, 0, 2)
@@ -63,13 +55,6 @@ def _cheb_second(n: int) -> QuarticElem:
 
 def cheb_value(n: int) -> QuarticElem:
     return _cheb_first(abs(n))
-
-
-def chebyshev(n: int) -> ChebyshevPair:
-    if n < 0:
-        raise ValueError("nonnegative index expected")
-    v = _cheb_first(n)
-    return ChebyshevPair(n, int(v.q0), int(v.q2))
 
 
 def trace_matches_chebyshev(n: int) -> bool:

@@ -2,8 +2,7 @@
 
 Eigenvalues of a real hyperbolic view are exact elements of a quadratic
 extension of Q(beta) (``extension.QuadExt``).  Regular representations are
-in ``regular``, and the dominance analysis that compares views is in
-``dominance``.
+in ``regular``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ class Eigen2(Record):
     """User-facing eigen data for one embedded 2x2 view."""
 
     k: int
-    mat_class: MatClass
     lam_dominant: QuadExt | None = None
     lam_recessive: QuadExt | None = None
     vec_dominant: tuple[QuadExt, QuadExt] | None = None
@@ -42,13 +40,12 @@ def _eigvec_pair(a: RingMat2, lam: QuadExt) -> tuple[QuadExt, QuadExt]:
 
 def eigen2(a: RingMat2, k: int) -> Eigen2:
     """Eigenvalues of the k-th view: exact quadratic-extension data for the
-    real hyperbolic case, the class and trace alone for the elliptic one,
-    whose pair lies on the unit circle; parabolic and loxodromic views are
-    rejected."""
+    real hyperbolic case, none for the elliptic one, whose pair lies on the
+    unit circle; parabolic and loxodromic views are rejected."""
     cls = classify(a, k)
     if cls == MatClass.PARABOLIC:
         raise ParabolicNotSupported("double eigenvalue")
-    rec = Eigen2(k=k, mat_class=cls)
+    rec = Eigen2(k=k)
     if cls == MatClass.HYPERBOLIC:
         t = galois(a.trace(), k).re
         disc = t * t - QuarticElem(4)

@@ -88,9 +88,6 @@ class LimitCheckReport(Record):
     cond_viii: bool
     notes: list[str] = []
 
-    def passes_iv_and_viii(self) -> bool:
-        return all(self.cond_iv.values()) and self.cond_viii
-
     def to_json(self) -> dict:
         def grid(g):
             return [[interval_json(x) for x in row] for row in g]

@@ -6,8 +6,8 @@ Everything is exact.  A 2x2 matrix over Q(beta) has one representation,
 one reduced denominator.  Products, determinants, traces and the scalar
 tests work on those ints (``mul_mat4``, ``is_scalar4``).  Embedded views
 reuse the scalar Galois machinery; classification is a trace test.  The
-regular representations and the eigen data of the views are in ``eigen``,
-the word scans' int kernels in ``probe``.
+regular representations are in ``regular``, the eigen data of the views in
+``eigen`` and the word scans' int kernels in ``margin``.
 """
 
 from __future__ import annotations
@@ -118,9 +118,6 @@ class RingMat2:
 
     def is_identity(self) -> bool:
         return is_scalar4(self._m, self._d)
-
-    def is_neg_identity(self) -> bool:
-        return is_scalar4(self._m, -self._d)
 
     def is_scalar(self) -> bool:
         return is_scalar4(self._m)

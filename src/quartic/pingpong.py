@@ -46,6 +46,10 @@ def proj_equal(p: tuple, q: tuple) -> bool:
 # may not ask the checker for more
 _MAX_BITS = 4096
 
+# the largest exponent the search tries and the checker accepts: the cost of
+# building A^N and B^N grows about as N^1.6
+EXPONENT_CAP = 1 << 16
+
 
 def proj_dist(p: tuple, q: tuple, bits: int = DEFAULT_BITS) -> Enclosure:
     """Chordal distance |p ^ q| / (|p| |q|) as a validated enclosure.
@@ -428,6 +432,8 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
             problems.append(f"{label} is not hyperbolic with determinant one")
     if cert.exponent < 1:
         problems.append(f"exponent {cert.exponent} is below 1")
+    if cert.exponent > EXPONENT_CAP:
+        problems.append(f"exponent {cert.exponent} beyond cap {EXPONENT_CAP}")
     if not 1 <= cert.disjointness_bits <= _MAX_BITS:
         problems.append(f"disjointness_bits {cert.disjointness_bits} outside "
                         f"1..{_MAX_BITS}")

@@ -4,9 +4,8 @@
 with their matrices, in int 4-tuple form over one denominator
 (``int_matrices``).  ``freeness_certificate`` pairs a ping-pong
 certificate with an exact search for words equal to plus or minus the
-identity (``_crosscheck``).  The discreteness margin, the torsion probe
-and the dual-smallness scan, with the int word kernels they share, are in
-``margin``.
+identity (``_crosscheck``).  The discreteness margin and its int word
+kernels are in ``margin``.
 """
 
 from __future__ import annotations

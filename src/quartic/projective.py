@@ -20,10 +20,10 @@ from fractions import Fraction
 from .errors import (HypothesisViolated, NotHyperbolicLike, SearchOverflow,
                      UndecidedComparison)
 from .linalg import MatClass, RingMat2, classify, share_eigenvector
-from .pingpong import (_CONDITIONS, Ball, Cell, MappingCondition,
-                       PingPongCertificate, _cell_pole_free, _condition_spec,
-                       _fixed_points, _point_outside_all, _recheck_condition,
-                       _region_ok, _roots, proj_dist)
+from .pingpong import (_CONDITIONS, EXPONENT_CAP, Ball, Cell,
+                       MappingCondition, PingPongCertificate, _cell_pole_free,
+                       _condition_spec, _fixed_points, _point_outside_all,
+                       _recheck_condition, _region_ok, _roots, proj_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +237,8 @@ def certify_exponent(a: RingMat2, b: RingMat2, n: int,
     exponents of one pair passes them one ``_PairSearch``."""
     if n < 1:
         raise ValueError("exponent must be at least 1")
+    if n > EXPONENT_CAP:
+        raise ValueError(f"exponent {n} beyond cap {EXPONENT_CAP}")
     if search is None:
         search = _PairSearch(a, b)
     for rho in search.radii():
@@ -248,8 +250,9 @@ def certify_exponent(a: RingMat2, b: RingMat2, n: int,
 
 def pingpong_exponent(a: RingMat2, b: RingMat2) -> PingPongCertificate:
     """Smallest certified exponent via doubling-then-bisection search, all of
-    it on one ``_PairSearch``.  The doubling gives up past 2^16, or as soon
-    as an exponent fails while no radius is live (``_PairSearch.live``)."""
+    it on one ``_PairSearch``.  The doubling gives up past ``EXPONENT_CAP``,
+    or as soon as an exponent fails while no radius is live
+    (``_PairSearch.live``)."""
     search = _PairSearch(a, b)
     n = 1
     while (cert := certify_exponent(a, b, n, search)) is None:
@@ -257,7 +260,7 @@ def pingpong_exponent(a: RingMat2, b: RingMat2) -> PingPongCertificate:
             raise SearchOverflow("no exponent can pass: every radius fails "
                                  "a ball, region or step condition")
         n *= 2
-        if n > 1 << 16:
+        if n > EXPONENT_CAP:
             raise SearchOverflow(f"no certificate up to exponent {n // 2}")
     # the doubling phase already saw n // 2 fail
     lo, hi = n // 2 + 1, n

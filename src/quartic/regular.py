@@ -1,5 +1,4 @@
-"""Regular representations into GL(2k, Q) for k = 2, 3, 4, and the exact
-characteristic polynomials the acceptance gate checks them against.
+"""Regular representations into GL(2k, Q) for k = 2, 3, 4.
 
 The block form of the regular representation is the matrix of left
 multiplication on the coefficient module, so multiplicativity is a theorem
@@ -12,9 +11,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import NotUnimodular, WrongSubring
+from .errors import WrongSubring
 from .linalg import RingMat2
-from .ring import ONE, ZERO, QuarticElem, galois, _elem
+from .ring import _elem
 
 
 class RegularRep:
@@ -133,56 +132,3 @@ def _bareiss_det(rows) -> int:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
         prev = pivot
     return sign * m[-1][-1]
-
-
-def charpoly_fraction(rows) -> list[Fraction]:
-    """Coefficients [1, c1, .., cn] of det(tI - M) via Faddeev-LeVerrier."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += ck
-        mk = [[sum(m[i][l] * mk[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-    return coeffs
-
-
-def _poly_mul(p, q):
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def embedded_charpoly_product(a: RingMat2) -> list[Fraction]:
-    """Product of the char polys of the four embedded 2x2 views of a.
-
-    The sigma0/sigma2 pair and the sigma1/sigma3 pair each multiply to a
-    quartic with real coefficients in Q(beta); the full product must have
-    rational coefficients, which is checked.  Requires det(a) = 1.
-    """
-    if a.det() != ONE:
-        raise NotUnimodular("spectrum decomposition stated for SL2 input")
-    tau = a.trace()
-    # coefficient lists by increasing degree; both factors are palindromic
-    p02 = _poly_mul([ONE, -tau, ONE], [ONE, -tau.conj_even(), ONE])
-    s13 = galois(tau, 1)
-    tr_sum = s13.re + s13.re            # sigma1 + sigma3 of the trace
-    tr_prod = s13.abs2()                # sigma1 * sigma3 of the trace
-    p13 = [ONE, -tr_sum, tr_prod + QuarticElem(2), -tr_sum, ONE]
-    full = _poly_mul(p02, p13)
-    out = []
-    for c in reversed(full):            # leading coefficient first
-        if not c.is_rational():
-            raise WrongSubring("embedded char poly product must be rational")
-        out.append(c.q0)
-    return out

@@ -308,11 +308,6 @@ BETA = QuarticElem(0, 1)
 SQRT2 = QuarticElem(0, 0, 1)
 
 
-def QuadRat(u, v=0) -> QuarticElem:
-    """u + v*sqrt2 as an element of the even subring Q(sqrt2)."""
-    return QuarticElem(u, 0, v, 0)
-
-
 def sqrt2_text(x: QuarticElem) -> str:
     """An element of Q(sqrt2) as 'u + v*sqrt2'."""
     return f"{x.q0} + {x.q2}*sqrt2"

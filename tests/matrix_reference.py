@@ -73,9 +73,6 @@ class RefMat2:
     def is_identity(self) -> bool:
         return self == RefMat2.identity()
 
-    def is_neg_identity(self) -> bool:
-        return self == RefMat2(-1, 0, 0, -1)
-
     def is_scalar(self) -> bool:
         return self.e12.is_zero() and self.e21.is_zero() and self.e11 == self.e22
 

@@ -4,7 +4,7 @@ at n = 18."""
 
 from collections import namedtuple
 
-from quartic.construction import chebyshev
+from quartic.construction import cheb_value
 from quartic.intervals import enc_div, interval_json
 from quartic.ring import QuarticElem
 
@@ -28,8 +28,8 @@ def pell_divergence(n_max: int) -> PellTable:
     prev_norm = None
     first_dec = None
     for n in range(1, n_max + 1):
-        pair = chebyshev(n)
-        a, b = pair.a, pair.b
+        v = cheb_value(n)
+        a, b = int(v.q0), int(v.q2)
         norm = abs(a * a - 2 * b * b)
         den = QuarticElem(a, 0, b).interval(128)
         gap = enc_div((norm, norm, 1), den)

@@ -350,6 +350,21 @@ def test_search_bound_beyond_the_cap_exit_two(monkeypatch, capsys):
     assert calls == []
 
 
+def test_certify_exponent_beyond_the_cap_exit_two(monkeypatch, capsys):
+    """An exponent above the cap exits 2 with one error line before the
+    certificate search starts."""
+    from quartic import pingpong
+    calls = []
+    monkeypatch.setattr(projective, "_PairSearch",
+                        lambda *pair: calls.append(pair))
+    cap = pingpong.EXPONENT_CAP
+    assert main(["certify", "--N", str(cap + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: ValueError: exponent {cap + 1} beyond cap {cap}\n"
+    assert out == ""
+    assert calls == []
+
+
 # sha256 of the stdout of `conjugate LONG_ENTRY --n 1 --json`, as it was
 # before the digit check
 LONG_ENTRY = "1" + "0" * 1500 + " 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"
@@ -421,6 +436,28 @@ def test_verify_paper_shares_the_eigenvector_verdict(monkeypatch, capsys):
     assert code == 0
     assert _verdicts(blob)["sigma2_no_common_eigenvector"] == "pass"
     assert len(calls) == 3
+
+
+def test_verify_paper_eigen_data_count(monkeypatch, capsys):
+    """One verify-paper run takes the eigen data of a 2x2 view six times:
+    once for the lambda row's Q, twice each for the fixed points of the
+    certificate search and of the checker, and once for the second matrix
+    of ``noncommuting_check``."""
+    from quartic import dominance, eigen, pingpong, verify  # noqa: F401
+    calls = []
+    real = eigen.eigen2
+
+    def spy(a, k):
+        calls.append(k)
+        return real(a, k)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "quartic"
+                and getattr(module, "eigen2", None) is real):
+            monkeypatch.setattr(module, "eigen2", spy)
+    code, _ = run_json(capsys, "verify-paper")
+    assert code == 0
+    assert calls == [0] * 6
 
 
 @pytest.mark.parametrize("entry", ["1 0 0 0", "2 0 0 0"])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quartic.construction import (
-    chebyshev,
+    cheb_value,
     check_conditions,
     conjugation_record,
     l_squared,
@@ -21,7 +21,7 @@ from quartic.construction import (
 from quartic.errors import UnsignedElement
 from quartic.inequality import inequality_probe
 from quartic.linalg import RingMat2
-from quartic.ring import ONE, QuadRat, QuarticElem
+from quartic.ring import ONE, QuarticElem
 
 from pell_table import pell_divergence, table_json
 
@@ -54,19 +54,20 @@ def test_generator_determinants_and_trace():
 
 
 def test_lambda_identity():
-    assert lambda_plus_inverse() == QuadRat(3, 2)
+    assert lambda_plus_inverse() == QuarticElem(3, 0, 2, 0)
 
 
 def test_l_squared_identities():
-    assert l_squared() == QuadRat(13, 12)
-    assert l_squared_inverse() == QuadRat(Fraction(-13, 119), Fraction(12, 119))
-    assert l_squared() * l_squared_inverse() == QuadRat(1)
+    assert l_squared() == QuarticElem(13, 0, 12, 0)
+    assert l_squared_inverse() == QuarticElem(
+        Fraction(-13, 119), 0, Fraction(12, 119), 0)
+    assert l_squared() * l_squared_inverse() == QuarticElem(1)
 
 
 def test_chebyshev_values():
-    assert (chebyshev(0).a, chebyshev(0).b) == (2, 0)
-    assert (chebyshev(1).a, chebyshev(1).b) == (3, 2)
-    assert (chebyshev(2).a, chebyshev(2).b) == (15, 12)
+    assert cheb_value(0) == QuarticElem(2, 0, 0, 0)
+    assert cheb_value(1) == QuarticElem(3, 0, 2, 0)
+    assert cheb_value(2) == QuarticElem(15, 0, 12, 0)
 
 
 def test_trace_recursion_matches_powers():
@@ -152,13 +153,13 @@ def test_record_at_zero_is_sigma2_view():
     a = signed_test_matrix()
     rec = conjugation_record(a, 0)
     assert rec.direct == a.real_view(2)
-    assert rec.a_n == QuadRat(1) and rec.b_n == QuadRat(0)
+    assert rec.a_n == QuarticElem(1) and rec.b_n == QuarticElem(0)
     assert rec.closed_forms_match
 
 
 def test_record_a1_value():
     rec = conjugation_record(signed_test_matrix(), 1)
-    assert rec.a_n == QuadRat(3, 2)
+    assert rec.a_n == QuarticElem(3, 0, 2, 0)
 
 
 def test_record_closed_forms_small_n():

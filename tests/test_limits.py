@@ -193,7 +193,7 @@ def test_constant_reference_candidate_fails_structural_condition():
     assert rep.cond_iv["view3_hyperbolic"] is False
     assert rep.cond_iv["view2_hyperbolic"] is True
     assert rep.cond_viii is True
-    assert not rep.passes_iv_and_viii()
+    assert not (all(rep.cond_iv.values()) and rep.cond_viii)
 
 
 def test_zero_odd_part_gives_zero_residual():
@@ -266,7 +266,7 @@ def test_search_results_pass_checker():
                                             MatClass.LOXODROMIC)
         assert not share_eigenvector(cand.matrix, Q)
         rep = check_limit_conditions(cand, vi_depth=2)
-        assert rep.passes_iv_and_viii()
+        assert all(rep.cond_iv.values()) and rep.cond_viii
 
 
 def test_search_deterministic():

@@ -25,15 +25,12 @@ from quartic.linalg import (
 from quartic.cli import _parse_matrix
 from quartic.cubic import CubicElem, CubicMat2
 from quartic.construction import paper_generators
-from quartic.regular import (
-    charpoly_fraction,
-    embedded_charpoly_product,
-    regular_rep,
-)
+from quartic.regular import regular_rep
 from quartic.ring import ONE, QuarticElem, galois
 from quartic.verify import _random_sl2, _random_word_matrix
 
 from matrix_reference import entry_dist_sq
+from regular_reference import charpoly_fraction, embedded_charpoly_product
 
 
 P, Q = paper_generators()
@@ -334,8 +331,8 @@ def test_eigen_q_trace_identity():
 
 
 def test_eigen_p_sigma2_moduli():
+    assert classify(P, 2) == MatClass.HYPERBOLIC
     e = eigen2(P, 2)
-    assert e.mat_class == MatClass.HYPERBOLIC
     lo, _, s = e.lam_dominant.interval()
     assert lo > s
     lo, hi, s = e.lam_recessive.interval()
@@ -353,8 +350,8 @@ def test_eigen_parabolic_rejected():
 def test_eigen_elliptic_reports_unit_circle():
     """The eigenvalues of an elliptic view are a conjugate pair, so their
     squared modulus is their product, the determinant."""
+    assert classify(P, 0) == MatClass.ELLIPTIC
     e = eigen2(P, 0)
-    assert e.mat_class == MatClass.ELLIPTIC
     assert e.lam_dominant is None and e.lam_recessive is None
     lo, hi, s = P.det().interval()
     assert lo == s == hi

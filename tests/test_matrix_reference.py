@@ -65,7 +65,6 @@ def test_products_and_scalar_data_match(xs, ys):
     assert a.det() == r.det()
     assert a.trace() == r.trace()
     assert a.is_identity() == r.is_identity()
-    assert a.is_neg_identity() == r.is_neg_identity()
     assert a.is_scalar() == r.is_scalar()
     assert_same(a.real_view(2), r.real_view(2))
     assert a.real_view(0) == a

@@ -17,12 +17,7 @@ from quartic.limits import (LimitCandidate, margin_uniformity_probe,
                             search_limit_candidates)
 from quartic.linalg import RingMat2, _mat, is_scalar4
 from quartic import linalg, margin, probe
-from quartic.margin import (
-    discreteness_margin,
-    dual_smallness_scan,
-    sqrt_of_square_interval,
-    torsion_probe,
-)
+from quartic.margin import discreteness_margin, sqrt_of_square_interval
 from quartic.probe import (
     ReducedWord,
     freeness_certificate,
@@ -32,6 +27,7 @@ from quartic.probe import (
 )
 from quartic.ring import QuarticElem, Sign
 
+from margin_reference import dual_smallness_scan, torsion_probe
 from matrix_reference import RefMat2, entry_dist_sq
 from word_reference import (inverse_codes, parse_word, reference_word_matrix,
                             reference_words)
@@ -136,12 +132,12 @@ def test_walk_words_scalar_test_matches_ring_matrices():
                  QuarticElem(0))
     pair = (s, P_RAT)
     gens, den = int_matrices([s, s.inv(), P_RAT, P_RAT.inv()])
+    mats = [(c, reference_word_matrix(c, 1, pair))
+            for c in reference_words(4)[1:]]
     for sign in (1, -1):
         hits = [c for c, m in walk_words(gens, 4)
                 if is_scalar4(m, sign * den ** len(c))]
-        want = [c for c in reference_words(4)[1:] if (
-            reference_word_matrix(c, 1, pair).is_identity() if sign == 1
-            else reference_word_matrix(c, 1, pair).is_neg_identity())]
+        want = [c for c, m in mats if is_scalar4(m._m, sign * m._d)]
         assert hits and sorted(hits) == sorted(want)
 
 
@@ -490,7 +486,7 @@ def _reference_hits(pair, depth):
     hits = []
     for codes in reference_words(depth)[1:]:
         m = reference_word_matrix(codes, 1, pair)
-        if m.is_identity() or m.is_neg_identity():
+        if m.is_identity() or is_scalar4(m._m, -m._d):
             hits.append(codes)
     return sorted(hits)
 

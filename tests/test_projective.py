@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartic.cli import _parse_matrix
-from quartic.dominance import (analyze_dominance, hyperbolic_like,
-                               noncommuting_check)
+from quartic.dominance import noncommuting_check
 from quartic.construction import paper_generators
 from quartic.errors import (HypothesisViolated, NotHyperbolicLike,
                             SearchOverflow)
@@ -33,6 +33,7 @@ from quartic.regular import regular_rep
 from quartic.ring import ONE, ZERO, QuarticElem, Sign, common_over
 
 import certificate_reference
+import dominance_reference
 from certificate_reference import (
     reference_cell_pole_free,
     reference_certify_cell,
@@ -41,7 +42,9 @@ from certificate_reference import (
     reference_image_pair,
     reference_recheck_condition,
 )
+from dominance_reference import analyze_dominance, hyperbolic_like
 from ring_reference import reference_quadext_sign
+from word_reference import reference_word_matrix, reference_words
 
 P, Q = paper_generators()
 A2 = P.real_view(2)
@@ -265,6 +268,43 @@ def test_certificate_single_field_mutation_rejected(certificate, mutate):
     assert certificate.exponent == 3
     ok, problems = verify_certificate(_mutated(certificate, mutate))
     assert not ok and problems
+
+
+def _restate(n):
+    """The certificate's exponent N, and each complement condition's +-N,
+    set to n."""
+    def mutate(blob):
+        blob["N"] = n
+        for cond in blob["checked_conditions"]:
+            if cond["region_kind"] == "complement":
+                cond["exponent"] = n if cond["exponent"] > 0 else -n
+    return mutate
+
+
+def test_certificate_restated_at_a_higher_exponent_passes(certificate):
+    """A^N and B^N contract more as N grows, so the N = 3 balls, regions and
+    cells also certify N = 2^10."""
+    assert verify_certificate(_mutated(certificate, _restate(1 << 10))) == (
+        True, [])
+
+
+def test_certificate_exponent_beyond_the_cap_rejected_unbuilt(certificate,
+                                                              monkeypatch):
+    """An exponent above ``pingpong.EXPONENT_CAP`` is a problem found before
+    any generator power is built."""
+    cap = pingpong.EXPONENT_CAP
+    assert cap == 1 << 16
+    tampered = _mutated(certificate, _restate(1 << 40))
+
+    def spy(self, n):
+        raise AssertionError(f"the checker built a power {n}")
+
+    monkeypatch.setattr(RingMat2, "__pow__", spy)
+    started = time.monotonic()
+    ok, problems = verify_certificate(tampered)
+    assert time.monotonic() - started < 1
+    assert not ok
+    assert problems == [f"exponent {1 << 40} beyond cap {cap}"]
 
 
 # sha256 of the full certificate JSON of the paper pair's sigma2 views:
@@ -814,6 +854,29 @@ def test_noncommuting_power_pair_fails_hypotheses():
 def test_noncommuting_inverse_pair_fails_hypotheses():
     res = noncommuting_check(B2, B2.inv())
     assert not res
+
+
+def test_noncommuting_check_matches_reference(rng):
+    """The check reads ``classify`` and one ``eigen2`` where the reference
+    went through the dominance analysis: both give the same verdict, reason
+    and commutator flag on the paper pair's sigma2 and identity views (P is
+    elliptic in the identity view), powers, inverses and drawn word pairs."""
+    pairs = [(A2, B2), (B2, A2), (A2, A2 * A2), (B2, B2.inv()), (P, Q),
+             (Q, P), (Q, B2)]
+    words = reference_words(3)[1:]
+    for view in ((A2, B2), (P, Q)):
+        for _ in range(12):
+            pairs.append(tuple(reference_word_matrix(rng.choice(words), 1,
+                                                     view)
+                               for _ in range(2)))
+    reasons = set()
+    for a, b in pairs:
+        got = noncommuting_check(a, b)
+        want = dominance_reference.noncommuting_check(a, b)
+        assert (got.holds, got.reason, got.commutator_nontrivial) == (
+            want.holds, want.reason, want.commutator_nontrivial)
+        reasons.add(got.reason)
+    assert len(reasons) == 3, reasons
 
 
 def test_free_pair_power(certificate):

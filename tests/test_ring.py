@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quartic.dominance import _cmp_rad_base
 from quartic.errors import UnsignedElement
 from quartic.extension import QuadExt
 from quartic.ring import (
     BETA,
     ONE,
     ZERO,
-    QuadRat,
     QuarticElem,
     Sign,
     Signedness,
@@ -32,6 +30,7 @@ from quartic.ring import (
     _over,
 )
 
+from dominance_reference import _cmp_rad_base
 from ring_reference import (
     reference_cmp_rad_base,
     reference_field_quantity_N,
@@ -139,7 +138,7 @@ def test_galois_q_trace():
 def test_galois_p_trace():
     g = galois(QuarticElem(5, -3, 1, -2), 1)
     assert g.re == QuarticElem(5, 0, -1, 0)
-    assert g.im_scale == QuadRat(-3, 2)   # -(3 - 2 sqrt2)
+    assert g.im_scale == QuarticElem(-3, 0, 2, 0)   # -(3 - 2 sqrt2)
 
 
 def test_galois_conjugate_pair():

@@ -19,15 +19,7 @@ import tokenize
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # definitions kept with no reader in the program, each for its reason
-ALLOWED = {
-    "torsion_probe": "the acceptance gate reads it",
-    "dual_smallness_scan": "the acceptance gate reads it",
-    "passes_iv_and_viii": "the acceptance gate reads it",
-    "QuadRat": "the acceptance gate reads it",
-    "chebyshev": "the acceptance gate reads it",
-    "charpoly_fraction": "the acceptance gate's spectrum decomposition",
-    "embedded_charpoly_product": "the acceptance gate's spectrum decomposition",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _identifiers():
@@ -73,7 +65,6 @@ ALLOWED_PARAMS = {
         "acceptance criterion 4 draws words of length <= 4",
     "sqrt_of_square_interval(bits)":
         "a test starts at 8 bits to reach nonneg_interval's doubling branch",
-    "QuadRat(v)": "QuadRat is kept for the acceptance gate",
 }
 
 
@@ -169,14 +160,6 @@ def test_every_defaulted_src_parameter_is_passed_by_the_program():
 
 # Record fields no code in the program reads, each for its reason
 ALLOWED_FIELDS = {
-    **{f"TorsionResult.{f}": "the acceptance gate reads the torsion verdict"
-       for f in ("torsion", "n_max", "order", "order_mod_center",
-                 "sign_at_first_hit")},
-    "HyperbolicLikeData.cross_plus":
-        "the acceptance gate's rank-8 north-south data",
-    "HyperbolicLikeData.cross_minus":
-        "the acceptance gate's rank-8 north-south data",
-    "DominanceAnalysis.reason": "the acceptance gate reads it",
     "MarginReport.margin_sq":
         "the exact squared margin, held against the reference scan; the "
         "report prints its enclosure",
