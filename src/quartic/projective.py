@@ -11,19 +11,36 @@ root has no pole, and accepts the cover by the checker's own test
 pole in every chart where the ball is convex maps one parameter onto that
 chart's point at infinity, which lies outside the ball, so every leaf that
 contains it would have an end outside the ball.
+
+The radii of the ladder are tried largest first.  When a complement
+condition fails at radius rho, the search looks for one witness
+(``_witness``): a dyadic slope t strictly outside the source ball whose
+image under the generator power is not strictly inside the target ball.
+A witness refutes the exponent at rho and at every smaller radius rho' of
+the ladder.  The balls at rho' have the same centers, so they lie inside
+those at rho.  The condition's removed interval at rho' lies inside the
+source ball at rho' (``_region_ok``), so t lies outside it, in some cell
+of the cover.  A passing cell maps t strictly inside the target ball at
+rho', hence inside the one at rho, and t's image is not there.  The
+candidates come from an integer enclosure of the source ball's ends;
+every decision is a sign of the ball form (``Ball.membership_sign``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
 
 from .errors import (HypothesisViolated, NotHyperbolicLike, SearchOverflow,
                      UndecidedComparison)
+from .intervals import enc_add, enc_mul, enc_sqrt
 from .linalg import MatClass, RingMat2, classify, share_eigenvector
 from .pingpong import (_CONDITIONS, EXPONENT_CAP, Ball, Cell,
                        MappingCondition, PingPongCertificate, _cell_pole_free,
-                       _condition_spec, _fixed_points, _point_outside_all,
-                       _recheck_condition, _region_ok, _roots, proj_dist)
+                       _condition_spec, _fixed_points, _image_pair,
+                       _point_outside_all, _recheck_condition, _region_ok,
+                       _roots, proj_dist)
+from .ring import Sign
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +80,42 @@ def _ball_slope_window(ball: Ball) -> tuple[Fraction, Fraction] | None:
     # chordal radius r around slope s0 spans roughly r * (1 + s0^2) in slope
     spread = ball.radius * (1 + max(abs(lo), abs(hi)) ** 2) * 2
     return (lo - spread, hi + spread)
+
+
+def _edge_slopes(ball: Ball) -> list[Fraction]:
+    """Dyadic slopes just outside the ball's two ends in chart s, or none
+    when the ball is not an interval there.  For center c and radius r the
+    ends are the roots of the ball form at (1, t),
+    (c1 c2 -+ r |c|^2 sqrt(1 - r^2)) / (c1^2 - r^2 |c|^2); each is enclosed
+    from the center's enclosures at ``_SLOPE_BITS`` and rounded outward to
+    a dyadic.  The slopes are candidates only: the ball form decides."""
+    x, y = (c.interval(_SLOPE_BITS) for c in ball.center)
+    r2 = ball.radius * ball.radius
+    p, q = r2.numerator, r2.denominator
+    xx, xy = enc_mul(x, x), enc_mul(x, y)
+    norm = enc_add(xx, enc_mul(y, y))
+    d_lo, d_hi, d_s = enc_add(xx, (-norm[1] * p, -norm[0] * p, norm[2] * q))
+    if d_lo <= 0:
+        return []
+    w = p * (q - p)
+    o_lo, o_hi, o_s = enc_mul(enc_sqrt((w, w, q * q), _SLOPE_BITS), norm)
+    n_lo, _, n_s = enc_add(xy, (-o_hi, -o_lo, o_s))
+    _, n_hi, _ = enc_add(xy, (o_lo, o_hi, o_s))
+    left = min(Fraction(n_lo * d_s, n_s * d) for d in (d_lo, d_hi))
+    right = max(Fraction(n_hi * d_s, n_s * d) for d in (d_lo, d_hi))
+    unit = 1 << _DYADIC_BITS
+    return [Fraction(floor(left * unit), unit),
+            Fraction(ceil(right * unit), unit)]
+
+
+def _witness(m: RingMat2, source: Ball, target: Ball) -> Fraction | None:
+    """A dyadic slope strictly outside the source ball whose image under m
+    is not strictly inside the target ball, or None: one exact point that
+    no cover of a complement condition from source to target can map."""
+    return next((t for t in _edge_slopes(source)
+                 if _point_outside_all(t, {source.name: source})
+                 and target.membership_sign(_image_pair(m, "s", t))
+                 != Sign.NEGATIVE), None)
 
 
 def _certify_condition(m: RingMat2, cond: MappingCondition,
@@ -120,8 +173,9 @@ class _PairSearch:
     generator), their separation and the precision that certifies it,
     each generator power, and per radius the balls, the basepoint and each
     region.  A step condition (exponent +-1) is certified once per radius
-    for every exponent, so a failed attempt costs only its complement
-    conditions."""
+    for every exponent.  A failed complement condition at a radius is met
+    by one witness search (``refuted``), which spares the smaller radii
+    when it finds a point against the condition."""
 
     def __init__(self, a: RingMat2, b: RingMat2):
         for m, label in ((a, "first"), (b, "second")):
@@ -164,10 +218,14 @@ class _PairSearch:
         rho = _dyadic_near(self.sep / 4)
         return [rho / 2 ** k for k in range(6)] if rho > 0 else []
 
+    def _balls(self, rho: Fraction) -> dict[str, Ball]:
+        return self._once(("balls", rho), lambda: {
+            name: Ball(name, c, rho) for name, c in self.centers.items()})
+
     def _rung(self, rho: Fraction):
         """(balls, basepoint) at radius rho, or None when no basepoint lies
         outside the balls: then rho fails at every exponent."""
-        balls = {name: Ball(name, c, rho) for name, c in self.centers.items()}
+        balls = self._balls(rho)
         basepoint = next(
             (t for t in _BASEPOINTS if _point_outside_all(t, balls)), None)
         return None if basepoint is None else (balls, basepoint)
@@ -178,6 +236,10 @@ class _PairSearch:
         _, _, source, _, kind = _CONDITIONS[name]
         return self._once(("region", rho, name),
                           lambda: _search_region(balls[source], kind))
+
+    def _power(self, gen: str, expo: int) -> RingMat2:
+        return self._once(("power", gen, expo),
+                          lambda: self.gens[gen] ** expo)
 
     def _condition(self, rho: Fraction, balls: dict[str, Ball],
                    name: str, n: int) -> MappingCondition | None:
@@ -191,9 +253,8 @@ class _PairSearch:
                 return None
             cond = MappingCondition(name, gen, expo, region[0], kind,
                                     region[1], target)
-            m = self._once(("power", gen, expo),
-                           lambda: self.gens[gen] ** expo)
-            return cond if _certify_condition(m, cond, balls) else None
+            return (cond if _certify_condition(self._power(gen, expo), cond,
+                                               balls) else None)
         return self._once(("condition", rho, name, expo), compute)
 
     def live(self) -> bool:
@@ -208,6 +269,19 @@ class _PairSearch:
                     else self._region(rho, rung[0], name) is not None
                     for name, (*_, kind) in _CONDITIONS.items()):
                 return True
+        return False
+
+    def refuted(self, n: int, rho: Fraction) -> bool:
+        """Whether one witness shows that exponent n fails at rho and at
+        every smaller radius of the ladder, as the module docstring argues:
+        some complement condition fails at rho, and ``_witness`` finds a
+        point against the first that does."""
+        balls = self._balls(rho)
+        for name, (gen, sgn, source, target, kind) in _CONDITIONS.items():
+            if (kind == "complement"
+                    and self._condition(rho, balls, name, n) is None):
+                return _witness(self._power(gen, sgn * n), balls[source],
+                                balls[target]) is not None
         return False
 
     def certificate(self, n: int, rho: Fraction) -> PingPongCertificate | None:
@@ -233,8 +307,12 @@ def certify_exponent(a: RingMat2, b: RingMat2, n: int,
                      search: _PairSearch | None = None
                      ) -> PingPongCertificate | None:
     """Certificate at the given exponent, or None; the radius ladder starts
-    at a quarter of the fixed-point separation.  A caller that tries several
-    exponents of one pair passes them one ``_PairSearch``."""
+    at a quarter of the fixed-point separation.  The walk stops early with
+    None at a radius where a complement condition fails and
+    ``_PairSearch.refuted`` finds a witness: no smaller radius of the
+    ladder can certify the exponent, since its balls lie inside those of
+    that radius.  A caller that tries several exponents of one pair passes
+    them one ``_PairSearch``."""
     if n < 1:
         raise ValueError("exponent must be at least 1")
     if n > EXPONENT_CAP:
@@ -243,7 +321,7 @@ def certify_exponent(a: RingMat2, b: RingMat2, n: int,
         search = _PairSearch(a, b)
     for rho in search.radii():
         cert = search.certificate(n, rho)
-        if cert is not None:
+        if cert is not None or search.refuted(n, rho):
             return cert
     return None
 

@@ -104,11 +104,11 @@ def _random_sl2(rng: random.Random, kappa: int):
     return out
 
 
-def _random_word_matrix(rng: random.Random, p: RingMat2, q: RingMat2,
-                        max_len: int = 6) -> RingMat2:
+def _random_word_matrix(rng: random.Random, p: RingMat2,
+                        q: RingMat2) -> RingMat2:
     gens = [p, p.inv(), q, q.inv()]
     out = RingMat2.identity()
-    for _ in range(rng.randint(1, max_len)):
+    for _ in range(rng.randint(1, 6)):
         out = out * gens[rng.randrange(4)]
     return out
 

@@ -14,11 +14,15 @@ they were, with ``QuarticElem`` arithmetic on the matrix entries
 (``reference_image_pair``), and handed to ``Ball.membership_sign`` as ints
 over their common denominator; a cell's pole test reads the linear
 denominator A + B t of the composed chart map (``reference_den_coeffs``).
+``reference_certify_exponent`` is the exponent attempt as it was before a
+witness point could stop it: it walks every radius of the ladder.
 """
 
 from fractions import Fraction
 
-from quartic.pingpong import Cell
+from quartic.linalg import RingMat2
+from quartic.pingpong import EXPONENT_CAP, Cell, PingPongCertificate
+from quartic.projective import _PairSearch
 from quartic.ring import ONE, QuarticElem, Sign, common_over
 
 # the deepest a cell is bisected to separate the chart poles
@@ -152,3 +156,22 @@ def reference_recheck_condition(m, cond, balls):
         if not _reference_cells_tile(cond.cells, "s", lo, hi):
             return False
     return all(reference_recheck_cell(m, c, target) for c in cond.cells)
+
+
+def reference_certify_exponent(a: RingMat2, b: RingMat2, n: int,
+                               search: _PairSearch | None = None
+                               ) -> PingPongCertificate | None:
+    """Certificate at the given exponent, or None; the radius ladder starts
+    at a quarter of the fixed-point separation.  A caller that tries several
+    exponents of one pair passes them one ``_PairSearch``."""
+    if n < 1:
+        raise ValueError("exponent must be at least 1")
+    if n > EXPONENT_CAP:
+        raise ValueError(f"exponent {n} beyond cap {EXPONENT_CAP}")
+    if search is None:
+        search = _PairSearch(a, b)
+    for rho in search.radii():
+        cert = search.certificate(n, rho)
+        if cert is not None:
+            return cert
+    return None

@@ -43,6 +43,7 @@ from quartic.verify import (
 from dominance_reference import analyze_dominance, hyperbolic_like
 from margin_reference import dual_smallness_scan, torsion_probe
 from regular_reference import charpoly_fraction, embedded_charpoly_product
+from word_reference import random_word_matrix
 
 P, Q = paper_generators()
 
@@ -101,7 +102,7 @@ def test_criterion_04_spectrum_decomposition():
     t0 = time.monotonic()
     rng = random.Random(202)
     for _ in range(50):
-        a = _random_word_matrix(rng, P, Q, 4)
+        a = random_word_matrix(rng, P, Q, 4)
         lhs = charpoly_fraction([list(r) for r in regular_rep(a, 4).entries])
         assert lhs == embedded_charpoly_product(a)
     assert hyperbolic_like(regular_rep(P, 4)) is not None

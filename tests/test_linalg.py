@@ -1,5 +1,6 @@
 """Matrices, classification, regular representations, eigen data."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from quartic.verify import _random_sl2, _random_word_matrix
 
 from matrix_reference import entry_dist_sq
 from regular_reference import charpoly_fraction, embedded_charpoly_product
+from word_reference import random_word_matrix
 
 
 P, Q = paper_generators()
@@ -100,8 +102,8 @@ def test_classify_requires_det_one():
 
 def test_classify_conjugation_invariant(rng):
     for _ in range(15):
-        a = _random_word_matrix(rng, P, Q, 4)
-        w = _random_word_matrix(rng, P, Q, 4)
+        a = random_word_matrix(rng, P, Q, 4)
+        w = random_word_matrix(rng, P, Q, 4)
         conj = w * a * w.inv()
         for k in range(4):
             assert classify(conj, k) == classify(a, k)
@@ -109,7 +111,7 @@ def test_classify_conjugation_invariant(rng):
 
 def test_trace_commutes_with_embedding(rng):
     for _ in range(15):
-        a = _random_word_matrix(rng, P, Q, 4)
+        a = random_word_matrix(rng, P, Q, 4)
         for k in range(4):
             t, x, y = (galois(e, k) for e in (a.trace(), a.e11, a.e22))
             assert (t.re, t.im_scale) == (x.re + y.re,
@@ -150,6 +152,16 @@ def test_multiplicative_kappa4(rng):
         assert regular_rep(a * b, 4) == regular_rep(a, 4) * regular_rep(b, 4)
 
 
+def test_random_word_helper_draws_the_program_words():
+    """The test helper, at the program's 6 letters, draws the same words
+    with the same rng calls as ``verify._random_word_matrix``."""
+    rng_a, rng_b = random.Random(5), random.Random(5)
+    for _ in range(20):
+        assert random_word_matrix(rng_a, P, Q, 6) == _random_word_matrix(
+            rng_b, P, Q)
+    assert rng_a.getstate() == rng_b.getstate()
+
+
 def test_det_one_kappa4(rng):
     for _ in range(200):
         assert regular_rep(_random_word_matrix(rng, P, Q), 4).det() == 1
@@ -173,7 +185,7 @@ def test_kappa3_uses_cubic_matrices(rng):
 
 def test_spectrum_decomposition(rng):
     """char(Psi(a)) is the product of the four embedded char polys."""
-    for a in [P, Q] + [_random_word_matrix(rng, P, Q, 4) for _ in range(10)]:
+    for a in [P, Q] + [random_word_matrix(rng, P, Q, 4) for _ in range(10)]:
         lhs = charpoly_fraction([list(r) for r in regular_rep(a, 4).entries])
         assert lhs == embedded_charpoly_product(a)
 
@@ -377,8 +389,8 @@ def test_share_eigenvector_scalar_raises():
 
 def test_share_eigenvector_embedding_independent(rng):
     for _ in range(10):
-        a = _random_word_matrix(rng, P, Q, 4)
-        b = _random_word_matrix(rng, P, Q, 4)
+        a = random_word_matrix(rng, P, Q, 4)
+        b = random_word_matrix(rng, P, Q, 4)
         if a.is_scalar() or b.is_scalar():
             continue
         assert (share_eigenvector(a.real_view(2), b.real_view(2))

@@ -16,7 +16,8 @@ from quartic.errors import (HypothesisViolated, NotHyperbolicLike,
                             SearchOverflow)
 from quartic.extension import QuadExt
 from quartic.intervals import interval_json
-from quartic.linalg import RingMat2, is_scalar4
+from quartic.linalg import (MatClass, RingMat2, classify, is_scalar4,
+                            share_eigenvector)
 from quartic.probe import int_matrices, walk_words
 from quartic import pingpong, projective
 from quartic.pingpong import (
@@ -38,6 +39,7 @@ from certificate_reference import (
     reference_cell_pole_free,
     reference_certify_cell,
     reference_certify_condition,
+    reference_certify_exponent,
     reference_complement_cells,
     reference_image_pair,
     reference_recheck_condition,
@@ -371,8 +373,10 @@ def _assert_exclusions_match_reference(ball):
 
 def test_search_form_signs_match_the_checker_formula(monkeypatch):
     """Every point the whole exponent search signs on the paper pair, its
-    failing exponents and rungs included, and every point the checker
-    signs, gets the sign of the direct formula."""
+    failing exponents and witnesses included, and every point the checker
+    signs, gets the sign of the direct formula; so does every point the
+    search signs on ``COMPANION``, whose failed step condition walks the
+    whole radius ladder."""
     seen = []
     real = Ball.membership_sign
 
@@ -393,11 +397,15 @@ def test_search_form_signs_match_the_checker_formula(monkeypatch):
     cert = free_pair_power(P, Q)
     assert tried == [1, 2, 4, 3]
     searched = len(seen)
-    assert searched == 179
-    assert len({ball.radius for ball, _, _ in seen}) > 1
+    assert searched == 106
+    # exponents 1 and 2 are refuted at the first radius, by a witness
+    assert len({ball.radius for ball, _, _ in seen}) == 1
     again = PingPongCertificate.from_json(json.loads(cert.to_json_text()))
     assert verify_certificate(again) == (True, [])
-    assert len(seen) == 231
+    assert len(seen) == 158
+    with pytest.raises(SearchOverflow):
+        free_pair_power(*COMPANION)
+    assert len({ball.radius for ball, _, _ in seen[158:]}) > 1
     for ball, point, sign in seen:
         assert _reference_sign(ball, point) == sign, (ball.name, point)
     for ball in {id(b): b for b, _, _ in seen}.values():
@@ -789,8 +797,11 @@ def test_pingpong_elliptic_rejected():
 
 
 def test_paper_search_certifications(monkeypatch):
-    """The paper search certifies 28 conditions; checking after each
-    failed exponent that some radius is live adds none."""
+    """The paper search certifies 16 conditions, all at the first radius,
+    the only rung it builds.  A witness refutes exponent 1 at ``A_pos``
+    and exponent 2 at ``B_pos``; the check after exponent 1 that the radius
+    is live certifies the four step conditions, which every later exponent
+    shares; exponents 4 and 3 certify their four complement conditions."""
     names = []
     real = projective._certify_condition
 
@@ -798,9 +809,22 @@ def test_paper_search_certifications(monkeypatch):
         names.append(cond.name)
         return real(m, cond, balls)
 
+    rungs = []
+    real_rung = projective._PairSearch._rung
+
+    def rung_spy(search, rho):
+        rungs.append(rho)
+        return real_rung(search, rho)
+
     monkeypatch.setattr(projective, "_certify_condition", spy)
+    monkeypatch.setattr(projective._PairSearch, "_rung", rung_spy)
     assert free_pair_power(P, Q).exponent == 3
-    assert len(names) == 28
+    complements = ["A_pos", "A_neg", "B_pos", "B_neg"]
+    assert names == (["A_pos", "A_att_step", "A_rep_step", "B_att_step",
+                      "B_rep_step", "A_pos", "A_neg", "B_pos"]
+                     + complements + complements)
+    assert len(names) == 16
+    assert rungs == [projective._PairSearch(A2, B2).radii()[0]]
 
 
 # sigma2 views of a pair whose step condition B_att_step fails at every
@@ -821,6 +845,118 @@ def test_search_gives_up_when_no_radius_is_live(monkeypatch):
     monkeypatch.setattr(projective, "certify_exponent", spy)
     with pytest.raises(SearchOverflow, match="every radius"):
         free_pair_power(*COMPANION)
+
+
+# ---------------------------------------------------------------------------
+# a failing exponent refuted by one witness point, against the ladder walk
+# of tests/certificate_reference.py
+
+
+def _drawn_hyperbolic_pairs(rng, count):
+    """Pairs of sigma2 word matrices of length <= 3 in P and Q, both
+    hyperbolic, with no shared eigenvector."""
+    words = reference_words(3)[1:]
+    pairs = []
+    while len(pairs) < count:
+        a, b = (reference_word_matrix(rng.choice(words), 1, (A2, B2))
+                for _ in range(2))
+        if (classify(a, 0) == classify(b, 0) == MatClass.HYPERBOLIC
+                and not share_eigenvector(a, b)):
+            pairs.append((a, b))
+    return pairs
+
+
+def _assert_witness_refutes(a, b, n, m, source, target, t):
+    """t lies outside the source ball, m maps it to a point not strictly
+    inside the target ball, both by the direct formula, m is the
+    condition's power, and the bisecting reference fails the condition at
+    the witness's radius and every smaller one."""
+    assert _reference_sign(source, _slope_point(t)) == Sign.POSITIVE
+    assert _reference_sign(target, reference_image_pair(m, "s", t)) != (
+        Sign.NEGATIVE)
+    name = next(k for k, (*_, src, tgt, kind) in pingpong._CONDITIONS.items()
+                if (src, tgt, kind) == (source.name, target.name,
+                                        "complement"))
+    gen, expo, *_ = pingpong._condition_spec(name, n)
+    assert m == (a if gen == "A" else b) ** expo
+    search = projective._PairSearch(a, b)
+    smaller = [rho for rho in search.radii() if rho <= source.radius]
+    assert smaller[0] == source.radius
+    for rho in smaller:
+        balls = {k: Ball(k, c, rho) for k, c in search.centers.items()}
+        region = projective._search_region(balls[source.name], "complement")
+        if region is None:
+            continue
+        cond = MappingCondition(name, gen, expo, region[0], "complement",
+                                region[1], target.name)
+        assert not reference_certify_condition(m, cond, balls)[0], (name, rho)
+
+
+def test_witness_search_matches_the_ladder_walk_reference(monkeypatch, rng):
+    """The search that stops at a witness returns what the full ladder walk
+    returns, None or the same certificate text, on the paper pair at
+    exponents 1 to 6, the pairs (Q, P) and (P^-1, Q), ``COMPANION`` and
+    drawn pairs at exponents 1 to 3.  Every witness is checked exactly:
+    the differential test alone cannot catch an unsound refutation, since
+    no radius after a failed complement condition certifies on these
+    pairs."""
+    found, missed = [], []
+    real = projective._witness
+
+    def spy(m, source, target):
+        t = real(m, source, target)
+        (missed if t is None else found).append((m, source, target, t))
+        return t
+
+    monkeypatch.setattr(projective, "_witness", spy)
+    companion = tuple(m.real_view(2) for m in COMPANION)
+    cases = ([((A2, B2), n) for n in range(1, 7)]
+             + [(pair, n) for pair in ((B2, A2), (A2.inv(), B2))
+                for n in range(1, 5)]
+             + [(companion, 1)]
+             + [(pair, n) for pair in _drawn_hyperbolic_pairs(rng, 32)
+                for n in range(1, 4)])
+    refuted = 0
+    for (a, b), n in cases:
+        found.clear()
+        got, want = (None if c is None else c.to_json_text()
+                     for c in (projective.certify_exponent(a, b, n),
+                               reference_certify_exponent(a, b, n)))
+        assert got == want
+        for witness in found:
+            _assert_witness_refutes(a, b, n, *witness)
+        refuted += len(found)
+    # one complement failure, on a drawn pair, has no witness and falls
+    # through to the next radius
+    assert (refuted, len(missed)) == (64, 1)
+
+
+def test_witness_needs_both_exact_checks(monkeypatch):
+    """``_witness`` returns only a candidate outside the source ball whose
+    image is not strictly inside the target ball: here the first
+    candidate is inside the source ball, the second maps inside the target
+    ball, and the third is the witness exponent 1 fails with."""
+    search = projective._PairSearch(A2, B2)
+    balls = search._balls(search.radii()[0])
+    source, target = balls["A_rep"], balls["A_att"]
+    witness = projective._witness(A2, source, target)
+    assert witness is not None
+    # the midpoints of the regions the search removes from the two balls
+    inside, mapped_in = (projective._dyadic_near(sum(
+        projective._search_region(ball, "complement")[0]) / 2)
+        for ball in (source, target))
+    for t, outside, image_inside in ((inside, False, False),
+                                     (mapped_in, True, True)):
+        assert (_reference_sign(source, _slope_point(t))
+                == Sign.POSITIVE) == outside
+        assert (_reference_sign(target, reference_image_pair(A2, "s", t))
+                == Sign.NEGATIVE) == image_inside
+    monkeypatch.setattr(projective, "_edge_slopes",
+                        lambda ball: [inside, mapped_in, witness])
+    assert projective._witness(A2, source, target) == witness
+    monkeypatch.setattr(projective, "_edge_slopes",
+                        lambda ball: [inside, mapped_in])
+    assert projective._witness(A2, source, target) is None
 
 
 def test_no_short_relations(certificate):

@@ -61,8 +61,6 @@ def test_every_src_definition_has_a_program_reader():
 
 # defaulted parameters no call in the program passes, each for its reason
 ALLOWED_PARAMS = {
-    "_random_word_matrix(max_len)":
-        "acceptance criterion 4 draws words of length <= 4",
     "sqrt_of_square_interval(bits)":
         "a test starts at 8 bits to reach nonneg_interval's doubling branch",
 }

@@ -1,6 +1,6 @@
 """Slow word references the walker tests compare against: every freely
 reduced word from ``itertools.product``, and a word's matrix as a product
-of ``RingMat2`` letters.  Letter codes are f, f^-1, g, g^-1 = 0, 1, 2, 3,
+of ``RingMat2`` letters; and random words of a chosen length bound.  Letter codes are f, f^-1, g, g^-1 = 0, 1, 2, 3,
 so letter c has inverse c ^ 1; nothing here reads ``quartic.probe``."""
 
 import itertools
@@ -35,4 +35,15 @@ def reference_word_matrix(codes, n, pair):
     out = RingMat2.identity()
     for c in codes:
         out = out * letters[c]
+    return out
+
+
+def random_word_matrix(rng, p, q, max_len):
+    """A product of one to max_len letters drawn from p, p^-1, q and q^-1,
+    with the rng calls of ``quartic.verify._random_word_matrix``, which
+    draws up to 6 letters."""
+    gens = [p, p.inv(), q, q.inv()]
+    out = RingMat2.identity()
+    for _ in range(rng.randint(1, max_len)):
+        out = out * gens[rng.randrange(4)]
     return out
