@@ -16,7 +16,7 @@ import sys
 import time
 
 from .errors import QuarticError, UsageError
-from .linalg import (RingMat2, as_paper_hyperbolic, classify, paper_generators,
+from .linalg import (MatClass, RingMat2, classify, paper_generators,
                      parse_matrix)
 from .report import FAIL, PASS, PROBE_ONLY, Report
 from .ring import QuarticElem
@@ -34,6 +34,12 @@ def _parse_matrix(text: str, elem=QuarticElem, mat=RingMat2):
 def cmd_verify_paper(args) -> Report:
     from . import verify
     return verify.cmd_verify_paper(args)
+
+
+def as_paper_hyperbolic(cls: MatClass) -> bool:
+    """Loxodromic elements of SL(2,C) count as hyperbolic in the source
+    terminology; report both under one predicate."""
+    return cls in (MatClass.HYPERBOLIC, MatClass.LOXODROMIC)
 
 
 def cmd_classify(args) -> Report:

@@ -10,22 +10,82 @@ All verdicts are exact.  The standalone inequality probes are in
 
 from __future__ import annotations
 
+import enum
 import sys
 from itertools import chain
 
-from .errors import QuarticError
+from .errors import QuarticError, UnsignedElement
 from .linalg import RingMat2, paper_generators, share_eigenvector
 from .record import Record
-from .ring import (
-    ONE,
-    ZERO,
-    QuarticElem,
-    Signedness,
-    delta,
-    gamma,
-    signedness,
-    sqrt2_text,
-)
+from .ring import ONE, ZERO, QuarticElem, _elem
+
+
+# ---------------------------------------------------------------------------
+# Q(sqrt2) text, signedness and the gamma/delta split
+
+
+def sqrt2_text(x: QuarticElem) -> str:
+    """An element of Q(sqrt2) as 'u + v*sqrt2'."""
+    return f"{x.q0} + {x.q2}*sqrt2"
+
+
+class Signedness(enum.Enum):
+    POSITIVE = "positive"
+    NEGATIVE = "negative"
+    UNSIGNED = "unsigned"
+
+
+def signedness(x: QuarticElem) -> Signedness:
+    # over a positive denominator the numerators carry the signs
+    lo, hi = min(x._c), max(x._c)
+    if lo >= 0 and hi > 0:
+        return Signedness.POSITIVE
+    if hi <= 0 and lo < 0:
+        return Signedness.NEGATIVE
+    return Signedness.UNSIGNED
+
+
+def _gamma(x: QuarticElem, name: str, degrees, scale: int) -> QuarticElem:
+    """scale * the least of x's monomial terms q_i beta^i for i in degrees,
+    each one int of its vector over its denominator, extended oddly to
+    negative x.  Zero input yields zero (continuity); mixed signs raise."""
+    if x.is_zero():
+        return ZERO
+    s = signedness(x)
+    if s == Signedness.UNSIGNED:
+        raise UnsignedElement(f"{name} of mixed-sign element {x.to_text()}")
+    if s == Signedness.NEGATIVE:
+        return -_gamma(-x, name, degrees, scale)
+    c, d = x._c, x._d
+    return scale * min(_elem(tuple(c[i] if j == i else 0 for j in range(4)), d)
+                       for i in degrees)
+
+
+def gamma(x: QuarticElem) -> QuarticElem:
+    """4 * min of the four monomial terms, extended oddly to negative x."""
+    return _gamma(x, "gamma", range(4), 4)
+
+
+def delta(x: QuarticElem) -> QuarticElem:
+    return x - gamma(x)
+
+
+def gamma1(x: QuarticElem) -> QuarticElem:
+    """2 * min of the even-part terms {a, p*beta^2}, oddly extended."""
+    return _gamma(x, "gamma1", (0, 2), 2)
+
+
+def gamma2(x: QuarticElem) -> QuarticElem:
+    """2 * min of the odd-part terms {m*beta, e*beta^3}, oddly extended."""
+    return _gamma(x, "gamma2", (1, 3), 2)
+
+
+def delta1(x: QuarticElem) -> QuarticElem:
+    return x.even_part() - gamma1(x)
+
+
+def delta2(x: QuarticElem) -> QuarticElem:
+    return x.odd_part() - gamma2(x)
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +97,9 @@ _CHEB2_CACHE: list[QuarticElem] = [ZERO, ONE]
 _TRACE_Q = QuarticElem(3, 0, 2)
 
 
-def _cheb_first(n: int) -> QuarticElem:
-    """lambda^n + lambda^-n as an element of Z[sqrt2], n >= 0."""
+def cheb_value(n: int) -> QuarticElem:
+    """lambda^n + lambda^-n as an element of Z[sqrt2], any n."""
+    n = abs(n)
     while len(_CHEB_CACHE) <= n:
         _CHEB_CACHE.append(_TRACE_Q * _CHEB_CACHE[-1] - _CHEB_CACHE[-2])
     return _CHEB_CACHE[n]
@@ -51,10 +112,6 @@ def _cheb_second(n: int) -> QuarticElem:
     while len(_CHEB2_CACHE) <= n:
         _CHEB2_CACHE.append(_TRACE_Q * _CHEB2_CACHE[-1] - _CHEB2_CACHE[-2])
     return _CHEB2_CACHE[n]
-
-
-def cheb_value(n: int) -> QuarticElem:
-    return _cheb_first(abs(n))
 
 
 def trace_matches_chebyshev(n: int) -> bool:
@@ -175,10 +232,6 @@ def lambda_plus_inverse() -> QuarticElem:
 def l_squared() -> QuarticElem:
     """(lambda - 1/lambda)^2 = 13 + 12 sqrt2."""
     return (lambda_plus_inverse() * lambda_plus_inverse()) - 4
-
-
-def l_squared_inverse() -> QuarticElem:
-    return l_squared().inv()
 
 
 # |n| beyond this fails in a conjugation record: the entries of Q^n have

@@ -8,9 +8,9 @@ second one's attracting and repelling points are its exact eigenvectors
 from __future__ import annotations
 
 from .eigen import eigen2
+from .errors import DimensionMismatch
 from .extension import QuadExt
 from .linalg import MatClass, RingMat2, classify, share_eigenvector
-from .pingpong import proj_equal
 from .record import Record
 
 
@@ -21,6 +21,16 @@ class NoncommutingResult(Record):
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+def proj_equal(p: tuple, q: tuple) -> bool:
+    """Exact proportionality test of two points whose coordinates lie in
+    one quadratic extension of the base field; coordinates in two
+    different extensions raise ``InternalMismatch``."""
+    if len(p) != len(q):
+        raise DimensionMismatch(f"{len(p)} vs {len(q)}")
+    return all((p[i] * q[j] - p[j] * q[i]).is_zero()
+               for i in range(len(p)) for j in range(i + 1, len(p)))
 
 
 def noncommuting_check(a: RingMat2, b: RingMat2) -> NoncommutingResult:

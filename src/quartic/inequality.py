@@ -5,15 +5,17 @@ of one matrix, with distances and ratios reported as enclosures.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
+from .construction import Signedness, delta, delta1, delta2, signedness
 from .eigen import eigen2
 from .errors import UnsignedElement
 from .extension import QuadExt
-from .intervals import DEFAULT_BITS, enc_div, enc_sqrt, interval_json
+from .intervals import DEFAULT_BITS, enc_div, enc_sqrt
 from .linalg import RingMat2, paper_generators
 from .record import Record
-from .ring import (ONE, QuarticElem, Sign, Signedness, delta, delta1, delta2,
-                   galois, signedness)
+from .report import interval_json
+from .ring import ONE, QuarticElem, Sign, galois
 
 
 class InequalityRecord(Record):
@@ -83,10 +85,7 @@ def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
 
     if which == 4:
         from .pingpong import proj_dist
-        e3 = a.e11.q3
-        g3 = a.e21.q3
-        f3 = a.e12.q3
-        h3 = a.e22.q3
+        e3, f3, g3, h3 = (x.q3 for x in a.entries())
         v_dom, v_rec = _sigma2_p_slopes()
         targets = [("dominant", v_dom), ("recessive", v_rec)]
         for label, coords in (("[e:g]", (e3, g3)), ("[f:h]", (f3, h3))):
@@ -151,19 +150,15 @@ def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
     if which == 13:
         coeff = QuarticElem(3, 0, -2, 0)
         count = 0
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    for s4 in (1, -1):
-                        lhs = coeff * (s1 * eta - s2 * mu) \
-                            + 2 * (s3 * zeta1 - s4 * nu1)
-                        holds = ((lhs * lhs - ONE).sign() == Sign.POSITIVE)
-                        count += holds
-                        rec.items.append({
-                            "signs": [s1, s2, s3, s4],
-                            "lhs_abs": _iv(lhs.abs()),
-                            "exceeds_one": bool(holds),
-                        })
+        for s1, s2, s3, s4 in product((1, -1), repeat=4):
+            lhs = coeff * (s1 * eta - s2 * mu) + 2 * (s3 * zeta1 - s4 * nu1)
+            holds = ((lhs * lhs - ONE).sign() == Sign.POSITIVE)
+            count += holds
+            rec.items.append({
+                "signs": [s1, s2, s3, s4],
+                "lhs_abs": _iv(lhs.abs()),
+                "exceeds_one": bool(holds),
+            })
         rec.note = f"{count} of 16 sign choices exceed 1"
         return rec
 
@@ -171,21 +166,10 @@ def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
     _require_signed((zeta1, eta, mu, nu1))
 
     if which == 6:
-        def minmax(xs):
-            vals = []
-            for x in xs:
-                d1 = delta1(x)
-                d2 = delta2(x)
-                m = d1 if (d1 - d2).sign() == Sign.NEGATIVE else d2
-                vals.append(m)
-            best = vals[0]
-            for v in vals[1:]:
-                if (v - best).sign() == Sign.POSITIVE:
-                    best = v
-            return best
-        first = minmax([zeta1, mu])
-        second = minmax([eta, nu1])
-        overall = first if (first - second).sign() == Sign.NEGATIVE else second
+        # exact comparisons: QuarticElem orders by the sign of a difference
+        first, second = (max(min(delta1(x), delta2(x)) for x in xs)
+                         for xs in ((zeta1, mu), (eta, nu1)))
+        overall = min(first, second)
         holds = ((overall - QuarticElem(Fraction(1, 1000))).sign()
                  == Sign.POSITIVE)
         rec.items.append({
@@ -240,22 +224,18 @@ def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
         d_zeta = delta1(zeta1)
         threshold = Fraction(1, 10 ** 20)
         count = 0
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    for s4 in (1, -1):
-                        lhs = coeff * (s1 * d_eta - s2 * d_mu) \
-                            + 2 * (s3 * d_nu - s4 * d_zeta)
-                        val = QuadExt.of_base(lhs.abs(), mratio.d) * mratio
-                        holds = ((val - QuadExt.of_base(
-                            QuarticElem(threshold), mratio.d)).sign()
-                            == Sign.POSITIVE)
-                        count += holds
-                        rec.items.append({
-                            "signs": [s1, s2, s3, s4],
-                            "lhs_abs": _iv(lhs.abs()),
-                            "exceeds_threshold": bool(holds),
-                        })
+        for s1, s2, s3, s4 in product((1, -1), repeat=4):
+            lhs = (coeff * (s1 * d_eta - s2 * d_mu)
+                   + 2 * (s3 * d_nu - s4 * d_zeta))
+            val = QuadExt.of_base(lhs.abs(), mratio.d) * mratio
+            holds = ((val - QuadExt.of_base(QuarticElem(threshold),
+                                            mratio.d)).sign() == Sign.POSITIVE)
+            count += holds
+            rec.items.append({
+                "signs": [s1, s2, s3, s4],
+                "lhs_abs": _iv(lhs.abs()),
+                "exceeds_threshold": bool(holds),
+            })
         rec.note = f"{count} of 16 sign choices exceed 10^-20 / M"
         return rec
 

@@ -13,7 +13,6 @@ from functools import cache
 from math import isqrt
 
 DEFAULT_BITS = 64
-FILTER_BITS = 48
 
 
 def ifourth_root(n: int) -> int:
@@ -61,25 +60,6 @@ def dyadic_bounds(c0: int, cs, bits: int) -> tuple[int, int]:
             lo += c * phi
             hi += c * plo
     return lo, hi
-
-
-def filter_bounds(c0: int, cs) -> tuple[int, int]:
-    """Integer bounds for (c0 + cs[0] beta + cs[1] beta^2 + cs[2] beta^3)
-    * 2^FILTER_BITS.
-
-    The enclosure is taken at the coefficients' bit length plus FILTER_BITS
-    and rounded outward, so its width is a few units at scale
-    2^-FILTER_BITS however large the coefficients are.  Two values whose
-    bounds are disjoint are ordered exactly; only overlapping bounds need
-    an exact sign (the filter of Bronnimann, Burnikel and Pion).
-    """
-    m = abs(c0)
-    for c in cs:
-        m |= abs(c)
-    bits = m.bit_length() + FILTER_BITS
-    lo, hi = dyadic_bounds(c0, cs, bits)
-    shift = bits - FILTER_BITS
-    return lo >> shift, -(-hi >> shift)
 
 
 def dyadic_sign(c0: int, cs) -> int:
@@ -134,22 +114,3 @@ def enc_sqrt(x: Enclosure, bits: int = DEFAULT_BITS) -> Enclosure:
     n = -(-hi * q * q // s)             # ceil
     r = isqrt(n)
     return isqrt(lo * q * q // s), r + (r * r < n), q
-
-
-# the report's decimal places; endpoints round outward to them
-_PLACES = 12
-_UNIT = 10 ** _PLACES
-
-
-def format_endpoint(n: int, d: int, round_up: bool = False) -> str:
-    """Exact decimal rendering of n / d (d > 0) rounded outward to
-    _PLACES digits."""
-    v = -(-n * _UNIT // d) if round_up else n * _UNIT // d
-    whole, frac = divmod(abs(v), _UNIT)
-    return f"{'-' if v < 0 else ''}{whole}.{frac:0{_PLACES}d}"
-
-
-def interval_json(e: Enclosure) -> list[str]:
-    """Deterministic [lo, hi] string pair, outward rounded."""
-    lo, hi, s = e
-    return [format_endpoint(lo, s), format_endpoint(hi, s, round_up=True)]

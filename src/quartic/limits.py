@@ -17,11 +17,11 @@ from bisect import insort
 from fractions import Fraction
 
 from .errors import NonIntegralInput, NotUnimodular, QuarticError
-from .intervals import (DEFAULT_BITS, Enclosure, dyadic_bounds, enc_add,
-                        interval_json)
+from .intervals import DEFAULT_BITS, Enclosure, dyadic_bounds, enc_add
 from .linalg import (MatClass, RingMat2, _mat, classify, is_scalar4,
                      paper_generators, share_eigenvector)
 from .record import Record
+from .report import interval_json
 from .ring import ONE, ZERO, QuarticElem, mul4
 
 

@@ -36,12 +36,6 @@ class MatClass(enum.Enum):
     LOXODROMIC = "loxodromic"
 
 
-def as_paper_hyperbolic(cls: MatClass) -> bool:
-    """Loxodromic elements of SL(2,C) count as hyperbolic in the source
-    terminology; report both under one predicate."""
-    return cls in (MatClass.HYPERBOLIC, MatClass.LOXODROMIC)
-
-
 class RingMat2:
     """2x2 matrix over Q(beta), row major.
 

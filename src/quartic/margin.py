@@ -19,12 +19,13 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import NotUnimodular
-from .intervals import (DEFAULT_BITS, FILTER_BITS, Enclosure, dyadic_bounds,
-                        enc_sqrt, filter_bounds, interval_json, sqrt2_bounds)
+from .intervals import (DEFAULT_BITS, Enclosure, dyadic_bounds, enc_sqrt,
+                        sqrt2_bounds)
 from .linalg import paper_generators
 from .probe import (ReducedWord, _generator_powers, _inverse_codes,
                     _word_matrix, check_depth, int_matrices, walk_words)
 from .record import Record
+from .report import interval_json
 from .ring import ONE, QuarticElem, _elem, mul4, quad_sign, sign4
 
 
@@ -37,6 +38,28 @@ from .ring import ONE, QuarticElem, _elem, mul4, quad_sign, sign4
 # integer bounds lo <= t * 2^FILTER_BITS <= hi ("enclosed"); comparisons
 # read the bounds first and take an exact sign only where they overlap, so
 # no float ever decides.
+
+
+FILTER_BITS = 48
+
+
+def filter_bounds(c0: int, cs) -> tuple[int, int]:
+    """Integer bounds for (c0 + cs[0] beta + cs[1] beta^2 + cs[2] beta^3)
+    * 2^FILTER_BITS.
+
+    The enclosure is taken at the coefficients' bit length plus FILTER_BITS
+    and rounded outward, so its width is a few units at scale
+    2^-FILTER_BITS however large the coefficients are.  Two values whose
+    bounds are disjoint are ordered exactly; only overlapping bounds need
+    an exact sign (the filter of Bronnimann, Burnikel and Pion).
+    """
+    m = abs(c0)
+    for c in cs:
+        m |= abs(c)
+    bits = m.bit_length() + FILTER_BITS
+    lo, hi = dyadic_bounds(c0, cs, bits)
+    shift = bits - FILTER_BITS
+    return lo >> shift, -(-hi >> shift)
 
 
 def minus_identity4(mat, one: int, scale: int) -> list:

@@ -9,6 +9,11 @@ image has no pole in a chart where the target ball is an interval and both
 end images lie strictly inside the ball; the ball form
 (``Ball.membership_sign``) signs int 4-tuple points exactly.
 
+The checker computes no eigenvector: it tests each named center against
+its generator by the fixed-point equation and the sign that tells an
+attracting point from a repelling one, in exact ``QuadExt`` arithmetic
+(``_is_center``).
+
 ``verify_certificate`` re-validates a certificate from its data alone.
 This module and what it imports are the checker's whole trusted base;
 nothing here imports the search in ``projective``.
@@ -19,7 +24,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .eigen import eigen2
 from .errors import DimensionMismatch, InternalMismatch, UndecidedComparison
 from .extension import QuadExt, surd_form, surd_sign
 from .intervals import DEFAULT_BITS, Enclosure, enc_add, enc_div, enc_mul, enc_sqrt
@@ -30,16 +34,6 @@ from .ring import ONE, QuarticElem, Sign, mul4, sign4
 
 # ---------------------------------------------------------------------------
 # projective points
-
-
-def proj_equal(p: tuple, q: tuple) -> bool:
-    """Exact proportionality test of two points whose coordinates lie in
-    one quadratic extension of the base field; coordinates in two
-    different extensions raise ``InternalMismatch``."""
-    if len(p) != len(q):
-        raise DimensionMismatch(f"{len(p)} vs {len(q)}")
-    return all((p[i] * q[j] - p[j] * q[i]).is_zero()
-               for i in range(len(p)) for j in range(i + 1, len(p)))
 
 
 # the most bits a chordal distance enclosure is refined to; a certificate
@@ -321,14 +315,24 @@ def _cells_tile(cells: list[Cell], root: Cell) -> bool:
     return [root.lo] + [b for _, b in parts] == [a for a, _ in parts] + [root.hi]
 
 
-def _fixed_points(a: RingMat2,
-                  b: RingMat2) -> dict[str, tuple[QuadExt, QuadExt]]:
-    """The four ball centers by name: the generators' attracting and
-    repelling eigenvector points."""
-    ea = eigen2(a, 0)
-    eb = eigen2(b, 0)
-    return {"A_att": ea.vec_dominant, "A_rep": ea.vec_recessive,
-            "B_att": eb.vec_dominant, "B_rep": eb.vec_recessive}
+def _is_center(g: RingMat2, c: tuple[QuadExt, QuadExt],
+               attracting: bool) -> bool:
+    """c is g's attracting (or repelling) fixed point: both coordinates lie
+    over g's trace discriminant t^2 - 4, g c ^ c = 0, so g c = lambda c, and
+    at c's first nonzero coordinate (g c)_i^2 - c_i^2 = (lambda^2 - 1) c_i^2
+    is positive (negative); it is zero for c = (0, 0), which fails."""
+    e11, e12, e21, e22 = g.entries()
+    t = e11 + e22
+    c1, c2 = c
+    # a center over another extension is rejected before any arithmetic
+    ok = c1.d == c2.d == t * t - QuarticElem(4)
+    if ok:
+        g1, g2 = e11 * c1 + e12 * c2, e21 * c1 + e22 * c2
+        ci, gi = (c2, g2) if c1.is_zero() else (c1, g1)
+        want = Sign.POSITIVE if attracting else Sign.NEGATIVE
+        ok = ((g1 * c2 - g2 * c1).is_zero()
+              and (gi * gi - ci * ci).sign() == want)
+    return ok
 
 
 def _balls_disjoint(balls: dict[str, Ball], bits: int) -> bool:
@@ -399,6 +403,9 @@ def _recheck_condition(m: RingMat2, cond: MappingCondition,
     return all(_recheck_cell(m, c, balls[cond.target]) for c in cond.cells)
 
 
+# the balls by name: each generator's attracting and repelling fixed point
+_BALLS = ("A_att", "A_rep", "B_att", "B_rep")
+
 # Every ping-pong condition, by name: generator, exponent sign, source ball,
 # target ball and region kind.  A "complement" condition maps the
 # complement of its source ball with exponent +-N; an "interval" (step)
@@ -439,14 +446,12 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
                         f"1..{_MAX_BITS}")
     if problems:
         return False, problems
-    expected = _fixed_points(a, b)
     for name, ball in cert.balls.items():
-        if name not in expected:
+        if name not in _BALLS:
             problems.append(f"unknown ball {name}")
             continue
-        # a center over another extension is not compared, but rejected
-        if (ball.center[0].d != expected[name][0].d
-                or not proj_equal(ball.center, expected[name])):
+        if not _is_center(a if name[0] == "A" else b, ball.center,
+                          name.endswith("_att")):
             problems.append(f"ball {name} center is not the eigenvector point")
         if ball.radius <= 0:
             problems.append(f"ball {name} has nonpositive radius")
@@ -454,7 +459,7 @@ def verify_certificate(cert: PingPongCertificate) -> tuple[bool, list[str]]:
         problems.append("balls are not certified pairwise disjoint")
     if not _point_outside_all(cert.basepoint, cert.balls):
         problems.append("basepoint is not outside every ball")
-    missing_balls = sorted(set(expected) - set(cert.balls))
+    missing_balls = sorted(set(_BALLS) - set(cert.balls))
     if missing_balls:
         problems.append(f"balls missing: {missing_balls}")
         return False, problems

@@ -31,15 +31,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor
 
+from .eigen import eigen2
 from .errors import (HypothesisViolated, NotHyperbolicLike, SearchOverflow,
                      UndecidedComparison)
+from .extension import QuadExt
 from .intervals import enc_add, enc_mul, enc_sqrt
 from .linalg import MatClass, RingMat2, classify, share_eigenvector
 from .pingpong import (_CONDITIONS, EXPONENT_CAP, Ball, Cell,
                        MappingCondition, PingPongCertificate, _cell_pole_free,
-                       _condition_spec, _fixed_points, _image_pair,
-                       _point_outside_all, _recheck_condition, _region_ok,
-                       _roots, proj_dist)
+                       _condition_spec, _image_pair, _point_outside_all,
+                       _recheck_condition, _region_ok, _roots, proj_dist)
 from .ring import Sign
 
 
@@ -164,18 +165,29 @@ def _search_region(ball: Ball, kind: str):
     return region, outer
 
 
+def _fixed_points(a: RingMat2,
+                  b: RingMat2) -> dict[str, tuple[QuadExt, QuadExt]]:
+    """The four ball centers by name: the generators' attracting and
+    repelling eigenvector points."""
+    ea = eigen2(a, 0)
+    eb = eigen2(b, 0)
+    return {"A_att": ea.vec_dominant, "A_rep": ea.vec_recessive,
+            "B_att": eb.vec_dominant, "B_rep": eb.vec_recessive}
+
+
 class _PairSearch:
     """The certificate search state of one hyperbolic pair (a, b).
 
     The pair is the generators' sigma2 views.  It checks the pair's
     hypotheses and computes each exact quantity once for every exponent and
-    radius it is asked about: the fixed points (one ``eigen2`` per
-    generator), their separation and the precision that certifies it,
-    each generator power, and per radius the balls, the basepoint and each
-    region.  A step condition (exponent +-1) is certified once per radius
-    for every exponent.  A failed complement condition at a radius is met
-    by one witness search (``refuted``), which spares the smaller radii
-    when it finds a point against the condition."""
+    radius it is asked about: the fixed points (``_fixed_points``, one
+    ``eigen2`` per generator, the search's own: the checker tests each
+    center by its fixed-point equation), their separation and the precision
+    that certifies it, each generator power, and per radius the balls, the
+    basepoint and each region.  A step condition (exponent +-1) is
+    certified once per radius for every exponent.  A failed complement
+    condition at a radius is met by one witness search (``refuted``), which
+    spares the smaller radii when it finds a point against the condition."""
 
     def __init__(self, a: RingMat2, b: RingMat2):
         for m, label in ((a, "first"), (b, "second")):

@@ -24,15 +24,15 @@ class RegularRep:
     storage, an integral matrix has ``den`` 1, and a product is one int
     matrix product."""
 
-    __slots__ = ("kappa", "rows", "den", "source")
+    __slots__ = ("kappa", "rows", "den")
 
-    def __init__(self, kappa: int, rows, den: int = 1, source=None):
+    def __init__(self, kappa: int, rows, den: int = 1):
         if den != 1:
             g = gcd(den, *(c for row in rows for c in row))
             if g != 1:
                 rows = tuple(tuple(c // g for c in row) for row in rows)
                 den //= g
-        self.kappa, self.rows, self.den, self.source = kappa, rows, den, source
+        self.kappa, self.rows, self.den = kappa, rows, den
 
     def __repr__(self) -> str:
         return f"RegularRep({self.kappa}, {self.rows!r}, den={self.den})"
@@ -104,7 +104,7 @@ def regular_rep(a, kappa: int) -> RegularRep:
     b11, b12, b21, b22 = (_block(c, kappa) for c in ints)
     rows = [tuple(b11[i] + b12[i]) for i in range(kappa)]
     rows += [tuple(b21[i] + b22[i]) for i in range(kappa)]
-    return RegularRep(kappa, tuple(rows), den, source=a)
+    return RegularRep(kappa, tuple(rows), den)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from .intervals import Enclosure
 from .record import Record
 
 TOOL_VERSION = "0.1.0"
@@ -18,6 +19,25 @@ PASS = "pass"
 FAIL = "fail"
 PROBE_ONLY = "probe-only"
 ERRATUM = "erratum"
+
+
+# the report's decimal places; endpoints round outward to them
+_PLACES = 12
+_UNIT = 10 ** _PLACES
+
+
+def format_endpoint(n: int, d: int, round_up: bool = False) -> str:
+    """Exact decimal rendering of n / d (d > 0) rounded outward to
+    _PLACES digits."""
+    v = -(-n * _UNIT // d) if round_up else n * _UNIT // d
+    whole, frac = divmod(abs(v), _UNIT)
+    return f"{'-' if v < 0 else ''}{whole}.{frac:0{_PLACES}d}"
+
+
+def interval_json(e: Enclosure) -> list[str]:
+    """Deterministic [lo, hi] string pair, outward rounded."""
+    lo, hi, s = e
+    return [format_endpoint(lo, s), format_endpoint(hi, s, round_up=True)]
 
 
 class ReportEntry(Record):

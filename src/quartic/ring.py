@@ -20,7 +20,7 @@ import enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalMismatch, UnsignedElement
+from .errors import InternalMismatch
 from .intervals import (
     DEFAULT_BITS,
     Enclosure,
@@ -37,12 +37,6 @@ class Sign(enum.IntEnum):
 
 # indexed by an int sign: _SIGN[-1] is the last entry
 _SIGN = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)
-
-
-class Signedness(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    UNSIGNED = "unsigned"
 
 
 def _frac(x) -> Fraction:
@@ -308,11 +302,6 @@ BETA = QuarticElem(0, 1)
 SQRT2 = QuarticElem(0, 0, 1)
 
 
-def sqrt2_text(x: QuarticElem) -> str:
-    """An element of Q(sqrt2) as 'u + v*sqrt2'."""
-    return f"{x.q0} + {x.q2}*sqrt2"
-
-
 class EmbeddedComplex:
     """Exact image of a quartic element under one Galois embedding.
 
@@ -363,85 +352,3 @@ def galois(x: QuarticElem, k: int) -> EmbeddedComplex:
     d = x._d
     im = _elem((c1, 0, -c3, 0) if k == 1 else (-c1, 0, c3, 0), d)
     return EmbeddedComplex(_elem((c0, 0, -c2, 0), d), im)
-
-
-def signedness(x: QuarticElem) -> Signedness:
-    # over a positive denominator the numerators carry the signs
-    lo, hi = min(x._c), max(x._c)
-    if lo >= 0 and hi > 0:
-        return Signedness.POSITIVE
-    if hi <= 0 and lo < 0:
-        return Signedness.NEGATIVE
-    return Signedness.UNSIGNED
-
-
-def field_quantity_N(x: QuarticElem) -> Fraction:
-    """|product of the four Galois conjugates|, by two independent routes.
-
-    The closed form (a^2 + 2p^2 - 4me)^2 - 2(2ap - m^2 - 2e^2)^2 must agree
-    with the literal conjugate product; a mismatch raises InternalMismatch.
-    At least 1 for nonzero integral input.
-    """
-    # on the numerators of x: u and v are over d^2, the closed form over d^4
-    a, m, p, e = x._c
-    u = a * a + 2 * p * p - 4 * m * e
-    v = 2 * a * p - m * m - 2 * e * e
-    num, den = abs(u * u - 2 * v * v), x._d ** 4
-
-    prod02 = x * x.conj_even()
-    z13 = galois(x, 1) * galois(x, 3)
-    if not z13.is_real():
-        raise InternalMismatch("sigma1(x) * sigma3(x) should be real")
-    full = prod02 * z13.re
-    if not full.is_rational():
-        raise InternalMismatch("full conjugate product should be rational")
-    n, d = abs(full._c[0]), full._d
-    if num * d != n * den:
-        raise InternalMismatch(
-            f"N({x.to_text()}): closed form {Fraction(num, den)} != "
-            f"product {_fraction(n, d)}")
-    return Fraction(num, den)
-
-
-def _gamma(x: QuarticElem, name: str, degrees, scale: int) -> QuarticElem:
-    """scale * the least of x's monomial terms q_i beta^i for i in degrees,
-    each one int of its vector over its denominator, extended oddly to
-    negative x.  Zero input yields zero (continuity); mixed signs raise."""
-    if x.is_zero():
-        return ZERO
-    s = signedness(x)
-    if s == Signedness.UNSIGNED:
-        raise UnsignedElement(f"{name} of mixed-sign element {x.to_text()}")
-    if s == Signedness.NEGATIVE:
-        return -_gamma(-x, name, degrees, scale)
-    c, d = x._c, x._d
-    return scale * min(_elem(tuple(c[i] if j == i else 0 for j in range(4)), d)
-                       for i in degrees)
-
-
-def gamma(x: QuarticElem) -> QuarticElem:
-    """4 * min of the four monomial terms, extended oddly to negative x."""
-    return _gamma(x, "gamma", range(4), 4)
-
-
-def delta(x: QuarticElem) -> QuarticElem:
-    return x - gamma(x)
-
-
-def gamma1(x: QuarticElem) -> QuarticElem:
-    """2 * min of the even-part terms {a, p*beta^2}, oddly extended."""
-    return _gamma(x, "gamma1", (0, 2), 2)
-
-
-def gamma2(x: QuarticElem) -> QuarticElem:
-    """2 * min of the odd-part terms {m*beta, e*beta^3}, oddly extended."""
-    return _gamma(x, "gamma2", (1, 3), 2)
-
-
-def delta1(x: QuarticElem) -> QuarticElem:
-    return x.even_part() - gamma1(x)
-
-
-def delta2(x: QuarticElem) -> QuarticElem:
-    return x.odd_part() - gamma2(x)
-

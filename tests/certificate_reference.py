@@ -16,12 +16,19 @@ over their common denominator; a cell's pole test reads the linear
 denominator A + B t of the composed chart map (``reference_den_coeffs``).
 ``reference_certify_exponent`` is the exponent attempt as it was before a
 witness point could stop it: it walks every radius of the ladder.
+``reference_wrong_center`` is the checker's center test as it was: each
+center is compared with the eigenvector point of
+``reference_fixed_points``.  It passes the center (0, 0), which is
+proportional to every point.
 """
 
 from fractions import Fraction
 
+from quartic.dominance import proj_equal
+from quartic.eigen import eigen2
+from quartic.extension import QuadExt
 from quartic.linalg import RingMat2
-from quartic.pingpong import EXPONENT_CAP, Cell, PingPongCertificate
+from quartic.pingpong import EXPONENT_CAP, Ball, Cell, PingPongCertificate
 from quartic.projective import _PairSearch
 from quartic.ring import ONE, QuarticElem, Sign, common_over
 
@@ -175,3 +182,24 @@ def reference_certify_exponent(a: RingMat2, b: RingMat2, n: int,
         if cert is not None:
             return cert
     return None
+
+
+def reference_fixed_points(a: RingMat2,
+                  b: RingMat2) -> dict[str, tuple[QuadExt, QuadExt]]:
+    """The four ball centers by name: the generators' attracting and
+    repelling eigenvector points."""
+    ea = eigen2(a, 0)
+    eb = eigen2(b, 0)
+    return {"A_att": ea.vec_dominant, "A_rep": ea.vec_recessive,
+            "B_att": eb.vec_dominant, "B_rep": eb.vec_recessive}
+
+
+def reference_wrong_center(ball: Ball,
+                           expected: dict[str, tuple[QuadExt, QuadExt]]
+                           ) -> bool:
+    """The checker's condition for "ball {name} center is not the
+    eigenvector point", with ``expected`` from ``reference_fixed_points``."""
+    name = ball.name
+    # a center over another extension is not compared, but rejected
+    return (ball.center[0].d != expected[name][0].d
+            or not proj_equal(ball.center, expected[name]))

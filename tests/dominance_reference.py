@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from quartic.dominance import NoncommutingResult
+from quartic.dominance import NoncommutingResult, proj_equal
 from quartic.eigen import Eigen2, _eigvec_pair, eigen2
 from quartic.errors import SingularMatrix
 from quartic.extension import QuadExt
 from quartic.linalg import MatClass, RingMat2, classify, share_eigenvector
-from quartic.pingpong import proj_equal
 from quartic.record import Record
 from quartic.regular import RegularRep
 from quartic.ring import ONE, QuarticElem, Sign, galois
@@ -107,11 +106,20 @@ class DominanceAnalysis(Record):
     eigen: Eigen2 | None = None
 
 
+def _matrix_of(rep: RegularRep) -> RingMat2:
+    """The 2x2 matrix whose rank-8 representation rep is: block (r, s) has
+    entry rs's coefficients in its first column, over ``den``."""
+    return RingMat2(*(QuarticElem(*(Fraction(rep.rows[4 * r + i][4 * s],
+                                             rep.den) for i in range(4)))
+                      for r in range(2) for s in range(2)))
+
+
 def _blocks_of(m) -> tuple[list[BlockEig], RingMat2]:
     """The eigen blocks of a RingMat2 (its identity view) or of the rank-8
     representation of one (all four views)."""
     if isinstance(m, RegularRep):
-        return [block_eig(m.source, k) for k in range(4)], m.source
+        src = _matrix_of(m)
+        return [block_eig(src, k) for k in range(4)], src
     return [block_eig(m, 0)], m
 
 
@@ -185,7 +193,7 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     rep2 = eig.vec_recessive
     if isinstance(m, RingMat2):
         return HyperbolicLikeData(att2, rep2, rep2, att2)
-    view = m.source.real_view(k)
+    view = _matrix_of(m).real_view(k)
     lam_dom, lam_rec = eig.lam_dominant, eig.lam_recessive
     att8 = _lift_vec(att2, k)
     rep8 = _lift_vec(rep2, k)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from quartic.intervals import Enclosure, interval_json
+from quartic.intervals import Enclosure
 from quartic.linalg import RingMat2, is_scalar4
 from quartic.margin import (_view_dists, compare_enclosed, eps_thresholds,
                             minus_identity4, sqrt_of_square_interval,
                             view_dist4)
 from quartic.probe import ReducedWord, _generator_powers, int_matrices, walk_words
 from quartic.record import Record
-from quartic.ring import QuarticElem, _elem, field_quantity_N
+from quartic.report import interval_json
+from quartic.ring import QuarticElem, _elem
+from quartic.verify import field_quantity_N
 
 
 class TorsionResult(Record):

@@ -5,7 +5,8 @@ at n = 18."""
 from collections import namedtuple
 
 from quartic.construction import cheb_value
-from quartic.intervals import enc_div, interval_json
+from quartic.intervals import enc_div
+from quartic.report import interval_json
 from quartic.ring import QuarticElem
 
 # gap = |A_n - sqrt2 B_n|, ratio_gap = |A_n / B_n - sqrt2|, norm_increased

@@ -13,8 +13,9 @@ int numerators and must agree with them.
 from fractions import Fraction
 from math import lcm
 
+from quartic.construction import Signedness
 from quartic.errors import InternalMismatch
-from quartic.ring import QuarticElem, Sign, Signedness, galois
+from quartic.ring import QuarticElem, Sign, galois
 
 
 def reference_over(xs) -> tuple[tuple[int, ...], int]:

@@ -32,12 +32,13 @@ from quartic.limits import (
     check_limit_conditions,
     search_limit_candidates,
 )
-from quartic.ring import QuarticElem, field_quantity_N
+from quartic.ring import QuarticElem
 from quartic.verify import (
     PSI_P_REFERENCE,
     PSI_Q_DISPLAYED,
     _random_sl2,
     _random_word_matrix,
+    field_quantity_N,
 )
 
 from dominance_reference import analyze_dominance, hyperbolic_like
@@ -127,10 +128,10 @@ def test_criterion_05_norm_formula_vs_oracle():
 
 def test_criterion_06_scalar_identities():
     t0 = time.monotonic()
-    from quartic.construction import l_squared, l_squared_inverse, lambda_plus_inverse
+    from quartic.construction import l_squared, lambda_plus_inverse
     assert lambda_plus_inverse() == QuarticElem(3, 0, 2, 0)
     assert l_squared() == QuarticElem(13, 0, 12, 0)
-    assert l_squared_inverse() == QuarticElem(
+    assert l_squared().inv() == QuarticElem(
         Fraction(-13, 119), 0, Fraction(12, 119), 0)
     assert all(trace_matches_chebyshev(n) for n in range(1, 31))
     assert cheb_value(0) == QuarticElem(2)

@@ -439,10 +439,11 @@ def test_verify_paper_shares_the_eigenvector_verdict(monkeypatch, capsys):
 
 
 def test_verify_paper_eigen_data_count(monkeypatch, capsys):
-    """One verify-paper run takes the eigen data of a 2x2 view six times:
-    once for the lambda row's Q, twice each for the fixed points of the
-    certificate search and of the checker, and once for the second matrix
-    of ``noncommuting_check``."""
+    """One verify-paper run takes the eigen data of a 2x2 view four times:
+    once for the lambda row's Q, twice for the fixed points of the
+    certificate search and once for the second matrix of
+    ``noncommuting_check``.  The checker takes none: it tests each center
+    by its fixed-point equation."""
     from quartic import dominance, eigen, pingpong, verify  # noqa: F401
     calls = []
     real = eigen.eigen2
@@ -457,7 +458,7 @@ def test_verify_paper_eigen_data_count(monkeypatch, capsys):
             monkeypatch.setattr(module, "eigen2", spy)
     code, _ = run_json(capsys, "verify-paper")
     assert code == 0
-    assert calls == [0] * 6
+    assert calls == [0] * 4
 
 
 @pytest.mark.parametrize("entry", ["1 0 0 0", "2 0 0 0"])
@@ -635,8 +636,10 @@ def test_command_import_sets():
     verify = _loaded_modules(["verify-paper", "--json"])
     assert verify == margin | mods("verify", "construction", "cubic",
                                    "regular", "dominance")
-    # only probe 4 measures chordal distances
-    inequality = shared | mods("inequality", "eigen", "extension")
+    # only probe 4 measures chordal distances; the gamma/delta split the
+    # probes read lives in construction
+    inequality = shared | mods("inequality", "construction", "eigen",
+                               "extension")
     assert _loaded_modules(["probe-inequality", Q_TEXT, "--which",
                             "13"]) == inequality
     assert _loaded_modules(["probe-inequality", Q_TEXT, "--which",
@@ -657,10 +660,17 @@ def test_command_import_sets():
         "construction", "errors", "intervals", "linalg", "record", "ring"))]
 
 
+# the summed lines of the module files a standalone certificate check
+# loads: the checker's trusted base, which should only fall
+TRUSTED_BASE_LINES = 1484
+
+
 def test_certificate_check_import_set():
     """A standalone check of the N = 3 certificate text, ``from_json`` and
     ``verify_certificate``, loads only the checker's trusted base:
-    ``pingpong`` and the arithmetic it imports, none of the search."""
+    ``pingpong`` and the arithmetic it imports, none of the search and no
+    eigen data.  The base's size is pinned, so any growth is a visible
+    change of ``TRUSTED_BASE_LINES``."""
     p, q = construction.paper_generators()
     text = projective.certify_exponent(p.real_view(2), q.real_view(2),
                                        3).to_json_text()
@@ -669,16 +679,18 @@ def test_certificate_check_import_set():
             "from quartic.pingpong import PingPongCertificate, "
             "verify_certificate\n"
             "cert = PingPongCertificate.from_json(json.load(sys.stdin))\n"
-            "print(verify_certificate(cert) == (True, []),\n"
-            "      *sorted(m for m in sys.modules if m.split('.')[0] == "
-            f"'quartic' or m in {sorted(_GENERATION)!r}))")
+            "loaded = {m: sys.modules[m].__file__ for m in sys.modules\n"
+            "          if m.split('.')[0] == 'quartic' or m in "
+            f"{sorted(_GENERATION)!r}}}\n"
+            "lines = sum(len(open(f).readlines()) for f in loaded.values())\n"
+            "print(verify_certificate(cert) == (True, []), lines, "
+            "*sorted(loaded))")
     out = subprocess.run([sys.executable, "-c", code], input=text,
                          check=True, env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True).stdout
-    assert out.split() == ["True", "quartic", *sorted(
-        f"quartic.{m}" for m in ("pingpong", "eigen", "extension",
-                                 "intervals", "linalg", "record", "ring",
-                                 "errors"))]
+    assert out.split() == ["True", str(TRUSTED_BASE_LINES), "quartic", *sorted(
+        f"quartic.{m}" for m in ("pingpong", "extension", "intervals",
+                                 "linalg", "record", "ring", "errors"))]
 
 
 def test_certify_reuses_the_searched_certificate(monkeypatch, capsys):

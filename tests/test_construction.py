@@ -12,7 +12,6 @@ from quartic.construction import (
     check_conditions,
     conjugation_record,
     l_squared,
-    l_squared_inverse,
     lambda_plus_inverse,
     make_signed_sigma2_matrix,
     paper_generators,
@@ -59,9 +58,9 @@ def test_lambda_identity():
 
 def test_l_squared_identities():
     assert l_squared() == QuarticElem(13, 0, 12, 0)
-    assert l_squared_inverse() == QuarticElem(
+    assert l_squared().inv() == QuarticElem(
         Fraction(-13, 119), 0, Fraction(12, 119), 0)
-    assert l_squared() * l_squared_inverse() == QuarticElem(1)
+    assert l_squared() * l_squared().inv() == QuarticElem(1)
 
 
 def test_chebyshev_values():

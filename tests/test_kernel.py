@@ -16,14 +16,11 @@ from math import lcm
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quartic.intervals import (
-    DEFAULT_BITS,
-    FILTER_BITS,
-    dyadic_bounds,
-    filter_bounds,
-)
+from quartic.intervals import DEFAULT_BITS, dyadic_bounds
 from quartic.linalg import RingMat2
 from quartic.margin import (
+    FILTER_BITS,
+    filter_bounds,
     compare_enclosed,
     enclosed,
     entry_exceeds,

@@ -16,14 +16,8 @@ from quartic.errors import (
 )
 from quartic.extension import QuadExt
 from quartic.eigen import eigen2
-from quartic.linalg import (
-    MatClass,
-    RingMat2,
-    as_paper_hyperbolic,
-    classify,
-    share_eigenvector,
-)
-from quartic.cli import _parse_matrix
+from quartic.linalg import MatClass, RingMat2, classify, share_eigenvector
+from quartic.cli import _parse_matrix, as_paper_hyperbolic
 from quartic.cubic import CubicElem, CubicMat2
 from quartic.construction import paper_generators
 from quartic.regular import regular_rep

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartic.cli import _parse_matrix
-from quartic.dominance import noncommuting_check
+from quartic.dominance import noncommuting_check, proj_equal
 from quartic.construction import paper_generators
 from quartic.errors import (HypothesisViolated, NotHyperbolicLike,
                             SearchOverflow)
 from quartic.extension import QuadExt
-from quartic.intervals import interval_json
 from quartic.linalg import (MatClass, RingMat2, classify, is_scalar4,
                             share_eigenvector)
 from quartic.probe import int_matrices, walk_words
@@ -26,11 +25,11 @@ from quartic.pingpong import (
     MappingCondition,
     PingPongCertificate,
     proj_dist,
-    proj_equal,
     verify_certificate,
 )
 from quartic.projective import free_pair_power, pingpong_exponent
 from quartic.regular import regular_rep
+from quartic.report import interval_json
 from quartic.ring import ONE, ZERO, QuarticElem, Sign, common_over
 
 import certificate_reference
@@ -41,8 +40,10 @@ from certificate_reference import (
     reference_certify_condition,
     reference_certify_exponent,
     reference_complement_cells,
+    reference_fixed_points,
     reference_image_pair,
     reference_recheck_condition,
+    reference_wrong_center,
 )
 from dominance_reference import analyze_dominance, hyperbolic_like
 from ring_reference import reference_quadext_sign
@@ -85,6 +86,19 @@ def test_dominant_rotation_none():
                    QuarticElem(0, 0, h), QuarticElem(0, 0, h))
     assert rot.det() == ONE
     assert analyze_dominance(rot).eigen is None
+
+
+def test_rank8_rows_give_back_the_matrix(rng):
+    """The dominance reference reads the 2x2 matrix back from the rank-8
+    rows, so the representation need not carry its source."""
+    words = reference_words(4)[1:]
+    rational = RingMat2(QuarticElem(Fraction(1, 2), 3), QuarticElem(0, 0, -2),
+                        QuarticElem(1, 0, 0, Fraction(-5, 6)), ONE)
+    mats = [P, Q, rational]
+    mats += [reference_word_matrix(rng.choice(words), 1, (P, Q))
+             for _ in range(20)]
+    for m in mats:
+        assert dominance_reference._matrix_of(regular_rep(m, 4)) == m
 
 
 def test_hyperbolic_like_psi():
@@ -162,7 +176,7 @@ CENTER_DIST_GOLDEN = {
 
 
 def test_center_distances_match_golden():
-    centers = pingpong._fixed_points(A2, B2)
+    centers = projective._fixed_points(A2, B2)
     got = {(a, b): interval_json(proj_dist(centers[a], centers[b]))
            for a, b in CENTER_DIST_GOLDEN}
     assert got == CENTER_DIST_GOLDEN
@@ -307,6 +321,99 @@ def test_certificate_exponent_beyond_the_cap_rejected_unbuilt(certificate,
     assert time.monotonic() - started < 1
     assert not ok
     assert problems == [f"exponent {1 << 40} beyond cap {cap}"]
+
+
+def _center_json(blob, name):
+    return next(b for b in blob["balls"] if b["name"] == name)["center"]
+
+
+def _zero_center(blob):
+    _center_json(blob, "A_att").update(v1={"a": "0 0 0 0", "b": "0 0 0 0"},
+                                       v2={"a": "0 0 0 0", "b": "0 0 0 0"})
+
+
+def _swap_a_centers(blob):
+    att, rep = _center_json(blob, "A_att"), _center_json(blob, "A_rep")
+    for key in ("v1", "v2"):
+        att[key], rep[key] = rep[key], att[key]
+
+
+def _double_center(blob):
+    center = _center_json(blob, "B_rep")
+    for key in ("v1", "v2"):
+        for part in ("a", "b"):
+            x = QuarticElem.parse(center[key][part])
+            center[key][part] = (x * 2).to_text()
+
+
+def _shift_d(blob):
+    center = _center_json(blob, "A_att")
+    center["d"] = (QuarticElem.parse(center["d"]) + ONE).to_text()
+
+
+def _center_problem(name):
+    return f"ball {name} center is not the eigenvector point"
+
+
+@pytest.mark.parametrize("mutate, problems", [
+    # (0, 0) is proportional to every point, so a proportionality test
+    # alone passes it
+    (_zero_center, [_center_problem("A_att")]),
+    (_swap_a_centers, [_center_problem("A_att"), _center_problem("A_rep")]),
+    # a center is a projective point: any nonzero multiple passes
+    (_double_center, []),
+    (_shift_d, [_center_problem("A_att")]),
+], ids=["zero", "swapped", "doubled", "shifted_d"])
+def test_certificate_center_mutations(certificate, mutate, problems):
+    """Each center problem is listed, and only a center problem decides
+    whether a changed center passes."""
+    ok, got = verify_certificate(_mutated(certificate, mutate))
+    assert ok == (not problems)
+    assert [p for p in got if "center" in p] == problems
+
+
+# nonzero base-field factors a center may be scaled by
+_CENTER_FACTORS = (QuarticElem(2), QuarticElem(-1), QuarticElem(1, -1),
+                   QuarticElem(Fraction(1, 3), 0, 1, -2))
+
+
+def _center_variants(centers, name):
+    """The named center, its nonzero multiples, its partner (the other
+    fixed point of the same generator) and the center with one coordinate
+    part changed."""
+    c1, c2 = centers[name]
+    partner = name[:2] + ("rep" if name.endswith("att") else "att")
+    out = [(c1, c2), centers[partner]]
+    out += [(c1 * f, c2 * f) for f in _CENTER_FACTORS]
+    for i in range(2):
+        for da, db in ((ONE, ZERO), (ZERO, ONE)):
+            c = [c1, c2]
+            c[i] = QuadExt(c[i].a + da, c[i].b + db, c[i].d)
+            out.append(tuple(c))
+    return out
+
+
+def test_center_check_matches_the_eigenvector_reference(rng):
+    """The fixed-point equation test gives the eigenvector comparison's
+    verdict on every nonzero center: the four centers of the paper pair and
+    of the drawn pairs of ``test_witness_search_matches_the_ladder_walk_
+    reference``, each scaled, swapped with its partner and changed in one
+    coordinate part."""
+    verdicts = []
+    for a, b in [(A2, B2)] + _drawn_hyperbolic_pairs(rng, 32):
+        expected = reference_fixed_points(a, b)
+        for name in sorted(expected):
+            g = a if name[0] == "A" else b
+            for center in _center_variants(expected, name):
+                if all(x.is_zero() for x in center):
+                    continue
+                want = not reference_wrong_center(
+                    Ball(name, center, Fraction(1, 8)), expected)
+                assert pingpong._is_center(g, center, name.endswith("_att")) \
+                    == want, (name, center)
+                verdicts.append(want)
+    assert verdicts.count(True) == 33 * 4 * (1 + len(_CENTER_FACTORS))
+    assert verdicts.count(False) >= 33 * 4 * 5
 
 
 # sha256 of the full certificate JSON of the paper pair's sigma2 views:

@@ -8,6 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quartic.construction import (
+    Signedness,
+    delta,
+    delta1,
+    delta2,
+    gamma,
+    gamma1,
+    gamma2,
+    signedness,
+)
 from quartic.errors import UnsignedElement
 from quartic.extension import QuadExt
 from quartic.ring import (
@@ -16,19 +26,11 @@ from quartic.ring import (
     ZERO,
     QuarticElem,
     Sign,
-    Signedness,
-    delta,
-    delta1,
-    delta2,
-    field_quantity_N,
     galois,
-    gamma,
     power,
-    gamma1,
-    gamma2,
-    signedness,
     _over,
 )
+from quartic.verify import field_quantity_N
 
 from dominance_reference import _cmp_rad_base
 from ring_reference import (

@@ -322,10 +322,12 @@ REPR = "pytest failure messages print it"
 # *starts): each statement of the function whose first line starts with
 # one of starts is not reached, with whatever it nests
 ALLOWED = [
+    ("construction._gamma", GUARD, "raise UnsignedElement"),
     ("construction.check_conditions", GUARD, "raise ValueError"),
     ("cubic.CubicElem.__repr__", REPR),
     # check_conditions asks only about pairs with disjoint fixed points
     ("dominance.noncommuting_check", GUARD, "return NoncommutingResult("),
+    ("dominance.proj_equal", GUARD, "raise DimensionMismatch"),
     ("eigen.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product",
      "raise ValueError"),
     ("extension.QuadExt.__repr__", REPR),
@@ -347,7 +349,6 @@ ALLOWED = [
     ("margin.discreteness_margin", GUARD, "raise ValueError(f\"embedding",
      "raise NotUnimodular"),
     ("margin.nonneg_interval", GUARD, "return 0, max(0, hi), s"),
-    ("pingpong.proj_equal", GUARD, "raise DimensionMismatch"),
     # the search and the checker measure distinct fixed points
     ("pingpong.proj_dist", GUARD, "raise DimensionMismatch",
      "return 0, 0, 1", "raise UndecidedComparison"),
@@ -391,8 +392,7 @@ ALLOWED = [
     ("ring.EmbeddedComplex.__repr__", REPR),
     ("ring.EmbeddedComplex.__mul__", GUARD, "raise InternalMismatch"),
     ("ring.galois", GUARD, "raise ValueError"),
-    ("ring.field_quantity_N", GUARD, "raise InternalMismatch"),
-    ("ring._gamma", GUARD, "raise UnsignedElement"),
+    ("verify.field_quantity_N", GUARD, "raise InternalMismatch"),
     ("verify.cmd_verify_paper", GUARD, "bad = True", "worst = x.to_text()",
      "break", "conj_ok = False"),
 ]

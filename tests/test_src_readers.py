@@ -211,3 +211,37 @@ def test_every_record_field_is_read_by_the_program():
             if k not in ALLOWED_FIELDS} == {}
     # an allowed field that gained a reader is dropped from the list
     assert set(ALLOWED_FIELDS) <= set(unread)
+
+
+# slots of plain classes no code in the program reads, each for its reason
+ALLOWED_SLOTS: dict[str, str] = {}
+
+
+def _slots(path):
+    """(class, slot) for each name in the ``__slots__`` of the module's
+    classes that do not derive from ``Record``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not any(
+                isinstance(b, ast.Name) and b.id == "Record"
+                for b in node.bases):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name)
+                                and t.id == "__slots__"
+                                for t in stmt.targets)):
+                    for elt in ast.literal_eval(stmt.value):
+                        yield node.name, elt
+
+
+def test_every_slot_is_read_by_the_program():
+    """A slot is state every instance carries: one nothing reads is stored
+    for no one."""
+    own, other = _attribute_reads(_program_trees())
+    unread = {f"{cls}.{name}": path.name
+              for path in sorted((ROOT / "src" / "quartic").glob("*.py"))
+              for cls, name in _slots(path)
+              if (cls, name) not in own and name not in other}
+    assert {k: v for k, v in unread.items()
+            if k not in ALLOWED_SLOTS} == {}
+    # an allowed slot that gained a reader is dropped from the list
+    assert set(ALLOWED_SLOTS) <= set(unread)
