@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 from .construction import Signedness, delta, delta1, delta2, signedness
-from .eigen import eigen2
+from .eigen import eigen2, proj_dist
 from .errors import UnsignedElement
 from .extension import QuadExt
 from .intervals import DEFAULT_BITS, enc_div, enc_sqrt
@@ -84,7 +84,6 @@ def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
     rec = InequalityRecord(which=which, available=True)
 
     if which == 4:
-        from .pingpong import proj_dist
         e3, f3, g3, h3 = (x.q3 for x in a.entries())
         v_dom, v_rec = _sigma2_p_slopes()
         targets = [("dominant", v_dom), ("recessive", v_rec)]

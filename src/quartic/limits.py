@@ -384,10 +384,9 @@ def margin_uniformity_probe(candidates, n: int, depth: int,
 
 def _near_identity_rows(pair, n: int, depth: int,
                         eps: Fraction) -> list[dict]:
-    from .eigen import eigen2
+    from .eigen import eigen2, proj_dist
     from .margin import (compare_enclosed, eps_thresholds, minus_identity4,
                          view_dist4)
-    from .pingpong import proj_dist
     from .probe import ReducedWord, int_matrices, walk_words
     p, cnd = pair
     pn = p ** n

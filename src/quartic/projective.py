@@ -4,13 +4,11 @@
 has a ping-pong certificate (``pingpong.PingPongCertificate``), and
 ``free_pair_power`` runs it on the pair's sigma2 views.  The search places
 the balls around the exact fixed points, takes for each condition the
-first dyadic region that passes the checker's region test, covers each
-root with one cell, in the first chart where the ball is convex and the
-root has no pole, and accepts the cover by the checker's own test
-(``pingpong._recheck_condition``).  No cell is bisected: a root with a
-pole in every chart where the ball is convex maps one parameter onto that
-chart's point at infinity, which lies outside the ball, so every leaf that
-contains it would have an end outside the ball.
+first dyadic region that passes the checker's region test
+(``pingpong._region_ok``), and accepts the region by the checker's own
+condition test (``pingpong._condition_holds``), which checks each root as
+one cell.  No finer cover can do better: that test's verdict is whether
+the image lies in the target ball.
 
 The radii of the ladder are tried largest first.  When a complement
 condition fails at radius rho, the search looks for one witness
@@ -19,9 +17,9 @@ image under the generator power is not strictly inside the target ball.
 A witness refutes the exponent at rho and at every smaller radius rho' of
 the ladder.  The balls at rho' have the same centers, so they lie inside
 those at rho.  The condition's removed interval at rho' lies inside the
-source ball at rho' (``_region_ok``), so t lies outside it, in some cell
-of the cover.  A passing cell maps t strictly inside the target ball at
-rho', hence inside the one at rho, and t's image is not there.  The
+source ball at rho' (``_region_ok``), so t lies in the region's
+complement.  A passing condition maps t strictly inside the target ball
+at rho', hence inside the one at rho, and t's image is not there.  The
 candidates come from an integer enclosure of the source ball's ends;
 every decision is a sign of the ball form (``Ball.membership_sign``).
 """
@@ -31,30 +29,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor
 
-from .eigen import eigen2
+from .eigen import eigen2, proj_dist
 from .errors import (HypothesisViolated, NotHyperbolicLike, SearchOverflow,
                      UndecidedComparison)
 from .extension import QuadExt
 from .intervals import enc_add, enc_mul, enc_sqrt
 from .linalg import MatClass, RingMat2, classify, share_eigenvector
-from .pingpong import (_CONDITIONS, EXPONENT_CAP, Ball, Cell,
-                       MappingCondition, PingPongCertificate, _cell_pole_free,
-                       _condition_spec, _image_pair, _point_outside_all,
-                       _recheck_condition, _region_ok, _roots, proj_dist)
+from .pingpong import (_CONDITIONS, _IDENTITY, EXPONENT_CAP, Ball,
+                       PingPongCertificate, _condition_holds, _condition_spec,
+                       _image_pair, _region_ok)
 from .ring import Sign
 
 
 # ---------------------------------------------------------------------------
 # the certificate search
-
-
-def _root_cell(m: RingMat2, root: Cell, ball: Ball) -> Cell | None:
-    """The root as one cell, mapped into the first chart where the ball is
-    convex and the root has no pole, or None if there is no such chart."""
-    for chart in ("s", "u"):
-        if ball.excludes_chart_infinity(chart) and _cell_pole_free(m, root, chart):
-            return Cell(root.chart, root.lo, root.hi, chart)
-    return None
 
 
 # dyadic precisions of the search's region ends and of its slope window
@@ -114,24 +102,10 @@ def _witness(m: RingMat2, source: Ball, target: Ball) -> Fraction | None:
     is not strictly inside the target ball, or None: one exact point that
     no cover of a complement condition from source to target can map."""
     return next((t for t in _edge_slopes(source)
-                 if _point_outside_all(t, {source.name: source})
+                 if source.membership_sign(_image_pair(_IDENTITY, "s", t))
+                 == Sign.POSITIVE
                  and target.membership_sign(_image_pair(m, "s", t))
                  != Sign.NEGATIVE), None)
-
-
-def _certify_condition(m: RingMat2, cond: MappingCondition,
-                       balls: dict[str, Ball]) -> bool:
-    """Cover each root with one cell (``_root_cell``) and accept the cover
-    by the checker's ``_recheck_condition``."""
-    cond.cells = [_root_cell(m, root, balls[cond.target])
-                  for root in _roots(cond)]
-    return None not in cond.cells and _recheck_condition(m, cond, balls)
-
-
-# basepoint candidates, in the order the search tries them
-_BASEPOINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-               Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3),
-               Fraction(10), Fraction(-10))
 
 
 # the factors, in the order the search tries them, by which the ball's
@@ -145,9 +119,9 @@ _REGION_SCALES = {
 
 
 def _search_region(ball: Ball, kind: str):
-    """(region, outer) of a condition of the kind on its source ball, or
-    None: the first dyadic scaling of the ball's slope window that passes
-    the checker's ``_region_ok``."""
+    """The region of a condition of the kind on its source ball, or None:
+    the first dyadic scaling of the ball's slope window that passes the
+    checker's ``_region_ok``."""
     win = _ball_slope_window(ball)
     if win is None:
         return None
@@ -155,14 +129,7 @@ def _search_region(ball: Ball, kind: str):
     half = (win[1] - win[0]) / 2
     scaled = ((_dyadic_near(mid - half * f), _dyadic_near(mid + half * f))
               for f in _REGION_SCALES[kind])
-    region = next((r for r in scaled if _region_ok(ball, r, kind)), None)
-    if region is None:
-        return None
-    outer = Fraction(1)
-    if kind == "complement":
-        bound = max(abs(region[0]), abs(region[1]), Fraction(4))
-        outer = Fraction(2 ** (bound.numerator // bound.denominator).bit_length() * 2)
-    return region, outer
+    return next((r for r in scaled if _region_ok(ball, r, kind)), None)
 
 
 def _fixed_points(a: RingMat2,
@@ -182,12 +149,12 @@ class _PairSearch:
     hypotheses and computes each exact quantity once for every exponent and
     radius it is asked about: the fixed points (``_fixed_points``, one
     ``eigen2`` per generator, the search's own: the checker tests each
-    center by its fixed-point equation), their separation and the precision
-    that certifies it, each generator power, and per radius the balls, the
-    basepoint and each region.  A step condition (exponent +-1) is
-    certified once per radius for every exponent.  A failed complement
-    condition at a radius is met by one witness search (``refuted``), which
-    spares the smaller radii when it finds a point against the condition."""
+    center by its fixed-point equation), their separation, each generator
+    power, and per radius the balls and each region.  A step condition
+    (exponent +-1) is certified once per radius for every exponent.  A
+    failed complement condition at a radius is met by one witness search
+    (``refuted``), which spares the smaller radii when it finds a point
+    against the condition."""
 
     def __init__(self, a: RingMat2, b: RingMat2):
         for m, label in ((a, "first"), (b, "second")):
@@ -199,7 +166,7 @@ class _PairSearch:
         self.gens = {"A": a, "B": b}
         self.centers = _fixed_points(a, b)
         self._memo: dict = {}
-        self.sep, self.bits = self._separation()
+        self.sep = self._separation()
 
     def _once(self, key, compute):
         """compute() the first time key is asked for, its value after."""
@@ -207,11 +174,11 @@ class _PairSearch:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def _separation(self) -> tuple[Fraction, int]:
-        """(sep, bits): the least lower end of the fixed points' six
-        pairwise chordal distances (``proj_dist`` at bits), at the first
-        precision where it is positive.  Every ladder radius rho has
-        2 rho < sep, so bits certifies the balls of each rung disjoint."""
+    def _separation(self) -> Fraction:
+        """The least lower end of the fixed points' six pairwise chordal
+        distances (``proj_dist``), at the first precision where it is
+        positive.  Every ladder radius rho has 2 rho < sep, so the balls of
+        each radius are disjoint."""
         pts = [self.centers[k] for k in sorted(self.centers)]
         for bits in (64, 128, 256, 512):
             try:
@@ -221,7 +188,7 @@ class _PairSearch:
             except UndecidedComparison:
                 continue
             if sep > 0:
-                return sep, bits
+                return sep
         raise HypothesisViolated("fixed points too close to separate")
 
     def radii(self) -> list[Fraction]:
@@ -234,54 +201,37 @@ class _PairSearch:
         return self._once(("balls", rho), lambda: {
             name: Ball(name, c, rho) for name, c in self.centers.items()})
 
-    def _rung(self, rho: Fraction):
-        """(balls, basepoint) at radius rho, or None when no basepoint lies
-        outside the balls: then rho fails at every exponent."""
-        balls = self._balls(rho)
-        basepoint = next(
-            (t for t in _BASEPOINTS if _point_outside_all(t, balls)), None)
-        return None if basepoint is None else (balls, basepoint)
-
-    def _region(self, rho: Fraction, balls: dict[str, Ball], name: str):
-        """The named condition's (region, outer) on the balls of radius
-        rho, or None; it does not depend on the exponent."""
+    def _region(self, rho: Fraction, name: str):
+        """The named condition's region on the balls of radius rho, or
+        None; it does not depend on the exponent."""
         _, _, source, _, kind = _CONDITIONS[name]
-        return self._once(("region", rho, name),
-                          lambda: _search_region(balls[source], kind))
+        return self._once(("region", rho, name), lambda: _search_region(
+            self._balls(rho)[source], kind))
 
     def _power(self, gen: str, expo: int) -> RingMat2:
         return self._once(("power", gen, expo),
                           lambda: self.gens[gen] ** expo)
 
-    def _condition(self, rho: Fraction, balls: dict[str, Ball],
-                   name: str, n: int) -> MappingCondition | None:
-        """The named condition at exponent n on the balls of radius rho,
-        certified, or None."""
-        gen, expo, source, target, kind = _condition_spec(name, n)
+    def _condition(self, rho: Fraction, name: str, n: int) -> bool:
+        """Whether the named condition at exponent n holds on the balls of
+        radius rho, by the checker's ``_condition_holds``."""
+        gen, expo, _, target, kind = _condition_spec(name, n)
 
         def compute():
-            region = self._region(rho, balls, name)
-            if region is None:
-                return None
-            cond = MappingCondition(name, gen, expo, region[0], kind,
-                                    region[1], target)
-            return (cond if _certify_condition(self._power(gen, expo), cond,
-                                               balls) else None)
+            region = self._region(rho, name)
+            return region is not None and _condition_holds(
+                self._power(gen, expo), region, kind,
+                self._balls(rho)[target])
         return self._once(("condition", rho, name, expo), compute)
 
     def live(self) -> bool:
         """Whether some radius passes the parts of a certificate that no
-        exponent changes: its rung, its eight regions and its four step
-        conditions.  Radii are checked in ladder order, up to a live one."""
-        for rho in self.radii():
-            rung = self._once(("rung", rho), lambda: self._rung(rho))
-            if rung is not None and all(
-                    self._condition(rho, rung[0], name, 1) is not None
-                    if kind == "interval"
-                    else self._region(rho, rung[0], name) is not None
-                    for name, (*_, kind) in _CONDITIONS.items()):
-                return True
-        return False
+        exponent changes: its eight regions and its four step conditions.
+        Radii are checked in ladder order, up to a live one."""
+        return any(all(self._condition(rho, name, 1) if kind == "interval"
+                       else self._region(rho, name) is not None
+                       for name, (*_, kind) in _CONDITIONS.items())
+                   for rho in self.radii())
 
     def refuted(self, n: int, rho: Fraction) -> bool:
         """Whether one witness shows that exponent n fails at rho and at
@@ -290,29 +240,19 @@ class _PairSearch:
         point against the first that does."""
         balls = self._balls(rho)
         for name, (gen, sgn, source, target, kind) in _CONDITIONS.items():
-            if (kind == "complement"
-                    and self._condition(rho, balls, name, n) is None):
+            if kind == "complement" and not self._condition(rho, name, n):
                 return _witness(self._power(gen, sgn * n), balls[source],
                                 balls[target]) is not None
         return False
 
     def certificate(self, n: int, rho: Fraction) -> PingPongCertificate | None:
         """The certificate at exponent n and radius rho, or None."""
-        rung = self._once(("rung", rho), lambda: self._rung(rho))
-        if rung is None:
+        if not all(self._condition(rho, name, n) for name in _CONDITIONS):
             return None
-        balls, basepoint = rung
-        conditions = []
-        for name in _CONDITIONS:
-            cond = self._condition(rho, balls, name, n)
-            if cond is None:
-                return None
-            conditions.append(cond)
         return PingPongCertificate(
             exponent=n, gen_a=self.gens["A"], gen_b=self.gens["B"],
-            balls=dict(balls),
-            conditions=conditions, basepoint=basepoint,
-            disjointness_bits=self.bits)
+            balls=dict(self._balls(rho)),
+            regions={name: self._region(rho, name) for name in _CONDITIONS})
 
 
 def certify_exponent(a: RingMat2, b: RingMat2, n: int,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quartic.extension import QuadExt
 from quartic.intervals import enc_add, enc_div, enc_mul, enc_sqrt
 from quartic.margin import nonneg_interval, sqrt_of_square_interval
-from quartic.pingpong import _proj_dist_intervals
+from quartic.eigen import _proj_dist_intervals
 from quartic.report import format_endpoint, interval_json
 from quartic.ring import QuarticElem
 

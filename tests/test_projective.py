@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quartic.cli import _parse_matrix
 from quartic.dominance import noncommuting_check, proj_equal
 from quartic.construction import paper_generators
+from quartic.eigen import proj_dist
 from quartic.errors import (HypothesisViolated, NotHyperbolicLike,
                             SearchOverflow)
 from quartic.extension import QuadExt
@@ -19,30 +21,28 @@ from quartic.linalg import (MatClass, RingMat2, classify, is_scalar4,
                             share_eigenvector)
 from quartic.probe import int_matrices, walk_words
 from quartic import pingpong, projective
-from quartic.pingpong import (
-    Ball,
-    Cell,
-    MappingCondition,
-    PingPongCertificate,
-    proj_dist,
-    verify_certificate,
-)
+from quartic.pingpong import Ball, PingPongCertificate, verify_certificate
 from quartic.projective import free_pair_power, pingpong_exponent
 from quartic.regular import regular_rep
 from quartic.report import interval_json
 from quartic.ring import ONE, ZERO, QuarticElem, Sign, common_over
 
-import certificate_reference
 import dominance_reference
 from certificate_reference import (
+    Cell,
+    MappingCondition,
+    cover_balls_disjoint,
+    cover_certify_condition,
+    cover_outer,
+    cover_pole_free,
+    cover_recheck_cell,
+    cover_root_cell,
     reference_cell_pole_free,
     reference_certify_cell,
     reference_certify_condition,
     reference_certify_exponent,
-    reference_complement_cells,
     reference_fixed_points,
     reference_image_pair,
-    reference_recheck_condition,
     reference_wrong_center,
 )
 from dominance_reference import analyze_dominance, hyperbolic_like
@@ -229,11 +229,8 @@ def _mutated(certificate, mutate):
     return PingPongCertificate.from_json(blob)
 
 
-def _set_field(name, key, value):
-    def mutate(blob):
-        next(c for c in blob["checked_conditions"]
-             if c["name"] == name)[key] = value
-    return mutate
+def _ball_json(blob, name):
+    return next(b for b in blob["balls"] if b["name"] == name)
 
 
 def _set_top(key, value):
@@ -242,66 +239,127 @@ def _set_top(key, value):
     return mutate
 
 
-def _reverse_step_regions(blob):
-    for cond in blob["checked_conditions"]:
-        if cond["region_kind"] == "interval":
-            cond["region"].reverse()
-            cond["cells"] = []
-
-
-@pytest.mark.parametrize("mutate", [
-    _set_field("A_att_step", "exponent", 3),
-    _set_field("A_pos", "exponent", 1),
-    _set_field("B_neg", "exponent", 3),
-    _set_field("A_pos", "generator", "B"),
-    _set_field("B_rep_step", "generator", "A"),
-    _set_field("A_pos", "region_kind", "interval"),
-    _set_field("A_att_step", "region_kind", "complement"),
-    _set_field("A_pos", "target", "A_rep"),
-    _set_field("B_att_step", "target", "A_att"),
-    lambda blob: blob["checked_conditions"].append(
-        dict(blob["checked_conditions"][0])),
-    lambda blob: blob["checked_conditions"].pop(),
-    lambda blob: blob["checked_conditions"].pop(0),
-    # these three raised instead of returning (False, problems)
-    _set_top("disjointness_bits", -64),
-    _set_field("A_neg", "outer", "0"),
-    _set_top("generator_b", "1 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"),
-    # the precision the checker would spend is capped
-    _set_top("disjointness_bits", 10 ** 6),
-    _set_top("generator_a", "2 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"),
-    _set_top("generator_b", "0 0 0 0; 1 0 0 0; -1 0 0 0; 0 0 0 0"),
-    _set_top("N", 0),
-    # a step region with its ends swapped is empty, so no cell checks it
-    _reverse_step_regions,
-], ids=["step_exponent", "pos_exponent", "neg_exponent", "generator",
-        "step_generator", "region_kind", "step_region_kind", "target",
-        "step_target", "duplicate", "dropped_last", "dropped_first",
-        "negative_bits", "zero_outer", "identity_generator", "huge_bits",
-        "det_two_generator", "elliptic_generator", "zero_exponent",
-        "reversed_step_regions"])
-def test_certificate_single_field_mutation_rejected(certificate, mutate):
-    assert certificate.exponent == 3
-    ok, problems = verify_certificate(_mutated(certificate, mutate))
-    assert not ok and problems
-
-
-def _restate(n):
-    """The certificate's exponent N, and each complement condition's +-N,
-    set to n."""
+def _copy_region(name, source):
     def mutate(blob):
-        blob["N"] = n
-        for cond in blob["checked_conditions"]:
-            if cond["region_kind"] == "complement":
-                cond["exponent"] = n if cond["exponent"] > 0 else -n
+        blob["regions"][name] = list(blob["regions"][source])
     return mutate
 
 
+def _drop_region(name):
+    def mutate(blob):
+        del blob["regions"][name]
+    return mutate
+
+
+def _rename_region(name, new):
+    def mutate(blob):
+        blob["regions"][new] = blob["regions"].pop(name)
+    return mutate
+
+
+def _shrink_region(name):
+    """The region cut to 2^-30 either side of its midpoint."""
+    def mutate(blob):
+        mid = sum(map(Fraction, blob["regions"][name])) / 2
+        half = Fraction(1, 2 ** 30)
+        blob["regions"][name] = [str(mid - half), str(mid + half)]
+    return mutate
+
+
+def _set_ball(name, key, value):
+    def mutate(blob):
+        _ball_json(blob, name)[key] = value
+    return mutate
+
+
+def _reverse_step_regions(blob):
+    for name, region in blob["regions"].items():
+        if name.endswith("_step"):
+            region.reverse()
+
+
+def _center_problem(name):
+    return f"ball {name} center is not the eigenvector point"
+
+
+def _region_problem(name):
+    return f"{name}: region/ball relation fails"
+
+
+def _image_problem(name):
+    target = pingpong._CONDITIONS[name][3]
+    return f"{name}: image is not certified inside {target}"
+
+
+_NOT_HYPERBOLIC = "{} is not hyperbolic with determinant one"
+
+
+@pytest.mark.parametrize("mutate, problems", [
+    # a region of the other kind than the name's
+    (_copy_region("A_pos", "A_rep_step"), [_region_problem("A_pos")]),
+    (_copy_region("A_att_step", "A_neg"), [_region_problem("A_att_step")]),
+    (_drop_region("B_rep_step"), ["conditions missing: ['B_rep_step']"]),
+    (_drop_region("A_pos"), ["conditions missing: ['A_pos']"]),
+    (_rename_region("A_pos", "A_pos2"),
+     ["conditions missing: ['A_pos']", "unknown condition A_pos2"]),
+    (_set_top("generator_b", "1 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"),
+     [_NOT_HYPERBOLIC.format("generator_b")]),
+    (_set_top("generator_a", "2 0 0 0; 0 0 0 0; 0 0 0 0; 1 0 0 0"),
+     [_NOT_HYPERBOLIC.format("generator_a")]),
+    (_set_top("generator_b", "0 0 0 0; 1 0 0 0; -1 0 0 0; 0 0 0 0"),
+     [_NOT_HYPERBOLIC.format("generator_b")]),
+    (_set_top("N", 0), ["exponent 0 is below 1"]),
+    # a hyperbolic generator, but not the one the A balls are centered on
+    (lambda blob: blob.update(generator_a=blob["generator_b"]),
+     [_center_problem("A_att"), _center_problem("A_rep")]),
+    # a step region with its ends swapped is empty
+    (_reverse_step_regions,
+     [_region_problem(n) for n in ("A_att_step", "A_rep_step", "B_att_step",
+                                   "B_rep_step")]),
+    # the complement of a tiny removed interval is not mapped inside
+    (_shrink_region("A_pos"), [_image_problem("A_pos")]),
+    (_set_ball("B_rep", "radius", "0"), ["ball B_rep has nonpositive radius"]),
+    (_set_ball("A_att", "name", "A_at"),
+     ["unknown ball A_at", "balls missing: ['A_att']"]),
+    # B_att grown past the A_att ball, about 0.0998 away
+    (_set_ball("B_att", "radius", "3/40"),
+     ["balls are not certified pairwise disjoint",
+      _region_problem("B_att_step")]),
+], ids=["region_kind", "step_region_kind", "dropped_last", "dropped_first",
+        "unknown_condition", "identity_generator", "det_two_generator",
+        "elliptic_generator", "zero_exponent", "generator",
+        "reversed_step_regions",
+        "shrunk_region", "zero_radius", "unknown_ball", "overlapping_balls"])
+def test_certificate_single_field_mutation_rejected(certificate, mutate,
+                                                    problems):
+    assert certificate.exponent == 3
+    assert verify_certificate(_mutated(certificate, mutate)) == (False,
+                                                                 problems)
+
+
+def _restate(n):
+    """The certificate's exponent N set to n."""
+    return _set_top("N", n)
+
+
 def test_certificate_restated_at_a_higher_exponent_passes(certificate):
-    """A^N and B^N contract more as N grows, so the N = 3 balls, regions and
-    cells also certify N = 2^10."""
+    """A^N and B^N contract more as N grows, so the N = 3 balls and regions
+    also certify N = 2^10."""
     assert verify_certificate(_mutated(certificate, _restate(1 << 10))) == (
         True, [])
+
+
+@pytest.mark.parametrize("n, failing", [
+    (1, ["A_pos", "A_neg", "B_pos", "B_neg"]),
+    (2, ["B_pos", "B_neg"]),
+])
+def test_certificate_restated_at_a_lower_exponent_fails_its_images(
+        certificate, n, failing):
+    """At N = 1 every complement condition fails, at N = 2 those of B: the
+    problems the cell-cover checker listed, one image problem for each
+    condition whose cells failed."""
+    assert verify_certificate(_mutated(certificate, _restate(n))) == (
+        False, [_image_problem(name) for name in failing])
 
 
 def test_certificate_exponent_beyond_the_cap_rejected_unbuilt(certificate,
@@ -324,7 +382,7 @@ def test_certificate_exponent_beyond_the_cap_rejected_unbuilt(certificate,
 
 
 def _center_json(blob, name):
-    return next(b for b in blob["balls"] if b["name"] == name)["center"]
+    return _ball_json(blob, name)["center"]
 
 
 def _zero_center(blob):
@@ -351,8 +409,11 @@ def _shift_d(blob):
     center["d"] = (QuarticElem.parse(center["d"]) + ONE).to_text()
 
 
-def _center_problem(name):
-    return f"ball {name} center is not the eigenvector point"
+def _negate_d(name):
+    def mutate(blob):
+        center = _center_json(blob, name)
+        center["d"] = (-QuarticElem.parse(center["d"])).to_text()
+    return mutate
 
 
 @pytest.mark.parametrize("mutate, problems", [
@@ -363,13 +424,75 @@ def _center_problem(name):
     # a center is a projective point: any nonzero multiple passes
     (_double_center, []),
     (_shift_d, [_center_problem("A_att")]),
-], ids=["zero", "swapped", "doubled", "shifted_d"])
+    # a negative d has no square root: the checker stops before the
+    # disjointness and region checks, which would take one
+    (_negate_d("A_att"), [_center_problem("A_att")]),
+    (_negate_d("B_rep"), [_center_problem("B_rep")]),
+], ids=["zero", "swapped", "doubled", "shifted_d", "negated_d",
+        "negated_b_d"])
 def test_certificate_center_mutations(certificate, mutate, problems):
     """Each center problem is listed, and only a center problem decides
     whether a changed center passes."""
     ok, got = verify_certificate(_mutated(certificate, mutate))
     assert ok == (not problems)
     assert [p for p in got if "center" in p] == problems
+
+
+# every leaf of the certificate JSON, as its path: the balls sorted by name
+_LEAVES = [("N",), ("generator_a",), ("generator_b",)] + [
+    ("balls", i, *key) for i in range(4)
+    for key in [("name",), ("radius",), ("center", "d")]
+    + [("center", v, part) for v in ("v1", "v2") for part in "ab"]
+] + [("regions", name, j) for name in pingpong._CONDITIONS for j in (0, 1)]
+
+_NUMBER = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def _mutate_leaf(value, kind, k, char):
+    """The leaf with its k-th number (k taken modulo their count) plus or
+    minus 1, every number negated, or a stray character inserted at k."""
+    if isinstance(value, int):
+        value = {"plus": value + 1, "minus": value - 1, "negate": -value,
+                 "stray": f"{value}{char}"}[kind]
+        return value
+    if kind == "stray":
+        k %= len(value) + 1
+        return value[:k] + char + value[k:]
+    if kind == "negate":
+        return _NUMBER.sub(lambda x: str(-Fraction(x.group())), value)
+    numbers = list(_NUMBER.finditer(value))
+    if not numbers:
+        return value
+    x = numbers[k % len(numbers)]
+    step = 1 if kind == "plus" else -1
+    return value[:x.start()] + str(Fraction(x.group()) + step) + value[x.end():]
+
+
+@given(st.sampled_from(_LEAVES),
+       st.sampled_from(["plus", "minus", "negate", "stray"]),
+       st.integers(0, 40), st.sampled_from("x;/ -"))
+@example(("balls", 0, "center", "d"), "negate", 0, "x")
+@example(("balls", 3, "center", "d"), "negate", 0, "x")
+def test_checker_is_total_on_single_leaf_mutations(certificate, leaf, kind,
+                                                   k, char):
+    """A certificate with one leaf of its JSON changed is refused by
+    ``from_json`` as malformed, or gets (ok, problems) from
+    ``verify_certificate``; it never raises there.  The two examples give
+    a ball a negative d: the cell-cover checker raised on them, taking a
+    square root of d in its disjointness test."""
+    blob = json.loads(certificate.to_json_text())
+    *path, last = leaf
+    parent = blob
+    for key in path:
+        parent = parent[key]
+    parent[last] = _mutate_leaf(parent[last], kind, k, char)
+    try:
+        cert = PingPongCertificate.from_json(blob)
+    except (ValueError, KeyError, TypeError):
+        return
+    ok, problems = verify_certificate(cert)
+    assert isinstance(ok, bool) and isinstance(problems, list)
+    assert ok == (not problems)
 
 
 # nonzero base-field factors a center may be scaled by
@@ -417,11 +540,11 @@ def test_center_check_matches_the_eigenvector_reference(rng):
 
 
 # sha256 of the full certificate JSON of the paper pair's sigma2 views:
-# balls, regions, outer bounds, cells, basepoint and disjointness_bits
-# (`certify --json` prints only the balls).
+# N, the generators, the balls and the regions (`certify --json` prints
+# only the balls).
 CERTIFICATE_GOLDEN = {
-    3: "1517dcbcb133c61e4df2e280265636b26ea409b4b5a0bf3de56cb36b6955e06e",
-    4: "e288957d08bc38ecec88c7ae49c61721dc1fce025b48bb76f1b539a799ef49a5",
+    3: "c0d04cd7b674ee3847e46aaac70c760303c0a321a613610f70ef106683d3b255",
+    4: "7d410fec957f2b72dce7ae9de028097da16968a9388ab34ef647ba24d6616c8d",
 }
 
 
@@ -504,15 +627,15 @@ def test_search_form_signs_match_the_checker_formula(monkeypatch):
     cert = free_pair_power(P, Q)
     assert tried == [1, 2, 4, 3]
     searched = len(seen)
-    assert searched == 106
+    assert searched == 102
     # exponents 1 and 2 are refuted at the first radius, by a witness
     assert len({ball.radius for ball, _, _ in seen}) == 1
     again = PingPongCertificate.from_json(json.loads(cert.to_json_text()))
     assert verify_certificate(again) == (True, [])
-    assert len(seen) == 158
+    assert len(seen) == 150
     with pytest.raises(SearchOverflow):
         free_pair_power(*COMPANION)
-    assert len({ball.radius for ball, _, _ in seen[158:]}) > 1
+    assert len({ball.radius for ball, _, _ in seen[150:]}) > 1
     for ball, point, sign in seen:
         assert _reference_sign(ball, point) == sign, (ball.name, point)
     for ball in {id(b): b for b, _, _ in seen}.values():
@@ -520,8 +643,9 @@ def test_search_form_signs_match_the_checker_formula(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one cell per root, accepted by the checker, against the bisecting search
-# and the left/right/u tiling test of tests/certificate_reference.py
+# one cell per root, checked by the checker, against the cell-cover checker,
+# the bisecting search and the enclosure disjointness test of
+# tests/certificate_reference.py
 
 
 @pytest.fixture(scope="module")
@@ -539,11 +663,23 @@ def _cells(cells):
     return [(c.chart, c.lo, c.hi, c.target_chart) for c in cells]
 
 
+def _cover_verdict(m, name, region, outer, balls):
+    """(verdict, cells) of the cell-cover search and checker, and the
+    bisecting reference's verdict and cells, at the outer bound K."""
+    gen, expo, _, target, kind = pingpong._condition_spec(name, 1)
+    cond = MappingCondition(name, gen, expo, region, kind, outer, target)
+    ok = cover_certify_condition(m, cond, balls)
+    want, cells = reference_certify_condition(m, cond, balls)
+    return (ok, _cells(cond.cells) if ok else None), (want, _cells(cells)
+                                                     if want else None)
+
+
 def test_one_cell_search_matches_bisecting_reference_on_the_paper_pair(
         pair_search):
     """At exponents 1-4 and every radius of the ladder, each condition's
-    searched region gets the same verdict and cells from the one-cell
-    search as from the bisecting reference."""
+    searched region gets the same verdict from the checker's root test as
+    from the cell-cover checker and the bisecting reference, which also
+    agree on the cells."""
     verdicts = set()
     for rho in _ladder(pair_search):
         balls = {name: Ball(name, c, rho)
@@ -556,15 +692,131 @@ def test_one_cell_search_matches_bisecting_reference_on_the_paper_pair(
                 if region is None:
                     continue
                 m = pair_search.gens[gen] ** expo
-                cond = MappingCondition(name, gen, expo, region[0], kind,
-                                        region[1], target)
-                ok = projective._certify_condition(m, cond, balls)
-                want, cells = reference_certify_condition(m, cond, balls)
-                assert ok == want, (rho, n, name)
-                if ok:
-                    assert _cells(cond.cells) == _cells(cells)
+                ok = pingpong._condition_holds(m, region, kind, balls[target])
+                cover, bisected = _cover_verdict(m, name, region,
+                                                 cover_outer(region), balls)
+                assert cover == bisected and cover[0] == ok, (rho, n, name)
                 verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def _outer_bounds(region):
+    """The bounds K the root test is compared at: the least, the cell-cover
+    search's, a large one and one off the dyadic grid."""
+    least = max(abs(region[0]), abs(region[1]))
+    return [least, cover_outer(region), Fraction(1000),
+            least + Fraction(1, 3)]
+
+
+def test_root_check_matches_the_cover_reference(certificate):
+    """The root test, which takes K = max(|lo|, |hi|), gives the verdict of
+    the cell-cover checker at every K: on the paper certificate's regions
+    at N = 1, 2, 3, 4 and 2^10, and on regions drawn around them at the
+    ladder's first two radii."""
+    a, b = certificate.gen_a, certificate.gen_b
+    verdicts = []
+
+    def compare(balls, n, name, region):
+        gen, expo, _, target, kind = pingpong._condition_spec(name, n)
+        m = (a if gen == "A" else b) ** expo
+        ok = pingpong._condition_holds(m, region, kind, balls[target])
+        outers = (_outer_bounds(region) if kind == "complement"
+                  else [Fraction(1)])
+        for outer in outers:
+            cover, bisected = _cover_verdict(m, name, region, outer, balls)
+            assert cover[0] == bisected[0] == ok, (n, name, region, outer)
+        verdicts.append(ok)
+
+    for n in (1, 2, 3, 4, 1 << 10):
+        for name, region in certificate.regions.items():
+            compare(certificate.balls, n, name, region)
+    assert verdicts.count(False) == 6
+
+    search = projective._PairSearch(a, b)
+    unit = Fraction(1, 2 ** 24)
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(search.radii()[:2]),
+           st.sampled_from(sorted(pingpong._CONDITIONS)),
+           st.integers(1, 4), st.integers(-2 ** 22, 2 ** 22),
+           st.integers(-2 ** 22, 2 ** 22))
+    def check(rho, name, n, d_lo, d_hi):
+        balls = search._balls(rho)
+        lo, hi = certificate.regions[name]
+        region = (lo + d_lo * unit, hi + d_hi * unit)
+        if region[0] < region[1]:
+            compare(balls, n, name, region)
+
+    check()
+    assert True in verdicts[40:] and False in verdicts[40:]
+
+
+def test_disjointness_matches_the_enclosure_reference(certificate, rng):
+    """The exact disjointness test agrees with ``proj_dist`` enclosures at
+    256 bits wherever they decide: on the six pairs of the paper balls, at
+    radii 10^-6 either side of half the A_att-B_att distance, and on the
+    fixed points of the drawn pairs of ``test_witness_search_matches_the_
+    ladder_walk_reference`` at radii around half of each distance."""
+    decided = []
+
+    def compare(b1, b2):
+        want = (True if cover_balls_disjoint({"1": b1, "2": b2}, 256)
+                else None)
+        _, hi, s = proj_dist(b1.center, b2.center, 256)
+        if hi < (b1.radius + b2.radius) * s:
+            want = False
+        if want is not None:
+            assert pingpong._disjoint(b1, b2) == want, (b1, b2)
+            assert pingpong._disjoint(b2, b1) == want, (b1, b2)
+            decided.append(want)
+
+    balls = certificate.balls
+    names = sorted(balls)
+    for i, n1 in enumerate(names):
+        for n2 in names[i + 1:]:
+            compare(balls[n1], balls[n2])
+    assert decided == [True] * 6
+    lo, hi, s = proj_dist(balls["A_att"].center, balls["B_att"].center, 256)
+    half = Fraction(lo + hi, 4 * s)
+    for delta in (Fraction(-1, 10 ** 6), Fraction(1, 10 ** 6)):
+        compare(Ball("A_att", balls["A_att"].center, half + delta),
+                Ball("B_att", balls["B_att"].center, half + delta))
+    assert decided[6:] == [True, False]
+    for a, b in _drawn_hyperbolic_pairs(rng, 32):
+        centers = reference_fixed_points(a, b)
+        names = sorted(centers)
+        for i, n1 in enumerate(names):
+            for n2 in names[i + 1:]:
+                lo, hi, s = proj_dist(centers[n1], centers[n2], 256)
+                for f in (Fraction(999, 1000), Fraction(1001, 1000)):
+                    r = Fraction(lo + hi, 4 * s) * f
+                    compare(Ball(n1, centers[n1], r), Ball(n2, centers[n2], r))
+    # the enclosures decide every drawn pair, and each at 999/1000 of half
+    # the distance is disjoint, at 1001/1000 not
+    assert decided[8:] == [True, False] * (32 * 6)
+
+
+def test_root_check_needs_the_pole_test():
+    """t -> -1/t maps both ends of the root [-a, a] inside a ball around
+    slope 0, but t = 0 onto the slope chart's point at infinity: the pole
+    test alone rejects the root."""
+    m = RingMat2(ZERO, ONE, -ONE, ZERO)
+    d = QuarticElem(2)
+    ball = Ball("z", (QuadExt.of_base(ONE, d), QuadExt.of_base(ZERO, d)),
+                Fraction(1, 4))
+    a = Fraction(100)
+    assert ball.excludes_chart_infinity("s")
+    for t in (-a, a):
+        assert ball.membership_sign(pingpong._image_pair(m, "s", t)) == (
+            Sign.NEGATIVE)
+    pole = pingpong._image_pair(m, "s", Fraction(0))
+    assert not any(pole[0])
+    assert ball.membership_sign(pole) == Sign.POSITIVE
+    assert not pingpong._pole_free(m, "s", -a, a, "s")
+    assert not pingpong._root_holds(m, ("s", -a, a), ball)
+    assert not pingpong._condition_holds(m, (-a, a), "interval", ball)
+    # the halves on either side of the pole pass
+    assert pingpong._root_holds(m, ("s", a / 2, a), ball)
 
 
 def _pole(m, chart, target_chart):
@@ -579,15 +831,16 @@ def _pole(m, chart, target_chart):
 
 def test_pole_test_at_a_rational_pole():
     # (1, t) maps to (2 + t, 1 + t): chart s's denominator vanishes at -2,
-    # chart u's at -1; a cell that touches a pole is not pole-free
+    # chart u's at -1; a root that touches a pole is not pole-free
     m = RingMat2(QuarticElem(2), ONE, ONE, ONE)
     for lo, hi, chart, want in ((-2, -2, "s", False), (-3, -2, "s", False),
                                 (-3, -1, "s", False), (-1, 0, "s", True),
                                 (-1, -1, "u", False), (-2, -1, "u", False),
                                 (-3, -2, "u", True), (0, 5, "u", True)):
-        cell = Cell("s", Fraction(lo), Fraction(hi))
-        assert pingpong._cell_pole_free(m, cell, chart) == want
-        assert reference_cell_pole_free(m, cell, chart) == want
+        lo, hi = Fraction(lo), Fraction(hi)
+        assert pingpong._pole_free(m, "s", lo, hi, chart) == want
+        assert cover_pole_free(m, Cell("s", lo, hi), chart) == want
+        assert reference_cell_pole_free(m, Cell("s", lo, hi), chart) == want
 
 
 def _positive_multiple(p, q):
@@ -600,11 +853,12 @@ def _positive_multiple(p, q):
 
 def test_one_cell_search_matches_bisecting_reference_at_poles(pair_search):
     """Roots built to straddle a pole of a generator power get the same
-    verdict and cells from one cell plus ``_recheck_cell`` as from the
-    bisecting reference.  The reference bisects some of them, and each of
-    those fails: the pole maps onto a chart's point at infinity, and a
-    ball convex in that chart lies away from it.  Besides the ladder's
-    radii, at 1/8 and 1/4 some balls are convex in one chart only."""
+    verdict from the root test as from one cell of the cell-cover checker
+    and from the bisecting reference.  The reference bisects some of them,
+    and each of those fails: the pole maps onto a chart's point at
+    infinity, and a ball convex in that chart lies away from it.  Besides
+    the ladder's radii, at 1/8 and 1/4 some balls are convex in one chart
+    only."""
     radii = st.one_of(st.sampled_from(_ladder(pair_search)),
                       st.sampled_from([Fraction(1, 8), Fraction(1, 4)]))
     splits = []
@@ -633,13 +887,14 @@ def test_one_cell_search_matches_bisecting_reference_at_poles(pair_search):
             return
         root = Cell(chart, Fraction(lo, one), Fraction(hi, one))
         for c in "su":
-            assert pingpong._cell_pole_free(m, root, c) == \
+            assert pingpong._pole_free(m, chart, root.lo, root.hi, c) == \
                 reference_cell_pole_free(m, root, c)
         for t in (root.lo, root.hi):
             assert _positive_multiple(pingpong._image_pair(m, chart, t),
                                       reference_image_pair(m, chart, t))
-        cell = projective._root_cell(m, root, ball)
-        ok = cell is not None and pingpong._recheck_cell(m, cell, ball)
+        ok = pingpong._root_holds(m, (chart, root.lo, root.hi), ball)
+        cell = cover_root_cell(m, root, ball)
+        assert ok == (cell is not None and cover_recheck_cell(m, cell, ball))
         want, leaves, n_splits = reference_certify_cell(m, root, ball)
         assert ok == want
         if ok:
@@ -651,135 +906,6 @@ def test_one_cell_search_matches_bisecting_reference_at_poles(pair_search):
     check()
     assert sum(map(bool, splits)) >= 10, splits
     assert sum(succeeded) >= 10, succeeded
-
-
-def _variants(cond):
-    """(label, cover, outer, want): the condition's own cover and small
-    changes to it, each with its verdict."""
-    cells = cond.cells
-    first = cells[0]
-    a, b = first.lo, first.hi
-    mid, mid2 = a + (b - a) / 3, a + 2 * (b - a) / 3
-
-    def part(lo, hi):
-        return Cell(first.chart, lo, hi, first.target_chart)
-
-    rest = cells[1:]
-    out = [("own", cells, True),
-           ("gap", [part(a, mid), part(mid2, b)] + rest, False),
-           ("overlap", [part(a, mid2), part(mid, b)] + rest, False),
-           ("duplicate", cells + [first], False),
-           ("zero_width", [part(a, a)] + cells, True)]
-    lo, hi = cond.region
-    if cond.region_kind == "complement":
-        inv = 1 / cond.outer
-        s_cells = [c for c in cells if c.chart == "s"]
-        u_cells = [c for c in cells if c.chart == "u"]
-        out += [
-            ("s_past_outer", cells + [Cell("s", cond.outer, cond.outer + 1,
-                                           s_cells[0].target_chart)], False),
-            ("u_past_inverse", s_cells + [Cell("u", -inv, 2 * inv, c.target_chart)
-                                          for c in u_cells], False),
-            ("s_straddles_removed", cells + [Cell("s", lo, hi, "s")], False),
-        ]
-    else:
-        out += [("s_past_region", cells + [part(hi, hi + 1)], False)]
-    return [(label, cover, cond.outer, want) for label, cover, want in out] + (
-        [("outer_below_region", cells, max(abs(lo), abs(hi)) / 2, False)]
-        if cond.region_kind == "complement" else [])
-
-
-def test_tiling_check_matches_reference_on_the_certificate_covers(certificate):
-    """The roots-based tiling test and the left/right/u reference give the
-    same verdict, the expected one, on the paper certificate's own covers
-    and on a gap, an overlap, a duplicated cell, a zero-width cell, cells
-    past ``outer`` or past +-1/outer, a cell over the removed interval and
-    an ``outer`` below the region."""
-    seen = set()
-    for cond in certificate.conditions:
-        gen, expo = cond.generator, cond.exponent
-        m = (certificate.gen_a if gen == "A" else certificate.gen_b) ** expo
-        for label, cover, outer, want in _variants(cond):
-            changed = MappingCondition(cond.name, gen, expo, cond.region,
-                                       cond.region_kind, outer, cond.target,
-                                       list(cover))
-            got = pingpong._recheck_condition(m, changed, certificate.balls)
-            ref = reference_recheck_condition(m, changed, certificate.balls)
-            assert got == ref == want, (cond.name, label)
-            seen.add(label)
-    assert len(seen) == 10
-
-
-def test_tiling_check_matches_reference_on_drawn_covers(monkeypatch):
-    """With every cell accepted, the verdict is the tiling alone: the two
-    tests agree on tilings of the roots and their changes, drawn on a grid.
-    The new test is stricter only on covers outside this set: a cell in a
-    chart with no root of the condition, or a reversed cell outside every
-    root, which the reference accepted."""
-    accepted = []
-    for module, name in ((pingpong, "_recheck_cell"),
-                         (certificate_reference, "reference_recheck_cell")):
-        monkeypatch.setattr(module, name, lambda m, c, ball, name=name:
-                            accepted.append(name) or True)
-    grid = [Fraction(k, 4) for k in range(-20, 21)]
-    verdicts = []
-
-    @given(st.data())
-    def check(data):
-        kind = data.draw(st.sampled_from(["complement", "interval"]))
-        lo, hi = sorted(data.draw(st.lists(st.sampled_from(grid[8:-8]),
-                                           min_size=2, max_size=2,
-                                           unique=True)))
-        outer = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1),
-                                           Fraction(2), Fraction(4)]))
-        roots = (reference_complement_cells((lo, hi), outer)
-                 if kind == "complement" else [Cell("s", lo, hi)])
-        cells = []
-        for root in roots:
-            inside = [t for t in grid if root.lo <= t <= root.hi]
-            ends = sorted(data.draw(st.lists(st.sampled_from(inside or grid),
-                                             max_size=3)))
-            ends = [root.lo] + ends + [root.hi]
-            cells += [Cell(root.chart, x, y, "s") for x, y in zip(ends, ends[1:])]
-        for _ in range(data.draw(st.integers(0, 2))):
-            if not cells:   # a first change dropped the only cell
-                break
-            i = data.draw(st.integers(0, len(cells) - 1))
-            c = cells[i]
-            change = data.draw(st.sampled_from(
-                ["drop", "duplicate", "shift_lo", "shift_hi", "chart"]))
-            step = data.draw(st.sampled_from([Fraction(-1, 4), Fraction(1, 4)]))
-            if change == "drop":
-                cells.pop(i)
-            elif change == "duplicate":
-                cells.append(c)
-            elif change == "shift_lo" and c.lo + step <= c.hi:
-                cells[i] = Cell(c.chart, c.lo + step, c.hi, "s")
-            elif change == "shift_hi" and c.lo <= c.hi + step:
-                cells[i] = Cell(c.chart, c.lo, c.hi + step, "s")
-            elif change == "chart" and kind == "complement":
-                cells[i] = Cell("u" if c.chart == "s" else "s", c.lo, c.hi, "s")
-        cond = MappingCondition("c", "A", 1, (lo, hi), kind, outer, "t", cells)
-        want = reference_recheck_condition(None, cond, {"t": None})
-        assert pingpong._recheck_condition(None, cond, {"t": None}) == want
-        verdicts.append(want)
-
-    check()
-    assert True in verdicts and False in verdicts
-    # both tests looked up the spies, so the verdicts are the tilings'
-    assert set(accepted) == {"_recheck_cell", "reference_recheck_cell"}
-    # outside the compared set the new test rejects what the reference took
-    step = MappingCondition("c", "A", 1, (Fraction(0), Fraction(1)),
-                            "interval", Fraction(1), "t",
-                            [Cell("s", Fraction(0), Fraction(1), "s"),
-                             Cell("u", Fraction(0), Fraction(1), "s")])
-    reversed_past = MappingCondition(
-        "c", "A", 1, (Fraction(0), Fraction(1)), "interval", Fraction(1), "t",
-        [Cell("s", Fraction(0), Fraction(2), "s"),
-         Cell("s", Fraction(2), Fraction(1), "s")])
-    for cond in (step, reversed_past):
-        assert reference_recheck_condition(None, cond, {"t": None})
-        assert not pingpong._recheck_condition(None, cond, {"t": None})
 
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -903,35 +1029,66 @@ def test_pingpong_elliptic_rejected():
         pingpong_exponent(P, B2)   # P itself is elliptic in the identity view
 
 
+# a condition by its region kind and target ball
+_CONDITION_OF = {(kind, target): name for name, (*_, target, kind)
+                 in pingpong._CONDITIONS.items()}
+
+
 def test_paper_search_certifications(monkeypatch):
-    """The paper search certifies 16 conditions, all at the first radius,
-    the only rung it builds.  A witness refutes exponent 1 at ``A_pos``
-    and exponent 2 at ``B_pos``; the check after exponent 1 that the radius
-    is live certifies the four step conditions, which every later exponent
-    shares; exponents 4 and 3 certify their four complement conditions."""
+    """The paper search certifies 16 conditions, each once, by the
+    checker's condition test and nothing else, all at the first radius,
+    the only one whose balls it builds.  A witness refutes exponent 1 at
+    ``A_pos`` and exponent 2 at ``B_pos``; the check after exponent 1 that
+    the radius is live certifies the four step conditions, which every
+    later exponent shares; exponents 4 and 3 certify their four complement
+    conditions."""
     names = []
-    real = projective._certify_condition
+    real = projective._condition_holds
 
-    def spy(m, cond, balls):
-        names.append(cond.name)
-        return real(m, cond, balls)
+    def spy(m, region, kind, ball):
+        names.append(_CONDITION_OF[kind, ball.name])
+        return real(m, region, kind, ball)
 
-    rungs = []
-    real_rung = projective._PairSearch._rung
+    radii = set()
+    real_balls = projective._PairSearch._balls
 
-    def rung_spy(search, rho):
-        rungs.append(rho)
-        return real_rung(search, rho)
+    def balls_spy(search, rho):
+        radii.add(rho)
+        return real_balls(search, rho)
 
-    monkeypatch.setattr(projective, "_certify_condition", spy)
-    monkeypatch.setattr(projective._PairSearch, "_rung", rung_spy)
+    monkeypatch.setattr(projective, "_condition_holds", spy)
+    monkeypatch.setattr(projective._PairSearch, "_balls", balls_spy)
     assert free_pair_power(P, Q).exponent == 3
     complements = ["A_pos", "A_neg", "B_pos", "B_neg"]
     assert names == (["A_pos", "A_att_step", "A_rep_step", "B_att_step",
                       "B_rep_step", "A_pos", "A_neg", "B_pos"]
                      + complements + complements)
     assert len(names) == 16
-    assert rungs == [projective._PairSearch(A2, B2).radii()[0]]
+    assert radii == {projective._PairSearch(A2, B2).radii()[0]}
+
+
+def test_paper_search_runs_one_pole_test_per_root(monkeypatch):
+    """Each root of the 16 certifications gets at most one pole test, in
+    the slope chart: the 12 complement conditions have three roots each
+    and the 4 step conditions one, 40 in all, but the two failing
+    conditions, ``A_pos`` at N = 1 and ``B_pos`` at N = 2, stop at their
+    first root.  The checker then tests each root of the N = 3
+    certificate once more, 16 in all."""
+    seen = []
+    real = pingpong._pole_free
+
+    def spy(m, chart, lo, hi, target_chart):
+        seen.append((id(m), chart, lo, hi, target_chart))
+        return real(m, chart, lo, hi, target_chart)
+
+    monkeypatch.setattr(pingpong, "_pole_free", spy)
+    cert = free_pair_power(P, Q)
+    searched = list(seen)
+    assert len(searched) == len(set(searched)) == 40 - 2 * 2
+    assert {t for *_, t in searched} == {"s"}
+    seen.clear()
+    assert verify_certificate(cert) == (True, [])
+    assert len(seen) == len(set(seen)) == 4 * 3 + 4
 
 
 # sigma2 views of a pair whose step condition B_att_step fails at every
@@ -994,8 +1151,8 @@ def _assert_witness_refutes(a, b, n, m, source, target, t):
         region = projective._search_region(balls[source.name], "complement")
         if region is None:
             continue
-        cond = MappingCondition(name, gen, expo, region[0], "complement",
-                                region[1], target.name)
+        cond = MappingCondition(name, gen, expo, region, "complement",
+                                cover_outer(region), target.name)
         assert not reference_certify_condition(m, cond, balls)[0], (name, rho)
 
 
@@ -1050,7 +1207,7 @@ def test_witness_needs_both_exact_checks(monkeypatch):
     assert witness is not None
     # the midpoints of the regions the search removes from the two balls
     inside, mapped_in = (projective._dyadic_near(sum(
-        projective._search_region(ball, "complement")[0]) / 2)
+        projective._search_region(ball, "complement")) / 2)
         for ball in (source, target))
     for t, outside, image_inside in ((inside, False, False),
                                      (mapped_in, True, True)):

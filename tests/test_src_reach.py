@@ -330,6 +330,10 @@ ALLOWED = [
     ("dominance.proj_equal", GUARD, "raise DimensionMismatch"),
     ("eigen.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product",
      "raise ValueError"),
+    # the search and the probes measure distinct points
+    ("eigen.proj_dist", GUARD, "raise DimensionMismatch",
+     "return 0, 0, 1", "raise UndecidedComparison"),
+    ("eigen._proj_dist_intervals", GUARD, "raise UndecidedComparison"),
     ("extension.QuadExt.__repr__", REPR),
     ("extension.QuadExt.inv", GUARD, "raise ZeroDivisionError"),
     ("extension.QuadExt.__eq__", GUARD, "return NotImplemented"),
@@ -349,22 +353,12 @@ ALLOWED = [
     ("margin.discreteness_margin", GUARD, "raise ValueError(f\"embedding",
      "raise NotUnimodular"),
     ("margin.nonneg_interval", GUARD, "return 0, max(0, hi), s"),
-    # the search and the checker measure distinct fixed points
-    ("pingpong.proj_dist", GUARD, "raise DimensionMismatch",
-     "return 0, 0, 1", "raise UndecidedComparison"),
-    ("pingpong._proj_dist_intervals", GUARD, "raise UndecidedComparison"),
     ("pingpong.Ball.from_json", WIRE),
-    ("pingpong.Cell.to_json", WIRE),
-    ("pingpong.Cell.from_json", WIRE),
-    ("pingpong.MappingCondition.to_json", WIRE),
-    ("pingpong.MappingCondition.from_json", WIRE),
     ("pingpong.PingPongCertificate.to_json", WIRE),
     ("pingpong.PingPongCertificate.to_json_text", WIRE),
     ("pingpong.PingPongCertificate.from_json", WIRE),
     # the checker's rejections of what the search built
-    ("pingpong._balls_disjoint", GUARD, "return False"),
     ("pingpong._region_ok", GUARD, "return False"),
-    ("pingpong._recheck_condition", GUARD, "return False"),
     ("pingpong.verify_certificate", GUARD, "problems.append(", "continue",
      "return False, problems"),
     ("probe.walk_words", GUARD, "return"),
@@ -372,8 +366,6 @@ ALLOWED = [
     ("probe._crosscheck", GUARD, "for u in words:"),
     ("projective._PairSearch._separation", GUARD, "continue",
      "raise HypothesisViolated"),
-    # a rung fails only when every basepoint candidate lies in a ball
-    ("projective._PairSearch.certificate", GUARD, "return None"),
     ("projective.certify_exponent", GUARD, "raise ValueError"),
     ("projective.pingpong_exponent", GUARD, "raise SearchOverflow(f\"no certificate"),
     ("record.Record.__init__", GUARD, "raise TypeError"),
