@@ -3,8 +3,9 @@
 P and Q (``linalg.paper_generators``) are the fixed 2x2 matrices over
 Z[beta] whose Galois views drive everything else.  This module houses the
 conjugation closed forms for Q^n sigma2(A) Q^-n, the trace recursion
-lambda^n + lambda^-n = A_n + B_n sqrt2 and the conditions on the pair.
-All verdicts are exact.  The standalone inequality probes are in
+lambda^n + lambda^-n = A_n + B_n sqrt2 and the conditions on the pair,
+the north-south test for AB != BA among them (``north_south``).  All
+verdicts are exact.  The standalone inequality probes are in
 ``inequality``.
 """
 
@@ -15,7 +16,8 @@ import sys
 from itertools import chain
 
 from .errors import QuarticError, UnsignedElement
-from .linalg import RingMat2, paper_generators, share_eigenvector
+from .linalg import (MatClass, RingMat2, classify, paper_generators,
+                     share_eigenvector)
 from .record import Record
 from .ring import ONE, ZERO, QuarticElem, _elem
 
@@ -144,6 +146,16 @@ class ConditionReport(Record):
         }
 
 
+def north_south(a: RingMat2, b: RingMat2) -> bool:
+    """The north-south criterion for ab != ba on the projective line: a and
+    b are hyperbolic in view 0, a maps no fixed point of b onto one, and
+    the commutator is not the identity.  Fix(a b a^-1) = a Fix(b), so one
+    resultant decides the second test; a shared fixed point fails it."""
+    return (all(classify(m, 0) == MatClass.HYPERBOLIC for m in (a, b))
+            and not share_eigenvector(a * b * a.inv(), b)
+            and not a.commutator(b).is_identity())
+
+
 def check_conditions(p: RingMat2, q: RingMat2, m: int, n: int) -> ConditionReport:
     """Fixed-point disjointness and commutator non-vanishing, evaluated on
     the sigma2 views where both generators act hyperbolically.
@@ -151,7 +163,6 @@ def check_conditions(p: RingMat2, q: RingMat2, m: int, n: int) -> ConditionRepor
     In dimension two the cross conditions coincide with fixed-point
     disjointness, so conditions one and two carry the same verdict.
     """
-    from .dominance import noncommuting_check
     if m < 1 or n < 1:
         raise ValueError("powers must be at least 1")
     try:
@@ -160,9 +171,7 @@ def check_conditions(p: RingMat2, q: RingMat2, m: int, n: int) -> ConditionRepor
         disjoint = False
     c3a = not (((q ** m) * (p ** n) * (q ** -m)).commutator(p ** n)).is_identity()
     c3b = not (((p ** m) * (q ** n) * (p ** -m)).commutator(q ** n)).is_identity()
-    via = False
-    if disjoint:
-        via = bool(noncommuting_check(p.real_view(2), q.real_view(2)))
+    via = disjoint and north_south(p.real_view(2), q.real_view(2))
     notes = ("size-two crosses equal the fixed-point pairs, so conditions "
              "one and two are a single verdict")
     return ConditionReport(disjoint, disjoint, c3a, c3b, via, notes)

@@ -17,7 +17,7 @@ from bisect import insort
 from fractions import Fraction
 
 from .errors import NonIntegralInput, NotUnimodular, QuarticError
-from .intervals import DEFAULT_BITS, Enclosure, dyadic_bounds, enc_add
+from .intervals import DEFAULT_BITS, Enclosure, dyadic_bounds
 from .linalg import (MatClass, RingMat2, _mat, classify, is_scalar4,
                      paper_generators, share_eigenvector)
 from .record import Record
@@ -56,23 +56,14 @@ class LimitCandidate(Record, frozen=True):
 
 # The paper's limit targets: U = [[3 + 2 sqrt2, 1], [-1, 0]], the companion
 # matrix of Q's trace, is hyperbolic, and V, the same with the conjugate
-# trace 3 - 2 sqrt2, is elliptic.  Each is a row-major list of entry
-# enclosures at scale 2^DEFAULT_BITS, which is the residuals' scale.
+# trace 3 - 2 sqrt2, is elliptic.  _U and _V are their row-major lists of
+# entry enclosures at scale 2^DEFAULT_BITS, which is the residuals' scale.
 _SCALE = 1 << DEFAULT_BITS
-_U, _V = ([e.interval() for e in (trace, ONE, -ONE, ZERO)]
-          for trace in (QuarticElem(3, 0, 2, 0), QuarticElem(3, 0, -2, 0)))
+_TARGET_U, _TARGET_V = (RingMat2(trace, ONE, -ONE, ZERO) for trace in
+                        (QuarticElem(3, 0, 2, 0), QuarticElem(3, 0, -2, 0)))
+_U, _V = ([e.interval() for e in m.entries()] for m in (_TARGET_U, _TARGET_V))
 # each position's (u, v) targets as int (lo, hi) pairs at that scale
 _TARGETS = [(u[:2], v[:2]) for u, v in zip(_U, _V)]
-
-
-def _interval_class(trace: Enclosure) -> str:
-    lo, hi, s = trace
-    lo, hi = _abs_diff(lo, hi)
-    if hi < 2 * s:
-        return "elliptic"
-    if lo > 2 * s:
-        return "hyperbolic"
-    return "undecided"
 
 
 class LimitCheckReport(Record):
@@ -167,10 +158,8 @@ def check_limit_conditions(candidate: LimitCandidate,
     odd_zero = all(e.in_even_subring() for e in m.entries())
     cond_iv = {name: classify(m, k) in ok for name, k, ok in _CONDITION_IV}
 
-    cond_v = {
-        "target_elliptic": _interval_class(enc_add(_V[0], _V[3])),
-        "target_hyperbolic": _interval_class(enc_add(_U[0], _U[3])),
-    }
+    cond_v = {"target_elliptic": classify(_TARGET_V, 0).value,
+              "target_hyperbolic": classify(_TARGET_U, 0).value}
 
     # probe-only relation scan for the freeness condition on <view1, Q>
     r1 = candidate.view1()

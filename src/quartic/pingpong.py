@@ -106,12 +106,22 @@ class Ball(Record, frozen=True):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Ball":
-        d = QuarticElem.parse(obj["center"]["d"])
-        c1 = QuadExt(QuarticElem.parse(obj["center"]["v1"]["a"]),
-                     QuarticElem.parse(obj["center"]["v1"]["b"]), d)
-        c2 = QuadExt(QuarticElem.parse(obj["center"]["v2"]["a"]),
-                     QuarticElem.parse(obj["center"]["v2"]["b"]), d)
-        return cls(obj["name"], (c1, c2), Fraction(obj["radius"]))
+        center = obj["center"]
+        d = QuarticElem.parse(_text(center["d"]))
+        c1, c2 = (QuadExt(QuarticElem.parse(_text(center[v]["a"])),
+                          QuarticElem.parse(_text(center[v]["b"])), d)
+                  for v in ("v1", "v2"))
+        return cls(_text(obj["name"]), (c1, c2),
+                   Fraction(_text(obj["radius"])))
+
+
+def _text(leaf) -> str:
+    """A leaf that ``to_json`` writes as a string; anything else raises
+    ``ValueError``, not read as another value (a float radius as its
+    nearest double)."""
+    if not isinstance(leaf, str):
+        raise ValueError(f"expected a string, got {leaf!r}")
+    return leaf
 
 
 def _form_at(f: tuple, xyz: tuple) -> tuple:
@@ -159,13 +169,22 @@ class PingPongCertificate(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "PingPongCertificate":
+        """The certificate ``to_json`` wrote: N an int, every other leaf a
+        string and each region a pair.  A leaf of another type or a region
+        of another shape raises ``ValueError``."""
+        n, regions = obj["N"], obj["regions"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"N must be an integer, got {n!r}")
+        if not (isinstance(regions, dict) and all(
+                isinstance(r, list) and len(r) == 2 for r in regions.values())):
+            raise ValueError("regions must map names to pairs [lo, hi]")
         return cls(
-            exponent=int(obj["N"]),
-            gen_a=parse_matrix(obj["generator_a"]),
-            gen_b=parse_matrix(obj["generator_b"]),
+            exponent=n,
+            gen_a=parse_matrix(_text(obj["generator_a"])),
+            gen_b=parse_matrix(_text(obj["generator_b"])),
             balls={b["name"]: Ball.from_json(b) for b in obj["balls"]},
-            regions={name: (Fraction(lo), Fraction(hi))
-                     for name, (lo, hi) in obj["regions"].items()},
+            regions={name: (Fraction(_text(lo)), Fraction(_text(hi)))
+                     for name, (lo, hi) in regions.items()},
         )
 
 

@@ -26,13 +26,13 @@ witness point could stop it: it walks every radius of the ladder.
 ``reference_wrong_center`` is the checker's center test as it was: each
 center is compared with the eigenvector point of
 ``reference_fixed_points``.  It passes the center (0, 0), which is
-proportional to every point.
+proportional to every point.  ``proj_equal`` is its proportionality test.
 """
 
 from fractions import Fraction
 
-from quartic.dominance import proj_equal
 from quartic.eigen import eigen2, proj_dist
+from quartic.errors import DimensionMismatch
 from quartic.extension import QuadExt
 from quartic.linalg import RingMat2
 from quartic.pingpong import (EXPONENT_CAP, Ball, PingPongCertificate,
@@ -40,6 +40,16 @@ from quartic.pingpong import (EXPONENT_CAP, Ball, PingPongCertificate,
 from quartic.projective import _PairSearch
 from quartic.record import Record
 from quartic.ring import ONE, QuarticElem, Sign, common_over, sign4
+
+def proj_equal(p: tuple, q: tuple) -> bool:
+    """Exact proportionality test of two points whose coordinates lie in
+    one quadratic extension of the base field; coordinates in two
+    different extensions raise ``InternalMismatch``."""
+    if len(p) != len(q):
+        raise DimensionMismatch(f"{len(p)} vs {len(q)}")
+    return all((p[i] * q[j] - p[j] * q[i]).is_zero()
+               for i in range(len(p)) for j in range(i + 1, len(p)))
+
 
 # the deepest a cell is bisected to separate the chart poles
 MAX_CELL_DEPTH = 24

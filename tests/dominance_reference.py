@@ -1,5 +1,5 @@
 """The rank-8 dominance analysis, for the acceptance gate and the tests of
-``quartic.dominance``.
+the north-south criterion.
 
 ``analyze_dominance`` works per 2x2 embedded block: equal extreme moduli
 are detected exactly through the invariant u = |lambda|^2 + |lambda|^-2, so
@@ -10,15 +10,15 @@ eigenvectors and covectors to the rank-8 north-south data that the paper
 displays for psi(P).
 
 ``noncommuting_check`` is the north-south criterion as it was written on
-``hyperbolic_like``, held against ``quartic.dominance.noncommuting_check``,
-which reads the 2x2 eigen data directly.
+``hyperbolic_like``, with the reason each verdict fails.  It is held
+against ``quartic.construction.north_south``, which decides the same
+verdict by one resultant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from quartic.dominance import NoncommutingResult, proj_equal
 from quartic.eigen import Eigen2, _eigvec_pair, eigen2
 from quartic.errors import SingularMatrix
 from quartic.extension import QuadExt
@@ -26,6 +26,8 @@ from quartic.linalg import MatClass, RingMat2, classify, share_eigenvector
 from quartic.record import Record
 from quartic.regular import RegularRep
 from quartic.ring import ONE, QuarticElem, Sign, galois
+
+from certificate_reference import proj_equal
 
 
 class BlockEig(Record):
@@ -203,6 +205,15 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     cov_plus = _lift_covec(_eigvec_pair(view_t, lam_dom), k)
     cov_minus = _lift_covec(_eigvec_pair(view_t, lam_rec), k)
     return HyperbolicLikeData(att8, rep8, cov_plus, cov_minus)
+
+
+class NoncommutingResult(Record):
+    holds: bool
+    reason: str
+    commutator_nontrivial: bool | None = None
+
+    def __bool__(self) -> bool:
+        return self.holds
 
 
 def noncommuting_check(a: RingMat2, b: RingMat2) -> NoncommutingResult:

@@ -417,10 +417,12 @@ def _verdicts(blob) -> dict:
 def test_verify_paper_shares_the_eigenvector_verdict(monkeypatch, capsys):
     """The sigma2_no_common_eigenvector row reads the verdict of
     ``check_conditions``: one verify-paper run asks about shared
-    eigenvectors three times (``check_conditions``, ``noncommuting_check``
-    and the certificate search), not a fourth time for the row."""
+    eigenvectors three times, not a fourth time for the row.
+    ``check_conditions`` asks about the pair, its north-south test about
+    a b a^-1 against b for the sigma2 views a and b, and the certificate
+    search about a and b."""
     # load every module that looks the name up
-    from quartic import dominance, linalg, verify  # noqa: F401
+    from quartic import linalg, verify  # noqa: F401
     calls = []
     real = linalg.share_eigenvector
 
@@ -435,16 +437,18 @@ def test_verify_paper_shares_the_eigenvector_verdict(monkeypatch, capsys):
     code, blob = run_json(capsys, "verify-paper")
     assert code == 0
     assert _verdicts(blob)["sigma2_no_common_eigenvector"] == "pass"
-    assert len(calls) == 3
+    p, q = construction.paper_generators()
+    a, b = p.real_view(2), q.real_view(2)
+    assert calls == [(p, q), (a * b * a.inv(), b), (a, b)]
 
 
 def test_verify_paper_eigen_data_count(monkeypatch, capsys):
-    """One verify-paper run takes the eigen data of a 2x2 view four times:
-    once for the lambda row's Q, twice for the fixed points of the
-    certificate search and once for the second matrix of
-    ``noncommuting_check``.  The checker takes none: it tests each center
-    by its fixed-point equation."""
-    from quartic import dominance, eigen, pingpong, verify  # noqa: F401
+    """One verify-paper run takes the eigen data of a 2x2 view three times:
+    once for the lambda row's Q and twice for the fixed points of the
+    certificate search.  The checker takes none: it tests each center by
+    its fixed-point equation, and the north-south test of
+    ``check_conditions`` none: it decides by a resultant."""
+    from quartic import eigen, pingpong, verify  # noqa: F401
     calls = []
     real = eigen.eigen2
 
@@ -458,7 +462,7 @@ def test_verify_paper_eigen_data_count(monkeypatch, capsys):
             monkeypatch.setattr(module, "eigen2", spy)
     code, _ = run_json(capsys, "verify-paper")
     assert code == 0
-    assert calls == [0] * 4
+    assert calls == [0] * 3
 
 
 @pytest.mark.parametrize("entry", ["1 0 0 0", "2 0 0 0"])
@@ -635,7 +639,7 @@ def test_command_import_sets():
     assert margin == certify | mods("margin")
     verify = _loaded_modules(["verify-paper", "--json"])
     assert verify == margin | mods("verify", "construction", "cubic",
-                                   "regular", "dominance")
+                                   "regular")
     # probe 4, the one that measures chordal distances, takes them from
     # eigen; the gamma/delta split the probes read lives in construction
     inequality = shared | mods("inequality", "construction", "eigen",
@@ -661,7 +665,7 @@ def test_command_import_sets():
 
 # the summed lines of the module files a standalone certificate check
 # loads: the checker's trusted base, which should only fall
-TRUSTED_BASE_LINES = 1341
+TRUSTED_BASE_LINES = 1360
 
 
 def test_certificate_check_import_set():

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quartic.cli import _parse_matrix
-from quartic.dominance import noncommuting_check, proj_equal
-from quartic.construction import paper_generators
+from quartic.construction import north_south, paper_generators
 from quartic.eigen import proj_dist
 from quartic.errors import (HypothesisViolated, NotHyperbolicLike,
                             SearchOverflow)
@@ -37,6 +36,7 @@ from certificate_reference import (
     cover_pole_free,
     cover_recheck_cell,
     cover_root_cell,
+    proj_equal,
     reference_cell_pole_free,
     reference_certify_cell,
     reference_certify_condition,
@@ -272,6 +272,15 @@ def _set_ball(name, key, value):
     return mutate
 
 
+def _step_region_beside(name):
+    """The step region [lo, hi] moved to [hi, 2 hi - lo], wholly on one side
+    of its ball."""
+    def mutate(blob):
+        lo, hi = map(Fraction, blob["regions"][name])
+        blob["regions"][name] = [str(hi), str(2 * hi - lo)]
+    return mutate
+
+
 def _reverse_step_regions(blob):
     for name, region in blob["regions"].items():
         if name.endswith("_step"):
@@ -325,11 +334,25 @@ _NOT_HYPERBOLIC = "{} is not hyperbolic with determinant one"
     (_set_ball("B_att", "radius", "3/40"),
      ["balls are not certified pairwise disjoint",
       _region_problem("B_att_step")]),
+    # A maps this region inside A_att, which the region does not enclose
+    (_step_region_beside("A_att_step"), [_region_problem("A_att_step")]),
+    # A_rep grown past chart s's point at infinity, about 0.0767 away, and
+    # past B_rep, about 0.088 away: it is no interval of the slope chart,
+    # so no region relation holds on it, though A_pos's ends lie inside
+    (_set_ball("A_rep", "radius", "2/25"),
+     ["balls are not certified pairwise disjoint", _region_problem("A_pos"),
+      _region_problem("A_rep_step")]),
+    # an empty removed interval at 0 has K = 0 and no root in chart u: the
+    # checker stops at the region problem
+    (lambda blob: blob["regions"].update(A_pos=["0", "0"]),
+     [_region_problem("A_pos")]),
 ], ids=["region_kind", "step_region_kind", "dropped_last", "dropped_first",
         "unknown_condition", "identity_generator", "det_two_generator",
         "elliptic_generator", "zero_exponent", "generator",
         "reversed_step_regions",
-        "shrunk_region", "zero_radius", "unknown_ball", "overlapping_balls"])
+        "shrunk_region", "zero_radius", "unknown_ball", "overlapping_balls",
+        "step_region_beside_ball", "ball_holds_chart_infinity",
+        "empty_region_at_zero"])
 def test_certificate_single_field_mutation_rejected(certificate, mutate,
                                                     problems):
     assert certificate.exponent == 3
@@ -448,9 +471,28 @@ _LEAVES = [("N",), ("generator_a",), ("generator_b",)] + [
 _NUMBER = re.compile(r"-?\d+(?:/\d+)?")
 
 
+def _leaf_parent(blob, path):
+    """The object holding the leaf at path, and the leaf's key there."""
+    *keys, last = path
+    for key in keys:
+        blob = blob[key]
+    return blob, last
+
+
+# mutations that change a leaf's JSON type: from_json refuses each
+_TYPE_SWAPS = ("swap", "bool", "float")
+
+
 def _mutate_leaf(value, kind, k, char):
     """The leaf with its k-th number (k taken modulo their count) plus or
-    minus 1, every number negated, or a stray character inserted at k."""
+    minus 1, every number negated, or a stray character inserted at k; or
+    with its type changed: a number written as a string and a string as
+    the int of its first number, a bool, or a float near its number."""
+    if kind in _TYPE_SWAPS:
+        found = _NUMBER.search(str(value))
+        x = Fraction(found.group() if found else 0)
+        return {"swap": str(value) if isinstance(value, int) else int(x),
+                "bool": bool(k % 2), "float": float(x) + k % 2 / 10}[kind]
     if isinstance(value, int):
         value = {"plus": value + 1, "minus": value - 1, "negate": -value,
                  "stray": f"{value}{char}"}[kind]
@@ -469,23 +511,29 @@ def _mutate_leaf(value, kind, k, char):
 
 
 @given(st.sampled_from(_LEAVES),
-       st.sampled_from(["plus", "minus", "negate", "stray"]),
+       st.sampled_from(["plus", "minus", "negate", "stray", *_TYPE_SWAPS]),
        st.integers(0, 40), st.sampled_from("x;/ -"))
 @example(("balls", 0, "center", "d"), "negate", 0, "x")
 @example(("balls", 3, "center", "d"), "negate", 0, "x")
+@example(("N",), "float", 0, "x")
+@example(("N",), "swap", 0, "x")
+@example(("balls", 0, "radius"), "float", 0, "x")
+@example(("generator_a",), "swap", 0, "x")
 def test_checker_is_total_on_single_leaf_mutations(certificate, leaf, kind,
                                                    k, char):
     """A certificate with one leaf of its JSON changed is refused by
     ``from_json`` as malformed, or gets (ok, problems) from
-    ``verify_certificate``; it never raises there.  The two examples give
+    ``verify_certificate``; it never raises there.  A leaf of another JSON
+    type is always refused, with ``ValueError``.  The two examples give
     a ball a negative d: the cell-cover checker raised on them, taking a
     square root of d in its disjointness test."""
     blob = json.loads(certificate.to_json_text())
-    *path, last = leaf
-    parent = blob
-    for key in path:
-        parent = parent[key]
+    parent, last = _leaf_parent(blob, leaf)
     parent[last] = _mutate_leaf(parent[last], kind, k, char)
+    if kind in _TYPE_SWAPS:
+        with pytest.raises(ValueError):
+            PingPongCertificate.from_json(blob)
+        return
     try:
         cert = PingPongCertificate.from_json(blob)
     except (ValueError, KeyError, TypeError):
@@ -493,6 +541,31 @@ def test_checker_is_total_on_single_leaf_mutations(certificate, leaf, kind,
     ok, problems = verify_certificate(cert)
     assert isinstance(ok, bool) and isinstance(problems, list)
     assert ok == (not problems)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("N",), 3.9), (("N",), 3.0), (("N",), "3"), (("N",), True),
+    (("balls", 0, "radius"), 0.025),
+    (("regions", "A_pos", 0), -15.47),
+    (("balls", 0, "center", "d"), 5),
+    (("generator_a",), 7),
+    (("regions", "A_pos"), "12"),
+    (("regions", "A_pos"), ["-16", "-11", "0"]),
+], ids=["float_N", "integral_float_N", "string_N", "bool_N",
+        "float_radius", "float_region_end", "int_d", "int_generator",
+        "string_region", "triple_region"])
+def test_from_json_refuses_what_to_json_does_not_write(certificate, path,
+                                                       value):
+    """N is an int, every other leaf a string and each region a pair
+    [lo, hi]: anything else is refused, not read as some other value.  A
+    float N was truncated and a string N parsed, a float radius or region
+    end read as its nearest double, a string region split into its
+    characters, and an int where a string belongs raised AttributeError."""
+    blob = json.loads(certificate.to_json_text())
+    parent, last = _leaf_parent(blob, path)
+    parent[last] = value
+    with pytest.raises(ValueError):
+        PingPongCertificate.from_json(blob)
 
 
 # nonzero base-field factors a center may be scaled by
@@ -1241,28 +1314,34 @@ def test_no_short_relations(certificate):
 
 
 def test_noncommuting_reference_pair():
-    res = noncommuting_check(A2, B2)
-    assert res and res.commutator_nontrivial
+    assert north_south(A2, B2)
 
 
 def test_noncommuting_power_pair_fails_hypotheses():
-    res = noncommuting_check(A2, A2 * A2)
-    assert not res
-    assert "fixed" in res.reason
+    assert not north_south(A2, A2 * A2)
 
 
 def test_noncommuting_inverse_pair_fails_hypotheses():
-    res = noncommuting_check(B2, B2.inv())
-    assert not res
+    assert not north_south(B2, B2.inv())
 
 
-def test_noncommuting_check_matches_reference(rng):
-    """The check reads ``classify`` and one ``eigen2`` where the reference
-    went through the dominance analysis: both give the same verdict, reason
-    and commutator flag on the paper pair's sigma2 and identity views (P is
-    elliptic in the identity view), powers, inverses and drawn word pairs."""
+# a maps b's fixed point (1, 0) onto b's other fixed point (0, 1), and
+# shares neither with b
+_SWAP_A = RingMat2(ZERO, -ONE, ONE, QuarticElem(3))
+_SWAP_B = RingMat2(QuarticElem(2), ZERO, ZERO, QuarticElem(Fraction(1, 2)))
+
+
+def test_north_south_matches_reference(rng):
+    """The one-resultant test gives the verdict of the criterion as it was
+    written on the dominance analysis, on the paper pair's sigma2 and
+    identity views (P is elliptic in the identity view), powers, inverses,
+    drawn word pairs and a pair whose first matrix maps a fixed point of
+    the second onto the other, with its variants.  The pairs reach each
+    reason the reference gives for its verdict."""
     pairs = [(A2, B2), (B2, A2), (A2, A2 * A2), (B2, B2.inv()), (P, Q),
              (Q, P), (Q, B2)]
+    pairs += [(_SWAP_A, _SWAP_B), (_SWAP_A.inv(), _SWAP_B),
+              (_SWAP_A, _SWAP_B.inv()), (_SWAP_B, _SWAP_A)]
     words = reference_words(3)[1:]
     for view in ((A2, B2), (P, Q)):
         for _ in range(12):
@@ -1271,12 +1350,13 @@ def test_noncommuting_check_matches_reference(rng):
                                for _ in range(2)))
     reasons = set()
     for a, b in pairs:
-        got = noncommuting_check(a, b)
         want = dominance_reference.noncommuting_check(a, b)
-        assert (got.holds, got.reason, got.commutator_nontrivial) == (
-            want.holds, want.reason, want.commutator_nontrivial)
-        reasons.add(got.reason)
-    assert len(reasons) == 3, reasons
+        assert north_south(a, b) == want.holds, (a, b, want.reason)
+        reasons.add(want.reason)
+    assert reasons == {
+        "inputs are not hyperbolic-like", "shared fixed point",
+        "first matrix preserves the fixed pair of the second",
+        "north-south dynamics forces AB != BA"}
 
 
 def test_free_pair_power(certificate):

@@ -34,7 +34,7 @@ def _records() -> list[type]:
 def test_record_base_reads_fields_once_per_class():
     assert Cell._fields == ("chart", "lo", "hi", "target_chart")
     assert Cell._defaults == {"target_chart": ""}
-    assert len(_records()) == 14
+    assert len(_records()) == 13
 
 
 def test_record_base_init_and_repr():

@@ -325,9 +325,6 @@ ALLOWED = [
     ("construction._gamma", GUARD, "raise UnsignedElement"),
     ("construction.check_conditions", GUARD, "raise ValueError"),
     ("cubic.CubicElem.__repr__", REPR),
-    # check_conditions asks only about pairs with disjoint fixed points
-    ("dominance.noncommuting_check", GUARD, "return NoncommutingResult("),
-    ("dominance.proj_equal", GUARD, "raise DimensionMismatch"),
     ("eigen.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product",
      "raise ValueError"),
     # the search and the probes measure distinct points
@@ -341,8 +338,6 @@ ALLOWED = [
     ("inequality.inequality_probe", GUARD, "raise ValueError"),
     ("intervals.enc_sqrt", GUARD, "raise ValueError"),
     ("limits.LimitCandidate.__post_init__", GUARD, "raise NonIntegralInput"),
-    # the two targets are fixed, and decided at 64 bits
-    ("limits._interval_class", GUARD, 'return "undecided"'),
     ("limits.check_limit_conditions", GUARD, "raise NotUnimodular"),
     ("linalg.RingMat2.__repr__", REPR),
     ("linalg.RingMat2.__eq__", GUARD, "return NotImplemented"),
@@ -354,6 +349,7 @@ ALLOWED = [
      "raise NotUnimodular"),
     ("margin.nonneg_interval", GUARD, "return 0, max(0, hi), s"),
     ("pingpong.Ball.from_json", WIRE),
+    ("pingpong._text", WIRE),
     ("pingpong.PingPongCertificate.to_json", WIRE),
     ("pingpong.PingPongCertificate.to_json_text", WIRE),
     ("pingpong.PingPongCertificate.from_json", WIRE),

@@ -161,9 +161,6 @@ ALLOWED_FIELDS = {
     "MarginReport.margin_sq":
         "the exact squared margin, held against the reference scan; the "
         "report prints its enclosure",
-    "NoncommutingResult.reason": "says which hypothesis failed",
-    "NoncommutingResult.commutator_nontrivial":
-        "says whether the commutator check ran and held",
 }
 
 
