@@ -171,7 +171,7 @@ def check_conditions(p: RingMat2, q: RingMat2, m: int, n: int) -> ConditionRepor
         disjoint = False
     c3a = not (((q ** m) * (p ** n) * (q ** -m)).commutator(p ** n)).is_identity()
     c3b = not (((p ** m) * (q ** n) * (p ** -m)).commutator(q ** n)).is_identity()
-    via = disjoint and north_south(p.real_view(2), q.real_view(2))
+    via = disjoint and north_south(p.real_view(), q.real_view())
     notes = ("size-two crosses equal the fixed-point pairs, so conditions "
              "one and two are a single verdict")
     return ConditionReport(disjoint, disjoint, c3a, c3b, via, notes)
@@ -274,7 +274,7 @@ def conjugation_record(a: RingMat2, n: int) -> ConjugationRecord:
     if abs(n) > CONJUGATION_N_CAP:
         raise ValueError(f"|n| = {abs(n)} beyond cap {CONJUGATION_N_CAP}")
     _, q = paper_generators()
-    s2a = a.real_view(2)
+    s2a = a.real_view()
     qn = q ** n
     an, bn, cn, dn = qn.entries()
     checks: dict[str, bool] = {}
@@ -375,4 +375,4 @@ def make_signed_sigma2_matrix(x: QuarticElem, y: QuarticElem,
     gives the abstract matrix."""
     b = (RingMat2(ONE, x, ZERO, ONE) * RingMat2(ONE, ZERO, y, ONE)
          * RingMat2(ONE, z, ZERO, ONE))
-    return b.real_view(2)
+    return b.real_view()

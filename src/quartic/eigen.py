@@ -1,4 +1,4 @@
-"""Eigen data of the embedded 2x2 views.
+"""Eigen data of the real 2x2 views.
 
 Eigenvalues of a real hyperbolic view are exact elements of a quadratic
 extension of Q(beta) (``extension.QuadExt``).  Chordal distances between
@@ -16,13 +16,12 @@ from .extension import QuadExt
 from .intervals import DEFAULT_BITS, Enclosure, enc_add, enc_div, enc_mul, enc_sqrt
 from .linalg import MatClass, RingMat2, classify
 from .record import Record
-from .ring import ONE, QuarticElem, Sign, galois
+from .ring import ONE, QuarticElem, Sign
 
 
 class Eigen2(Record):
-    """User-facing eigen data for one embedded 2x2 view."""
+    """User-facing eigen data for one real 2x2 view."""
 
-    k: int
     lam_dominant: QuadExt | None = None
     lam_recessive: QuadExt | None = None
     vec_dominant: tuple[QuadExt, QuadExt] | None = None
@@ -41,16 +40,17 @@ def _eigvec_pair(a: RingMat2, lam: QuadExt) -> tuple[QuadExt, QuadExt]:
     return (lam - QuadExt.of_base(e22, d), QuadExt.of_base(e21, d))
 
 
-def eigen2(a: RingMat2, k: int) -> Eigen2:
-    """Eigenvalues of the k-th view: exact quadratic-extension data for the
-    real hyperbolic case, none for the elliptic one, whose pair lies on the
-    unit circle; parabolic and loxodromic views are rejected."""
-    cls = classify(a, k)
+def eigen2(a: RingMat2) -> Eigen2:
+    """Eigen data of a in view 0 (pass ``a.real_view()`` for sigma2): exact
+    quadratic-extension data for the hyperbolic case, none for the elliptic
+    one, whose pair lies on the unit circle; a parabolic matrix is
+    rejected."""
+    cls = classify(a, 0)
     if cls == MatClass.PARABOLIC:
         raise ParabolicNotSupported("double eigenvalue")
-    rec = Eigen2(k=k)
+    rec = Eigen2()
     if cls == MatClass.HYPERBOLIC:
-        t = galois(a.trace(), k).re
+        t = a.trace()
         disc = t * t - QuarticElem(4)
         half = Fraction(1, 2)
         sgn = 1 if t.sign() == Sign.POSITIVE else -1
@@ -58,14 +58,10 @@ def eigen2(a: RingMat2, k: int) -> Eigen2:
         lam_rec = lam_dom.conj_sqrt()
         if not (lam_dom * lam_rec == QuadExt.of_base(ONE, disc)):
             raise ParabolicNotSupported("eigenvalue product is not 1")
-        view = a.real_view(k) if k in (0, 2) else None
         rec.lam_dominant = lam_dom
         rec.lam_recessive = lam_rec
-        if view is not None:
-            rec.vec_dominant = _eigvec_pair(view, lam_dom)
-            rec.vec_recessive = _eigvec_pair(view, lam_rec)
-    elif cls != MatClass.ELLIPTIC:
-        raise ValueError("eigen data of a loxodromic view is not supported")
+        rec.vec_dominant = _eigvec_pair(a, lam_dom)
+        rec.vec_recessive = _eigvec_pair(a, lam_rec)
     return rec
 
 

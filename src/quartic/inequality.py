@@ -15,7 +15,7 @@ from .intervals import DEFAULT_BITS, enc_div, enc_sqrt
 from .linalg import RingMat2, paper_generators
 from .record import Record
 from .report import interval_json
-from .ring import ONE, QuarticElem, Sign, galois
+from .ring import ONE, SQRT2, QuarticElem, Sign, galois
 
 
 class InequalityRecord(Record):
@@ -30,7 +30,7 @@ class InequalityRecord(Record):
 
 
 def _entries_for_probe(a: RingMat2):
-    e11, e12, e21, e22 = a.real_view(2).entries()
+    e11, e12, e21, e22 = a.real_view().entries()
     return e11 - ONE, e12, e21, e22 - ONE
 
 
@@ -43,7 +43,7 @@ def _require_signed(entries) -> None:
 
 def _sigma2_p_slopes():
     p, _ = paper_generators()
-    e = eigen2(p, 2)
+    e = eigen2(p.real_view())
     return e.vec_dominant, e.vec_recessive
 
 
@@ -128,8 +128,9 @@ def inequality_probe(a: RingMat2, which: int) -> InequalityRecord:
         shifted = (a.e11 - ONE, a.e12, a.e21, a.e22 - ONE)
         any_chain = False
         for name, x in zip(names, shifted):
-            m0, m1, m2 = (enc_sqrt(galois(x, k).abs2().interval(DEFAULT_BITS))
-                          for k in range(3))
+            m0, m1, m2 = (enc_sqrt((re * re + SQRT2 * im * im)
+                                   .interval(DEFAULT_BITS))
+                          for re, im in (galois(x, k) for k in range(3)))
             # all three at the square root's scale 2^DEFAULT_BITS
             s = m0[2]
             chain = (100 * m0[1] < s and s < 1000 * m1[0]

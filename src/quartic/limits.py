@@ -44,7 +44,7 @@ class LimitCandidate(Record, frozen=True):
 
     def view1(self) -> RingMat2:
         """sigma2 image: real, must be elliptic for a valid candidate."""
-        return self.matrix.real_view(2)
+        return self.matrix.real_view()
 
     def coeff_grid(self) -> list[list[int]]:
         return [[int(c) for c in e.coeffs()] for e in self.matrix.entries()]
@@ -395,7 +395,7 @@ def _near_identity_rows(pair, n: int, depth: int,
         mat = _mat(mat, one)
         entry = {"word": str(ReducedWord(codes))}
         try:
-            eig = eigen2(mat, 0)
+            eig = eigen2(mat)
             if eig.vec_dominant is not None:
                 e11, _, e21, e22 = mat.entries()
                 for tag, vec in (("dominant", eig.vec_dominant),

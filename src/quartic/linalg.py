@@ -119,12 +119,9 @@ class RingMat2:
     def is_integral(self) -> bool:
         return self._d == 1
 
-    def real_view(self, k: int) -> "RingMat2":
-        """The matrix with the real embedding k (0 or 2) applied entrywise."""
-        if k not in (0, 2):
-            raise ValueError("real views exist only for k = 0 and k = 2")
-        if k == 0:
-            return self
+    def real_view(self) -> "RingMat2":
+        """The sigma2 view: the real embedding beta -> -beta applied
+        entrywise."""
         return _mat(tuple([(c0, -c1, c2, -c3) for c0, c1, c2, c3 in self._m]),
                     self._d)
 
@@ -171,10 +168,10 @@ def classify(a: RingMat2, k: int) -> MatClass:
     """Trace classification of the k-th embedded view; requires det = 1."""
     if a.det() != ONE:
         raise NotUnimodular(f"det is {a.det().to_text()}, expected 1")
-    t = galois(a.trace(), k)
-    if not t.is_real():
+    re, im = galois(a.trace(), k)
+    if not im.is_zero():
         return MatClass.LOXODROMIC
-    s = (t.re * t.re - QuarticElem(4)).sign()
+    s = (re * re - QuarticElem(4)).sign()
     if s == Sign.NEGATIVE:
         return MatClass.ELLIPTIC
     if s == Sign.ZERO:

@@ -170,11 +170,18 @@ class PingPongCertificate(Record):
     @classmethod
     def from_json(cls, obj: dict) -> "PingPongCertificate":
         """The certificate ``to_json`` wrote: N an int, every other leaf a
-        string and each region a pair.  A leaf of another type or a region
-        of another shape raises ``ValueError``."""
-        n, regions = obj["N"], obj["regions"]
+        string, the balls a list of objects with distinct names and each
+        region a pair.  A leaf of another type, a container of another
+        shape or a ball listed twice raises ``ValueError``."""
+        n, balls, regions = obj["N"], obj["balls"], obj["regions"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"N must be an integer, got {n!r}")
+        if not (isinstance(balls, list)
+                and all(isinstance(b, dict) for b in balls)):
+            raise ValueError("balls must be a list of ball objects")
+        by_name = {b.name: b for b in map(Ball.from_json, balls)}
+        if len(by_name) != len(balls):
+            raise ValueError("a ball name is listed twice")
         if not (isinstance(regions, dict) and all(
                 isinstance(r, list) and len(r) == 2 for r in regions.values())):
             raise ValueError("regions must map names to pairs [lo, hi]")
@@ -182,7 +189,7 @@ class PingPongCertificate(Record):
             exponent=n,
             gen_a=parse_matrix(_text(obj["generator_a"])),
             gen_b=parse_matrix(_text(obj["generator_b"])),
-            balls={b["name"]: Ball.from_json(b) for b in obj["balls"]},
+            balls=by_name,
             regions={name: (Fraction(_text(lo)), Fraction(_text(hi)))
                      for name, (lo, hi) in regions.items()},
         )

@@ -143,7 +143,7 @@ def freeness_certificate(n: int | None,
         cert = free_pair_power(p, q)
         n = cert.exponent
     else:
-        cert = certify_exponent(p.real_view(2), q.real_view(2), n)
+        cert = certify_exponent(p.real_view(), q.real_view(), n)
     gens, den = int_matrices(_generator_powers(n))
     count, hits = _crosscheck(gens, den, crosscheck_depth)
     hits.sort()

@@ -136,8 +136,8 @@ def _fixed_points(a: RingMat2,
                   b: RingMat2) -> dict[str, tuple[QuadExt, QuadExt]]:
     """The four ball centers by name: the generators' attracting and
     repelling eigenvector points."""
-    ea = eigen2(a, 0)
-    eb = eigen2(b, 0)
+    ea = eigen2(a)
+    eb = eigen2(b)
     return {"A_att": ea.vec_dominant, "A_rep": ea.vec_recessive,
             "B_att": eb.vec_dominant, "B_rep": eb.vec_recessive}
 
@@ -314,4 +314,4 @@ def free_pair_power(a: RingMat2, b: RingMat2) -> PingPongCertificate:
     """The certificate of the least exponent N such that <a^m, b^m> is free
     for all m >= N, found through the third Galois view where both
     generators act hyperbolically."""
-    return pingpong_exponent(a.real_view(2), b.real_view(2))
+    return pingpong_exponent(a.real_view(), b.real_view())

@@ -20,7 +20,6 @@ import enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalMismatch
 from .intervals import (
     DEFAULT_BITS,
     Enclosure,
@@ -302,53 +301,19 @@ BETA = QuarticElem(0, 1)
 SQRT2 = QuarticElem(0, 0, 1)
 
 
-class EmbeddedComplex:
-    """Exact image of a quartic element under one Galois embedding.
-
-    Stored as re + beta * im_scale * i where re is a real element of Q(beta)
-    and im_scale an element of Q(beta) with zero odd part.  For the complex embeddings (k = 1, 3)
-    the real part always lands in the Q(sqrt2) subring; for the real
-    embeddings (k = 0, 2) im_scale is zero and re carries the whole image.
-    Arithmetic stays inside a single embedded field.
-    """
-
-    __slots__ = ("re", "im_scale")
-
-    def __init__(self, re: QuarticElem, im_scale: QuarticElem):
-        self.re = re
-        self.im_scale = im_scale
-
-    def __repr__(self) -> str:
-        return f"EmbeddedComplex({self.re!r}, {self.im_scale!r})"
-
-    def is_real(self) -> bool:
-        return self.im_scale.is_zero()
-
-    def __mul__(self, other: "EmbeddedComplex") -> "EmbeddedComplex":
-        # (r1 + b s1 i)(r2 + b s2 i) = r1 r2 - sqrt2 s1 s2 + b (r1 s2 + r2 s1) i
-        re = self.re * other.re - SQRT2 * self.im_scale * other.im_scale
-        im = self.re * other.im_scale + other.re * self.im_scale
-        if not im.in_even_subring():
-            raise InternalMismatch(
-                "product left the embedded field; operands came from "
-                "different embeddings")
-        return EmbeddedComplex(re, im)
-
-    def abs2(self) -> QuarticElem:
-        """Squared modulus re^2 + sqrt2 * im_scale^2, a real quartic element."""
-        return self.re * self.re + SQRT2 * self.im_scale * self.im_scale
-
-
-def galois(x: QuarticElem, k: int) -> EmbeddedComplex:
-    """Image of x under the embedding beta -> beta * i^k, k in 0..3."""
+def galois(x: QuarticElem, k: int) -> tuple[QuarticElem, QuarticElem]:
+    """Image of x under the embedding beta -> beta * i^k, k in 0..3, as the
+    pair (re, im) with sigma_k(x) = re + beta * im * i.  Both lie in the
+    even subring for k = 1, 3; im is zero for the real embeddings k = 0, 2.
+    The squared modulus is re^2 + sqrt2 * im^2."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"embedding index must be 0..3, got {k}")
     if k == 0:
-        return EmbeddedComplex(x, ZERO)
+        return x, ZERO
     if k == 2:
-        return EmbeddedComplex(x.conj_even(), ZERO)
+        return x.conj_even(), ZERO
     # beta -> +-i beta: (q0 - q2 sqrt2) +- i beta (q1 - q3 sqrt2)
     c0, c1, c2, c3 = x._c
     d = x._d
     im = _elem((c1, 0, -c3, 0) if k == 1 else (-c1, 0, c3, 0), d)
-    return EmbeddedComplex(_elem((c0, 0, -c2, 0), d), im)
+    return _elem((c0, 0, -c2, 0), d), im

@@ -19,7 +19,7 @@ from .linalg import MatClass, RingMat2, classify
 from .margin import discreteness_margin
 from .regular import regular_rep
 from .report import ERRATUM, FAIL, PASS, Report, interval_json
-from .ring import ONE, QuarticElem, _fraction, galois
+from .ring import ONE, SQRT2, QuarticElem, _fraction, galois
 
 
 PSI_P_REFERENCE = [
@@ -126,11 +126,10 @@ def field_quantity_N(x: QuarticElem) -> Fraction:
     v = 2 * a * p - m * m - 2 * e * e
     num, den = abs(u * u - 2 * v * v), x._d ** 4
 
-    prod02 = x * x.conj_even()
-    z13 = galois(x, 1) * galois(x, 3)
-    if not z13.is_real():
-        raise InternalMismatch("sigma1(x) * sigma3(x) should be real")
-    full = prod02 * z13.re
+    # sigma3(x) is the complex conjugate of sigma1(x), so their product is
+    # the squared modulus of sigma1(x)
+    re, im = galois(x, 1)
+    full = x * x.conj_even() * (re * re + SQRT2 * im * im)
     if not full.is_rational():
         raise InternalMismatch("full conjugate product should be rational")
     n, d = abs(full._c[0]), full._d
@@ -201,7 +200,7 @@ def cmd_verify_paper(args) -> Report:
 
     # scalar identities; an elliptic or parabolic q has no real lambda
     try:
-        eq = eigen2(q, 0)
+        eq = eigen2(q)
     except QuarticError:
         eq = None
     lam_ok = (eq is not None and eq.lam_dominant is not None

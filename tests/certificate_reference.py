@@ -270,8 +270,8 @@ def reference_fixed_points(a: RingMat2,
                   b: RingMat2) -> dict[str, tuple[QuadExt, QuadExt]]:
     """The four ball centers by name: the generators' attracting and
     repelling eigenvector points."""
-    ea = eigen2(a, 0)
-    eb = eigen2(b, 0)
+    ea = eigen2(a)
+    eb = eigen2(b)
     return {"A_att": ea.vec_dominant, "A_rep": ea.vec_recessive,
             "B_att": eb.vec_dominant, "B_rep": eb.vec_recessive}
 

@@ -25,7 +25,7 @@ from quartic.extension import QuadExt
 from quartic.linalg import MatClass, RingMat2, classify, share_eigenvector
 from quartic.record import Record
 from quartic.regular import RegularRep
-from quartic.ring import ONE, QuarticElem, Sign, galois
+from quartic.ring import ONE, SQRT2, QuarticElem, Sign, galois
 
 from certificate_reference import proj_equal
 
@@ -46,15 +46,15 @@ class BlockEig(Record):
 
 def block_eig(a: RingMat2, k: int) -> BlockEig:
     cls = classify(a, k)
-    t = galois(a.trace(), k)
-    if not t.is_real():
-        abs2 = t.abs2()
-        im2 = t.abs2() - t.re * t.re            # (Im tau)^2 as a quartic value
+    re, im = galois(a.trace(), k)
+    if not im.is_zero():
+        im2 = SQRT2 * im * im                   # (Im tau)^2 as a quartic value
+        abs2 = re * re + im2
         w4 = abs2 - QuarticElem(4)
         w = w4 * w4 + 16 * im2
         return BlockEig(k, cls, u_rad=(abs2, w))
     if cls == MatClass.HYPERBOLIC:
-        return BlockEig(k, cls, u_base=t.re * t.re - QuarticElem(2))
+        return BlockEig(k, cls, u_base=re * re - QuarticElem(2))
     # elliptic and parabolic blocks have both moduli equal to 1
     return BlockEig(k, cls, u_base=QuarticElem(2))
 
@@ -102,10 +102,11 @@ def _cmp_rad_rad(r1, r2) -> Sign:
 class DominanceAnalysis(Record):
     """The verdict, and when it is "dominant" the dominant block's eigen
     data: its real, simple, strictly extreme eigenvalue is
-    ``eigen.lam_dominant`` and its block is ``eigen.k``."""
+    ``eigen.lam_dominant`` and its block is ``k``."""
 
     reason: str
     eigen: Eigen2 | None = None
+    k: int | None = None
 
 
 def _matrix_of(rep: RegularRep) -> RingMat2:
@@ -141,7 +142,10 @@ def analyze_dominance(m) -> DominanceAnalysis:
         return DominanceAnalysis("maximal modulus is 1")
     if top.mat_class == MatClass.LOXODROMIC:
         return DominanceAnalysis("maximal eigenvalue is not real")
-    return DominanceAnalysis("dominant", eigen2(src, top.k))
+    # a hyperbolic block is real, so k is 0 or 2: the sigma1 and sigma3
+    # blocks are complex conjugates and tie
+    view = src if top.k == 0 else src.real_view()
+    return DominanceAnalysis("dominant", eigen2(view), top.k)
 
 
 _BETA_POWERS = (ONE, QuarticElem(0, 1), QuarticElem(0, 0, 1), QuarticElem(0, 0, 0, 1))
@@ -185,17 +189,19 @@ def hyperbolic_like(m) -> HyperbolicLikeData | None:
     """Full north-south data when both m and its inverse are dominant."""
     if isinstance(m, RingMat2) and m.det().is_zero():
         raise SingularMatrix("input must be invertible")
-    eig = analyze_dominance(m).eigen
+    ana = analyze_dominance(m)
+    eig, k = ana.eigen, ana.k
     if eig is None:
         return None
-    k = eig.k
     # determinant-one blocks: the same block carries both extreme moduli,
     # so dominance of the inverse comes along for free
     att2 = eig.vec_dominant
     rep2 = eig.vec_recessive
     if isinstance(m, RingMat2):
         return HyperbolicLikeData(att2, rep2, rep2, att2)
-    view = _matrix_of(m).real_view(k)
+    view = _matrix_of(m)
+    if k == 2:
+        view = view.real_view()
     lam_dom, lam_rec = eig.lam_dominant, eig.lam_recessive
     att8 = _lift_vec(att2, k)
     rep8 = _lift_vec(rep2, k)

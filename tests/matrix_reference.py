@@ -7,7 +7,7 @@ the squared sup-distance of two matrices' views taken through
 denominator) and ``margin.view_dist4`` must agree with them.
 ``sigma3_commutator_nontrivial`` decides the limit checker's complex-view
 commutator condition on the complex views themselves, entries as
-(re, im_scale) pairs, the way the checker did before it read the verdict
+(re, im) pairs, the way the checker did before it read the verdict
 off one ring commutator.
 """
 
@@ -76,10 +76,9 @@ class RefMat2:
     def is_scalar(self) -> bool:
         return self.e12.is_zero() and self.e21.is_zero() and self.e11 == self.e22
 
-    def real_view(self, k: int) -> "RefMat2":
-        if k not in (0, 2):
-            raise ValueError("real views exist only for k = 0 and k = 2")
-        return RefMat2(*(galois(e, k).re for e in self.entries()))
+    def real_view(self) -> "RefMat2":
+        """The sigma2 view."""
+        return RefMat2(*(galois(e, 2)[0] for e in self.entries()))
 
 
 def entry_dist_sq(a, b, k: int) -> QuarticElem:
@@ -87,15 +86,15 @@ def entry_dist_sq(a, b, k: int) -> QuarticElem:
     matrices with ``entries()``."""
     best = None
     for x, y in zip(a.entries(), b.entries()):
-        e = galois(x - y, k)
-        v = e.re * e.re if e.is_real() else e.abs2()
+        re, im = galois(x - y, k)
+        v = re * re + SQRT2 * im * im
         if best is None or (v - best).sign() == Sign.POSITIVE:
             best = v
     return best
 
 
 # ---------------------------------------------------------------------------
-# complex views on (re, im_scale) pairs: x = re + beta * im_scale * i
+# complex views on (re, im) pairs: x = re + beta * im * i
 
 
 def _cmul(x, y):
@@ -110,9 +109,8 @@ def _cadd(x, y):
 
 
 def complex_view(m, k: int) -> tuple:
-    """The entries of the k-th view of m as (re, im_scale) pairs."""
-    return tuple((g.re, g.im_scale)
-                 for g in (galois(e, k) for e in m.entries()))
+    """The entries of the k-th view of m as (re, im) pairs."""
+    return tuple(galois(e, k) for e in m.entries())
 
 
 def cmat_mul(a, b) -> tuple:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from quartic.errors import NotUnimodular, WrongSubring
 from quartic.linalg import RingMat2
-from quartic.ring import ONE, ZERO, QuarticElem, galois
+from quartic.ring import ONE, SQRT2, ZERO, QuarticElem, galois
 
 
 def charpoly_fraction(rows) -> list[Fraction]:
@@ -55,9 +55,9 @@ def embedded_charpoly_product(a: RingMat2) -> list[Fraction]:
     tau = a.trace()
     # coefficient lists by increasing degree; both factors are palindromic
     p02 = _poly_mul([ONE, -tau, ONE], [ONE, -tau.conj_even(), ONE])
-    s13 = galois(tau, 1)
-    tr_sum = s13.re + s13.re            # sigma1 + sigma3 of the trace
-    tr_prod = s13.abs2()                # sigma1 * sigma3 of the trace
+    re, im = galois(tau, 1)
+    tr_sum = re + re                    # sigma1 + sigma3 of the trace
+    tr_prod = re * re + SQRT2 * im * im  # sigma1 * sigma3 of the trace
     p13 = [ONE, -tr_sum, tr_prod + QuarticElem(2), -tr_sum, ONE]
     full = _poly_mul(p02, p13)
     out = []

@@ -3,7 +3,8 @@
 
 ``reference_over`` coerces every coordinate to a ``Fraction`` before taking
 the common denominator; ``reference_field_quantity_N`` and
-``reference_signedness`` read the coefficients through ``coeffs()``;
+``reference_signedness`` read the coefficients through ``coeffs()``, and
+the former multiplies sigma1 by sigma3 as complex pairs;
 ``reference_quadext_sign`` signs a + b sqrt(d) with ``QuarticElem``
 arithmetic, and ``reference_cmp_rad_base`` compares (a + sqrt w)/2 with a
 base value by squaring.  The ring's and ``extension.surd_sign``'s versions work on the
@@ -16,6 +17,8 @@ from math import lcm
 from quartic.construction import Signedness
 from quartic.errors import InternalMismatch
 from quartic.ring import QuarticElem, Sign, galois
+
+from matrix_reference import _cmul
 
 
 def reference_over(xs) -> tuple[tuple[int, ...], int]:
@@ -33,10 +36,10 @@ def reference_field_quantity_N(x: QuarticElem) -> Fraction:
     closed = abs(u * u - 2 * v * v)
 
     prod02 = x * x.conj_even()
-    z13 = galois(x, 1) * galois(x, 3)
-    if not z13.is_real():
+    re13, im13 = _cmul(galois(x, 1), galois(x, 3))
+    if not im13.is_zero():
         raise InternalMismatch("sigma1(x) * sigma3(x) should be real")
-    full = prod02 * z13.re
+    full = prod02 * re13
     if not full.is_rational():
         raise InternalMismatch("full conjugate product should be rational")
     oracle = abs(full.q0)

@@ -173,7 +173,7 @@ def test_commutator_verdict_matches_sigma3_reference(rng):
     trivial = 0
     for i in range(120):
         if i % 6 == 0:
-            m = (Q ** rng.choice((1, -1, 2))).real_view(2)
+            m = (Q ** rng.choice((1, -1, 2))).real_view()
         else:
             m = _random_sl2(rng)
         if m.is_scalar():

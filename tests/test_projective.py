@@ -50,8 +50,8 @@ from ring_reference import reference_quadext_sign
 from word_reference import reference_word_matrix, reference_words
 
 P, Q = paper_generators()
-A2 = P.real_view(2)
-B2 = Q.real_view(2)
+A2 = P.real_view()
+B2 = Q.real_view()
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +64,10 @@ def certificate():
 
 
 def test_dominant_psi_p():
-    eig = analyze_dominance(regular_rep(P, 4)).eigen
+    ana = analyze_dominance(regular_rep(P, 4))
+    eig = ana.eigen
     assert eig is not None
-    assert eig.k == 2
+    assert ana.k == 2
     assert (eig.lam_dominant - 1).sign() == Sign.POSITIVE
 
 
@@ -346,13 +347,20 @@ _NOT_HYPERBOLIC = "{} is not hyperbolic with determinant one"
     # checker stops at the region problem
     (lambda blob: blob["regions"].update(A_pos=["0", "0"]),
      [_region_problem("A_pos")]),
+    # A_att at radius 1 holds the whole line bar the one point at chordal
+    # distance 1, so neither chart's point at infinity lies outside it: it is
+    # an interval in no chart, no image is certified inside it and no
+    # region relation holds on it
+    (_set_ball("A_att", "radius", "1"),
+     ["balls are not certified pairwise disjoint", _image_problem("A_pos"),
+      _region_problem("A_neg"), _region_problem("A_att_step")]),
 ], ids=["region_kind", "step_region_kind", "dropped_last", "dropped_first",
         "unknown_condition", "identity_generator", "det_two_generator",
         "elliptic_generator", "zero_exponent", "generator",
         "reversed_step_regions",
         "shrunk_region", "zero_radius", "unknown_ball", "overlapping_balls",
         "step_region_beside_ball", "ball_holds_chart_infinity",
-        "empty_region_at_zero"])
+        "empty_region_at_zero", "ball_holds_the_line"])
 def test_certificate_single_field_mutation_rejected(certificate, mutate,
                                                     problems):
     assert certificate.exponent == 3
@@ -551,19 +559,30 @@ def test_checker_is_total_on_single_leaf_mutations(certificate, leaf, kind,
     (("generator_a",), 7),
     (("regions", "A_pos"), "12"),
     (("regions", "A_pos"), ["-16", "-11", "0"]),
+    # a copy of A_att at radius 1/2 listed before the real one
+    (("balls",), lambda balls: [dict(balls[0], radius="1/2"), *balls]),
+    (("balls",), lambda balls: {b["name"]: b for b in balls}),
+    (("balls",), {}),
+    (("balls", 0), "A_att"),
+    (("regions",), lambda regions: list(regions.values())),
 ], ids=["float_N", "integral_float_N", "string_N", "bool_N",
         "float_radius", "float_region_end", "int_d", "int_generator",
-        "string_region", "triple_region"])
+        "string_region", "triple_region", "repeated_ball", "balls_object",
+        "empty_balls_object", "ball_name_for_ball", "regions_list"])
 def test_from_json_refuses_what_to_json_does_not_write(certificate, path,
                                                        value):
-    """N is an int, every other leaf a string and each region a pair
-    [lo, hi]: anything else is refused, not read as some other value.  A
-    float N was truncated and a string N parsed, a float radius or region
-    end read as its nearest double, a string region split into its
-    characters, and an int where a string belongs raised AttributeError."""
+    """N is an int, every other leaf a string, the balls a list with
+    distinct names and each region a pair [lo, hi]: anything else is
+    refused, not read as some other value.  A float N was truncated and a
+    string N parsed, a float radius or region end read as its nearest
+    double, a string region split into its characters, an int where a
+    string belongs raised AttributeError, a repeated ball kept its last copy
+    unchecked, a balls object or a name in place of a ball raised TypeError
+    and an empty balls object was read as no balls.  A callable value maps
+    the old one."""
     blob = json.loads(certificate.to_json_text())
     parent, last = _leaf_parent(blob, path)
-    parent[last] = value
+    parent[last] = value(parent[last]) if callable(value) else value
     with pytest.raises(ValueError):
         PingPongCertificate.from_json(blob)
 
@@ -827,7 +846,8 @@ def test_root_check_matches_the_cover_reference(certificate):
 def test_disjointness_matches_the_enclosure_reference(certificate, rng):
     """The exact disjointness test agrees with ``proj_dist`` enclosures at
     256 bits wherever they decide: on the six pairs of the paper balls, at
-    radii 10^-6 either side of half the A_att-B_att distance, and on the
+    radii 10^-6 either side of half the A_att-B_att distance, on the six
+    pairs at radius 1/4 each, and on the
     fixed points of the drawn pairs of ``test_witness_search_matches_the_
     ladder_walk_reference`` at radii around half of each distance."""
     decided = []
@@ -855,6 +875,13 @@ def test_disjointness_matches_the_enclosure_reference(certificate, rng):
         compare(Ball("A_att", balls["A_att"].center, half + delta),
                 Ball("B_att", balls["B_att"].center, half + delta))
     assert decided[6:] == [True, False]
+    # at radius 1/4 each the A_att-B_att and A_rep-B_rep balls, about 0.0998
+    # apart, overlap; for A_rep-B_rep both S and T are negative
+    quarter = {n: Ball(n, balls[n].center, Fraction(1, 4)) for n in names}
+    for i, n1 in enumerate(names):
+        for n2 in names[i + 1:]:
+            compare(quarter[n1], quarter[n2])
+    assert decided[8:] == [True, False, True, True, False, True]
     for a, b in _drawn_hyperbolic_pairs(rng, 32):
         centers = reference_fixed_points(a, b)
         names = sorted(centers)
@@ -866,7 +893,7 @@ def test_disjointness_matches_the_enclosure_reference(certificate, rng):
                     compare(Ball(n1, centers[n1], r), Ball(n2, centers[n2], r))
     # the enclosures decide every drawn pair, and each at 999/1000 of half
     # the distance is disjoint, at 1001/1000 not
-    assert decided[8:] == [True, False] * (32 * 6)
+    assert decided[14:] == [True, False] * (32 * 6)
 
 
 def test_root_check_needs_the_pole_test():
@@ -1246,7 +1273,7 @@ def test_witness_search_matches_the_ladder_walk_reference(monkeypatch, rng):
         return t
 
     monkeypatch.setattr(projective, "_witness", spy)
-    companion = tuple(m.real_view(2) for m in COMPANION)
+    companion = tuple(m.real_view() for m in COMPANION)
     cases = ([((A2, B2), n) for n in range(1, 7)]
              + [(pair, n) for pair in ((B2, A2), (A2.inv(), B2))
                 for n in range(1, 5)]

@@ -33,6 +33,7 @@ from quartic.ring import (
 from quartic.verify import field_quantity_N
 
 from dominance_reference import _cmp_rad_base
+from matrix_reference import _cmul
 from ring_reference import (
     reference_cmp_rad_base,
     reference_field_quantity_N,
@@ -127,38 +128,31 @@ def test_mul_commutative_and_distributive(x, y):
 
 def test_galois_identity_map():
     x = QuarticElem(5, -3, 1, -2)
-    g = galois(x, 0)
-    assert g.re == x and g.im_scale.is_zero()
+    assert galois(x, 0) == (x, ZERO)
 
 
 def test_galois_q_trace():
-    g = galois(QuarticElem(3, 0, 2, 0), 1)
-    assert g.re == QuarticElem(3, 0, -2, 0)
-    assert g.im_scale.is_zero()
+    assert galois(QuarticElem(3, 0, 2, 0), 1) == (QuarticElem(3, 0, -2, 0),
+                                                  ZERO)
 
 
 def test_galois_p_trace():
-    g = galois(QuarticElem(5, -3, 1, -2), 1)
-    assert g.re == QuarticElem(5, 0, -1, 0)
-    assert g.im_scale == QuarticElem(-3, 0, 2, 0)   # -(3 - 2 sqrt2)
+    # im = -(3 - 2 sqrt2)
+    assert galois(QuarticElem(5, -3, 1, -2), 1) == (QuarticElem(5, 0, -1, 0),
+                                                    QuarticElem(-3, 0, 2, 0))
 
 
 def test_galois_conjugate_pair():
     x = QuarticElem(2, 7, -1, 3)
-    s1, s3 = galois(x, 1), galois(x, 3)
-    assert s1.re == s3.re and s1.im_scale == -s3.im_scale
-
-
-def _parts(z):
-    return z.re, z.im_scale
+    (r1, s1), (r3, s3) = galois(x, 1), galois(x, 3)
+    assert r1 == r3 and s1 == -s3
 
 
 @given(elements, elements, st.integers(min_value=0, max_value=3))
 def test_galois_is_ring_homomorphism(x, y, k):
     gx, gy = galois(x, k), galois(y, k)
-    assert _parts(galois(x * y, k)) == _parts(gx * gy)
-    assert _parts(galois(x + y, k)) == (gx.re + gy.re,
-                                        gx.im_scale + gy.im_scale)
+    assert galois(x * y, k) == _cmul(gx, gy)
+    assert galois(x + y, k) == (gx[0] + gy[0], gx[1] + gy[1])
 
 
 def test_galois_homomorphism_bulk(rng):
@@ -166,7 +160,7 @@ def test_galois_homomorphism_bulk(rng):
         x = QuarticElem(*(rng.randint(-9, 9) for _ in range(4)))
         y = QuarticElem(*(rng.randint(-9, 9) for _ in range(4)))
         k = rng.randrange(4)
-        assert _parts(galois(x * y, k)) == _parts(galois(x, k) * galois(y, k))
+        assert galois(x * y, k) == _cmul(galois(x, k), galois(y, k))
 
 
 def test_norm_oracle_bulk(rng):

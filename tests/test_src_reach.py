@@ -325,8 +325,7 @@ ALLOWED = [
     ("construction._gamma", GUARD, "raise UnsignedElement"),
     ("construction.check_conditions", GUARD, "raise ValueError"),
     ("cubic.CubicElem.__repr__", REPR),
-    ("eigen.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product",
-     "raise ValueError"),
+    ("eigen.eigen2", GUARD, "raise ParabolicNotSupported(\"eigenvalue product"),
     # the search and the probes measure distinct points
     ("eigen.proj_dist", GUARD, "raise DimensionMismatch",
      "return 0, 0, 1", "raise UndecidedComparison"),
@@ -342,7 +341,6 @@ ALLOWED = [
     ("linalg.RingMat2.__repr__", REPR),
     ("linalg.RingMat2.__eq__", GUARD, "return NotImplemented"),
     ("linalg.RingMat2.inv", GUARD, "raise SingularMatrix"),
-    ("linalg.RingMat2.real_view", GUARD, "raise ValueError"),
     # the exact comparison after both one-entry filters passed the word
     ("margin._scan_subtree", GUARD, "continue"),
     ("margin.discreteness_margin", GUARD, "raise ValueError(f\"embedding",
@@ -377,8 +375,6 @@ ALLOWED = [
     ("ring.QuarticElem._plus", GUARD, "return NotImplemented"),
     ("ring.QuarticElem.inv", GUARD, "raise ZeroDivisionError"),
     ("ring.QuarticElem.__lt__", GUARD, "return NotImplemented"),
-    ("ring.EmbeddedComplex.__repr__", REPR),
-    ("ring.EmbeddedComplex.__mul__", GUARD, "raise InternalMismatch"),
     ("ring.galois", GUARD, "raise ValueError"),
     ("verify.field_quantity_N", GUARD, "raise InternalMismatch"),
     ("verify.cmd_verify_paper", GUARD, "bad = True", "worst = x.to_text()",

@@ -180,7 +180,9 @@ def _record_fields(path):
 def _attribute_reads(trees):
     """({(class, name)} read as ``self.name`` in a class body, {name} read
     as an attribute of anything else).  A ``self`` read counts only for its
-    own class, so two records that share a field name are told apart."""
+    own class, so two records that share a field name are told apart.  An
+    ``args.name`` read is a command-line option, not a field, and counts for
+    nothing."""
     own, other = set(), set()
     for tree in trees:
         for cls in ast.walk(tree):
@@ -194,7 +196,7 @@ def _attribute_reads(trees):
                   if isinstance(n, ast.Attribute)
                   and isinstance(n.ctx, ast.Load)
                   and not (isinstance(n.value, ast.Name)
-                           and n.value.id == "self")}
+                           and n.value.id in ("self", "args"))}
     return own, other
 
 
